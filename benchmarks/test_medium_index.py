@@ -7,9 +7,9 @@ geometries:
   average degree constant (the regime where the grid prunes hardest),
 * Fig. 7 geometry: a fixed 55 m range on the paper's 200 m x 200 m area, and
 * Fig. 4/5 mover-heavy geometry: the paper's 75 m range with every node in
-  near-constant motion (1 m/s, 2 s max pause) -- the regime the
-  displacement-epoch sender windows exist for (paused-sender windows almost
-  never apply, so every transmission classifies through an epoch window).
+  near-constant motion (1 m/s, 2 s max pause) -- the regime the kinetic
+  sender windows exist for (hardly anyone pauses, so every verdict carries
+  a finite boundary-crossing deadline).
 
 The timing scale is ``quick`` (short source phase); the spatial parameters
 are the paper's.  Besides the pytest-benchmark timing of the grid run, the

@@ -149,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "telemetry carried by an instrumented campaign store "
                     "(campaign --obs --out store.jsonl) or a pytest-benchmark "
                     "artifact (BENCH_*.json): metric tree, fan-out histogram, "
-                    "epoch-window hit rate, phase breakdown and top-N fan-out "
+                    "kinetic-window hit rate, phase breakdown and top-N fan-out "
                     "offenders.  --merged folds a whole store into one "
                     "campaign-wide snapshot; --diff renders the delta between "
                     "two snapshots/stores/artifacts.",

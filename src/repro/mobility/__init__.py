@@ -9,12 +9,12 @@ it; :class:`GaussMarkovMobility`, :class:`RpgmMobility` and
 :class:`WaypointTraceMobility` support testing and custom scenarios.
 
 Every model exposes the motion-service contract of
-:class:`~repro.mobility.base.MobilityModel` -- position holds, speed bounds
-and displacement-epoch :class:`~repro.mobility.base.MotionSample` s -- that
+:class:`~repro.mobility.base.MobilityModel` -- its current linear
+:meth:`~repro.mobility.base.MobilityModel.segment` and a speed bound -- that
 the spatial index and the medium build their caches on.
 """
 
-from repro.mobility.base import MobilityModel, MotionSample, RectangularArea
+from repro.mobility.base import MobilityModel, RectangularArea
 from repro.mobility.config import MOBILITY_MODELS, MobilityConfig, build_fleet, fleet_speed_bound
 from repro.mobility.gauss_markov import GaussMarkovMobility
 from repro.mobility.manhattan import ManhattanGridMobility
@@ -30,7 +30,6 @@ __all__ = [
     "ManhattanGridMobility",
     "MobilityConfig",
     "MobilityModel",
-    "MotionSample",
     "RandomWaypointMobility",
     "RectangularArea",
     "RpgmMobility",

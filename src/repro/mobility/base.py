@@ -1,48 +1,33 @@
 """Mobility model interface and helpers.
 
-Beyond plain position interpolation, every model exposes an
-*incremental-advance* contract consumed by the spatial index and the medium
-(the "motion service"):
+Beyond plain position interpolation, every model exposes the *motion
+service* contract consumed by the spatial index and the medium:
 
-* :meth:`MobilityModel.position_hold` -- position plus how long it provably
-  stays constant (pauses, static placement, flat trace segments);
-* :meth:`MobilityModel.speed_bound_mps` -- a static bound turning stale
-  cached positions into conservative distance intervals;
-* :meth:`MobilityModel.motion_sample` -- all of the above bundled into a
-  :class:`MotionSample` together with a monotone **displacement epoch**: a
-  counter that advances only when the node's accumulated displacement since
-  the epoch's *anchor* position exceeds a consumer-chosen band width
-  (:meth:`MobilityModel.set_epoch_band`).  While the epoch is unchanged the
-  node is provably within the band of the anchor, so per-sender interference
-  windows classified against the anchor stay exact across many transmissions
-  of a slowly moving sender.  Teleports (and band reconfiguration) always
-  advance the epoch, so consumers can key caches by ``(node, epoch)`` alone.
+* :meth:`MobilityModel.segment` -- the node's current **linear segment**:
+  its exact position plus the constant velocity it keeps until a stated
+  instant.  Every model here is piecewise linear, so the instant at which
+  two nodes' distance crosses a radio range is a quadratic root the spatial
+  index computes exactly, once, instead of bounding what might have
+  happened since a verdict was cached;
+* :meth:`MobilityModel.position_hold` -- the at-rest view of the segment:
+  position plus how long it provably stays constant;
+* :meth:`MobilityModel.speed_bound_mps` -- a static bound on the node's
+  speed, which paces grid rebuilds and candidate-set expiry.
+
+Teleports (``StaticMobility.move_to``) are the one discontinuity; they are
+reported through :meth:`MobilityModel.add_position_listener`.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 Position = Tuple[float, float]
 
-
-class MotionSample(NamedTuple):
-    """One incremental-advance observation of a node's motion.
-
-    ``position`` is exact at the sampled instant; it provably stays constant
-    for any time in ``[sampled instant, hold_until)``.  ``speed_bound`` is
-    the model's static speed bound (``None`` when unknown), and ``epoch`` is
-    the displacement epoch at the sampled instant -- monotone, and unchanged
-    only while the node has stayed within the configured band of the epoch's
-    anchor position (see :meth:`MobilityModel.set_epoch_band`).
-    """
-
-    position: Position
-    hold_until: float
-    speed_bound: Optional[float]
-    epoch: int
+#: ``(x, y, vx, vy, until)``: see :meth:`MobilityModel.segment`.
+Segment = Tuple[float, float, float, float, float]
 
 
 @dataclass(frozen=True)
@@ -72,76 +57,37 @@ class RectangularArea:
 class MobilityModel(abc.ABC):
     """Provides a node's position as a function of simulation time."""
 
-    # Displacement-epoch state (class-level defaults so subclasses need no
-    # cooperative __init__; instance attributes appear on first write).
-    _epoch: int = 0
-    _epoch_band_m: float = 0.0
-    _epoch_anchor: Optional[Position] = None
-
     @abc.abstractmethod
     def position(self, at_time: float) -> Position:
         """Return the ``(x, y)`` position in metres at ``at_time`` seconds."""
+
+    def segment(self, at_time: float) -> Segment:
+        """The linear segment the node is on at ``at_time``.
+
+        Returns ``(x, y, vx, vy, until)``: the position at ``at_time`` --
+        computed by the *same expression* :meth:`position` uses, so the two
+        are bit-equal -- and the constant velocity in m/s the node keeps for
+        every ``t`` in ``[at_time, until)``.  A pause is
+        ``(x, y, 0.0, 0.0, pause_end)``.  ``until == at_time`` promises
+        nothing: consumers then re-sample on every use.  Asking for a
+        segment never draws randomness out of generation order.
+
+        The default -- for a model overriding only :meth:`position` -- is
+        that zero-length segment: always correct, never cached.
+        """
+        x, y = self.position(at_time)
+        return (x, y, 0.0, 0.0, at_time)
 
     def position_hold(self, at_time: float) -> Tuple[Position, float]:
         """Position at ``at_time`` plus how long it provably stays there.
 
         Returns ``(position, hold_until)`` where the position is guaranteed
-        not to change for any time in ``[at_time, hold_until)``.  Models that
-        know they are paused (random waypoint between legs, static placement)
-        override this so spatial caches can reuse the position across events;
-        the default claims no hold at all (``hold_until == at_time``).
+        not to change for any time in ``[at_time, hold_until)``: the node's
+        :meth:`segment` when it is at rest, no hold at all
+        (``hold_until == at_time``) while it travels.
         """
-        return self.position(at_time), at_time
-
-    # -------------------------------------------------- displacement epochs
-    def set_epoch_band(self, band_m: float) -> None:
-        """Configure the displacement band used by :meth:`motion_sample`.
-
-        The epoch advances once the node has moved more than ``band_m``
-        metres away from the position where the epoch last advanced (the
-        *anchor*).  A band of 0 advances the epoch on any position change.
-        Reconfiguring the band always advances the epoch and drops the
-        anchor, so caches keyed by the old band's epochs can never be
-        mistaken for current ones.
-        """
-        if band_m < 0:
-            raise ValueError("band_m must be non-negative")
-        self._epoch_band_m = float(band_m)
-        self._epoch += 1
-        self._epoch_anchor = None
-
-    @property
-    def epoch_anchor(self) -> Optional[Position]:
-        """Anchor position of the current displacement epoch (if sampled).
-
-        The node is provably within the configured band of this position at
-        every instant :meth:`motion_sample` has been consulted for since the
-        epoch advanced.  ``None`` until the first sample of the epoch.
-        """
-        return self._epoch_anchor
-
-    def motion_sample(self, at_time: float) -> MotionSample:
-        """Sample position, hold, speed bound and displacement epoch.
-
-        The default implementation derives everything from
-        :meth:`position_hold` / :meth:`speed_bound_mps` and tracks the
-        displacement epoch against the configured band.  The epoch check is
-        performed at the sampled instant, which is exactly when consumers
-        rely on it -- between samples the node may leave and re-enter the
-        band without consequence, because no classification is made then.
-        """
-        position, hold_until = self.position_hold(at_time)
-        anchor = self._epoch_anchor
-        if anchor is None:
-            self._epoch_anchor = position
-        else:
-            band = self._epoch_band_m
-            dx = position[0] - anchor[0]
-            dy = position[1] - anchor[1]
-            if dx * dx + dy * dy > band * band:
-                self._epoch += 1
-                self._epoch_anchor = position
-        return MotionSample(position, hold_until, self.speed_bound_mps, self._epoch)
+        x, y, vx, vy, until = self.segment(at_time)
+        return (x, y), (at_time if vx or vy else until)
 
     @property
     def speed_bound_mps(self) -> Optional[float]:
@@ -169,14 +115,7 @@ class MobilityModel(abc.ABC):
         listeners.append(listener)
 
     def _position_changed(self) -> None:
-        """Notify subscribers that the position jumped discontinuously.
-
-        A jump of any size can exceed the displacement band, so the epoch is
-        advanced unconditionally (and the anchor re-established at the next
-        sample) before the listeners run.
-        """
-        self._epoch += 1
-        self._epoch_anchor = None
+        """Notify subscribers that the position jumped discontinuously."""
         for listener in getattr(self, "_position_listeners", ()):
             listener()
 

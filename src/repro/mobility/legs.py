@@ -1,32 +1,42 @@
 """Shared lazy piecewise-linear motion machinery.
 
-Several mobility models (Gauss-Markov steps, Manhattan street segments --
-and conceptually random waypoint, which predates this module and keeps its
-own identical implementation for golden-stability) reduce to the same shape:
-an append-only list of *legs*, each a straight-line travel followed by an
-optional pause, generated on demand as queries reach further into the
-future.  :class:`PiecewiseLinearMobility` implements the lazy extension,
-the binary search and the :meth:`position` / :meth:`position_hold` contract
+Random waypoint, Gauss-Markov steps and Manhattan street segments reduce to
+the same shape: an append-only list of *legs*, each a straight-line travel
+followed by an optional pause, generated on demand as queries reach further
+into the future.  :class:`PiecewiseLinearMobility` implements the lazy
+extension, the leg cursor and the :meth:`position` / :meth:`segment` contract
 once; subclasses only provide :meth:`_next_leg`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
+import math
+from typing import List
 
-from repro.mobility.base import MobilityModel, Position
+from repro.mobility.base import MobilityModel, Position, Segment
 
 
-@dataclass
 class Leg:
     """One segment of motion: straight-line travel then an optional pause."""
 
-    start_time: float
-    start: Position
-    end: Position
-    travel_end_time: float
-    pause_end_time: float
+    __slots__ = ("start_time", "start", "end", "travel_end_time", "pause_end_time",
+                 "velocity")
+
+    def __init__(self, start_time: float, start: Position, end: Position,
+                 travel_end_time: float, pause_end_time: float):
+        self.start_time = start_time
+        self.start = start
+        self.end = end
+        self.travel_end_time = travel_end_time
+        self.pause_end_time = pause_end_time
+        duration = travel_end_time - start_time
+        #: Constant travel velocity; ``None`` for a leg that never travels
+        #: (zero or infinite duration, or no displacement).
+        self.velocity = None
+        if 0.0 < duration < math.inf and start != end:
+            self.velocity = (
+                (end[0] - start[0]) / duration, (end[1] - start[1]) / duration
+            )
 
     def position(self, at_time: float) -> Position:
         if at_time >= self.travel_end_time:
@@ -46,6 +56,10 @@ class PiecewiseLinearMobility(MobilityModel):
     def __init__(self, origin: Position):
         self._legs: List[Leg] = []
         self._origin: Position = (float(origin[0]), float(origin[1]))
+        #: Index of the leg the last query fell in.  Simulation time is
+        #: monotone, so the next query lands in the same leg or the next
+        #: one; out-of-order queries walk the cursor back.
+        self._cursor = 0
 
     # ------------------------------------------------------------- extension
     def _next_leg(self, start_time: float, start: Position) -> Leg:
@@ -58,54 +72,47 @@ class PiecewiseLinearMobility(MobilityModel):
         """
         raise NotImplementedError
 
-    def _last_state(self) -> Tuple[float, Position]:
-        if not self._legs:
-            return 0.0, self._origin
-        last = self._legs[-1]
-        return last.pause_end_time, last.end
-
-    def _extend_until(self, at_time: float) -> None:
-        guard = 0
-        while True:
-            last_end, last_position = self._last_state()
-            if self._legs and last_end > at_time:
-                return
-            leg = self._next_leg(last_end, last_position)
-            # Guarantee progress even when both travel and pause are 0.
-            if leg.pause_end_time <= leg.start_time:
-                leg = Leg(last_end, last_position, leg.end, last_end, last_end + 1e-3)
-            self._legs.append(leg)
-            guard += 1
-            if guard > 1_000_000:  # pragma: no cover - defensive
-                raise RuntimeError(f"{type(self).__name__} failed to advance time")
+    def _append_leg(self) -> Leg:
+        legs = self._legs
+        if legs:
+            last_end, last_position = legs[-1].pause_end_time, legs[-1].end
+        else:
+            last_end, last_position = 0.0, self._origin
+        leg = self._next_leg(last_end, last_position)
+        # Guarantee progress even when both travel and pause are 0.
+        if leg.pause_end_time <= leg.start_time:
+            leg = Leg(last_end, last_position, leg.end, last_end, last_end + 1e-3)
+        legs.append(leg)
+        return leg
 
     def _leg_at(self, at_time: float) -> Leg:
+        """The leg whose ``[start_time, pause_end_time)`` holds ``at_time``."""
         if at_time < 0:
             raise ValueError("time must be non-negative")
-        self._extend_until(at_time)
-        # Binary search over legs (they are sorted by start_time).
         legs = self._legs
-        lo, hi = 0, len(legs) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if legs[mid].pause_end_time <= at_time:
-                lo = mid + 1
-            else:
-                hi = mid
-        return legs[lo]
+        index = self._cursor
+        leg = legs[index] if legs else self._append_leg()
+        while at_time >= leg.pause_end_time:
+            index += 1
+            leg = legs[index] if index < len(legs) else self._append_leg()
+        while at_time < leg.start_time:
+            index -= 1
+            leg = legs[index]
+        self._cursor = index
+        return leg
 
     # -------------------------------------------------------------- interface
     def position(self, at_time: float) -> Position:
         return self._leg_at(at_time).position(at_time)
 
-    def position_hold(self, at_time: float) -> Tuple[Position, float]:
-        """Pauses and zero-motion legs hold until the leg ends."""
+    def segment(self, at_time: float) -> Segment:
+        """Travel at the leg's velocity until it arrives, then its pause."""
         leg = self._leg_at(at_time)
-        if leg.start == leg.end:
-            return leg.end, leg.pause_end_time
-        if at_time >= leg.travel_end_time:
-            return leg.end, leg.pause_end_time
-        return leg.position(at_time), at_time
+        velocity = leg.velocity
+        if velocity is None or at_time >= leg.travel_end_time:
+            return (leg.end[0], leg.end[1], 0.0, 0.0, leg.pause_end_time)
+        x, y = leg.position(at_time)
+        return (x, y, velocity[0], velocity[1], leg.travel_end_time)
 
     @property
     def legs_generated(self) -> int:

@@ -15,35 +15,13 @@ movement events are ever scheduled in the simulator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+import math
 
-from repro.mobility.base import MobilityModel, Position, RectangularArea
-
-
-@dataclass
-class _Leg:
-    """One segment of motion: travel then pause."""
-
-    start_time: float
-    start: Position
-    end: Position
-    travel_end_time: float
-    pause_end_time: float
-
-    def position(self, at_time: float) -> Position:
-        if at_time >= self.travel_end_time:
-            return self.end
-        duration = self.travel_end_time - self.start_time
-        if duration <= 0:
-            return self.end
-        fraction = (at_time - self.start_time) / duration
-        x = self.start[0] + (self.end[0] - self.start[0]) * fraction
-        y = self.start[1] + (self.end[1] - self.start[1]) * fraction
-        return (x, y)
+from repro.mobility.base import Position, RectangularArea
+from repro.mobility.legs import Leg, PiecewiseLinearMobility
 
 
-class RandomWaypointMobility(MobilityModel):
+class RandomWaypointMobility(PiecewiseLinearMobility):
     """Random-waypoint motion inside a rectangular area.
 
     Parameters
@@ -86,95 +64,29 @@ class RandomWaypointMobility(MobilityModel):
         start = initial_position if initial_position is not None else area.random_point(rng)
         if not area.contains(start):
             raise ValueError(f"initial position {start} lies outside the area")
-        self._legs: List[_Leg] = []
-        self._origin: Position = (float(start[0]), float(start[1]))
+        super().__init__(start)
 
-    # ------------------------------------------------------------------ legs
-    def _last_state(self) -> tuple:
-        if not self._legs:
-            return 0.0, self._origin
-        last = self._legs[-1]
-        return last.pause_end_time, last.end
-
-    def _draw_speed(self) -> float:
+    def _next_leg(self, start_time: float, start: Position) -> Leg:
+        if self.max_speed_mps == 0.0:
+            # Degenerate case: the node can never move (and draws nothing).
+            return Leg(start_time, start, start, math.inf, math.inf)
+        destination = self.area.random_point(self.rng)
         speed = self.rng.uniform(self.min_speed_mps, self.max_speed_mps)
-        return speed
-
-    def _extend_until(self, at_time: float) -> None:
-        guard = 0
-        while True:
-            last_end, last_position = self._last_state()
-            if last_end > at_time and self._legs:
-                return
-            if self.max_speed_mps == 0.0:
-                # Degenerate case: the node can never move.
-                if not self._legs:
-                    self._legs.append(
-                        _Leg(0.0, self._origin, self._origin, float("inf"), float("inf"))
-                    )
-                return
-            destination = self.area.random_point(self.rng)
-            speed = self._draw_speed()
+        if speed <= 0.0:
+            # A zero draw means the node idles through this leg; model it
+            # as a pure pause so time still advances.
+            travel_time = 0.0
+            destination = start
+        else:
             distance = (
-                (destination[0] - last_position[0]) ** 2
-                + (destination[1] - last_position[1]) ** 2
+                (destination[0] - start[0]) ** 2 + (destination[1] - start[1]) ** 2
             ) ** 0.5
-            if speed <= 0.0:
-                # A zero draw means the node idles through this leg; model it
-                # as a pure pause so time still advances.
-                travel_time = 0.0
-                destination = last_position
-            else:
-                travel_time = distance / speed
-            pause = self.rng.uniform(0.0, self.max_pause_s) if self.max_pause_s > 0 else 0.0
-            travel_end = last_end + travel_time
-            leg = _Leg(
-                start_time=last_end,
-                start=last_position,
-                end=destination,
-                travel_end_time=travel_end,
-                pause_end_time=travel_end + pause,
-            )
-            # Guarantee progress even when both travel and pause are 0.
-            if leg.pause_end_time <= leg.start_time:
-                leg = _Leg(last_end, last_position, destination, last_end, last_end + 1e-3)
-            self._legs.append(leg)
-            guard += 1
-            if guard > 1_000_000:  # pragma: no cover - defensive
-                raise RuntimeError("random waypoint model failed to advance time")
-
-    def _leg_at(self, at_time: float) -> _Leg:
-        if at_time < 0:
-            raise ValueError("time must be non-negative")
-        self._extend_until(at_time)
-        # Binary search over legs (they are sorted by start_time).
-        legs = self._legs
-        lo, hi = 0, len(legs) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if legs[mid].pause_end_time <= at_time:
-                lo = mid + 1
-            else:
-                hi = mid
-        return legs[lo]
-
-    # -------------------------------------------------------------- interface
-    def position(self, at_time: float) -> Position:
-        return self._leg_at(at_time).position(at_time)
-
-    def position_hold(self, at_time: float) -> tuple:
-        """Position plus hold: a pausing node stays put until its pause ends."""
-        leg = self._leg_at(at_time)
-        if at_time >= leg.travel_end_time:
-            return leg.end, leg.pause_end_time
-        return leg.position(at_time), at_time
+            travel_time = distance / speed
+        pause = self.rng.uniform(0.0, self.max_pause_s) if self.max_pause_s > 0 else 0.0
+        travel_end = start_time + travel_time
+        return Leg(start_time, start, destination, travel_end, travel_end + pause)
 
     @property
     def speed_bound_mps(self) -> float:
         """Travel speeds are drawn from ``[min_speed, max_speed]``."""
         return self.max_speed_mps
-
-    @property
-    def legs_generated(self) -> int:
-        """Number of movement legs generated so far (diagnostic)."""
-        return len(self._legs)

@@ -19,9 +19,10 @@ pausing.
 
 from __future__ import annotations
 
+import math
 from typing import Tuple
 
-from repro.mobility.base import MobilityModel, Position, RectangularArea
+from repro.mobility.base import MobilityModel, Position, RectangularArea, Segment
 from repro.mobility.random_waypoint import RandomWaypointMobility
 
 
@@ -77,27 +78,26 @@ class RpgmMobility(MobilityModel):
             max_pause_s=max_pause_s,
         )
 
-    def _clamp(self, x: float, y: float) -> Position:
-        return (
-            min(max(x, 0.0), self.area.width_m),
-            min(max(y, 0.0), self.area.height_m),
-        )
-
     def position(self, at_time: float) -> Position:
-        rx, ry = self.reference.position(at_time)
-        ox, oy = self._offset_walk.position(at_time)
-        radius = self.group_radius_m
-        return self._clamp(rx + ox - radius, ry + oy - radius)
+        x, y, _, _, _ = self.segment(at_time)
+        return (x, y)
 
-    def position_hold(self, at_time: float) -> Tuple[Position, float]:
-        """Holds while *both* the reference and the offset walk pause."""
-        (rx, ry), ref_hold = self.reference.position_hold(at_time)
-        (ox, oy), offset_hold = self._offset_walk.position_hold(at_time)
+    def segment(self, at_time: float) -> Segment:
+        """Sum of the reference's and the offset walk's segments, clamped.
+
+        The clamp onto the area is the one non-linear piece: per axis the
+        segment is cut where the unclamped coordinate reaches (or returns
+        from beyond) an area edge, and an axis pinned to an edge has zero
+        velocity.
+        """
+        rx, ry, rvx, rvy, until = self.reference.segment(at_time)
+        ox, oy, ovx, ovy, offset_until = self._offset_walk.segment(at_time)
+        if offset_until < until:
+            until = offset_until
         radius = self.group_radius_m
-        return (
-            self._clamp(rx + ox - radius, ry + oy - radius),
-            min(ref_hold, offset_hold),
-        )
+        x, vx, x_cut = _clamp_axis(rx + ox - radius, rvx + ovx, self.area.width_m)
+        y, vy, y_cut = _clamp_axis(ry + oy - radius, rvy + ovy, self.area.height_m)
+        return (x, y, vx, vy, min(until, at_time + x_cut, at_time + y_cut))
 
     @property
     def speed_bound_mps(self):
@@ -111,6 +111,27 @@ class RpgmMobility(MobilityModel):
         if reference_bound is None:
             return None
         return reference_bound + self.member_speed_mps
+
+
+def _clamp_axis(u: float, v: float, limit: float) -> Tuple[float, float, float]:
+    """One coordinate of ``clamp(u + v*t)`` onto ``[0, limit]`` as a segment.
+
+    Returns ``(clamped u, velocity, seconds the velocity holds)``: a free
+    coordinate keeps ``v`` until it reaches the edge it is heading for; one
+    pinned to an edge has zero velocity until ``u`` comes back inside.
+    """
+    clamped = min(max(u, 0.0), limit)
+    if v > 0.0:
+        if u < 0.0:
+            return clamped, 0.0, -u / v
+        if u < limit:
+            return clamped, v, (limit - u) / v
+    elif v < 0.0:
+        if u > limit:
+            return clamped, 0.0, (limit - u) / v
+        if u > 0.0:
+            return clamped, v, -u / v
+    return clamped, 0.0, math.inf
 
 
 def build_group_reference(

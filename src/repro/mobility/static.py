@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from typing import Tuple
 
-from repro.mobility.base import MobilityModel, Position
+from repro.mobility.base import MobilityModel, Position, Segment
 
 
 class StaticMobility(MobilityModel):
@@ -17,9 +17,10 @@ class StaticMobility(MobilityModel):
     def position(self, at_time: float) -> Position:
         return self._position
 
-    def position_hold(self, at_time: float) -> tuple:
-        """A static position holds forever (teleports fire the listeners)."""
-        return self._position, math.inf
+    def segment(self, at_time: float) -> Segment:
+        """At rest forever (teleports fire the position listeners)."""
+        x, y = self._position
+        return (x, y, 0.0, 0.0, math.inf)
 
     @property
     def speed_bound_mps(self) -> float:

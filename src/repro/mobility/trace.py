@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.mobility.base import MobilityModel, Position
+from repro.mobility.base import MobilityModel, Position, Segment
 
 Waypoint = Tuple[float, float, float]  # (time, x, y)
 
@@ -52,36 +52,35 @@ class WaypointTraceMobility(MobilityModel):
         return bound
 
     def position(self, at_time: float) -> Position:
+        x, y, _, _, _ = self.segment(at_time)
+        return (x, y)
+
+    def segment(self, at_time: float) -> Segment:
+        """The span between two waypoints; flat spans and both ends rest.
+
+        A span ends at its later waypoint, so a query exactly on an interior
+        waypoint -- where a zero-span jump may follow -- gets a zero-length
+        segment.
+        """
         points = self._waypoints
         if at_time <= points[0][0]:
-            return (points[0][1], points[0][2])
+            return (points[0][1], points[0][2], 0.0, 0.0, points[0][0])
         if at_time >= points[-1][0]:
-            return (points[-1][1], points[-1][2])
+            return (points[-1][1], points[-1][2], 0.0, 0.0, math.inf)
         for earlier, later in zip(points, points[1:]):
             if earlier[0] <= at_time <= later[0]:
                 span = later[0] - earlier[0]
                 if span == 0:
-                    return (later[1], later[2])
+                    return (later[1], later[2], 0.0, 0.0, at_time)
                 fraction = (at_time - earlier[0]) / span
                 x = earlier[1] + (later[1] - earlier[1]) * fraction
                 y = earlier[2] + (later[2] - earlier[2]) * fraction
-                return (x, y)
-        # Unreachable because of the boundary checks above.
-        return (points[-1][1], points[-1][2])  # pragma: no cover
-
-    def position_hold(self, at_time: float) -> Tuple[Position, float]:
-        """Positions hold before the first, after the last and on flat segments."""
-        points = self._waypoints
-        if at_time <= points[0][0]:
-            return (points[0][1], points[0][2]), points[0][0]
-        if at_time >= points[-1][0]:
-            return (points[-1][1], points[-1][2]), math.inf
-        for earlier, later in zip(points, points[1:]):
-            if earlier[0] <= at_time <= later[0]:
-                if earlier[1:] == later[1:]:
-                    return (later[1], later[2]), later[0]
-                return self.position(at_time), at_time
-        return self.position(at_time), at_time  # pragma: no cover
+                return (
+                    x, y,
+                    (later[1] - earlier[1]) / span, (later[2] - earlier[2]) / span,
+                    later[0],
+                )
+        raise AssertionError("unreachable: the boundary checks cover every time")
 
     @property
     def speed_bound_mps(self) -> Optional[float]:

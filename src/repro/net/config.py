@@ -28,8 +28,8 @@ class RadioConfig:
         Fixed per-frame PHY overhead added to the transmission duration.
     medium_index:
         Spatial index used by the medium to find receivers/interferers:
-        ``"grid"`` (uniform grid + position memo, O(k) per transmission, the
-        default) or ``"naive"`` (the O(N) linear-scan reference).  Both
+        ``"grid"`` (uniform grid + kinetic windows, O(k) per transmission,
+        the default) or ``"naive"`` (the O(N) linear-scan reference).  Both
         produce bit-identical results.
     fanout_kernel:
         Reception-bookkeeping kernel of the medium: ``"batch"`` (one pooled
@@ -50,18 +50,10 @@ class RadioConfig:
         Upper bound on node speed, used only to pick the default grid cell
         size.  ``None`` (unknown) selects the conservative half-range cell.
     grid_slack_m:
-        Staleness budget of the grid in metres: cached positions may drift
-        this far before being refreshed, and the grid is rebuilt once the
-        fleet may have moved this far.  Queries inflate their radius
-        accordingly, so results are unaffected.  Defaults to 1/8 cell.
-    motion_band_m:
-        Displacement-epoch band of the motion service: a sender keeps its
-        pre-classified interference window while it has moved less than
-        this distance from the window's anchor position.  A wider band
-        means fewer window rebuilds but a wider boundary ring of
-        per-transmission exact checks; classification stays exact for any
-        value, so this is a pure performance knob.  Defaults to
-        ``grid_slack_m``.
+        Staleness budget of the grid in metres: the grid is rebuilt once
+        the fleet may have moved this far since it was built.  Queries
+        inflate their radius accordingly, so results are unaffected.
+        Defaults to 1/8 cell.
     area_topology:
         Geometry of the radio area: ``"flat"`` (the paper's bounded
         rectangle, the default) or ``"torus"`` (opposite edges identified;
@@ -87,7 +79,6 @@ class RadioConfig:
     fanout_kernel: str = "batch"
     grid_cell_m: float | None = None
     grid_slack_m: float | None = None
-    motion_band_m: float | None = None
     speed_bound_mps: float | None = None
     area_topology: str = "flat"
     area_width_m: float | None = None
@@ -132,10 +123,6 @@ class RadioConfig:
             self.grid_slack_m = self.grid_cell_m / 8.0
         if self.grid_slack_m < 0:
             raise ValueError("grid_slack_m must be non-negative")
-        if self.motion_band_m is None:
-            self.motion_band_m = self.grid_slack_m
-        if self.motion_band_m < 0:
-            raise ValueError("motion_band_m must be non-negative")
         if self.shards < 1:
             raise ValueError("shards must be at least 1")
 

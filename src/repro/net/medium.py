@@ -41,11 +41,11 @@ statistics and delivery sequences; the naive index is kept as the reference
 for equivalence tests.
 
 The medium consumes one interface for static and moving senders alike:
-``transmission_window`` returns the transmission's pre-classified
-interference window -- cached against the sender's exact position while it
-pauses and against its displacement-epoch anchor while it moves (see the
-mobility motion-service contract) -- with only boundary members resolved per
-call.
+``transmission_window`` returns the sender's kinetic interference window --
+every candidate with its verdict, each cached until the exact instant the
+pair's linear motion next brings it to a range boundary (see the mobility
+``segment`` contract) -- so only the members whose deadline has passed are
+resolved per call.
 
 Fan-out kernels
 ---------------
@@ -95,12 +95,7 @@ from typing import Dict, List, Optional, TYPE_CHECKING, Union
 from repro.net.addressing import BROADCAST_ADDRESS
 from repro.net.config import RadioConfig
 from repro.net.packet import Frame
-from repro.net.spatial import (
-    LinearScanIndex,
-    TorusGridIndex,
-    UniformGridIndex,
-    within_range,
-)
+from repro.net.spatial import LinearScanIndex, TorusGridIndex, UniformGridIndex
 from repro.obs import NULL_OBS
 from repro.sim.engine import Simulator
 
@@ -303,14 +298,12 @@ class Medium:
                     slack_m=self.config.grid_slack_m,
                     width_m=self._wrap[0],
                     height_m=self._wrap[1],
-                    band_m=self.config.motion_band_m,
                     membership=index_membership,
                 )
             else:
                 self._index = UniformGridIndex(
                     cell_m=self.config.grid_cell_m,
                     slack_m=self.config.grid_slack_m,
-                    band_m=self.config.motion_band_m,
                     membership=index_membership,
                 )
         else:
@@ -407,32 +400,18 @@ class Medium:
         now = self.sim.now
         limit = self._rx_range
         limit_sq = limit * limit
-        origin = self._index.exact(phy, now)
+        index = self._index
+        origin = index.exact(phy, now)
         ox, oy = origin
         result = []
-        for _, _, other in self._index.candidates(origin, limit, now):
+        for _, _, other in index.candidates(origin, limit, now):
             if other is phy or not other.enabled:
                 continue
-            if self._within(other, ox, oy, now, limit, limit_sq):
+            px, py = index.exact(other, now)
+            dx, dy = self._deltas(px, py, ox, oy)
+            if dx * dx + dy * dy <= limit_sq:
                 result.append(other.node_id)
         return sorted(result)
-
-    def _within(
-        self, phy: "Phy", ox: float, oy: float, now: float, radius: float, radius_sq: float
-    ) -> bool:
-        """Exact test: is ``phy`` within ``radius`` of ``(ox, oy)`` at ``now``?"""
-        index = self._index
-        position, drift = index.bounded(phy, now)
-        dx, dy = self._deltas(position[0], position[1], ox, oy)
-        distance_sq = dx * dx + dy * dy
-        if drift > 0.0:
-            verdict = within_range(distance_sq, radius, drift)
-            if verdict is not None:
-                return verdict
-            position = index.exact(phy, now)
-            dx, dy = self._deltas(position[0], position[1], ox, oy)
-            distance_sq = dx * dx + dy * dy
-        return distance_sq <= radius_sq
 
     # ------------------------------------------------------------ busy sense
     def is_busy_for(self, phy: "Phy") -> bool:
@@ -459,6 +438,9 @@ class Medium:
         Returns the airtime of the frame.  Reception outcomes are resolved
         when the transmission ends; all geometry is frozen now, at start.
         """
+        obs_on = self._obs_on
+        if obs_on:
+            self._span_fanout.start()
         now = self.sim.now
         duration = self._airtime(frame.size_bytes)
         end_time = now + duration
@@ -485,22 +467,18 @@ class Medium:
             sender.rx_uncorrupted = 0
         sender.rx_corrupt_seq += 1
 
-        obs_on = self._obs_on
-        if obs_on:
-            self._span_fanout.start()
         receivers = batch.receivers
         receivers_append = receivers.append
         seqs_append = batch.seqs.append
         flags_append = batch.flags.append
         collisions = 0
         half_duplex = 0
-        # The window comes pre-classified from the index's per-sender caches
-        # (exact-point windows for paused senders, displacement-epoch anchor
-        # windows for moving ones); only boundary members near a verdict
-        # deadline were resolved for this call.  It never contains the
-        # sender, but may contain disabled radios and members that resolved
-        # beyond carrier sense (verdict None) -- filtering here avoids
-        # materialising a second, filtered list per transmission.
+        # The window comes resolved from the index's per-sender kinetic
+        # window; only members whose verdict deadline had passed were
+        # re-resolved for this call.  It never contains the sender, but may
+        # contain disabled radios and candidates beyond carrier sense
+        # (verdict None) -- filtering here avoids materialising a second,
+        # filtered list per transmission.
         for member in index.transmission_window(
             sender, sender_pos, self._cs_range, self._rx_range, now
         ):
@@ -541,12 +519,6 @@ class Medium:
             stats.collisions += collisions
         if half_duplex:
             stats.half_duplex_losses += half_duplex
-        if obs_on:
-            self._span_fanout.stop()
-            self._h_fanout.observe(count)
-            totals = self._fanout_totals
-            sender_id = sender.node_id
-            totals[sender_id] = totals.get(sender_id, 0) + count
 
         batch.active_slot = len(self._active)
         self._active.append(batch)
@@ -555,9 +527,18 @@ class Medium:
             self._export.append(
                 ("tx", now, sender.node_id, end_time, sender_pos[0], sender_pos[1], frame)
             )
+        if obs_on:
+            self._h_fanout.observe(count)
+            totals = self._fanout_totals
+            sender_id = sender.node_id
+            totals[sender_id] = totals.get(sender_id, 0) + count
+            self._span_fanout.stop()
         return duration
 
     def _finish_batch(self, batch: ReceptionBatch) -> None:
+        obs_on = self._obs_on
+        if obs_on:
+            self._span_teardown.start()
         # O(1) intrusive removal from the in-flight list.
         active = self._active
         tail = active.pop()
@@ -566,9 +547,6 @@ class Medium:
             active[slot] = tail
             tail.active_slot = slot
         stats = self.stats
-        obs_on = self._obs_on
-        if obs_on:
-            self._span_teardown.start()
         frame = batch.frame
         sender = batch.sender
         sender_id = sender.node_id
@@ -648,14 +626,14 @@ class Medium:
         batch.sender = None
         batch.frame = None
         self._batch_pool.append(batch)
-        if obs_on:
-            # Includes upper-layer dispatch: the span covers everything a
-            # frame's end-of-airtime costs, which is what the phase
-            # breakdown is for.
-            self._span_teardown.stop()
         if set_shard is not None:
             set_shard(sender.shard)
         sender.transmission_finished()
+        if obs_on:
+            # Includes upper-layer dispatch and the sender's MAC hook: the
+            # span covers everything a frame's end-of-airtime costs, which
+            # is what the phase breakdown is for.
+            self._span_teardown.stop()
 
     # --------------------------------------------------------- object kernel
     def _transmit_object(self, sender: "Phy", frame: Frame) -> float:
@@ -664,6 +642,9 @@ class Medium:
         Returns the airtime of the frame.  Reception outcomes are resolved
         when the transmission ends; all geometry is frozen now, at start.
         """
+        obs_on = self._obs_on
+        if obs_on:
+            self._span_fanout.start()
         now = self.sim.now
         duration = self._airtime(frame.size_bytes)
         end_time = now + duration
@@ -688,9 +669,6 @@ class Medium:
                 reception.corrupted = True
                 stats.half_duplex_losses += 1
 
-        obs_on = self._obs_on
-        if obs_on:
-            self._span_fanout.start()
         pool = self._reception_pool
         receptions = tx.receptions
         rec_append = receptions.append
@@ -738,20 +716,23 @@ class Medium:
             stats.collisions += collisions
         if half_duplex:
             stats.half_duplex_losses += half_duplex
+
+        tx.active_slot = len(self._active)
+        self._active.append(tx)
+        self.sim.call_in(duration, self._finish_transmission, (tx,))
         if obs_on:
-            self._span_fanout.stop()
             fanout = len(receptions)
             self._h_fanout.observe(fanout)
             totals = self._fanout_totals
             sender_id = sender.node_id
             totals[sender_id] = totals.get(sender_id, 0) + fanout
-
-        tx.active_slot = len(self._active)
-        self._active.append(tx)
-        self.sim.call_in(duration, self._finish_transmission, (tx,))
+            self._span_fanout.stop()
         return duration
 
     def _finish_transmission(self, tx: _Transmission) -> None:
+        obs_on = self._obs_on
+        if obs_on:
+            self._span_teardown.start()
         # O(1) intrusive removal from the in-flight list.
         active = self._active
         tail = active.pop()
@@ -760,9 +741,6 @@ class Medium:
             active[slot] = tail
             tail.active_slot = slot
         stats = self.stats
-        obs_on = self._obs_on
-        if obs_on:
-            self._span_teardown.start()
         pool_append = self._reception_pool.append
         frame = tx.frame
         sender_id = tx.sender.node_id
@@ -834,14 +812,12 @@ class Medium:
         tx.sender = None
         tx.frame = None
         self._transmission_pool.append(tx)
-        if obs_on:
-            # Includes upper-layer dispatch: the span covers everything a
-            # frame's end-of-airtime costs, which is what the phase
-            # breakdown is for.
-            self._span_teardown.stop()
         if set_shard is not None:
             set_shard(sender.shard)
         sender.transmission_finished()
+        if obs_on:
+            # See _finish_batch: the span covers the whole end-of-airtime.
+            self._span_teardown.stop()
 
     # ------------------------------------------------------- power transitions
     def radio_powered_down(self, phy: "Phy") -> None:
@@ -1231,7 +1207,7 @@ class Medium:
             [
                 ("spatial.index.window_hits", index.window_hits),
                 ("spatial.index.window_builds", index.window_builds),
-                ("spatial.index.window_patch_hits", index.window_patch_hits),
+                ("spatial.index.window_resolves", index.window_resolves),
                 ("spatial.index.grid_rebuilds", index.grid_rebuilds),
             ]
         )

@@ -10,50 +10,31 @@ This module answers the same question in O(k) for the k nodes near the query
 point, without changing a single simulation outcome:
 
 :class:`PositionMemo`
-    A per-instant position cache over the analytic mobility models.  Each
-    node's position is interpolated at most once per simulation instant.
-    The mobility motion-service contract stretches entries across instants:
-
-    * :meth:`~repro.mobility.base.MobilityModel.position_hold` lets pausing
-      models (random waypoint between legs, static placement) declare how
-      long a position provably stays constant,
-    * :meth:`~repro.mobility.base.MobilityModel.speed_bound_mps` turns a
-      stale entry into a conservative distance *interval*: a node cached
-      ``d`` metres from a point at most ``drift`` metres ago is certainly
-      within range ``r`` when ``d + drift <= r`` and certainly outside when
-      ``d - drift > r``.  Only the rare boundary-ambiguous pairs fall back to
-      exact interpolation, so classification is exact while interpolation is
-      amortised away, and
-    * :meth:`~repro.mobility.base.MobilityModel.motion_sample` adds the
-      **displacement epoch** -- a counter that advances only once the node
-      has moved more than a configured band from the epoch's anchor
-      position.  The memo subscribes every tracked model to the band and
-      records the epoch in its entries, so consumers can key caches by
-      ``(node, epoch)`` and keep them exactly valid while the node stays
-      inside the band.
-
-    Scripted teleports (``StaticMobility.move_to``) invalidate entries
-    through the mobility position listeners (and advance the epoch), so
-    cached bounds never lie.
+    A per-instant cache of each node's linear motion
+    :meth:`~repro.mobility.base.MobilityModel.segment`.  A node's model is
+    asked at most once per simulation instant, and not at all while the
+    node is at rest (its position is then bit-constant until the segment
+    ends).  Scripted teleports (``StaticMobility.move_to``) invalidate
+    entries through the mobility position listeners.
 
 :class:`UniformGridIndex`
     A uniform grid with cell size of the order of the carrier-sense range,
-    built lazily from memoised positions and kept until accumulated drift
+    built from exact positions and kept until accumulated drift
     (``speed bound x age``) exceeds a slack budget.  Queries inflate their
-    radius by the worst-case staleness, so the returned candidate set is a
-    guaranteed superset of the true in-range set; the medium then classifies
-    each candidate exactly through the memo.
+    radius by that slack, so the returned candidate set is a guaranteed
+    superset of the true in-range set.
 
-    On top of the plain candidate windows, the grid serves the medium
-    **per-sender pre-classified interference windows** through
-    :meth:`~UniformGridIndex.transmission_window`: bound to the sender's
-    exact position while it provably holds still, and to its
-    displacement-epoch *anchor* while it moves -- valid for every
-    transmission the sender makes inside the band, which extends the
-    paused-sender fast path to slow movers.  Window members whose verdict
-    depends on the instant carry drift *deadlines*, so even they are
-    typically resolved once per window rather than once per transmission.
-    Classification stays exact for any band width.
+    On top of the plain candidate windows, the grid serves the medium one
+    **kinetic interference window** per sender through
+    :meth:`~UniformGridIndex.transmission_window`: every candidate carries
+    its resolved verdict *and the instant that verdict expires*.  All
+    motion is piecewise linear, so the instant a sender-receiver distance
+    crosses a radio range is a quadratic root, computed once when the pair
+    is classified (the kinetic-data-structure idea of Basch, Guibas &
+    Hershberger, SODA 1997).  A cached verdict is reused only while the
+    pair is provably more than :data:`_GUARD_M` from both range boundaries
+    on an unchanged linear segment of both nodes; everything else is the
+    linear scan's own expression on exact positions.
 
 :class:`LinearScanIndex`
     The O(N) reference implementation with the exact semantics of the
@@ -71,149 +52,91 @@ the two implementations.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.phy import Phy
 
 Position = Tuple[float, float]
+Segment = Tuple[float, float, float, float, float]
 
-#: Safety margin added to drift bounds so a node moving at exactly its speed
-#: bound can never be misclassified by floating-point rounding of the bound
-#: arithmetic; pairs this close to a range boundary re-interpolate instead.
-_DRIFT_EPSILON_M = 1e-9
+#: Guard band around a range boundary, in metres.  Positions extrapolated
+#: along a segment differ from the model's own interpolation by float error
+#: (~1e-13 m at these coordinates); a moving pair closer than this to a
+#: boundary is classified exactly on every call instead of being cached.
+_GUARD_M = 1e-6
 
 
-def within_range(distance_sq: float, radius: float, drift: float) -> Optional[bool]:
-    """Classify a cached squared distance against ``radius`` under ``drift``.
+def crossing_delay(distance_sq: float, closing: float, speed_sq: float,
+                   inner_sq: float, outer_sq: float) -> float:
+    """Seconds until a pair's squared distance leaves ``(inner_sq, outer_sq)``.
 
-    ``distance_sq`` was computed from a position that may be up to ``drift``
-    metres away from the node's true position.  Returns ``True`` / ``False``
-    when the classification is certain either way and ``None`` when the pair
-    lies within ``drift`` of the boundary and needs an exact position.
+    The pair's offset is ``D`` and its relative velocity ``V``, both
+    constant: ``distance_sq = |D|^2``, ``closing = D.V`` (negative while
+    approaching), ``speed_sq = |V|^2 > 0``, so the squared distance after
+    ``t`` seconds is ``speed_sq*t^2 + 2*closing*t + distance_sq``.  Returns
+    0 when the pair is already outside the band and ``inf`` when it never
+    leaves; ``inner_sq < 0`` means there is no inner boundary.
     """
-    outer = radius + drift
-    if distance_sq > outer * outer:
-        return False
-    inner = radius - drift
-    if inner >= 0.0 and distance_sq <= inner * inner:
-        return True
-    return None
+    if distance_sq <= inner_sq or distance_sq >= outer_sq:
+        return 0.0
+    delay = math.inf
+    if outer_sq != math.inf:
+        delay = (
+            math.sqrt(closing * closing + speed_sq * (outer_sq - distance_sq)) - closing
+        ) / speed_sq
+    if closing < 0.0 and inner_sq >= 0.0:
+        reach = closing * closing - speed_sq * (distance_sq - inner_sq)
+        if reach >= 0.0:
+            delay = min(delay, (-closing - math.sqrt(reach)) / speed_sq)
+    return delay
 
 
 class PositionMemo:
-    """Bounded-drift position cache keyed by node id.
+    """Per-instant cache of every tracked node's motion segment.
 
-    ``exact`` returns the true position at ``now`` (interpolating at most
-    once per node per instant); ``bounded`` returns a possibly stale cached
-    position together with a conservative bound on how far the node may have
-    drifted from it, refreshing the entry whenever the bound exceeds
-    ``refresh_cap_m``.
+    An entry answers any query at the instant it was computed, and -- for
+    a node at rest -- any later instant before the segment ends.  A moving
+    node is re-sampled on every new instant: the model's own interpolation
+    is the only source of positions, so they stay bit-equal to
+    ``mobility.position(now)``.
     """
 
-    def __init__(self, refresh_cap_m: float = 0.0, epoch_band_m: Optional[float] = None):
-        self.refresh_cap_m = refresh_cap_m
-        #: Displacement band configured on tracked mobility models; ``None``
-        #: disables epoch tracking entirely (no model is reconfigured).
-        self.epoch_band_m = epoch_band_m
-        #: node_id -> (position, computed_at, hold_until, speed bound,
-        #: displacement epoch); the static per-node speed bound rides inside
-        #: the entry so the hot classification loops resolve one dict lookup
-        #: instead of two.  The epoch is -1 for models without the
-        #: motion-sample contract.
-        self._entries: Dict[int, Tuple[Position, float, float, Optional[float], int]] = {}
-        self._holds: Dict[int, object] = {}
-        self._rates: Dict[int, Optional[float]] = {}
-        self._phys: Dict[int, "Phy"] = {}
-        #: node_id -> bound motion_sample method (None without the contract).
-        self._samplers: Dict[int, object] = {}
-        #: node_id -> mobility model, for reading the epoch anchor.
-        self._models: Dict[int, object] = {}
+    def __init__(self) -> None:
+        #: node_id -> (segment, computed_at, reusable_until).
+        self._entries: Dict[int, Tuple[Segment, float, float]] = {}
+        self._samplers: Dict[int, Callable[[float], Segment]] = {}
 
     def track(self, phy: "Phy") -> None:
-        """Start caching positions for ``phy``'s node.
+        """Start caching ``phy``'s node.
 
-        Models exposing the motion-sample contract are subscribed to the
-        memo's displacement band, so their epochs become meaningful to every
-        consumer of this memo.
+        Nodes without a mobility model offering ``segment`` (ad-hoc test
+        stubs) are read through ``phy.position`` and promised nothing.
         """
-        node_id = phy.node_id
-        mobility = getattr(phy.node, "mobility", None)
-        self._phys[node_id] = phy
-        self._holds[node_id] = getattr(mobility, "position_hold", None)
-        self._rates[node_id] = getattr(mobility, "speed_bound_mps", None)
-        sampler = getattr(mobility, "motion_sample", None)
-        set_band = getattr(mobility, "set_epoch_band", None)
-        if sampler is not None and set_band is not None and self.epoch_band_m is not None:
-            set_band(self.epoch_band_m)
-            self._samplers[node_id] = sampler
-            self._models[node_id] = mobility
-        else:
-            self._samplers[node_id] = None
+        sampler = getattr(getattr(phy.node, "mobility", None), "segment", None)
+        if sampler is None:
+            position = phy.position
 
-    def rate_of(self, node_id: int) -> Optional[float]:
-        """The node's speed bound (``None`` when unknown)."""
-        return self._rates[node_id]
+            def sampler(now: float) -> Segment:
+                x, y = position(now)
+                return (x, y, 0.0, 0.0, now)
+
+        self._samplers[phy.node_id] = sampler
+
+    def segment(self, node_id: int, now: float) -> Segment:
+        """The node's ``(x, y, vx, vy, until)`` segment, exact at ``now``."""
+        entry = self._entries.get(node_id)
+        if entry is not None and (entry[1] == now or entry[1] <= now < entry[2]):
+            return entry[0]
+        segment = self._samplers[node_id](now)
+        at_rest = segment[2] == 0.0 and segment[3] == 0.0
+        self._entries[node_id] = (segment, now, segment[4] if at_rest else now)
+        return segment
 
     def exact(self, node_id: int, now: float) -> Position:
-        """The true position at ``now``; interpolates at most once per instant."""
-        entry = self._entries.get(node_id)
-        if entry is not None:
-            position, computed_at, hold_until, _, _ = entry
-            if now == computed_at or computed_at <= now < hold_until:
-                return position
-        sampler = self._samplers[node_id]
-        if sampler is not None:
-            position, hold_until, _, epoch = sampler(now)
-        else:
-            epoch = -1
-            hold = self._holds[node_id]
-            if hold is not None:
-                position, hold_until = hold(now)
-            else:
-                position, hold_until = self._phys[node_id].position(now), now
-        self._entries[node_id] = (position, now, hold_until, self._rates[node_id], epoch)
-        return position
-
-    def epoch_of(self, node_id: int, now: float) -> Tuple[Optional[int], Optional[Position]]:
-        """The node's displacement epoch and anchor, sampled at ``now``.
-
-        Refreshes the memo entry when it is not already valid at ``now``
-        (the epoch recorded in a holding entry stays correct for the whole
-        hold: a held position cannot accumulate displacement, and teleports
-        invalidate the entry through the position listeners).  Returns
-        ``(None, None)`` for models without the motion-sample contract.
-        """
-        if self._samplers.get(node_id) is None:
-            return None, None
-        entry = self._entries.get(node_id)
-        if entry is None or not (now == entry[1] or entry[1] <= now < entry[2]):
-            self.exact(node_id, now)
-            entry = self._entries[node_id]
-        # Direct attribute read (not the epoch_anchor property): this runs
-        # once per transmission, and the underlying slot is kept in sync by
-        # MobilityModel.motion_sample.
-        return entry[4], self._models[node_id]._epoch_anchor
-
-    def bounded(self, node_id: int, now: float) -> Tuple[Position, float]:
-        """A cached position plus a conservative drift bound in metres.
-
-        A zero drift means the returned position is exact at ``now``.
-        """
-        entry = self._entries.get(node_id)
-        if entry is None:
-            return self.exact(node_id, now), 0.0
-        position, computed_at, hold_until, rate, _ = entry
-        if now == computed_at or computed_at <= now < hold_until:
-            return position, 0.0
-        if rate is None or now < computed_at:
-            return self.exact(node_id, now), 0.0
-        drift = rate * (now - hold_until)
-        if drift > self.refresh_cap_m:
-            return self.exact(node_id, now), 0.0
-        if drift > 0.0:
-            drift += _DRIFT_EPSILON_M
-        return position, drift
+        """The true position at ``now``."""
+        segment = self.segment(node_id, now)
+        return (segment[0], segment[1])
 
     def invalidate(self, node_id: Optional[int] = None) -> None:
         """Drop one node's entry (or all of them after a bulk change)."""
@@ -223,25 +146,44 @@ class PositionMemo:
             self._entries.pop(node_id, None)
 
 
-class UniformGridIndex:
-    """Uniform-grid candidate index over memoised positions.
+class _KineticWindow:
+    """One sender's candidate members with a verdict and a deadline each."""
 
-    The grid buckets nodes by ``cell_m``-sized cells from positions that are
-    at most ``slack_m`` metres stale; it is rebuilt once accumulated motion
-    (the fleet speed bound times the grid's age) exceeds ``slack_m`` -- or on
+    __slots__ = ("members", "resolved", "deadlines", "expires", "valid_until")
+
+    def __init__(self, members: List[Tuple[int, int, "Phy"]], expires: float):
+        #: Candidate ``(order, node_id, phy)`` triples, never the sender.
+        self.members = members
+        #: ``(order, node_id, phy, verdict)`` per member: ``None`` beyond
+        #: carrier sense, ``False`` sensed only, ``True`` receivable.
+        self.resolved: List[tuple] = [member + (None,) for member in members]
+        #: Instant each member's verdict stops being provably current.
+        self.deadlines = [-math.inf] * len(members)
+        #: Instant the candidate set itself stops being a superset.
+        self.expires = expires
+        #: min(deadlines, expires): before it, ``resolved`` is the answer.
+        self.valid_until = -math.inf
+
+
+class UniformGridIndex:
+    """Uniform-grid candidate index with per-sender kinetic windows.
+
+    The grid buckets nodes by ``cell_m``-sized cells from their exact
+    positions at build time; it is rebuilt once accumulated motion (the
+    fleet speed bound times the grid's age) exceeds ``slack_m`` -- or on
     every new timestamp when any node's speed is unbounded.  Queries inflate
-    their radius by both staleness terms, so candidate sets are supersets of
-    the truth and exact classification is delegated to the memo.
+    their radius by the slack, so candidate sets are supersets of the truth.
+    Query instants must not decrease from one call to the next.
     """
 
-    def __init__(self, cell_m: float, slack_m: float, band_m: Optional[float] = None,
-                 membership=None):
+    #: ``(width, height)`` of a periodic area; ``None`` on the flat plane.
+    _wrap: Optional[Tuple[float, float]] = None
+
+    def __init__(self, cell_m: float, slack_m: float, membership=None):
         if cell_m <= 0:
             raise ValueError("cell_m must be positive")
         if slack_m < 0:
             raise ValueError("slack_m must be non-negative")
-        if band_m is not None and band_m < 0:
-            raise ValueError("band_m must be non-negative")
         self.cell_m = cell_m
         self.slack_m = slack_m
         #: Optional membership predicate: radios it rejects are never
@@ -250,50 +192,37 @@ class UniformGridIndex:
         #: size scales with the region, not the fleet).  ``None`` admits
         #: every radio.
         self.membership = membership
-        #: Displacement-epoch band for per-sender windows (defaults to the
-        #: slack budget): a moving sender keeps its pre-classified window
-        #: while it stays within this distance of the window's anchor.
-        self.band_m = slack_m if band_m is None else band_m
         self._inv_cell = 1.0 / cell_m
-        self.memo = PositionMemo(refresh_cap_m=slack_m, epoch_band_m=self.band_m)
+        self.memo = PositionMemo()
         #: (registration order, node id, phy) triples.
         self._members: List[Tuple[int, int, "Phy"]] = []
         self._cells: Dict[Tuple[int, int], List[Tuple[int, int, "Phy"]]] = {}
         #: (origin cell, radius) -> concatenated buckets of the cells a query
         #: from anywhere in that origin cell can reach; valid until rebuild.
         self._window_cache: Dict[Tuple[int, int, float], List[Tuple[int, int, "Phy"]]] = {}
-        #: (origin cell, cs range, rx range) -> window pre-classified per
-        #: member for the whole grid epoch (see :meth:`_iwindow`).
-        self._iwindow_cache: Dict[tuple, List[tuple]] = {}
-        #: (sender id, exact position, cs, rx) -> window pre-classified
-        #: against that exact point (much tighter than the cell bounds; built
-        #: only for senders sitting still, see :meth:`interferers`).
-        self._sender_cache: Dict[tuple, List[tuple]] = {}
-        #: (sender id, displacement epoch, cs, rx) -> window pre-classified
-        #: against the epoch's anchor position with the band folded into the
-        #: error budget; valid for every transmission the sender makes while
-        #: staying inside the band (see :meth:`interferers`).
-        self._epoch_cache: Dict[tuple, List[tuple]] = {}
-        #: node_id -> (memo position used to bucket it at the last rebuild,
-        #: that position's staleness bound in metres at build time).
-        self._build_pos: Dict[int, Tuple[Position, float]] = {}
-        #: Reused output of :meth:`transmission_window` when boundary
-        #: members need patching (consumed before the next transmission
-        #: starts, so one buffer keeps the hot path allocation-free).
-        self._patched: List[tuple] = []
+        #: sender id -> its kinetic window.  Windows outlive grid rebuilds;
+        #: only a membership change or a teleport flushes them.
+        self._windows: Dict[int, _KineticWindow] = {}
+        #: The (carrier-sense, reception) ranges the windows are resolved
+        #: for, and per verdict the guarded squared-distance band inside
+        #: which that verdict provably holds.
+        self._cs_range: Optional[float] = None
+        self._rx_range: Optional[float] = None
+        self._bands: Dict[Optional[bool], Tuple[float, float]] = {}
         self._built_at: Optional[float] = None
         self._dirty = True
         #: Max speed bound over every tracked node; ``None`` once any node's
         #: bound is unknown (degrades to rebuild-per-timestamp).
         self._speed_bound: Optional[float] = 0.0
         #: Diagnostic counters behind the canonical ``spatial.index.*``
-        #: telemetry names: full grid rebuilds, pre-classified windows served
-        #: from cache, and windows built fresh.  Plain ints on the hot path;
-        #: the obs layer reads them once per snapshot.
+        #: telemetry names: full grid rebuilds, window calls answered
+        #: without resolving a pair, candidate sets built, and pairs
+        #: (re-)resolved.  Plain ints on the hot path; the obs layer reads
+        #: them once per snapshot.
         self.grid_rebuilds = 0
         self.window_hits = 0
         self.window_builds = 0
-        self.window_patch_hits = 0
+        self.window_resolves = 0
 
     # --------------------------------------------------------------- members
     def add(self, phy: "Phy") -> None:
@@ -309,17 +238,19 @@ class UniformGridIndex:
             return
         self.memo.track(phy)
         self._members.append((len(self._members), phy.node_id, phy))
-        rate = self.memo.rate_of(phy.node_id)
+        rate = getattr(getattr(phy.node, "mobility", None), "speed_bound_mps", None)
         if rate is None or self._speed_bound is None:
             self._speed_bound = None
         else:
             self._speed_bound = max(self._speed_bound, rate)
         self._dirty = True
+        self._windows.clear()
 
     def invalidate(self, node_id: Optional[int] = None) -> None:
-        """Invalidate cached positions (and the grid) after a teleport."""
+        """Invalidate cached positions, grid and windows after a teleport."""
         self.memo.invalidate(node_id)
         self._dirty = True
+        self._windows.clear()
 
     def members(self) -> List[Tuple[int, int, "Phy"]]:
         """Every registered radio as ``(order, node_id, phy)`` triples."""
@@ -328,9 +259,6 @@ class UniformGridIndex:
     # --------------------------------------------------------------- queries
     def exact(self, phy: "Phy", now: float) -> Position:
         return self.memo.exact(phy.node_id, now)
-
-    def bounded(self, phy: "Phy", now: float) -> Tuple[Position, float]:
-        return self.memo.bounded(phy.node_id, now)
 
     def _grid_age_drift(self, now: float) -> Optional[float]:
         """Worst-case motion since the grid was built; ``None`` = rebuild."""
@@ -353,32 +281,21 @@ class UniformGridIndex:
 
     def _rebuild(self, now: float) -> None:
         cells: Dict[Tuple[int, int], List[Tuple[int, int, "Phy"]]] = {}
-        build_pos: Dict[int, Tuple[Position, float]] = {}
-        memo = self.memo
+        segment = self.memo.segment
         cell_key = self._cell_key
         for member in self._members:
-            position, drift = memo.bounded(member[1], now)
-            build_pos[member[1]] = (position, drift)
-            key = cell_key(position[0], position[1])
+            x, y, _, _, _ = segment(member[1], now)
+            key = cell_key(x, y)
             bucket = cells.get(key)
             if bucket is None:
                 cells[key] = [member]
             else:
                 bucket.append(member)
         self._cells = cells
-        self._build_pos = build_pos
         self._window_cache.clear()
-        self._iwindow_cache.clear()
-        self._sender_cache.clear()
-        self._epoch_cache.clear()
         self._built_at = now
         self._dirty = False
         self.grid_rebuilds += 1
-
-    @property
-    def rebuilds(self) -> int:
-        """Deprecated alias of :attr:`grid_rebuilds` (one-release shim)."""
-        return self.grid_rebuilds
 
     def _ensure_current(self, now: float) -> None:
         """Rebuild the grid if its accumulated drift exceeds the slack."""
@@ -388,12 +305,11 @@ class UniformGridIndex:
     def _window(self, cx: int, cy: int, radius: float) -> List[Tuple[int, int, "Phy"]]:
         """Members reachable within ``radius`` from anywhere in cell (cx, cy).
 
-        The reach is inflated by the full staleness budget (cached positions
-        up to ``refresh_cap`` stale at build plus up to ``slack_m`` of fleet
-        motion before the next rebuild), so the cached window stays a valid
-        superset for any query instant of the current grid epoch.  Cached per
-        (cell, radius) until the next rebuild -- senders in the same cell
-        share one bucket concatenation.
+        The reach is inflated by the slack budget (up to ``slack_m`` of
+        fleet motion before the next rebuild), so the cached window stays a
+        valid superset for any query instant of the current grid epoch.
+        Cached per (cell, radius) until the next rebuild -- senders in the
+        same cell share one bucket concatenation.
         """
         key = (cx, cy, radius)
         cached = self._window_cache.get(key)
@@ -401,7 +317,7 @@ class UniformGridIndex:
             return cached
         cell_m = self.cell_m
         inv_cell = self._inv_cell
-        reach = radius + self.memo.refresh_cap_m + self.slack_m
+        reach = radius + self.slack_m
         x0 = cx * cell_m
         x1 = x0 + cell_m
         y0 = cy * cell_m
@@ -443,46 +359,6 @@ class UniformGridIndex:
         self._window_cache[key] = out
         return out
 
-    def _point_window(self, sender: "Phy", px: float, py: float,
-                      cs_range: float, rx_range: float, extra_m: float) -> List[tuple]:
-        """An interference window pre-classified against a point anchor.
-
-        ``extra_m`` is the sender's positional uncertainty around
-        ``(px, py)``: 0 for a paused sender classified against its exact
-        position (the boundary band then shrinks from cell-diagonal width to
-        the error budget), the displacement band for a moving sender
-        classified against its epoch anchor (the verdicts then hold for any
-        origin inside the band at any instant of the grid epoch).  Member
-        budgets add their build staleness and the fleet slack, the
-        enumeration reach is inflated by ``extra_m`` so the window stays a
-        superset for off-anchor origins, and the sender itself is excluded
-        while building.
-        """
-        slack = self.slack_m + extra_m + _DRIFT_EPSILON_M
-        build_pos = self._build_pos
-        hypot = math.hypot
-        out: List[tuple] = []
-        for member in self._window(
-            math.floor(px * self._inv_cell), math.floor(py * self._inv_cell),
-            cs_range + extra_m,
-        ):
-            phy = member[2]
-            if phy is sender:
-                continue
-            (bx, by), build_drift = build_pos[member[1]]
-            budget = build_drift + slack
-            d = hypot(bx - px, by - py)
-            if d - budget > cs_range:
-                continue
-            if d + budget <= rx_range:
-                certain = True
-            elif rx_range < cs_range and d - budget > rx_range and d + budget <= cs_range:
-                certain = False
-            else:
-                certain = None
-            out.append((member[0], member[1], phy, certain))
-        return out
-
     def candidates(
         self, origin: Position, radius: float, now: float
     ) -> List[Tuple[int, int, "Phy"]]:
@@ -498,86 +374,57 @@ class UniformGridIndex:
             math.floor(origin[0] * inv_cell), math.floor(origin[1] * inv_cell), radius
         )
 
-    def _iwindow(self, cx: int, cy: int, cs_range: float, rx_range: float) -> List[tuple]:
-        """The interference window pre-classified per member for this epoch.
+    # ------------------------------------------------------ kinetic windows
+    def _set_ranges(self, cs_range: float, rx_range: float) -> None:
+        """Bind the windows to one pair of ranges (flushing any other)."""
+        self._windows.clear()
+        self._cs_range = cs_range
+        self._rx_range = rx_range
+        rx_lo = max(rx_range - _GUARD_M, 0.0)
+        rx_hi = rx_range + _GUARD_M
+        cs_lo = max(cs_range - _GUARD_M, 0.0)
+        cs_hi = cs_range + _GUARD_M
+        self._bands = {
+            True: (-1.0, rx_lo * rx_lo),
+            False: (rx_hi * rx_hi, cs_lo * cs_lo),
+            None: (cs_hi * cs_hi, math.inf),
+        }
 
-        For every member of the plain window the build-time position is
-        compared against the origin *cell rectangle* under the full epoch
-        error budget (position staleness at build plus fleet motion before
-        the next rebuild).  That yields, per member, a verdict valid for any
-        transmission from this cell at any instant of the grid epoch:
+    def _build_window(self, sender: "Phy", origin: Position, cs_range: float,
+                      now: float, previous: Optional[_KineticWindow]) -> _KineticWindow:
+        """A fresh candidate window around ``origin``.
 
-        * provably beyond carrier-sense reach -> dropped from the window,
-        * provably within reception range -> ``certain = True``,
-        * provably sensed but out of reception range -> ``certain = False``
-          (only possible when the carrier-sense range exceeds the reception
-          range),
-        * anything else -> ``certain = None`` (classified per query).
-
-        Returned as ``(order, node_id, phy, certain)`` tuples in registration
-        order and cached until the next rebuild, so the per-transmission loop
-        does distance work only for the boundary band.
+        The candidates reach one grid cell beyond carrier sense, so the set
+        stays a superset until sender and member together may have closed
+        that margin: half of it each at the fleet speed bound.  Members
+        already in the sender's ``previous`` window keep their verdict and
+        deadline (a deadline is a fact about the pair, not about the set);
+        the rest start unresolved.
         """
-        key = (cx, cy, cs_range, rx_range)
-        cached = self._iwindow_cache.get(key)
-        if cached is not None:
-            return cached
-        # Per-member error budget: the member's actual staleness at build
-        # (often zero, and never above the memo's refresh cap) plus the
-        # fleet-motion slack before the next rebuild.
-        slack = self.slack_m + _DRIFT_EPSILON_M
-        cell_m = self.cell_m
-        x0 = cx * cell_m
-        x1 = x0 + cell_m
-        y0 = cy * cell_m
-        y1 = y0 + cell_m
-        build_pos = self._build_pos
-        hypot = math.hypot
-        out: List[tuple] = []
-        for order, node_id, phy in self._window(cx, cy, cs_range):
-            (px, py), build_drift = build_pos[node_id]
-            budget = build_drift + slack
-            dx_out = x0 - px if px < x0 else (px - x1 if px > x1 else 0.0)
-            dy_out = y0 - py if py < y0 else (py - y1 if py > y1 else 0.0)
-            dmin = hypot(dx_out, dy_out)
-            if dmin - budget > cs_range:
-                continue
-            dx_far = px - x0 if px - x0 > x1 - px else x1 - px
-            dy_far = py - y0 if py - y0 > y1 - py else y1 - py
-            dmax = hypot(dx_far, dy_far)
-            if dmax + budget <= rx_range:
-                certain = True
-            elif rx_range < cs_range and dmin - budget > rx_range and dmax + budget <= cs_range:
-                certain = False
-            else:
-                certain = None
-            out.append((order, node_id, phy, certain))
-        self._iwindow_cache[key] = out
-        return out
-
-    @staticmethod
-    def _split_window(window: List[tuple], ax: Optional[float], ay: Optional[float],
-                      band: float) -> list:
-        """Split a pre-classified window for the template-copy hot path.
-
-        Returns a mutable split record ``[template, boundary, ax, ay, band,
-        patched, patched_until]``.  ``boundary`` holds one mutable
-        ``[index, member, deadline, resolved]`` patch per member whose
-        verdict is ``None``: ``resolved`` caches the member's last
-        anchor-relative verdict and ``deadline`` is the instant until which
-        that verdict provably holds (the member cannot have drifted across
-        the relevant range boundary before then).  ``(ax, ay)`` is the
-        anchor the window was classified against and ``band`` the sender's
-        positional uncertainty around it; ``ax is None`` marks windows with
-        no point anchor (the per-cell fallback), whose boundary members are
-        classified per call.  ``patched`` is the split's own fully patched
-        output buffer and ``patched_until`` the instant it stays valid to --
-        the minimum of the boundary deadlines when it was last filled -- so
-        a query inside that horizon returns it without copying the template
-        or walking the patches at all.
-        """
-        boundary = [[i, m, 0.0, None] for i, m in enumerate(window) if m[3] is None]
-        return [window, boundary, ax, ay, band, None, -math.inf]
+        self._ensure_current(now)
+        margin = self.cell_m
+        cx, cy = self._cell_key(origin[0], origin[1])
+        members = [
+            member for member in self._window(cx, cy, cs_range + margin)
+            if member[2] is not sender
+        ]
+        bound = self._speed_bound
+        if bound is None:
+            expires = now
+        elif bound == 0.0:
+            expires = math.inf
+        else:
+            expires = now + margin / (2.0 * bound)
+        self.window_builds += 1
+        window = _KineticWindow(members, expires)
+        if previous is not None:
+            known = {member[1]: slot for slot, member in enumerate(previous.members)}
+            for slot, member in enumerate(members):
+                old = known.get(member[1])
+                if old is not None:
+                    window.resolved[slot] = previous.resolved[old]
+                    window.deadlines[slot] = previous.deadlines[old]
+        return window
 
     def transmission_window(
         self, sender: "Phy", origin: Position, cs_range: float, rx_range: float,
@@ -585,276 +432,96 @@ class UniformGridIndex:
     ) -> List[tuple]:
         """The fully resolved interference window of one transmission.
 
-        Returns ``(order, node_id, phy, in_reception_range)`` tuples in
-        registration order; ``in_reception_range`` is ``None`` for members
-        that turned out beyond carrier-sense reach (callers skip them -- a
-        patched template cannot cheaply drop entries).  The window never
-        contains the sender but may contain disabled radios; callers filter
-        those.
+        ``origin`` must be the sender's position at ``now``.  Returns
+        ``(order, node_id, phy, in_reception_range)`` tuples in registration
+        order; ``in_reception_range`` is ``None`` for candidates beyond
+        carrier-sense reach (callers skip them).  The window never contains
+        the sender but may contain disabled radios; callers filter those.
+        The list is the window's own: it is valid until the next call.
 
-        A sender that is provably sitting still (its memo entry holds past
-        ``now``) is served from a window pre-classified against its *exact*
-        position: far tighter than the cell-rectangle bounds, and stable
-        across the many transmissions a paused node makes from one spot.  A
-        *moving* sender is served from a window pre-classified against its
-        displacement-epoch anchor instead: looser by the band width, but
-        stable until the sender has moved more than the band -- so slow
-        movers reuse one pre-classified window across many transmissions
-        too.  The window's boundary members are resolved against the anchor
-        on demand and the verdict is cached with a drift *deadline* (the
-        member cannot cross the relevant boundary before it), so even they
-        are typically classified once per window, not once per call; only
-        members hugging a range boundary fall back to an exact per-call
-        test against the actual origin.
+        Each member's verdict is the linear scan's expression on exact
+        positions, cached until the earliest instant at which the pair --
+        both nodes extrapolated along their current segments -- comes
+        within :data:`_GUARD_M` of a range boundary, either segment ends,
+        or (on a torus) the pair's minimum image switches.  A call before
+        every such deadline returns the cached list untouched; any other
+        call re-resolves exactly the members that are due.
         """
-        self._ensure_current(now)
-        ox, oy = origin
-        memo = self.memo
-        entries = memo._entries
+        if cs_range != self._cs_range or rx_range != self._rx_range:
+            self._set_ranges(cs_range, rx_range)
         sender_id = sender.node_id
-        sender_entry = entries.get(sender_id)
-        split = None
-        if sender_entry is not None and sender_entry[2] > now:
-            skey = (sender_id, ox, oy, cs_range, rx_range)
-            split = self._sender_cache.get(skey)
-            if split is None:
-                split = self._split_window(
-                    self._point_window(sender, ox, oy, cs_range, rx_range, 0.0),
-                    ox, oy, 0.0,
-                )
-                self._sender_cache[skey] = split
-                self.window_builds += 1
-            else:
-                self.window_hits += 1
-        else:
-            epoch, anchor = memo.epoch_of(sender_id, now)
-            if epoch is not None:
-                ekey = (sender_id, epoch, cs_range, rx_range)
-                split = self._epoch_cache.get(ekey)
-                if split is None:
-                    split = self._split_window(
-                        self._point_window(
-                            sender, anchor[0], anchor[1], cs_range, rx_range, self.band_m
-                        ),
-                        anchor[0], anchor[1], self.band_m,
-                    )
-                    self._epoch_cache[ekey] = split
-                    self.window_builds += 1
-                else:
-                    self.window_hits += 1
-        if split is None:
-            # Fallback for mobility models without the motion-sample
-            # contract: the per-cell window, with the sender filtered out
-            # once and cached (so the hot consumers never see it).
-            cx = math.floor(ox * self._inv_cell)
-            cy = math.floor(oy * self._inv_cell)
-            # The "cell" tag keeps this key space disjoint from the paused
-            # exact-point keys sharing the cache (ints and whole floats hash
-            # alike, so untagged cell indices could alias point coordinates).
-            fkey = (sender_id, "cell", cx, cy, cs_range, rx_range)
-            split = self._sender_cache.get(fkey)
-            if split is None:
-                split = self._split_window(
-                    [
-                        m for m in self._iwindow(cx, cy, cs_range, rx_range)
-                        if m[2] is not sender
-                    ],
-                    None, None, 0.0,
-                )
-                self._sender_cache[fkey] = split
-                self.window_builds += 1
-            else:
-                self.window_hits += 1
-        template, boundary, ax, ay, band = split[0], split[1], split[2], split[3], split[4]
-        if not boundary:
-            return template
-        if now < split[6]:
-            # Every boundary verdict provably still holds: the previously
-            # patched buffer is the answer, no copy, no patch walk.
-            self.window_patch_hits += 1
-            return split[5]
+        window = self._windows.get(sender_id)
+        if window is not None and now < window.valid_until:
+            self.window_hits += 1
+            return window.resolved
+        if window is None or now >= window.expires:
+            window = self._windows[sender_id] = self._build_window(
+                sender, origin, cs_range, now, window
+            )
+        ox, oy = origin
+        segment = self.memo.segment
+        _, _, svx, svy, sender_until = segment(sender_id, now)
+        sender_moving = svx != 0.0 or svy != 0.0
+        bands = self._bands
+        wrap = self._wrap
+        if wrap is not None:
+            period_x, period_y = wrap
         cs_sq = cs_range * cs_range
         rx_sq = rx_range * rx_range
-        memo_exact = memo.exact
-        if ax is None:
-            # Anchorless windows are classified per call against the actual
-            # origin; their patched output is never reusable, so the shared
-            # scratch buffer serves them.
-            out = self._patched
-            out.clear()
-            out.extend(template)
-            self._resolve_cellwise(
-                out, boundary, ox, oy, cs_range, rx_range, cs_sq, rx_sq, now
-            )
-            return out
-        out = split[5]
-        if out is None:
-            out = split[5] = []
-        out.clear()
-        out.extend(template)
-        valid_until = math.inf
-        rates = memo._rates
-        memo_bounded = memo.bounded
-        different_ranges = rx_range < cs_range
-        for patch in boundary:
-            deadline = patch[2]
-            if deadline > now:
-                out[patch[0]] = patch[3]
-                if deadline < valid_until:
-                    valid_until = deadline
-                continue
-            member = patch[1]
-            node_id = member[1]
-            # A possibly-stale cached position is enough: its drift bound is
-            # folded into the certainty margin, so no interpolation happens
-            # unless the member actually hugs a range boundary.
-            position, drift = memo_bounded(node_id, now)
-            dxa = position[0] - ax
-            dya = position[1] - ay
-            da = math.hypot(dxa, dya)
-            # Anchor-relative certainty with a margin: the verdict holds
-            # until the member may have drifted ``margin`` metres beyond its
-            # current bound, because any origin stays within ``band`` of
-            # the anchor.
-            slack_total = band + drift
-            if da - slack_total > cs_range + _DRIFT_EPSILON_M:
-                resolved = (member[0], node_id, member[2], None)
-                margin = da - slack_total - cs_range
-            elif da + slack_total <= rx_range - _DRIFT_EPSILON_M:
-                resolved = (member[0], node_id, member[2], True)
-                margin = rx_range - da - slack_total
-            elif (
-                different_ranges
-                and da - slack_total > rx_range + _DRIFT_EPSILON_M
-                and da + slack_total <= cs_range - _DRIFT_EPSILON_M
-            ):
-                resolved = (member[0], node_id, member[2], False)
-                margin = min(da - slack_total - rx_range, cs_range - da - slack_total)
-            else:
-                # Hugging a boundary relative to the anchor: classify
-                # against the *actual origin* for this call only.  The
-                # origin test carries only the member's own drift (no band),
-                # so most hugging members still resolve without
-                # interpolating; only true boundary-ambiguity interpolates.
-                dx = position[0] - ox
-                dy = position[1] - oy
+        members = window.members
+        resolved = window.resolved
+        deadlines = window.deadlines
+        valid_until = window.expires
+        resolves = 0
+        for slot, deadline in enumerate(deadlines):
+            if deadline <= now:
+                resolves += 1
+                member = members[slot]
+                mx, my, mvx, mvy, until = segment(member[1], now)
+                if sender_until < until:
+                    until = sender_until
+                dx = mx - ox
+                dy = my - oy
+                if wrap is not None:
+                    dx -= period_x * round(dx / period_x)
+                    dy -= period_y * round(dy / period_y)
                 distance_sq = dx * dx + dy * dy
-                if drift > 0.0:
-                    in_cs = within_range(distance_sq, cs_range, drift)
-                    in_range = within_range(distance_sq, rx_range, drift)
-                    if in_cs is None or in_range is None:
-                        position = memo_exact(node_id, now)
-                        dx = position[0] - ox
-                        dy = position[1] - oy
-                        distance_sq = dx * dx + dy * dy
-                        in_cs = distance_sq <= cs_sq
-                        in_range = distance_sq <= rx_sq
-                    if in_cs is False:
-                        out[patch[0]] = (member[0], node_id, member[2], None)
-                    else:
-                        out[patch[0]] = (member[0], node_id, member[2], in_range)
-                elif distance_sq > cs_sq:
-                    out[patch[0]] = (member[0], node_id, member[2], None)
+                if distance_sq > cs_sq:
+                    verdict = None
                 else:
-                    out[patch[0]] = (member[0], node_id, member[2], distance_sq <= rx_sq)
-                patch[2] = now
-                valid_until = now
-                continue
-            out[patch[0]] = resolved
-            patch[3] = resolved
-            rate = rates[node_id]
-            if rate is None:
-                deadline = now
-            elif rate == 0.0:
-                deadline = math.inf
-            else:
-                deadline = now + (margin - _DRIFT_EPSILON_M) / rate
-            patch[2] = deadline
+                    verdict = distance_sq <= rx_sq
+                if resolved[slot][3] is not verdict:
+                    resolved[slot] = member + (verdict,)
+                inner_sq, outer_sq = bands[verdict]
+                dvx = mvx - svx
+                dvy = mvy - svy
+                speed_sq = dvx * dvx + dvy * dvy
+                if speed_sq == 0.0:
+                    # Both at rest: positions are bit-constant.  Co-moving:
+                    # the offset is constant only up to float error.
+                    if (sender_moving or mvx != 0.0 or mvy != 0.0) and (
+                        distance_sq <= inner_sq or distance_sq >= outer_sq
+                    ):
+                        until = now
+                else:
+                    until = min(until, now + crossing_delay(
+                        distance_sq, dx * dvx + dy * dvy, speed_sq, inner_sq, outer_sq
+                    ))
+                    if wrap is not None:
+                        # The minimum image switches where a wrapped
+                        # component reaches half the period.
+                        if dvx != 0.0:
+                            until = min(until, now + (
+                                math.copysign(period_x / 2.0, dvx) - dx) / dvx)
+                        if dvy != 0.0:
+                            until = min(until, now + (
+                                math.copysign(period_y / 2.0, dvy) - dy) / dvy)
+                deadlines[slot] = deadline = until
             if deadline < valid_until:
                 valid_until = deadline
-        split[6] = valid_until
-        return out
-
-    def _resolve_cellwise(self, out: List[tuple], boundary: List[list],
-                          ox: float, oy: float, cs_range: float, rx_range: float,
-                          cs_sq: float, rx_sq: float, now: float) -> None:
-        """Per-call classification of anchorless (per-cell) windows.
-
-        Inlines :meth:`PositionMemo.bounded` (same logic, kept in sync) and
-        falls back to exact interpolation only for boundary-ambiguous
-        members -- the pre-motion-service behaviour, kept for mobility
-        models without the motion-sample contract.
-        """
-        memo = self.memo
-        entries = memo._entries
-        refresh_cap = memo.refresh_cap_m
-        memo_exact = memo.exact
-        # The paper's default geometry has carrier-sense range == reception
-        # range; then "kept" implies "in range" and the per-candidate
-        # classification needs a single radius.
-        equal_ranges = cs_sq == rx_sq
-        for patch in boundary:
-            index, member = patch[0], patch[1]
-            node_id = member[1]
-            # -- inline PositionMemo.bounded(node_id, now) ------------------
-            drift = 0.0
-            entry = entries.get(node_id)
-            if entry is None:
-                position = memo_exact(node_id, now)
-            else:
-                position, computed_at, hold_until, rate, _ = entry
-                if now != computed_at and not computed_at <= now < hold_until:
-                    if rate is None or now < computed_at:
-                        position = memo_exact(node_id, now)
-                    else:
-                        drift = rate * (now - hold_until)
-                        if drift > refresh_cap:
-                            position = memo_exact(node_id, now)
-                            drift = 0.0
-                        elif drift > 0.0:
-                            drift += _DRIFT_EPSILON_M
-            # -- classify against both radii --------------------------------
-            dx = position[0] - ox
-            dy = position[1] - oy
-            distance_sq = dx * dx + dy * dy
-            if drift > 0.0:
-                outer = cs_range + drift
-                if distance_sq > outer * outer:
-                    out[index] = (member[0], node_id, member[2], None)
-                    continue
-                inner = cs_range - drift
-                certain_cs = inner >= 0.0 and distance_sq <= inner * inner
-                if equal_ranges:
-                    in_range = True if certain_cs else None
-                else:
-                    # Inline within_range(distance_sq, rx_range, drift) (same
-                    # logic, kept in sync): True/False when certain, None
-                    # when within drift of the reception boundary.
-                    rx_outer = rx_range + drift
-                    if distance_sq > rx_outer * rx_outer:
-                        in_range = False
-                    else:
-                        rx_inner = rx_range - drift
-                        if rx_inner >= 0.0 and distance_sq <= rx_inner * rx_inner:
-                            in_range = True
-                        else:
-                            in_range = None
-                if in_range is None or not certain_cs:
-                    # Within drift of a boundary: interpolate and retest.
-                    position = memo_exact(node_id, now)
-                    dx = position[0] - ox
-                    dy = position[1] - oy
-                    distance_sq = dx * dx + dy * dy
-                    if distance_sq > cs_sq:
-                        out[index] = (member[0], node_id, member[2], None)
-                        continue
-                    in_range = distance_sq <= rx_sq
-            else:
-                if distance_sq > cs_sq:
-                    out[index] = (member[0], node_id, member[2], None)
-                    continue
-                in_range = distance_sq <= rx_sq
-            out[index] = (member[0], node_id, member[2], in_range)
+        window.valid_until = valid_until
+        self.window_resolves += resolves
+        return resolved
 
     def interferers(
         self,
@@ -894,25 +561,20 @@ class TorusGridIndex(UniformGridIndex):
 
     Cell sizes are chosen per axis so the grid period equals the area
     exactly (otherwise wrapped cell indexes and wrapped distances would
-    disagree near the seam), window enumeration wraps cell coordinates
-    modulo the grid dimensions, and every distance uses the minimum-image
-    convention.  Classification goes through the memo's drift bounds like
-    the flat grid (the torus metric is 1-Lipschitz in node displacement, so
-    the same conservative intervals apply); the flat grid's cell-rectangle
-    pre-classification is not carried over, but the per-sender windows are:
-    paused senders classify against their exact point and moving senders
-    against their displacement-epoch anchor, both under the minimum-image
-    metric (see :meth:`_point_window`).
+    disagree near the seam) and window enumeration wraps cell coordinates
+    modulo the grid dimensions.  Only cell keying and enumeration differ
+    from the flat grid: the kinetic windows are the flat grid's, told the
+    period so they measure by the minimum-image convention.
     """
 
     def __init__(self, cell_m: float, slack_m: float, width_m: float, height_m: float,
-                 band_m: Optional[float] = None, membership=None):
-        super().__init__(cell_m=cell_m, slack_m=slack_m, band_m=band_m,
-                         membership=membership)
+                 membership=None):
+        super().__init__(cell_m=cell_m, slack_m=slack_m, membership=membership)
         if width_m <= 0 or height_m <= 0:
             raise ValueError("torus dimensions must be positive")
         self.width_m = width_m
         self.height_m = height_m
+        self._wrap = (width_m, height_m)
         #: Cells per axis; cell sizes divide the area exactly.
         self._nx = max(1, int(width_m // cell_m))
         self._ny = max(1, int(height_m // cell_m))
@@ -934,7 +596,7 @@ class TorusGridIndex(UniformGridIndex):
         cached = self._window_cache.get(key)
         if cached is not None:
             return cached
-        reach = radius + self.memo.refresh_cap_m + self.slack_m
+        reach = radius + self.slack_m
         nx, ny = self._nx, self._ny
         kx = int(reach / self._cell_x) + 1
         ky = int(reach / self._cell_y) + 1
@@ -958,247 +620,6 @@ class TorusGridIndex(UniformGridIndex):
         cx, cy = self._cell_key(origin[0], origin[1])
         return self._window(cx, cy, radius)
 
-    def _point_window(self, sender: "Phy", px: float, py: float,
-                      cs_range: float, rx_range: float, extra_m: float) -> List[tuple]:
-        """An interference window pre-classified against a wrapped point.
-
-        ``extra_m`` is the sender's own position uncertainty relative to the
-        point: 0 for a paused sender classified against its exact position,
-        the displacement band for a moving sender classified against its
-        epoch anchor.  Member budgets add their build staleness and the
-        fleet slack, so every verdict holds for any instant of the grid
-        epoch and any sender origin within ``extra_m`` of the point.
-        """
-        slack = self.slack_m + extra_m + _DRIFT_EPSILON_M
-        w, h = self.width_m, self.height_m
-        build_pos = self._build_pos
-        hypot = math.hypot
-        cx, cy = self._cell_key(px, py)
-        out: List[tuple] = []
-        for order, node_id, phy in self._window(cx, cy, cs_range + extra_m):
-            if phy is sender:
-                continue
-            (bx, by), build_drift = build_pos[node_id]
-            budget = build_drift + slack
-            dx = bx - px
-            dx -= w * round(dx / w)
-            dy = by - py
-            dy -= h * round(dy / h)
-            d = hypot(dx, dy)
-            if d - budget > cs_range:
-                continue
-            if d + budget <= rx_range:
-                certain = True
-            elif rx_range < cs_range and d - budget > rx_range and d + budget <= cs_range:
-                certain = False
-            else:
-                certain = None
-            out.append((order, node_id, phy, certain))
-        return out
-
-    def transmission_window(
-        self, sender: "Phy", origin: Position, cs_range: float, rx_range: float,
-        now: float,
-    ) -> List[tuple]:
-        """The resolved interference window under the minimum-image metric.
-
-        Same contract and caching structure as the flat grid's
-        :meth:`UniformGridIndex.transmission_window`: per-sender windows
-        bound to the exact point while the sender provably holds still, to
-        the displacement-epoch anchor while it moves, and a per-cell
-        fallback (everything classified per query) for mobility models
-        without the motion-sample contract.
-        """
-        self._ensure_current(now)
-        ox, oy = origin
-        memo = self.memo
-        sender_id = sender.node_id
-        sender_entry = memo._entries.get(sender_id)
-        split = None
-        if sender_entry is not None and sender_entry[2] > now:
-            skey = (sender_id, ox, oy, cs_range, rx_range)
-            split = self._sender_cache.get(skey)
-            if split is None:
-                split = self._split_window(
-                    self._point_window(sender, ox, oy, cs_range, rx_range, 0.0),
-                    ox, oy, 0.0,
-                )
-                self._sender_cache[skey] = split
-                self.window_builds += 1
-            else:
-                self.window_hits += 1
-        else:
-            epoch, anchor = memo.epoch_of(sender_id, now)
-            if epoch is not None:
-                ekey = (sender_id, epoch, cs_range, rx_range)
-                split = self._epoch_cache.get(ekey)
-                if split is None:
-                    split = self._split_window(
-                        self._point_window(
-                            sender, anchor[0], anchor[1], cs_range, rx_range, self.band_m
-                        ),
-                        anchor[0], anchor[1], self.band_m,
-                    )
-                    self._epoch_cache[ekey] = split
-                    self.window_builds += 1
-                else:
-                    self.window_hits += 1
-        if split is None:
-            cx, cy = self._cell_key(ox, oy)
-            # The "cell" tag keeps this key space disjoint from the paused
-            # exact-point keys sharing the cache (ints and whole floats hash
-            # alike, so untagged cell indices could alias point coordinates).
-            fkey = (sender_id, "cell", cx, cy, cs_range, rx_range)
-            split = self._sender_cache.get(fkey)
-            if split is None:
-                split = self._split_window(
-                    [
-                        (order, node_id, phy, None)
-                        for order, node_id, phy in self._window(cx, cy, cs_range)
-                        if phy is not sender
-                    ],
-                    None, None, 0.0,
-                )
-                self._sender_cache[fkey] = split
-                self.window_builds += 1
-            else:
-                self.window_hits += 1
-        template, boundary, ax, ay, band = split[0], split[1], split[2], split[3], split[4]
-        if not boundary:
-            return template
-        if now < split[6]:
-            # See the flat grid: the patched buffer provably still holds.
-            self.window_patch_hits += 1
-            return split[5]
-        w, h = self.width_m, self.height_m
-        cs_sq = cs_range * cs_range
-        rx_sq = rx_range * rx_range
-        memo_exact = memo.exact
-        if ax is None:
-            out = self._patched
-            out.clear()
-            out.extend(template)
-            # Anchorless fallback: wrapped per-call classification through
-            # the memo's drift bounds (the pre-motion-service behaviour).
-            for patch in boundary:
-                index, member = patch[0], patch[1]
-                node_id = member[1]
-                position, drift = memo.bounded(node_id, now)
-                dx = position[0] - ox
-                dx -= w * round(dx / w)
-                dy = position[1] - oy
-                dy -= h * round(dy / h)
-                distance_sq = dx * dx + dy * dy
-                if drift > 0.0:
-                    in_cs = within_range(distance_sq, cs_range, drift)
-                    in_range = within_range(distance_sq, rx_range, drift)
-                    if in_cs is None or in_range is None:
-                        position = memo_exact(node_id, now)
-                        dx = position[0] - ox
-                        dx -= w * round(dx / w)
-                        dy = position[1] - oy
-                        dy -= h * round(dy / h)
-                        distance_sq = dx * dx + dy * dy
-                        in_cs = distance_sq <= cs_sq
-                        in_range = distance_sq <= rx_sq
-                    if in_cs is False:
-                        out[index] = (member[0], node_id, member[2], None)
-                        continue
-                else:
-                    if distance_sq > cs_sq:
-                        out[index] = (member[0], node_id, member[2], None)
-                        continue
-                    in_range = distance_sq <= rx_sq
-                out[index] = (member[0], node_id, member[2], in_range)
-            return out
-        # Anchored windows: deadline-cached verdicts exactly like the flat
-        # grid, under the minimum-image metric (1-Lipschitz in member
-        # displacement, so the same drift margins apply).
-        out = split[5]
-        if out is None:
-            out = split[5] = []
-        out.clear()
-        out.extend(template)
-        valid_until = math.inf
-        rates = memo._rates
-        memo_bounded = memo.bounded
-        different_ranges = rx_range < cs_range
-        for patch in boundary:
-            deadline = patch[2]
-            if deadline > now:
-                out[patch[0]] = patch[3]
-                if deadline < valid_until:
-                    valid_until = deadline
-                continue
-            member = patch[1]
-            node_id = member[1]
-            position, drift = memo_bounded(node_id, now)
-            dxa = position[0] - ax
-            dxa -= w * round(dxa / w)
-            dya = position[1] - ay
-            dya -= h * round(dya / h)
-            da = math.hypot(dxa, dya)
-            slack_total = band + drift
-            if da - slack_total > cs_range + _DRIFT_EPSILON_M:
-                resolved = (member[0], node_id, member[2], None)
-                margin = da - slack_total - cs_range
-            elif da + slack_total <= rx_range - _DRIFT_EPSILON_M:
-                resolved = (member[0], node_id, member[2], True)
-                margin = rx_range - da - slack_total
-            elif (
-                different_ranges
-                and da - slack_total > rx_range + _DRIFT_EPSILON_M
-                and da + slack_total <= cs_range - _DRIFT_EPSILON_M
-            ):
-                resolved = (member[0], node_id, member[2], False)
-                margin = min(da - slack_total - rx_range, cs_range - da - slack_total)
-            else:
-                # Hugging a boundary relative to the anchor: wrapped
-                # origin-based classification for this call only (drift-only
-                # uncertainty, interpolation as the last resort).
-                dx = position[0] - ox
-                dx -= w * round(dx / w)
-                dy = position[1] - oy
-                dy -= h * round(dy / h)
-                distance_sq = dx * dx + dy * dy
-                if drift > 0.0:
-                    in_cs = within_range(distance_sq, cs_range, drift)
-                    in_range = within_range(distance_sq, rx_range, drift)
-                    if in_cs is None or in_range is None:
-                        position = memo_exact(node_id, now)
-                        dx = position[0] - ox
-                        dx -= w * round(dx / w)
-                        dy = position[1] - oy
-                        dy -= h * round(dy / h)
-                        distance_sq = dx * dx + dy * dy
-                        in_cs = distance_sq <= cs_sq
-                        in_range = distance_sq <= rx_sq
-                    if in_cs is False:
-                        out[patch[0]] = (member[0], node_id, member[2], None)
-                    else:
-                        out[patch[0]] = (member[0], node_id, member[2], in_range)
-                elif distance_sq > cs_sq:
-                    out[patch[0]] = (member[0], node_id, member[2], None)
-                else:
-                    out[patch[0]] = (member[0], node_id, member[2], distance_sq <= rx_sq)
-                patch[2] = now
-                valid_until = now
-                continue
-            out[patch[0]] = resolved
-            patch[3] = resolved
-            rate = rates[node_id]
-            if rate is None:
-                deadline = now
-            elif rate == 0.0:
-                deadline = math.inf
-            else:
-                deadline = now + (margin - _DRIFT_EPSILON_M) / rate
-            patch[2] = deadline
-            if deadline < valid_until:
-                valid_until = deadline
-        split[6] = valid_until
-        return out
-
 
 class LinearScanIndex:
     """The O(N) reference: every radio is a candidate, nothing is cached.
@@ -1215,7 +636,7 @@ class LinearScanIndex:
     grid_rebuilds = 0
     window_hits = 0
     window_builds = 0
-    window_patch_hits = 0
+    window_resolves = 0
 
     def __init__(self, wrap: Optional[Tuple[float, float]] = None, membership=None):
         self._members: List[Tuple[int, int, "Phy"]] = []
@@ -1241,9 +662,6 @@ class LinearScanIndex:
 
     def exact(self, phy: "Phy", now: float) -> Position:
         return phy.position(now)
-
-    def bounded(self, phy: "Phy", now: float) -> Tuple[Position, float]:
-        return phy.position(now), 0.0
 
     def candidates(
         self, origin: Position, radius: float, now: float

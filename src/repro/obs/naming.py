@@ -8,9 +8,11 @@ layer          subsystem        examples
 ``engine``     ``calendar``     ``engine.calendar.events_per_sec`` (gauge),
                                 ``heap_depth``, ``tombstones``, ``slot_pool``,
                                 ``free_slots``, ``compactions``
-``spatial``    ``index``        ``spatial.index.window_hits`` /
-                                ``window_builds`` / ``grid_rebuilds`` (the
-                                epoch-window hit rate is derived from these)
+``spatial``    ``index``        ``spatial.index.window_hits`` (window calls
+                                answered without resolving a pair) /
+                                ``window_builds`` (candidate sets built) /
+                                ``window_resolves`` (pairs re-resolved) /
+                                ``grid_rebuilds``
 ``medium``     ``channel``      promoted ``MediumStats`` counters
                                 (``transmissions``, ``deliveries``,
                                 ``collisions``, ...) plus the ``fanout``

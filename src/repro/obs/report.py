@@ -9,7 +9,7 @@ Input is the JSON-ready snapshot produced by the scenario layer
 
 The text report groups scalar metrics into a tree by their
 ``layer.subsystem`` namespace, renders histograms as bucket bars, derives
-headline rates (epoch-window hit rate, delivery ratio of the channel), and
+headline rates (kinetic-window hit rate, delivery ratio of the channel), and
 tabulates the span breakdown and the top-N fan-out offenders.
 """
 
@@ -34,13 +34,16 @@ def _derived_rates(metrics: Dict[str, object]) -> Dict[str, float]:
     """Headline ratios derived from counter pairs (only when present)."""
     derived: Dict[str, float] = {}
     hits = metrics.get("spatial.index.window_hits")
-    builds = metrics.get("spatial.index.window_builds")
-    if isinstance(hits, (int, float)) and isinstance(builds, (int, float)):
-        total = hits + builds
-        if total:
-            derived["spatial.index.window_hit_rate"] = hits / total
     deliveries = metrics.get("medium.channel.deliveries")
     transmissions = metrics.get("medium.channel.transmissions")
+    # Every transmission makes exactly one window call, so the share of
+    # calls that resolved no pair is hits over transmissions.
+    if (
+        isinstance(hits, (int, float))
+        and isinstance(transmissions, (int, float))
+        and transmissions
+    ):
+        derived["spatial.index.window_hit_rate"] = hits / transmissions
     if (
         isinstance(deliveries, (int, float))
         and isinstance(transmissions, (int, float))

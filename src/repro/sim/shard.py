@@ -6,7 +6,7 @@ This module partitions the (torus) area into ``shards`` rectangular regions
 and gives each region its own event heap, with a conservative
 synchronisation window derived from the fleet's motion envelope
 (``interference range / fleet speed bound`` -- the lookahead the
-displacement-epoch motion service already guarantees).
+mobility models' speed bounds already guarantee).
 
 Three execution modes, one configuration surface
 (``ScenarioConfig(shards=..., shard_mode=...)``):

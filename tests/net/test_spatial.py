@@ -13,7 +13,7 @@ from repro.net.spatial import (
     LinearScanIndex,
     PositionMemo,
     UniformGridIndex,
-    within_range,
+    crossing_delay,
 )
 from repro.sim.random import RandomStreams
 
@@ -91,18 +91,30 @@ class TestMobilityHooks:
         assert trace.speed_bound_mps is None
 
 
-class TestWithinRange:
-    def test_certainly_inside(self):
-        assert within_range(10.0 * 10.0, 20.0, 5.0) is True
+class TestCrossingDelay:
+    """Seconds until |D + V*t|^2 leaves the open band (inner_sq, outer_sq)."""
 
-    def test_certainly_outside(self):
-        assert within_range(30.0 * 30.0, 20.0, 5.0) is False
+    def test_receding_pair_reaches_the_outer_boundary(self):
+        # 10 m apart, separating at 2 m/s: 20 m is 5 s away.
+        assert crossing_delay(100.0, 20.0, 4.0, -1.0, 400.0) == pytest.approx(5.0)
 
-    def test_ambiguous_near_boundary(self):
-        assert within_range(18.0 * 18.0, 20.0, 5.0) is None
+    def test_approaching_pair_reaches_the_inner_boundary_first(self):
+        # 30 m apart, closing head-on at 2 m/s: 20 m is 5 s away; the far
+        # side of the outer 40 m circle would only come after passing through.
+        assert crossing_delay(900.0, -60.0, 4.0, 400.0, 1600.0) == pytest.approx(5.0)
 
-    def test_drift_larger_than_radius_is_ambiguous_inside(self):
-        assert within_range(1.0, 2.0, 5.0) is None
+    def test_passing_pair_that_misses_the_inner_circle_exits_outwards(self):
+        # Offset (-30, 25) moving at (2, 0): closest approach 25 m > 20 m,
+        # so the only exit is the 40 m circle on the far side.
+        delay = crossing_delay(30.0 ** 2 + 25.0 ** 2, -60.0, 4.0, 400.0, 1600.0)
+        assert delay == pytest.approx((30.0 + math.sqrt(1600.0 - 625.0)) / 2.0)
+
+    def test_receding_pair_beyond_every_range_never_returns(self):
+        assert crossing_delay(10_000.0, 5.0, 1.0, 3600.0, math.inf) == math.inf
+
+    def test_pair_on_or_outside_the_band_is_due_now(self):
+        assert crossing_delay(400.0, -1.0, 1.0, 400.0, math.inf) == 0.0
+        assert crossing_delay(400.0, 1.0, 1.0, -1.0, 400.0) == 0.0
 
 
 class TestPositionMemo:
@@ -116,51 +128,43 @@ class TestPositionMemo:
         calls = []
 
         class _Counting(StaticMobility):
-            def position_hold(self, at_time):
+            def segment(self, at_time):
                 calls.append(at_time)
-                return self._position, at_time  # claim no hold
+                x, y = self._position
+                return (x, y, 0.0, 0.0, at_time)  # promise nothing
 
         memo = PositionMemo()
         memo.track(_FakePhy(0, _Counting(0.0, 0.0)))
         memo.exact(0, 1.0)
         memo.exact(0, 1.0)
-        memo.exact(0, 1.0)
+        memo.segment(0, 1.0)
         assert calls == [1.0]
         memo.exact(0, 2.0)
         assert calls == [1.0, 2.0]
 
     def test_hold_survives_across_instants(self):
+        calls = []
+
+        class _Counting(WaypointTraceMobility):
+            def segment(self, at_time):
+                calls.append(at_time)
+                return super().segment(at_time)
+
+        # At rest until t=50, then moving.
         memo = PositionMemo()
-        memo.track(_FakePhy(0, StaticMobility(0.0, 0.0)))
-        assert memo.exact(0, 1.0) == (0.0, 0.0)
-        # Static holds forever: no recomputation, same object back.
-        assert memo.bounded(0, 100.0) == ((0.0, 0.0), 0.0)
-
-    def test_bounded_reports_drift_for_moving_node(self):
-        trace = WaypointTraceMobility([(0, 0, 0), (100, 100, 0)])  # 1 m/s
-        memo = PositionMemo(refresh_cap_m=10.0)
-        memo.track(_FakePhy(0, trace))
-        position = memo.exact(0, 10.0)
-        assert position == (10.0, 0.0)
-        cached, drift = memo.bounded(0, 15.0)
-        assert cached == (10.0, 0.0)
-        assert drift == pytest.approx(5.0, abs=1e-6)
-        # True position stays within the reported bound.
-        true = trace.position(15.0)
-        assert math.hypot(true[0] - cached[0], true[1] - cached[1]) <= drift
-
-    def test_bounded_refreshes_past_cap(self):
-        trace = WaypointTraceMobility([(0, 0, 0), (100, 100, 0)])
-        memo = PositionMemo(refresh_cap_m=10.0)
-        memo.track(_FakePhy(0, trace))
-        memo.exact(0, 0.0)
-        position, drift = memo.bounded(0, 50.0)  # would be 50 m stale
-        assert drift == 0.0
-        assert position == (50.0, 0.0)
+        memo.track(_FakePhy(0, _Counting([(0, 5, 5), (50, 5, 5), (60, 15, 5)])))
+        assert memo.exact(0, 1.0) == (5.0, 5.0)
+        assert memo.exact(0, 49.0) == (5.0, 5.0)
+        assert calls == [1.0]
+        # A moving node is re-sampled on every new instant: only the model's
+        # own interpolation is bit-equal to position().
+        assert memo.exact(0, 52.0) == (7.0, 5.0)
+        assert memo.exact(0, 53.0) == (8.0, 5.0)
+        assert calls == [1.0, 52.0, 53.0]
 
     def test_unknown_speed_bound_recomputes(self):
         class _NoHints:
-            """Mobility without speed_bound_mps/position_hold attributes."""
+            """Mobility without any motion-service attribute."""
 
             def __init__(self):
                 self._position = (0.0, 0.0)
@@ -169,14 +173,11 @@ class TestPositionMemo:
                 return self._position
 
         phy = _FakePhy(0, _NoHints())
-        phy.node.mobility.position_hold = None  # force the fallback path
-        memo = PositionMemo(refresh_cap_m=10.0)
+        memo = PositionMemo()
         memo.track(phy)
-        memo.exact(0, 0.0)
+        assert memo.segment(0, 0.0) == (0.0, 0.0, 0.0, 0.0, 0.0)
         phy.node.mobility._position = (99.0, 0.0)
-        position, drift = memo.bounded(0, 1.0)
-        assert drift == 0.0
-        assert position == (99.0, 0.0)
+        assert memo.exact(0, 1.0) == (99.0, 0.0)
 
     def test_invalidate_drops_entry(self):
         mobility = StaticMobility(0.0, 0.0)
@@ -231,21 +232,21 @@ class TestUniformGridIndex:
         phys = [_static_phy(i, 10.0 * i, 0.0) for i in range(5)]
         index = self._index(phys)
         index.candidates((0.0, 0.0), 20.0, 0.0)
-        rebuilds = index.rebuilds
+        rebuilds = index.grid_rebuilds
         # Static fleet: no amount of elapsed time forces a rebuild.
         index.candidates((0.0, 0.0), 20.0, 1000.0)
-        assert index.rebuilds == rebuilds
+        assert index.grid_rebuilds == rebuilds
 
     def test_moving_fleet_rebuilds_once_drift_exceeds_slack(self):
         trace = WaypointTraceMobility([(0, 0, 0), (1000, 1000, 0)])  # 1 m/s
         index = UniformGridIndex(cell_m=50.0, slack_m=5.0)
         index.add(_FakePhy(0, trace))
         index.candidates((0.0, 0.0), 20.0, 0.0)
-        rebuilds = index.rebuilds
+        rebuilds = index.grid_rebuilds
         index.candidates((0.0, 0.0), 20.0, 1.0)  # 1 m of drift: within slack
-        assert index.rebuilds == rebuilds
+        assert index.grid_rebuilds == rebuilds
         index.candidates((0.0, 0.0), 20.0, 100.0)  # 100 m: must rebuild
-        assert index.rebuilds == rebuilds + 1
+        assert index.grid_rebuilds == rebuilds + 1
 
     def test_interferers_match_linear_scan(self):
         streams = RandomStreams(3)
@@ -287,8 +288,8 @@ class TestUniformGridIndex:
         assert hit == [2]
 
 
-class TestDisplacementEpochWindows:
-    """Per-sender windows keyed by displacement epoch stay exact."""
+class TestKineticWindows:
+    """Per-sender windows with exact verdict deadlines stay exact."""
 
     def _moving_fleet(self, model, count=20, seed=6):
         from repro.mobility.config import MobilityConfig, build_fleet
@@ -315,8 +316,8 @@ class TestDisplacementEpochWindows:
         for phy in phys:
             grid.add(phy)
             naive.add(phy)
-        # Dense probing: epoch windows are built, hit repeatedly while the
-        # sender stays in the band, and rebuilt after it leaves.
+        # Dense probing: windows are built, hit repeatedly between verdict
+        # deadlines, partially re-resolved at them, and rebuilt on expiry.
         for step in range(60):
             now = step * 0.8
             sender = phys[step % 5]
@@ -331,25 +332,67 @@ class TestDisplacementEpochWindows:
             ]
             assert got == want, f"{model} diverged at t={now}"
 
-    def test_epoch_window_reused_while_sender_stays_in_band(self):
+    def test_window_is_reused_until_a_verdict_deadline_passes(self):
         trace_mobilities = [
-            WaypointTraceMobility([(0, i * 10.0, 0), (1000, i * 10.0 + 100.0, 0)])
+            WaypointTraceMobility([(0, i * 10.0, 0), (1000, i * 10.0 + 100.0 + i, 0)])
             for i in range(6)
-        ]  # all move at 0.1 m/s
+        ]  # 0.1 m/s, each a little faster than the one before
         phys = [_FakePhy(i, m) for i, m in enumerate(trace_mobilities)]
         index = UniformGridIndex(cell_m=50.0, slack_m=5.0)
         for phy in phys:
             index.add(phy)
         sender = phys[0]
-        index.interferers(sender, sender.position(0.0), 60.0, 60.0, 0.0)
-        assert len(index._epoch_cache) == 1
-        (key,) = index._epoch_cache
-        # 10 s at 0.1 m/s = 1 m of displacement: still inside the 5 m band,
-        # so the same epoch window serves the next transmission.
-        index.interferers(sender, sender.position(10.0), 60.0, 60.0, 10.0)
-        assert set(index._epoch_cache) == {key}
+        index.interferers(sender, sender.position(1.0), 60.0, 60.0, 1.0)
+        assert (index.window_builds, index.window_resolves, index.window_hits) == (1, 5, 0)
+        # Node 5 starts 50 m away and separates at 5 mm/s: it stays within
+        # 60 m until t=2000, every other pair longer, and the candidate set
+        # is good for 50 m / (2 * 0.105 m/s) = 238 s -- calls before that
+        # resolve nothing.
+        for now in (10.0, 100.0, 230.0):
+            hit = index.interferers(sender, sender.position(now), 60.0, 60.0, now)
+            assert [m[1] for m in hit] == [1, 2, 3, 4, 5]
+        assert (index.window_builds, index.window_resolves, index.window_hits) == (1, 5, 3)
 
-    def test_teleport_invalidates_epoch_windows_through_the_medium(self):
+    def test_only_due_members_are_re_resolved(self):
+        # Node 1 walks out of the 60 m range at t=20; node 2 never moves.
+        phys = [
+            _static_phy(0, 0.0, 0.0),
+            _FakePhy(1, WaypointTraceMobility([(0, 40.0, 0.0), (100, 140.0, 0.0)])),
+            _static_phy(2, 0.0, 30.0),
+        ]
+        index = UniformGridIndex(cell_m=100.0, slack_m=4.0)
+        for phy in phys:
+            index.add(phy)
+
+        def in_range(now):
+            return [m[1] for m in index.interferers(phys[0], (0.0, 0.0), 60.0, 60.0, now)]
+
+        assert in_range(1.0) == [1, 2]
+        assert index.window_resolves == 2
+        assert in_range(19.0) == [1, 2]
+        assert (index.window_hits, index.window_resolves) == (1, 2)
+        # Past node 1's deadline (1 micrometre short of the boundary): one
+        # pair is re-resolved, the static pair is not.
+        assert in_range(20.5) == [2]
+        assert (index.window_builds, index.window_resolves) == (1, 3)
+
+    def test_candidate_refresh_keeps_verdicts_that_are_not_due(self):
+        phys = [
+            _static_phy(0, 0.0, 0.0),
+            _FakePhy(1, WaypointTraceMobility([(0, 40.0, 0.0), (100, 140.0, 0.0)])),
+            _static_phy(2, 0.0, 30.0),
+        ]
+        index = UniformGridIndex(cell_m=30.0, slack_m=4.0)
+        for phy in phys:
+            index.add(phy)
+        index.interferers(phys[0], (0.0, 0.0), 60.0, 60.0, 1.0)
+        assert (index.window_builds, index.window_resolves) == (1, 2)
+        # The candidate set is good for 30 m / (2 * 1 m/s) = 15 s; node 1's
+        # verdict for 19 s.  Refreshing the set at t=18 resolves nothing.
+        index.interferers(phys[0], (0.0, 0.0), 60.0, 60.0, 18.0)
+        assert (index.window_builds, index.window_resolves) == (2, 2)
+
+    def test_teleport_flushes_windows_through_the_medium(self):
         from repro.net.config import RadioConfig
         from repro.net.medium import Medium
         from repro.net.packet import Frame, Packet
@@ -388,10 +431,10 @@ class TestDisplacementEpochWindows:
         sim.run()
         assert received == [0, 0]
 
-    def test_transmission_window_marks_out_of_reach_boundary_members(self):
-        # A boundary member that resolves beyond carrier sense keeps its slot
-        # (templates cannot cheaply drop entries) with verdict None; the
-        # filtered interferers() view must hide it.
+    def test_transmission_window_marks_out_of_reach_members(self):
+        # A candidate that resolves beyond carrier sense keeps its slot with
+        # verdict None (it may come into range before the candidate set
+        # expires); the filtered interferers() view must hide it.
         trace = WaypointTraceMobility([(0, 58.0, 0.0), (1000, 1058.0, 0.0)])
         phys = [_static_phy(0, 0.0, 0.0), _FakePhy(1, trace)]
         index = UniformGridIndex(cell_m=30.0, slack_m=4.0)
@@ -399,8 +442,7 @@ class TestDisplacementEpochWindows:
             index.add(phy)
         now = 10.0  # node 1 sits at 68 m: beyond the 60 m carrier sense
         window = index.transmission_window(phys[0], (0.0, 0.0), 60.0, 60.0, now)
-        verdicts = {member[1]: member[3] for member in window if member[2] is not phys[0]}
-        assert verdicts.get(1, "absent") in (None, "absent")
+        assert [(member[1], member[3]) for member in window] == [(1, None)]
         assert index.interferers(phys[0], (0.0, 0.0), 60.0, 60.0, now) == []
 
 

@@ -64,10 +64,13 @@ class TestEnabledNonPerturbation:
             == result.protocol_stats["medium.transmissions"]
         )
         assert metrics["mac.csma.enqueued"] == result.protocol_stats["mac.enqueued"]
-        # The epoch-window cache counters are first-class stats now.
-        assert metrics["spatial.index.window_hits"] > 0
+        # The kinetic-window counters are first-class stats: every
+        # transmission either hit its sender's window or resolved pairs.
+        assert 0 < metrics["spatial.index.window_hits"] < metrics["medium.channel.transmissions"]
         assert metrics["spatial.index.window_builds"] > 0
+        assert metrics["spatial.index.window_resolves"] > 0
         assert metrics["spatial.index.grid_rebuilds"] > 0
+        assert "spatial.index.window_patch_hits" not in metrics
         # Engine sampler gauges and fan-out histogram populated.
         assert metrics["engine.calendar.heap_depth"]["updates"] > 0
         fanout = telemetry["histograms"]["medium.channel.fanout"]
@@ -99,15 +102,6 @@ class TestEnabledNonPerturbation:
             if isinstance(value, (int, float))
         }
         assert counters_first == counters_second
-
-
-class TestSpatialCounterShim:
-    def test_rebuilds_property_aliases_grid_rebuilds(self):
-        scenario = Scenario(GOLDEN_SCENARIOS[_SCENARIO])
-        scenario.run()
-        index = scenario.medium._index
-        assert index.rebuilds == index.grid_rebuilds > 0
-        assert index.window_hits + index.window_builds > 0
 
 
 class TestSharedRoundRng:

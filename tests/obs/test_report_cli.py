@@ -69,6 +69,7 @@ class TestReport:
         assert main(["report", str(telemetry_json)]) == 0
         out = capsys.readouterr().out
         assert "spatial.index.window_hit_rate" in out
+        assert "window_resolves" in out and "window_patch_hits" not in out
         assert "Top fan-out offenders" in out
 
     def test_report_json_mode(self, telemetry_json, capsys):
