@@ -33,10 +33,10 @@ class RadioConfig:
         produce bit-identical results.
     fanout_kernel:
         Reception-bookkeeping kernel of the medium: ``"batch"`` (one pooled
-        :class:`~repro.net.medium.ReceptionBatch` per transmission --
-        parallel receiver arrays plus a corruption bitmap, the default) or
-        ``"object"`` (one pooled per-receiver record per in-flight copy, the
-        bit-identical reference).  A pure performance knob: both kernels
+        :class:`~repro.net.medium.ReceptionBatch` per transmission over the
+        sender's frozen interference list, one reception record per radio,
+        the default) or ``"object"`` (one pooled record per in-flight copy,
+        the bit-identical reference).  A pure performance knob: both kernels
         produce identical statistics, delivery sequences and event counts.
     grid_cell_m:
         Cell size of the uniform grid.  The default is speed-aware: a third

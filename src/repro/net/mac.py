@@ -110,6 +110,7 @@ class CsmaMac:
         self.phy = phy
         self.config = config
         self.rng = rng
+        self._getrandbits = rng.getrandbits
         self.stats = MacStats()
         self.on_receive = on_receive
         self.on_unicast_failure = on_unicast_failure
@@ -200,22 +201,39 @@ class CsmaMac:
         return self._difs_s + slots * self._slot_time_s
 
     def _attempt_transmission(self) -> None:
-        if self._state is not _MacState.CONTEND or self._current is None:
+        current = self._current
+        if self._state is not _MacState.CONTEND or current is None:
             return
-        if self.phy.transmitting or self.phy.carrier_busy():
-            # Defer: redraw the backoff and try again when it expires.
+        phy = self.phy
+        # The ``transmitting`` test is not redundant with carrier sense: a
+        # dark radio senses nothing, but one whose own truncated flight (an
+        # ACK cut short by the power-down) is still on the air must defer.
+        if phy.transmitting or phy.carrier_busy():
+            # Defer: redraw the backoff and try again when it expires.  This
+            # poll is most of a busy run's calendar, so it is kept flat: the
+            # draw is ``rng.randrange(cw)`` spelled out (same bits from the
+            # same stream, no frames), and the shot that is running has
+            # fired, so re-arming has nothing to cancel.
             if self._obs_on:
                 self._c_defers.inc()
                 self._c_backoffs.inc()
-            self._pending.arm(self._backoff_delay(self._current.cw), self._attempt_transmission)
+            cw = current.cw
+            bits = cw.bit_length()
+            getrandbits = self._getrandbits
+            slots = getrandbits(bits)
+            while slots >= cw:
+                slots = getrandbits(bits)
+            self._pending.rearm(
+                self._difs_s + slots * self._slot_time_s, self._attempt_transmission
+            )
             return
         self._state = _MacState.TRANSMIT
-        frame = self._current.frame
+        frame = current.frame
         if frame.dst == BROADCAST_ADDRESS:
             self.stats.broadcast_transmissions += 1
         else:
             self.stats.data_transmissions += 1
-        self.phy.transmit(frame)
+        phy.transmit(frame)
         # No "transmission done" event: the phy signals the end of flight
         # through _on_phy_tx_finished, saving one scheduled event per frame.
 

@@ -19,7 +19,7 @@ Snapshot semantics
 All geometry of a transmission is evaluated **once, at transmission start**:
 the set of radios in carrier-sense range (the interference set) and the
 subset in reception range are frozen from the start-time positions.  Carrier
-sense (:meth:`Medium.is_busy_for`) is membership in that frozen interference
+sense (``Phy.carrier_busy``) is membership in that frozen interference
 set -- a radio senses the channel busy exactly when it holds an in-flight
 copy -- so the channel can never present two inconsistent geometries for the
 same frame, no matter how nodes move during the airtime.
@@ -41,11 +41,15 @@ statistics and delivery sequences; the naive index is kept as the reference
 for equivalence tests.
 
 The medium consumes one interface for static and moving senders alike:
-``transmission_window`` returns the sender's kinetic interference window --
+``transmission_window`` resolves the sender's kinetic interference window --
 every candidate with its verdict, each cached until the exact instant the
 pair's linear motion next brings it to a range boundary (see the mobility
-``segment`` contract) -- so only the members whose deadline has passed are
-resolved per call.
+``segment`` contract) -- and returns the sender's *interference list*: the
+``(phy, in_range)`` pairs of the enabled radios within carrier sense.  The
+list is **frozen** -- the index never mutates one it has handed out, it
+builds a new one when a verdict flips, the candidate set is rebuilt or a
+radio's power state changes (the medium tells it) -- so a flight keeps a
+reference for its airtime and most flights of a sender share one object.
 
 Fan-out kernels
 ---------------
@@ -55,22 +59,25 @@ is the dominant hot path.  Two interchangeable kernels implement it,
 selected by ``RadioConfig(fanout_kernel=...)``:
 
 ``"batch"`` (the default)
-    One pooled :class:`ReceptionBatch` per transmission: the shared frame,
-    parallel arrays of receiver radios / attach epochs, and one flag byte
-    per copy packing the in-range bit with the attach-time **corruption
-    bit** (set == receiver ``i``'s copy was undecodable on arrival; a
-    bytearray keeps every flag read in small-int territory).  The fan-out
-    loop fills the arrays in one pass over the index's window; teardown
-    is one flat walk
-    of the arrays dispatching straight into each radio's receive callback.
-    The kernel exploits a structural property of the model: every hot
-    corruption event (overlapping energy, the receiver starting to
-    transmit, a power-down) corrupts *all* copies a radio currently holds,
-    never a single one -- so per-radio corruption state is three O(1)
-    counters on the :class:`~repro.net.phy.Phy` (held copies, still-
-    decodable copies, and a corruption epoch whose bump means "everything
-    this radio is hearing is now lost").  No per-copy record, list link or
-    unlink exists anywhere on the hot path.
+    One reception record per *radio*, not per copy.  Every corruption event
+    at a radio (overlapping energy, the radio starting to transmit, its
+    power-down) corrupts *all* copies it currently holds, never a single
+    one; and a copy is decodable only if it arrived on a radio that held
+    nothing and was not transmitting.  So **a radio holds at most one
+    decodable copy** -- the invariant this kernel rests on, asserted on the
+    reference kernel in ``tests/properties/test_medium_equivalence.py`` --
+    and its whole reception state is a count of held copies, the busy
+    watermark and one pointer, ``Phy.rx_current``: the flight it is locked
+    on, or ``None``.  "Copy is intact" is ``rx_current is batch``; "all this
+    radio hears is lost" is ``rx_current = None``; a crashing sender clears
+    the pointer on the radios locked on its flight.  A pooled
+    :class:`ReceptionBatch` holds the shared frame and *borrows* the frozen
+    interference list; fan-out and teardown are one walk of that list each,
+    with no per-copy record, append, link or unlink anywhere.  Ownership:
+    the list belongs to the index, a flight only reads it and drops its
+    reference at teardown; radios that join mid-flight (late register,
+    power-up) go on the batch's own ``late`` side list, never on the
+    borrowed one.
 
 ``"object"``
     The reference kernel: one pooled, slotted :class:`_Reception` record
@@ -116,44 +123,38 @@ class MediumStats:
 
 
 class ReceptionBatch:
-    """Every in-flight copy of one transmission, as parallel arrays.
+    """One in-flight transmission and the radios it reaches (batch kernel).
 
     Slotted and pooled: the batch kernel recycles batches through a free
-    list, so steady-state fan-out allocates nothing but list growth.  The
-    receiver at index ``i`` has its attach-time verdicts in the flag byte
-    ``flags[i]`` (:attr:`flags`) and the corruption epoch
-    (``Phy.rx_corrupt_seq``) it attached under at ``seqs[i]``.  Copy ``i``
-    is undecodable iff its corrupt flag is set *or* its receiver's epoch
-    has moved since -- there is no per-copy record to link, walk or
-    unlink anywhere.
+    list, and a batch owns no per-copy storage at all.  :attr:`reach` is
+    the sender's frozen interference list, *borrowed* from the spatial
+    index for the airtime (see ``transmission_window``); which of those
+    radios can still decode the frame is not recorded here but on the
+    radios -- the one locked on this flight has ``rx_current is batch``.
     """
 
     __slots__ = ("sender", "frame", "start_time", "end_time", "sender_pos",
-                 "receivers", "seqs", "flags", "count", "active_slot")
+                 "reach", "late", "active_slot")
 
-    #: Flag-byte bits (per copy, in :attr:`flags`).
-    CORRUPT = 1   #: undecodable already at attach (overlap, half-duplex,
-                  #: missed head, or a truncated frame after a sender crash)
-    IN_RANGE = 2  #: receiver was within transmission (not just
-                  #: carrier-sense) range at attach
-
-    def __init__(self, sender: "Phy", frame: Frame, start_time: float,
-                 end_time: float, sender_pos: tuple):
-        self.sender = sender
-        self.frame = frame
-        self.start_time = start_time
-        self.end_time = end_time
-        self.sender_pos = sender_pos
-        self.receivers: List["Phy"] = []
-        #: Per-copy corruption epoch of the receiver at attach time.
-        self.seqs: List[int] = []
-        #: One flag byte per copy (``CORRUPT`` | ``IN_RANGE`` bits); a
-        #: bytearray keeps every read and append in small-int territory --
-        #: no wide-bitmap shifts anywhere on the hot path.
-        self.flags = bytearray()
-        self.count = 0
+    def __init__(self):
+        self.sender: Optional["Phy"] = None
+        self.frame: Optional[Frame] = None
+        self.start_time = 0.0
+        self.end_time = 0.0
+        self.sender_pos: tuple = ()
+        #: ``(phy, in_range)`` per radio holding a copy since the start of
+        #: the flight.  Borrowed and frozen: never mutated by anyone.
+        self.reach: Optional[list] = None
+        #: ``(phy, in_range)`` per radio that registered or powered up
+        #: mid-flight (it missed the head of the frame, so it can never
+        #: decode it); ``None`` on all but such flights.
+        self.late: Optional[list] = None
         #: Index in ``Medium._active`` (intrusive membership, O(1) removal).
         self.active_slot = -1
+
+    def copies(self) -> list:
+        """Every ``(phy, in_range)`` copy of the frame, late ones last."""
+        return self.reach if self.late is None else self.reach + self.late
 
 
 class _Reception:
@@ -415,21 +416,8 @@ class Medium:
 
     # ------------------------------------------------------------ busy sense
     def is_busy_for(self, phy: "Phy") -> bool:
-        """Carrier sense: is the channel busy as perceived by ``phy``?
-
-        Defined as membership in the interference set of any in-flight
-        transmission (frozen at transmission start), so it always agrees
-        with the reception bookkeeping.  A powered-down radio senses
-        nothing.  O(1) in both kernels: copies are removed exactly at their
-        end time, so "some held copy is still in flight" is equivalent to
-        the radio's :attr:`~repro.net.phy.Phy.rx_busy_until` watermark
-        lying in the future.
-        """
-        if not phy.enabled:
-            return False
-        if phy.transmitting:
-            return True
-        return phy.rx_busy_until > self.sim.now
+        """Carrier sense as perceived by ``phy`` (see ``Phy.carrier_busy``)."""
+        return phy.carrier_busy()
 
     # ---------------------------------------------------------- batch kernel
     def _transmit_batch(self, sender: "Phy", frame: Frame) -> float:
@@ -446,94 +434,74 @@ class Medium:
         end_time = now + duration
         index = self._index
         sender_pos = index.exact(sender, now)
-        pool = self._batch_pool
-        if pool:
-            batch = pool.pop()
-            batch.sender = sender
-            batch.frame = frame
-            batch.start_time = now
-            batch.end_time = end_time
-            batch.sender_pos = sender_pos
-        else:
-            batch = ReceptionBatch(sender, frame, now, end_time, sender_pos)
         stats = self.stats
         stats.transmissions += 1
-
-        # A node that starts transmitting corrupts anything it was receiving:
-        # one epoch bump, no walk.
-        lost = sender.rx_uncorrupted
-        if lost:
-            stats.half_duplex_losses += lost
-            sender.rx_uncorrupted = 0
-        sender.rx_corrupt_seq += 1
-
-        receivers = batch.receivers
-        receivers_append = receivers.append
-        seqs_append = batch.seqs.append
-        flags_append = batch.flags.append
-        collisions = 0
-        half_duplex = 0
-        # The window comes resolved from the index's per-sender kinetic
-        # window; only members whose verdict deadline had passed were
-        # re-resolved for this call.  It never contains the sender, but may
-        # contain disabled radios and candidates beyond carrier sense
-        # (verdict None) -- filtering here avoids materialising a second,
-        # filtered list per transmission.
-        for member in index.transmission_window(
+        # A node that starts transmitting loses the frame it was receiving.
+        if sender.rx_current is not None:
+            stats.half_duplex_losses += 1
+            sender.rx_current = None
+        reach = index.transmission_window(
             sender, sender_pos, self._cs_range, self._rx_range, now
-        ):
-            phy = member[2]
-            if not phy.enabled:
-                continue
-            in_range = member[3]
-            if in_range is None:
-                continue
-            held = phy.rx_held_count
-            if held:
-                # Overlapping energy at this receiver: everything it holds
-                # is lost (epoch bump), and so is the new copy.
-                uncorrupted = phy.rx_uncorrupted
-                if uncorrupted:
-                    collisions += uncorrupted
-                    phy.rx_uncorrupted = 0
-                phy.rx_corrupt_seq += 1
-                collisions += 1
-                copy_flags = 3 if in_range else 1
-                if phy.transmitting:
-                    half_duplex += 1
-            elif phy.transmitting:
-                copy_flags = 3 if in_range else 1
-                half_duplex += 1
-            else:
-                phy.rx_uncorrupted += 1
-                copy_flags = 2 if in_range else 0
-            phy.rx_held_count = held + 1
-            if end_time > phy.rx_busy_until:
-                phy.rx_busy_until = end_time
-            seqs_append(phy.rx_corrupt_seq)
-            receivers_append(phy)
-            flags_append(copy_flags)
-        count = len(receivers)
-        batch.count = count
-        if collisions:
-            stats.collisions += collisions
-        if half_duplex:
-            stats.half_duplex_losses += half_duplex
-
-        batch.active_slot = len(self._active)
-        self._active.append(batch)
+        )
+        batch = self._launch(sender, frame, end_time, sender_pos, reach)
         self.sim.call_in(duration, self._finish_batch, (batch,))
         if self._export is not None:
             self._export.append(
                 ("tx", now, sender.node_id, end_time, sender_pos[0], sender_pos[1], frame)
             )
         if obs_on:
+            count = len(reach)
             self._h_fanout.observe(count)
             totals = self._fanout_totals
             sender_id = sender.node_id
             totals[sender_id] = totals.get(sender_id, 0) + count
             self._span_fanout.stop()
         return duration
+
+    def _launch(self, sender, frame: Frame, end_time: float, sender_pos: tuple,
+                reach: list) -> ReceptionBatch:
+        """Put a flight on the air at every radio in ``reach``.
+
+        Shared by local transmissions and attached foreign ones.  Per radio:
+        a copy arriving on top of held energy is lost and kills the one the
+        radio was locked on, a copy arriving while the radio transmits is
+        lost, and any other copy finds the radio idle and locks it.
+        """
+        pool = self._batch_pool
+        batch = pool.pop() if pool else ReceptionBatch()
+        batch.sender = sender
+        batch.frame = frame
+        batch.start_time = self.sim.now
+        batch.end_time = end_time
+        batch.sender_pos = sender_pos
+        batch.reach = reach
+        collisions = 0
+        half_duplex = 0
+        for phy, _ in reach:
+            held = phy.rx_held_count
+            if held:
+                if phy.rx_current is not None:
+                    collisions += 2
+                    phy.rx_current = None
+                else:
+                    collisions += 1
+                if phy.transmitting:
+                    half_duplex += 1
+            elif phy.transmitting:
+                half_duplex += 1
+            else:
+                phy.rx_current = batch
+            phy.rx_held_count = held + 1
+            if end_time > phy.rx_busy_until:
+                phy.rx_busy_until = end_time
+        stats = self.stats
+        if collisions:
+            stats.collisions += collisions
+        if half_duplex:
+            stats.half_duplex_losses += half_duplex
+        batch.active_slot = len(self._active)
+        self._active.append(batch)
+        return batch
 
     def _finish_batch(self, batch: ReceptionBatch) -> None:
         obs_on = self._obs_on
@@ -556,35 +524,29 @@ class Medium:
         # which no stack sends but tests may craft) dispatches through the
         # receivers' lean broadcast entry point where one is registered.
         fast_broadcast = broadcast and not frame.packet.is_mac_control
-        receivers = batch.receivers
-        seqs = batch.seqs
-        # The attach-time flag bytes are stable during teardown (sender
-        # crashes mutate them only while the batch is still in ``_active``);
-        # epoch corruption is read per copy below, so a callback that powers
-        # a radio down mid-teardown is seen by the copies still pending --
-        # exactly like the object kernel's per-record reads.
-        flags = batch.flags
         set_shard = self._set_shard
         disabled_discards = 0
         out_of_range = 0
         half_duplex = 0
         deliveries = 0
-        # zip over the parallel arrays: no per-copy index arithmetic.
-        for receiver, f, seq in zip(receivers, flags, seqs):
+        # ``rx_current`` is read per copy, at visit time, so a callback that
+        # powers a radio down mid-teardown is seen by the copies still
+        # pending -- exactly like the object kernel's per-record reads.
+        for receiver, in_range in batch.copies():
             receiver.rx_held_count -= 1
-            if f & 1 or receiver.rx_corrupt_seq != seq:
+            if receiver.rx_current is not batch:
+                # Not the flight this radio is locked on: undecodable.
                 if receiver.enabled:
-                    if f & 2:
-                        continue
-                    out_of_range += 1
+                    if not in_range:
+                        out_of_range += 1
                 else:
                     disabled_discards += 1
                 continue
-            receiver.rx_uncorrupted -= 1
+            receiver.rx_current = None
             if not receiver.enabled:
                 disabled_discards += 1
                 continue
-            if not f & 2:
+            if not in_range:
                 out_of_range += 1
                 continue
             if receiver.transmitting:
@@ -617,12 +579,11 @@ class Medium:
         if half_duplex:
             stats.half_duplex_losses += half_duplex
         stats.deliveries += deliveries
-        # Recycle: the arrays stay attached to the pooled batch.  Receiver
-        # refs are cleared with them, so a pooled batch pins nothing.
-        receivers.clear()
-        seqs.clear()
-        flags.clear()
-        batch.count = 0
+        # Recycle.  Every radio that was locked on this flight was visited
+        # above, so nothing points at a pooled batch, and the batch gives
+        # its lists back: it pins no radio and no window.
+        batch.reach = None
+        batch.late = None
         batch.sender = None
         batch.frame = None
         self._batch_pool.append(batch)
@@ -674,16 +635,9 @@ class Medium:
         rec_append = receptions.append
         collisions = 0
         half_duplex = 0
-        # See _transmit_batch for the window contract.
-        for member in index.transmission_window(
+        for phy, in_range in index.transmission_window(
             sender, sender_pos, self._cs_range, self._rx_range, now
         ):
-            phy = member[2]
-            if not phy.enabled:
-                continue
-            in_range = member[3]
-            if in_range is None:
-                continue
             if pool:
                 reception = pool.pop()
                 reception.receiver = phy
@@ -830,30 +784,16 @@ class Medium:
         ``collisions``.
         """
         now = self.sim.now
+        self._index.power_changed()
         if self._export is not None:
             # Tell the other shards: their copies of any frame this radio
             # still had on the air are truncated too.
             self._export.append(("down", now, phy.node_id))
         if self._batch_mode:
-            # Everything this radio holds is lost: one epoch bump.
-            phy.rx_corrupt_seq += 1
-            phy.rx_uncorrupted = 0
+            phy.rx_current = None
             for batch in self._active:
                 if batch.sender is phy and batch.end_time > now:
-                    # Truncated frame: every copy in the batch is lost.
-                    # Settle each still-decodable copy out of its receiver's
-                    # uncorrupted count before the flag swallows it.
-                    receivers = batch.receivers
-                    seqs = batch.seqs
-                    flags = batch.flags
-                    for idx in range(batch.count):
-                        receiver = receivers[idx]
-                        if (
-                            not flags[idx] & 1
-                            and receiver.rx_corrupt_seq == seqs[idx]
-                        ):
-                            receiver.rx_uncorrupted -= 1
-                        flags[idx] |= 1
+                    self._truncate(batch)
         else:
             for reception in self._active_receptions.get(phy.node_id, ()):
                 reception.corrupted = True
@@ -862,8 +802,20 @@ class Medium:
                     for reception in tx.receptions:
                         reception.corrupted = True
 
+    @staticmethod
+    def _truncate(batch: ReceptionBatch) -> None:
+        """The sender of ``batch`` crashed: no radio locked on it decodes it.
+
+        Late copies never lock a radio, so :attr:`ReceptionBatch.reach` is
+        all there is to walk.
+        """
+        for receiver, _ in batch.reach:
+            if receiver.rx_current is batch:
+                receiver.rx_current = None
+
     def radio_powered_up(self, phy: "Phy") -> None:
         """A radio came (back) up: attach it to every in-flight transmission."""
+        self._index.power_changed()
         self._attach_to_active(phy)
 
     def _attach_to_active(self, phy: "Phy") -> None:
@@ -889,10 +841,7 @@ class Medium:
                 # copy of a transmission the radio already holds (from before
                 # it went down) -- duplicates would double-count the discard
                 # statistics.
-                receivers = batch.receivers
-                if any(
-                    receivers[idx] is phy for idx in range(batch.count)
-                ):
+                if any(holder is phy for holder, _ in batch.copies()):
                     continue
                 dx, dy = self._deltas(
                     batch.sender_pos[0], batch.sender_pos[1], position[0], position[1]
@@ -900,10 +849,9 @@ class Medium:
                 distance_sq = dx * dx + dy * dy
                 if distance_sq > cs_sq:
                     continue
-                receivers.append(phy)
-                batch.seqs.append(phy.rx_corrupt_seq)
-                batch.flags.append(3 if distance_sq <= rx_sq else 1)
-                batch.count += 1
+                if batch.late is None:
+                    batch.late = []
+                batch.late.append((phy, distance_sq <= rx_sq))
                 phy.rx_held_count += 1
                 if batch.end_time > phy.rx_busy_until:
                     phy.rx_busy_until = batch.end_time
@@ -997,78 +945,30 @@ class Medium:
     ) -> None:
         """Attach a still-in-flight foreign transmission to local radios.
 
-        Mirrors the batch kernel's fan-out (held-copy collisions, half-duplex
-        verdicts, busy-watermark updates) over the local index's candidates
-        around the exported start position; the shared ``_finish_batch``
-        teardown then resolves the receptions at ``end_time``.  The
-        transmission itself is *not* counted -- the originating shard owns
+        The flight's reach is built here, once, from the local index's
+        candidates around the exported start position; from there it is an
+        ordinary batch-kernel flight (:meth:`_launch`, then the shared
+        ``_finish_batch`` teardown at ``end_time``).  The transmission
+        itself is *not* counted -- the originating shard owns
         ``stats.transmissions``.
         """
         if not self._batch_mode:
             raise RuntimeError("cross-shard attach requires the batch fan-out kernel")
         now = self.sim.now
-        sender_pos = (sx, sy)
-        pool = self._batch_pool
-        sender = _ForeignSender(sender_id)
-        if pool:
-            batch = pool.pop()
-            batch.sender = sender
-            batch.frame = frame
-            batch.start_time = now
-            batch.end_time = end_time
-            batch.sender_pos = sender_pos
-        else:
-            batch = ReceptionBatch(sender, frame, now, end_time, sender_pos)
-        stats = self.stats
         index = self._index
         cs_range = self._cs_range
         cs_sq = cs_range * cs_range
         rx_sq = self._rx_range * self._rx_range
-        receivers = batch.receivers
-        receivers_append = receivers.append
-        seqs_append = batch.seqs.append
-        flags_append = batch.flags.append
-        collisions = 0
-        half_duplex = 0
-        for _, _, phy in index.candidates(sender_pos, cs_range, now):
+        reach = []
+        for _, _, phy in index.candidates((sx, sy), cs_range, now):
             if not phy.enabled:
                 continue
             px, py = index.exact(phy, now)
             dx, dy = self._deltas(px, py, sx, sy)
             distance_sq = dx * dx + dy * dy
-            if distance_sq > cs_sq:
-                continue
-            in_range = distance_sq <= rx_sq
-            held = phy.rx_held_count
-            if held:
-                uncorrupted = phy.rx_uncorrupted
-                if uncorrupted:
-                    collisions += uncorrupted
-                    phy.rx_uncorrupted = 0
-                phy.rx_corrupt_seq += 1
-                collisions += 1
-                copy_flags = 3 if in_range else 1
-                if phy.transmitting:
-                    half_duplex += 1
-            elif phy.transmitting:
-                copy_flags = 3 if in_range else 1
-                half_duplex += 1
-            else:
-                phy.rx_uncorrupted += 1
-                copy_flags = 2 if in_range else 0
-            phy.rx_held_count = held + 1
-            if end_time > phy.rx_busy_until:
-                phy.rx_busy_until = end_time
-            seqs_append(phy.rx_corrupt_seq)
-            receivers_append(phy)
-            flags_append(copy_flags)
-        batch.count = len(receivers)
-        if collisions:
-            stats.collisions += collisions
-        if half_duplex:
-            stats.half_duplex_losses += half_duplex
-        batch.active_slot = len(self._active)
-        self._active.append(batch)
+            if distance_sq <= cs_sq:
+                reach.append((phy, distance_sq <= rx_sq))
+        batch = self._launch(_ForeignSender(sender_id), frame, end_time, (sx, sy), reach)
         self.sim.call_at(end_time, self._finish_batch, (batch,))
 
     def _deliver_foreign_late(
@@ -1134,17 +1034,7 @@ class Medium:
                 and sender.node_id == sender_id
                 and batch.end_time > now
             ):
-                receivers = batch.receivers
-                seqs = batch.seqs
-                flags = batch.flags
-                for idx in range(batch.count):
-                    receiver = receivers[idx]
-                    if (
-                        not flags[idx] & 1
-                        and receiver.rx_corrupt_seq == seqs[idx]
-                    ):
-                        receiver.rx_uncorrupted -= 1
-                    flags[idx] |= 1
+                self._truncate(batch)
 
     # --------------------------------------------------------------- telemetry
     def receptions_for(self, node_id: int) -> List[tuple]:
@@ -1158,24 +1048,17 @@ class Medium:
         out = []
         if self._batch_mode:
             phy = self._phys.get(node_id)
-            if phy is None:
-                return out
             for batch in self._active:
-                receivers = batch.receivers
-                seqs = batch.seqs
-                flags = batch.flags
-                for idx in range(batch.count):
-                    if receivers[idx] is not phy:
-                        continue
-                    f = flags[idx]
-                    out.append(
-                        (
-                            batch.sender.node_id,
-                            batch.end_time,
-                            bool(f & 2),
-                            bool(f & 1 or phy.rx_corrupt_seq != seqs[idx]),
+                for holder, in_range in batch.copies():
+                    if holder is phy:
+                        out.append(
+                            (
+                                batch.sender.node_id,
+                                batch.end_time,
+                                in_range,
+                                phy.rx_current is not batch,
+                            )
                         )
-                    )
         else:
             for reception in self._active_receptions.get(node_id, ()):
                 out.append(

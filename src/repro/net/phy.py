@@ -27,8 +27,7 @@ class Phy:
     __slots__ = ("node", "node_id", "medium", "transmitting", "enabled",
                  "receive_callback", "broadcast_callback", "unicast_filter",
                  "on_transmission_finished", "_tx_frame", "_rx_ongoing",
-                 "rx_busy_until", "rx_held_count", "rx_uncorrupted",
-                 "rx_corrupt_seq", "shard")
+                 "rx_busy_until", "rx_held_count", "rx_current", "shard")
 
     def __init__(self, node: "Node", medium: Medium):
         self.node = node
@@ -69,7 +68,7 @@ class Phy:
         #: ``Medium._active_receptions[node_id]``, hung here so the medium's
         #: per-frame loops skip the dict lookup.  Owned by the medium (set
         #: during registration); stays empty under the batch kernel, which
-        #: keeps reception state in the counters below instead.  Use
+        #: keeps reception state in the fields below instead.  Use
         #: ``Medium.receptions_for`` for a kernel-independent view.
         self._rx_ongoing = []
         #: Latest end-of-flight instant over every copy this radio has held
@@ -78,18 +77,17 @@ class Phy:
         #: watermark lies in the future -- an O(1) carrier-sense test that
         #: never walks the ongoing list.  Stale (past) values are harmless.
         self.rx_busy_until = -1.0
-        #: Batch-kernel per-radio reception counters, maintained by the
-        #: medium.  Every hot-path corruption event (overlapping energy,
-        #: this radio starting to transmit, a power-down) corrupts *all*
-        #: copies the radio currently holds, so corruption state lives here
-        #: instead of on per-copy records: ``rx_held_count`` copies are in
-        #: flight, ``rx_uncorrupted`` of them still decodable, and
-        #: ``rx_corrupt_seq`` is the corruption epoch -- bumping it is the
-        #: O(1) "everything this radio is hearing is now lost" operation
-        #: (each copy remembers the epoch it was attached under).
+        #: Batch-kernel reception record, maintained by the medium: one per
+        #: radio, not one per copy.  ``rx_held_count`` copies are in flight
+        #: at this radio, and **at most one of them is decodable** -- a copy
+        #: decodes only if it arrived on a radio holding nothing and not
+        #: transmitting, and the next arrival (or this radio starting to
+        #: transmit, or powering down) kills it.  ``rx_current`` is that one
+        #: flight (a ``ReceptionBatch``), else ``None``: "this copy is
+        #: intact" is ``rx_current is batch``, and "everything this radio is
+        #: hearing is now lost" is ``rx_current = None``.
         self.rx_held_count = 0
-        self.rx_uncorrupted = 0
-        self.rx_corrupt_seq = 0
+        self.rx_current = None
         #: Home shard of this radio under a region-sharded engine (see
         #: :mod:`repro.sim.shard`): the shard whose region contained the
         #: node's initial position.  Assigned by the scenario builder; stays
@@ -107,8 +105,18 @@ class Phy:
         self.receive_callback = callback
 
     def carrier_busy(self) -> bool:
-        """True when the channel is sensed busy at this node."""
-        return self.medium.is_busy_for(self)
+        """Carrier sense: is the channel busy as perceived by this radio?
+
+        Busy while the radio transmits or holds an in-flight copy, i.e. is
+        in the interference set (frozen at transmission start) of some
+        flight, so it always agrees with the reception bookkeeping.  Copies
+        are removed exactly at their end time, so "some held copy is still
+        in flight" is :attr:`rx_busy_until` lying in the future.  A
+        powered-down radio senses nothing.
+        """
+        return self.enabled and (
+            self.transmitting or self.rx_busy_until > self.medium.sim.now
+        )
 
     def transmit(self, frame: Frame) -> float:
         """Put ``frame`` on the air; returns its airtime in seconds.

@@ -27,14 +27,17 @@ point, without changing a single simulation outcome:
     On top of the plain candidate windows, the grid serves the medium one
     **kinetic interference window** per sender through
     :meth:`~UniformGridIndex.transmission_window`: every candidate carries
-    its resolved verdict *and the instant that verdict expires*.  All
-    motion is piecewise linear, so the instant a sender-receiver distance
-    crosses a radio range is a quadratic root, computed once when the pair
-    is classified (the kinetic-data-structure idea of Basch, Guibas &
-    Hershberger, SODA 1997).  A cached verdict is reused only while the
-    pair is provably more than :data:`_GUARD_M` from both range boundaries
-    on an unchanged linear segment of both nodes; everything else is the
-    linear scan's own expression on exact positions.
+    its resolved verdict *and the instant that verdict expires*, and the
+    call hands out the sender's **frozen interference list** -- the
+    ``(phy, in_range)`` pairs of the enabled members within carrier sense,
+    never mutated once returned, so a flight can keep it for its airtime.
+    All motion is piecewise linear, so the instant a sender-receiver
+    distance crosses a radio range is a quadratic root, computed once when
+    the pair is classified (the kinetic-data-structure idea of Basch,
+    Guibas & Hershberger, SODA 1997).  A cached verdict is reused only
+    while the pair is provably more than :data:`_GUARD_M` from both range
+    boundaries on an unchanged linear segment of both nodes; everything
+    else is the linear scan's own expression on exact positions.
 
 :class:`LinearScanIndex`
     The O(N) reference implementation with the exact semantics of the
@@ -149,20 +152,40 @@ class PositionMemo:
 class _KineticWindow:
     """One sender's candidate members with a verdict and a deadline each."""
 
-    __slots__ = ("members", "resolved", "deadlines", "expires", "valid_until")
+    __slots__ = ("members", "verdicts", "deadlines", "expires", "valid_until",
+                 "frozen")
 
     def __init__(self, members: List[Tuple[int, int, "Phy"]], expires: float):
         #: Candidate ``(order, node_id, phy)`` triples, never the sender.
         self.members = members
-        #: ``(order, node_id, phy, verdict)`` per member: ``None`` beyond
-        #: carrier sense, ``False`` sensed only, ``True`` receivable.
-        self.resolved: List[tuple] = [member + (None,) for member in members]
+        #: Per member: ``None`` beyond carrier sense, ``False`` sensed only,
+        #: ``True`` receivable.
+        self.verdicts: List[Optional[bool]] = [None] * len(members)
         #: Instant each member's verdict stops being provably current.
         self.deadlines = [-math.inf] * len(members)
         #: Instant the candidate set itself stops being a superset.
         self.expires = expires
-        #: min(deadlines, expires): before it, ``resolved`` is the answer.
+        #: min(deadlines, expires): before it, the verdicts are the answer.
         self.valid_until = -math.inf
+        #: The interference list handed to flights, or ``None`` when a
+        #: verdict or a radio's power state changed since it was built.
+        #: Never mutated: a stale list is dropped and a new one built.
+        self.frozen: Optional[List[Tuple["Phy", bool]]] = None
+
+    def freeze(self) -> List[Tuple["Phy", bool]]:
+        """Build (and keep) the list of enabled members within carrier sense.
+
+        The pairs are made afresh for every list on purpose: keeping one
+        tuple per member across builds halves this call and still loses
+        end to end -- the fan-out walks run faster over tuples allocated
+        together than over ones that have aged apart.
+        """
+        self.frozen = frozen = [
+            (member[2], verdict)
+            for member, verdict in zip(self.members, self.verdicts)
+            if verdict is not None and member[2].enabled
+        ]
+        return frozen
 
 
 class UniformGridIndex:
@@ -251,6 +274,15 @@ class UniformGridIndex:
         self.memo.invalidate(node_id)
         self._dirty = True
         self._windows.clear()
+
+    def power_changed(self) -> None:
+        """A radio went down or came up: every frozen list may be stale.
+
+        Verdicts and deadlines are facts about geometry and stay; only the
+        lists go, to be rebuilt on each sender's next transmission.
+        """
+        for window in self._windows.values():
+            window.frozen = None
 
     def members(self) -> List[Tuple[int, int, "Phy"]]:
         """Every registered radio as ``(order, node_id, phy)`` triples."""
@@ -422,30 +454,31 @@ class UniformGridIndex:
             for slot, member in enumerate(members):
                 old = known.get(member[1])
                 if old is not None:
-                    window.resolved[slot] = previous.resolved[old]
+                    window.verdicts[slot] = previous.verdicts[old]
                     window.deadlines[slot] = previous.deadlines[old]
         return window
 
     def transmission_window(
         self, sender: "Phy", origin: Position, cs_range: float, rx_range: float,
         now: float,
-    ) -> List[tuple]:
-        """The fully resolved interference window of one transmission.
+    ) -> List[Tuple["Phy", bool]]:
+        """The frozen interference list of one transmission.
 
         ``origin`` must be the sender's position at ``now``.  Returns
-        ``(order, node_id, phy, in_reception_range)`` tuples in registration
-        order; ``in_reception_range`` is ``None`` for candidates beyond
-        carrier-sense reach (callers skip them).  The window never contains
-        the sender but may contain disabled radios; callers filter those.
-        The list is the window's own: it is valid until the next call.
+        ``(phy, in_reception_range)`` pairs in registration order: exactly
+        the enabled radios within carrier sense, never the sender.  The
+        list is **frozen** -- the index never mutates a list it has
+        returned, it drops it (see :attr:`_KineticWindow.frozen`) -- so the
+        caller may keep it for the flight's airtime, and successive calls
+        return the same object for as long as nothing changed.
 
         Each member's verdict is the linear scan's expression on exact
         positions, cached until the earliest instant at which the pair --
         both nodes extrapolated along their current segments -- comes
         within :data:`_GUARD_M` of a range boundary, either segment ends,
         or (on a torus) the pair's minimum image switches.  A call before
-        every such deadline returns the cached list untouched; any other
-        call re-resolves exactly the members that are due.
+        every such deadline resolves nothing; any other call re-resolves
+        exactly the members that are due.
         """
         if cs_range != self._cs_range or rx_range != self._rx_range:
             self._set_ranges(cs_range, rx_range)
@@ -453,7 +486,8 @@ class UniformGridIndex:
         window = self._windows.get(sender_id)
         if window is not None and now < window.valid_until:
             self.window_hits += 1
-            return window.resolved
+            frozen = window.frozen
+            return frozen if frozen is not None else window.freeze()
         if window is None or now >= window.expires:
             window = self._windows[sender_id] = self._build_window(
                 sender, origin, cs_range, now, window
@@ -469,15 +503,14 @@ class UniformGridIndex:
         cs_sq = cs_range * cs_range
         rx_sq = rx_range * rx_range
         members = window.members
-        resolved = window.resolved
+        verdicts = window.verdicts
         deadlines = window.deadlines
         valid_until = window.expires
         resolves = 0
         for slot, deadline in enumerate(deadlines):
             if deadline <= now:
                 resolves += 1
-                member = members[slot]
-                mx, my, mvx, mvy, until = segment(member[1], now)
+                mx, my, mvx, mvy, until = segment(members[slot][1], now)
                 if sender_until < until:
                     until = sender_until
                 dx = mx - ox
@@ -490,8 +523,9 @@ class UniformGridIndex:
                     verdict = None
                 else:
                     verdict = distance_sq <= rx_sq
-                if resolved[slot][3] is not verdict:
-                    resolved[slot] = member + (verdict,)
+                if verdicts[slot] is not verdict:
+                    verdicts[slot] = verdict
+                    window.frozen = None
                 inner_sq, outer_sq = bands[verdict]
                 dvx = mvx - svx
                 dvy = mvy - svy
@@ -521,39 +555,29 @@ class UniformGridIndex:
                 valid_until = deadline
         window.valid_until = valid_until
         self.window_resolves += resolves
-        return resolved
+        frozen = window.frozen
+        return frozen if frozen is not None else window.freeze()
 
     def interferers(
-        self,
-        sender: "Phy",
-        origin: Position,
-        cs_range: float,
-        rx_range: float,
+        self, sender: "Phy", origin: Position, cs_range: float, rx_range: float,
         now: float,
-        out: Optional[List[Tuple[int, int, "Phy", bool]]] = None,
     ) -> List[Tuple[int, int, "Phy", bool]]:
         """Classified interference set of a transmission starting at ``now``.
 
         Returns ``(order, node_id, phy, in_reception_range)`` for every
-        *enabled* radio other than ``sender`` within ``cs_range`` of
-        ``origin``, in registration order -- exactly what
-        :class:`LinearScanIndex` computes by brute force.  The medium's hot
-        path consumes :meth:`transmission_window` directly (skipping the
-        filtered copy built here); this filtered form is kept for tests and
-        tools.  Passing ``out`` reuses the caller's buffer (cleared first).
+        radio other than ``sender`` within ``cs_range`` of ``origin`` that
+        is *enabled at call time*, in registration order -- exactly what
+        :class:`LinearScanIndex` computes by brute force.  The view for
+        tests and tools, derived from the window's members and verdicts;
+        the medium consumes :meth:`transmission_window`'s frozen list.
         """
-        window = self.transmission_window(sender, origin, cs_range, rx_range, now)
-        if out is None:
-            out = []
-        else:
-            out.clear()
-        append = out.append
-        for member in window:
-            if not member[2].enabled or member[3] is None:
-                continue
-            append(member)
-        # The window is pre-sorted, so `out` is already in registration order.
-        return out
+        self.transmission_window(sender, origin, cs_range, rx_range, now)
+        window = self._windows[sender.node_id]
+        return [
+            member + (verdict,)
+            for member, verdict in zip(window.members, window.verdicts)
+            if verdict is not None and member[2].enabled
+        ]
 
 
 class TorusGridIndex(UniformGridIndex):
@@ -643,10 +667,6 @@ class LinearScanIndex:
         self._wrap = wrap
         #: See :attr:`UniformGridIndex.membership` -- same halo-filter hook.
         self.membership = membership
-        #: Reused by :meth:`transmission_window` so the per-transmission
-        #: scan stays allocation-free (the medium consumes the window
-        #: before the next transmission starts).
-        self._window_buf: List[Tuple[int, int, "Phy", bool]] = []
 
     def add(self, phy: "Phy") -> None:
         if self.membership is not None and not self.membership(phy):
@@ -660,6 +680,9 @@ class LinearScanIndex:
     def invalidate(self, node_id: Optional[int] = None) -> None:
         """Nothing is cached, so there is nothing to invalidate."""
 
+    def power_changed(self) -> None:
+        """Nothing is cached: every scan reads ``enabled`` afresh."""
+
     def exact(self, phy: "Phy", now: float) -> Position:
         return phy.position(now)
 
@@ -671,35 +694,26 @@ class LinearScanIndex:
     def transmission_window(
         self, sender: "Phy", origin: Position, cs_range: float, rx_range: float,
         now: float,
-    ) -> List[Tuple[int, int, "Phy", bool]]:
-        """The resolved window, by exhaustive scan (nothing is cached).
-
-        The scan can filter inline, so unlike the grid variants the result
-        never contains the sender, disabled radios or ``None`` verdicts --
-        callers' filtering simply finds nothing to do.
-        """
-        return self.interferers(
-            sender, origin, cs_range, rx_range, now, out=self._window_buf
-        )
+    ) -> List[Tuple["Phy", bool]]:
+        """The interference list, by exhaustive scan: a fresh list per call
+        (flights keep theirs, so two overlapping flights must not share one)."""
+        return [
+            (phy, in_range)
+            for _, _, phy, in_range in self.interferers(
+                sender, origin, cs_range, rx_range, now
+            )
+        ]
 
     def interferers(
-        self,
-        sender: "Phy",
-        origin: Position,
-        cs_range: float,
-        rx_range: float,
+        self, sender: "Phy", origin: Position, cs_range: float, rx_range: float,
         now: float,
-        out: Optional[List[Tuple[int, int, "Phy", bool]]] = None,
     ) -> List[Tuple[int, int, "Phy", bool]]:
         """Classified interference set, by exhaustive scan."""
         ox, oy = origin
         cs_sq = cs_range * cs_range
         rx_sq = rx_range * rx_range
         wrap = self._wrap
-        if out is None:
-            out = []
-        else:
-            out.clear()
+        out = []
         for order, node_id, phy in self._members:
             if phy is sender or not phy.enabled:
                 continue

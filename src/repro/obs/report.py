@@ -32,24 +32,29 @@ def _format_value(value) -> str:
 
 def _derived_rates(metrics: Dict[str, object]) -> Dict[str, float]:
     """Headline ratios derived from counter pairs (only when present)."""
+
+    def count(*names: str) -> Optional[float]:
+        values = [metrics.get(name) for name in names]
+        if all(isinstance(value, (int, float)) for value in values):
+            return sum(values)
+        return None
+
+    transmissions = count("medium.channel.transmissions")
+    frames = count("mac.csma.broadcast_transmissions", "mac.csma.data_transmissions")
     derived: Dict[str, float] = {}
-    hits = metrics.get("spatial.index.window_hits")
-    deliveries = metrics.get("medium.channel.deliveries")
-    transmissions = metrics.get("medium.channel.transmissions")
-    # Every transmission makes exactly one window call, so the share of
-    # calls that resolved no pair is hits over transmissions.
-    if (
-        isinstance(hits, (int, float))
-        and isinstance(transmissions, (int, float))
-        and transmissions
+    for name, numerator, denominator in (
+        # Every transmission makes exactly one window call, so the share of
+        # calls that resolved no pair is hits over transmissions.
+        ("spatial.index.window_hit_rate", count("spatial.index.window_hits"),
+         transmissions),
+        ("medium.channel.deliveries_per_tx", count("medium.channel.deliveries"),
+         transmissions),
+        # Carrier-sense polls per frame sent: every defer is one calendar
+        # event, so this says how much of the calendar is polling.
+        ("mac.csma.defers_per_tx", count("mac.csma.defers"), frames),
     ):
-        derived["spatial.index.window_hit_rate"] = hits / transmissions
-    if (
-        isinstance(deliveries, (int, float))
-        and isinstance(transmissions, (int, float))
-        and transmissions
-    ):
-        derived["medium.channel.deliveries_per_tx"] = deliveries / transmissions
+        if numerator is not None and denominator:
+            derived[name] = numerator / denominator
     return derived
 
 

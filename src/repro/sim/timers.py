@@ -43,6 +43,13 @@ class OneShotTimer:
         # consumed exactly one, so the shot's seq is the last one issued.
         self._seq = sim._seq - 1
 
+    def rearm(self, delay: float, callback: Callable[..., None]) -> None:
+        """:meth:`arm` for a caller running inside this timer's own shot:
+        that shot has fired, so there is nothing pending to cancel."""
+        sim = self._sim
+        self._slot = sim.call_in(delay, callback)
+        self._seq = sim._seq - 1
+
     def disarm(self) -> None:
         """Cancel the pending shot; a no-op when it already fired."""
         if self._slot >= 0:

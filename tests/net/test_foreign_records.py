@@ -196,7 +196,7 @@ class TestApplyForeignRecords:
         assert medium_b.foreign_stats["attached"] == 1
         assert medium_b.foreign_stats["sender_downs"] == 1
         assert phys_b[1].rx_held_count == 1
-        assert phys_b[1].rx_uncorrupted == 0
+        assert phys_b[1].rx_current is None
         sim_b.run()
         assert received_b[1] == []
         assert medium_b.stats.deliveries == 0

@@ -1,12 +1,16 @@
 """Unit tests for the CSMA/CA MAC."""
 
+import math
+import random
+import sys
+
 import pytest
 
 from repro.mobility.static import StaticMobility
 from repro.net.config import MacConfig, RadioConfig
 from repro.net.medium import Medium
 from repro.net.node import Node
-from repro.net.packet import Packet
+from repro.net.packet import Frame, Packet
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
 
@@ -122,6 +126,85 @@ class TestContention:
         assert len(received[2]) == 2
 
 
+class TestCarrierSensePoll:
+    """The defer branch: most of a busy run's calendar, so it is flattened --
+    and pinned here to draw, sense and schedule exactly as the plain form."""
+
+    def _deferring_mac(self):
+        sim, medium, nodes, _ = _make_nodes([(0, 0)])
+        mac = nodes[0].mac
+        nodes[0].phy.rx_busy_until = math.inf  # carrier held busy for good
+        mac.send(Packet(origin=0, destination=-1, size_bytes=64), -1)
+        assert mac.state == "contend" and sim.pending_events == 1
+        return sim, mac
+
+    def test_backoff_redraw_is_randrange_draw_for_draw(self):
+        sim, mac = self._deferring_mac()
+        config = mac.config
+        reference = random.Random()
+        reference.setstate(mac.rng.getstate())
+        expected = None
+        cw = config.cw_min
+        while cw <= config.cw_max:
+            mac._current.cw = cw
+            for _ in range(10_000):
+                sim.run(max_events=1)  # one poll: defers, redraws from ``cw``
+                assert expected is None or sim.now == expected
+                slots = reference.randrange(cw)
+                expected = sim.now + (config.difs_s + slots * config.slot_time_s)
+            cw *= 2
+        assert mac.rng.getstate() == reference.getstate()
+        assert mac.state == "contend" and sim.pending_events == 1
+
+    def test_one_defer_is_four_frames_and_one_event(self):
+        sim, mac = self._deferring_mac()
+        calls = []
+
+        def profiler(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profiler)
+        try:
+            sim.run(max_events=1)
+        finally:
+            sys.setprofile(None)
+        assert calls[:2] == ["run", "_attempt_transmission"]
+        assert len(calls) - 1 <= 4, calls
+        # One event fired and one is pending again: exactly one was scheduled.
+        assert sim.events_processed == 1 and sim.pending_events == 1
+        assert mac._pending.armed
+
+    def test_dark_radio_senses_idle_and_starts_its_fake_flight(self):
+        sim, medium, nodes, received = _make_nodes([(0, 0), (50, 0)])
+        mac = nodes[0].mac
+        busy_until = nodes[1].phy.transmit(
+            Frame(src=1, dst=-1, packet=Packet(origin=1, destination=-1, size_bytes=1500)))
+        mac.send(Packet(origin=0, destination=-1, size_bytes=64), -1)
+        sim.run(max_events=1)
+        assert mac.state == "contend"  # a live radio defers to the carrier
+        nodes[0].phy.power_down()
+        sim.run(max_events=1)
+        assert sim.now < busy_until and mac.state == "transmit"
+
+    def test_dark_radio_defers_to_its_own_truncated_flight(self):
+        # The radio went down under its own flight (an ACK, say): dark, it
+        # senses nothing, but ``transmitting`` stays up until the medium ends
+        # the truncated flight, and the MAC must not start another before.
+        sim, medium, nodes, received = _make_nodes([(0, 0)])
+        mac, phy = nodes[0].mac, nodes[0].phy
+        flight_end = phy.transmit(
+            Frame(src=0, dst=-1, packet=Packet(origin=0, destination=-1, size_bytes=1500)))
+        mac.send(Packet(origin=0, destination=-1, size_bytes=64), -1)
+        phy.power_down()
+        assert phy.transmitting and not phy.carrier_busy()
+        sim.run(until=flight_end / 2)
+        assert sim.events_processed > 3 and mac.state == "contend"
+        assert mac.stats.broadcast_transmissions == 0
+        sim.run()
+        assert mac.stats.broadcast_transmissions == 1 and mac.state == "idle"
+
+
 class TestMacConfigValidation:
     def test_invalid_contention_window_rejected(self):
         with pytest.raises(ValueError):
@@ -144,8 +227,6 @@ class TestEndOfFlightHook:
         # flight notification for a different frame (an ACK, or a stale
         # disabled-radio fake flight ending out of order) must not be
         # mistaken for the current data frame's end.
-        from repro.net.packet import Frame
-
         sim, medium, nodes, received = _make_nodes([(0, 0), (50, 0)])
         mac = nodes[0].mac
         # A disabled radio still walks the whole state machine on fake

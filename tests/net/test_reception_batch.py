@@ -1,11 +1,13 @@
 """Batch-kernel reception lifecycle edge cases.
 
-The batch fan-out kernel keeps no per-copy reception records: corruption
-state lives in three per-radio counters plus per-batch bitmaps (see
-``repro.net.medium``).  These tests pin the awkward corners of that
+The batch fan-out kernel keeps no per-copy reception records: a flight
+borrows its sender's frozen interference list from the spatial index and
+each radio records the one flight it can still decode (``Phy.rx_current``;
+see ``repro.net.medium``).  These tests pin the awkward corners of that
 representation -- radios detaching from or attaching to *live* batches, a
-transmitter crashing under its own batch, and counter consistency across
-those events -- and prove the two kernels agree on all of them.
+transmitter crashing under its own batch, pooled batches coming back, and
+record consistency across those events -- and prove the two kernels agree
+on all of them.
 Whole-scenario bit-identity (including failure injection) is pinned
 separately in ``tests/properties/test_hotpath_equivalence.py``.
 """
@@ -14,6 +16,7 @@ from dataclasses import asdict
 
 import pytest
 
+from repro.mobility.static import StaticMobility
 from repro.net.config import RadioConfig
 from repro.net.medium import Medium
 from repro.net.packet import Frame, Packet
@@ -24,18 +27,25 @@ KERNELS = ("batch", "object")
 
 
 class _StubNode:
+    """A node at rest: with a real mobility model its sender windows (and
+    their frozen interference lists) are cached from flight to flight."""
+
     def __init__(self, node_id, x, y):
         self.node_id = node_id
-        self._position = (x, y)
-
-    def position(self, at_time):
-        return self._position
+        self.mobility = StaticMobility(x, y)
+        self.position = self.mobility.position
 
 
-def _network(positions, kernel, range_m=100.0):
+def _network(positions, kernel, range_m=100.0, cs_range_m=None, index="grid"):
     sim = Simulator()
     medium = Medium(
-        sim, RadioConfig(transmission_range_m=range_m, fanout_kernel=kernel)
+        sim,
+        RadioConfig(
+            transmission_range_m=range_m,
+            carrier_sense_range_m=cs_range_m,
+            fanout_kernel=kernel,
+            medium_index=index,
+        ),
     )
     phys = []
     received = {}
@@ -55,6 +65,20 @@ def _frame(src, dst, size=100):
     return Frame(
         src=src, dst=dst, packet=Packet(origin=src, destination=dst, size_bytes=size)
     )
+
+
+def _run_failure_script(kernel):
+    """A dense micro-scenario mixing collisions with failure injection."""
+    positions = [(0, 0), (40, 0), (80, 0), (40, 30), (300, 300)]
+    sim, medium, phys, received = _network(positions, kernel)
+    d0 = phys[0].transmit(_frame(0, -1))
+    # An overlapping transmission corrupts the first at shared receivers.
+    sim.call_in(d0 / 4, phys[2].transmit, (_frame(2, -1),))
+    sim.call_in(d0 / 3, phys[3].power_down, ())
+    sim.call_in(d0 * 2, phys[3].power_up, ())
+    sim.call_in(d0 * 3, phys[1].transmit, (_frame(1, -1),))
+    sim.run()
+    return sim, medium, phys, received
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -95,6 +119,53 @@ class TestMidFlightPowerDown:
         assert [uid for uid, _ in received[2]] != []
         assert medium.stats.deliveries == 1
 
+    def test_sender_crash_unlocks_every_receiver(self, kernel):
+        sim, medium, phys, received = _network([(0, 0), (50, 0), (50, 40)], kernel)
+        duration = phys[0].transmit(_frame(0, -1))
+        observed = {}
+
+        def crash():
+            observed["before"] = [medium.receptions_for(nid) for nid in (1, 2)]
+            phys[0].power_down()
+            observed["after"] = [medium.receptions_for(nid) for nid in (1, 2)]
+
+        sim.call_in(duration / 2, crash, ())
+        sim.run(until=duration / 2)
+        assert observed["before"] == [[(0, duration, True, False)]] * 2
+        assert observed["after"] == [[(0, duration, True, True)]] * 2
+        assert all(phy.rx_current is None for phy in phys)
+
+    def test_power_down_inside_teardown_reaches_unvisited_copies(self, kernel):
+        # Radio 1's delivery callback takes radio 2 down while the same
+        # flight is being torn down: 2's copy has not been visited yet and
+        # must be lost -- the record is read at visit time.
+        sim, medium, phys, received = _network([(0, 0), (50, 0), (50, 40)], kernel)
+        phys[1].set_receive_callback(lambda frame, sender: phys[2].power_down())
+        phys[0].transmit(_frame(0, -1))
+        sim.run()
+        assert received[2] == []
+        assert medium.stats.deliveries == 1
+        assert medium.stats.disabled_discards == 1
+
+    def test_interference_list_follows_power_state_between_flights(self, kernel):
+        # The sender's frozen list is dropped, not patched, when a radio's
+        # power state changes: a dark radio is in no later flight's list (it
+        # costs the fan-out nothing) and is back after powering up.
+        sim, medium, phys, received = _network([(0, 0), (50, 0), (50, 40)], kernel)
+        phys[0].transmit(_frame(0, -1))
+        sim.run()
+        phys[1].power_down()
+        duration = phys[0].transmit(_frame(0, -1))
+        sim.run(until=sim.now + duration / 2)
+        assert medium.receptions_for(1) == [] and phys[1].rx_held_count == 0
+        sim.run()
+        phys[1].power_up()
+        phys[0].transmit(_frame(0, -1))
+        sim.run()
+        assert [len(received[nid]) for nid in (1, 2)] == [2, 3]
+        assert medium.stats.deliveries == 5
+        assert medium.stats.disabled_discards == 0
+
 
 @pytest.mark.parametrize("kernel", KERNELS)
 class TestMidFlightAttach:
@@ -117,6 +188,39 @@ class TestMidFlightAttach:
         assert received[1] == []
         assert medium.stats.deliveries == 0
         assert medium.stats.collisions == 0
+
+    @pytest.mark.parametrize(
+        "x, goes_dark_again, discards",
+        [(50, False, (0, 0)), (150, False, (0, 1)), (50, True, (1, 0)), (150, True, (1, 0))],
+    )
+    def test_dark_at_start_gets_exactly_one_late_copy(
+        self, kernel, x, goes_dark_again, discards
+    ):
+        # In reception range (50 m) or only in carrier-sense range (150 m);
+        # the late copy is booked once, under the counter its end state
+        # calls for, and never as a delivery or a collision.
+        sim, medium, phys, received = _network(
+            [(0, 0), (x, 0)], kernel, cs_range_m=200.0
+        )
+        phys[1].power_down()
+        duration = phys[0].transmit(_frame(0, -1))
+        observed = {}
+
+        def come_up():
+            observed["dark"] = medium.receptions_for(1)
+            phys[1].power_up()
+            observed["up"] = medium.receptions_for(1)
+
+        sim.call_in(duration / 4, come_up, ())
+        if goes_dark_again:
+            sim.call_in(duration / 2, phys[1].power_down, ())
+        sim.run()
+        assert observed["dark"] == []
+        assert observed["up"] == [(0, duration, x == 50, True)]
+        assert received[1] == []
+        stats = medium.stats
+        assert (stats.disabled_discards, stats.out_of_range_discards) == discards
+        assert (stats.deliveries, stats.collisions, stats.half_duplex_losses) == (0, 0, 0)
 
     def test_late_register_attaches_corrupted_copy(self, kernel):
         sim, medium, phys, received = _network([(0, 0)], kernel)
@@ -154,29 +258,72 @@ class TestMidFlightAttach:
         # power cycle must not attach a second one and double the discard
         # accounting.
         assert observed["copies"] == [(0, duration, True, True)]
+        assert phys[1].rx_held_count == 0
         assert received[1] == []
         assert medium.stats.deliveries == 0
-        assert medium.stats.disabled_discards + medium.stats.out_of_range_discards <= 1
+        assert medium.stats.disabled_discards + medium.stats.out_of_range_discards == 0
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+class TestPooledFlights:
+    def test_corrupted_radio_does_not_decode_the_next_user_of_a_pooled_batch(self, kernel):
+        # Radio 3 locks on flight A, flight B (longer) collides with it, A
+        # ends and its record goes back to the pool; flight C takes that very
+        # record while 3 still holds B.  Nothing stale may make C decodable.
+        sim, medium, phys, received = _network([(0, 0), (10, 0), (20, 0), (30, 20)], kernel)
+        flights = {}
+
+        def start(sender, size):
+            phys[sender].transmit(_frame(sender, -1, size))
+            flights[sender] = next(f for f in medium._active if f.sender is phys[sender])
+
+        start(0, 100)
+        sim.call_in(1e-5, start, (1, 1500))
+        sim.run(until=flights[0].end_time)
+        assert flights[0].sender is None  # A is over and pooled
+        start(2, 100)
+        assert flights[2] is flights[0]   # ...and C reuses its record
+        assert medium.receptions_for(3) != []
+        sim.run()
+        assert received[3] == []
+        assert medium.stats.deliveries == 0
+
+    def test_drained_calendar_leaves_no_reception_state(self, kernel):
+        sim, medium, phys, received = _run_failure_script(kernel)
+        assert medium._active == []
+        for phy in phys:
+            assert phy.rx_held_count == 0 and phy.rx_current is None
+            assert phy._rx_ongoing == [] and medium.receptions_for(phy.node_id) == []
+        assert len(medium._batch_pool) == (2 if kernel == "batch" else 0)
+        for batch in medium._batch_pool:
+            assert batch.reach is None and batch.late is None
+            assert batch.sender is None and batch.frame is None
+
+
+@pytest.mark.parametrize("index", ["grid", "naive"])
+def test_overlapping_flights_keep_their_own_interference_lists(index):
+    # Two senders out of each other's carrier sense, on the air at once,
+    # with disjoint receiver sets.  A flight keeps its list for the whole
+    # airtime, so an index that reused one list object would hand the first
+    # flight's teardown the second flight's receivers.
+    positions = [(0, 0), (30, 0), (0, 30), (1000, 0), (1030, 0), (1000, 30)]
+    sim, medium, phys, received = _network(positions, "batch", index=index)
+    duration = phys[0].transmit(_frame(0, -1))
+    sim.call_in(duration / 2, phys[3].transmit, (_frame(3, -1),))
+    sim.run()
+    senders = {nid: [sender for _, sender in log] for nid, log in received.items()}
+    assert senders == {0: [], 1: [0], 2: [0], 3: [], 4: [3], 5: [3]}
+    assert asdict(medium.stats) == dict(
+        transmissions=2, deliveries=4, collisions=0, out_of_range_discards=0,
+        half_duplex_losses=0, disabled_discards=0,
+    )
 
 
 class TestKernelAgreement:
-    def _run_failure_script(self, kernel):
-        """A dense micro-scenario mixing collisions with failure injection."""
-        positions = [(0, 0), (40, 0), (80, 0), (40, 30), (300, 300)]
-        sim, medium, phys, received = _network(positions, kernel)
-        d0 = phys[0].transmit(_frame(0, -1))
-        # An overlapping transmission corrupts the first at shared receivers.
-        sim.call_in(d0 / 4, phys[2].transmit, (_frame(2, -1),))
-        sim.call_in(d0 / 3, phys[3].power_down, ())
-        sim.call_in(d0 * 2, phys[3].power_up, ())
-        sim.call_in(d0 * 3, phys[1].transmit, (_frame(1, -1),))
-        sim.run()
-        return asdict(medium.stats), received
-
     def test_kernels_bit_identical_under_failure_injection(self):
-        stats_batch, received_batch = self._run_failure_script("batch")
-        stats_object, received_object = self._run_failure_script("object")
-        assert stats_batch == stats_object
+        _, medium_batch, _, received_batch = _run_failure_script("batch")
+        _, medium_object, _, received_object = _run_failure_script("object")
+        assert asdict(medium_batch.stats) == asdict(medium_object.stats)
         # uids differ between runs (process-global counter); compare shape.
         canonical = lambda log: {
             nid: [sender for _, sender in entries] for nid, entries in log.items()

@@ -431,19 +431,33 @@ class TestKineticWindows:
         sim.run()
         assert received == [0, 0]
 
-    def test_transmission_window_marks_out_of_reach_members(self):
-        # A candidate that resolves beyond carrier sense keeps its slot with
-        # verdict None (it may come into range before the candidate set
-        # expires); the filtered interferers() view must hide it.
-        trace = WaypointTraceMobility([(0, 58.0, 0.0), (1000, 1058.0, 0.0)])
-        phys = [_static_phy(0, 0.0, 0.0), _FakePhy(1, trace)]
+    @pytest.mark.parametrize("crosses", [False, True])
+    def test_transmission_window_keeps_out_of_reach_members_off_the_list(self, crosses):
+        # A candidate that resolves beyond carrier sense keeps its slot in
+        # the window (it may come into range before the candidate set
+        # expires) but is on neither the frozen list nor the interferers()
+        # view.  When it does cross, a *new* list is handed out and the old
+        # one is left as it was; while nothing changes, the same object is.
+        if crosses:  # 68 m out until t=10, then closing in at 2 m/s
+            waypoints = [(0, 68.0, 0.0), (10, 68.0, 0.0), (20, 48.0, 0.0)]
+        else:        # receding at 1 m/s, 68 m out at t=10
+            waypoints = [(0, 58.0, 0.0), (1000, 1058.0, 0.0)]
+        phys = [_static_phy(0, 0.0, 0.0), _FakePhy(1, WaypointTraceMobility(waypoints))]
         index = UniformGridIndex(cell_m=30.0, slack_m=4.0)
         for phy in phys:
             index.add(phy)
-        now = 10.0  # node 1 sits at 68 m: beyond the 60 m carrier sense
-        window = index.transmission_window(phys[0], (0.0, 0.0), 60.0, 60.0, now)
-        assert [(member[1], member[3]) for member in window] == [(1, None)]
-        assert index.interferers(phys[0], (0.0, 0.0), 60.0, 60.0, now) == []
+
+        def window(now):
+            return index.transmission_window(phys[0], (0.0, 0.0), 60.0, 60.0, now)
+
+        first = window(10.0)  # beyond the 60 m carrier sense
+        assert first == []
+        assert index.interferers(phys[0], (0.0, 0.0), 60.0, 60.0, 10.0) == []
+        assert window(11.0) is first
+        if crosses:
+            assert window(19.0) == [(phys[1], True)] and first == []
+        else:
+            assert window(19.0) is first
 
 
 class TestSpeedAwareCellSize:

@@ -76,6 +76,9 @@ class TestReport:
         assert main(["report", str(telemetry_json), "--json", "--top", "3"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert 0.0 <= payload["derived"]["spatial.index.window_hit_rate"] <= 1.0
+        metrics = payload["metrics"]
+        assert payload["derived"]["mac.csma.defers_per_tx"] == metrics["mac.csma.defers"] / (
+            metrics["mac.csma.broadcast_transmissions"] + metrics["mac.csma.data_transmissions"])
         assert len(payload["top_fanout"]) <= 3
 
     def test_report_rejects_uninstrumented_input(self, tmp_path, capsys):

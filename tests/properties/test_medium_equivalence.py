@@ -126,3 +126,35 @@ def test_equivalence_survives_failure_injection():
         results[index] = scenario.run()
     assert results["naive"].protocol_stats == results["grid"].protocol_stats
     assert results["naive"].member_counts == results["grid"].member_counts
+
+
+@pytest.mark.parametrize("protocol", ["maodv", "flooding"])
+def test_object_kernel_never_holds_two_decodable_copies(protocol):
+    """At most one copy a radio holds is decodable, ever.
+
+    The batch kernel keeps one reception record per radio instead of one per
+    copy because of this; here it is checked on the *reference* kernel, which
+    does keep one record per copy, after every transmission start (the only
+    place a decodable copy is created) of a run with collisions, unicast
+    traffic and failure injection.
+    """
+    from repro.workload.failures import FailureEvent, FailureSchedule
+
+    scenario = Scenario(_small_config(7, protocol=protocol, fanout_kernel="object")).build()
+    medium = scenario.medium
+    transmit = medium.transmit
+    decodable_seen = set()
+
+    def checked_transmit(sender, frame):
+        duration = transmit(sender, frame)
+        for phy in medium._phys.values():
+            decodable_seen.add(sum(not copy.corrupted for copy in phy._rx_ongoing))
+        return duration
+
+    medium.transmit = checked_transmit
+    events = [FailureEvent(node_id=2, start_s=10.0, end_s=16.0),
+              FailureEvent(node_id=5, start_s=12.0, end_s=20.0)]
+    FailureSchedule(scenario.sim, scenario.nodes, events).start()
+    result = scenario.run()
+    assert result.protocol_stats["medium.collisions"] > 0
+    assert decodable_seen == {0, 1}
