@@ -101,12 +101,17 @@ class GroupEntry:
     @property
     def on_tree(self) -> bool:
         """True when this node is part of the multicast tree."""
-        return self.is_member or bool(self.tree_neighbors())
+        if self.is_member:
+            return True
+        for entry in self.next_hops.values():
+            if entry.enabled:
+                return True
+        return False
 
     @property
     def is_leaf_router(self) -> bool:
         """True for a non-member router with at most one active tree link."""
-        return not self.is_member and len(self.tree_neighbors()) <= 1
+        return not self.is_member and sum(e.enabled for e in self.next_hops.values()) <= 1
 
     # ------------------------------------------------------- nearest members
     def nearest_member_via(self, neighbor: NodeId) -> int:

@@ -143,11 +143,8 @@ class CsmaMac:
         self._recent_unicast: Deque[tuple] = deque(maxlen=32)
 
         phy.set_receive_callback(self._on_phy_receive)
-        # Delivery fast paths: broadcast frames skip the address/ACK checks
-        # through the lean entry point, and intact unicast frames addressed
-        # elsewhere (which _on_phy_receive would discard unread) are
-        # filtered medium-side without a dispatch at all.
-        phy.broadcast_callback = self._on_phy_broadcast
+        # Intact unicast frames addressed elsewhere (which _on_phy_receive
+        # would discard unread) are filtered medium-side without a dispatch.
         phy.unicast_filter = True
         phy.on_transmission_finished = self._on_phy_tx_finished
 
@@ -166,6 +163,22 @@ class CsmaMac:
     def queue_length(self) -> int:
         """Number of frames waiting to be transmitted (excluding the current one)."""
         return len(self._queue)
+
+    @property
+    def on_receive(self) -> Optional[Callable[[Packet, NodeId], None]]:
+        """Upper-layer entry point.  Assignable at any time: a lent broadcast
+        route bypasses it, so assigning it ends the loan."""
+        return self._on_receive
+
+    @on_receive.setter
+    def on_receive(self, callback: Optional[Callable[[Packet, NodeId], None]]) -> None:
+        self._on_receive = callback
+        self.phy.broadcast_route = None
+
+    def lend_broadcast_route(self, chains: dict, resolve: Callable, heard: dict) -> None:
+        """Lend the radio the node's receive table (``Phy.broadcast_route``):
+        the lender vouches that running it *is* :attr:`on_receive`."""
+        self.phy.broadcast_route = (chains, resolve, self.stats, heard)
 
     def send(self, packet: Packet, next_hop: int) -> bool:
         """Queue ``packet`` for transmission to ``next_hop``.
@@ -288,17 +301,6 @@ class CsmaMac:
         self._dequeue_next()
 
     # ------------------------------------------------------------ receive path
-    def _on_phy_broadcast(self, frame: Frame, sender_id: NodeId) -> None:
-        """Lean entry for ordinary broadcast frames (the dense-fleet bulk).
-
-        The medium only routes frames here that are link-layer broadcast
-        and not MAC control, so the per-receiver destination and ACK-type
-        checks of :meth:`_on_phy_receive` are statically satisfied.
-        """
-        self.stats.delivered_to_upper += 1
-        if self.on_receive is not None:
-            self.on_receive(frame.packet, sender_id)
-
     def _on_phy_receive(self, frame: Frame, sender_id: NodeId) -> None:
         dst = frame.dst
         if dst != self._node_id and dst != BROADCAST_ADDRESS:
@@ -316,8 +318,8 @@ class CsmaMac:
                 return
             self._recent_unicast.append(key)
         self.stats.delivered_to_upper += 1
-        if self.on_receive is not None:
-            self.on_receive(packet, sender_id)
+        if self._on_receive is not None:
+            self._on_receive(packet, sender_id)
 
     def _handle_ack(self, ack: MacAck, sender_id: NodeId) -> None:
         self.stats.acks_received += 1

@@ -86,11 +86,16 @@ selected by ``RadioConfig(fanout_kernel=...)``:
     (proven on the hot-path goldens, including failure injection) exactly
     like the naive spatial index backs the grid.
 
-Both kernels share the delivery fast paths: a receiver's MAC can opt in to
+Both kernels share the delivery fast paths.  A receiver's MAC opts in to
 medium-side unicast filtering (``Phy.unicast_filter`` -- copies of unicast
-frames addressed elsewhere are counted but never dispatched) and to a lean
-broadcast entry point (``Phy.broadcast_callback``) that skips the
-per-receiver address and ACK-type checks for ordinary broadcast traffic.
+frames addressed elsewhere are counted but never dispatched) and lends the
+radio its node's *broadcast route* (``Phy.broadcast_route``): the node's
+receive table as data, which the teardown runs itself for ordinary broadcast
+copies -- count the delivery for the MAC, note the sender as heard, one
+``dict.get`` for the packet type's upcalls -- with no MAC or node frame in
+between; anything else takes ``Phy.receive_callback``.  ``_finish_batch``
+inlines the broadcast route per flight; ``_dispatch`` is the whole decision
+per copy, shared with the object kernel and the late-foreign path.
 """
 
 from __future__ import annotations
@@ -519,11 +524,14 @@ class Medium:
         sender = batch.sender
         sender_id = sender.node_id
         dst = frame.dst
-        broadcast = dst == BROADCAST_ADDRESS
+        packet = frame.packet
+        packet_type = type(packet)
+        now = self.sim.now
         # Ordinary broadcast traffic (everything but a broadcast MAC ACK,
-        # which no stack sends but tests may craft) dispatches through the
-        # receivers' lean broadcast entry point where one is registered.
-        fast_broadcast = broadcast and not frame.packet.is_mac_control
+        # which no stack sends but tests may craft) runs the receivers' lent
+        # broadcast routes right here, the ``_dispatch`` decision inlined.
+        unicast = dst != BROADCAST_ADDRESS
+        routed = not unicast and not packet.is_mac_control
         set_shard = self._set_shard
         disabled_discards = 0
         out_of_range = 0
@@ -553,25 +561,28 @@ class Medium:
                 half_duplex += 1
                 continue
             deliveries += 1
-            if broadcast:
-                if fast_broadcast:
-                    callback = receiver.broadcast_callback
-                    if callback is None:
-                        callback = receiver.receive_callback
-                else:
-                    callback = receiver.receive_callback
-            elif receiver.unicast_filter and dst != receiver.node_id:
+            if routed:
+                route = receiver.broadcast_route
+                if route is not None:
+                    if set_shard is not None:
+                        # Sharded engine: whatever the upcalls schedule lands
+                        # in the receiving radio's home-shard calendar.
+                        set_shard(receiver.shard)
+                    chains, resolve, mac_stats, heard = route
+                    mac_stats.delivered_to_upper += 1
+                    heard[sender_id] = now
+                    chain = chains.get(packet_type)
+                    if chain is None:
+                        chain = resolve(packet_type)
+                    for upcall in chain:
+                        upcall(packet, sender_id)
+                    continue
+            elif unicast and receiver.unicast_filter and dst != receiver.node_id:
                 # The copy arrived intact (counted above) but the MAC would
                 # discard it unread -- skip the dispatch entirely.
                 continue
-            else:
-                callback = receiver.receive_callback
-            if callback is not None:
-                if set_shard is not None:
-                    # Sharded engine: whatever the callback schedules lands
-                    # in the receiving radio's home-shard calendar.
-                    set_shard(receiver.shard)
-                callback(frame, sender_id)
+            # Addressed unicast, link-layer control, or no route lent.
+            self._dispatch(receiver, frame, sender_id)
         if disabled_discards:
             stats.disabled_discards += disabled_discards
         if out_of_range:
@@ -595,6 +606,30 @@ class Medium:
             # span covers everything a frame's end-of-airtime costs, which
             # is what the phase breakdown is for.
             self._span_teardown.stop()
+
+    def _dispatch(self, receiver: "Phy", frame: Frame, sender_id: int) -> None:
+        """Hand one decoded copy to ``receiver``'s stack: a unicast copy
+        addressed elsewhere is dropped where the MAC filters, an ordinary
+        broadcast runs the lent route (unguarded: a radio is never on its own
+        interference list), the rest takes ``receive_callback``."""
+        dst = frame.dst
+        if dst != BROADCAST_ADDRESS and receiver.unicast_filter and dst != receiver.node_id:
+            return
+        if self._set_shard is not None:
+            self._set_shard(receiver.shard)
+        packet = frame.packet
+        route = receiver.broadcast_route
+        if route is not None and dst == BROADCAST_ADDRESS and not packet.is_mac_control:
+            chains, resolve, mac_stats, heard = route
+            mac_stats.delivered_to_upper += 1
+            heard[sender_id] = self.sim.now
+            chain = chains.get(type(packet))
+            if chain is None:
+                chain = resolve(type(packet))
+            for upcall in chain:
+                upcall(packet, sender_id)
+        elif receiver.receive_callback is not None:
+            receiver.receive_callback(frame, sender_id)
 
     # --------------------------------------------------------- object kernel
     def _transmit_object(self, sender: "Phy", frame: Frame) -> float:
@@ -698,10 +733,6 @@ class Medium:
         pool_append = self._reception_pool.append
         frame = tx.frame
         sender_id = tx.sender.node_id
-        dst = frame.dst
-        broadcast = dst == BROADCAST_ADDRESS
-        fast_broadcast = broadcast and not frame.packet.is_mac_control
-        set_shard = self._set_shard
         disabled_discards = 0
         out_of_range = 0
         half_duplex = 0
@@ -737,23 +768,7 @@ class Medium:
                 half_duplex += 1
                 continue
             deliveries += 1
-            if broadcast:
-                if fast_broadcast:
-                    callback = receiver.broadcast_callback
-                    if callback is None:
-                        callback = receiver.receive_callback
-                else:
-                    callback = receiver.receive_callback
-            elif receiver.unicast_filter and dst != receiver.node_id:
-                # Intact but addressed elsewhere: counted, never dispatched.
-                continue
-            else:
-                callback = receiver.receive_callback
-            if callback is not None:
-                if set_shard is not None:
-                    # See _finish_batch: route into the receiver's shard.
-                    set_shard(receiver.shard)
-                callback(frame, sender_id)
+            self._dispatch(receiver, frame, sender_id)
         if disabled_discards:
             stats.disabled_discards += disabled_discards
         if out_of_range:
@@ -766,8 +781,8 @@ class Medium:
         tx.sender = None
         tx.frame = None
         self._transmission_pool.append(tx)
-        if set_shard is not None:
-            set_shard(sender.shard)
+        if self._set_shard is not None:
+            self._set_shard(sender.shard)
         sender.transmission_finished()
         if obs_on:
             # See _finish_batch: the span covers the whole end-of-airtime.
@@ -979,12 +994,9 @@ class Medium:
         The frame's airtime lies entirely in the past, so it can no longer
         occupy the channel or collide with anything local; receivers in
         transmission range of the exported start position simply receive it
-        now, through the same dispatch fast paths as a live teardown.
+        now, through the same :meth:`_dispatch` as a live teardown.
         """
         now = self.sim.now
-        dst = frame.dst
-        broadcast = dst == BROADCAST_ADDRESS
-        fast_broadcast = broadcast and not frame.packet.is_mac_control
         index = self._index
         rx_range = self._rx_range
         rx_sq = rx_range * rx_range
@@ -1001,19 +1013,7 @@ class Medium:
                 half_duplex += 1
                 continue
             deliveries += 1
-            if broadcast:
-                if fast_broadcast:
-                    callback = receiver.broadcast_callback
-                    if callback is None:
-                        callback = receiver.receive_callback
-                else:
-                    callback = receiver.receive_callback
-            elif receiver.unicast_filter and dst != receiver.node_id:
-                continue
-            else:
-                callback = receiver.receive_callback
-            if callback is not None:
-                callback(frame, sender_id)
+            self._dispatch(receiver, frame, sender_id)
         stats = self.stats
         if half_duplex:
             stats.half_duplex_losses += half_duplex

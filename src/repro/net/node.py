@@ -5,8 +5,9 @@ A :class:`Node` owns:
 * a mobility model providing its position over time,
 * a radio (:class:`~repro.net.phy.Phy`) bound to the shared medium,
 * a CSMA/CA MAC,
-* a packet dispatcher that routes received packets to the protocol that
+* the receive table that routes received packets to the protocol that
   registered the packet's type (AODV, MAODV, gossip, applications),
+* the neighbour-liveness table (:attr:`Node.heard`),
 * a list of applications started when the scenario starts.
 
 The node itself knows nothing about routing or gossip; protocols attach
@@ -55,6 +56,21 @@ class Node:
         #: its per-node backoff stream.  ``for_node`` streams are
         #: hash-derived, so not creating one consumes nothing shared.
         self.mac: Optional[CsmaMac] = None
+        self._handlers: Dict[Type[Packet], PacketHandler] = {}
+        #: (sniffer, packet types it wants or None for all), registration order.
+        self._sniffers: List[Tuple[PacketHandler, Optional[Tuple[Type[Packet], ...]]]] = []
+        #: The receive table, the node's one receive mechanism: concrete
+        #: packet type -> its upcalls, the matching sniffers (registration
+        #: order) then the resolved handler.  Filled lazily per type, cleared
+        #: whenever a handler or sniffer is added: receiving is one dict hit
+        #: however many protocols or groups are registered.  :meth:`deliver`
+        #: reads it, and so does the medium for ordinary broadcast copies
+        #: (lent through the MAC below) -- this dict object, never a copy.
+        self._dispatch_cache: Dict[Type[Packet], Tuple[PacketHandler, ...]] = {}
+        #: Neighbour liveness: sender -> time anything was last received
+        #: from it, written by both entries before the upcalls run.  AODV
+        #: adopts this very dict as its neighbour table instead of sniffing.
+        self.heard: Dict[NodeId, float] = {}
         if build_mac:
             self.mac = CsmaMac(
                 sim,
@@ -64,17 +80,9 @@ class Node:
                 on_receive=self.deliver,
                 on_unicast_failure=self._on_unicast_failure,
             )
-        self._handlers: Dict[Type[Packet], PacketHandler] = {}
-        #: (sniffer, packet types it wants or None for all), registration order.
-        self._sniffers: List[Tuple[PacketHandler, Optional[Tuple[Type[Packet], ...]]]] = []
-        #: Per-concrete-packet-type dispatch chain: the matching sniffers (in
-        #: registration order) followed by the resolved handler.  Built lazily
-        #: on first delivery of each type; invalidated whenever a handler or
-        #: sniffer is added.  This turns the per-packet "loop all sniffers,
-        #: dict-lookup plus isinstance-scan for the handler" dispatch into a
-        #: single dict hit -- the hello fan-out's dispatch cost no longer
-        #: scales with the number of registered protocols or groups.
-        self._dispatch_cache: Dict[Type[Packet], Tuple[PacketHandler, ...]] = {}
+            self.mac.lend_broadcast_route(
+                self._dispatch_cache, self._build_dispatch_chain, self.heard
+            )
         self._link_failure_listeners: List[LinkFailureListener] = []
         self.applications: List = []
         self._started = False
@@ -133,8 +141,8 @@ class Node:
         """Register a callback invoked for packets this node receives.
 
         With the default ``packet_types=None`` the sniffer sees *every*
-        packet; protocols use this for passive observations such as neighbour
-        liveness (AODV).  Passing a tuple of packet classes restricts the
+        packet (tracing, tests; neighbour liveness needs none, see
+        :attr:`heard`).  Passing a tuple of packet classes restricts the
         sniffer to those types (and their subclasses), so type-specific
         observers stop taxing the dispatch of every other packet.
         """
@@ -143,6 +151,8 @@ class Node:
 
     def deliver(self, packet: Packet, from_node: NodeId) -> None:
         """Dispatch a packet received from the MAC (or from a local protocol)."""
+        if from_node != self.node_id and from_node >= 0:
+            self.heard[from_node] = self.sim.now
         chain = self._dispatch_cache.get(type(packet))
         if chain is None:
             chain = self._build_dispatch_chain(type(packet))

@@ -4,10 +4,12 @@ The :class:`Phy` is the thin adapter between a node's MAC and the shared
 :class:`~repro.net.medium.Medium`: it exposes carrier sensing, frame
 transmission and delivers received frames upward.
 
-The radio is on the per-frame hot path, so it is slotted and its two upward
-callbacks (:attr:`receive_callback`, :attr:`on_transmission_finished`) are
-plain attributes the medium dispatches to directly -- no per-frame closures,
-no intermediate method hops.
+The radio is on the per-frame hot path, so it is slotted and what it exposes
+upward -- :attr:`receive_callback`, :attr:`on_transmission_finished`, the
+:attr:`unicast_filter` flag and the :attr:`broadcast_route` -- are plain
+attributes the medium reads directly: no per-frame closures, no intermediate
+method hops.  The broadcast route is data, not a function, so a decoded
+broadcast copy costs no Python frame between the medium and its handler.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ class Phy:
     """A half-duplex radio bound to one node and one medium."""
 
     __slots__ = ("node", "node_id", "medium", "transmitting", "enabled",
-                 "receive_callback", "broadcast_callback", "unicast_filter",
+                 "receive_callback", "broadcast_route", "unicast_filter",
                  "on_transmission_finished", "_tx_frame", "_rx_ongoing",
                  "rx_busy_until", "rx_held_count", "rx_current", "shard")
 
@@ -39,16 +41,20 @@ class Phy:
         #: A powered-down radio neither transmits nor receives; used for
         #: failure injection (node crashes) in tests and scenarios.
         self.enabled = True
-        #: Invoked for every successfully received frame.  Public so the
-        #: medium's delivery loop can dispatch straight to the MAC without an
-        #: intermediate method call per frame.
+        #: Invoked for every successfully received frame that does not take
+        #: :attr:`broadcast_route`.  Public so the medium dispatches straight
+        #: to the MAC without an intermediate method call per frame.
         self.receive_callback: Optional[Callable[[Frame, int], None]] = None
-        #: Optional lean entry point for ordinary broadcast frames (set by
-        #: the MAC).  The medium's delivery loop prefers it over
-        #: :attr:`receive_callback` for broadcast traffic that is not
-        #: link-layer control, skipping the per-receiver address and
-        #: ACK-type checks -- the bulk of all deliveries in a dense fleet.
-        self.broadcast_callback: Optional[Callable[[Frame, int], None]] = None
+        #: Route of ordinary broadcast copies (all but link-layer control):
+        #: ``(chains, resolve, mac_stats, heard)`` -- the node's receive
+        #: table (``type(packet)`` -> upcalls; the very dict the node clears
+        #: on a late registration, so no hook is needed), its miss resolver,
+        #: the ``MacStats`` whose ``delivered_to_upper`` a copy bumps and the
+        #: node's liveness table (sender -> time last heard).  The medium
+        #: runs it itself.  Only the MAC writes it: lent while its upper
+        #: layer *is* that table, withdrawn (``None``) when ``on_receive`` is
+        #: reassigned; without it copies take :attr:`receive_callback`.
+        self.broadcast_route: Optional[tuple] = None
         #: When ``True`` (set by the MAC, which discards such frames
         #: unread), the medium counts -- but never dispatches -- intact
         #: copies of unicast frames addressed to some other node.
@@ -170,15 +176,3 @@ class Phy:
             return
         self.enabled = True
         self.medium.radio_powered_up(self)
-
-    def deliver(self, frame: Frame, sender_id: int) -> None:
-        """Deliver a frame that arrived intact at this radio.
-
-        The medium's hot loop dispatches straight to
-        :attr:`receive_callback` (it has already checked ``enabled``); this
-        method is the equivalent safe entry point for tests and tools.
-        """
-        if not self.enabled:
-            return
-        if self.receive_callback is not None:
-            self.receive_callback(frame, sender_id)

@@ -68,9 +68,7 @@ class AodvRouter:
         self.node = node
         self.sim = node.sim
         self.config = config or AodvConfig()
-        # Hot-path copies: the sniffer and hello handler run for every
-        # received frame.
-        self._node_id = node.node_id
+        # Hot-path copy: the hello handler runs for most received frames.
         self._neighbor_timeout_s = self.config.neighbor_timeout_s
         self.rng = node.streams.for_node("aodv", node.node_id)
         self.stats = AodvStats()
@@ -80,7 +78,10 @@ class AodvRouter:
         self._rreq_id = 0
         self._seen_rreqs: Dict[tuple, float] = {}
         self._pending: Dict[NodeId, _PendingDiscovery] = {}
-        self._neighbors: Dict[NodeId, float] = {}
+        #: Neighbour -> time last heard: the node's liveness table itself
+        #: (node and medium write it per packet received; this class reads,
+        #: and deletes on loss).  Its order is ``_check_neighbors``' order.
+        self._neighbors: Dict[NodeId, float] = node.heard
         self._delivery_listeners: List[DeliveryListener] = []
         self._neighbor_loss_listeners: List[NeighborLossListener] = []
 
@@ -89,7 +90,6 @@ class AodvRouter:
         node.register_handler(RouteError, self._on_rerr)
         node.register_handler(HelloMessage, self._on_hello)
         node.register_handler(UnicastData, self._on_unicast_data)
-        node.add_sniffer(self._note_neighbor_activity)
         node.add_link_failure_listener(self._on_mac_failure)
 
         self._hello_timer = PeriodicTimer(
@@ -170,20 +170,11 @@ class AodvRouter:
         self.node.send_frame(hello, BROADCAST_ADDRESS)
 
     def _on_hello(self, hello: HelloMessage, from_node: NodeId) -> None:
-        # Neighbour activity is already recorded by the sniffer; a hello also
-        # refreshes the one-hop route to the neighbour.
+        # Neighbour activity is already in the liveness table; a hello also
+        # refreshes the one-hop route (positional: most receptions are this).
         self.route_table.update(
-            destination=from_node,
-            next_hop=from_node,
-            hop_count=1,
-            seq=hello.seq,
-            expiry_time=self.sim.now + self._neighbor_timeout_s,
+            from_node, from_node, 1, hello.seq, self.sim.now + self._neighbor_timeout_s
         )
-
-    def _note_neighbor_activity(self, packet: Packet, from_node: NodeId) -> None:
-        if from_node == self._node_id or from_node < 0:
-            return
-        self._neighbors[from_node] = self.sim.now
 
     def _check_neighbors(self) -> None:
         now = self.sim.now
@@ -434,6 +425,10 @@ class AodvRouter:
             return
         for listener in self._delivery_listeners:
             listener(payload, envelope.origin)
+        # KNOWN DEVIATION (in the digest; ROADMAP direction 1(b); pinned in
+        # tests/routing/test_aodv.py): the node records ``from_node`` as heard,
+        # so a *multi-hop* origin enters the one-hop neighbour table here and
+        # later times out as a phantom neighbour loss.
         self.node.deliver(payload, envelope.origin)
 
     # ----------------------------------------------------------------- helpers

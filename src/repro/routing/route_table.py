@@ -90,14 +90,7 @@ class RouteTable:
             current.expiry_time = expiry_time
             current.valid = True
             return True
-        self._entries[destination] = RouteEntry(
-            destination=destination,
-            next_hop=next_hop,
-            hop_count=hop_count,
-            seq=seq,
-            expiry_time=expiry_time,
-            valid=True,
-        )
+        self._entries[destination] = RouteEntry(destination, next_hop, hop_count, seq, expiry_time)
         return True
 
     def refresh(self, destination: NodeId, expiry_time: float) -> None:

@@ -1,6 +1,28 @@
 """Unit tests for the multicast route table and its nearest-member logic."""
 
+from hypothesis import given, strategies as st
+
 from repro.multicast.route_table import GroupEntry, MulticastRouteTable
+
+
+@given(
+    is_member=st.booleans(),
+    hops=st.dictionaries(
+        st.integers(min_value=0, max_value=60),
+        st.tuples(st.booleans(), st.booleans()),  # (enabled, is_upstream)
+        max_size=8,
+    ),
+)
+def test_on_tree_and_leaf_router_equal_their_sorted_list_definitions(is_member, hops):
+    # ``on_tree`` runs per received data copy and no longer builds the sorted
+    # list; the list-based forms below are the definitions it must equal.
+    entry = GroupEntry(group=1, is_member=is_member)
+    for neighbor, (enabled, is_upstream) in hops.items():
+        entry.add_next_hop(neighbor, enabled=enabled, is_upstream=is_upstream)
+    tree = entry.tree_neighbors()
+    assert tree == sorted(n for n, (enabled, _) in hops.items() if enabled)
+    assert entry.on_tree is (is_member or bool(tree))
+    assert entry.is_leaf_router is (not is_member and len(tree) <= 1)
 
 
 class TestNextHops:

@@ -106,6 +106,54 @@ class TestBroadcast:
         assert nodes[0].mac.stats.broadcast_transmissions == 1
 
 
+class TestUpperLayerAssignment:
+    """``mac.on_receive`` is assignable at any time, for broadcast and unicast
+    alike: assigning it withdraws the broadcast route the node was lent."""
+
+    def _pair(self):
+        sim = Simulator()
+        medium = Medium(sim, RadioConfig())
+        streams = RandomStreams(7)
+        nodes = [Node(i, sim, medium, StaticMobility(50.0 * i, 0.0), streams)
+                 for i in range(2)]
+        table_saw = []
+        nodes[1].register_handler(Packet, lambda packet, sender: table_saw.append(packet.ttl))
+        return sim, nodes, table_saw
+
+    def test_constructed_stack_routes_broadcasts_through_the_nodes_table(self):
+        sim, nodes, table_saw = self._pair()
+        assert nodes[1].phy.broadcast_route is not None
+        nodes[0].mac.send(Packet(origin=0, destination=-1, ttl=1), -1)
+        nodes[0].mac.send(Packet(origin=0, destination=1, ttl=2), 1)
+        sim.run(until=1.0)
+        assert table_saw == [1, 2]
+        assert nodes[1].mac.stats.delivered_to_upper == 2
+
+    def test_assignment_takes_the_next_broadcast_and_the_next_unicast(self):
+        sim, nodes, table_saw = self._pair()
+        nodes[0].mac.send(Packet(origin=0, destination=-1, ttl=1), -1)
+        sim.run(until=1.0)
+        assigned_saw = []
+        nodes[1].mac.on_receive = lambda packet, sender: assigned_saw.append((packet.ttl, sender))
+        assert nodes[1].phy.broadcast_route is None
+        assert nodes[1].mac.on_receive is not None
+        nodes[0].mac.send(Packet(origin=0, destination=-1, ttl=2), -1)
+        nodes[0].mac.send(Packet(origin=0, destination=1, ttl=3), 1)
+        sim.run(until=2.0)
+        assert table_saw == [1] and assigned_saw == [(2, 0), (3, 0)]
+        assert nodes[1].mac.stats.delivered_to_upper == 3
+        # The sender's own route is untouched.
+        assert nodes[0].phy.broadcast_route is not None
+
+    def test_assigning_none_mutes_the_upper_layer_but_still_counts(self):
+        sim, nodes, table_saw = self._pair()
+        nodes[1].mac.on_receive = None
+        nodes[0].mac.send(Packet(origin=0, destination=-1), -1)
+        nodes[0].mac.send(Packet(origin=0, destination=1), 1)
+        sim.run(until=1.0)
+        assert table_saw == [] and nodes[1].mac.stats.delivered_to_upper == 2
+
+
 class TestContention:
     def test_many_senders_all_get_through_with_csma(self):
         positions = [(i * 10.0, 0.0) for i in range(6)] + [(25.0, 30.0)]

@@ -1,16 +1,20 @@
 """Unit tests for the node's packet dispatcher and application plumbing."""
 
+import sys
 from dataclasses import dataclass
 
 import pytest
 
 from repro.mobility.static import StaticMobility
 from repro.net.config import RadioConfig
+from repro.net.mac import MacAck
 from repro.net.medium import Medium
 from repro.net.node import Node
-from repro.net.packet import Packet
+from repro.net.packet import Frame, Packet
+from repro.routing.aodv import AodvRouter
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
+from repro.sim.shard import ShardedSimulator
 
 
 @dataclass
@@ -124,6 +128,177 @@ class TestDispatch:
         node.add_sniffer(lambda packet, sender: sniffed.append(sender))
         node.deliver(_AppPacket(origin=2, destination=0), 2)
         assert sniffed == [2]
+
+
+def _make_stacks(positions, kernel="batch", sim=None, shards=1, build_mac=None):
+    """Full ``Node`` stacks (radio + MAC + receive table) on one medium."""
+    sim = sim or Simulator()
+    medium = Medium(sim, RadioConfig(fanout_kernel=kernel, shards=shards))
+    streams = RandomStreams(1)
+    nodes = [
+        Node(node_id, sim, medium, StaticMobility(x, y), streams,
+             build_mac=build_mac is None or node_id in build_mac)
+        for node_id, (x, y) in enumerate(positions)
+    ]
+    return sim, medium, nodes
+
+
+def _air(node, packet, dst=-1):
+    """Put ``packet`` on the air from ``node``'s radio, bypassing its MAC queue."""
+    return node.phy.transmit(Frame(src=node.node_id, dst=dst, packet=packet))
+
+
+KERNELS = ("batch", "object")
+
+
+class TestBroadcastRoute:
+    """Ordinary broadcast copies run the node's receive table straight from
+    the medium's teardown (``Phy.broadcast_route``, lent by the MAC)."""
+
+    def test_decoded_copy_runs_no_frame_between_medium_and_handler(self):
+        sim, medium, nodes = _make_stacks([(0, 0), (50, 0), (0, 50)])
+        seen = []
+
+        def on_app_packet(packet, sender):
+            seen.append((packet.uid, sender))
+
+        for node in nodes[1:]:
+            AodvRouter(node)  # the full stack: AODV's liveness used to be a sniffer
+            node.register_handler(_AppPacket, on_app_packet)
+        _air(nodes[0], _AppPacket(origin=0, destination=-1))
+        sim.run()  # first copy of the type resolves and caches its chain
+        packet = _AppPacket(origin=0, destination=-1)
+        _air(nodes[0], packet)
+        calls = []
+
+        def profiler(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profiler)
+        try:
+            sim.run()
+        finally:
+            sys.setprofile(None)
+        assert seen[2:] == [(packet.uid, 0), (packet.uid, 0)]
+        # One frame per flight to list the copies, then per decoded copy the
+        # handler and nothing else (three frames sat in between before: MAC
+        # entry, ``Node.deliver``, liveness sniffer); then the sender's
+        # end-of-flight notification.
+        at = calls.index("_finish_batch")
+        assert calls[at:at + 5] == [
+            "_finish_batch", "copies", "on_app_packet", "on_app_packet",
+            "transmission_finished",
+        ]
+        assert [node.mac.stats.delivered_to_upper for node in nodes[1:]] == [2, 2]
+        assert nodes[1].heard == {0: sim.now} and nodes[2].heard == {0: sim.now}
+
+    def test_route_is_the_nodes_own_table_and_liveness_dict(self):
+        _, _, nodes = _make_stacks([(0, 0)])
+        chains, resolve, mac_stats, heard = nodes[0].phy.broadcast_route
+        assert chains is nodes[0]._dispatch_cache
+        assert resolve == nodes[0]._build_dispatch_chain
+        assert mac_stats is nodes[0].mac.stats
+        assert heard is nodes[0].heard
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_late_handler_and_late_sniffer_are_seen_by_the_next_copy(self, kernel):
+        sim, medium, nodes = _make_stacks([(0, 0), (50, 0)], kernel)
+        calls = []
+        _air(nodes[0], _AppPacket(origin=0, destination=-1))
+        sim.run()  # first medium delivery caches "no upcalls" for the type
+        assert nodes[1].mac.stats.delivered_to_upper == 1 and calls == []
+        nodes[1].register_handler(_AppPacket, lambda p, s: calls.append(("handler", s)))
+        _air(nodes[0], _AppPacket(origin=0, destination=-1))
+        sim.run()
+        assert calls == [("handler", 0)]
+        nodes[1].add_sniffer(lambda p, s: calls.append(("sniffer", s)))
+        _air(nodes[0], _AppPacket(origin=0, destination=-1))
+        sim.run()
+        assert calls == [("handler", 0), ("sniffer", 0), ("handler", 0)]
+        assert nodes[1].mac.stats.delivered_to_upper == 3
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_subclass_packet_reaches_base_class_handler(self, kernel):
+        @dataclass
+        class _Derived(_AppPacket):
+            pass
+
+        sim, medium, nodes = _make_stacks([(0, 0), (50, 0)], kernel)
+        seen = []
+        nodes[1].register_handler(_OtherPacket, lambda p, s: seen.append("other"))
+        nodes[1].register_handler(_AppPacket, lambda p, s: seen.append(type(p)))
+        _air(nodes[0], _Derived(origin=0, destination=-1))
+        sim.run()
+        assert seen == [_Derived]
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_crafted_broadcast_mac_ack_takes_the_receive_callback(self, kernel):
+        sim, medium, nodes = _make_stacks([(0, 0), (50, 0)], kernel)
+        sniffed = []
+        nodes[1].add_sniffer(lambda p, s: sniffed.append(p))
+        _air(nodes[0], MacAck(origin=0, destination=-1, acked_uid=99))
+        sim.run()
+        # Link-layer control never reaches the receive table: the MAC eats it.
+        assert medium.stats.deliveries == 1
+        assert nodes[1].mac.stats.acks_received == 1
+        assert nodes[1].mac.stats.delivered_to_upper == 0
+        assert sniffed == [] and nodes[1].heard == {}
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_radio_without_mac_or_callback_is_never_dispatched(self, kernel):
+        sim, medium, nodes = _make_stacks([(0, 0), (50, 0)], kernel, build_mac={0})
+        seen = []
+        nodes[1].register_handler(_AppPacket, lambda p, s: seen.append(p))
+        assert nodes[1].mac is None and nodes[1].phy.broadcast_route is None
+        assert nodes[1].phy.receive_callback is None
+        _air(nodes[0], _AppPacket(origin=0, destination=-1))
+        sim.run()
+        assert medium.stats.deliveries == 1  # decoded and counted, not handed up
+        assert seen == [] and nodes[1].heard == {}
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_handler_timers_land_in_the_receivers_home_shard(self, kernel):
+        sim, medium, nodes = _make_stacks(
+            [(0, 0), (50, 0)], kernel, sim=ShardedSimulator(2), shards=2
+        )
+        nodes[1].phy.shard = 1
+        landed = []
+
+        def handler(packet, sender):
+            before = sim.heap_sizes()
+            sim.call_in(1.0, lambda: None)
+            landed.append((sim.current_shard,
+                           [b - a for a, b in zip(before, sim.heap_sizes())]))
+
+        nodes[1].register_handler(_AppPacket, handler)
+        _air(nodes[0], _AppPacket(origin=0, destination=-1))
+        sim.run()
+        assert landed == [(1, [0, 1])]
+
+    def test_power_down_inside_a_handler_reaches_the_copies_not_yet_visited(self):
+        sim, medium, nodes = _make_stacks([(0, 0), (50, 0), (0, 50)])
+        seen = []
+        nodes[1].register_handler(_AppPacket, lambda p, s: nodes[2].fail())
+        nodes[2].register_handler(_AppPacket, lambda p, s: seen.append(p))
+        _air(nodes[0], _AppPacket(origin=0, destination=-1))
+        sim.run()
+        assert seen == [] and medium.stats.disabled_discards == 1
+        assert medium.stats.deliveries == 1
+
+
+class TestLiveness:
+    def test_deliver_records_the_sender_as_heard(self):
+        sim, node = _make_node()
+        sim.run(until=2.5)
+        node.deliver(_AppPacket(origin=9, destination=0), 5)
+        assert node.heard == {5: 2.5}
+
+    def test_self_and_negative_senders_are_not_recorded(self):
+        _, node = _make_node(node_id=3)
+        node.deliver(_AppPacket(origin=3, destination=3), 3)
+        node.deliver(_AppPacket(origin=3, destination=3), -1)
+        assert node.heard == {}
 
 
 class TestLinkFailureListeners:

@@ -18,10 +18,13 @@ import pytest
 
 from repro.mobility.static import StaticMobility
 from repro.net.config import RadioConfig
+from repro.net.mac import MacAck
 from repro.net.medium import Medium
+from repro.net.node import Node
 from repro.net.packet import Frame, Packet
 from repro.net.phy import Phy
 from repro.sim.engine import Simulator
+from repro.sim.random import RandomStreams
 
 KERNELS = ("batch", "object")
 
@@ -346,3 +349,69 @@ class TestKernelAgreement:
         assert observed[0] == []
         assert observed[1] == [(0, duration, True, False)]
         assert observed[2] == [(0, duration, True, False)]
+
+
+class TestDispatchAgreement:
+    """One decision, three callers: the batch teardown inlines it, the object
+    teardown and the late-foreign path call ``Medium._dispatch``.  On full
+    ``Node`` stacks all three must hand the same ``(packet, sender)`` sequence
+    to the handlers and bump the same MAC counters."""
+
+    #: (dst, packet class): ordinary broadcasts, an addressed and an overheard
+    #: unicast, and a crafted broadcast of link-layer control.
+    SCRIPT = [(-1, Packet), (1, Packet), (-1, MacAck), (2, Packet), (-1, Packet)]
+    POSITIONS = {0: (0, 0), 1: (50, 0), 2: (0, 50)}
+
+    def _stacks(self, kernel, node_ids):
+        sim = Simulator()
+        medium = Medium(sim, RadioConfig(fanout_kernel=kernel))
+        streams = RandomStreams(3)
+        log = []
+        nodes = {}
+        for node_id in node_ids:
+            x, y = self.POSITIONS[node_id]
+            node = nodes[node_id] = Node(node_id, sim, medium, StaticMobility(x, y), streams)
+            node.register_handler(
+                Packet, lambda packet, sender, nid=node_id: log.append((nid, packet.ttl, sender))
+            )
+        return sim, medium, nodes, log
+
+    def _send_script(self, sim, sender_phy):
+        # Sequential flights from node 0, spaced far beyond an airtime (and
+        # beyond the receivers' ACKs); ``ttl`` numbers the packets.
+        for index, (dst, kind) in enumerate(self.SCRIPT):
+            frame = Frame(src=0, dst=dst, packet=kind(origin=0, destination=dst, ttl=index))
+            sim.call_at(0.1 * (index + 1), sender_phy.transmit, (frame,))
+
+    def _run_local(self, kernel):
+        sim, medium, nodes, log = self._stacks(kernel, (0, 1, 2))
+        self._send_script(sim, nodes[0].phy)
+        sim.run()
+        return log, {nid: asdict(nodes[nid].mac.stats) for nid in (1, 2)}
+
+    def _run_late_foreign(self):
+        sim_a, medium_a, nodes_a, _ = self._stacks("batch", (0,))
+        medium_a.enable_export()
+        self._send_script(sim_a, nodes_a[0].phy)
+        sim_a.run()
+        sim_b, medium_b, nodes_b, log = self._stacks("batch", (1, 2))
+        sim_b.run(until=1.0)  # the boundary: every flight is long over
+        medium_b.apply_foreign_records(medium_a.drain_export())
+        assert medium_b.foreign_stats["late_deliveries"] == len(self.SCRIPT)
+        sim_b.run()  # the receivers' ACKs
+        return log, {nid: asdict(nodes_b[nid].mac.stats) for nid in (1, 2)}
+
+    def test_both_kernels_and_the_late_foreign_path_agree(self):
+        expected_log = [
+            (1, 0, 0), (2, 0, 0),  # broadcast: both, registration order
+            (1, 1, 0),             # unicast to 1 (2 overhears: filtered)
+            (2, 3, 0),             # the broadcast MacAck (script index 2) reaches no handler
+            (1, 4, 0), (2, 4, 0),
+        ]
+        batch_log, batch_stats = self._run_local("batch")
+        assert batch_log == expected_log
+        assert [batch_stats[n]["delivered_to_upper"] for n in (1, 2)] == [3, 3]
+        assert [batch_stats[n]["acks_received"] for n in (1, 2)] == [1, 1]
+        assert [batch_stats[n]["ack_transmissions"] for n in (1, 2)] == [1, 1]
+        assert self._run_local("object") == (batch_log, batch_stats)
+        assert self._run_late_foreign() == (batch_log, batch_stats)

@@ -4,7 +4,8 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.net.packet import Packet
+from repro.net.packet import Packet, UnicastData
+from repro.trace.tracer import PacketTracer
 from tests.conftest import build_network, line_topology
 
 
@@ -126,6 +127,139 @@ class TestNeighborSensing:
         route = network.aodv[0].route_table.lookup(1, network.sim.now)
         assert route is not None
         assert route.hop_count == 1
+
+
+class TestLivenessTable:
+    """AODV's ``_neighbors`` *is* the node's liveness table: the medium and
+    ``Node.deliver`` write it, AODV reads it and deletes from it.  Its
+    iteration order is the order ``_check_neighbors`` declares losses in, so
+    it is part of every digest and pinned here entry by entry."""
+
+    def _triangle(self):
+        # Everyone hears everyone; AODV is attached but never started, so
+        # the only traffic is the script's.
+        network = build_network([(0.0, 0.0), (60.0, 0.0), (30.0, 50.0)], range_m=100)
+        for node_id in (0, 1, 2):
+            _attach_receiver(network, node_id)
+        return network
+
+    def test_same_dict_object_everywhere(self):
+        network = self._triangle()
+        for node_id, router in network.aodv.items():
+            node = network.nodes[node_id]
+            assert router._neighbors is node.heard
+            assert node.phy.broadcast_route[3] is node.heard
+
+    def test_scripted_exchange_pins_membership_times_and_order(self):
+        network = self._triangle()
+        sim, nodes, aodv = network.sim, network.nodes, network.aodv
+        # t=1: node 2 broadcasts (medium-delivered at 0 and 1).
+        sim.schedule_at(1.0, nodes[2].send_frame, _AppMessage(origin=2, destination=-1), -1)
+        # t=2: node 1 unicasts to node 0 (MAC-delivered; 2 overhears, and all
+        # hear 0's ACK: neither is a packet for the upper layer).
+        sim.schedule_at(2.0, nodes[1].send_frame, _AppMessage(origin=1, destination=0), 0)
+        # t=3: node 0 delivers locally an envelope whose origin, 7, is no
+        # radio neighbour of anyone.
+        envelope = UnicastData(origin=7, destination=0,
+                               payload=_AppMessage(origin=7, destination=0))
+        sim.schedule_at(3.0, aodv[0]._deliver_locally, envelope)
+        # t=4: node 1 broadcasts; t=5: node 2 again (refreshes, keeps its place).
+        sim.schedule_at(4.0, nodes[1].send_frame, _AppMessage(origin=1, destination=-1), -1)
+        sim.schedule_at(5.0, nodes[2].send_frame, _AppMessage(origin=2, destination=-1), -1)
+        network.run(5.2)
+        order = {nid: list(aodv[nid]._neighbors) for nid in (0, 1, 2)}
+        assert order == {0: [2, 1, 7], 1: [2], 2: [1]}
+        heard_at = {nid: {n: int(t) for n, t in aodv[nid]._neighbors.items()}
+                    for nid in (0, 1, 2)}
+        assert heard_at == {0: {2: 5, 1: 4, 7: 3}, 1: {2: 5}, 2: {1: 4}}
+        assert aodv[0].neighbors() == [1, 2, 7]
+        network.run(0.8)  # t=6: 7 (heard at 3) is past the 2.4 s timeout
+        assert aodv[0].neighbors() == [1, 2] and list(aodv[0]._neighbors) == [2, 1, 7]
+
+    def test_self_and_negative_senders_are_not_recorded(self):
+        network = self._triangle()
+        node = network.nodes[1]
+        node.deliver(_AppMessage(origin=1, destination=1), 1)
+        node.deliver(_AppMessage(origin=1, destination=1), -1)
+        assert network.aodv[1]._neighbors == {} and network.aodv[1].neighbors() == []
+
+    def test_mac_failure_and_timeout_delete_from_the_object_the_medium_writes(self):
+        network = self._triangle()
+        sim, nodes, aodv = network.sim, network.nodes, network.aodv
+        losses = []
+        aodv[0].add_neighbor_loss_listener(losses.append)
+        sim.schedule_at(1.0, nodes[1].send_frame, _AppMessage(origin=1, destination=-1), -1)
+        sim.schedule_at(1.5, nodes[2].send_frame, _AppMessage(origin=2, destination=-1), -1)
+        network.run(2.0)
+        assert list(nodes[0].heard) == [1, 2]
+        aodv[0]._on_mac_failure(_AppMessage(origin=0, destination=1), 1)
+        assert list(nodes[0].heard) == [2] and losses == [1]
+        # Node 1 is heard again: re-inserted by the medium, now *after* 2.
+        sim.schedule_at(2.5, nodes[1].send_frame, _AppMessage(origin=1, destination=-1), -1)
+        network.run(1.0)
+        assert list(nodes[0].heard) == [2, 1]
+        sim.run(until=2.5 + aodv[0].config.neighbor_timeout_s + 0.1)
+        aodv[0]._check_neighbors()
+        assert nodes[0].heard == {} and losses == [1, 2, 1]
+        assert aodv[0].stats.neighbor_losses == 3
+
+    def test_tracer_attached_mid_run_records_every_packet_the_handlers_see(self):
+        network = build_network(line_topology(3, 70.0), range_m=100)
+        handled = []  # (time, node, from, uid) at a handler, for one packet type
+        for node in network.nodes:
+            node.register_handler(
+                _AppMessage,
+                lambda packet, sender, node=node: handled.append(
+                    (node.sim.now, node.node_id, sender, packet.uid)),
+            )
+        sniffed = []  # every type, from a sniffer in place since the build
+        for node in network.nodes:
+            node.add_sniffer(
+                lambda packet, sender, node=node: sniffed.append(
+                    (node.sim.now, node.node_id, sender, packet.uid)))
+        network.start()
+        network.run(2.5)  # hellos flowing: every chain in use is cached by now
+        attached_at = network.sim.now
+        tracer = PacketTracer()
+        tracer.attach_all(network.nodes)
+        network.aodv[0].send_unicast(_AppMessage(origin=0, destination=2, text="far"), 2)
+        network.sim.schedule(0.5, network.nodes[1].send_frame,
+                             _AppMessage(origin=1, destination=-1), -1)
+        network.run(3.0)
+        traced = [(r.time, r.node, r.from_node, r.uid) for r in tracer.records]
+        assert traced == [entry for entry in sniffed if entry[0] >= attached_at]
+        traced_app = [(r.time, r.node, r.from_node, r.uid)
+                      for r in tracer.records if r.packet_type == "_AppMessage"]
+        assert traced_app == [entry for entry in handled if entry[0] >= attached_at]
+        # Medium-delivered broadcasts, MAC-delivered unicast envelopes and the
+        # locally delivered payload are all there.
+        kinds = {r.packet_type for r in tracer.records}
+        assert {"HelloMessage", "UnicastData", "_AppMessage"} <= kinds
+        assert len(traced_app) == 3  # the payload at 2, the broadcast at 0 and 2
+
+    def test_known_deviation_multihop_origin_becomes_a_phantom_neighbor(self):
+        """KNOWN DEVIATION, pinned not endorsed (ROADMAP direction 1(b)).
+
+        ``_deliver_locally`` hands ``envelope.origin`` to ``Node.deliver`` as
+        ``from_node``, so the origin of a *multi-hop* unicast enters the
+        destination's one-hop neighbour table, later times out and is declared
+        a lost neighbour (route invalidation, MAODV's loss listener).  It is
+        in every digest; the fix moves them and belongs to direction 1.
+        """
+        network = build_network(line_topology(3, 70.0), range_m=100)
+        _attach_receiver(network, 2)
+        losses = []
+        network.aodv[2].add_neighbor_loss_listener(losses.append)
+        network.start()
+        network.run(1.5)
+        network.aodv[0].send_unicast(_AppMessage(origin=0, destination=2, text="x"), 2)
+        network.run(1.5)
+        assert network.medium.neighbors_of(2) == [1]  # 0 is two hops away
+        assert network.aodv[2].neighbors() == [0, 1]  # ...yet listed as a neighbour
+        network.run(network.aodv[2].config.neighbor_timeout_s + 1.5)
+        assert losses == [0]  # the phantom times out; node 1 keeps beaconing
+        assert network.aodv[2].stats.neighbor_losses == 1
+        assert network.aodv[2].neighbors() == [1]
 
 
 class TestLinkBreakHandling:
