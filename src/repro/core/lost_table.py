@@ -11,6 +11,7 @@ history table.
 from __future__ import annotations
 
 from collections import OrderedDict
+from itertools import islice
 from typing import Dict, List, Tuple
 
 MessageId = Tuple[int, int]
@@ -99,9 +100,7 @@ class LostTable:
         """The ``limit`` most recently recorded losses (the lost buffer)."""
         if limit < 0:
             raise ValueError("limit must be non-negative")
-        recent = list(self._lost.keys())[-limit:] if limit else []
-        recent.reverse()
-        return recent
+        return list(islice(reversed(self._lost), limit))
 
     def all_lost(self) -> List[MessageId]:
         """Every currently recorded loss, oldest first."""

@@ -131,7 +131,7 @@ class FloodingRouter:
         return data
 
     def _on_multicast_data(self, data: MulticastData, from_node: NodeId) -> None:
-        key = data.message_id()
+        key = (data.source, data.seq)  # ``message_id()`` inline: per copy
         if key in self._seen:
             self.stats.data_duplicates += 1
             return

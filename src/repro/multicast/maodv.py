@@ -101,6 +101,10 @@ class MaodvRouter:
         self.rng = node.streams.for_node("maodv", node.node_id)
         self.stats = MaodvStats()
         self.table = MulticastRouteTable()
+        #: The table's own group dict, for the data path's one-frame lookup.
+        self._groups = self.table._groups
+        #: Identifier of the owning node.
+        self.node_id: NodeId = node.node_id
 
         self._rreq_id = 0
         self._data_seq: Dict[GroupAddress, int] = {}
@@ -133,11 +137,6 @@ class MaodvRouter:
         aodv.add_neighbor_loss_listener(self._on_neighbor_loss)
 
     # ------------------------------------------------------------------ basics
-    @property
-    def node_id(self) -> NodeId:
-        """Identifier of the owning node."""
-        return self.node.node_id
-
     def add_delivery_listener(self, listener: DataListener) -> None:
         """Subscribe to multicast data delivered to this node as a member."""
         self._delivery_listeners.append(listener)
@@ -267,15 +266,26 @@ class MaodvRouter:
         return data
 
     def _on_multicast_data(self, data: MulticastData, from_node: NodeId) -> None:
-        entry = self.table.entry(data.group)
-        if entry is None or not entry.on_tree:
+        # Most copies end in the first four tests (no entry for the group,
+        # not on the tree, off-tree sender, duplicate), so up to there this
+        # is one frame: ``table.entry``, ``entry.on_tree`` and
+        # ``data.message_id()`` are written out.
+        entry = self._groups.get(data.group)
+        if entry is None:
             return
-        if from_node != self.node_id and from_node not in entry.next_hops:
+        next_hops = entry.next_hops
+        if not entry.is_member:
+            for hop in next_hops.values():
+                if hop.enabled:
+                    break
+            else:
+                return  # neither a member nor a router: not on the tree
+        if from_node != self.node_id and from_node not in next_hops:
             # Data is only accepted from tree neighbours (enabled or pending
             # activation); anything else is off-tree traffic.
             self.stats.data_rejected_off_tree += 1
             return
-        key = data.message_id()
+        key = (data.source, data.seq)
         if key in self._seen_data:
             self.stats.data_duplicates += 1
             return

@@ -150,6 +150,8 @@ class MulticastRouteTable:
     """All multicast group state of one node."""
 
     def __init__(self) -> None:
+        #: Shared with :class:`~repro.multicast.maodv.MaodvRouter`, whose data
+        #: path reads it without the :meth:`entry` frame: never rebound.
         self._groups: Dict[GroupAddress, GroupEntry] = {}
 
     def __len__(self) -> int:

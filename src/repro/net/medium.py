@@ -93,7 +93,12 @@ radio its node's *broadcast route* (``Phy.broadcast_route``): the node's
 receive table as data, which the teardown runs itself for ordinary broadcast
 copies -- count the delivery for the MAC, note the sender as heard, one
 ``dict.get`` for the packet type's upcalls -- with no MAC or node frame in
-between; anything else takes ``Phy.receive_callback``.  ``_finish_batch``
+between; anything else takes ``Phy.receive_callback``.  What the table holds
+for a type is either its upcalls (a tuple, called in order) or, for a type
+received into a *mailbox* (see :mod:`repro.net.node`; AODV's HELLOs), the
+mailbox dict itself: the copy is then one store, ``mailbox[sender] =
+(packet, now)``, the tuple built once per flight, and no Python frame at all.
+Telling the two apart is one class test per decoded copy.  ``_finish_batch``
 inlines the broadcast route per flight; ``_dispatch`` is the whole decision
 per copy, shared with the object kernel and the late-foreign path.
 """
@@ -527,6 +532,8 @@ class Medium:
         packet = frame.packet
         packet_type = type(packet)
         now = self.sim.now
+        # What a receiver's mailbox for this packet type holds per sender.
+        receipt = (packet, now)
         # Ordinary broadcast traffic (everything but a broadcast MAC ACK,
         # which no stack sends but tests may craft) runs the receivers' lent
         # broadcast routes right here, the ``_dispatch`` decision inlined.
@@ -574,8 +581,11 @@ class Medium:
                     chain = chains.get(packet_type)
                     if chain is None:
                         chain = resolve(packet_type)
-                    for upcall in chain:
-                        upcall(packet, sender_id)
+                    if chain.__class__ is dict:
+                        chain[sender_id] = receipt
+                    else:
+                        for upcall in chain:
+                            upcall(packet, sender_id)
                     continue
             elif unicast and receiver.unicast_filter and dst != receiver.node_id:
                 # The copy arrived intact (counted above) but the MAC would
@@ -622,12 +632,16 @@ class Medium:
         if route is not None and dst == BROADCAST_ADDRESS and not packet.is_mac_control:
             chains, resolve, mac_stats, heard = route
             mac_stats.delivered_to_upper += 1
-            heard[sender_id] = self.sim.now
+            now = self.sim.now
+            heard[sender_id] = now
             chain = chains.get(type(packet))
             if chain is None:
                 chain = resolve(type(packet))
-            for upcall in chain:
-                upcall(packet, sender_id)
+            if chain.__class__ is dict:
+                chain[sender_id] = (packet, now)
+            else:
+                for upcall in chain:
+                    upcall(packet, sender_id)
         elif receiver.receive_callback is not None:
             receiver.receive_callback(frame, sender_id)
 

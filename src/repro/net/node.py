@@ -11,12 +11,26 @@ A :class:`Node` owns:
 * a list of applications started when the scenario starts.
 
 The node itself knows nothing about routing or gossip; protocols attach
-themselves via :meth:`register_handler` and :meth:`add_link_failure_listener`.
+themselves via :meth:`register_handler`, :meth:`register_mailbox` and
+:meth:`add_link_failure_listener`.
+
+Mailboxes
+---------
+A protocol may register, for one packet type, a *mailbox* instead of a
+handler: a plain dict ``sender -> (packet, time received)`` that the receive
+paths stamp where they would have called the handler -- one dict store and no
+Python frame per copy.  It holds the **last** receipt per sender, a sender
+keeping the position of its first pending receipt.  The owner takes on two
+obligations the node cannot check: *the last receipt suffices* (applying it
+alone must leave the owner's state as applying every receipt in order would)
+and *drain before any read or write* of the state the receipts bear on.
+Sniffers are not the owner's concern: one that matches the type still sees
+every copy, in order, before its receipt is stored.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple, Type
+from typing import Callable, Dict, List, Optional, Tuple, Type, Union
 
 from repro.net.addressing import NodeId
 from repro.net.config import MacConfig
@@ -28,6 +42,8 @@ from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
 
 PacketHandler = Callable[[Packet, NodeId], None]
+#: sender -> (packet, time received): the last receipt per sender.
+Mailbox = Dict[NodeId, Tuple[Packet, float]]
 LinkFailureListener = Callable[[Packet, NodeId], None]
 
 
@@ -56,17 +72,19 @@ class Node:
         #: its per-node backoff stream.  ``for_node`` streams are
         #: hash-derived, so not creating one consumes nothing shared.
         self.mac: Optional[CsmaMac] = None
-        self._handlers: Dict[Type[Packet], PacketHandler] = {}
+        #: Packet type -> its handler, or the mailbox registered in its place.
+        self._handlers: Dict[Type[Packet], Union[PacketHandler, Mailbox]] = {}
         #: (sniffer, packet types it wants or None for all), registration order.
         self._sniffers: List[Tuple[PacketHandler, Optional[Tuple[Type[Packet], ...]]]] = []
         #: The receive table, the node's one receive mechanism: concrete
         #: packet type -> its upcalls, the matching sniffers (registration
-        #: order) then the resolved handler.  Filled lazily per type, cleared
+        #: order) then the resolved handler -- or the type's mailbox itself
+        #: when no sniffer matches.  Filled lazily per type, cleared
         #: whenever a handler or sniffer is added: receiving is one dict hit
         #: however many protocols or groups are registered.  :meth:`deliver`
         #: reads it, and so does the medium for ordinary broadcast copies
         #: (lent through the MAC below) -- this dict object, never a copy.
-        self._dispatch_cache: Dict[Type[Packet], Tuple[PacketHandler, ...]] = {}
+        self._dispatch_cache: Dict[Type[Packet], Union[Tuple[PacketHandler, ...], Mailbox]] = {}
         #: Neighbour liveness: sender -> time anything was last received
         #: from it, written by both entries before the upcalls run.  AODV
         #: adopts this very dict as its neighbour table instead of sniffing.
@@ -126,11 +144,26 @@ class Node:
     # ----------------------------------------------------------- dispatcher
     def register_handler(self, packet_type: Type[Packet], handler: PacketHandler) -> None:
         """Route received packets of ``packet_type`` (exact class) to ``handler``."""
+        self._register(packet_type, handler)
+
+    def register_mailbox(self, packet_type: Type[Packet], mailbox: Mailbox) -> None:
+        """Store received packets of ``packet_type`` in ``mailbox`` instead of
+        calling a handler (see "Mailboxes" in the module docstring).
+
+        A type has one receiver: a mailbox and a handler for the same type
+        is the :class:`ValueError` two handlers are.
+        """
+        if type(mailbox) is not dict:
+            # The receive paths tell a mailbox from a chain by exact class.
+            raise TypeError(f"a mailbox is a plain dict, not {type(mailbox).__name__}")
+        self._register(packet_type, mailbox)
+
+    def _register(self, packet_type: Type[Packet], receiver) -> None:
         if packet_type in self._handlers:
             raise ValueError(
                 f"node {self.node_id}: handler for {packet_type.__name__} already registered"
             )
-        self._handlers[packet_type] = handler
+        self._handlers[packet_type] = receiver
         self._dispatch_cache.clear()
 
     def add_sniffer(
@@ -156,15 +189,20 @@ class Node:
         chain = self._dispatch_cache.get(type(packet))
         if chain is None:
             chain = self._build_dispatch_chain(type(packet))
-        for callback in chain:
-            callback(packet, from_node)
+        if chain.__class__ is dict:
+            chain[from_node] = (packet, self.sim.now)
+        else:
+            for callback in chain:
+                callback(packet, from_node)
 
-    def _build_dispatch_chain(self, packet_type: Type[Packet]) -> Tuple[PacketHandler, ...]:
+    def _build_dispatch_chain(self, packet_type: Type[Packet]):
         """Resolve and cache the full delivery chain of one packet type.
 
         The chain preserves the historic call order exactly: sniffers in
         registration order first, then the handler (exact type match, falling
-        back to the first registered base class).
+        back to the first registered base class).  A mailbox resolves to the
+        dict itself unless a sniffer matches: then the chain is the sniffers
+        followed by one closure that stamps the mailbox.
         """
         callbacks = [
             sniffer
@@ -177,6 +215,16 @@ class Node:
                 if issubclass(packet_type, registered_type):
                     handler = candidate
                     break
+        if handler.__class__ is dict:
+            mailbox, sim = handler, self.sim
+            if not callbacks:
+                self._dispatch_cache[packet_type] = mailbox
+                return mailbox
+
+            def stamp(packet: Packet, from_node: NodeId) -> None:
+                mailbox[from_node] = (packet, sim.now)
+
+            handler = stamp
         if handler is not None:
             callbacks.append(handler)
         chain = tuple(callbacks)

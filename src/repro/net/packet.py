@@ -58,9 +58,11 @@ class Packet:
 
     def copy_for_forwarding(self) -> "Packet":
         """Return a shallow copy with the TTL decremented by one."""
-        import copy
-
-        clone = copy.copy(self)
+        # What ``copy.copy`` does for a plain dataclass, minus its reduce
+        # protocol: this runs once per forwarded packet.
+        cls = self.__class__
+        clone = cls.__new__(cls)
+        clone.__dict__.update(self.__dict__)
         clone.ttl = self.ttl - 1
         return clone
 

@@ -12,6 +12,15 @@ One :class:`AodvRouter` instance is attached to every node.  It provides
 The gossip layer sends gossip replies and cached-gossip requests through
 :meth:`send_unicast`; MAODV subscribes to neighbour-loss events to detect
 broken tree links.
+
+There is no HELLO handler.  HELLOs are most of what a node decodes and each
+only refreshes a one-hop route that the neighbour's next beacon refreshes
+again, so the router registers the route table's *mailbox* for
+:class:`~repro.routing.messages.HelloMessage` (``Node.register_mailbox``): a
+reception is one dict store, and the table applies the last receipt per
+neighbour when it is next read or written -- see
+:mod:`repro.routing.route_table` for why that is the same protocol.  The
+obligation it puts on this class: reach the table only through its methods.
 """
 
 from __future__ import annotations
@@ -68,11 +77,9 @@ class AodvRouter:
         self.node = node
         self.sim = node.sim
         self.config = config or AodvConfig()
-        # Hot-path copy: the hello handler runs for most received frames.
-        self._neighbor_timeout_s = self.config.neighbor_timeout_s
         self.rng = node.streams.for_node("aodv", node.node_id)
         self.stats = AodvStats()
-        self.route_table = RouteTable()
+        self.route_table = RouteTable(hello_lifetime_s=self.config.neighbor_timeout_s)
 
         self.sequence_number = 0
         self._rreq_id = 0
@@ -88,7 +95,7 @@ class AodvRouter:
         node.register_handler(RouteRequest, self._on_rreq)
         node.register_handler(RouteReply, self._on_rrep)
         node.register_handler(RouteError, self._on_rerr)
-        node.register_handler(HelloMessage, self._on_hello)
+        node.register_mailbox(HelloMessage, self.route_table.hellos)
         node.register_handler(UnicastData, self._on_unicast_data)
         node.add_link_failure_listener(self._on_mac_failure)
 
@@ -168,13 +175,6 @@ class AodvRouter:
             seq=self.sequence_number,
         )
         self.node.send_frame(hello, BROADCAST_ADDRESS)
-
-    def _on_hello(self, hello: HelloMessage, from_node: NodeId) -> None:
-        # Neighbour activity is already in the liveness table; a hello also
-        # refreshes the one-hop route (positional: most receptions are this).
-        self.route_table.update(
-            from_node, from_node, 1, hello.seq, self.sim.now + self._neighbor_timeout_s
-        )
 
     def _check_neighbors(self) -> None:
         now = self.sim.now

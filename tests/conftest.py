@@ -8,6 +8,7 @@ positions, so protocol behaviour can be asserted on hand-built topologies
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -116,6 +117,23 @@ def build_network(
     return StaticNetwork(
         sim=sim, medium=medium, nodes=nodes, aodv=aodv, maodv=maodv, gossip=gossip
     )
+
+
+def python_calls(run, *args) -> List[str]:
+    """Names of the Python functions entered while ``run(*args)`` executes, in
+    order (``sys.setprofile``): how frame-count tests pin a hot path's depth."""
+    calls: List[str] = []
+
+    def profiler(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profiler)
+    try:
+        run(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
 
 
 def line_topology(count: int, spacing_m: float) -> List[Tuple[float, float]]:

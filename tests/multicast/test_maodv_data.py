@@ -1,6 +1,7 @@
 """Integration tests: multicast data dissemination over the MAODV tree."""
 
-from tests.conftest import GROUP, build_network, line_topology
+from repro.multicast.messages import MulticastData
+from tests.conftest import GROUP, build_network, line_topology, python_calls
 
 
 def _attach_sink(network, member):
@@ -96,3 +97,33 @@ class TestDeliveryCounters:
         assert network.maodv[3].stats.data_delivered == 3
         forwarded = sum(network.maodv[n].stats.data_forwarded for n in (1, 2))
         assert forwarded >= 3
+
+
+class TestNoOpPathsAreOneFrame:
+    """Most data copies a node decodes end in one of ``_on_multicast_data``'s
+    first four tests; up to there the handler is a single Python frame."""
+
+    @staticmethod
+    def _frames(router, seq, from_node):
+        data = MulticastData(origin=0, destination=GROUP, group=GROUP, source=0, seq=seq)
+        return python_calls(router._on_multicast_data, data, from_node)
+
+    def test_no_entry_for_the_group(self):
+        router = build_network(line_topology(2, 60.0)).maodv[1]
+        assert self._frames(router, 1, 0) == ["_on_multicast_data"]
+        assert router.table.entry(GROUP) is None
+
+    def test_entry_that_is_not_on_the_tree(self):
+        router = build_network(line_topology(2, 60.0)).maodv[1]
+        router.table.get_or_create(GROUP).add_next_hop(0, enabled=False)
+        assert self._frames(router, 1, 0) == ["_on_multicast_data"]
+        assert router.stats.data_rejected_off_tree == 0 and not router._seen_data
+
+    def test_off_tree_sender_and_duplicate_only_bump_their_counter(self):
+        router = build_network(line_topology(3, 60.0)).maodv[1]
+        router.table.get_or_create(GROUP).enable_next_hop(0)
+        assert self._frames(router, 1, 2) == ["_on_multicast_data"]
+        assert router.stats.data_rejected_off_tree == 1
+        assert len(self._frames(router, 1, 0)) > 1  # accepted: remembered, nobody to forward to
+        assert self._frames(router, 1, 0) == ["_on_multicast_data"]
+        assert router.stats.data_duplicates == 1 and router.stats.data_rejected_off_tree == 1

@@ -1,6 +1,7 @@
 """Unit tests for the node's packet dispatcher and application plumbing."""
 
 import sys
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import pytest
@@ -12,9 +13,12 @@ from repro.net.medium import Medium
 from repro.net.node import Node
 from repro.net.packet import Frame, Packet
 from repro.routing.aodv import AodvRouter
+from repro.routing.messages import HelloMessage
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
 from repro.sim.shard import ShardedSimulator
+from repro.trace.tracer import PacketTracer
+from tests.conftest import python_calls
 
 
 @dataclass
@@ -285,6 +289,82 @@ class TestBroadcastRoute:
         sim.run()
         assert seen == [] and medium.stats.disabled_discards == 1
         assert medium.stats.deliveries == 1
+
+
+class TestMailbox:
+    """A packet type may be received into a mailbox -- a dict holding the last
+    ``(packet, time)`` per sender -- instead of a handler; AODV's HELLOs are."""
+
+    def test_mailbox_and_handler_for_one_type_is_rejected(self):
+        _, node = _make_node()
+        node.register_mailbox(_AppPacket, {})
+        with pytest.raises(ValueError):
+            node.register_handler(_AppPacket, lambda packet, sender: None)
+        with pytest.raises(ValueError):
+            node.register_mailbox(_AppPacket, {})
+        node.register_handler(_OtherPacket, lambda packet, sender: None)
+        with pytest.raises(ValueError):
+            node.register_mailbox(_OtherPacket, {})
+
+    def test_mailbox_must_be_a_plain_dict(self):
+        _, node = _make_node()
+        with pytest.raises(TypeError):
+            node.register_mailbox(_AppPacket, OrderedDict())
+
+    def test_deliver_stores_the_last_receipt_per_sender_after_the_sniffers(self):
+        sim, node = _make_node()
+        mailbox = {}
+        node.register_mailbox(_AppPacket, mailbox)
+        first, other, second, third = (_AppPacket(origin=9, destination=0) for _ in range(4))
+        node.deliver(first, 5)
+        node.deliver(other, 7)
+        sim.run(until=1.5)
+        node.deliver(second, 5)
+        # An overwritten sender keeps the position of its first pending receipt.
+        assert list(mailbox.items()) == [(5, (second, 1.5)), (7, (other, 0.0))]
+        held_at_sniff_time = []
+        node.add_sniffer(lambda packet, sender: held_at_sniff_time.append(mailbox[sender][0]))
+        node.deliver(third, 5)
+        assert held_at_sniff_time == [second] and mailbox[5] == (third, 1.5)
+
+    def test_decoded_hello_copy_runs_no_frame_in_the_teardown_loop(self):
+        sim, medium, nodes = _make_stacks([(0, 0), (50, 0), (0, 50)])
+        routers = [AodvRouter(node) for node in nodes]  # beacon timers not started
+        _air(nodes[0], HelloMessage(origin=0, destination=-1, seq=1))
+        sim.run()  # first copy of the type resolves and caches the mailbox
+        hello = HelloMessage(origin=0, destination=-1, seq=2)
+        _air(nodes[0], hello)
+        calls = python_calls(sim.run)
+        # Two decoded copies and no Python frame for either (the parent ran
+        # ``_on_hello`` and ``update`` per copy): each is one dict store.
+        at = calls.index("_finish_batch")
+        assert calls[at:at + 3] == ["_finish_batch", "copies", "transmission_finished"]
+        for router in routers[1:]:
+            assert router.route_table.hellos == {0: (hello, sim.now)}
+            assert router.has_route(0) and router.route_table.hellos == {}
+            assert router.route_table.entry(0).seq == 2
+        assert [node.mac.stats.delivered_to_upper for node in nodes[1:]] == [2, 2]
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_tracers_attached_before_and_after_the_first_hello_see_every_later_one(self, kernel):
+        sim, medium, nodes = _make_stacks([(0, 0), (50, 0), (0, 50)], kernel)
+        routers = [AodvRouter(node) for node in nodes]
+        early, late = PacketTracer(), PacketTracer()
+        early.attach(nodes[1])
+        hellos = [HelloMessage(origin=0, destination=-1, seq=seq) for seq in (1, 2, 3)]
+        _air(nodes[0], hellos[0])
+        sim.run()  # node 2 has cached the bare mailbox, node 1 sniffer + stamp
+        late.attach_all(nodes[1:])
+        for hello in hellos[1:]:
+            _air(nodes[0], hello)
+            sim.run()
+        uids = [hello.uid for hello in hellos]
+        assert [(r.node, r.uid) for r in early.records] == [(1, uid) for uid in uids]
+        assert [(r.node, r.uid) for r in late.records] == [
+            (1, uids[1]), (2, uids[1]), (1, uids[2]), (2, uids[2]),
+        ]
+        for router in routers[1:]:
+            assert router.has_route(0) and router.route_table.entry(0).seq == 3
 
 
 class TestLiveness:

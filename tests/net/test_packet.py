@@ -1,7 +1,27 @@
 """Unit tests for packet and frame base types."""
 
+import copy
+import importlib
+import pkgutil
+
+import pytest
+
+import repro
 from repro.net.addressing import BROADCAST_ADDRESS
 from repro.net.packet import Frame, Packet, UnicastData
+
+
+def _packet_classes():
+    """``Packet`` and every subclass defined anywhere under ``src/repro``."""
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        importlib.import_module(module.name)
+    found, todo = [], [Packet]
+    while todo:
+        cls = todo.pop()
+        if cls.__module__.startswith("repro."):
+            found.append(cls)
+        todo.extend(cls.__subclasses__())
+    return sorted(found, key=lambda cls: (cls.__module__, cls.__qualname__))
 
 
 class TestPacket:
@@ -23,6 +43,21 @@ class TestPacket:
         assert forwarded.origin == 1
         assert forwarded.destination == 2
         assert forwarded.size_bytes == 99
+
+    @pytest.mark.parametrize("cls", _packet_classes(), ids=lambda cls: cls.__name__)
+    def test_copy_for_forwarding_is_copy_copy_field_for_field(self, cls):
+        packet = cls(origin=1, destination=2)
+        packet.ttl = 5
+        if hasattr(packet, "payload"):
+            packet.payload = Packet(origin=3, destination=4)
+        clone = packet.copy_for_forwarding()
+        assert clone is not packet and type(clone) is cls
+        assert vars(clone) == {**vars(copy.copy(packet)), "ttl": 4}
+        assert list(vars(clone)) == list(vars(packet))
+        for name, value in vars(packet).items():
+            # Shallow: every field but the TTL is the original's own object.
+            assert name == "ttl" or getattr(clone, name) is value
+        assert packet.ttl == 5
 
 
 class TestFrame:

@@ -23,6 +23,7 @@ from repro.net.medium import Medium
 from repro.net.node import Node
 from repro.net.packet import Frame, Packet
 from repro.net.phy import Phy
+from repro.routing.messages import HelloMessage
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
 
@@ -415,3 +416,48 @@ class TestDispatchAgreement:
         assert [batch_stats[n]["ack_transmissions"] for n in (1, 2)] == [1, 1]
         assert self._run_local("object") == (batch_log, batch_stats)
         assert self._run_late_foreign() == (batch_log, batch_stats)
+
+    # ------------------------------------------------------------ mailboxes
+    def _run_hellos(self, kernel, late_foreign=False):
+        """Three HELLOs and a data packet from node 0 to mailboxes at 1 and 2
+        (node 2 behind a sniffer); returns the boxes and what was sniffed."""
+        sim, medium, nodes, _ = self._stacks(kernel, (0,) if late_foreign else (0, 1, 2))
+        for index, seq in enumerate((4, 4, None, 5)):
+            packet = (Packet(origin=0, destination=-1) if seq is None
+                      else HelloMessage(origin=0, destination=-1, seq=seq))
+            frame = Frame(src=0, dst=-1, packet=packet)
+            sim.call_at(0.1 * (index + 1), nodes[0].phy.transmit, (frame,))
+        if late_foreign:
+            medium.enable_export()
+            sim.run()
+            records = medium.drain_export()
+            sim, medium, nodes, _ = self._stacks("batch", (1, 2))
+        boxes = {1: {}, 2: {}}
+        sniffed = []
+        for node_id, box in boxes.items():
+            nodes[node_id].register_mailbox(HelloMessage, box)
+        nodes[2].add_sniffer(lambda packet, sender: sniffed.append(packet.seq), (HelloMessage,))
+        if late_foreign:
+            sim.run(until=1.0)  # the boundary: every flight is long over
+            medium.apply_foreign_records(records)
+        else:
+            sim.run()
+        return boxes, sniffed
+
+    def test_both_kernels_and_the_late_foreign_path_leave_equal_mailboxes(self):
+        def last_seq(boxes):
+            return {nid: {sender: hello.seq for sender, (hello, _) in box.items()}
+                    for nid, box in boxes.items()}
+
+        boxes, sniffed = self._run_hellos("batch")
+        assert last_seq(boxes) == {1: {0: 5}, 2: {0: 5}} and sniffed == [4, 4, 5]
+        # Node 1's receipt is the flight's shared tuple, node 2's was stamped
+        # by the closure behind its sniffer: same packet, same time.
+        assert boxes[1] == boxes[2] and boxes[1][0][1] > 0.4
+        object_boxes, object_sniffed = self._run_hellos("object")
+        assert last_seq(object_boxes) == last_seq(boxes) and object_sniffed == sniffed
+        assert [box[0][1] for box in object_boxes.values()] == [box[0][1] for box in boxes.values()]
+        late_boxes, late_sniffed = self._run_hellos("batch", late_foreign=True)
+        assert last_seq(late_boxes) == last_seq(boxes) and late_sniffed == sniffed
+        # Received at the boundary, as the handlers on that path always were.
+        assert [box[0][1] for box in late_boxes.values()] == [1.0, 1.0]

@@ -69,6 +69,17 @@ class TestLostTableInvariants:
         assert len(buffer) <= limit
         assert set(buffer).issubset(set(table.all_lost()))
 
+    @given(_arrivals, st.integers(min_value=1, max_value=40),
+           st.integers(min_value=0, max_value=90))
+    @settings(max_examples=200, deadline=None)
+    def test_lost_buffer_is_the_reversed_tail_of_all_losses(self, arrivals, capacity, limit):
+        table = LostTable(capacity=capacity)
+        for seq in arrivals:
+            table.observe(1, seq)
+        # The expression ``most_recent_lost`` used to be: copy, slice, reverse.
+        tail = table.all_lost()[-limit:] if limit else []
+        assert table.most_recent_lost(limit) == tail[::-1]
+
     @given(st.lists(st.tuples(st.integers(min_value=1, max_value=5),
                               st.integers(min_value=1, max_value=40)),
                     max_size=80))

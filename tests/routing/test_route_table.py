@@ -1,5 +1,12 @@
-"""Unit tests for the AODV route table freshness rules."""
+"""Unit tests for the AODV route table: freshness rules and the HELLO mailbox."""
 
+import copy
+
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+
+from repro.routing.messages import HelloMessage
 from repro.routing.route_table import RouteTable
 
 
@@ -106,18 +113,140 @@ class TestInvalidation:
 
 
 class TestHousekeeping:
-    def test_purge_expired_removes_old_entries(self):
-        table = RouteTable()
-        table.update(destination=5, next_hop=2, hop_count=3, seq=1, expiry_time=10.0)
-        table.update(destination=6, next_hop=2, hop_count=3, seq=1, expiry_time=100.0)
-        removed = table.purge_expired(now=80.0, grace_s=30.0)
-        assert removed == 1
-        assert table.entry(5) is None
-        assert table.entry(6) is not None
-
     def test_destinations_and_len(self):
         table = RouteTable()
         table.update(destination=5, next_hop=2, hop_count=1, seq=1, expiry_time=10.0)
         table.update(destination=3, next_hop=2, hop_count=1, seq=1, expiry_time=10.0)
         assert table.destinations() == [3, 5]
         assert len(table) == 2
+
+
+HELLO_LIFETIME_S = 2.4
+
+
+def _fields(entry):
+    if entry is None:
+        return None
+    return (entry.destination, entry.next_hop, entry.hop_count, entry.seq,
+            entry.expiry_time, entry.valid)
+
+
+def _hello(sender, seq):
+    return HelloMessage(origin=sender, destination=-1, seq=seq)
+
+
+class TestHelloMailbox:
+    def test_fold_applies_the_last_receipt_per_neighbour(self):
+        table = RouteTable(hello_lifetime_s=HELLO_LIFETIME_S)
+        table.hellos[4] = (_hello(4, 7), 1.0)
+        table.hellos[4] = (_hello(4, 8), 1.6)
+        assert _fields(table.entry(4)) == (4, 4, 1, 8, 1.6 + HELLO_LIFETIME_S, True)
+        assert table.hellos == {}
+
+    def test_fold_keeps_first_receipt_order_and_precedes_the_triggering_insert(self):
+        # Insertion order is observable: it orders ``invalidate_through``'s
+        # result and with it the contents of a RERR.
+        table = RouteTable(hello_lifetime_s=HELLO_LIFETIME_S)
+        mailbox = table.hellos
+        for at, sender in enumerate((7, 3, 7)):
+            mailbox[sender] = (_hello(sender, 1), float(at))
+        table.update(destination=9, next_hop=3, hop_count=2, seq=1, expiry_time=10.0)
+        assert [entry.destination for entry in table] == [7, 3, 9]
+        # The node's receive table holds this very dict: folding empties it,
+        # never replaces it.
+        assert table.hellos is mailbox and mailbox == {}
+
+    def test_link_break_after_a_pending_hello_sees_refreshed_then_broken(self):
+        table = RouteTable(hello_lifetime_s=HELLO_LIFETIME_S)
+        table.update(destination=6, next_hop=2, hop_count=3, seq=1, expiry_time=10.0)
+        table.hellos[2] = (_hello(2, 5), 1.0)
+        broken = table.invalidate_through(2)
+        assert [_fields(entry) for entry in broken] == [
+            (6, 2, 3, 2, 10.0, False),
+            (2, 2, 1, 6, 1.0 + HELLO_LIFETIME_S, False),
+        ]
+
+
+class CoalescingAgainstEager(RuleBasedStateMachine):
+    """The coalescing table against an **eager oracle** -- a second table on
+    which the test calls ``update`` per HELLO receipt, as ``_on_hello`` did --
+    through random interleavings of receipts and every table operation.
+
+    After every step the two hold equal entries **in iteration order**.  The
+    comparison reads a deep copy, so the receipts pending on the table under
+    test stay pending across steps.
+    """
+
+    nodes = st.integers(min_value=0, max_value=5)
+
+    def __init__(self):
+        super().__init__()
+        self.lazy = RouteTable(hello_lifetime_s=HELLO_LIFETIME_S)
+        self.eager = RouteTable()
+        self.now = 0.0
+        self.hello_seq = {}
+
+    def _both(self, operation):
+        """Run one operation on both tables; the results must agree."""
+        got, expected = operation(self.lazy), operation(self.eager)
+        assert got == expected
+        assert not self.lazy.hellos  # drained before the read or write
+
+    @rule(sender=nodes, bump=st.sampled_from((0, 0, 0, 1, 2)),
+          dt=st.floats(min_value=0.001, max_value=1.5))
+    def receipt(self, sender, bump, dt):
+        # Per sender the HELLO ``seq`` never decreases; time only advances.
+        self.now += dt
+        seq = self.hello_seq[sender] = self.hello_seq.get(sender, 3) + bump
+        self.lazy.hellos[sender] = (_hello(sender, seq), self.now)
+        self.eager.update(sender, sender, 1, seq, self.now + HELLO_LIFETIME_S)
+
+    @rule(destination=nodes, next_hop=nodes, hop_count=st.integers(1, 3),
+          seq=st.integers(0, 8), lifetime=st.floats(min_value=0.0, max_value=5.0))
+    def update(self, destination, next_hop, hop_count, seq, lifetime):
+        expiry = self.now + lifetime
+        self._both(lambda t: t.update(destination, next_hop, hop_count, seq, expiry))
+
+    @rule(destination=nodes, lifetime=st.floats(min_value=0.0, max_value=5.0))
+    def refresh(self, destination, lifetime):
+        expiry = self.now + lifetime
+        self._both(lambda t: t.refresh(destination, expiry))
+
+    @rule(destination=nodes)
+    def invalidate(self, destination):
+        self._both(lambda t: _fields(t.invalidate(destination)))
+
+    @rule(next_hop=nodes)
+    def invalidate_through(self, next_hop):
+        self._both(lambda t: [_fields(e) for e in t.invalidate_through(next_hop)])
+
+    @rule(destination=nodes)
+    def lookup(self, destination):
+        self._both(lambda t: _fields(t.lookup(destination, self.now)))
+
+    @rule(destination=nodes)
+    def entry(self, destination):
+        self._both(lambda t: _fields(t.entry(destination)))
+
+    @rule()
+    def iterate(self):
+        self._both(lambda t: [_fields(e) for e in t])
+
+    @rule()
+    def length(self):
+        self._both(len)
+
+    @rule()
+    def destinations(self):
+        self._both(lambda t: t.destinations())
+
+    @invariant()
+    def same_entries_in_iteration_order(self):
+        pending = copy.deepcopy(self.lazy)
+        assert [_fields(e) for e in pending] == [_fields(e) for e in self.eager]
+
+
+TestCoalescingAgainstEager = CoalescingAgainstEager.TestCase
+TestCoalescingAgainstEager.settings = settings(
+    max_examples=100, stateful_step_count=40, deadline=None
+)
