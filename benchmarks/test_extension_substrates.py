@@ -11,7 +11,7 @@ recovery.
 import pytest
 
 from benchmarks.conftest import bench_scale, bench_seeds
-from repro.experiments.runner import _variant_config
+from repro.experiments.variants import variant_config
 from repro.workload.scenario import Scenario, ScenarioConfig
 
 VARIANTS = ("maodv", "gossip", "odmrp", "odmrp-gossip", "flooding")
@@ -35,7 +35,7 @@ def test_gossip_over_different_substrates(benchmark):
         measured = {}
         for variant in VARIANTS:
             runs = [
-                Scenario(_variant_config(_base(seed), variant)).run()
+                Scenario(variant_config(_base(seed), variant)).run()
                 for seed in range(1, seeds + 1)
             ]
             measured[variant] = {

@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Run a paper-scale subset of every figure sweep and dump the measurements.
 
-The full 10-seed, 9-point sweeps of the paper take hours in pure Python; this
-script runs a representative subset (a few x values, 1-2 seeds) at the exact
-paper-scale parameters (600 s, 40+ nodes, 2201 packets) so EXPERIMENTS.md can
-report measured paper-scale numbers next to the paper's own.
+A paper-scale point costs 2-6 s of wall, so the full 10-seed sweeps of
+fig2-7 (1,040 trials) are about an hour at ``--jobs 2`` -- run those with
+``python -m repro campaign``.  This script is the minutes-long version: a
+representative subset (a few x values, 1-2 seeds) at the exact paper-scale
+parameters (600 s, 40+ nodes, 2201 packets), so EXPERIMENTS.md can report
+measured paper-scale numbers next to the paper's own.
 
 Trials run through the campaign subsystem (:mod:`repro.campaign`): ``--jobs``
 fans the independent runs out over worker processes, and ``--store`` appends

@@ -19,9 +19,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.experiments.figures import ExperimentSpec
-from repro.experiments.variants import variant_config
 from repro.metrics.reporting import format_rows
-from repro.workload.scenario import ScenarioConfig
 
 if TYPE_CHECKING:  # pragma: no cover - avoid an import cycle at runtime
     from repro.campaign.executor import ProgressCallback
@@ -117,11 +115,6 @@ def run_experiment(
     )
     records = run_campaign(trials, jobs=jobs, store=store, progress=progress)
     return aggregate_experiment(spec, records)
-
-
-def _variant_config(base: ScenarioConfig, variant: str) -> ScenarioConfig:
-    """Back-compat alias for :func:`repro.experiments.variants.variant_config`."""
-    return variant_config(base, variant)
 
 
 def run_goodput_experiment(

@@ -10,8 +10,7 @@ evaluation relies on:
   propagation, carrier sensing and collision handling, with all geometry
   frozen at transmission start.
 * :mod:`repro.net.spatial` -- spatial indexing behind the medium: a uniform
-  grid over a bounded-drift position memo (O(k) candidate queries) and the
-  O(N) linear-scan reference implementation.
+  grid over a bounded-drift position memo (O(k) candidate queries).
 * :mod:`repro.net.phy` -- per-node radio bound to the medium.
 * :mod:`repro.net.mac` -- a CSMA/CA MAC in the spirit of IEEE 802.11 DCF:
   carrier sense, binary-exponential backoff, unicast ACK + retransmission,
@@ -25,14 +24,13 @@ from repro.net.mac import CsmaMac, MacStats
 from repro.net.medium import Medium, MediumStats
 from repro.net.node import Node
 from repro.net.packet import Frame, Packet
-from repro.net.spatial import LinearScanIndex, PositionMemo, UniformGridIndex
+from repro.net.spatial import PositionMemo, UniformGridIndex
 
 __all__ = [
     "BROADCAST_ADDRESS",
     "CsmaMac",
     "Frame",
     "GroupAddress",
-    "LinearScanIndex",
     "MacConfig",
     "MacStats",
     "Medium",

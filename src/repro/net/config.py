@@ -13,6 +13,10 @@ from dataclasses import dataclass
 class RadioConfig:
     """Physical-layer parameters.
 
+    There is one medium implementation (:mod:`repro.net.medium`); the grid
+    cell and slack below are the only performance knobs, and neither can
+    change a result.
+
     Attributes
     ----------
     transmission_range_m:
@@ -26,18 +30,6 @@ class RadioConfig:
         Channel bit rate.  The paper assumes 2 Mbps.
     preamble_s:
         Fixed per-frame PHY overhead added to the transmission duration.
-    medium_index:
-        Spatial index used by the medium to find receivers/interferers:
-        ``"grid"`` (uniform grid + kinetic windows, O(k) per transmission,
-        the default) or ``"naive"`` (the O(N) linear-scan reference).  Both
-        produce bit-identical results.
-    fanout_kernel:
-        Reception-bookkeeping kernel of the medium: ``"batch"`` (one pooled
-        :class:`~repro.net.medium.ReceptionBatch` per transmission over the
-        sender's frozen interference list, one reception record per radio,
-        the default) or ``"object"`` (one pooled record per in-flight copy,
-        the bit-identical reference).  A pure performance knob: both kernels
-        produce identical statistics, delivery sequences and event counts.
     grid_cell_m:
         Cell size of the uniform grid.  The default is speed-aware: a third
         of the carrier-sense range for slow fleets (``speed_bound_mps``
@@ -75,8 +67,6 @@ class RadioConfig:
     carrier_sense_range_m: float | None = None
     bitrate_bps: float = 2_000_000.0
     preamble_s: float = 192e-6
-    medium_index: str = "grid"
-    fanout_kernel: str = "batch"
     grid_cell_m: float | None = None
     grid_slack_m: float | None = None
     speed_bound_mps: float | None = None
@@ -94,14 +84,6 @@ class RadioConfig:
             self.carrier_sense_range_m = self.transmission_range_m
         if self.carrier_sense_range_m < self.transmission_range_m:
             raise ValueError("carrier_sense_range_m cannot be below transmission_range_m")
-        if self.medium_index not in ("grid", "naive"):
-            raise ValueError(
-                f"medium_index must be 'grid' or 'naive', got {self.medium_index!r}"
-            )
-        if self.fanout_kernel not in ("batch", "object"):
-            raise ValueError(
-                f"fanout_kernel must be 'batch' or 'object', got {self.fanout_kernel!r}"
-            )
         if self.area_topology not in ("flat", "torus"):
             raise ValueError(
                 f"area_topology must be 'flat' or 'torus', got {self.area_topology!r}"

@@ -33,12 +33,11 @@ so it senses energy but can never decode.
 
 Spatial index
 -------------
-Candidate receivers/interferers come from a pluggable spatial index
-(:mod:`repro.net.spatial`): a uniform grid over memoised positions (O(k) per
-transmission, the default) or a naive linear scan
-(``RadioConfig(medium_index="naive")``).  Both produce bit-identical
-statistics and delivery sequences; the naive index is kept as the reference
-for equivalence tests.
+Candidate receivers/interferers come from the spatial index of
+:mod:`repro.net.spatial`: a uniform grid over memoised positions, O(k) per
+transmission (its torus subclass on a periodic area).  The O(N) linear scan
+it is proven bit-identical against is a test oracle
+(``tests/net/reference_medium.py``), not an option.
 
 The medium consumes one interface for static and moving senders alike:
 ``transmission_window`` resolves the sender's kinetic interference window --
@@ -51,42 +50,33 @@ builds a new one when a verdict flips, the candidate set is rebuilt or a
 radio's power state changes (the medium tells it) -- so a flight keeps a
 reference for its airtime and most flights of a sender share one object.
 
-Fan-out kernels
----------------
+Reception bookkeeping
+---------------------
 A paper-scale run starts tens of thousands of transmissions, each fanning
 out to every radio in carrier-sense range, so the per-reception bookkeeping
-is the dominant hot path.  Two interchangeable kernels implement it,
-selected by ``RadioConfig(fanout_kernel=...)``:
+is the dominant hot path.  It keeps one reception record per *radio*, not
+per copy.  Every corruption event at a radio (overlapping energy, the radio
+starting to transmit, its power-down) corrupts *all* copies it currently
+holds, never a single one; and a copy is decodable only if it arrived on a
+radio that held nothing and was not transmitting.  So **a radio holds at
+most one decodable copy** -- the invariant this design rests on, asserted
+in ``tests/properties/test_medium_equivalence.py`` on the per-copy oracle
+(``PerCopyMedium`` in ``tests/net/reference_medium.py``: one record per
+in-flight copy, against which this medium is proven bit-identical on the
+hot-path goldens, failure injection included) -- and its whole reception
+state is a count of held copies, the busy watermark and one pointer,
+``Phy.rx_current``: the flight it is locked on, or ``None``.  "Copy is
+intact" is ``rx_current is batch``; "all this radio hears is lost" is
+``rx_current = None``; a crashing sender clears the pointer on the radios
+locked on its flight.  A pooled :class:`ReceptionBatch` holds the shared
+frame and *borrows* the frozen interference list; fan-out and teardown are
+one walk of that list each, with no per-copy record, append, link or unlink
+anywhere.  Ownership: the list belongs to the index, a flight only reads it
+and drops its reference at teardown; radios that join mid-flight (late
+register, power-up) go on the batch's own ``late`` side list, never on the
+borrowed one.
 
-``"batch"`` (the default)
-    One reception record per *radio*, not per copy.  Every corruption event
-    at a radio (overlapping energy, the radio starting to transmit, its
-    power-down) corrupts *all* copies it currently holds, never a single
-    one; and a copy is decodable only if it arrived on a radio that held
-    nothing and was not transmitting.  So **a radio holds at most one
-    decodable copy** -- the invariant this kernel rests on, asserted on the
-    reference kernel in ``tests/properties/test_medium_equivalence.py`` --
-    and its whole reception state is a count of held copies, the busy
-    watermark and one pointer, ``Phy.rx_current``: the flight it is locked
-    on, or ``None``.  "Copy is intact" is ``rx_current is batch``; "all this
-    radio hears is lost" is ``rx_current = None``; a crashing sender clears
-    the pointer on the radios locked on its flight.  A pooled
-    :class:`ReceptionBatch` holds the shared frame and *borrows* the frozen
-    interference list; fan-out and teardown are one walk of that list each,
-    with no per-copy record, append, link or unlink anywhere.  Ownership:
-    the list belongs to the index, a flight only reads it and drops its
-    reference at teardown; radios that join mid-flight (late register,
-    power-up) go on the batch's own ``late`` side list, never on the
-    borrowed one.
-
-``"object"``
-    The reference kernel: one pooled, slotted :class:`_Reception` record
-    per in-flight copy, linked into per-node lists with intrusive slot
-    indexes for O(1) removal.  Kept bit-identical to the batch kernel
-    (proven on the hot-path goldens, including failure injection) exactly
-    like the naive spatial index backs the grid.
-
-Both kernels share the delivery fast paths.  A receiver's MAC opts in to
+Delivery has its own fast paths.  A receiver's MAC opts in to
 medium-side unicast filtering (``Phy.unicast_filter`` -- copies of unicast
 frames addressed elsewhere are counted but never dispatched) and lends the
 radio its node's *broadcast route* (``Phy.broadcast_route``): the node's
@@ -100,19 +90,19 @@ mailbox dict itself: the copy is then one store, ``mailbox[sender] =
 (packet, now)``, the tuple built once per flight, and no Python frame at all.
 Telling the two apart is one class test per decoded copy.  ``_finish_batch``
 inlines the broadcast route per flight; ``_dispatch`` is the whole decision
-per copy, shared with the object kernel and the late-foreign path.
+per copy, shared with the late-foreign path (and the per-copy oracle).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, TYPE_CHECKING, Union
+from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.net.addressing import BROADCAST_ADDRESS
 from repro.net.config import RadioConfig
 from repro.net.packet import Frame
-from repro.net.spatial import LinearScanIndex, TorusGridIndex, UniformGridIndex
+from repro.net.spatial import TorusGridIndex, UniformGridIndex
 from repro.obs import NULL_OBS
 from repro.sim.engine import Simulator
 
@@ -133,9 +123,9 @@ class MediumStats:
 
 
 class ReceptionBatch:
-    """One in-flight transmission and the radios it reaches (batch kernel).
+    """One in-flight transmission and the radios it reaches.
 
-    Slotted and pooled: the batch kernel recycles batches through a free
+    Slotted and pooled: the medium recycles batches through a free
     list, and a batch owns no per-copy storage at all.  :attr:`reach` is
     the sender's frozen interference list, *borrowed* from the spatial
     index for the airtime (see ``transmission_window``); which of those
@@ -165,47 +155,6 @@ class ReceptionBatch:
     def copies(self) -> list:
         """Every ``(phy, in_range)`` copy of the frame, late ones last."""
         return self.reach if self.late is None else self.reach + self.late
-
-
-class _Reception:
-    """An in-flight copy of a frame heading for one receiver (object kernel).
-
-    Slotted and pooled: the medium recycles records through a free list, so
-    steady-state transmission fan-out allocates nothing.  ``node_slot`` is
-    the record's index in its receiver's ``_active_receptions`` list
-    (intrusive membership), making end-of-flight removal an O(1) swap-pop.
-    """
-
-    __slots__ = ("receiver", "tx", "end_time", "in_range", "corrupted", "node_slot")
-
-    def __init__(self, receiver: "Phy", tx: "_Transmission", end_time: float,
-                 in_range: bool, corrupted: bool = False):
-        self.receiver = receiver
-        #: The transmission this copy belongs to; the shared frame and sender
-        #: are read through it, so the per-receiver record stays small.
-        self.tx = tx
-        self.end_time = end_time
-        self.in_range = in_range
-        self.corrupted = corrupted
-        self.node_slot = -1
-
-
-class _Transmission:
-    """An in-flight transmission occupying the channel (object kernel)."""
-
-    __slots__ = ("sender", "frame", "start_time", "end_time", "sender_pos",
-                 "receptions", "active_slot")
-
-    def __init__(self, sender: "Phy", frame: Frame, start_time: float,
-                 end_time: float, sender_pos: tuple):
-        self.sender = sender
-        self.frame = frame
-        self.start_time = start_time
-        self.end_time = end_time
-        self.sender_pos = sender_pos
-        self.receptions: List[_Reception] = []
-        #: Index in ``Medium._active`` (intrusive membership, O(1) removal).
-        self.active_slot = -1
 
 
 class _ForeignSender:
@@ -277,22 +226,13 @@ class Medium:
         #: feeds the report's top-N fan-out offenders).
         self._fanout_totals: Dict[int, int] = {}
         self._phys: Dict[int, "Phy"] = {}
-        #: In-flight transmissions; ``ReceptionBatch`` or ``_Transmission``
-        #: entries depending on the kernel (never mixed).
-        self._active: list = []
-        #: node_id -> that radio's ongoing-reception list (the same list
-        #: object as ``phy._rx_ongoing``); a list of ``_Reception`` records.
-        #: Object kernel only -- the batch kernel keeps no per-node lists
-        #: (corruption state lives in per-radio counters on the phy), so
-        #: these stay empty there.
-        self._active_receptions: Dict[int, list] = {}
+        #: In-flight transmissions.
+        self._active: List[ReceptionBatch] = []
         self._airtime = self.config.airtime
         self._cs_range = self.config.carrier_sense_range_m
         self._rx_range = self.config.transmission_range_m
-        # Free lists (see module docstring).
+        # Free list (see module docstring).
         self._batch_pool: List[ReceptionBatch] = []
-        self._reception_pool: List[_Reception] = []
-        self._transmission_pool: List[_Transmission] = []
         #: (width, height) of the periodic area, or ``None`` on the flat
         #: rectangle; every direct distance below applies the minimum-image
         #: convention when set.
@@ -301,33 +241,21 @@ class Medium:
             if self.config.area_topology == "torus"
             else None
         )
-        self._index: Union[UniformGridIndex, LinearScanIndex]
-        if self.config.medium_index == "grid":
-            if self._wrap is not None:
-                self._index = TorusGridIndex(
-                    cell_m=self.config.grid_cell_m,
-                    slack_m=self.config.grid_slack_m,
-                    width_m=self._wrap[0],
-                    height_m=self._wrap[1],
-                    membership=index_membership,
-                )
-            else:
-                self._index = UniformGridIndex(
-                    cell_m=self.config.grid_cell_m,
-                    slack_m=self.config.grid_slack_m,
-                    membership=index_membership,
-                )
-        else:
-            self._index = LinearScanIndex(
-                wrap=self._wrap, membership=index_membership
+        self._index: UniformGridIndex
+        if self._wrap is not None:
+            self._index = TorusGridIndex(
+                cell_m=self.config.grid_cell_m,
+                slack_m=self.config.grid_slack_m,
+                width_m=self._wrap[0],
+                height_m=self._wrap[1],
+                membership=index_membership,
             )
-        #: Kernel dispatch: the two hot entry points are bound per instance
-        #: so neither kernel pays a mode branch per call.
-        self._batch_mode = self.config.fanout_kernel == "batch"
-        if self._batch_mode:
-            self.transmit = self._transmit_batch
         else:
-            self.transmit = self._transmit_object
+            self._index = UniformGridIndex(
+                cell_m=self.config.grid_cell_m,
+                slack_m=self.config.grid_slack_m,
+                membership=index_membership,
+            )
 
     # --------------------------------------------------------------- registry
     def register(self, phy: "Phy") -> None:
@@ -341,10 +269,6 @@ class Medium:
         if phy.node_id in self._phys:
             raise ValueError(f"node {phy.node_id} already registered on this medium")
         self._phys[phy.node_id] = phy
-        # One list per radio, shared by the registry dict (API surface,
-        # tests) and the phy attribute (hot-path access).
-        phy._rx_ongoing = bucket = []
-        self._active_receptions[phy.node_id] = bucket
         self._index.add(phy)
         mobility = getattr(phy.node, "mobility", None)
         subscribe = getattr(mobility, "add_position_listener", None)
@@ -429,9 +353,9 @@ class Medium:
         """Carrier sense as perceived by ``phy`` (see ``Phy.carrier_busy``)."""
         return phy.carrier_busy()
 
-    # ---------------------------------------------------------- batch kernel
+    # -------------------------------------------------------------- fan-out
     def _transmit_batch(self, sender: "Phy", frame: Frame) -> float:
-        """Start transmitting ``frame`` from ``sender`` (batch kernel).
+        """Start transmitting ``frame`` from ``sender``.
 
         Returns the airtime of the frame.  Reception outcomes are resolved
         when the transmission ends; all geometry is frozen now, at start.
@@ -467,6 +391,10 @@ class Medium:
             totals[sender_id] = totals.get(sender_id, 0) + count
             self._span_fanout.stop()
         return duration
+
+    #: The public entry point.  An alias, not a rename: the benchmark's
+    #: profiler attributes medium time by the function names above and below.
+    transmit = _transmit_batch
 
     def _launch(self, sender, frame: Frame, end_time: float, sender_pos: tuple,
                 reach: list) -> ReceptionBatch:
@@ -546,7 +474,7 @@ class Medium:
         deliveries = 0
         # ``rx_current`` is read per copy, at visit time, so a callback that
         # powers a radio down mid-teardown is seen by the copies still
-        # pending -- exactly like the object kernel's per-record reads.
+        # pending -- exactly like the per-copy oracle's per-record reads.
         for receiver, in_range in batch.copies():
             receiver.rx_held_count -= 1
             if receiver.rx_current is not batch:
@@ -645,163 +573,6 @@ class Medium:
         elif receiver.receive_callback is not None:
             receiver.receive_callback(frame, sender_id)
 
-    # --------------------------------------------------------- object kernel
-    def _transmit_object(self, sender: "Phy", frame: Frame) -> float:
-        """Start transmitting ``frame`` from ``sender`` (object kernel).
-
-        Returns the airtime of the frame.  Reception outcomes are resolved
-        when the transmission ends; all geometry is frozen now, at start.
-        """
-        obs_on = self._obs_on
-        if obs_on:
-            self._span_fanout.start()
-        now = self.sim.now
-        duration = self._airtime(frame.size_bytes)
-        end_time = now + duration
-        index = self._index
-        sender_pos = index.exact(sender, now)
-        tpool = self._transmission_pool
-        if tpool:
-            tx = tpool.pop()
-            tx.sender = sender
-            tx.frame = frame
-            tx.start_time = now
-            tx.end_time = end_time
-            tx.sender_pos = sender_pos
-        else:
-            tx = _Transmission(sender, frame, now, end_time, sender_pos)
-        stats = self.stats
-        stats.transmissions += 1
-
-        # A node that starts transmitting corrupts anything it was receiving.
-        for reception in sender._rx_ongoing:
-            if not reception.corrupted:
-                reception.corrupted = True
-                stats.half_duplex_losses += 1
-
-        pool = self._reception_pool
-        receptions = tx.receptions
-        rec_append = receptions.append
-        collisions = 0
-        half_duplex = 0
-        for phy, in_range in index.transmission_window(
-            sender, sender_pos, self._cs_range, self._rx_range, now
-        ):
-            if pool:
-                reception = pool.pop()
-                reception.receiver = phy
-                reception.tx = tx
-                reception.end_time = end_time
-                reception.in_range = in_range
-                reception.corrupted = False
-            else:
-                reception = _Reception(phy, tx, end_time, in_range)
-            ongoing = phy._rx_ongoing
-            if ongoing:
-                # Overlapping energy at this receiver: everything is lost.
-                for other in ongoing:
-                    if not other.corrupted:
-                        other.corrupted = True
-                        collisions += 1
-                reception.corrupted = True
-                collisions += 1
-                reception.node_slot = len(ongoing)
-            else:
-                reception.node_slot = 0
-            if phy.transmitting:
-                reception.corrupted = True
-                half_duplex += 1
-            if end_time > phy.rx_busy_until:
-                phy.rx_busy_until = end_time
-            ongoing.append(reception)
-            rec_append(reception)
-        if collisions:
-            stats.collisions += collisions
-        if half_duplex:
-            stats.half_duplex_losses += half_duplex
-
-        tx.active_slot = len(self._active)
-        self._active.append(tx)
-        self.sim.call_in(duration, self._finish_transmission, (tx,))
-        if obs_on:
-            fanout = len(receptions)
-            self._h_fanout.observe(fanout)
-            totals = self._fanout_totals
-            sender_id = sender.node_id
-            totals[sender_id] = totals.get(sender_id, 0) + fanout
-            self._span_fanout.stop()
-        return duration
-
-    def _finish_transmission(self, tx: _Transmission) -> None:
-        obs_on = self._obs_on
-        if obs_on:
-            self._span_teardown.start()
-        # O(1) intrusive removal from the in-flight list.
-        active = self._active
-        tail = active.pop()
-        if tail is not tx:
-            slot = tx.active_slot
-            active[slot] = tail
-            tail.active_slot = slot
-        stats = self.stats
-        pool_append = self._reception_pool.append
-        frame = tx.frame
-        sender_id = tx.sender.node_id
-        disabled_discards = 0
-        out_of_range = 0
-        half_duplex = 0
-        deliveries = 0
-        for reception in tx.receptions:
-            receiver = reception.receiver
-            # O(1) intrusive removal: swap the list tail into this record's
-            # slot (per-node reception lists are order-insensitive).
-            ongoing = receiver._rx_ongoing
-            last = ongoing.pop()
-            if last is not reception:
-                slot = reception.node_slot
-                ongoing[slot] = last
-                last.node_slot = slot
-            # Capture the outcome fields, then recycle the record before the
-            # delivery callback: everything below uses the locals, so even a
-            # callback that pops the pool cannot clash with this record.
-            # The receiver/tx refs are left in place -- pooled records hold
-            # them until reuse overwrites them, which pins only long-lived
-            # objects (phys, pooled transmissions).
-            in_range = reception.in_range
-            corrupted = reception.corrupted
-            pool_append(reception)
-            if not receiver.enabled:
-                disabled_discards += 1
-                continue
-            if not in_range:
-                out_of_range += 1
-                continue
-            if corrupted:
-                continue
-            if receiver.transmitting:
-                half_duplex += 1
-                continue
-            deliveries += 1
-            self._dispatch(receiver, frame, sender_id)
-        if disabled_discards:
-            stats.disabled_discards += disabled_discards
-        if out_of_range:
-            stats.out_of_range_discards += out_of_range
-        if half_duplex:
-            stats.half_duplex_losses += half_duplex
-        stats.deliveries += deliveries
-        tx.receptions.clear()
-        sender = tx.sender
-        tx.sender = None
-        tx.frame = None
-        self._transmission_pool.append(tx)
-        if self._set_shard is not None:
-            self._set_shard(sender.shard)
-        sender.transmission_finished()
-        if obs_on:
-            # See _finish_batch: the span covers the whole end-of-airtime.
-            self._span_teardown.stop()
-
     # ------------------------------------------------------- power transitions
     def radio_powered_down(self, phy: "Phy") -> None:
         """A radio went down mid-flight: it stops receiving *and* radiating.
@@ -818,18 +589,10 @@ class Medium:
             # Tell the other shards: their copies of any frame this radio
             # still had on the air are truncated too.
             self._export.append(("down", now, phy.node_id))
-        if self._batch_mode:
-            phy.rx_current = None
-            for batch in self._active:
-                if batch.sender is phy and batch.end_time > now:
-                    self._truncate(batch)
-        else:
-            for reception in self._active_receptions.get(phy.node_id, ()):
-                reception.corrupted = True
-            for tx in self._active:
-                if tx.sender is phy and tx.end_time > now:
-                    for reception in tx.receptions:
-                        reception.corrupted = True
+        phy.rx_current = None
+        for batch in self._active:
+            if batch.sender is phy and batch.end_time > now:
+                self._truncate(batch)
 
     @staticmethod
     def _truncate(batch: ReceptionBatch) -> None:
@@ -862,54 +625,27 @@ class Medium:
         rx_range = self._rx_range
         cs_sq = cs_range * cs_range
         rx_sq = rx_range * rx_range
-        if self._batch_mode:
-            for batch in self._active:
-                if batch.sender is phy or batch.end_time <= now:
-                    continue
-                # A power cycle inside one airtime must not attach a second
-                # copy of a transmission the radio already holds (from before
-                # it went down) -- duplicates would double-count the discard
-                # statistics.
-                if any(holder is phy for holder, _ in batch.copies()):
-                    continue
-                dx, dy = self._deltas(
-                    batch.sender_pos[0], batch.sender_pos[1], position[0], position[1]
-                )
-                distance_sq = dx * dx + dy * dy
-                if distance_sq > cs_sq:
-                    continue
-                if batch.late is None:
-                    batch.late = []
-                batch.late.append((phy, distance_sq <= rx_sq))
-                phy.rx_held_count += 1
-                if batch.end_time > phy.rx_busy_until:
-                    phy.rx_busy_until = batch.end_time
-        else:
-            ongoing = self._active_receptions[phy.node_id]
-            for tx in self._active:
-                if tx.sender is phy or tx.end_time <= now:
-                    continue
-                # See the batch branch for the duplicate-copy guard.
-                if any(reception.tx is tx for reception in ongoing):
-                    continue
-                dx, dy = self._deltas(
-                    tx.sender_pos[0], tx.sender_pos[1], position[0], position[1]
-                )
-                distance_sq = dx * dx + dy * dy
-                if distance_sq > cs_sq:
-                    continue
-                reception = _Reception(
-                    phy,
-                    tx,
-                    tx.end_time,
-                    distance_sq <= rx_sq,
-                    corrupted=True,
-                )
-                reception.node_slot = len(ongoing)
-                if tx.end_time > phy.rx_busy_until:
-                    phy.rx_busy_until = tx.end_time
-                ongoing.append(reception)
-                tx.receptions.append(reception)
+        for batch in self._active:
+            if batch.sender is phy or batch.end_time <= now:
+                continue
+            # A power cycle inside one airtime must not attach a second
+            # copy of a transmission the radio already holds (from before
+            # it went down) -- duplicates would double-count the discard
+            # statistics.
+            if any(holder is phy for holder, _ in batch.copies()):
+                continue
+            dx, dy = self._deltas(
+                batch.sender_pos[0], batch.sender_pos[1], position[0], position[1]
+            )
+            distance_sq = dx * dx + dy * dy
+            if distance_sq > cs_sq:
+                continue
+            if batch.late is None:
+                batch.late = []
+            batch.late.append((phy, distance_sq <= rx_sq))
+            phy.rx_held_count += 1
+            if batch.end_time > phy.rx_busy_until:
+                phy.rx_busy_until = batch.end_time
 
     # ------------------------------------------------- cross-shard mailboxes
     # The parallel region-sharded engine (see :mod:`repro.sim.shard`) runs
@@ -976,13 +712,11 @@ class Medium:
 
         The flight's reach is built here, once, from the local index's
         candidates around the exported start position; from there it is an
-        ordinary batch-kernel flight (:meth:`_launch`, then the shared
+        ordinary flight (:meth:`_launch`, then the shared
         ``_finish_batch`` teardown at ``end_time``).  The transmission
         itself is *not* counted -- the originating shard owns
         ``stats.transmissions``.
         """
-        if not self._batch_mode:
-            raise RuntimeError("cross-shard attach requires the batch fan-out kernel")
         now = self.sim.now
         index = self._index
         cs_range = self._cs_range
@@ -1052,38 +786,19 @@ class Medium:
 
     # --------------------------------------------------------------- telemetry
     def receptions_for(self, node_id: int) -> List[tuple]:
-        """In-flight copies heading for ``node_id``, kernel-independently.
+        """In-flight copies heading for ``node_id``.
 
         Returns ``(sender_id, end_time, in_range, corrupted)`` tuples -- the
-        stable view for tests and tools, regardless of whether the kernel
-        keeps per-copy records or batch arrays plus per-radio counters
+        stable view for tests and tools over the per-radio reception record
         underneath.  Tuple order is unspecified.
         """
-        out = []
-        if self._batch_mode:
-            phy = self._phys.get(node_id)
-            for batch in self._active:
-                for holder, in_range in batch.copies():
-                    if holder is phy:
-                        out.append(
-                            (
-                                batch.sender.node_id,
-                                batch.end_time,
-                                in_range,
-                                phy.rx_current is not batch,
-                            )
-                        )
-        else:
-            for reception in self._active_receptions.get(node_id, ()):
-                out.append(
-                    (
-                        reception.tx.sender.node_id,
-                        reception.end_time,
-                        reception.in_range,
-                        reception.corrupted,
-                    )
-                )
-        return out
+        phy = self._phys.get(node_id)
+        return [
+            (batch.sender.node_id, batch.end_time, in_range, phy.rx_current is not batch)
+            for batch in self._active
+            for holder, in_range in batch.copies()
+            if holder is phy
+        ]
 
     def top_fanout(self, n: int = 10) -> List[tuple]:
         """Worst fan-out offenders: ``(sender, total receptions)``, top ``n``.

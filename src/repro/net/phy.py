@@ -28,8 +28,8 @@ class Phy:
 
     __slots__ = ("node", "node_id", "medium", "transmitting", "enabled",
                  "receive_callback", "broadcast_route", "unicast_filter",
-                 "on_transmission_finished", "_tx_frame", "_rx_ongoing",
-                 "rx_busy_until", "rx_held_count", "rx_current", "shard")
+                 "on_transmission_finished", "_tx_frame", "rx_busy_until",
+                 "rx_held_count", "rx_current", "shard")
 
     def __init__(self, node: "Node", medium: Medium):
         self.node = node
@@ -69,21 +69,13 @@ class Phy:
         self.on_transmission_finished: Optional[Callable[[Frame], None]] = None
         #: Frame currently on the air (bookkeeping for the hook above).
         self._tx_frame: Optional[Frame] = None
-        #: In-flight reception records heading for this radio (object
-        #: kernel); the same list object as
-        #: ``Medium._active_receptions[node_id]``, hung here so the medium's
-        #: per-frame loops skip the dict lookup.  Owned by the medium (set
-        #: during registration); stays empty under the batch kernel, which
-        #: keeps reception state in the fields below instead.  Use
-        #: ``Medium.receptions_for`` for a kernel-independent view.
-        self._rx_ongoing = []
         #: Latest end-of-flight instant over every copy this radio has held
         #: (maintained by the medium on attach).  Because copies are removed
         #: exactly at their end time, the channel is sensed busy iff this
-        #: watermark lies in the future -- an O(1) carrier-sense test that
-        #: never walks the ongoing list.  Stale (past) values are harmless.
+        #: watermark lies in the future -- an O(1) carrier-sense test.  Stale
+        #: (past) values are harmless.
         self.rx_busy_until = -1.0
-        #: Batch-kernel reception record, maintained by the medium: one per
+        #: The reception record, maintained by the medium: one per
         #: radio, not one per copy.  ``rx_held_count`` copies are in flight
         #: at this radio, and **at most one of them is decodable** -- a copy
         #: decodes only if it arrived on a radio holding nothing and not

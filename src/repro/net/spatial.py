@@ -39,17 +39,15 @@ point, without changing a single simulation outcome:
     boundaries on an unchanged linear segment of both nodes; everything
     else is the linear scan's own expression on exact positions.
 
-:class:`LinearScanIndex`
-    The O(N) reference implementation with the exact semantics of the
-    original medium: every registered radio is a candidate and every position
-    is interpolated on demand, uncached.  Selectable via
-    ``RadioConfig(medium_index="naive")`` so grid/naive equivalence stays
-    testable (see ``tests/properties/test_medium_equivalence.py``).
+The O(N) reference with the exact semantics of the original medium -- every
+registered radio a candidate, every position interpolated on demand, nothing
+cached -- is a test oracle in ``tests/net/reference_medium.py``: the grid is
+proven against it (see ``tests/properties/test_medium_equivalence.py``), and
+nothing under ``src/`` selects it.
 
 Candidates are always reported in registration order, which is the order the
-naive implementation iterates radios in -- reception lists, delivery
-callbacks and therefore every downstream statistic are bit-identical between
-the two implementations.
+linear scan iterates radios in -- reception lists, delivery callbacks and
+therefore every downstream statistic are bit-identical between the two.
 """
 
 from __future__ import annotations
@@ -567,7 +565,7 @@ class UniformGridIndex:
         Returns ``(order, node_id, phy, in_reception_range)`` for every
         radio other than ``sender`` within ``cs_range`` of ``origin`` that
         is *enabled at call time*, in registration order -- exactly what
-        :class:`LinearScanIndex` computes by brute force.  The view for
+        the linear-scan oracle computes by brute force.  The view for
         tests and tools, derived from the window's members and verdicts;
         the medium consumes :meth:`transmission_window`'s frozen list.
         """
@@ -643,92 +641,6 @@ class TorusGridIndex(UniformGridIndex):
         self._ensure_current(now)
         cx, cy = self._cell_key(origin[0], origin[1])
         return self._window(cx, cy, radius)
-
-
-class LinearScanIndex:
-    """The O(N) reference: every radio is a candidate, nothing is cached.
-
-    This is the original medium semantics laid bare: every registered
-    radio's position is interpolated on demand and every distance is
-    computed, O(N) per query.  Kept selectable so the grid index can be
-    proven equivalent against it -- on the flat rectangle and, via ``wrap``,
-    on the torus (wrapped distances by brute force).
-    """
-
-    #: Telemetry counters, kept for a uniform ``spatial.index.*`` read path;
-    #: the linear scan neither caches nor rebuilds, so they stay zero.
-    grid_rebuilds = 0
-    window_hits = 0
-    window_builds = 0
-    window_resolves = 0
-
-    def __init__(self, wrap: Optional[Tuple[float, float]] = None, membership=None):
-        self._members: List[Tuple[int, int, "Phy"]] = []
-        self._wrap = wrap
-        #: See :attr:`UniformGridIndex.membership` -- same halo-filter hook.
-        self.membership = membership
-
-    def add(self, phy: "Phy") -> None:
-        if self.membership is not None and not self.membership(phy):
-            return
-        self._members.append((len(self._members), phy.node_id, phy))
-
-    def members(self) -> List[Tuple[int, int, "Phy"]]:
-        """Every registered radio as ``(order, node_id, phy)`` triples."""
-        return self._members
-
-    def invalidate(self, node_id: Optional[int] = None) -> None:
-        """Nothing is cached, so there is nothing to invalidate."""
-
-    def power_changed(self) -> None:
-        """Nothing is cached: every scan reads ``enabled`` afresh."""
-
-    def exact(self, phy: "Phy", now: float) -> Position:
-        return phy.position(now)
-
-    def candidates(
-        self, origin: Position, radius: float, now: float
-    ) -> List[Tuple[int, int, "Phy"]]:
-        return self._members
-
-    def transmission_window(
-        self, sender: "Phy", origin: Position, cs_range: float, rx_range: float,
-        now: float,
-    ) -> List[Tuple["Phy", bool]]:
-        """The interference list, by exhaustive scan: a fresh list per call
-        (flights keep theirs, so two overlapping flights must not share one)."""
-        return [
-            (phy, in_range)
-            for _, _, phy, in_range in self.interferers(
-                sender, origin, cs_range, rx_range, now
-            )
-        ]
-
-    def interferers(
-        self, sender: "Phy", origin: Position, cs_range: float, rx_range: float,
-        now: float,
-    ) -> List[Tuple[int, int, "Phy", bool]]:
-        """Classified interference set, by exhaustive scan."""
-        ox, oy = origin
-        cs_sq = cs_range * cs_range
-        rx_sq = rx_range * rx_range
-        wrap = self._wrap
-        out = []
-        for order, node_id, phy in self._members:
-            if phy is sender or not phy.enabled:
-                continue
-            position = phy.position(now)
-            dx = position[0] - ox
-            dy = position[1] - oy
-            if wrap is not None:
-                w, h = wrap
-                dx -= w * round(dx / w)
-                dy -= h * round(dy / h)
-            distance_sq = dx * dx + dy * dy
-            if distance_sq > cs_sq:
-                continue
-            out.append((order, node_id, phy, distance_sq <= rx_sq))
-        return out
 
 
 def region_census(index, classify, now: float) -> Dict[int, int]:

@@ -17,8 +17,8 @@ Three execution modes, one configuration surface
     globally minimal ``(time, seq)`` event across all shard heads.  The
     total event order is therefore *identical to the single-heap engine by
     construction*, for any shard count -- proven shard-count invariant on
-    the hot-path golden digests the same way grid-vs-naive and
-    batch-vs-object are proven.  The medium routes every delivery into the
+    the hot-path golden digests the same way the medium is proven against
+    its test oracles.  The medium routes every delivery into the
     receiving radio's home-shard heap, so per-shard event counts measure the
     real partition balance while results stay bit-exact.
 
@@ -43,11 +43,11 @@ Three execution modes, one configuration surface
     makes the in-process mode the cheap correctness reference for the
     multi-core mode.
 
-Parallel modes require the batch fan-out kernel and do not support churn
-(membership control would need its own cross-worker protocol); the
-sequential mode supports everything.  The observability layer *is*
-supported in every mode: each parallel worker instruments its own shard and
-the per-worker telemetry is merged into one run-wide snapshot -- the
+Parallel modes do not support churn (membership control would need its own
+cross-worker protocol); the sequential mode supports everything.  The
+observability layer *is* supported in every mode: each parallel worker
+instruments its own shard and the per-worker telemetry is merged into one
+run-wide snapshot -- the
 windowed driver merges the live obs objects in-process, the process driver
 ships per-worker snapshot dicts back over the result pipe and folds them
 with :func:`repro.obs.merge.merge_snapshots`.  The two paths are proven
@@ -436,11 +436,6 @@ class _Interest:
 
 
 def _validate_parallel(config) -> None:
-    if config.fanout_kernel != "batch":
-        raise ValueError(
-            "parallel shard modes require fanout_kernel='batch' "
-            "(cross-shard attach is a batch-kernel operation)"
-        )
     if config.churn_enabled:
         raise ValueError(
             "parallel shard modes do not support churn "

@@ -67,13 +67,6 @@ class ScenarioConfig:
     area_height_m: float = 200.0
     transmission_range_m: float = 75.0
     bitrate_bps: float = 2_000_000.0
-    #: Spatial index of the medium: "grid" (O(k), default) or "naive" (the
-    #: O(N) linear-scan reference).  Both produce bit-identical results.
-    medium_index: str = "grid"
-    #: Reception-bookkeeping kernel of the medium: "batch" (one reception
-    #: batch per transmission, default) or "object" (per-copy records, the
-    #: bit-identical reference).  A pure performance knob.
-    fanout_kernel: str = "batch"
     #: Radio-area geometry: "flat" (the paper's bounded rectangle) or
     #: "torus" (wrap-around edges, no border effects).
     area_topology: str = "flat"
@@ -149,10 +142,6 @@ class ScenarioConfig:
             raise ValueError("a scenario needs at least two nodes")
         if self.protocol not in ("maodv", "flooding", "odmrp"):
             raise ValueError(f"unknown protocol {self.protocol!r}")
-        if self.medium_index not in ("grid", "naive"):
-            raise ValueError(f"unknown medium_index {self.medium_index!r}")
-        if self.fanout_kernel not in ("batch", "object"):
-            raise ValueError(f"unknown fanout_kernel {self.fanout_kernel!r}")
         if self.area_topology not in ("flat", "torus"):
             raise ValueError(f"unknown area_topology {self.area_topology!r}")
         if self.member_count is not None and not 1 <= self.member_count <= self.num_nodes:
@@ -334,8 +323,6 @@ class Scenario:
         radio = RadioConfig(
             transmission_range_m=config.transmission_range_m,
             bitrate_bps=config.bitrate_bps,
-            medium_index=config.medium_index,
-            fanout_kernel=config.fanout_kernel,
             area_topology=config.area_topology,
             area_width_m=config.area_width_m,
             area_height_m=config.area_height_m,

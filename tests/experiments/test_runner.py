@@ -3,11 +3,7 @@
 import pytest
 
 from repro.experiments.figures import GOODPUT_COMBINATIONS, figure2_range_slow, figure8_goodput
-from repro.experiments.runner import (
-    _variant_config,
-    run_experiment,
-    run_goodput_experiment,
-)
+from repro.experiments.runner import run_experiment, run_goodput_experiment
 from repro.experiments.variants import KNOWN_VARIANTS, variant_config, variant_names
 from repro.workload.scenario import ScenarioConfig
 
@@ -15,37 +11,37 @@ from repro.workload.scenario import ScenarioConfig
 class TestVariantConfigs:
     def test_maodv_variant_disables_gossip(self):
         base = ScenarioConfig.quick()
-        config = _variant_config(base, "maodv")
+        config = variant_config(base, "maodv")
         assert not config.gossip_enabled
         assert config.protocol == "maodv"
 
     def test_gossip_variant_enables_gossip(self):
-        config = _variant_config(ScenarioConfig.quick(), "gossip")
+        config = variant_config(ScenarioConfig.quick(), "gossip")
         assert config.gossip_enabled
 
     def test_flooding_variant(self):
-        config = _variant_config(ScenarioConfig.quick(), "flooding")
+        config = variant_config(ScenarioConfig.quick(), "flooding")
         assert config.protocol == "flooding"
         assert not config.gossip_enabled
 
     def test_ablation_variants(self):
         base = ScenarioConfig.quick()
-        no_locality = _variant_config(base, "gossip-no-locality")
+        no_locality = variant_config(base, "gossip-no-locality")
         assert not no_locality.gossip_config.enable_locality
-        anonymous = _variant_config(base, "gossip-anonymous-only")
+        anonymous = variant_config(base, "gossip-anonymous-only")
         assert anonymous.gossip_config.p_anon == 1.0
-        cached = _variant_config(base, "gossip-cached-only")
+        cached = variant_config(base, "gossip-cached-only")
         assert cached.gossip_config.p_anon == 0.0
 
     def test_odmrp_variants(self):
-        plain = _variant_config(ScenarioConfig.quick(), "odmrp")
+        plain = variant_config(ScenarioConfig.quick(), "odmrp")
         assert plain.protocol == "odmrp" and not plain.gossip_enabled
-        with_gossip = _variant_config(ScenarioConfig.quick(), "odmrp-gossip")
+        with_gossip = variant_config(ScenarioConfig.quick(), "odmrp-gossip")
         assert with_gossip.protocol == "odmrp" and with_gossip.gossip_enabled
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
-            _variant_config(ScenarioConfig.quick(), "amris")
+            variant_config(ScenarioConfig.quick(), "amris")
 
 
 class TestVariantRegistry:
@@ -68,7 +64,7 @@ class TestVariantRegistry:
 
     def test_runner_alias_delegates_to_registry(self):
         base = ScenarioConfig.quick()
-        assert _variant_config(base, "gossip") == variant_config(base, "gossip")
+        assert variant_config(base, "gossip") == variant_config(base, "gossip")
 
 
 class TestRunExperiment:

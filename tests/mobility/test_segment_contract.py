@@ -18,8 +18,9 @@ from repro.mobility.random_waypoint import RandomWaypointMobility
 from repro.mobility.rpgm import RpgmMobility, build_group_reference
 from repro.mobility.static import StaticMobility
 from repro.mobility.trace import WaypointTraceMobility
-from repro.net.spatial import LinearScanIndex, UniformGridIndex
+from repro.net.spatial import UniformGridIndex
 from repro.sim.random import RandomStreams
+from tests.net.reference_medium import LinearScanIndex
 
 AREA = RectangularArea(200.0, 200.0)
 TIMES = [0.0, 0.25, 1.5, 8.0, 33.0, 33.0, 120.0, 121.7, 300.0]

@@ -213,11 +213,3 @@ class TestApplyForeignRecords:
         assert received_b[1] == []
         assert medium_b.foreign_stats["attached"] == 1  # replayed, no receivers
         assert medium_b.stats.deliveries == 0
-
-    def test_attach_requires_batch_kernel(self):
-        sim = Simulator()
-        medium = Medium(
-            sim, RadioConfig(transmission_range_m=100.0, fanout_kernel="object")
-        )
-        with pytest.raises(RuntimeError):
-            medium.attach_foreign(0, 1.0, 0.0, 0.0, _frame(0))

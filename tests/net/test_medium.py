@@ -35,11 +35,9 @@ class _TraceNode:
         return self.mobility.position(at_time)
 
 
-def _make_network(positions, range_m=100.0, medium_index="grid"):
+def _make_network(positions, range_m=100.0):
     sim = Simulator()
-    medium = Medium(
-        sim, RadioConfig(transmission_range_m=range_m, medium_index=medium_index)
-    )
+    medium = Medium(sim, RadioConfig(transmission_range_m=range_m))
     phys = []
     received = {}
     for node_id, (x, y) in enumerate(positions):

@@ -19,6 +19,7 @@ from repro.sim.random import RandomStreams
 from repro.sim.shard import ShardedSimulator
 from repro.trace.tracer import PacketTracer
 from tests.conftest import python_calls
+from tests.net.reference_medium import MEDIA
 
 
 @dataclass
@@ -137,7 +138,7 @@ class TestDispatch:
 def _make_stacks(positions, kernel="batch", sim=None, shards=1, build_mac=None):
     """Full ``Node`` stacks (radio + MAC + receive table) on one medium."""
     sim = sim or Simulator()
-    medium = Medium(sim, RadioConfig(fanout_kernel=kernel, shards=shards))
+    medium = MEDIA[kernel](sim, RadioConfig(shards=shards))
     streams = RandomStreams(1)
     nodes = [
         Node(node_id, sim, medium, StaticMobility(x, y), streams,

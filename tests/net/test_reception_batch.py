@@ -1,12 +1,13 @@
-"""Batch-kernel reception lifecycle edge cases.
+"""Reception lifecycle edge cases.
 
-The batch fan-out kernel keeps no per-copy reception records: a flight
-borrows its sender's frozen interference list from the spatial index and
-each radio records the one flight it can still decode (``Phy.rx_current``;
+The medium keeps no per-copy reception records: a flight borrows its
+sender's frozen interference list from the spatial index and each radio
+records the one flight it can still decode (``Phy.rx_current``;
 see ``repro.net.medium``).  These tests pin the awkward corners of that
 representation -- radios detaching from or attaching to *live* batches, a
 transmitter crashing under its own batch, pooled batches coming back, and
-record consistency across those events -- and prove the two kernels agree
+record consistency across those events -- and prove the per-copy oracle
+(``"object"``: ``PerCopyMedium`` in ``tests/net/reference_medium.py``) agrees
 on all of them.
 Whole-scenario bit-identity (including failure injection) is pinned
 separately in ``tests/properties/test_hotpath_equivalence.py``.
@@ -19,13 +20,13 @@ import pytest
 from repro.mobility.static import StaticMobility
 from repro.net.config import RadioConfig
 from repro.net.mac import MacAck
-from repro.net.medium import Medium
 from repro.net.node import Node
 from repro.net.packet import Frame, Packet
 from repro.net.phy import Phy
 from repro.routing.messages import HelloMessage
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
+from tests.net.reference_medium import MEDIA
 
 KERNELS = ("batch", "object")
 
@@ -40,16 +41,11 @@ class _StubNode:
         self.position = self.mobility.position
 
 
-def _network(positions, kernel, range_m=100.0, cs_range_m=None, index="grid"):
+def _network(positions, kernel, range_m=100.0, cs_range_m=None):
     sim = Simulator()
-    medium = Medium(
+    medium = MEDIA[kernel](
         sim,
-        RadioConfig(
-            transmission_range_m=range_m,
-            carrier_sense_range_m=cs_range_m,
-            fanout_kernel=kernel,
-            medium_index=index,
-        ),
+        RadioConfig(transmission_range_m=range_m, carrier_sense_range_m=cs_range_m),
     )
     phys = []
     received = {}
@@ -109,7 +105,7 @@ class TestMidFlightPowerDown:
         assert medium.stats.half_duplex_losses == 0
 
     def test_counters_stay_consistent_after_truncation(self, kernel):
-        # Regression guard for the batch kernel's per-radio counters: a
+        # Regression guard for the medium's per-radio counters: a
         # truncated copy must leave its receiver's uncorrupted count settled,
         # or the receiver's next transmission books a phantom half-duplex
         # loss for a frame that already ended.
@@ -284,9 +280,10 @@ class TestPooledFlights:
         start(0, 100)
         sim.call_in(1e-5, start, (1, 1500))
         sim.run(until=flights[0].end_time)
-        assert flights[0].sender is None  # A is over and pooled
+        pooled = kernel == "batch"  # the oracle pools nothing
+        assert not pooled or flights[0].sender is None  # A is over and pooled
         start(2, 100)
-        assert flights[2] is flights[0]   # ...and C reuses its record
+        assert not pooled or flights[2] is flights[0]   # ...and C reuses its record
         assert medium.receptions_for(3) != []
         sim.run()
         assert received[3] == []
@@ -297,21 +294,21 @@ class TestPooledFlights:
         assert medium._active == []
         for phy in phys:
             assert phy.rx_held_count == 0 and phy.rx_current is None
-            assert phy._rx_ongoing == [] and medium.receptions_for(phy.node_id) == []
+            assert medium.receptions_for(phy.node_id) == []
         assert len(medium._batch_pool) == (2 if kernel == "batch" else 0)
         for batch in medium._batch_pool:
             assert batch.reach is None and batch.late is None
             assert batch.sender is None and batch.frame is None
 
 
-@pytest.mark.parametrize("index", ["grid", "naive"])
-def test_overlapping_flights_keep_their_own_interference_lists(index):
+@pytest.mark.parametrize("kernel", ["batch", "naive"])
+def test_overlapping_flights_keep_their_own_interference_lists(kernel):
     # Two senders out of each other's carrier sense, on the air at once,
     # with disjoint receiver sets.  A flight keeps its list for the whole
     # airtime, so an index that reused one list object would hand the first
     # flight's teardown the second flight's receivers.
     positions = [(0, 0), (30, 0), (0, 30), (1000, 0), (1030, 0), (1000, 30)]
-    sim, medium, phys, received = _network(positions, "batch", index=index)
+    sim, medium, phys, received = _network(positions, kernel)
     duration = phys[0].transmit(_frame(0, -1))
     sim.call_in(duration / 2, phys[3].transmit, (_frame(3, -1),))
     sim.run()
@@ -353,10 +350,10 @@ class TestKernelAgreement:
 
 
 class TestDispatchAgreement:
-    """One decision, three callers: the batch teardown inlines it, the object
-    teardown and the late-foreign path call ``Medium._dispatch``.  On full
-    ``Node`` stacks all three must hand the same ``(packet, sender)`` sequence
-    to the handlers and bump the same MAC counters."""
+    """One decision, three callers: the medium's teardown inlines it, the
+    per-copy oracle's and the late-foreign path call ``Medium._dispatch``.
+    On full ``Node`` stacks all three must hand the same ``(packet, sender)``
+    sequence to the handlers and bump the same MAC counters."""
 
     #: (dst, packet class): ordinary broadcasts, an addressed and an overheard
     #: unicast, and a crafted broadcast of link-layer control.
@@ -365,7 +362,7 @@ class TestDispatchAgreement:
 
     def _stacks(self, kernel, node_ids):
         sim = Simulator()
-        medium = Medium(sim, RadioConfig(fanout_kernel=kernel))
+        medium = MEDIA[kernel](sim, RadioConfig())
         streams = RandomStreams(3)
         log = []
         nodes = {}

@@ -9,13 +9,9 @@ from repro.net.config import RadioConfig
 from repro.mobility.base import RectangularArea
 from repro.mobility.static import StaticMobility
 from repro.mobility.trace import WaypointTraceMobility
-from repro.net.spatial import (
-    LinearScanIndex,
-    PositionMemo,
-    UniformGridIndex,
-    crossing_delay,
-)
+from repro.net.spatial import PositionMemo, UniformGridIndex, crossing_delay
 from repro.sim.random import RandomStreams
+from tests.net.reference_medium import LinearScanIndex
 
 
 class _FakeNode:

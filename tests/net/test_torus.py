@@ -10,11 +10,11 @@ the flat grid is to the flat scan.
 import pytest
 
 from repro.net.config import RadioConfig
-from repro.net.medium import Medium
 from repro.net.packet import Frame, Packet
 from repro.net.phy import Phy
 from repro.sim.engine import Simulator
 from repro.workload.scenario import ScenarioConfig
+from tests.net.reference_medium import MEDIA
 from tests.properties.hotpath_golden import run_with_delivery_log
 
 
@@ -29,11 +29,10 @@ class _StubNode:
 
 def _torus_network(positions, range_m, width=200.0, height=200.0, medium_index="grid"):
     sim = Simulator()
-    medium = Medium(
+    medium = MEDIA[medium_index](
         sim,
         RadioConfig(
             transmission_range_m=range_m,
-            medium_index=medium_index,
             area_topology="torus",
             area_width_m=width,
             area_height_m=height,
@@ -84,9 +83,7 @@ class TestWrappedGeometry:
     @pytest.mark.parametrize("medium_index", ["grid", "naive"])
     def test_same_positions_are_out_of_range_on_flat_area(self, medium_index):
         sim = Simulator()
-        medium = Medium(
-            sim, RadioConfig(transmission_range_m=30.0, medium_index=medium_index)
-        )
+        medium = MEDIA[medium_index](sim, RadioConfig(transmission_range_m=30.0))
         for node_id, (x, y) in enumerate([(5.0, 100.0), (195.0, 100.0)]):
             Phy(_StubNode(node_id, x, y), medium)
         assert medium.neighbors_of(0) == []
@@ -150,10 +147,9 @@ class TestTorusEquivalence:
                 protocol="flooding",
                 gossip_enabled=True,
                 area_topology="torus",
-                medium_index=index,
                 seed=seed,
             )
-            results[index] = run_with_delivery_log(config)
+            results[index] = run_with_delivery_log(config, medium=MEDIA[index])
         naive_result, naive_log = results["naive"]
         grid_result, grid_log = results["grid"]
         assert naive_result.protocol_stats == grid_result.protocol_stats
@@ -184,11 +180,10 @@ class TestTorusEquivalence:
                 duration_s=24.0,
                 protocol="flooding",
                 area_topology="torus",
-                medium_index=index,
                 mobility_config=MobilityConfig(model=model),
                 seed=7,
             )
-            results[index] = run_with_delivery_log(config)
+            results[index] = run_with_delivery_log(config, medium=MEDIA[index])
         naive_result, naive_log = results["naive"]
         grid_result, grid_log = results["grid"]
         assert naive_result.protocol_stats == grid_result.protocol_stats

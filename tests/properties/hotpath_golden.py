@@ -4,11 +4,11 @@ The engine / medium / MAC hot-path refactor (slot-pooled event queue,
 reception pooling, flattened receive chain) must be *behaviour preserving*:
 every protocol counter, every delivered frame, every aggregate metric has to
 come out bit-identical to the pre-refactor implementation.  Grid-vs-naive
-equivalence (``test_medium_equivalence.py``) proves the two spatial indexes
-agree with each other, but it cannot catch a regression that shifts *both*
-implementations the same way -- an engine that fires ties in a different
-order, a MAC that cancels a timer it previously let fire, a pooled reception
-that leaks state between frames.
+equivalence (``test_medium_equivalence.py``) proves the medium agrees with
+its linear-scan oracle, but it cannot catch a regression that shifts *both*
+the same way -- an engine that fires ties in a different order, a MAC that
+cancels a timer it previously let fire, a pooled reception that leaks state
+between frames.
 
 This module pins the absolute behaviour instead: a table of small seeded
 scenarios covering the geometries of the paper's figures 2-8 (range sweeps,
@@ -35,6 +35,7 @@ import os
 from typing import Dict
 
 from repro.workload.scenario import Scenario, ScenarioConfig
+from tests.net.reference_medium import LinearScanMedium, scenario_medium
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_hotpath.json")
 
@@ -108,15 +109,19 @@ GOLDEN_SCENARIOS: Dict[str, ScenarioConfig] = {
         num_nodes=14, member_count=5, transmission_range_m=60.0,
         max_speed_mps=1.0, max_pause_s=10.0, protocol="odmrp", seed=19,
     ),
-    # The naive linear-scan medium must be pinned too: the refactor touches
-    # both index paths, and grid-vs-naive equivalence alone cannot see a
-    # change that shifts both the same way.
+    # The naive linear-scan medium must be pinned too (``GOLDEN_MEDIA``
+    # below): grid-vs-naive equivalence alone cannot see a change that
+    # shifts both the same way.
     "fig7_naive_medium": _config(
         num_nodes=22, member_count=7, area_width_m=200.0, area_height_m=200.0,
         transmission_range_m=55.0, max_speed_mps=1.0, max_pause_s=10.0,
-        medium_index="naive", seed=16,
+        seed=16,
     ),
 }
+
+#: Goldens that run on a reference medium (the ``medium=`` of
+#: :func:`run_digest`) instead of the production one.
+GOLDEN_MEDIA = {"fig7_naive_medium": LinearScanMedium}
 
 #: Deterministic failure-injection overlays: name -> (scenario name, events).
 GOLDEN_FAILURES: Dict[str, tuple] = {
@@ -131,8 +136,11 @@ GOLDEN_FAILURES: Dict[str, tuple] = {
 }
 
 
-def run_with_delivery_log(config: ScenarioConfig, failure_events=None):
+def run_with_delivery_log(config: ScenarioConfig, failure_events=None, medium=None):
     """Run a scenario recording every packet delivery in order.
+
+    ``medium`` builds the scenario on that reference medium class (see
+    ``tests/net/reference_medium.py``) instead of the production one.
 
     Returns ``(result, canonical_log)`` where the log holds one
     ``(time, receiver, sender, canonical uid, packet type)`` tuple per packet
@@ -142,7 +150,8 @@ def run_with_delivery_log(config: ScenarioConfig, failure_events=None):
     equivalence suite and the golden digests so both pin the same notion of
     "delivered-frame sequence".
     """
-    scenario = Scenario(config).build()
+    with scenario_medium(medium):
+        scenario = Scenario(config).build()
     log = []
     for node in scenario.nodes:
         node.add_sniffer(
@@ -168,13 +177,13 @@ def run_with_delivery_log(config: ScenarioConfig, failure_events=None):
     return result, canonical_log
 
 
-def run_digest(config: ScenarioConfig, failure_events=None) -> dict:
+def run_digest(config: ScenarioConfig, failure_events=None, medium=None) -> dict:
     """Run ``config`` and reduce every observable output to a digest.
 
     The delivery log is hashed; everything else is recorded verbatim so
     mismatches are diagnosable.
     """
-    result, canonical_log = run_with_delivery_log(config, failure_events)
+    result, canonical_log = run_with_delivery_log(config, failure_events, medium)
     log_hash = hashlib.sha256(repr(canonical_log).encode()).hexdigest()
     return {
         "protocol_stats": {key: result.protocol_stats[key] for key in sorted(result.protocol_stats)},
@@ -191,7 +200,7 @@ def compute_all() -> Dict[str, dict]:
     """Digests for every golden scenario and failure overlay."""
     digests = {}
     for name, config in GOLDEN_SCENARIOS.items():
-        digests[name] = run_digest(config)
+        digests[name] = run_digest(config, medium=GOLDEN_MEDIA.get(name))
     for name, (base, events) in GOLDEN_FAILURES.items():
         digests[name] = run_digest(GOLDEN_SCENARIOS[base], failure_events=events)
     return digests

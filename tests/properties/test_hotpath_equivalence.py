@@ -6,19 +6,19 @@ protocol stacks, the naive medium, failure injection) compares the full
 behavioural digest -- every protocol counter, delivery counts, goodputs,
 event count and the delivery-log hash -- against the stored value.
 
-The goldens run the default ``"batch"`` fan-out kernel; a second pass runs
-every scenario (including the failure overlays) under the reference
-``"object"`` kernel against the *same* digests, proving the two kernels
-bit-identical to each other the same way grid-vs-naive pins the spatial
-indexes.
+The goldens run the production medium (``fig7_naive_medium`` its linear-scan
+oracle, per ``GOLDEN_MEDIA``); a second pass runs every scenario (including
+the failure overlays) on the per-copy oracle ``PerCopyMedium`` against the
+*same* digests, proving the one-record-per-radio bookkeeping bit-identical
+to it the same way grid-vs-naive pins the spatial index.
 """
-
-from dataclasses import replace
 
 import pytest
 
+from tests.net.reference_medium import PerCopyMedium
 from tests.properties.hotpath_golden import (
     GOLDEN_FAILURES,
+    GOLDEN_MEDIA,
     GOLDEN_SCENARIOS,
     load_golden,
     run_digest,
@@ -50,7 +50,7 @@ def _assert_digest_matches(observed, expected, name):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
 def test_scenario_matches_golden(name, golden):
-    observed = run_digest(GOLDEN_SCENARIOS[name])
+    observed = run_digest(GOLDEN_SCENARIOS[name], medium=GOLDEN_MEDIA.get(name))
     _assert_digest_matches(observed, golden.get(name), name)
 
 
@@ -63,14 +63,14 @@ def test_failure_injection_matches_golden(name, golden):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
 def test_object_kernel_matches_golden(name, golden):
-    config = replace(GOLDEN_SCENARIOS[name], fanout_kernel="object")
-    observed = run_digest(config)
+    observed = run_digest(GOLDEN_SCENARIOS[name], medium=PerCopyMedium)
     _assert_digest_matches(observed, golden.get(name), name)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_FAILURES))
 def test_object_kernel_failure_injection_matches_golden(name, golden):
     base, events = GOLDEN_FAILURES[name]
-    config = replace(GOLDEN_SCENARIOS[base], fanout_kernel="object")
-    observed = run_digest(config, failure_events=events)
+    observed = run_digest(
+        GOLDEN_SCENARIOS[base], failure_events=events, medium=PerCopyMedium
+    )
     _assert_digest_matches(observed, golden.get(name), name)

@@ -23,7 +23,8 @@ from repro.mobility.random_waypoint import RandomWaypointMobility
 from repro.mobility.rpgm import RpgmMobility
 from repro.mobility.static import StaticMobility
 from repro.mobility.trace import WaypointTraceMobility
-from repro.net.spatial import LinearScanIndex, TorusGridIndex, UniformGridIndex
+from repro.net.spatial import TorusGridIndex, UniformGridIndex
+from tests.net.reference_medium import LinearScanIndex
 
 SIDE = 120.0
 AREA = RectangularArea(SIDE, SIDE)

@@ -1,12 +1,13 @@
 """Grid and naive medium implementations are bit-identical.
 
-The spatial-index medium (`RadioConfig(medium_index="grid")`, the default)
-must be indistinguishable from the O(N) linear-scan reference
-(`medium_index="naive"`): same `MediumStats`, same delivered-frame sequence,
-same aggregated experiment metrics, on full scenarios with random-waypoint
-mobility and real protocol stacks.  Any divergence -- however small -- means
-the index returned a wrong candidate set or classified a distance
-differently, so everything is compared for exact equality, not approximate.
+The spatial-index medium (`repro.net.medium.Medium`, "grid" below) must be
+indistinguishable from the O(N) linear-scan oracle (`LinearScanMedium` in
+`tests/net/reference_medium.py`, "naive" below): same `MediumStats`, same
+delivered-frame sequence, same aggregated experiment metrics, on full
+scenarios with random-waypoint mobility and real protocol stacks.  Any
+divergence -- however small -- means the index returned a wrong candidate
+set or classified a distance differently, so everything is compared for
+exact equality, not approximate.
 """
 
 import pytest
@@ -14,6 +15,7 @@ import pytest
 from repro.campaign.executor import execute_trial
 from repro.campaign.trials import TrialSpec
 from repro.workload.scenario import Scenario, ScenarioConfig
+from tests.net.reference_medium import MEDIA, PerCopyMedium, scenario_medium
 from tests.properties.hotpath_golden import run_with_delivery_log
 
 
@@ -44,7 +46,7 @@ def test_grid_and_naive_media_are_bit_identical(seed):
     results = {}
     for index in ("naive", "grid"):
         results[index] = run_with_delivery_log(
-            _small_config(seed, medium_index=index)
+            _small_config(seed), medium=MEDIA[index]
         )
     naive_result, naive_log = results["naive"]
     grid_result, grid_log = results["grid"]
@@ -69,11 +71,8 @@ def test_grid_and_naive_media_identical_for_every_mobility_model(model):
     results = {}
     for index in ("naive", "grid"):
         results[index] = run_with_delivery_log(
-            _small_config(
-                4,
-                medium_index=index,
-                mobility_config=MobilityConfig(model=model),
-            )
+            _small_config(4, mobility_config=MobilityConfig(model=model)),
+            medium=MEDIA[index],
         )
     naive_result, naive_log = results["naive"]
     grid_result, grid_log = results["grid"]
@@ -89,7 +88,7 @@ def test_experiment_metrics_identical_across_media(protocol):
     """The numbers that feed ExperimentPoint aggregation match exactly."""
     records = {}
     for index in ("naive", "grid"):
-        config = _small_config(5, protocol=protocol, medium_index=index)
+        config = _small_config(5, protocol=protocol)
         trial = TrialSpec(
             campaign="equivalence",
             x=0.0,
@@ -98,7 +97,8 @@ def test_experiment_metrics_identical_across_media(protocol):
             scale="quick",
             config=config,
         )
-        records[index] = execute_trial(trial)
+        with scenario_medium(MEDIA[index]):
+            records[index] = execute_trial(trial)
     naive, grid = records["naive"], records["grid"]
     assert naive.metrics == grid.metrics
     assert naive.goodput_by_member == grid.goodput_by_member
@@ -114,8 +114,9 @@ def test_equivalence_survives_failure_injection():
 
     results = {}
     for index in ("naive", "grid"):
-        config = _small_config(7, medium_index=index)
-        scenario = Scenario(config).build()
+        config = _small_config(7)
+        with scenario_medium(MEDIA[index]):
+            scenario = Scenario(config).build()
         events = [
             FailureEvent(node_id=2, start_s=10.0, end_s=16.0),
             FailureEvent(node_id=5, start_s=12.0, end_s=20.0),
@@ -132,23 +133,24 @@ def test_equivalence_survives_failure_injection():
 def test_object_kernel_never_holds_two_decodable_copies(protocol):
     """At most one copy a radio holds is decodable, ever.
 
-    The batch kernel keeps one reception record per radio instead of one per
-    copy because of this; here it is checked on the *reference* kernel, which
+    The medium keeps one reception record per radio instead of one per
+    copy because of this; here it is checked on the per-copy oracle, which
     does keep one record per copy, after every transmission start (the only
     place a decodable copy is created) of a run with collisions, unicast
     traffic and failure injection.
     """
     from repro.workload.failures import FailureEvent, FailureSchedule
 
-    scenario = Scenario(_small_config(7, protocol=protocol, fanout_kernel="object")).build()
+    with scenario_medium(PerCopyMedium):
+        scenario = Scenario(_small_config(7, protocol=protocol)).build()
     medium = scenario.medium
     transmit = medium.transmit
     decodable_seen = set()
 
     def checked_transmit(sender, frame):
         duration = transmit(sender, frame)
-        for phy in medium._phys.values():
-            decodable_seen.add(sum(not copy.corrupted for copy in phy._rx_ongoing))
+        for copies in medium._active_receptions.values():
+            decodable_seen.add(sum(not copy.corrupted for copy in copies))
         return duration
 
     medium.transmit = checked_transmit

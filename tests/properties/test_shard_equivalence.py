@@ -4,7 +4,7 @@ The :class:`~repro.sim.shard.ShardedSimulator` claims that sharding changes
 *where* an event waits, never *when* it fires: for any shard count the
 global ``(time, seq)`` execution order -- and therefore every protocol
 counter, delivery and digest -- equals the single-heap engine's.  This
-suite proves it the same way grid-vs-naive and batch-vs-object are proven:
+suite proves it the same way the medium is proven against its oracles:
 every hot-path golden scenario (figures 2-8 geometries, all three protocol
 stacks, the naive medium) and every failure-injection overlay reruns with
 2 and 4 shards against the *recorded* digests.
@@ -29,6 +29,7 @@ import pytest
 
 from tests.properties.hotpath_golden import (
     GOLDEN_FAILURES,
+    GOLDEN_MEDIA,
     GOLDEN_SCENARIOS,
     load_golden,
     run_digest,
@@ -46,7 +47,7 @@ def golden():
 @pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
 def test_sharded_engine_matches_golden(name, shards, golden):
     config = replace(GOLDEN_SCENARIOS[name], shards=shards)
-    observed = run_digest(config)
+    observed = run_digest(config, medium=GOLDEN_MEDIA.get(name))
     expected = golden.get(name)
     assert expected is not None
     for key in ("protocol_stats", "member_counts", "goodput_by_member",

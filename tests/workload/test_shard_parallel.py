@@ -168,8 +168,6 @@ def test_worker_elides_foreign_stacks_and_indexes_halo_only():
 
 
 def test_parallel_modes_reject_unsupported_features():
-    with pytest.raises(ValueError, match="batch"):
-        run_scenario(_parallel_config(fanout_kernel="object"))
     from repro.membership.config import ChurnConfig
 
     with pytest.raises(ValueError, match="churn"):
