@@ -11,11 +11,12 @@ The MAC models the parts of IEEE 802.11 DCF that shape the paper's results:
 A failed unicast (retry limit exceeded) is reported to the upper layer, which
 is how AODV/MAODV detect broken links in addition to missed hello beacons.
 
-Hot path: the MAC's state machine has at most one pending timer at any time
-(backoff, transmission-done or ACK-timeout -- they are mutually exclusive),
-so all three share a single :class:`~repro.sim.timers.OneShotTimer` slot and
-every transition re-arms it with a bound method.  Nothing on the per-frame
-path allocates beyond the frame itself.
+Hot path: the MAC's state machine has at most one pending event at any time
+(backoff poll or ACK-timeout -- they are mutually exclusive, and each is
+scheduled only once the previous one has fired or been cancelled), so the
+MAC keeps that one calendar entry itself and every transition schedules it
+with a bound method.  Nothing on the per-frame path allocates beyond the
+frame and its calendar entry.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from repro.net.config import MacConfig
 from repro.net.packet import Frame, Packet
 from repro.net.phy import Phy
 from repro.sim.engine import Simulator
-from repro.sim.timers import OneShotTimer
 
 
 @dataclass
@@ -67,6 +67,14 @@ class _MacState(enum.Enum):
     CONTEND = "contend"
     TRANSMIT = "transmit"
     WAIT_ACK = "wait_ack"
+
+
+#: The states as module constants: the poll compares against them on every
+#: event, and a global is one load where ``_MacState.X`` is two.
+_IDLE = _MacState.IDLE
+_CONTEND = _MacState.CONTEND
+_TRANSMIT = _MacState.TRANSMIT
+_WAIT_ACK = _MacState.WAIT_ACK
 
 
 class _OutgoingFrame:
@@ -126,17 +134,20 @@ class CsmaMac:
         self._c_retries = obs.counter("mac.csma.retries")
         # Per-frame hot-path copies of the (immutable) config scalars.
         self._difs_s = config.difs_s
-        self._slot_time_s = config.slot_time_s
+        self._slottime_s = config.slot_time_s
         self._sifs_s = config.sifs_s
         self._ack_timeout_s = config.ack_timeout_s
         self._cw_min = config.cw_min
         self._queue_limit = config.queue_limit
-        self._state = _MacState.IDLE
+        self._state = _IDLE
         self._queue: Deque[_OutgoingFrame] = deque()
         self._current: Optional[_OutgoingFrame] = None
-        #: The single pending state-machine event (backoff, transmission-done
-        #: or ACK-timeout; mutually exclusive by construction).
-        self._pending = OneShotTimer(sim)
+        #: Calendar entry of the single pending state-machine event (backoff
+        #: poll or ACK-timeout; mutually exclusive by construction).  Every
+        #: site that schedules it runs with the previous one fired, or -- the
+        #: ACK-timeout when the ACK arrives -- cancelled through this entry.
+        self._pending: Optional[list] = None
+        self._poll = self._attempt_transmission
         # Recently received unicast frame ids, used to suppress duplicate
         # deliveries caused by lost ACKs + retransmission (802.11 does the
         # same with its retry bit and sequence-number cache).
@@ -192,7 +203,7 @@ class CsmaMac:
             return False
         self.stats.enqueued += 1
         self._queue.append(_OutgoingFrame(frame, self._cw_min))
-        if self._state is _MacState.IDLE:
+        if self._state is _IDLE:
             self._dequeue_next()
         return True
 
@@ -204,29 +215,36 @@ class CsmaMac:
         self._start_contention()
 
     def _start_contention(self) -> None:
-        self._state = _MacState.CONTEND
+        self._state = _CONTEND
         if self._obs_on:
             self._c_backoffs.inc()
-        self._pending.arm(self._backoff_delay(self._current.cw), self._attempt_transmission)
-
-    def _backoff_delay(self, cw: int) -> float:
-        slots = self.rng.randrange(cw)
-        return self._difs_s + slots * self._slot_time_s
+        # The backoff draw is ``rng.randrange(cw)`` spelled out: same bits
+        # from the same stream, no frames.
+        cw = self._current.cw
+        bits = cw.bit_length()
+        getrandbits = self._getrandbits
+        slots = getrandbits(bits)
+        while slots >= cw:
+            slots = getrandbits(bits)
+        self._pending = self.sim.call_in(
+            self._difs_s + slots * self._slottime_s, self._poll
+        )
 
     def _attempt_transmission(self) -> None:
         current = self._current
-        if self._state is not _MacState.CONTEND or current is None:
+        if self._state is not _CONTEND or current is None:
             return
         phy = self.phy
-        # The ``transmitting`` test is not redundant with carrier sense: a
-        # dark radio senses nothing, but one whose own truncated flight (an
-        # ACK cut short by the power-down) is still on the air must defer.
-        if phy.transmitting or phy.carrier_busy():
-            # Defer: redraw the backoff and try again when it expires.  This
-            # poll is most of a busy run's calendar, so it is kept flat: the
-            # draw is ``rng.randrange(cw)`` spelled out (same bits from the
-            # same stream, no frames), and the shot that is running has
-            # fired, so re-arming has nothing to cancel.
+        sim = self.sim
+        # ``Phy.carrier_busy`` inline, behind a ``transmitting`` test that is
+        # not redundant with it: a dark radio senses nothing, but one whose
+        # own truncated flight (an ACK cut short by the power-down) is still
+        # on the air must defer.
+        if phy.transmitting or (phy.enabled and phy.rx_busy_until > sim.now):
+            # Defer: redraw the backoff (as in ``_start_contention``) and try
+            # again when it expires.  This poll is most of a busy run's
+            # calendar, so it is kept flat: two frames, this one and
+            # ``call_in``.
             if self._obs_on:
                 self._c_defers.inc()
                 self._c_backoffs.inc()
@@ -236,11 +254,11 @@ class CsmaMac:
             slots = getrandbits(bits)
             while slots >= cw:
                 slots = getrandbits(bits)
-            self._pending.rearm(
-                self._difs_s + slots * self._slot_time_s, self._attempt_transmission
+            self._pending = sim.call_in(
+                self._difs_s + slots * self._slottime_s, self._poll
             )
             return
-        self._state = _MacState.TRANSMIT
+        self._state = _TRANSMIT
         frame = current.frame
         if frame.dst == BROADCAST_ADDRESS:
             self.stats.broadcast_transmissions += 1
@@ -259,7 +277,7 @@ class CsmaMac:
         out of order) carry a different frame and are ignored.
         """
         if (
-            self._state is _MacState.TRANSMIT
+            self._state is _TRANSMIT
             and self._current is not None
             and frame is self._current.frame
         ):
@@ -267,17 +285,17 @@ class CsmaMac:
 
     def _transmission_done(self) -> None:
         if self._current is None:
-            self._state = _MacState.IDLE
+            self._state = _IDLE
             return
         frame = self._current.frame
         if frame.dst == BROADCAST_ADDRESS:
             self._finish_current()
         else:
-            self._state = _MacState.WAIT_ACK
-            self._pending.arm(self._ack_timeout_s, self._ack_timeout)
+            self._state = _WAIT_ACK
+            self._pending = self.sim.call_in(self._ack_timeout_s, self._ack_timeout)
 
     def _ack_timeout(self) -> None:
-        if self._state is not _MacState.WAIT_ACK or self._current is None:
+        if self._state is not _WAIT_ACK or self._current is None:
             return
         current = self._current
         if current.retries >= self.config.retry_limit:
@@ -296,8 +314,7 @@ class CsmaMac:
 
     def _finish_current(self) -> None:
         self._current = None
-        self._state = _MacState.IDLE
-        self._pending.disarm()
+        self._state = _IDLE
         self._dequeue_next()
 
     # ------------------------------------------------------------ receive path
@@ -324,11 +341,12 @@ class CsmaMac:
     def _handle_ack(self, ack: MacAck, sender_id: NodeId) -> None:
         self.stats.acks_received += 1
         if (
-            self._state is _MacState.WAIT_ACK
+            self._state is _WAIT_ACK
             and self._current is not None
             and ack.acked_uid == self._current.frame.packet.uid
             and sender_id == self._current.frame.dst
         ):
+            self.sim.cancel(self._pending)  # the ACK-timeout
             self._finish_current()
 
     def _send_ack(self, packet: Packet, sender_id: NodeId) -> None:

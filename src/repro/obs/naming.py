@@ -6,8 +6,8 @@ Every telemetry metric is addressed by a three-part dotted name:
 layer          subsystem        examples
 =============  ===============  ==============================================
 ``engine``     ``calendar``     ``engine.calendar.events_per_sec`` (gauge),
-                                ``heap_depth``, ``tombstones``, ``slot_pool``,
-                                ``free_slots``, ``compactions``
+                                ``heap_depth``, ``tombstones``,
+                                ``tombstone_ratio``, ``compactions``
 ``spatial``    ``index``        ``spatial.index.window_hits`` (window calls
                                 answered without resolving a pair) /
                                 ``window_builds`` (candidate sets built) /

@@ -41,8 +41,6 @@ class EngineSampler:
         self._g_heap_depth = registry.gauge("engine.calendar.heap_depth")
         self._g_tombstones = registry.gauge("engine.calendar.tombstones")
         self._g_tombstone_ratio = registry.gauge("engine.calendar.tombstone_ratio")
-        self._g_slot_pool = registry.gauge("engine.calendar.slot_pool")
-        self._g_free_slots = registry.gauge("engine.calendar.free_slots")
         self._g_compactions = registry.gauge("engine.calendar.compactions")
         self._shard_gauges = None
         if getattr(sim, "is_sharded", False):
@@ -82,16 +80,12 @@ class EngineSampler:
         heap_depth = sim.heap_size
         tombstones = sim.tombstones
         tombstone_ratio = tombstones / heap_depth if heap_depth else 0.0
-        slot_pool = sim.slot_pool_size
-        free_slots = sim.free_slots
         compactions = sim.compactions
 
         self._g_events_per_sec.set(events_per_sec)
         self._g_heap_depth.set(heap_depth)
         self._g_tombstones.set(tombstones)
         self._g_tombstone_ratio.set(tombstone_ratio)
-        self._g_slot_pool.set(slot_pool)
-        self._g_free_slots.set(free_slots)
         self._g_compactions.set(compactions)
         self.samples += 1
 
@@ -101,8 +95,6 @@ class EngineSampler:
             events_per_sec=round(events_per_sec, 3),
             heap_depth=heap_depth,
             tombstones=tombstones,
-            slot_pool=slot_pool,
-            free_slots=free_slots,
             compactions=compactions,
         )
         if self._shard_gauges is not None:

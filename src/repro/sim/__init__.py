@@ -8,8 +8,8 @@ pure-Python, sequential, deterministic discrete-event engine:
   ``schedule``.
 * :class:`repro.sim.timers.PeriodicTimer` -- repeating timers (hello beacons,
   gossip rounds, group hellos, ...).
-* :class:`repro.sim.timers.OneShotTimer` -- a re-armable one-shot slot over
-  the pooled calendar (MAC backoff/ACK timers).
+* :class:`repro.sim.timers.OneShotTimer` -- a re-armable one-shot timer
+  (at most one pending event) over the calendar.
 * :class:`repro.sim.random.RandomStreams` -- named, independently seeded
   random streams so every stochastic protocol decision is reproducible.
 

@@ -6,37 +6,41 @@ ties between events scheduled for the same instant so that execution order is
 deterministic and matches scheduling order, which is important for
 reproducibility of the protocols built on top.
 
-Internals: the slot pool
-------------------------
+Internals: the entry calendar
+-----------------------------
 Scheduling is the single hottest operation of a paper-scale run (about one
-schedule per two events fired), so the calendar is allocation-free on its hot
-path.  Event state lives in a *slot pool* -- parallel lists holding each
-event's sequence number, lifecycle state, callback and argument tuple --
-recycled through a free list, and the heap orders plain ``(time, seq, slot)``
-tuples, which compare on the first two fields without ever calling back into
-Python-level ``__lt__``.
+schedule per event fired), so an event is exactly one object: the heap orders
+self-contained ``[time, seq, callback, args]`` lists.  ``seq`` is globally
+unique, so list comparison is decided by the first two fields in C and never
+reaches the callback.
 
-Cancellation is O(1) and lazy: the slot is released immediately (its stored
-sequence number no longer matches the heap entry's, which is what marks the
-entry dead) and the heap entry remains behind as a *tombstone* that is
+An entry is *live* iff ``entry[2] is not None``.  The run loop clears the
+callback field before it makes the call, so an entry reads as fired inside
+its own callback, and cancellation is O(1) and lazy: :meth:`Simulator.cancel`
+clears the same field (and marks ``entry[3]`` so a handle can tell cancelled
+from fired), and the entry stays in the heap as a *tombstone* that is
 discarded when it surfaces.  A tombstone counter triggers a periodic in-place
 compaction so a cancel-heavy workload cannot grow the heap unboundedly.
+That in-place marking is why an entry is a list and not a tuple: whoever
+kept the entry -- a timer, the MAC, an :class:`EventHandle` -- holds the very
+object the heap holds, entries are never reused, and so a stale cancel of a
+fired event is a no-op by construction rather than by bookkeeping.
 
-:class:`EventHandle` is a thin façade kept for the public API: it is only
-allocated by :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at`.
-Internal hot paths (the MAC, the medium, the timer helpers) use the raw slot
-API -- :meth:`Simulator.call_in` and friends -- which returns plain slot
-indexes and allocates nothing beyond the heap tuple.
+:meth:`Simulator.call_in` / :meth:`Simulator.call_at` are the raw hot-path
+API: they return the entry as an opaque token for :meth:`Simulator.cancel`
+and allocate nothing else.  :class:`EventHandle` is a thin view over one
+entry, created only by :meth:`Simulator.schedule` /
+:meth:`Simulator.schedule_at`.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional
 
-#: Detached-handle states (EventHandle._state; ``None`` while still pending).
-_FIRED = "fired"
-_CANCELLED = "cancelled"
+#: ``entry[3]`` of a cancelled entry (a live or fired one holds its args
+#: tuple there): how an :class:`EventHandle` tells cancelled from fired.
+_CANCELLED = object()
 
 #: Compaction policy: rebuild the heap in place once tombstones outnumber
 #: live entries and there are enough of them for the rebuild to pay off.
@@ -51,49 +55,53 @@ class EventHandle:
     """A handle to a scheduled event.
 
     The handle can be used to :meth:`cancel` the event before it fires and to
-    query whether it is still :attr:`pending`.  Handles are a façade over the
-    simulator's internal slot pool: they are only created by the public
-    ``schedule``/``schedule_at`` API, so hot paths that never look at the
-    handle pay nothing for it.
+    query whether it is still :attr:`pending`.  It is a view over the event's
+    calendar entry and is only created by the public ``schedule`` /
+    ``schedule_at`` API, so hot paths that never look at a handle pay
+    nothing for it.
     """
 
-    __slots__ = ("_sim", "_slot", "_state", "time", "seq", "callback", "args")
+    __slots__ = ("_sim", "_entry")
 
-    def __init__(self, sim: "Simulator", slot: int, time: float, seq: int,
-                 callback: Callable[..., None], args: tuple):
+    def __init__(self, sim: "Simulator", entry: list):
         self._sim = sim
-        self._slot = slot
-        self._state: Optional[str] = None
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
+        self._entry = entry
 
     def cancel(self) -> None:
         """Cancel the event.  Cancelling an already fired event is a no-op."""
-        if self._state is None:
-            self._sim._cancel_slot(self._slot, self.seq)
+        self._sim.cancel(self._entry)
+
+    @property
+    def time(self) -> float:
+        """Simulation time the event is (or was) due at."""
+        return self._entry[0]
+
+    @property
+    def seq(self) -> int:
+        """The event's sequence number (its same-instant tie-break)."""
+        return self._entry[1]
 
     @property
     def cancelled(self) -> bool:
         """True when the event was cancelled before firing."""
-        return self._state is _CANCELLED
+        return self._entry[3] is _CANCELLED
 
     @property
     def fired(self) -> bool:
-        """True once the callback has run."""
-        return self._state is _FIRED
+        """True once the callback has run (or is running)."""
+        entry = self._entry
+        return entry[2] is None and entry[3] is not _CANCELLED
 
     @property
     def pending(self) -> bool:
         """True when the event is still waiting to fire."""
-        return self._state is None
+        return self._entry[2] is not None
 
     def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
+        return self._entry[:2] < other._entry[:2]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        state = self._state or "pending"
+        state = "pending" if self.pending else "fired" if self.fired else "cancelled"
         return f"EventHandle(t={self.time:.6f}, seq={self.seq}, {state})"
 
 
@@ -124,18 +132,14 @@ class Simulator:
         #: property) because protocol hot paths read it millions of times;
         #: treat it as read-only outside the engine.
         self.now = float(start_time)
-        #: Heap of plain (time, seq, slot) tuples; seq is globally unique so
-        #: comparisons never reach the third element.
-        self._heap: List[Tuple[float, int, int]] = []
+        #: Heap of ``[time, seq, callback, args]`` entries (see the module
+        #: docstring); new events are pushed here.
+        self._heap: List[list] = []
+        #: Every heap of the calendar -- just the one here; the sharded
+        #: engine adds one per region.  Compaction, ``clear`` and the size
+        #: probes walk this list.
+        self._heaps: List[List[list]] = [self._heap]
         self._seq = 0
-        #: Slot pool (parallel lists) plus its free list.  A free slot is
-        #: marked by seq -1, so "is this heap entry live" is a single
-        #: comparison against the slot's stored seq.
-        self._slot_seq: List[int] = []
-        self._slot_cb: List[Optional[Callable[..., None]]] = []
-        self._slot_args: List[Optional[tuple]] = []
-        self._slot_handle: List[Optional[EventHandle]] = []
-        self._free: List[int] = []
         #: Cancelled entries still sitting in the heap.
         self._tombstones = 0
         self._running = False
@@ -153,150 +157,58 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of events currently scheduled and still live."""
-        return len(self._heap) - self._tombstones
+        return self.heap_size - self._tombstones
 
     # ------------------------------------------------------- introspection
     @property
     def heap_size(self) -> int:
         """Raw heap length, tombstones included (calendar health probe)."""
-        return len(self._heap)
+        return sum(map(len, self._heaps))
 
     @property
     def tombstones(self) -> int:
         """Cancelled entries still sitting in the heap."""
         return self._tombstones
 
-    @property
-    def slot_pool_size(self) -> int:
-        """Total slots ever allocated in the event slot pool."""
-        return len(self._slot_seq)
-
-    @property
-    def free_slots(self) -> int:
-        """Slots currently on the free list."""
-        return len(self._free)
-
-    # ----------------------------------------------------------- slot pool
-    def _alloc(self, time: float, callback: Callable[..., None], args: tuple) -> int:
-        """Allocate a slot for one event and push its heap entry."""
-        seq = self._seq
-        self._seq = seq + 1
-        free = self._free
-        if free:
-            slot = free.pop()
-            self._slot_seq[slot] = seq
-            self._slot_cb[slot] = callback
-            self._slot_args[slot] = args
-        else:
-            slot = len(self._slot_seq)
-            self._slot_seq.append(seq)
-            self._slot_cb.append(callback)
-            self._slot_args.append(args)
-            self._slot_handle.append(None)
-        heapq.heappush(self._heap, (time, seq, slot))
-        return slot
-
-    def _cancel_slot(self, slot: int, seq: int) -> bool:
-        """O(1) lazy cancellation of the event occupying ``slot``.
-
-        A no-op (returning False) when the slot no longer holds the event
-        with sequence number ``seq`` -- it already fired or was cancelled.
-        """
-        if self._slot_seq[slot] != seq:
-            return False
-        self._release(slot, _CANCELLED)
-        self._tombstones += 1
-        tombstones = self._tombstones
-        if tombstones >= _COMPACT_MIN_TOMBSTONES and tombstones * 2 > len(self._heap):
-            self._compact()
-        return True
-
-    def _release(self, slot: int, final_state: str) -> None:
-        """Return a slot to the free list, detaching its handle (if any)."""
-        self._slot_seq[slot] = -1
-        self._slot_cb[slot] = None
-        self._slot_args[slot] = None
-        handle = self._slot_handle[slot]
-        if handle is not None:
-            handle._state = final_state
-            self._slot_handle[slot] = None
-        self._free.append(slot)
-
-    def _compact(self) -> None:
-        """Drop tombstones from the heap, in place.
-
-        In place matters: ``run`` holds a local reference to the heap list,
-        and a callback may trigger compaction mid-run.
-        """
-        slot_seq = self._slot_seq
-        self._heap[:] = [
-            entry for entry in self._heap if slot_seq[entry[2]] == entry[1]
-        ]
-        heapq.heapify(self._heap)
-        self._tombstones = 0
-        self.compactions += 1
-
-    def _seq_of(self, slot: int) -> int:
-        """Sequence number currently occupying ``slot`` (for timer helpers)."""
-        return self._slot_seq[slot]
-
     # -------------------------------------------------------------- schedule
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:  # spelled so that NaN is rejected too
             raise SimulationError(f"cannot schedule an event in the past (delay={delay})")
         return self.schedule_at(self.now + delay, callback, *args)
 
     def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` to run at absolute simulation ``time``."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule an event at t={time} before current time t={self.now}"
-            )
         if not callable(callback):
             raise SimulationError(f"callback {callback!r} is not callable")
-        time = float(time)
-        seq = self._seq  # _alloc consumes exactly this sequence number
-        slot = self._alloc(time, callback, args)
-        handle = EventHandle(self, slot, time, seq, callback, args)
-        self._slot_handle[slot] = handle
-        return handle
+        return EventHandle(self, self.call_at(time, callback, args))
 
-    def call_in(self, delay: float, callback: Callable[..., None], args: tuple = ()) -> int:
+    def call_in(self, delay: float, callback: Callable[..., None], args: tuple = ()) -> list:
         """Raw hot-path scheduling: no handle, no ``*args`` repacking.
 
-        Returns the slot index; fire-and-forget callers ignore it, and timer
-        helpers pair it with the slot's sequence number for safe cancellation
-        (see :class:`repro.sim.timers.OneShotTimer`).
+        Returns the calendar entry as an opaque token: fire-and-forget
+        callers ignore it, and whoever may need to take the event back keeps
+        it for :meth:`cancel`.
         """
-        if delay < 0:
+        if not delay >= 0:  # spelled so that NaN is rejected too
             raise SimulationError(f"cannot schedule an event in the past (delay={delay})")
-        # _alloc inlined: this is the hottest scheduling entry point (every
-        # MAC timer, ACK and end-of-flight event goes through here).
         seq = self._seq
         self._seq = seq + 1
-        free = self._free
-        if free:
-            slot = free.pop()
-            self._slot_seq[slot] = seq
-            self._slot_cb[slot] = callback
-            self._slot_args[slot] = args
-        else:
-            slot = len(self._slot_seq)
-            self._slot_seq.append(seq)
-            self._slot_cb.append(callback)
-            self._slot_args.append(args)
-            self._slot_handle.append(None)
-        heapq.heappush(self._heap, (self.now + delay, seq, slot))
-        return slot
+        entry = [self.now + delay, seq, callback, args]
+        heapq.heappush(self._heap, entry)
+        return entry
 
-    def call_at(self, time: float, callback: Callable[..., None], args: tuple = ()) -> int:
+    def call_at(self, time: float, callback: Callable[..., None], args: tuple = ()) -> list:
         """Absolute-time variant of :meth:`call_in`."""
-        if time < self.now:
+        if not time >= self.now:  # spelled so that NaN is rejected too
             raise SimulationError(
                 f"cannot schedule an event at t={time} before current time t={self.now}"
             )
-        return self._alloc(float(time), callback, args)
+        seq = self._seq
+        self._seq = seq + 1
+        entry = [float(time), seq, callback, args]
+        heapq.heappush(self._heap, entry)
+        return entry
 
     def schedule_many(self, calls, *, absolute: bool = False) -> int:
         """Batch-schedule ``(when, callback, args)`` triples; returns the count.
@@ -316,33 +228,59 @@ class Simulator:
         try:
             for when, callback, args in calls:
                 if absolute:
-                    if when < now:
+                    if not when >= now:
                         raise SimulationError(
                             f"cannot schedule an event at t={when} before current time t={now}"
                         )
                     time = float(when)
                 else:
-                    if when < 0:
+                    if not when >= 0:
                         raise SimulationError(
                             f"cannot schedule an event in the past (delay={when})"
                         )
                     time = now + when
+                seq = self._seq
+                self._seq = seq + 1
+                entry = [time, seq, callback, args]
                 if bulk:
-                    seq = self._seq
-                    self._seq = seq + 1
-                    slot = len(self._slot_seq)
-                    self._slot_seq.append(seq)
-                    self._slot_cb.append(callback)
-                    self._slot_args.append(args)
-                    self._slot_handle.append(None)
-                    heap.append((time, seq, slot))
+                    heap.append(entry)
                 else:
-                    self._alloc(time, callback, args)
+                    heapq.heappush(heap, entry)
                 count += 1
         finally:
             if bulk:
                 heapq.heapify(heap)
         return count
+
+    # ---------------------------------------------------------------- cancel
+    def cancel(self, entry: list) -> bool:
+        """O(1) lazy cancellation of the event ``entry`` stands for.
+
+        A no-op (returning False) when the event already fired or was
+        cancelled.  The entry stays in its heap as a tombstone until it
+        surfaces or the heap is compacted.
+        """
+        if entry[2] is None:
+            return False
+        entry[2] = None
+        entry[3] = _CANCELLED
+        self._tombstones += 1
+        tombstones = self._tombstones
+        if tombstones >= _COMPACT_MIN_TOMBSTONES and tombstones * 2 > len(self._heap):
+            self._compact()
+        return True
+
+    def _compact(self) -> None:
+        """Drop tombstones from the calendar, in place.
+
+        In place matters: ``run`` holds a local reference to the heap list,
+        and a callback may trigger compaction mid-run.
+        """
+        for heap in self._heaps:
+            heap[:] = [entry for entry in heap if entry[2] is not None]
+            heapq.heapify(heap)
+        self._tombstones = 0
+        self.compactions += 1
 
     # ------------------------------------------------------------------- run
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
@@ -366,11 +304,6 @@ class Simulator:
             until = float(until)
         executed = 0
         heap = self._heap
-        slot_seq = self._slot_seq
-        slot_cb = self._slot_cb
-        slot_args = self._slot_args
-        slot_handle = self._slot_handle
-        free = self._free
         pop = heapq.heappop
         try:
             while heap:
@@ -379,30 +312,26 @@ class Simulator:
                 if max_events is not None and executed >= max_events:
                     break
                 entry = pop(heap)
-                time, seq, slot = entry
-                if slot_seq[slot] != seq:
+                callback = entry[2]
+                if callback is None:
                     # Tombstone left behind by a lazy cancellation.
                     self._tombstones -= 1
                     continue
+                time = entry[0]
                 if until is not None and time > until:
                     # Beyond the horizon: put the event back and stop.
                     heapq.heappush(heap, entry)
                     self.now = until
                     break
                 self.now = time
-                callback = slot_cb[slot]
-                args = slot_args[slot]
-                # Release the slot before running the callback so whatever
-                # the callback schedules can reuse it immediately.
-                handle = slot_handle[slot]
-                if handle is not None:
-                    handle._state = _FIRED
-                    slot_handle[slot] = None
-                slot_seq[slot] = -1
-                slot_cb[slot] = None
-                slot_args[slot] = None
-                free.append(slot)
-                callback(*args)
+                # Fired from here on: whoever kept the entry sees it dead
+                # inside the callback, so a cancel from there is a no-op.
+                entry[2] = None
+                args = entry[3]
+                if args:
+                    callback(*args)
+                else:
+                    callback()
                 self._events_processed += 1
                 executed += 1
             else:
@@ -418,11 +347,12 @@ class Simulator:
     def clear(self) -> None:
         """Drop all pending events (the clock is left untouched).
 
-        Outstanding :class:`EventHandle` objects are detached as cancelled.
+        Outstanding entries and :class:`EventHandle` objects read as
+        cancelled afterwards.
         """
-        slot_seq = self._slot_seq
-        for _, seq, slot in self._heap:
-            if slot_seq[slot] == seq:
-                self._release(slot, _CANCELLED)
-        del self._heap[:]
+        for heap in self._heaps:
+            for entry in heap:
+                entry[2] = None
+                entry[3] = _CANCELLED
+            del heap[:]
         self._tombstones = 0

@@ -12,9 +12,9 @@ Three execution modes, one configuration surface
 (``ScenarioConfig(shards=..., shard_mode=...)``):
 
 ``"sequential"`` -- the correctness reference
-    :class:`ShardedSimulator` keeps one shared slot pool and one global
-    sequence counter but one heap per shard, and its run loop executes the
-    globally minimal ``(time, seq)`` event across all shard heads.  The
+    :class:`ShardedSimulator` keeps one global sequence counter but one
+    heap per shard, and its run loop executes the globally minimal
+    ``(time, seq)`` event across all shard heads.  The
     total event order is therefore *identical to the single-heap engine by
     construction*, for any shard count -- proven shard-count invariant on
     the hot-path golden digests the same way the medium is proven against
@@ -65,7 +65,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.sim.engine import Simulator, SimulationError, _CANCELLED, _FIRED
+from repro.sim.engine import Simulator, SimulationError
 
 #: Sync-window clamp (seconds).  The derived window is a tenth of the time a
 #: worst-case mover needs to cross the interference range -- fine-grained
@@ -239,11 +239,12 @@ class ShardPlan:
 class ShardedSimulator(Simulator):
     """The sequential multi-shard scheduler: per-shard heaps, exact order.
 
-    One shared slot pool, free list and global sequence counter; ``shards``
-    binary heaps.  Every scheduling call lands in the *current shard*'s heap
-    (:meth:`set_shard` routes it -- the medium points it at the receiving
-    radio's home shard around each delivery callback), and the run loop pops
-    the globally minimal ``(time, seq)`` entry across all shard heads.
+    One global sequence counter; ``shards`` binary heaps of calendar entries
+    (see :mod:`repro.sim.engine`).  Every scheduling call lands in the
+    *current shard*'s heap (:meth:`set_shard` routes it -- the medium points
+    it at the receiving radio's home shard around each delivery callback),
+    and the run loop pops the globally minimal ``(time, seq)`` entry across
+    all shard heads.
 
     Because the sequence counter is global and every live event sits in
     exactly one heap, the execution order equals the single-heap engine's
@@ -263,7 +264,7 @@ class ShardedSimulator(Simulator):
         super().__init__(start_time)
         #: Per-shard heaps; ``self._heap`` aliases the current shard's so
         #: every inherited scheduling path pushes into the right region.
-        self._heaps: List[list] = [self._heap] + [[] for _ in range(shards - 1)]
+        self._heaps.extend([] for _ in range(shards - 1))
         self.shards = shards
         #: Shard whose heap receives new events (see :meth:`set_shard`).
         self.current_shard = 0
@@ -276,44 +277,15 @@ class ShardedSimulator(Simulator):
         self._heap = self._heaps[shard]
 
     # ------------------------------------------------------- introspection
-    @property
-    def pending_events(self) -> int:
-        return self.heap_size - self._tombstones
-
-    @property
-    def heap_size(self) -> int:
-        return sum(len(heap) for heap in self._heaps)
-
     def heap_sizes(self) -> List[int]:
         """Raw per-shard heap lengths (tombstones included)."""
         return [len(heap) for heap in self._heaps]
 
     def shard_tombstones(self) -> List[int]:
         """Per-shard tombstone counts (an O(heap) scan; sampler-rate use)."""
-        slot_seq = self._slot_seq
         return [
-            sum(1 for entry in heap if slot_seq[entry[2]] != entry[1])
-            for heap in self._heaps
+            sum(1 for entry in heap if entry[2] is None) for heap in self._heaps
         ]
-
-    # ----------------------------------------------------------- internals
-    def _compact(self) -> None:
-        """Drop tombstones from every shard heap, in place."""
-        slot_seq = self._slot_seq
-        for heap in self._heaps:
-            heap[:] = [entry for entry in heap if slot_seq[entry[2]] == entry[1]]
-            heapq.heapify(heap)
-        self._tombstones = 0
-        self.compactions += 1
-
-    def clear(self) -> None:
-        slot_seq = self._slot_seq
-        for heap in self._heaps:
-            for _, seq, slot in heap:
-                if slot_seq[slot] == seq:
-                    self._release(slot, _CANCELLED)
-            del heap[:]
-        self._tombstones = 0
 
     # ------------------------------------------------------------------ run
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
@@ -332,11 +304,6 @@ class ShardedSimulator(Simulator):
             until = float(until)
         executed = 0
         heaps = self._heaps
-        slot_seq = self._slot_seq
-        slot_cb = self._slot_cb
-        slot_args = self._slot_args
-        slot_handle = self._slot_handle
-        free = self._free
         pop = heapq.heappop
         shard_events = self.shard_events
         try:
@@ -348,7 +315,7 @@ class ShardedSimulator(Simulator):
                 best = None
                 best_shard = -1
                 for shard, heap in enumerate(heaps):
-                    while heap and slot_seq[heap[0][2]] != heap[0][1]:
+                    while heap and heap[0][2] is None:
                         pop(heap)
                         self._tombstones -= 1
                     if heap:
@@ -361,7 +328,7 @@ class ShardedSimulator(Simulator):
                     if until is not None and until > self.now:
                         self.now = until
                     break
-                time, seq, slot = best
+                time = best[0]
                 if until is not None and time > until:
                     # Beyond the horizon; heads were only peeked, so the
                     # calendar is already intact.
@@ -371,17 +338,13 @@ class ShardedSimulator(Simulator):
                 self.now = time
                 self.current_shard = best_shard
                 self._heap = heaps[best_shard]
-                callback = slot_cb[slot]
-                args = slot_args[slot]
-                handle = slot_handle[slot]
-                if handle is not None:
-                    handle._state = _FIRED
-                    slot_handle[slot] = None
-                slot_seq[slot] = -1
-                slot_cb[slot] = None
-                slot_args[slot] = None
-                free.append(slot)
-                callback(*args)
+                callback = best[2]
+                best[2] = None
+                args = best[3]
+                if args:
+                    callback(*args)
+                else:
+                    callback()
                 self._events_processed += 1
                 shard_events[best_shard] += 1
                 executed += 1

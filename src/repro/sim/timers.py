@@ -1,11 +1,10 @@
 """Timer helpers built on top of the event calendar.
 
-Both helpers are *reusable slots* over the engine's pooled calendar: arming
-schedules a raw pool event (no :class:`~repro.sim.engine.EventHandle`
-allocation), and the ``(slot, seq)`` pair they retain makes disarming safe
-even after the event fired and its slot was recycled -- a stale sequence
-number turns the cancel into a no-op, exactly like cancelling a fired
-handle.
+Both helpers keep the calendar entry of their pending shot (see
+:mod:`repro.sim.engine`): arming schedules a raw event (no
+:class:`~repro.sim.engine.EventHandle` allocation), and because entries are
+never reused, disarming after the shot fired is a no-op -- exactly like
+cancelling a fired handle.
 """
 
 from __future__ import annotations
@@ -16,50 +15,40 @@ from repro.sim.engine import Simulator
 
 
 class OneShotTimer:
-    """A re-armable one-shot timer occupying a single logical slot.
+    """A re-armable one-shot timer: at most one pending event.
 
-    Used by the MAC (backoff / transmission-done / ACK-timeout share one
-    pending event) and by :class:`PeriodicTimer`; arming allocates nothing
-    beyond the engine's pooled event.  Re-arming cancels any still-pending
-    shot first.
+    Used by :class:`PeriodicTimer` and wherever a deadline is pushed back
+    or withdrawn; arming allocates nothing beyond the calendar entry.
+    Re-arming cancels any still-pending shot first.
     """
 
-    __slots__ = ("_sim", "_slot", "_seq")
+    __slots__ = ("_sim", "_entry")
 
     def __init__(self, sim: Simulator):
         self._sim = sim
-        self._slot = -1
-        self._seq = -1
+        self._entry: Optional[list] = None
 
     def arm(self, delay: float, callback: Callable[..., None], args: tuple = ()) -> None:
         """Fire ``callback(*args)`` after ``delay`` seconds (replacing any
         still-pending shot)."""
         sim = self._sim
-        slot = self._slot
-        if slot >= 0 and sim._slot_seq[slot] == self._seq:
-            sim._cancel_slot(slot, self._seq)
-        self._slot = sim.call_in(delay, callback, args)
-        # The engine hands out sequence numbers monotonically and call_in
-        # consumed exactly one, so the shot's seq is the last one issued.
-        self._seq = sim._seq - 1
-
-    def rearm(self, delay: float, callback: Callable[..., None]) -> None:
-        """:meth:`arm` for a caller running inside this timer's own shot:
-        that shot has fired, so there is nothing pending to cancel."""
-        sim = self._sim
-        self._slot = sim.call_in(delay, callback)
-        self._seq = sim._seq - 1
+        entry = self._entry
+        if entry is not None and entry[2] is not None:
+            sim.cancel(entry)
+        self._entry = sim.call_in(delay, callback, args)
 
     def disarm(self) -> None:
         """Cancel the pending shot; a no-op when it already fired."""
-        if self._slot >= 0:
-            self._sim._cancel_slot(self._slot, self._seq)
-            self._slot = -1
+        entry = self._entry
+        if entry is not None:
+            self._sim.cancel(entry)
+            self._entry = None
 
     @property
     def armed(self) -> bool:
         """True while a shot is scheduled and has not fired."""
-        return self._slot >= 0 and self._sim._seq_of(self._slot) == self._seq
+        entry = self._entry
+        return entry is not None and entry[2] is not None
 
 
 class PeriodicTimer:
@@ -83,7 +72,7 @@ class PeriodicTimer:
         jitter: float = 0.0,
         rng=None,
     ):
-        if interval <= 0:
+        if not interval > 0:  # spelled so that NaN is rejected too
             raise ValueError(f"interval must be positive, got {interval}")
         if jitter < 0:
             raise ValueError(f"jitter must be non-negative, got {jitter}")
@@ -125,7 +114,7 @@ class PeriodicTimer:
         """Stop and start again, optionally changing the interval."""
         self.stop()
         if interval is not None:
-            if interval <= 0:
+            if not interval > 0:
                 raise ValueError(f"interval must be positive, got {interval}")
             self._interval = float(interval)
         self.start()

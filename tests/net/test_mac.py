@@ -2,7 +2,6 @@
 
 import math
 import random
-import sys
 
 import pytest
 
@@ -13,6 +12,7 @@ from repro.net.node import Node
 from repro.net.packet import Frame, Packet
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
+from tests.conftest import python_calls
 
 
 def _make_nodes(positions, range_m=100.0, mac_config=None):
@@ -179,49 +179,45 @@ class TestCarrierSensePoll:
     and pinned here to draw, sense and schedule exactly as the plain form."""
 
     def _deferring_mac(self):
+        """A MAC contending for a carrier that never clears, plus a clone of
+        its backoff stream taken before the first draw."""
         sim, medium, nodes, _ = _make_nodes([(0, 0)])
         mac = nodes[0].mac
+        reference = random.Random()
+        reference.setstate(mac.rng.getstate())
         nodes[0].phy.rx_busy_until = math.inf  # carrier held busy for good
         mac.send(Packet(origin=0, destination=-1, size_bytes=64), -1)
         assert mac.state == "contend" and sim.pending_events == 1
-        return sim, mac
+        return sim, mac, reference
 
     def test_backoff_redraw_is_randrange_draw_for_draw(self):
-        sim, mac = self._deferring_mac()
+        sim, mac, reference = self._deferring_mac()
         config = mac.config
-        reference = random.Random()
-        reference.setstate(mac.rng.getstate())
-        expected = None
+        # The first draw is ``_start_contention``'s, the rest are the poll's.
+        slots = reference.randrange(config.cw_min)
+        expected = sim.now + (config.difs_s + slots * config.slot_time_s)
         cw = config.cw_min
         while cw <= config.cw_max:
             mac._current.cw = cw
             for _ in range(10_000):
                 sim.run(max_events=1)  # one poll: defers, redraws from ``cw``
-                assert expected is None or sim.now == expected
+                assert sim.now == expected
                 slots = reference.randrange(cw)
                 expected = sim.now + (config.difs_s + slots * config.slot_time_s)
             cw *= 2
         assert mac.rng.getstate() == reference.getstate()
         assert mac.state == "contend" and sim.pending_events == 1
 
-    def test_one_defer_is_four_frames_and_one_event(self):
-        sim, mac = self._deferring_mac()
-        calls = []
-
-        def profiler(frame, event, arg):
-            if event == "call":
-                calls.append(frame.f_code.co_name)
-
-        sys.setprofile(profiler)
-        try:
-            sim.run(max_events=1)
-        finally:
-            sys.setprofile(None)
-        assert calls[:2] == ["run", "_attempt_transmission"]
-        assert len(calls) - 1 <= 4, calls
-        # One event fired and one is pending again: exactly one was scheduled.
+    def test_one_defer_is_two_frames_and_one_event(self):
+        sim, mac, _ = self._deferring_mac()
+        first = mac._pending
+        calls = python_calls(sim.run, None, 1)  # max_events=1
+        assert calls == ["run", "_attempt_transmission", "call_in"]
+        # One event fired and one is pending again: exactly one was scheduled,
+        # and it is the one the MAC can still take back.
         assert sim.events_processed == 1 and sim.pending_events == 1
-        assert mac._pending.armed
+        assert mac._pending is not first and sim._heap == [mac._pending]
+        assert sim.cancel(first) is False and sim.cancel(mac._pending) is True
 
     def test_dark_radio_senses_idle_and_starts_its_fake_flight(self):
         sim, medium, nodes, received = _make_nodes([(0, 0), (50, 0)])

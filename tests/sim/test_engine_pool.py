@@ -1,33 +1,35 @@
-"""Edge cases of the slot-pooled event calendar.
+"""Edge cases of the entry calendar.
 
-The engine recycles event slots through a free list and cancels lazily via
-heap tombstones, so the dangerous corners are exactly the ones this module
-pins: cancelling a handle whose slot has been recycled, cancelling an event
-from another event at the same instant, tie-break ordering under heavy slot
-reuse, tombstone compaction, and the batched ``schedule_many`` path.  The
-final class is a randomized schedule/cancel/run-until property test against
-a brute-force reference calendar.
+The engine keeps each event as one ``[time, seq, callback, args]`` heap entry
+and cancels lazily via tombstones, so the dangerous corners are the ones this
+module pins: cancelling an event that already fired, cancelling an event from
+another event at the same instant, tie-break ordering around cancellations,
+tombstone accounting and compaction, and the batched ``schedule_many`` path.
+The final class is a randomized schedule/cancel/run-until property test
+against a brute-force reference calendar.
 """
+
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
 from repro.sim.engine import SimulationError, Simulator
-from repro.sim.timers import OneShotTimer
+from repro.sim.shard import ShardedSimulator
+from repro.sim.timers import OneShotTimer, PeriodicTimer
 
 
-class TestCancelAfterFireWithPoolReuse:
-    def test_stale_cancel_cannot_kill_the_slots_new_tenant(self):
+class TestCancelAfterFire:
+    def test_stale_cancel_cannot_kill_a_later_event(self):
         sim = Simulator()
         fired = []
         first = sim.schedule(1.0, fired.append, "first")
         sim.run()
-        # The slot is free now; the next event reuses it.
         second = sim.schedule(1.0, fired.append, "second")
-        assert second._slot == first._slot
-        # Cancelling the fired handle must not touch the reused slot.
+        # Cancelling the fired handle touches nothing that is pending.
         first.cancel()
+        assert sim.tombstones == 0 and sim.pending_events == 1
         sim.run()
         assert fired == ["first", "second"]
         assert first.fired and not first.cancelled
@@ -40,24 +42,48 @@ class TestCancelAfterFireWithPoolReuse:
         handle.cancel()
         handle.cancel()
         replacement = sim.schedule(2.0, fired.append, "y")
-        handle.cancel()  # stale again, slot now belongs to `replacement`
+        handle.cancel()  # stale again, with `replacement` pending
+        assert sim.tombstones == 1 and sim.pending_events == 1
         sim.run()
         assert fired == ["y"]
         assert handle.cancelled and replacement.fired
 
-    def test_oneshot_disarm_after_fire_is_safe_across_reuse(self):
+    def test_oneshot_disarm_after_fire_is_a_noop(self):
         sim = Simulator()
         fired = []
         shot = OneShotTimer(sim)
         shot.arm(1.0, fired.append, ("a",))
         sim.run()
-        # The shot's slot is free; give it to an unrelated event, then
-        # disarm the stale shot: the unrelated event must survive.
-        other = sim.schedule(1.0, fired.append, "b")
-        assert other._slot == shot._slot
+        assert not shot.armed
+        # Disarm the stale shot with an unrelated event pending: that event
+        # survives and no tombstone is counted for the shot that fired.
+        sim.schedule(1.0, fired.append, "b")
         shot.disarm()
+        assert sim.tombstones == 0 and sim.pending_events == 1
         sim.run()
         assert fired == ["a", "b"]
+
+    def test_shot_is_not_armed_inside_its_own_callback(self):
+        sim = Simulator()
+        seen = []
+        shot = OneShotTimer(sim)
+        shot.arm(1.0, lambda: seen.append(shot.armed))
+        assert shot.armed
+        sim.run()
+        assert seen == [False]
+
+    @pytest.mark.parametrize("make", [Simulator, lambda: ShardedSimulator(2)])
+    def test_call_in_entry_cancels_through_the_simulator(self, make):
+        sim = make()
+        fired = []
+        entry = sim.call_in(1.0, fired.append, ("dropped",))
+        sim.call_in(2.0, fired.append, ("kept",))
+        assert sim.cancel(entry) is True
+        assert sim.cancel(entry) is False  # already cancelled
+        assert sim.tombstones == 1 and sim.pending_events == 1
+        sim.run()
+        assert fired == ["kept"] and sim.tombstones == 0
+        assert sim.cancel(entry) is False and sim.tombstones == 0
 
 
 class TestCancelWhilePopping:
@@ -74,11 +100,13 @@ class TestCancelWhilePopping:
         victim["handle"] = sim.schedule(1.0, fired.append, "victim")
         sim.run()
         assert fired == ["killer"]
-        assert victim["handle"].cancelled
+        handle = victim["handle"]
+        assert handle.cancelled and not handle.fired and not handle.pending
+        assert sim.tombstones == 0 and sim.pending_events == 0
 
     def test_event_cancels_and_replaces_sibling_at_same_instant(self):
-        # The cancelled sibling's slot is reused by a replacement scheduled
-        # from inside the killer; order must follow sequence numbers.
+        # A replacement is scheduled from inside the killer right after the
+        # sibling is cancelled; order must follow sequence numbers.
         sim = Simulator()
         fired = []
         victim = {}
@@ -108,18 +136,15 @@ class TestCancelWhilePopping:
         assert fired == [1.0, 2.0, 3.0]
 
 
-class TestSameInstantOrderingUnderReuse:
-    def test_scheduling_order_survives_slot_recycling(self):
+class TestSameInstantOrdering:
+    def test_scheduling_order_survives_earlier_events(self):
         sim = Simulator()
         fired = []
-        # Burn and free a pile of slots so later events draw from the free
-        # list in LIFO order (slot index order is scrambled on purpose).
         for _ in range(10):
             sim.schedule(0.5, lambda: None)
         sim.run()
         for label in "abcdefgh":
             sim.schedule(1.0, fired.append, label)
-        # Cancel two in the middle; the rest keep their relative order.
         sim.run()
         assert fired == list("abcdefgh")
 
@@ -129,8 +154,8 @@ class TestSameInstantOrderingUnderReuse:
         handles = [sim.schedule(1.0, fired.append, i) for i in range(6)]
         handles[1].cancel()
         handles[4].cancel()
-        late = [sim.schedule(1.0, fired.append, f"late{i}") for i in range(2)]
-        assert {h._slot for h in late} == {handles[1]._slot, handles[4]._slot}
+        for i in range(2):
+            sim.schedule(1.0, fired.append, f"late{i}")
         sim.run()
         assert fired == [0, 2, 3, 5, "late0", "late1"]
 
@@ -149,16 +174,27 @@ class TestTombstoneCompaction:
         assert all(h.fired for h in keep)
         assert all(h.cancelled for h in drop)
 
-    def test_clear_detaches_handles_and_resets_tombstones(self):
-        sim = Simulator()
+    @pytest.mark.parametrize("make", [Simulator, lambda: ShardedSimulator(2)])
+    def test_clear_detaches_handles_and_resets_tombstones(self, make):
+        sim = make()
+        done = sim.schedule(0.5, lambda: None)
+        sim.run()
         live = sim.schedule(1.0, lambda: None)
         dead = sim.schedule(2.0, lambda: None)
+        shot = OneShotTimer(sim)
+        shot.arm(3.0, lambda: None)
         dead.cancel()
         sim.clear()
-        assert sim.pending_events == 0
-        assert live.cancelled and dead.cancelled
+        assert sim.pending_events == 0 and sim.tombstones == 0
+        assert sim.heap_size == 0
+        for handle in (live, dead):
+            assert handle.cancelled and not handle.fired and not handle.pending
+        assert done.fired and not done.cancelled
+        assert not shot.armed
+        shot.disarm()  # stale: the cleared calendar counts no tombstone
+        assert sim.tombstones == 0
         sim.run()
-        assert sim.events_processed == 0
+        assert sim.events_processed == 1
 
 
 class TestScheduleMany:
@@ -206,6 +242,44 @@ class TestScheduleMany:
         sim.schedule(0.5, fired.append, "later")
         sim.run()
         assert fired == ["later", "ok"]
+
+
+class TestNanTimesRejected:
+    """``nan < 0`` is false, so a plain ``delay < 0`` guard lets NaN into the
+    heap, where it breaks the ordering invariant for every later event."""
+
+    def _calendar(self):
+        sim = Simulator()
+        fired = []
+        for when, label in ((2.0, "a"), (1.0, "z"), (0.5, "y")):
+            sim.schedule(when, fired.append, label)
+        return sim, fired, [list(entry) for entry in sim._heap]
+
+    @pytest.mark.parametrize("schedule", [
+        lambda sim, cb: sim.call_in(math.nan, cb),
+        lambda sim, cb: sim.call_at(math.nan, cb),
+        lambda sim, cb: sim.schedule(math.nan, cb),
+        lambda sim, cb: sim.schedule_at(math.nan, cb),
+        lambda sim, cb: sim.schedule_many([(math.nan, cb, ())]),
+        lambda sim, cb: sim.schedule_many([(math.nan, cb, ())], absolute=True),
+    ], ids=["call_in", "call_at", "schedule", "schedule_at",
+            "schedule_many", "schedule_many_absolute"])
+    def test_nan_raises_and_leaves_the_heap_as_it_was(self, schedule):
+        sim, fired, before = self._calendar()
+        with pytest.raises(SimulationError):
+            schedule(sim, lambda: fired.append("nan"))
+        assert sim._heap == before and sim._seq == 3
+        sim.run()
+        assert fired == ["y", "z", "a"] and sim.now == 2.0
+
+    def test_periodic_timer_rejects_nan_interval(self):
+        sim, _, before = self._calendar()
+        with pytest.raises(ValueError):
+            PeriodicTimer(sim, math.nan, lambda: None)
+        timer = PeriodicTimer(sim, 1.0, lambda: None)
+        with pytest.raises(ValueError):
+            timer.restart(math.nan)
+        assert sim._heap == before and timer.interval == 1.0
 
 
 class TestRandomizedScheduleCancelProperty:

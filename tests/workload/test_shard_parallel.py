@@ -332,7 +332,7 @@ def test_sequential_shard_obs_telemetry_matches_unsharded():
     every workload-level metric, histogram and fan-out total must be
     byte-identical to the unsharded instrumented run; the only additions
     are the sampler's ``engine.shard.*`` partition-balance gauges.  Engine
-    calendar-health gauges (heap depth, tombstones, slot pool) describe
+    calendar-health gauges (heap depth, tombstones, compactions) describe
     the *engine's internals*, which legitimately differ between one heap
     and N region heaps, so they are excluded alongside wall-clock fields.
     """
