@@ -11,13 +11,13 @@ engines:
 * ``process``     -- one OS process per shard (the speedup mode).
 
 The workload is flooding with gossip off: broadcast-dominant traffic is
-the parallel modes' honest territory (cross-shard unicast ACKs cannot meet
+the parallel mode's honest territory (cross-shard unicast ACKs cannot meet
 the MAC's 1.5 ms timeout across a sync window -- see README "Sharded
 engine").  Writes a JSON artifact with wall times, events/sec, per-shard
 event counts, sync-round overhead and the end-to-end speedup.
 
 With ``--obs`` every mode runs instrumented (metrics registry, flight
-recorder, engine sampler -- the parallel modes merge per-worker telemetry
+recorder, engine sampler -- the process mode merges per-worker telemetry
 into one snapshot) and ``--report-out`` writes the rendered telemetry
 report of the last instrumented mode, which CI uploads next to the timing
 artifact.
@@ -30,7 +30,7 @@ Usage::
         [--report-out REPORT.txt]
 
 ``--memory`` adds per-worker setup wall time and peak RSS
-(``resource.getrusage``) for the parallel modes, so the shard-local
+(``resource.getrusage``) for the process mode, so the shard-local
 construction win is measurable even on a single-core container.
 """
 
@@ -112,19 +112,14 @@ def time_mode(config: ScenarioConfig, rounds: int) -> tuple:
 
 
 def memory_record(result) -> dict:
-    """Per-worker setup time and peak RSS of a parallel-mode result.
+    """Per-worker setup time and peak RSS of a process-mode result.
 
-    Process mode reports each worker process's own ``ru_maxrss``; windowed
-    mode runs every worker in this process, so all shards report the same
-    process-wide peak (documented in the artifact via ``rss_scope``).
+    Each shard reports its own worker process's ``ru_maxrss``.
     """
     stats = result.shard_stats
     setup = stats["setup_s_by_shard"]
     rss = stats["peak_rss_kb_by_shard"]
     return {
-        "rss_scope": (
-            "per_worker_process" if stats["mode"] == "process" else "shared_process"
-        ),
         "setup_s_by_shard": {
             str(shard): round(value, 3) for shard, value in sorted(setup.items())
         },
@@ -145,16 +140,14 @@ def main() -> int:
     parser.add_argument("--rounds", type=int, default=1)
     parser.add_argument("--modes", nargs="*",
                         default=["unsharded", "sequential", "process"],
-                        choices=["unsharded", "sequential", "windowed", "process"])
+                        choices=["unsharded", "sequential", "process"])
     parser.add_argument("--obs", action="store_true",
-                        help="instrument every mode (parallel modes merge "
+                        help="instrument every mode (the process mode merges "
                              "per-worker telemetry into one snapshot)")
     parser.add_argument("--memory", action="store_true",
                         help="record per-worker setup wall time and peak RSS "
-                             "for the parallel modes (process mode gives one "
-                             "ru_maxrss per worker process; windowed mode "
-                             "shares this process, so its per-shard RSS is "
-                             "the process-wide peak)")
+                             "for the process mode (one ru_maxrss per worker "
+                             "process)")
     parser.add_argument("--report-out", default=None, metavar="PATH",
                         help="write the rendered telemetry report of the "
                              "last instrumented mode to PATH (implies --obs)")
@@ -178,12 +171,12 @@ def main() -> int:
         print(f"[{mode}] nodes={args.nodes} shards="
               f"{args.shards if mode != 'unsharded' else 1} ...", flush=True)
         record, result = time_mode(config, args.rounds)
-        if args.memory and mode in ("windowed", "process"):
+        if args.memory and mode == "process":
             record["memory"] = memory_record(result)
             print(f"[{mode}] setup "
                   f"{record['memory']['setup_s_max']} s/worker (max), "
                   f"peak RSS {record['memory']['peak_rss_kb_max']} kB "
-                  f"({record['memory']['rss_scope']})", flush=True)
+                  f"(per worker process)", flush=True)
         results[mode] = record
         if result.telemetry is not None:
             telemetry = result.telemetry
@@ -203,13 +196,12 @@ def main() -> int:
     }
     reference = results.get("unsharded")
     if reference:
-        for mode in ("windowed", "process"):
-            if mode in results:
-                artifact[f"{mode}_speedup"] = round(
-                    reference["wall_s"] / results[mode]["wall_s"], 3
-                )
-                print(f"{mode} speedup over unsharded: "
-                      f"{artifact[f'{mode}_speedup']:.2f}x")
+        if "process" in results:
+            artifact["process_speedup"] = round(
+                reference["wall_s"] / results["process"]["wall_s"], 3
+            )
+            print(f"process speedup over unsharded: "
+                  f"{artifact['process_speedup']:.2f}x")
         if "sequential" in results:
             # The exact mode never aims to be faster; record its overhead
             # and its invariance at scale (same event count = same run).

@@ -175,22 +175,10 @@ class ResultStore:
     def load(self) -> Dict[str, TrialRecord]:
         """All stored records keyed by trial key, last record per key wins.
 
-        Blank and truncated lines (killed-process artefacts) are skipped.
+        A fold over :meth:`iter_records`, so blank and truncated lines
+        (killed-process artefacts) are skipped by the same rule.
         """
-        records: Dict[str, TrialRecord] = {}
-        if not self.path.exists():
-            return records
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = TrialRecord.from_json(line)
-                except (json.JSONDecodeError, KeyError):
-                    continue
-                records[record.key] = record
-        return records
+        return {record.key: record for record in self.iter_records()}
 
     def iter_records(self):
         """Stream the stored records in on-disk order, one at a time.
@@ -200,7 +188,8 @@ class ResultStore:
         the caller's concern -- see
         :func:`repro.campaign.aggregate.merged_store_telemetry`), and a
         multi-thousand-trial store never has to fit in memory at once.
-        Blank and truncated lines are skipped, like :meth:`load`.
+        Blank and truncated lines, and lines holding JSON that is not a
+        record object, are skipped.
         """
         if not self.path.exists():
             return
@@ -210,9 +199,10 @@ class ResultStore:
                 if not line:
                     continue
                 try:
-                    yield TrialRecord.from_json(line)
-                except (json.JSONDecodeError, KeyError):
+                    record = TrialRecord.from_json(line)
+                except (json.JSONDecodeError, KeyError, TypeError):
                     continue
+                yield record
 
     def completed_keys(self) -> Set[str]:
         """Keys of every trial already present in the store."""

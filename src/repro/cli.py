@@ -14,10 +14,10 @@ series) serially and in-process; ``campaign`` runs the same sweeps through
 the parallel, resumable campaign subsystem (``--jobs`` worker processes, one
 JSONL record per trial in ``--out``, ``--resume`` to skip already-stored
 trials); ``report`` renders the telemetry of an instrumented run (``run
---obs``/``campaign --obs``) from a snapshot JSON, a campaign store
-(``--merged`` folds a whole store into one campaign-wide snapshot) or a
-pytest-benchmark artifact, and ``--diff A B`` renders the delta between any
-two of those; ``list-figures`` shows which figures are available.
+--obs``/``campaign --obs``) from a snapshot JSON or a campaign store
+(``--merged`` folds a whole store into one campaign-wide snapshot), and
+``--diff A B`` renders the delta between any two of those; ``list-figures``
+shows which figures are available.
 """
 
 from __future__ import annotations
@@ -93,17 +93,16 @@ def build_parser() -> argparse.ArgumentParser:
                                  "engine (default 1: the classic "
                                  "single-calendar engine)")
     run_parser.add_argument("--shard-mode",
-                            choices=("sequential", "windowed", "process"),
+                            choices=("sequential", "process"),
                             default="sequential",
                             help="shard execution mode: sequential (exact, "
-                                 "bit-identical to unsharded), windowed "
-                                 "(in-process lockstep workers) or process "
+                                 "bit-identical to unsharded) or process "
                                  "(one OS process per shard; the speedup "
                                  "mode)")
     run_parser.add_argument("--shard-window", type=float, default=None,
                             metavar="SECONDS",
                             help="conservative sync window override for the "
-                                 "parallel shard modes (default: derived "
+                                 "process shard mode (default: derived "
                                  "from radio range / fleet speed bound)")
     run_parser.add_argument("--obs", action="store_true",
                             help="instrument the run (metrics registry, flight "
@@ -145,19 +144,17 @@ def build_parser() -> argparse.ArgumentParser:
     report_parser = subparsers.add_parser(
         "report",
         help="render the telemetry of an instrumented run",
-        description="Render a telemetry snapshot (run --obs-out JSON), the "
+        description="Render a telemetry snapshot (run --obs-out JSON) or the "
                     "telemetry carried by an instrumented campaign store "
-                    "(campaign --obs --out store.jsonl) or a pytest-benchmark "
-                    "artifact (BENCH_*.json): metric tree, fan-out histogram, "
-                    "kinetic-window hit rate, phase breakdown and top-N fan-out "
-                    "offenders.  --merged folds a whole store into one "
-                    "campaign-wide snapshot; --diff renders the delta between "
-                    "two snapshots/stores/artifacts.",
+                    "(campaign --obs --out store.jsonl): metric tree, fan-out "
+                    "histogram, kinetic-window hit rate, phase breakdown and "
+                    "top-N fan-out offenders.  --merged folds a whole store "
+                    "into one campaign-wide snapshot; --diff renders the delta "
+                    "between two snapshots/stores.",
     )
-    report_parser.add_argument("path", help="telemetry JSON, campaign JSONL store "
-                                            "or pytest-benchmark artifact")
+    report_parser.add_argument("path", help="telemetry JSON or campaign JSONL store")
     report_parser.add_argument("other", nargs="?", default=None,
-                               help="second snapshot/store/artifact (--diff only)")
+                               help="second snapshot/store (--diff only)")
     report_parser.add_argument("--key", default=None,
                                help="trial key to report from a campaign store "
                                     "(default: the first instrumented record); "
@@ -250,9 +247,10 @@ def _command_run(args: argparse.Namespace) -> int:
             )
         config = dataclasses.replace(config, churn_config=churn)
 
-    if config.shards > 1 and config.shard_mode in ("windowed", "process"):
-        # Parallel shard modes run through the shard driver (which rejects
-        # churn); the sequential mode runs in-process like everything else.
+    if config.shards > 1 and config.shard_mode == "process":
+        # The parallel shard mode runs through the shard driver (which
+        # rejects churn); the sequential mode runs in-process like
+        # everything else.
         from repro.workload.scenario import run_scenario
 
         scenario = None
@@ -457,33 +455,12 @@ def _command_campaign(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_to_telemetry(payload: dict) -> dict:
-    """A pytest-benchmark artifact as a telemetry snapshot.
-
-    Every benchmark contributes ``bench.<name>.mean_s`` (its timing) plus
-    one counter per numeric ``extra_info`` field, so ``repro report --diff``
-    can compare two ``BENCH_*`` artifacts with the same machinery that
-    compares run telemetry.
-    """
-    metrics = {}
-    for bench in payload.get("benchmarks", []):
-        name = bench.get("name", "benchmark").split("[", 1)[0]
-        stats = bench.get("stats") or {}
-        if isinstance(stats.get("mean"), (int, float)):
-            metrics[f"bench.{name}.mean_s"] = stats["mean"]
-        for field, value in sorted((bench.get("extra_info") or {}).items()):
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                metrics[f"bench.{name}.{field}"] = value
-    return {"metrics": metrics}
-
-
 def _load_telemetry(path: str, key: Optional[str], merged: bool = False) -> tuple:
     """Resolve ``path`` to one telemetry snapshot.
 
     Returns ``(telemetry, title, error)``; exactly one of telemetry/error is
     set.  Accepts a snapshot JSON (``run --obs-out``), a single stored trial
-    record, a pytest-benchmark artifact (``BENCH_*.json``), or a campaign
-    JSONL store -- where ``--key`` selects one trial (default the first
+    record, or a campaign JSONL store -- where ``--key`` selects one trial (default the first
     instrumented record) and ``merged`` folds every instrumented trial into
     one campaign-wide snapshot (``--key`` then filters by substring).
     """
@@ -496,8 +473,6 @@ def _load_telemetry(path: str, key: Optional[str], merged: bool = False) -> tupl
         payload = json.loads(text)
     except ValueError:
         payload = None
-    if isinstance(payload, dict) and isinstance(payload.get("benchmarks"), list):
-        return _bench_to_telemetry(payload), path, None
     if isinstance(payload, dict) and "telemetry" not in payload and (
         "metrics" in payload or "histograms" in payload
     ):

@@ -86,12 +86,6 @@ class Obs:
         """Dump the flight-recorder ring to ``path`` (JSONL); returns count."""
         return self.recorder.dump_jsonl(path)
 
-    def merge(self, other: "Obs", label=None) -> None:
-        """Fold another run's/worker's obs state in (see each component)."""
-        self.registry.merge(other.registry, label=label)
-        self.recorder.merge(other.recorder)
-        self.spans.merge(other.spans)
-
     def reset(self) -> None:
         self.registry.reset()
         self.recorder.clear()
@@ -132,9 +126,6 @@ class _NullObs:
 
     def dump_recorder(self, path) -> int:
         return 0
-
-    def merge(self, other, label=None) -> None:
-        pass
 
     def reset(self) -> None:
         pass

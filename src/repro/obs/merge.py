@@ -9,10 +9,8 @@ snapshots shipped over a pipe, the campaign aggregator can fold trial
 records as they stream in, and ``repro report --diff`` can compare any two
 of the results.
 
-Merge semantics (mirrored exactly by the object-level ``merge()`` methods
-of :class:`~repro.obs.registry.MetricsRegistry`,
-:class:`~repro.obs.recorder.FlightRecorder` and
-:class:`~repro.obs.spans.SpanTracker`):
+This is the one merge: live registries, recorders and span trackers are
+never folded into each other, only their snapshots.  Merge semantics:
 
 * **counters** sum;
 * **gauges** merge min/max/updates, keep the last written value (the last
@@ -185,8 +183,8 @@ def merge_snapshots(
                 counters[name] = counters.get(name, 0) + value
 
     # Counters first, then gauges, each sorted: the exact key order of
-    # MetricsRegistry.snapshot(), so object-merged and snapshot-merged
-    # telemetry compare equal structurally too.
+    # MetricsRegistry.snapshot(), so a merged snapshot is shaped like a
+    # single run's.
     metrics: Dict[str, object] = {}
     for name in sorted(counters):
         metrics[name] = counters[name]

@@ -6,7 +6,9 @@ strings) to a ``deque(maxlen=capacity)``; once full, the oldest events are
 overwritten, so memory stays bounded no matter how long the run.  The ring
 dumps to JSONL on demand (:meth:`FlightRecorder.dump_jsonl`) and the
 scenario layer dumps it automatically when a run raises (see
-``ObsConfig.dump_on_error_path``).
+``ObsConfig.dump_on_error_path``).  Rings of several shards are combined
+from their events and snapshots (:func:`repro.obs.merge.interleave_events`,
+:func:`repro.obs.merge.merge_snapshots`), never recorder to recorder.
 
 Event schema: every event carries ``t`` (simulation time) and ``kind`` (a
 dotted ``layer.event`` tag, e.g. ``"engine.sample"`` or
@@ -27,10 +29,6 @@ class FlightRecorder:
     def __init__(self, capacity: int = 4096):
         if capacity < 0:
             raise ValueError("capacity must not be negative")
-        # capacity=0 is the merge-accumulator form: it retains nothing of
-        # its own and grows purely by merge() (capacities sum), so a fold
-        # over N worker recorders ends at exactly the workers' combined
-        # capacity.
         self.capacity = capacity
         self._ring: Deque[Dict[str, object]] = deque(maxlen=capacity)
         #: Events recorded in total (≥ ``len(self)`` once the ring wrapped).
@@ -56,21 +54,6 @@ class FlightRecorder:
 
     def __len__(self) -> int:
         return len(self._ring)
-
-    def merge(self, other: "FlightRecorder") -> None:
-        """Fold another recorder in: one ring, one global time order.
-
-        Retained events interleave by ``t`` -- stably, so same-time events
-        keep self-before-other order; fold recorders in shard order to
-        match the engines' global ``(time, seq)`` tie-break.  Capacities
-        and recorded totals sum, so occupancy accounting stays exact.
-        """
-        events = sorted(
-            list(self._ring) + other.events(), key=lambda event: event["t"]
-        )
-        self.capacity += other.capacity
-        self._ring = deque(events, maxlen=self.capacity)
-        self.recorded += other.recorded
 
     def clear(self) -> None:
         self._ring.clear()
@@ -107,9 +90,6 @@ class NullFlightRecorder:
 
     def events(self, kind: Optional[str] = None) -> List[Dict[str, object]]:
         return []
-
-    def merge(self, other) -> None:
-        pass
 
     def __len__(self) -> int:
         return 0

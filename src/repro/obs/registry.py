@@ -4,7 +4,9 @@ Metric names follow the repo-wide ``layer.subsystem.name`` scheme (see
 :mod:`repro.obs.naming`), e.g. ``medium.channel.fanout`` or
 ``spatial.index.window_hits``.  A :class:`MetricsRegistry` creates metrics
 on first request and returns the same instance for the same name
-thereafter, so probes in different objects share one aggregate.
+thereafter, so probes in different objects share one aggregate.  Registries
+of different runs or shards are combined through their snapshots
+(:func:`repro.obs.merge.merge_snapshots`), never object to object.
 
 Zero-overhead contract
 ----------------------
@@ -31,7 +33,7 @@ import random
 import zlib
 from typing import Dict, List, Optional, Sequence
 
-from .merge import downsample_sorted, ordered_quantile
+from .merge import ordered_quantile
 
 
 class Counter:
@@ -46,10 +48,6 @@ class Counter:
     def inc(self, amount: int = 1) -> None:
         """Add ``amount`` (default 1) to the counter."""
         self.value += amount
-
-    def merge(self, other: "Counter") -> None:
-        """Fold another counter in: counts sum."""
-        self.value += other.value
 
     def reset(self) -> None:
         self.value = 0
@@ -74,22 +72,6 @@ class Gauge:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-
-    def merge(self, other: "Gauge") -> None:
-        """Fold another gauge in: combined extrema, last written value wins.
-
-        "Last" is the fold order: the merged value is the latest input with
-        any updates (or the latest input outright when none had updates) --
-        the exact rule :func:`repro.obs.merge.merge_snapshots` applies to
-        gauge dicts, so object- and snapshot-level merges agree.
-        """
-        if other.updates or not self.updates:
-            self.value = other.value
-        self.updates += other.updates
-        if other.min is not None and (self.min is None or other.min < self.min):
-            self.min = other.min
-        if other.max is not None and (self.max is None or other.max > self.max):
-            self.max = other.max
 
     def reset(self) -> None:
         self.value = 0.0
@@ -183,30 +165,6 @@ class Histogram:
         index = min(len(ordered) - 1, int(q * len(ordered)))
         return ordered[index]
 
-    def merge(self, other: "Histogram") -> None:
-        """Fold another histogram in (same bucket bounds required).
-
-        Exact aggregates (count/sum/min/max/buckets) sum; reservoirs *pool*
-        -- the combined sample list may exceed capacity and is only
-        downsampled at :meth:`snapshot` time, which keeps an N-way object
-        merge associative and equal to the one-shot snapshot-level merge.
-        """
-        if self.buckets != other.buckets:
-            raise ValueError(
-                f"cannot merge histogram {self.name!r}: bucket bounds differ"
-            )
-        self.count += other.count
-        self.total += other.total
-        if other.min is not None and (self.min is None or other.min < self.min):
-            self.min = other.min
-        if other.max is not None and (self.max is None or other.max > self.max):
-            self.max = other.max
-        if self.bucket_counts is not None:
-            for index, bucket_count in enumerate(other.bucket_counts):
-                self.bucket_counts[index] += bucket_count
-        self._reservoir.extend(other._reservoir)
-        self._reservoir_size = max(self._reservoir_size, other._reservoir_size)
-
     def reset(self) -> None:
         self.count = 0
         self.total = 0.0
@@ -233,10 +191,7 @@ class Histogram:
                 for bound, count in zip(self.buckets, self.bucket_counts)
             ] + [["+inf", self.bucket_counts[-1]]]
         if self._reservoir_size:
-            # Merged histograms may hold more pooled samples than capacity
-            # (see merge()); the snapshot downsamples once, exactly like the
-            # snapshot-level merge, so the two paths stay byte-identical.
-            samples = downsample_sorted(sorted(self._reservoir), self._reservoir_size)
+            samples = sorted(self._reservoir)
             data["reservoir"] = {
                 "capacity": self._reservoir_size,
                 "samples": samples,
@@ -303,35 +258,6 @@ class MetricsRegistry:
             counter = self.counter(name)
             counter.value = value
 
-    def merge(self, other: "MetricsRegistry", label: Optional[str] = None) -> None:
-        """Fold another registry in (counters sum, gauges/histograms merge).
-
-        With ``label`` (e.g. ``"shard=1"``), the other registry's gauges
-        additionally land under ``name{label}``, preserving the per-shard
-        values next to the merged aggregate.  Fold several worker registries
-        into a fresh accumulator registry to build one run-wide view:
-        snapshots of the result are byte-identical to
-        :func:`repro.obs.merge.merge_snapshots` over the workers' snapshots
-        with the same labels.
-        """
-        for name in sorted(other._counters):
-            self.counter(name).merge(other._counters[name])
-        for name in sorted(other._gauges):
-            gauge = other._gauges[name]
-            self.gauge(name).merge(gauge)
-            if label is not None:
-                self.gauge(f"{name}{{{label}}}").merge(gauge)
-        for name in sorted(other._histograms):
-            theirs = other._histograms[name]
-            mine = self._histograms.get(name)
-            if mine is None:
-                mine = self._histograms[name] = Histogram(
-                    name,
-                    buckets=theirs.buckets,
-                    reservoir_size=theirs._reservoir_size,
-                )
-            mine.merge(theirs)
-
     def reset(self) -> None:
         """Zero every registered metric (the instances stay bound)."""
         for group in (self._counters, self._gauges, self._histograms):
@@ -369,9 +295,6 @@ class NullCounter:
     def inc(self, amount: int = 1) -> None:
         pass
 
-    def merge(self, other) -> None:
-        pass
-
     def reset(self) -> None:
         pass
 
@@ -387,9 +310,6 @@ class NullGauge:
     updates = 0
 
     def set(self, value: float) -> None:
-        pass
-
-    def merge(self, other) -> None:
         pass
 
     def reset(self) -> None:
@@ -412,9 +332,6 @@ class NullHistogram:
 
     def quantile(self, q: float) -> None:
         return None
-
-    def merge(self, other) -> None:
-        pass
 
     def reset(self) -> None:
         pass
@@ -444,9 +361,6 @@ class NullRegistry:
         return NULL_HISTOGRAM
 
     def set_metrics(self, items) -> None:
-        pass
-
-    def merge(self, other, label=None) -> None:
         pass
 
     def reset(self) -> None:

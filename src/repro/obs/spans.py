@@ -60,13 +60,6 @@ class Span:
         if elapsed_s > self.max_s:
             self.max_s = elapsed_s
 
-    def merge(self, other: "Span") -> None:
-        """Fold another span's aggregate in: counts/totals sum, max wins."""
-        self.count += other.count
-        self.total_s += other.total_s
-        if other.max_s > self.max_s:
-            self.max_s = other.max_s
-
     def reset(self) -> None:
         self.count = 0
         self.total_s = 0.0
@@ -85,11 +78,6 @@ class SpanTracker:
         if span is None:
             span = self._spans[name] = Span(name)
         return span
-
-    def merge(self, other: "SpanTracker") -> None:
-        """Fold another tracker in, section by section."""
-        for name in sorted(other._spans):
-            self.span(name).merge(other._spans[name])
 
     def reset(self) -> None:
         for span in self._spans.values():
@@ -132,9 +120,6 @@ class NullSpan:
     def __exit__(self, exc_type, exc, tb) -> None:
         pass
 
-    def merge(self, other) -> None:
-        pass
-
     def reset(self) -> None:
         pass
 
@@ -149,9 +134,6 @@ class NullSpanTracker:
 
     def span(self, name: str) -> NullSpan:
         return NULL_SPAN
-
-    def merge(self, other) -> None:
-        pass
 
     def reset(self) -> None:
         pass

@@ -8,7 +8,7 @@ synchronisation window derived from the fleet's motion envelope
 (``interference range / fleet speed bound`` -- the lookahead the
 mobility models' speed bounds already guarantee).
 
-Three execution modes, one configuration surface
+Two execution modes, one configuration surface
 (``ScenarioConfig(shards=..., shard_mode=...)``):
 
 ``"sequential"`` -- the correctness reference
@@ -22,37 +22,30 @@ Three execution modes, one configuration surface
     receiving radio's home-shard heap, so per-shard event counts measure the
     real partition balance while results stay bit-exact.
 
-``"windowed"`` -- the deterministic parallel reference, in-process
+``"process"`` -- the parallel mode, one OS process per shard
     One full scenario build per shard (identical seeded draws everywhere),
     with radios outside the shard's region disabled: a disabled radio is
     invisible to the channel, which is exactly the foreign-node semantics.
-    Workers advance in lockstep over conservative sync windows; cross-shard
+    Persistent workers -- the campaign executor's conventions: top-level
+    entry point, pickled configs, the default multiprocessing start method
+    -- advance in lockstep over conservative sync windows; cross-shard
     transmissions travel as exported channel records (one per transmission
     start, frozen-geometry contract) redistributed at every boundary and
     re-enacted by the receiving workers (see
     ``Medium.apply_foreign_records``).  Deterministic -- identical schedule,
     identical sorted mailboxes -- but *not* bit-equal to sequential mode:
     boundary frames are seen one window late.  That skew is the documented
-    price of parallelism; the sync window bounds it.
+    price of parallelism; the sync window bounds it.  The test suite swaps
+    :func:`_drive_process` for an in-process lockstep oracle over the same
+    :class:`_ShardWorker` objects and proves the two bit-identical, so the
+    pipes, pickling and per-worker uid ranges change nothing.
 
-``"process"`` -- the same windowed schedule, one OS process per shard
-    Reuses the campaign executor's worker conventions (top-level entry
-    point, pickled configs, the default multiprocessing start method) with
-    persistent lockstep workers over pipes.  Bit-identical to ``"windowed"``
-    by construction -- same windows, same sorted mailboxes -- which is what
-    makes the in-process mode the cheap correctness reference for the
-    multi-core mode.
-
-Parallel modes do not support churn (membership control would need its own
-cross-worker protocol); the sequential mode supports everything.  The
-observability layer *is* supported in every mode: each parallel worker
-instruments its own shard and the per-worker telemetry is merged into one
-run-wide snapshot -- the
-windowed driver merges the live obs objects in-process, the process driver
-ships per-worker snapshot dicts back over the result pipe and folds them
-with :func:`repro.obs.merge.merge_snapshots`.  The two paths are proven
-equal by the windowed ≡ process suite, which is exactly the object-merge ≡
-snapshot-merge law.
+The parallel mode does not support churn (membership control would need its
+own cross-worker protocol); the sequential mode supports everything.  The
+observability layer *is* supported in both: each parallel worker
+instruments its own shard, ships its snapshot dict back over the result
+pipe, and the driver folds them into one run-wide snapshot with
+:func:`repro.obs.merge.merge_snapshots`.
 """
 
 from __future__ import annotations
@@ -62,6 +55,7 @@ import itertools
 import math
 import multiprocessing
 import time
+import traceback
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -75,11 +69,10 @@ from repro.sim.engine import Simulator, SimulationError
 _MIN_WINDOW_S = 5e-3
 _MAX_WINDOW_S = 0.5
 
-#: Per-worker packet-uid stride (process mode).  Each worker mints packet
-#: uids from its own disjoint range so MAC duplicate-detection keys
+#: Per-worker packet-uid stride.  Each worker process mints packet uids
+#: from its own disjoint range so MAC duplicate-detection keys
 #: ``(sender, uid)`` can never collide across shards when frames are
-#: forwarded over a boundary.  The in-process windowed mode shares one
-#: counter and is collision-free without offsets.
+#: forwarded over a boundary.
 _UID_STRIDE = 1 << 40
 
 
@@ -253,7 +246,7 @@ class ShardedSimulator(Simulator):
 
     The head scan costs O(shards) comparisons per event, so this mode is a
     correctness reference and a load-balance probe (``shard_events``), not
-    the speedup path -- that is what the parallel modes are for.
+    the speedup path -- that is what the process mode is for.
     """
 
     is_sharded = True
@@ -368,16 +361,6 @@ def _radio_envelope(config):
     )
 
 
-def _resolve_sync_window(config) -> float:
-    """The run's sync window from its radio/motion envelope (or override)."""
-    radio = _radio_envelope(config)
-    return ShardPlan.sync_window(
-        radio.carrier_sense_range_m,
-        radio.speed_bound_mps,
-        override=config.shard_window_s,
-    )
-
-
 @dataclass(frozen=True)
 class _Interest:
     """The interest filter's inputs: geometry plus the motion envelope.
@@ -398,20 +381,11 @@ class _Interest:
     speed_bound_mps: float
 
 
-def _validate_parallel(config) -> None:
-    if config.churn_enabled:
-        raise ValueError(
-            "parallel shard modes do not support churn "
-            "(membership control would need its own cross-worker protocol); "
-            "use shard_mode='sequential'"
-        )
-
-
 def _boundaries(duration_s: float, window_s: float) -> List[float]:
     """The lockstep sync boundaries: multiples of the window, then the end.
 
-    Computed as ``i * window`` (not accumulated) so every worker and both
-    parallel modes agree bit-exactly on each boundary.
+    Computed as ``i * window`` (not accumulated) so every worker agrees
+    bit-exactly on each boundary.
     """
     bounds: List[float] = []
     step = 1
@@ -434,31 +408,24 @@ def _record_sort_key(item):
 def _route(
     outs: List[list],
     shards: int,
-    interest: Optional[_Interest] = None,
-    occupancies: Optional[List[Tuple[int, ...]]] = None,
+    interest: _Interest,
+    occupancies: List[Tuple[int, ...]],
 ) -> Tuple[List[list], int, int, int]:
     """Redistribute one window's records; returns ``(inboxes, exchanged,
     shipped, filtered)``.
 
     Every record enters one globally sorted order first; each worker's
-    inbox is then a *subsequence* of that order (interest-filtered or, with
-    ``interest=None``, simply everyone-but-the-origin), so all workers
-    apply their records in the same relative order -- the determinism
-    contract ``Medium.apply_foreign_records`` documents.  ``exchanged``
-    counts drained records once each; ``shipped``/``filtered`` count
-    per-destination copies delivered/suppressed (all-to-all ships
-    ``exchanged * (shards - 1)`` copies, filtered modes fewer).
+    inbox is then an interest-filtered *subsequence* of that order, so all
+    workers apply their records in the same relative order -- the
+    determinism contract ``Medium.apply_foreign_records`` documents.
+    ``exchanged`` counts drained records once each; ``shipped``/``filtered``
+    count per-destination copies delivered/suppressed (together the
+    all-to-all volume, ``exchanged * (shards - 1)``).
     """
     tagged = [
         (record, origin) for origin, out in enumerate(outs) for record in out
     ]
     tagged.sort(key=_record_sort_key)
-    if interest is None:
-        inboxes = [
-            [record for record, origin in tagged if origin != j]
-            for j in range(shards)
-        ]
-        return inboxes, len(tagged), len(tagged) * (shards - 1), 0
     plan = interest.plan
     torus = interest.torus
     cs_range = interest.cs_range_m
@@ -495,9 +462,9 @@ class _ShardWorker:
     Builds the *entire* scenario with the run's seed -- every global random
     stream draws in the exact order the unsharded build draws it -- then
     disables every radio whose home region belongs to another shard and
-    starts only the owned protocol stacks.  Used verbatim by both parallel
-    modes (in one process, or one per process), which is what makes them
-    bit-identical.
+    starts only the owned protocol stacks.  Each process-mode worker holds
+    one; the test suite's in-process lockstep oracle steps the same class,
+    which is what makes the two bit-identical.
     """
 
     def __init__(self, config, role: int, failure_events=None):
@@ -508,8 +475,7 @@ class _ShardWorker:
         obs_config = config.obs_config
         if obs_config.enabled and obs_config.dump_on_error_path:
             # Every worker dumps its own ring: a `.shard<k>` suffix keeps
-            # concurrent crash dumps from overwriting each other (process
-            # mode) or each other's evidence (windowed mode).
+            # concurrent crash dumps from overwriting each other.
             config = replace(
                 config,
                 obs_config=replace(
@@ -525,8 +491,8 @@ class _ShardWorker:
         self.role = role
         obs = scenario.obs
         self._obs_on = obs.enabled
-        # Sync-protocol probes: record/window counts are deterministic (both
-        # drivers apply identical sorted mailboxes); only the stall gauge --
+        # Sync-protocol probes: record/window counts are deterministic (every
+        # driver applies identical sorted mailboxes); only the stall gauge --
         # wall-clock time spent outside step(), i.e. waiting on the other
         # shards at a boundary -- is timing-dependent.
         self._c_windows = obs.counter("shard.sync.windows")
@@ -554,8 +520,7 @@ class _ShardWorker:
         ]
         #: Foreign radios the shard-local index admitted: the region's halo
         #: (within carrier-sense range of the region at t=0).  Deterministic
-        #: -- a pure function of the seed and the plan -- so it merges
-        #: identically under both parallel drivers.
+        #: -- a pure function of the seed and the plan.
         self.halo_size = sum(
             1
             for _, _, phy in self.medium.spatial_index.members()
@@ -653,10 +618,9 @@ class _ShardWorker:
             "foreign": dict(self.medium.foreign_stats),
             "census": census,
             "halo": self.halo_size,
-            # Wall-clock diagnostics (never compared across modes): build +
-            # stack-start time, and the peak RSS -- per worker process in
-            # process mode, process-wide (shared by all workers) in windowed
-            # mode.  ru_maxrss is kilobytes on Linux.
+            # Wall-clock diagnostics (never compared across runs): build +
+            # stack-start time, and the worker process's peak RSS.
+            # ru_maxrss is kilobytes on Linux.
             "setup_s": self.setup_s,
             "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
         }
@@ -676,34 +640,56 @@ class _ShardWorker:
 
 
 def _shard_worker_main(conn, config, role: int, failure_events) -> None:
-    """Process-mode worker entry point (top-level: campaign conventions)."""
+    """Process-mode worker entry point (top-level: campaign conventions).
+
+    Every reply is ``("ok", value)``; a worker that raises sends
+    ``("error", traceback text)`` instead and exits, so the driver can fail
+    fast with the worker's own message.
+    """
     import repro.net.packet as packet_module
 
     # Disjoint per-worker uid ranges; see _UID_STRIDE.
     packet_module._packet_uid_counter = itertools.count((role + 1) * _UID_STRIDE)
-    worker = _ShardWorker(config, role, failure_events)
-    while True:
-        message = conn.recv()
-        if message[0] == "step":
-            conn.send(worker.step(message[2], message[1]))
-        else:
-            conn.send(worker.finish())
-            break
-    conn.close()
+    try:
+        worker = _ShardWorker(config, role, failure_events)
+        while True:
+            message = conn.recv()
+            if message[0] == "step":
+                conn.send(("ok", worker.step(message[2], message[1])))
+            else:
+                conn.send(("ok", worker.finish()))
+                break
+    except Exception:
+        conn.send(("error", traceback.format_exc()))
+    finally:
+        conn.close()
+
+
+def _exchange(connections, messages) -> list:
+    """Send each worker its message, then collect the replies in role order.
+
+    A worker that raised has sent its traceback instead of a reply, and one
+    that died leaves only EOF; the first such failure is raised as a
+    :class:`SimulationError` naming the shard.
+    """
+    for conn, message in zip(connections, messages):
+        conn.send(message)
+    replies = []
+    for role, conn in enumerate(connections):
+        try:
+            status, value = conn.recv()
+        except EOFError:
+            status, value = "error", "the worker exited without replying"
+        if status == "error":
+            raise SimulationError(f"shard {role} worker failed:\n{value}")
+        replies.append(value)
+    return replies
 
 
 # --------------------------------------------------------- telemetry merge
-def _merge_fanout(payloads, n: int) -> List[list]:
-    from repro.obs import merge_top_fanout
-
-    return merge_top_fanout(
-        [payload.get("fanout_totals") or [] for payload in payloads], n
-    )
-
-
 def _merge_telemetry_snapshots(config, payloads) -> Dict[str, object]:
-    """Process mode: fold the snapshot dicts shipped over the result pipe."""
-    from repro.obs import interleave_events, merge_snapshots
+    """Fold the workers' snapshot dicts (shipped over the result pipes)."""
+    from repro.obs import interleave_events, merge_snapshots, merge_top_fanout
 
     telemetry = merge_snapshots(
         [payload["obs_snapshot"] for payload in payloads],
@@ -712,65 +698,11 @@ def _merge_telemetry_snapshots(config, payloads) -> Dict[str, object]:
     telemetry["recorder_events"] = interleave_events(
         [payload["recorder_events"] for payload in payloads]
     )
-    telemetry["top_fanout"] = _merge_fanout(payloads, config.obs_config.top_fanout_n)
-    return telemetry
-
-
-def _merge_telemetry_objects(config, workers, payloads) -> Dict[str, object]:
-    """Windowed mode: fold the live per-worker obs objects in-process.
-
-    Deliberately a different code path from the snapshot fold above:
-    windowed ≡ process telemetry equality is the proof that the object-level
-    ``merge()`` methods implement the same law as
-    :func:`repro.obs.merge.merge_snapshots`.
-    """
-    from repro.obs import FlightRecorder, MetricsRegistry, SpanTracker
-
-    registry = MetricsRegistry(reservoir_size=config.obs_config.reservoir_size)
-    recorder = FlightRecorder(capacity=0)
-    spans = SpanTracker()
-    for worker in workers:
-        obs = worker.scenario.obs
-        registry.merge(obs.registry, label=f"shard={worker.role}")
-        recorder.merge(obs.recorder)
-        spans.merge(obs.spans)
-    telemetry = registry.snapshot()
-    telemetry["spans"] = spans.snapshot()
-    telemetry["recorder"] = recorder.snapshot()
-    telemetry["recorder_events"] = recorder.events()
-    telemetry["top_fanout"] = _merge_fanout(payloads, config.obs_config.top_fanout_n)
-    return telemetry
-
-
-def _drive_windowed(
-    config, failure_events, bounds, interest
-) -> Tuple[List[dict], Tuple[int, int, int], Optional[dict]]:
-    workers = [
-        _ShardWorker(config, role, failure_events)
-        for role in range(config.shards)
-    ]
-    inboxes: List[list] = [[] for _ in range(config.shards)]
-    exchanged = shipped = filtered = 0
-    for until in bounds:
-        stepped = [
-            worker.step(inboxes[index], until)
-            for index, worker in enumerate(workers)
-        ]
-        outs = [out for out, _ in stepped]
-        occupancies = [occupancy for _, occupancy in stepped]
-        inboxes, count, sent, cut = _route(
-            outs, config.shards, interest, occupancies
-        )
-        exchanged += count
-        shipped += sent
-        filtered += cut
-    payloads = [worker.finish() for worker in workers]
-    telemetry = (
-        _merge_telemetry_objects(config, workers, payloads)
-        if config.obs_config.enabled
-        else None
+    telemetry["top_fanout"] = merge_top_fanout(
+        [payload["fanout_totals"] for payload in payloads],
+        config.obs_config.top_fanout_n,
     )
-    return payloads, (exchanged, shipped, filtered), telemetry
+    return telemetry
 
 
 def _drive_process(
@@ -779,6 +711,7 @@ def _drive_process(
     context = multiprocessing.get_context()
     connections = []
     processes = []
+    failed = True
     try:
         for role in range(config.shards):
             parent_conn, child_conn = context.Pipe()
@@ -794,9 +727,9 @@ def _drive_process(
         inboxes: List[list] = [[] for _ in range(config.shards)]
         exchanged = shipped = filtered = 0
         for until in bounds:
-            for index, conn in enumerate(connections):
-                conn.send(("step", until, inboxes[index]))
-            stepped = [conn.recv() for conn in connections]
+            stepped = _exchange(
+                connections, [("step", until, inbox) for inbox in inboxes]
+            )
             outs = [out for out, _ in stepped]
             occupancies = [occupancy for _, occupancy in stepped]
             inboxes, count, sent, cut = _route(
@@ -805,18 +738,21 @@ def _drive_process(
             exchanged += count
             shipped += sent
             filtered += cut
-        for conn in connections:
-            conn.send(("finish",))
-        payloads = [conn.recv() for conn in connections]
+        payloads = _exchange(connections, [("finish",)] * config.shards)
+        failed = False
     finally:
         for conn in connections:
             conn.close()
         for process in processes:
+            if failed:
+                # A forked worker holds inherited parent pipe ends, so
+                # closing ours never wakes one blocked in recv(): stop the
+                # survivors instead of waiting out the join.
+                process.terminate()
             process.join(timeout=30)
             if process.is_alive():  # pragma: no cover - hung-worker cleanup
                 process.terminate()
                 process.join(timeout=5)
-    payloads.sort(key=lambda payload: payload["role"])
     telemetry = (
         _merge_telemetry_snapshots(config, payloads)
         if config.obs_config.enabled
@@ -889,7 +825,7 @@ def _merge_worker_results(
         "sync_rounds": rounds,
         "records_exchanged": exchanged,
         # Interest-filter accounting (per-destination copies; all three are
-        # deterministic, so they take part in the windowed ≡ process law).
+        # deterministic, so they take part in the oracle ≡ process law).
         "records_shipped": shipped,
         "records_filtered": filtered,
         "events_by_shard": {
@@ -929,19 +865,23 @@ def _merge_worker_results(
 
 # ------------------------------------------------------------------ driver
 def run_sharded(config, failure_events=None):
-    """Run ``config`` under a parallel shard mode and merge the results.
+    """Run ``config`` under the parallel shard mode and merge the results.
 
-    The entry point behind ``run_scenario`` for
-    ``shard_mode in ("windowed", "process")``; call it directly to inject a
-    failure schedule (``failure_events``: iterable of
-    :class:`repro.workload.failures.FailureEvent`, applied by each node's
-    owning worker).
+    The entry point behind ``run_scenario`` for ``shard_mode="process"``;
+    call it directly to inject a failure schedule (``failure_events``:
+    iterable of :class:`repro.workload.failures.FailureEvent`, applied by
+    each node's owning worker).
     """
     if config.shards < 2:
         raise ValueError("run_sharded needs shards >= 2")
-    if config.shard_mode not in ("windowed", "process"):
+    if config.shard_mode != "process":
         raise ValueError(f"unknown parallel shard mode {config.shard_mode!r}")
-    _validate_parallel(config)
+    if config.churn_enabled:
+        raise ValueError(
+            "the parallel shard mode does not support churn "
+            "(membership control would need its own cross-worker protocol); "
+            "use shard_mode='sequential'"
+        )
     radio = _radio_envelope(config)
     window_s = ShardPlan.sync_window(
         radio.carrier_sense_range_m,
@@ -949,38 +889,26 @@ def run_sharded(config, failure_events=None):
         override=config.shard_window_s,
     )
     bounds = _boundaries(config.duration_s, window_s)
-    if radio.speed_bound_mps is None:
-        # No motion envelope: per-record slack is unbounded, so the filter
-        # falls back to the all-to-all broadcast (never reached from
-        # ScenarioConfig, whose fleets always have an exact speed bound).
-        interest = None
-    else:
-        interest = _Interest(
-            plan=ShardPlan.build(
-                config.shards, config.area_width_m, config.area_height_m
-            ),
-            torus=(config.area_topology == "torus"),
-            cs_range_m=radio.carrier_sense_range_m,
-            speed_bound_mps=radio.speed_bound_mps,
-        )
-    if config.shard_mode == "process":
-        payloads, exchange, telemetry = _drive_process(
-            config, failure_events, bounds, interest
-        )
-    else:
-        payloads, exchange, telemetry = _drive_windowed(
-            config, failure_events, bounds, interest
-        )
+    interest = _Interest(
+        plan=ShardPlan.build(
+            config.shards, config.area_width_m, config.area_height_m
+        ),
+        torus=(config.area_topology == "torus"),
+        cs_range_m=radio.carrier_sense_range_m,
+        # Exact for every fleet ScenarioConfig builds (fleet_speed_bound).
+        speed_bound_mps=radio.speed_bound_mps,
+    )
+    payloads, exchange, telemetry = _drive_process(
+        config, failure_events, bounds, interest
+    )
     if telemetry is not None:
-        # Annotated here, after both drivers, so the windowed ≡ process
+        # Annotated here, after the driver, so the oracle ≡ process
         # telemetry-equality law covers the metadata too.
         telemetry["merged"] = {"shards": config.shards}
-        metrics = telemetry.get("metrics")
-        if metrics is not None:
-            # Driver-side counters (the workers never see what was routed
-            # around them); deterministic, hence inside the equality law.
-            metrics["shard.sync.records_shipped"] = exchange[1]
-            metrics["shard.sync.records_filtered"] = exchange[2]
+        # Driver-side counters (the workers never see what was routed around
+        # them); deterministic, hence inside the equality law.
+        telemetry["metrics"]["shard.sync.records_shipped"] = exchange[1]
+        telemetry["metrics"]["shard.sync.records_filtered"] = exchange[2]
     return _merge_worker_results(
         config,
         payloads,

@@ -124,11 +124,9 @@ class ScenarioConfig:
     #: the execution strategy.
     shards: int = 1
     #: ``"sequential"`` (one process, per-shard heaps, exact global event
-    #: order -- bit-identical to the unsharded engine), ``"windowed"``
-    #: (in-process lockstep workers over conservative sync windows -- the
-    #: deterministic parallel reference) or ``"process"`` (the windowed
-    #: schedule with one OS process per shard -- bit-identical to
-    #: ``"windowed"``, and the actual speedup mode).
+    #: order -- bit-identical to the unsharded engine) or ``"process"``
+    #: (one OS process per shard in lockstep over conservative sync windows
+    #: -- deterministic, and the actual speedup mode).
     shard_mode: str = "sequential"
     #: Conservative sync window override in seconds (parallel modes only).
     #: ``None`` derives it from the radio range and the fleet speed bound.
@@ -154,7 +152,7 @@ class ScenarioConfig:
             raise ValueError("sources_per_group must lie in [1, member_count]")
         if self.shards < 1:
             raise ValueError("shards must be at least 1")
-        if self.shard_mode not in ("sequential", "windowed", "process"):
+        if self.shard_mode not in ("sequential", "process"):
             raise ValueError(f"unknown shard_mode {self.shard_mode!r}")
         if self.shard_window_s is not None and self.shard_window_s <= 0:
             raise ValueError("shard_window_s must be positive")
@@ -791,12 +789,12 @@ class Scenario:
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     """Convenience wrapper: build and run a scenario in one call.
 
-    Parallel shard modes (``shards > 1`` with ``shard_mode`` ``"windowed"``
-    or ``"process"``) dispatch to :func:`repro.sim.shard.run_sharded`;
-    everything else -- including the sequential sharded engine -- runs in
-    this process through :class:`Scenario`.
+    The parallel shard mode (``shards > 1`` with ``shard_mode="process"``)
+    dispatches to :func:`repro.sim.shard.run_sharded`; everything else --
+    including the sequential sharded engine -- runs in this process through
+    :class:`Scenario`.
     """
-    if config.shards > 1 and config.shard_mode in ("windowed", "process"):
+    if config.shards > 1 and config.shard_mode == "process":
         from repro.sim.shard import run_sharded
 
         return run_sharded(config)

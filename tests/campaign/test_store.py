@@ -75,6 +75,24 @@ class TestResultStore:
         store.append(_record("b"))
         assert set(store.load()) == {"a", "b"}
 
+    def test_load_and_iter_records_skip_the_same_lines(self, tmp_path):
+        path = tmp_path / "campaign.jsonl"
+        store = ResultStore(path)
+        store.append(_record("a", mean=1.0))
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write("\n")
+            handle.write('{"key": "torn", "campaign": "fig2", "x": 55\n')
+            handle.write('"not a record"\n')
+        store.append(_record("b"))
+        store.append(_record("a", mean=2.0))
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"key": "tail", "campaign": "fig2", "vari')
+        streamed = [record.key for record in store.iter_records()]
+        assert streamed == ["a", "b", "a"]
+        loaded = store.load()
+        assert list(loaded) == ["a", "b"] and set(streamed) == set(loaded)
+        assert loaded["a"].metrics["mean"] == 2.0
+
     def test_missing_file_loads_empty(self, tmp_path):
         store = ResultStore(tmp_path / "never-written.jsonl")
         assert store.load() == {}

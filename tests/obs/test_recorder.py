@@ -48,18 +48,6 @@ class TestRing:
         with pytest.raises(ValueError):
             FlightRecorder(capacity=-1)
 
-    def test_zero_capacity_is_the_merge_accumulator(self):
-        # capacity=0 retains nothing until merges grow it -- the identity
-        # element the shard drivers fold per-worker recorders into.
-        accumulator = FlightRecorder(capacity=0)
-        accumulator.record("x", 1.0)
-        assert accumulator.events() == []
-        donor = FlightRecorder(capacity=2)
-        donor.record("x", 2.0)
-        accumulator.merge(donor)
-        assert accumulator.capacity == 2
-        assert [e["t"] for e in accumulator.events()] == [2.0]
-
 
 class TestDump:
     def test_dump_jsonl_round_trips(self, tmp_path):

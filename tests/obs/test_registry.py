@@ -85,6 +85,17 @@ class TestHistogram:
         assert first == second
         assert first["quantiles"]["p50"] is not None
 
+    def test_reservoir_snapshot_is_the_sorted_sample(self):
+        # Algorithm R never holds more than capacity, so the snapshot is the
+        # sorted reservoir itself -- nothing to downsample.
+        histogram = MetricsRegistry(reservoir_size=16).histogram("a.b.c", reservoir=True)
+        for value in range(1000):
+            histogram.observe(float(value))
+        reservoir = histogram.snapshot()["reservoir"]
+        assert reservoir["capacity"] == 16
+        assert reservoir["samples"] == sorted(histogram._reservoir)
+        assert len(reservoir["samples"]) == 16
+
     def test_reset_restores_initial_state(self):
         registry = MetricsRegistry(reservoir_size=16)
         histogram = registry.histogram("a.b.c", reservoir=True)

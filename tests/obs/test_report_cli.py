@@ -87,6 +87,21 @@ class TestReport:
         assert main(["report", str(empty)]) == 2
         assert "no instrumented records" in capsys.readouterr().err
 
+    def test_report_rejects_pytest_benchmark_artifact(self, tmp_path, capsys):
+        # Shaped like pytest-benchmark's --benchmark-json output: indented,
+        # so some lines ("vme", 0.6) are valid JSON but no record.
+        artifact = tmp_path / "BENCH_1.json"
+        artifact.write_text(json.dumps({
+            "machine_info": {"cpu": {"flags": ["fpu", "vme"]}},
+            "benchmarks": [{
+                "name": "test_fig6[40]",
+                "stats": {"mean": 0.5, "data": [0.4, 0.6]},
+                "extra_info": {"events_per_sec": 2000.0},
+            }],
+        }, indent=4))
+        assert main(["report", str(artifact)]) == 2
+        assert "no instrumented records" in capsys.readouterr().err
+
     def test_report_missing_file(self, capsys):
         assert main(["report", "/nonexistent/telemetry.json"]) == 2
         assert capsys.readouterr().err
@@ -178,36 +193,3 @@ class TestReportDiff:
         ) == 2
         assert "--diff" in capsys.readouterr().err
 
-
-class TestBenchArtifact:
-    def _artifact(self, tmp_path, mean):
-        path = tmp_path / f"BENCH_{int(mean * 1000)}.json"
-        path.write_text(json.dumps({
-            "benchmarks": [{
-                "name": "test_fig6[40]",
-                "stats": {"mean": mean},
-                "extra_info": {
-                    "events_per_sec": 1000.0 / mean,
-                    "skipped": False,  # bools must not become counters
-                },
-            }]
-        }))
-        return path
-
-    def test_bench_artifact_renders_as_telemetry(self, tmp_path, capsys):
-        artifact = self._artifact(tmp_path, 0.5)
-        assert main(["report", str(artifact)]) == 0
-        out = capsys.readouterr().out
-        # The renderer groups dotted names: "bench.test_fig6" + leaves.
-        assert "bench.test_fig6" in out
-        assert "mean_s" in out
-        assert "events_per_sec" in out
-        assert "skipped" not in out
-
-    def test_bench_artifacts_diff(self, tmp_path, capsys):
-        a = self._artifact(tmp_path, 0.5)
-        b = self._artifact(tmp_path, 0.4)
-        assert main(["report", str(a), str(b), "--diff"]) == 0
-        out = capsys.readouterr().out
-        assert "bench.test_fig6.mean_s" in out
-        assert "(no differences)" not in out

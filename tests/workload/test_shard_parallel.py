@@ -1,22 +1,29 @@
-"""The parallel shard modes: determinism, bit-identity and merge accounting.
+"""The parallel shard mode: determinism, bit-identity and merge accounting.
 
-The windowed (in-process lockstep) and process (one OS process per shard)
-modes run the same conservative schedule over the same sorted mailboxes, so
-they must be *bit-identical to each other* -- that identity is what lets CI
-prove the multi-process mode correct without ever depending on OS
-scheduling.  Against the unsharded engine they are a documented
-approximation (boundary frames arrive one sync window late), so the suite
-asserts exact equality only between the two parallel modes and sanity
-(deliveries flow, stats account every event) against the reference.
+The process mode (one OS process per shard) and the in-process lockstep
+oracle (``tests/sim/reference_shard_driver.py``) run the same conservative
+schedule over the same sorted mailboxes, so they must be *bit-identical to
+each other* -- that identity is what lets CI prove the multi-process mode
+correct without ever depending on OS scheduling.  Against the unsharded
+engine the mode is a documented approximation (boundary frames arrive one
+sync window late), so the suite asserts exact equality only between the
+process driver and its oracle and sanity (deliveries flow, stats account
+every event) against the reference.
 """
 
-from dataclasses import replace
+import multiprocessing
+import os
+import time
 
 import pytest
 
-from repro.sim.shard import run_sharded
+import repro.sim.shard as shard_module
+from repro.cli import build_parser
+from repro.sim.engine import SimulationError
+from repro.sim.shard import _ShardWorker, run_sharded
 from repro.workload.failures import FailureEvent
 from repro.workload.scenario import ScenarioConfig, run_scenario
+from tests.sim.reference_shard_driver import drive_lockstep, shard_driver
 
 
 def _parallel_config(**overrides):
@@ -32,7 +39,7 @@ def _parallel_config(**overrides):
         transmission_range_m=60.0, protocol="flooding", gossip_enabled=False,
         max_speed_mps=2.0, max_pause_s=5.0, join_window_s=3.0,
         source_start_s=8.0, source_stop_s=20.0, packet_interval_s=0.5,
-        duration_s=24.0, seed=31, shards=2, shard_mode="windowed",
+        duration_s=24.0, seed=31, shards=2, shard_mode="process",
     )
     params.update(overrides)
     return ScenarioConfig.quick(**params)
@@ -40,7 +47,7 @@ def _parallel_config(**overrides):
 
 #: shard_stats keys that are wall-clock measurements (plus the mode tag):
 #: everything else in shard_stats is simulation-deterministic and must agree
-#: bit-exactly between the windowed and process drivers.
+#: bit-exactly between the process driver and the oracle.
 _WALL_CLOCK_STATS = ("mode", "setup_s_by_shard", "peak_rss_kb_by_shard")
 
 
@@ -58,17 +65,28 @@ def _comparable(result):
     )
 
 
+def _oracle(run, *args, **kwargs):
+    """``run(*args, **kwargs)`` with the in-process lockstep driver."""
+    with shard_driver(drive_lockstep):
+        return run(*args, **kwargs)
+
+
 @pytest.fixture(scope="module")
-def windowed_result():
+def process_result():
     return run_scenario(_parallel_config())
 
 
-def test_windowed_mode_delivers(windowed_result):
-    result = windowed_result
+@pytest.fixture(scope="module")
+def oracle_result():
+    return _oracle(run_scenario, _parallel_config())
+
+
+def test_process_mode_delivers(process_result):
+    result = process_result
     assert result.packets_sent == 25
     assert result.delivery_ratio > 0.5
     stats = result.shard_stats
-    assert stats["mode"] == "windowed"
+    assert stats["mode"] == "process"
     assert stats["shards"] == 2
     assert stats["records_exchanged"] > 0
     assert sum(stats["events_by_shard"].values()) == result.events_processed
@@ -89,20 +107,18 @@ def test_windowed_mode_delivers(windowed_result):
     assert all(rss > 0 for rss in stats["peak_rss_kb_by_shard"].values())
 
 
-def test_windowed_mode_is_deterministic(windowed_result):
+def test_process_mode_is_deterministic(process_result):
     again = run_scenario(_parallel_config())
-    assert _comparable(again) == _comparable(windowed_result)
+    assert _comparable(again) == _comparable(process_result)
 
 
-def test_process_mode_is_bit_identical_to_windowed(windowed_result):
-    process = run_scenario(_parallel_config(shard_mode="process"))
-    assert process.shard_stats["mode"] == "process"
-    assert _comparable(process) == _comparable(windowed_result)
-    assert process.summary.member_counts == windowed_result.summary.member_counts
+def test_process_mode_is_bit_identical_to_the_oracle(process_result, oracle_result):
+    assert _comparable(process_result) == _comparable(oracle_result)
+    assert process_result.summary.member_counts == oracle_result.summary.member_counts
 
 
 def test_failure_injection_with_cross_shard_flights():
-    """Killing nodes mid-run agrees across the two parallel modes.
+    """Killing nodes mid-run agrees between the process driver and the oracle.
 
     The outage windows overlap the source phase, so crashed nodes have
     frames in flight whose records cross shard boundaries -- exercising the
@@ -114,24 +130,23 @@ def test_failure_injection_with_cross_shard_flights():
         FailureEvent(node_id=11, start_s=10.0, end_s=18.0),
         FailureEvent(node_id=17, start_s=12.0, end_s=21.0),
     ]
-    windowed = run_sharded(config, failure_events=events)
-    process = run_sharded(
-        replace(config, shard_mode="process"), failure_events=events
-    )
-    assert _comparable(windowed) == _comparable(process)
-    assert windowed.shard_stats["foreign"]["sender_downs"] > 0
-    assert windowed.packets_sent == 25
+    oracle = _oracle(run_sharded, config, failure_events=events)
+    process = run_sharded(config, failure_events=events)
+    assert _comparable(oracle) == _comparable(process)
+    assert process.shard_stats["foreign"]["sender_downs"] > 0
+    assert process.packets_sent == 25
 
 
 def test_four_shards_still_agree():
-    windowed = run_scenario(_parallel_config(shards=4, seed=33))
-    process = run_scenario(_parallel_config(shards=4, seed=33, shard_mode="process"))
-    assert _comparable(windowed) == _comparable(process)
-    assert len(windowed.shard_stats["events_by_shard"]) == 4
+    config = _parallel_config(shards=4, seed=33)
+    oracle = _oracle(run_scenario, config)
+    process = run_scenario(config)
+    assert _comparable(oracle) == _comparable(process)
+    assert len(process.shard_stats["events_by_shard"]) == 4
     # With 110 m regions and a 60 m carrier-sense range, senders deep inside
     # a region cannot reach the diagonal shards: the interest filter must
-    # actually suppress copies here (and identically in both modes).
-    assert windowed.shard_stats["records_filtered"] > 0
+    # actually suppress copies here (and identically under both drivers).
+    assert process.shard_stats["records_filtered"] > 0
 
 
 def test_worker_elides_foreign_stacks_and_indexes_halo_only():
@@ -142,8 +157,6 @@ def test_worker_elides_foreign_stacks_and_indexes_halo_only():
     radios within carrier-sense range of the region at t=0) and nothing
     else.
     """
-    from repro.sim.shard import _ShardWorker
-
     config = _parallel_config()
     worker = _ShardWorker(config, role=0)
     scenario = worker.scenario
@@ -197,7 +210,7 @@ def _strip_wall_clock(telemetry):
     Spans, the events/sec gauge (plus its per-shard copies), the sync stall
     gauge and the events_per_sec field of engine.sample records are the only
     telemetry derived from ``perf_counter``; the rest must agree bit-exactly
-    between the windowed and process drivers.
+    between the process driver and the oracle.
     """
     import copy
 
@@ -214,21 +227,21 @@ def _strip_wall_clock(telemetry):
 
 
 @pytest.fixture(scope="module")
-def windowed_obs_result():
+def process_obs_result():
     return run_scenario(_obs_config())
 
 
-def test_windowed_obs_telemetry_is_merged(windowed_obs_result):
-    telemetry = windowed_obs_result.telemetry
+def test_process_obs_telemetry_is_merged(process_obs_result):
+    telemetry = process_obs_result.telemetry
     assert telemetry["merged"] == {"shards": 2}
     metrics = telemetry["metrics"]
     # Deterministic sync accounting: every worker stepped every window.
-    rounds = windowed_obs_result.shard_stats["sync_rounds"]
+    rounds = process_obs_result.shard_stats["sync_rounds"]
     assert metrics["shard.sync.windows"] == 2 * rounds
     # Mailbox volume matches the driver's own exchange accounting: every
     # drained record is counted once on export (with 2 shards, fan-out is 1),
     # while the final window's exports are routed but never applied.
-    exchanged = windowed_obs_result.shard_stats["records_exchanged"]
+    exchanged = process_obs_result.shard_stats["records_exchanged"]
     assert metrics["shard.sync.outbox_records"] == exchanged
     assert 0 < metrics["shard.sync.inbox_records"] <= exchanged
     # Interest-filter accounting: with 2 shards the all-to-all volume is one
@@ -254,17 +267,15 @@ def test_windowed_obs_telemetry_is_merged(windowed_obs_result):
     assert telemetry["recorder"]["capacity"] == 2 * 4096
 
 
-def test_process_obs_telemetry_equals_windowed(windowed_obs_result):
-    """The object-merge ≡ snapshot-merge law, end to end.
+def test_process_obs_telemetry_equals_the_oracle(process_obs_result):
+    """Pipes and pickling change no telemetry, end to end.
 
-    The windowed driver folds live registries/recorders/span trackers; the
-    process driver folds snapshot dicts shipped over the result pipe.  Equal
-    output (wall-clock fields aside) proves both merge paths implement the
-    same semantics.
+    The oracle folds the same per-worker snapshots in one process; equal
+    output (wall-clock fields aside) proves the transport loses nothing.
     """
-    process = run_scenario(_obs_config(shard_mode="process"))
-    assert _strip_wall_clock(process.telemetry) == _strip_wall_clock(
-        windowed_obs_result.telemetry
+    oracle = _oracle(run_scenario, _obs_config())
+    assert _strip_wall_clock(process_obs_result.telemetry) == _strip_wall_clock(
+        oracle.telemetry
     )
 
 
@@ -274,38 +285,37 @@ def test_obs_telemetry_merges_under_failure_injection():
         FailureEvent(node_id=3, start_s=9.0, end_s=15.0),
         FailureEvent(node_id=11, start_s=10.0, end_s=18.0),
     ]
-    windowed = run_sharded(config, failure_events=events)
-    process = run_sharded(
-        replace(config, shard_mode="process"), failure_events=events
-    )
-    assert _comparable(windowed) == _comparable(process)
-    assert _strip_wall_clock(windowed.telemetry) == _strip_wall_clock(
+    oracle = _oracle(run_sharded, config, failure_events=events)
+    process = run_sharded(config, failure_events=events)
+    assert _comparable(oracle) == _comparable(process)
+    assert _strip_wall_clock(oracle.telemetry) == _strip_wall_clock(
         process.telemetry
     )
-    assert windowed.shard_stats["foreign"]["sender_downs"] > 0
+    assert process.shard_stats["foreign"]["sender_downs"] > 0
 
 
-def test_obs_enabled_does_not_change_parallel_results(windowed_result):
+def test_obs_enabled_does_not_change_parallel_results(
+    process_result, process_obs_result
+):
     """Instrumentation must not perturb the simulation itself.
 
     The sampler adds its own calendar events, so events_processed differs;
     everything the paper reads off the run (deliveries, protocol stats,
-    mailbox traffic) must be identical to the uninstrumented windowed run.
+    mailbox traffic) must be identical to the uninstrumented run.
     """
-    instrumented = run_scenario(_obs_config())
-    assert instrumented.packets_sent == windowed_result.packets_sent
-    assert dict(instrumented.member_counts) == dict(windowed_result.member_counts)
-    assert dict(instrumented.protocol_stats) == dict(windowed_result.protocol_stats)
+    instrumented = process_obs_result
+    assert instrumented.packets_sent == process_result.packets_sent
+    assert dict(instrumented.member_counts) == dict(process_result.member_counts)
+    assert dict(instrumented.protocol_stats) == dict(process_result.protocol_stats)
     assert (
         instrumented.shard_stats["records_exchanged"]
-        == windowed_result.shard_stats["records_exchanged"]
+        == process_result.shard_stats["records_exchanged"]
     )
 
 
 def test_worker_error_dump_gets_shard_suffix(tmp_path):
     """Satellite: per-worker crash dumps carry a ``.shard<k>`` suffix."""
     from repro.obs import ObsConfig
-    from repro.sim.shard import _ShardWorker
 
     dump = tmp_path / "crash.jsonl"
     config = _parallel_config(
@@ -355,3 +365,86 @@ def test_sequential_shard_obs_telemetry_matches_unsharded():
     assert "engine.shard.head_scan_comparisons" in metrics
     assert "engine.shard.heap_depth{shard=0}" in metrics
     assert "engine.shard.events{shard=1}" in metrics
+
+
+# ------------------------------------------------------- one parallel mode
+def test_windowed_mode_is_gone():
+    with pytest.raises(ValueError, match="shard_mode"):
+        ScenarioConfig.quick(shards=2, shard_mode="windowed")
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["run", "--shard-mode", "windowed"])
+    with pytest.raises(ValueError, match="parallel shard mode"):
+        run_sharded(_parallel_config(shard_mode="sequential"))
+
+
+def test_shard_driver_swaps_one_name_and_restores_it():
+    production = shard_module._drive_process
+
+    def broken(*args):
+        raise RuntimeError("no driver")
+
+    with pytest.raises(RuntimeError, match="no driver"):
+        with shard_driver(broken):
+            run_sharded(_parallel_config())
+    assert shard_module._drive_process is production
+
+
+_fork_only = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched worker reaches the children only through fork",
+)
+
+
+def _fails_fast(role, message):
+    """``run_sharded`` raises naming ``role`` and ``message``, well inside
+    the 30 s join timeout a blocked survivor would otherwise cost."""
+    started = time.perf_counter()
+    with pytest.raises(SimulationError, match=f"shard {role}") as failure:
+        run_sharded(_parallel_config())
+    assert time.perf_counter() - started < 10.0
+    assert message in str(failure.value)
+
+
+@_fork_only
+def test_failing_worker_fails_the_run_fast(monkeypatch):
+    """A worker that raises mid-run ends the run at once, with its message.
+
+    The surviving worker is blocked on its pipe; the driver must stop it
+    rather than wait out the join timeout.
+    """
+    step = _ShardWorker.step
+
+    def failing_step(self, inbox, until):
+        if self.role == 1 and until > 5.0:
+            raise RuntimeError("injected worker failure")
+        return step(self, inbox, until)
+
+    monkeypatch.setattr(_ShardWorker, "step", failing_step)
+    _fails_fast(1, "RuntimeError: injected worker failure")
+
+
+@_fork_only
+def test_worker_failing_to_build_fails_the_run_fast(monkeypatch):
+    """A worker may die before the driver's first message reaches it."""
+    build = _ShardWorker.__init__
+
+    def failing_build(self, config, role, failure_events=None):
+        if role == 0:
+            raise RuntimeError("injected build failure")
+        build(self, config, role, failure_events)
+
+    monkeypatch.setattr(_ShardWorker, "__init__", failing_build)
+    _fails_fast(0, "RuntimeError: injected build failure")
+
+
+@_fork_only
+def test_worker_killed_without_a_reply_fails_the_run_fast(monkeypatch):
+    step = _ShardWorker.step
+
+    def dying_step(self, inbox, until):
+        if self.role == 1 and until > 5.0:
+            os._exit(1)
+        return step(self, inbox, until)
+
+    monkeypatch.setattr(_ShardWorker, "step", dying_step)
+    _fails_fast(1, "exited without replying")
