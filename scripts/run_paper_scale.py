@@ -5,8 +5,12 @@ A paper-scale point costs 2-6 s of wall, so the full 10-seed sweeps of
 fig2-7 (1,040 trials) are about an hour at ``--jobs 2`` -- run those with
 ``python -m repro campaign``.  This script is the minutes-long version: a
 representative subset (a few x values, 1-2 seeds) at the exact paper-scale
-parameters (600 s, 40+ nodes, 2201 packets), so EXPERIMENTS.md can report
-measured paper-scale numbers next to the paper's own.
+parameters (600 s, 40+ nodes, 2201 packets).  It prints each figure's table
+as it completes and writes a JSON report (``output_path``, default
+``paper_scale_results.json``): per figure its title and one row per
+(x, variant) -- mean/min/max packets received, delivery ratio, goodput,
+packets sent -- and, for fig8, per-member goodput per (range, speed)
+combination.
 
 Trials run through the campaign subsystem (:mod:`repro.campaign`): ``--jobs``
 fans the independent runs out over worker processes, and ``--store`` appends

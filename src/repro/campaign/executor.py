@@ -13,10 +13,20 @@ parallel path produces aggregates bit-identical to the serial one.
 
 :func:`execute_trial` is a module-level function (not a closure or method) so
 it pickles under the ``spawn`` start method used on Windows and macOS.
+
+A process holds at most one scenario at a time.  A finished trial's
+``Scenario`` dies by refcount, but its stack does not: components hold their
+node, timers hold bound methods and the MAC caches its own, so the whole
+stack is one reference cycle that only a full collection frees.  Left to the
+collector's cadence, dead stacks pile up across trials (28 quick trials
+peaked at ~40 MB instead of ~26 MB), so :func:`execute_trial` -- the one
+function the serial path and every pool worker run per trial -- collects
+once the record is built.
 """
 
 from __future__ import annotations
 
+import gc
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -34,9 +44,15 @@ def execute_trial(trial: TrialSpec) -> TrialRecord:
 
     Top-level so worker processes can import it by reference; safe to call
     in-process as well (the serial path does).
+
+    The record copies plain data out of the result, so once it is built the
+    trial's scenario is unreachable but still alive in its own reference
+    cycles; one full ``gc.collect()`` frees it before the next trial builds
+    (about 7 ms per quick trial, under 0.5 % of a paper-scale one).
     """
-    result = Scenario(trial.config).run()
-    return TrialRecord.from_result(trial, result)
+    record = TrialRecord.from_result(trial, Scenario(trial.config).run())
+    gc.collect()
+    return record
 
 
 def run_campaign(

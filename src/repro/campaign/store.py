@@ -15,7 +15,8 @@ Robustness rules:
 * duplicate keys are allowed on disk; :meth:`ResultStore.load` keeps the
   last record per key (last-wins dedupe),
 * a truncated final line (the typical artefact of a killed process) is
-  skipped instead of failing the whole load.
+  skipped instead of failing the whole load, and counted in
+  :attr:`ResultStore.skipped` so callers can say so.
 """
 
 from __future__ import annotations
@@ -157,6 +158,9 @@ class ResultStore:
 
     def __init__(self, path: os.PathLike) -> None:
         self.path = Path(path)
+        #: Non-blank lines the latest :meth:`iter_records` pass could not
+        #: decode into a record.
+        self.skipped = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ResultStore({str(self.path)!r})"
@@ -188,9 +192,11 @@ class ResultStore:
         the caller's concern -- see
         :func:`repro.campaign.aggregate.merged_store_telemetry`), and a
         multi-thousand-trial store never has to fit in memory at once.
-        Blank and truncated lines, and lines holding JSON that is not a
-        record object, are skipped.
+        Blank lines are skipped; truncated lines, and lines holding JSON
+        that is not a record object, are skipped and counted in
+        :attr:`skipped`.
         """
+        self.skipped = 0
         if not self.path.exists():
             return
         with open(self.path, "r", encoding="utf-8") as handle:
@@ -200,7 +206,8 @@ class ResultStore:
                     continue
                 try:
                     record = TrialRecord.from_json(line)
-                except (json.JSONDecodeError, KeyError, TypeError):
+                except (ValueError, KeyError, TypeError):
+                    self.skipped += 1
                     continue
                 yield record
 

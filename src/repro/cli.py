@@ -414,6 +414,8 @@ def _command_campaign(args: argparse.Namespace) -> int:
     def progress(done: int, total: int, record: Optional[TrialRecord]) -> None:
         elapsed = time.time() - started
         if record is None:
+            if store is not None:
+                _warn_skipped(store)
             if done:
                 print(f"[{elapsed:7.1f}s] resume: {done}/{total} trials already stored",
                       flush=True)
@@ -455,6 +457,13 @@ def _command_campaign(args: argparse.Namespace) -> int:
     return 0
 
 
+def _warn_skipped(store: ResultStore) -> None:
+    """Tell stderr how many lines the store's last read could not decode."""
+    if store.skipped:
+        print(f"skipped {store.skipped} undecodable line(s) in {store.path}",
+              file=sys.stderr)
+
+
 def _load_telemetry(path: str, key: Optional[str], merged: bool = False) -> tuple:
     """Resolve ``path`` to one telemetry snapshot.
 
@@ -485,6 +494,7 @@ def _load_telemetry(path: str, key: Optional[str], merged: bool = False) -> tupl
         from repro.campaign import merged_store_telemetry
 
         telemetry = merged_store_telemetry(store, key_filter=key) if text.strip() else None
+        _warn_skipped(store)
         if telemetry is None:
             return None, None, (
                 f"no instrumented records in {path}"
@@ -494,6 +504,7 @@ def _load_telemetry(path: str, key: Optional[str], merged: bool = False) -> tupl
         trials = telemetry.get("merged", {}).get("trials", 0)
         return telemetry, f"{path} (merged, {trials} trials)", None
     records = store.records() if text.strip() else []
+    _warn_skipped(store)
     if key is not None:
         for record in records:
             if record.key == key:

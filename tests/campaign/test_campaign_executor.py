@@ -1,10 +1,12 @@
-"""Campaign executor tests: parallel determinism and resume semantics.
+"""Campaign executor tests: parallel determinism, resume semantics, memory.
 
-These cover the ISSUE acceptance criteria: ``jobs=2`` produces aggregates
-identical to the serial path, and a killed-then-resumed campaign completes
-using only the trials missing from the store (verified by asserting stored
-trials are never re-executed).
+``jobs=2`` produces aggregates identical to the serial path, a
+killed-then-resumed campaign completes using only the trials missing from
+the store (verified by asserting stored trials are never re-executed), and
+no finished trial's scenario stays resident after its record is returned.
 """
+
+import gc
 
 import pytest
 
@@ -20,6 +22,7 @@ from repro.campaign import (
 )
 from repro.experiments.figures import figure2_range_slow, figure8_goodput
 from repro.experiments.runner import run_experiment
+from repro.net.node import Node
 
 SPEC_KWARGS = dict(scale="quick", seeds=2, x_values=[55])
 
@@ -42,6 +45,23 @@ class TestSerialExecution:
     def test_jobs_must_be_positive(self):
         with pytest.raises(ValueError):
             run_campaign([], jobs=0)
+
+
+class TestMemory:
+    def test_no_scenario_outlives_its_trial(self):
+        # A finished trial's stack is one reference cycle; with the
+        # collector off, only execute_trial's own collection can free it.
+        trials = trials_for_spec(figure2_range_slow(), **SPEC_KWARGS)[:3]
+        gc.collect()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            run_campaign(trials, jobs=1)
+            alive = sum(isinstance(obj, Node) for obj in gc.get_objects())
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert alive == 0
 
 
 class TestParallelDeterminism:

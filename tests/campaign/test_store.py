@@ -93,7 +93,34 @@ class TestResultStore:
         assert list(loaded) == ["a", "b"] and set(streamed) == set(loaded)
         assert loaded["a"].metrics["mean"] == 2.0
 
+    def test_skipped_counts_undecodable_lines_but_not_blank_ones(self, tmp_path):
+        path = tmp_path / "campaign.jsonl"
+        store = ResultStore(path)
+        store.append(_record("a"))
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"key": "torn", "campaign": "fig2", "x": 55\n')
+            handle.write("\n  \n")
+            handle.write("0.6\n")
+            handle.write('{"key": "tail", "campaign": "fig2", "vari')
+        assert store.skipped == 0
+        assert set(store.load()) == {"a"}
+        assert store.skipped == 3
+        # Every pass recounts instead of accumulating.
+        assert [record.key for record in store.iter_records()] == ["a"]
+        assert store.skipped == 3
+
+    def test_record_with_malformed_fields_is_skipped(self, tmp_path):
+        path = tmp_path / "campaign.jsonl"
+        store = ResultStore(path)
+        store.append(_record("a"))
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"key": "b", "campaign": "fig2", "x": 55.0, "variant": "gossip", '
+                         '"seed": 1, "scale": "quick", "metrics": "ab"}\n')
+        assert set(store.load()) == {"a"}
+        assert store.skipped == 1
+
     def test_missing_file_loads_empty(self, tmp_path):
         store = ResultStore(tmp_path / "never-written.jsonl")
         assert store.load() == {}
         assert store.completed_keys() == set()
+        assert store.skipped == 0

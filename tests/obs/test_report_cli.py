@@ -153,6 +153,20 @@ class TestReportMerged:
         ) == 0
         assert "(merged, 1 trials)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags", [[], ["--merged"]])
+    def test_undecodable_lines_are_reported(self, obs_store, flags, capsys):
+        with open(obs_store.path, "a", encoding="utf-8") as handle:
+            handle.write('{"key": "torn", "campaign": "fig7", "x": 4\n')
+            handle.write("\n0.6\n\n")
+            handle.write('{"key": "tail", "campaign": "fig7", "vari')
+        assert main(["report", str(obs_store.path)] + flags) == 0
+        err = capsys.readouterr().err
+        assert err.strip() == f"skipped 3 undecodable line(s) in {obs_store.path}"
+
+    def test_clean_store_reports_nothing_skipped(self, obs_store, capsys):
+        assert main(["report", str(obs_store.path)]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_merged_without_instrumented_records(self, obs_store, capsys):
         assert main(
             ["report", str(obs_store.path), "--merged", "--key", "fig8"]

@@ -153,6 +153,19 @@ class TestCampaignCommand:
         output = capsys.readouterr().out
         assert "2/2 trials already stored" in output
 
+    def test_campaign_resume_reports_undecodable_store_lines(self, capsys, tmp_path):
+        out = tmp_path / "fig2.jsonl"
+        base = ["campaign", "fig2", "--seeds", "1", "--points", "65", "--out", str(out)]
+        assert main(base) == 0
+        assert "undecodable" not in capsys.readouterr().err
+        with open(out, "a", encoding="utf-8") as handle:
+            handle.write("\n0.6\n")
+            handle.write('{"key": "tail", "campaign": "fig2", "vari')
+        assert main(base + ["--resume"]) == 0
+        captured = capsys.readouterr()
+        assert f"skipped 2 undecodable line(s) in {out}" in captured.err
+        assert "2/2 trials already stored" in captured.out
+
     def test_campaign_refuses_existing_store_without_resume(self, capsys, tmp_path):
         out = str(tmp_path / "fig2.jsonl")
         base = ["campaign", "fig2", "--seeds", "1", "--points", "65", "--out", out]
