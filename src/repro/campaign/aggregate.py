@@ -26,7 +26,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.campaign.store import ResultStore, TrialRecord
 from repro.experiments.figures import GOODPUT_COMBINATIONS, ExperimentSpec
 from repro.experiments.runner import ExperimentPoint, ExperimentResult
-from repro.obs import merge_telemetry
+from repro.obs.merge import merge_telemetry
 
 
 def aggregate_point(x: float, variant: str, records: Sequence[TrialRecord]) -> ExperimentPoint:
@@ -102,7 +102,7 @@ class TelemetryAggregator:
     """Streaming campaign-wide telemetry: fold trials as they complete.
 
     Each :meth:`add` merges one trial's telemetry snapshot into the running
-    aggregate via :func:`repro.obs.merge_telemetry` -- O(snapshot) memory
+    aggregate via :func:`repro.obs.merge.merge_telemetry` -- O(snapshot) memory
     regardless of trial count.  Full recorder event lists are dropped on the
     way in (the summed ``recorder`` summary is kept): a thousand-trial
     campaign must not accumulate a thousand ring buffers.

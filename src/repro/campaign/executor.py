@@ -27,7 +27,7 @@ once the record is built.
 from __future__ import annotations
 
 import gc
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.campaign.store import ResultStore, TrialRecord
@@ -71,7 +71,9 @@ def run_campaign(
     already stored are *not* re-run (their stored record is returned
     instead), and every freshly completed trial is appended to the store
     before the next result is awaited -- so an interrupted campaign loses at
-    most the in-flight trials.
+    most the in-flight trials.  A trial that raises ends the campaign: in
+    the pool no queued trial starts, the running ones finish and are stored,
+    and the exception propagates.
 
     ``telemetry`` (a
     :class:`~repro.campaign.aggregate.TelemetryAggregator`) receives every
@@ -118,11 +120,18 @@ def run_campaign(
             finish(execute_trial(trial))
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {pool.submit(execute_trial, trial) for trial in pending}
-            while futures:
-                completed, futures = wait(futures, return_when=FIRST_COMPLETED)
-                for future in completed:
+            futures = [pool.submit(execute_trial, trial) for trial in pending]
+            try:
+                for future in as_completed(futures):
                     finish(future.result())
+            except BaseException:
+                # Leaving the ``with`` would run every queued trial first.
+                pool.shutdown(cancel_futures=True)
+                for future in futures:
+                    if not future.cancelled() and future.exception() is None:
+                        if future.result().key not in records:
+                            finish(future.result())
+                raise
 
     seen = set()
     ordered: List[TrialRecord] = []

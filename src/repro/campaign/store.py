@@ -27,6 +27,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Set
 
+from repro.membership.summary import group_metrics
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.campaign.trials import TrialSpec
     from repro.workload.scenario import ScenarioResult
@@ -71,7 +73,6 @@ class TrialRecord:
     def from_result(cls, trial: "TrialSpec", result: "ScenarioResult") -> "TrialRecord":
         """Build the record of ``trial`` from its scenario result."""
         from repro.campaign.trials import config_to_dict
-        from repro.membership.summary import group_metrics
 
         summary = result.summary
         multi = len(result.group_summaries) > 1 or result.membership_events > 0

@@ -30,9 +30,7 @@ from repro.experiments.figures import GOODPUT_COMBINATIONS, ExperimentSpec
 from repro.experiments.variants import variant_config
 from repro.membership.config import ChurnConfig
 from repro.mobility.config import MobilityConfig
-from repro.multicast.config import MaodvConfig
-from repro.multicast.flooding import FloodingConfig
-from repro.multicast.odmrp import OdmrpConfig
+from repro.multicast.config import FloodingConfig, MaodvConfig, OdmrpConfig
 from repro.net.config import MacConfig
 from repro.obs import ObsConfig
 from repro.routing.config import AodvConfig

@@ -8,34 +8,17 @@ live scenario, and the :class:`~repro.membership.directory.MembershipDirectory`
 keeps the subscription intervals that make delivery metrics churn-aware.
 With churn disabled (the default) the scenario builds and runs the exact
 static-membership code path the goldens pin.
+
+Only :class:`ChurnConfig` loads with the package, because every
+``ScenarioConfig`` carries one.  The churn models, controller, directory and
+per-group summaries are import-on-use: the scenario imports them only when
+churn or more than one group is configured, so a default run never loads
+them; import them from their modules.
 """
 
 from repro.membership.config import CHURN_MODELS, ChurnConfig
-from repro.membership.controller import MembershipController, MembershipStats
-from repro.membership.churn import (
-    ChurnModel,
-    FlashCrowdChurn,
-    OnOffChurn,
-    PoissonChurn,
-    ScriptedChurn,
-    build_churn_model,
-)
-from repro.membership.directory import MembershipDirectory, MembershipEvent
-from repro.membership.summary import combine_summaries, group_metrics
 
 __all__ = [
     "CHURN_MODELS",
     "ChurnConfig",
-    "ChurnModel",
-    "FlashCrowdChurn",
-    "MembershipController",
-    "MembershipDirectory",
-    "MembershipEvent",
-    "MembershipStats",
-    "OnOffChurn",
-    "PoissonChurn",
-    "ScriptedChurn",
-    "build_churn_model",
-    "combine_summaries",
-    "group_metrics",
 ]

@@ -5,16 +5,14 @@
   or through gossip recovery) and derives the per-receiver statistics the
   paper plots: mean / min / max packets received and the delivery ratio.
 * :mod:`repro.metrics.reporting` -- plain-text table formatting used by the
-  examples and the benchmark harness.
+  examples, the CLI and the experiment runner.  Import-on-use: a simulation
+  never formats a table, so it is imported from its module.
 """
 
 from repro.metrics.collectors import DeliveryCollector, DeliverySummary, MemberDelivery
-from repro.metrics.reporting import format_rows, format_summary_table
 
 __all__ = [
     "DeliveryCollector",
     "DeliverySummary",
     "MemberDelivery",
-    "format_rows",
-    "format_summary_table",
 ]

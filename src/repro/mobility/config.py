@@ -30,10 +30,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.mobility.base import MobilityModel, RectangularArea
-from repro.mobility.gauss_markov import GaussMarkovMobility
-from repro.mobility.manhattan import ManhattanGridMobility
 from repro.mobility.random_waypoint import RandomWaypointMobility
-from repro.mobility.rpgm import RpgmMobility, build_group_reference
 
 #: Models :func:`build_fleet` knows how to build.
 MOBILITY_MODELS = ("random_waypoint", "gauss_markov", "rpgm", "manhattan")
@@ -174,6 +171,8 @@ def build_fleet(
             for node_id in range(num_nodes)
         ]
     if model == "gauss_markov":
+        from repro.mobility.gauss_markov import GaussMarkovMobility
+
         return [
             GaussMarkovMobility(
                 area,
@@ -189,6 +188,8 @@ def build_fleet(
             for node_id in range(num_nodes)
         ]
     if model == "manhattan":
+        from repro.mobility.manhattan import ManhattanGridMobility
+
         return [
             ManhattanGridMobility(
                 area,
@@ -204,6 +205,8 @@ def build_fleet(
             for node_id in range(num_nodes)
         ]
     # RPGM: group references first (in group order), then per-node members.
+    from repro.mobility.rpgm import RpgmMobility, build_group_reference
+
     member_speed = config.member_speed(max_speed_mps)
     fleet: List[Optional[MobilityModel]] = [None] * num_nodes
     for group_index, members in enumerate(

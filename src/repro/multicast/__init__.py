@@ -7,12 +7,18 @@
   Gossip's locality optimisation.
 * :mod:`repro.multicast.flooding` -- blind flooding and hyper-flooding
   baselines (the comparison protocols discussed in the paper's related work).
+* :mod:`repro.multicast.odmrp` -- the mesh-based ODMRP baseline.
+* :mod:`repro.multicast.config` -- the parameters of all three.
+
+MAODV, its messages, its route table and every protocol's config load with
+the package: the default scenario runs MAODV.  The flooding and ODMRP
+routers are import-on-use -- a scenario imports one only when its
+``protocol`` selects it -- so a run never pays for a baseline it does not
+run; import them from their modules.
 """
 
-from repro.multicast.config import MaodvConfig
-from repro.multicast.flooding import FloodingConfig, FloodingRouter
+from repro.multicast.config import FloodingConfig, MaodvConfig, OdmrpConfig
 from repro.multicast.maodv import MaodvRouter, MaodvStats
-from repro.multicast.odmrp import OdmrpConfig, OdmrpRouter, OdmrpStats
 from repro.multicast.messages import (
     GroupHello,
     JoinReply,
@@ -25,7 +31,6 @@ from repro.multicast.route_table import GroupEntry, MulticastRouteTable, NextHop
 
 __all__ = [
     "FloodingConfig",
-    "FloodingRouter",
     "GroupEntry",
     "GroupHello",
     "JoinReply",
@@ -39,6 +44,4 @@ __all__ = [
     "NearestMemberUpdate",
     "NextHopEntry",
     "OdmrpConfig",
-    "OdmrpRouter",
-    "OdmrpStats",
 ]

@@ -1,7 +1,9 @@
-"""MAODV protocol parameters.
+"""Multicast protocol parameters: MAODV, flooding and ODMRP.
 
-Defaults follow the paper's simulation settings where stated (group hello
-interval 5 s) and reasonable draft values elsewhere.
+MAODV defaults follow the paper's simulation settings where stated (group
+hello interval 5 s) and reasonable draft values elsewhere.  All three live
+here, apart from their routers, so a scenario config or a stored trial can
+carry them without importing routers it does not run.
 """
 
 from __future__ import annotations
@@ -80,3 +82,58 @@ class MaodvConfig:
             raise ValueError("handoff_wait_s must be positive")
         if self.handoff_fallback_s <= 0:
             raise ValueError("handoff_fallback_s must be positive")
+
+
+@dataclass
+class FloodingConfig:
+    """Parameters of the flooding baselines."""
+
+    #: TTL given to flooded data packets.
+    flood_ttl: int = 16
+    #: Number of times each node rebroadcasts a packet.  1 is plain flooding;
+    #: larger values approximate hyper-flooding's aggressive re-sending.
+    rebroadcast_count: int = 1
+    #: Spacing between repeated rebroadcasts (hyper-flooding only).
+    rebroadcast_interval_s: float = 0.5
+    #: Random delay before each (re)broadcast; prevents synchronised
+    #: rebroadcast collisions between hidden terminals.
+    broadcast_jitter_s: float = 0.01
+    #: Duplicate-suppression cache size.
+    data_cache_size: int = 4096
+    #: Link-layer header accounted for multicast data.
+    data_header_bytes: int = 20
+
+    def __post_init__(self) -> None:
+        if self.flood_ttl < 1:
+            raise ValueError("flood_ttl must be at least 1")
+        if self.rebroadcast_count < 1:
+            raise ValueError("rebroadcast_count must be at least 1")
+
+
+@dataclass
+class OdmrpConfig:
+    """Tunable ODMRP parameters."""
+
+    #: Interval between join-query floods while a source is active.
+    join_query_interval_s: float = 3.0
+    #: Soft-state lifetime of the forwarding-group flag (the classic value is
+    #: three times the query interval).
+    forwarding_lifetime_s: float = 9.0
+    #: TTL of join-query floods.
+    flood_ttl: int = 16
+    #: Wire sizes.
+    join_query_size_bytes: int = 20
+    join_reply_size_bytes: int = 20
+    data_header_bytes: int = 20
+    #: Duplicate-suppression cache size for data packets.
+    data_cache_size: int = 4096
+    #: Jitter before re-broadcasting flooded packets.
+    broadcast_jitter_s: float = 0.01
+
+    def __post_init__(self) -> None:
+        if self.join_query_interval_s <= 0:
+            raise ValueError("join_query_interval_s must be positive")
+        if self.forwarding_lifetime_s < self.join_query_interval_s:
+            raise ValueError("forwarding_lifetime_s must cover at least one query interval")
+        if self.flood_ttl < 1:
+            raise ValueError("flood_ttl must be at least 1")

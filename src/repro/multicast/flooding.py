@@ -16,36 +16,11 @@ from typing import Callable, Dict, List, Optional
 
 from repro.net.addressing import BROADCAST_ADDRESS, GroupAddress, NodeId
 from repro.net.node import Node
+from repro.multicast.config import FloodingConfig
 from repro.multicast.messages import MulticastData
 from repro.routing.aodv import AodvRouter
 
 DataListener = Callable[[MulticastData], None]
-
-
-@dataclass
-class FloodingConfig:
-    """Parameters of the flooding baselines."""
-
-    #: TTL given to flooded data packets.
-    flood_ttl: int = 16
-    #: Number of times each node rebroadcasts a packet.  1 is plain flooding;
-    #: larger values approximate hyper-flooding's aggressive re-sending.
-    rebroadcast_count: int = 1
-    #: Spacing between repeated rebroadcasts (hyper-flooding only).
-    rebroadcast_interval_s: float = 0.5
-    #: Random delay before each (re)broadcast; prevents synchronised
-    #: rebroadcast collisions between hidden terminals.
-    broadcast_jitter_s: float = 0.01
-    #: Duplicate-suppression cache size.
-    data_cache_size: int = 4096
-    #: Link-layer header accounted for multicast data.
-    data_header_bytes: int = 20
-
-    def __post_init__(self) -> None:
-        if self.flood_ttl < 1:
-            raise ValueError("flood_ttl must be at least 1")
-        if self.rebroadcast_count < 1:
-            raise ValueError("rebroadcast_count must be at least 1")
 
 
 @dataclass

@@ -29,6 +29,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.multicast.config import OdmrpConfig
 from repro.multicast.messages import MulticastData
 from repro.net.addressing import BROADCAST_ADDRESS, GroupAddress, NodeId
 from repro.net.node import Node
@@ -70,35 +71,6 @@ class OdmrpJoinReply(Packet):
     def __post_init__(self) -> None:
         self.destination = BROADCAST_ADDRESS
         self.ttl = 1
-
-
-@dataclass
-class OdmrpConfig:
-    """Tunable ODMRP parameters."""
-
-    #: Interval between join-query floods while a source is active.
-    join_query_interval_s: float = 3.0
-    #: Soft-state lifetime of the forwarding-group flag (the classic value is
-    #: three times the query interval).
-    forwarding_lifetime_s: float = 9.0
-    #: TTL of join-query floods.
-    flood_ttl: int = 16
-    #: Wire sizes.
-    join_query_size_bytes: int = 20
-    join_reply_size_bytes: int = 20
-    data_header_bytes: int = 20
-    #: Duplicate-suppression cache size for data packets.
-    data_cache_size: int = 4096
-    #: Jitter before re-broadcasting flooded packets.
-    broadcast_jitter_s: float = 0.01
-
-    def __post_init__(self) -> None:
-        if self.join_query_interval_s <= 0:
-            raise ValueError("join_query_interval_s must be positive")
-        if self.forwarding_lifetime_s < self.join_query_interval_s:
-            raise ValueError("forwarding_lifetime_s must cover at least one query interval")
-        if self.flood_ttl < 1:
-            raise ValueError("flood_ttl must be at least 1")
 
 
 @dataclass

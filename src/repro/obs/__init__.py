@@ -22,6 +22,14 @@ guards hot probe sites with one cached boolean (``self._obs_on``).  With
 obs disabled nothing is allocated, no sampler events enter the calendar,
 and simulation results are bit-identical to an uninstrumented build --
 the golden-digest suite enforces this.
+
+What loads with the package
+---------------------------
+The facade, the config, the registry, recorder, spans and naming load
+here: every scenario binds them.  :mod:`repro.obs.merge` (folding
+snapshots across shards or trials) and :mod:`repro.obs.report` are
+import-on-use -- a single run never merges or renders telemetry -- so
+import them from their modules.
 """
 
 from __future__ import annotations
@@ -29,12 +37,6 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from .config import ObsConfig
-from .merge import (
-    interleave_events,
-    merge_snapshots,
-    merge_telemetry,
-    merge_top_fanout,
-)
 from .naming import CANONICAL_NAMESPACES, canonical_namespace, promote_flat, promote_stats
 from .recorder import NULL_RECORDER, FlightRecorder, NullFlightRecorder
 from .registry import (
@@ -177,10 +179,6 @@ __all__ = [
     "SpanTracker",
     "build_obs",
     "canonical_namespace",
-    "interleave_events",
-    "merge_snapshots",
-    "merge_telemetry",
-    "merge_top_fanout",
     "promote_flat",
     "promote_stats",
 ]

@@ -33,8 +33,6 @@ import random
 import zlib
 from typing import Dict, List, Optional, Sequence
 
-from .merge import ordered_quantile
-
 
 class Counter:
     """A monotonically increasing event count."""
@@ -191,6 +189,9 @@ class Histogram:
                 for bound, count in zip(self.buckets, self.bucket_counts)
             ] + [["+inf", self.bucket_counts[-1]]]
         if self._reservoir_size:
+            # Import-on-use: a disabled run never loads the merge module.
+            from .merge import ordered_quantile
+
             samples = sorted(self._reservoir)
             data["reservoir"] = {
                 "capacity": self._reservoir_size,

@@ -673,7 +673,10 @@ def _exchange(connections, messages) -> list:
     :class:`SimulationError` naming the shard.
     """
     for conn, message in zip(connections, messages):
-        conn.send(message)
+        try:
+            conn.send(message)
+        except BrokenPipeError:  # the worker is gone; read its reply or EOF
+            pass
     replies = []
     for role, conn in enumerate(connections):
         try:
@@ -689,7 +692,7 @@ def _exchange(connections, messages) -> list:
 # --------------------------------------------------------- telemetry merge
 def _merge_telemetry_snapshots(config, payloads) -> Dict[str, object]:
     """Fold the workers' snapshot dicts (shipped over the result pipes)."""
-    from repro.obs import interleave_events, merge_snapshots, merge_top_fanout
+    from repro.obs.merge import interleave_events, merge_snapshots, merge_top_fanout
 
     telemetry = merge_snapshots(
         [payload["obs_snapshot"] for payload in payloads],

@@ -10,18 +10,17 @@
   :class:`~repro.workload.scenario.ScenarioConfig` -- build and run a
   complete simulation of the paper's environment and return the measured
   statistics.
+* :mod:`repro.workload.failures` -- node-failure schedules and injectors.
+  Import-on-use: no scenario builds one by default, so it is imported from
+  its module by the callers that script failures.
 """
 
 from repro.workload.cbr import CbrSource, MulticastSink
-from repro.workload.failures import FailureEvent, FailureSchedule, RandomFailureInjector
 from repro.workload.scenario import Scenario, ScenarioConfig, ScenarioResult
 
 __all__ = [
     "CbrSource",
-    "FailureEvent",
-    "FailureSchedule",
     "MulticastSink",
-    "RandomFailureInjector",
     "Scenario",
     "ScenarioConfig",
     "ScenarioResult",

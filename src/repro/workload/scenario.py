@@ -28,22 +28,16 @@ Two constructors cover the common cases:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.config import GossipConfig
 from repro.core.gossip import GossipAgent
 from repro.membership.config import ChurnConfig
-from repro.membership.churn import build_churn_model
-from repro.membership.controller import MembershipController
-from repro.membership.directory import MembershipDirectory
-from repro.membership.summary import combine_summaries
 from repro.metrics.collectors import DeliveryCollector, DeliverySummary
 from repro.mobility.base import RectangularArea
 from repro.mobility.config import MobilityConfig, build_fleet, fleet_speed_bound
-from repro.multicast.config import MaodvConfig
-from repro.multicast.flooding import FloodingConfig, FloodingRouter
+from repro.multicast.config import FloodingConfig, MaodvConfig, OdmrpConfig
 from repro.multicast.maodv import MaodvRouter
-from repro.multicast.odmrp import OdmrpConfig, OdmrpRouter
 from repro.net.addressing import GroupAddress, make_group_address
 from repro.net.config import MacConfig, RadioConfig
 from repro.net.medium import Medium
@@ -55,6 +49,10 @@ from repro.routing.config import AodvConfig
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
 from repro.workload.cbr import CbrSource, MulticastSink
+
+if TYPE_CHECKING:  # import-on-use below: only churn runs build these
+    from repro.membership.controller import MembershipController
+    from repro.membership.directory import MembershipDirectory
 
 
 @dataclass
@@ -360,6 +358,14 @@ class Scenario:
             self.sim, radio, obs=self.obs, index_membership=index_membership
         )
         area = RectangularArea(config.area_width_m, config.area_height_m)
+        # MAODV (the default) is imported with this module; a baseline
+        # router only when ``protocol`` selects it.
+        router_class = MaodvRouter
+        if config.protocol == "odmrp":
+            from repro.multicast.odmrp import OdmrpRouter as router_class
+        elif config.protocol == "flooding":
+            from repro.multicast.flooding import FloodingRouter as router_class
+        router_config = getattr(config, f"{config.protocol}_config")
 
         # Members are selected before the fleet is built so RPGM can align
         # mobility groups with the multicast member sets.  Every named
@@ -412,12 +418,7 @@ class Scenario:
                     continue
             aodv = AodvRouter(node, config.aodv_config)
             self.aodv[node_id] = aodv
-            if config.protocol == "maodv":
-                multicast = MaodvRouter(node, aodv, config.maodv_config)
-            elif config.protocol == "odmrp":
-                multicast = OdmrpRouter(node, aodv, config.odmrp_config)
-            else:
-                multicast = FloodingRouter(node, aodv, config.flooding_config)
+            multicast = router_class(node, aodv, router_config)
             self.multicast[node_id] = multicast
             if config.gossip_enabled:
                 for group_index, group in enumerate(self.groups):
@@ -471,6 +472,10 @@ class Scenario:
         churn_config = config.churn_config
         if not churn_config.enabled:
             return
+        from repro.membership.churn import build_churn_model
+        from repro.membership.controller import MembershipController
+        from repro.membership.directory import MembershipDirectory
+
         self.directory = MembershipDirectory(config.group_count)
         churn_rng = streams.get("churn")
         pool = (
@@ -670,11 +675,12 @@ class Scenario:
             group_index: collector.summary()
             for group_index, collector in self.collectors.items()
         }
-        summary = (
-            group_summaries[0]
-            if self.config.group_count == 1
-            else combine_summaries(group_summaries)
-        )
+        if self.config.group_count == 1:
+            summary = group_summaries[0]
+        else:
+            from repro.membership.summary import combine_summaries
+
+            summary = combine_summaries(group_summaries)
         goodput_by_group = {
             group_index: {
                 member: agents[member].stats.goodput_percent

@@ -2,11 +2,15 @@
 
 ``jobs=2`` produces aggregates identical to the serial path, a
 killed-then-resumed campaign completes using only the trials missing from
-the store (verified by asserting stored trials are never re-executed), and
-no finished trial's scenario stays resident after its record is returned.
+the store (verified by asserting stored trials are never re-executed), no
+finished trial's scenario stays resident after its record is returned, and
+a raising trial in the pool starts no queued trial but stores every one
+that finished.
 """
 
 import gc
+import multiprocessing
+import time
 
 import pytest
 
@@ -18,11 +22,13 @@ from repro.campaign import (
     execute_trial,
     run_campaign,
     trials_for_goodput,
+    trials_for_grid,
     trials_for_spec,
 )
 from repro.experiments.figures import figure2_range_slow, figure8_goodput
 from repro.experiments.runner import run_experiment
 from repro.net.node import Node
+from repro.workload.scenario import Scenario, ScenarioConfig
 
 SPEC_KWARGS = dict(scale="quick", seeds=2, x_values=[55])
 
@@ -86,6 +92,54 @@ class TestParallelDeterminism:
         fresh = aggregate_experiment(spec, run_campaign(trials, jobs=1, store=store))
         reloaded = aggregate_experiment(spec, store.records())
         assert reloaded == fresh
+
+
+_fork_only = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched Scenario.run reaches the pool workers only through fork",
+)
+
+
+class TestFailingTrial:
+    @_fork_only
+    def test_pool_starts_no_queued_trial_and_stores_finished_ones(
+        self, tmp_path, monkeypatch
+    ):
+        tiny = ScenarioConfig.quick(
+            num_nodes=6, member_count=3, join_window_s=2.0,
+            source_start_s=5.0, source_stop_s=15.0, duration_s=20.0,
+        )
+        trials = trials_for_grid(
+            "boom", tiny, {"max_speed_mps": [0.1 * n for n in range(1, 11)]},
+            variants=("gossip",),
+        )
+        assert len({trial.config.seed for trial in trials}) == len(trials) == 10
+        failing_seed = trials[0].config.seed
+        markers = tmp_path / "markers"
+        markers.mkdir()
+        production_run = Scenario.run
+
+        def run(scenario):
+            marker = markers / str(scenario.config.seed)
+            marker.write_text("started")
+            if scenario.config.seed == failing_seed:
+                raise RuntimeError("trial failed")
+            time.sleep(0.25)  # the failure lands while this trial still runs
+            result = production_run(scenario)
+            marker.write_text("finished")
+            return result
+
+        monkeypatch.setattr(Scenario, "run", run)
+        store = ResultStore(tmp_path / "boom.jsonl")
+        with pytest.raises(RuntimeError, match="trial failed"):
+            run_campaign(trials, jobs=2, store=store)
+
+        started = {int(path.name): path.read_text() for path in markers.iterdir()}
+        assert trials[-1].config.seed not in started
+        assert len(started) < len(trials)
+        finished = {seed for seed, state in started.items() if state == "finished"}
+        assert finished
+        assert {record.seed for record in store.records()} == finished
 
 
 class TestResume:

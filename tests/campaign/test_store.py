@@ -1,6 +1,9 @@
 """Tests for the JSONL result store (append, dedupe, robustness)."""
 
 from repro.campaign.store import ResultStore, TrialRecord
+from repro.campaign.trials import config_from_dict, config_to_dict
+from repro.multicast.config import FloodingConfig, OdmrpConfig
+from repro.workload.scenario import ScenarioConfig
 
 
 def _record(key: str, seed: int = 1, mean: float = 10.0) -> TrialRecord:
@@ -124,3 +127,84 @@ class TestResultStore:
         assert store.load() == {}
         assert store.completed_keys() == set()
         assert store.skipped == 0
+
+
+#: One stored line exactly as ``TrialRecord.to_json()`` wrote it while
+#: ``FloodingConfig`` and ``OdmrpConfig`` still lived in their router modules:
+#: an ODMRP trial with non-default flooding and ODMRP parameters.
+LINE_BEFORE_CONFIG_MOVE = (
+    '{"version":1,"key":"grid|x=0.0|variant=maodv|seed=3|scale=custom","campaign":"grid",'
+    '"x":0.0,"variant":"maodv","seed":3,"scale":"custom","metrics":{"delivery_ratio":0.5,'
+    '"packets_sent":81},"goodput_by_member":{},"member_counts":{"2":40},"protocol_stats":'
+    '{},"params":{},"config":{"num_nodes":16,"area_width_m":150.0,"area_height_m":150.0,"'
+    'transmission_range_m":60.0,"bitrate_bps":2000000.0,"area_topology":"flat","min_speed'
+    '_mps":0.0,"max_speed_mps":0.2,"max_pause_s":80.0,"mobility_config":{"model":"random_'
+    'waypoint","gm_step_s":2.0,"gm_alpha":0.85,"gm_mean_speed_mps":null,"gm_speed_sigma_m'
+    'ps":null,"gm_direction_sigma_rad":0.4,"gm_edge_margin_m":null,"rpgm_group_size":4,"r'
+    'pgm_group_radius_m":25.0,"rpgm_member_speed_mps":null,"rpgm_align_multicast":true,"m'
+    'h_blocks_x":4,"mh_blocks_y":4,"mh_turn_probability":0.25,"mh_pause_probability":0.5}'
+    ',"member_count":6,"join_window_s":4.0,"source_start_s":15.0,"source_stop_s":55.0,"pa'
+    'cket_interval_s":0.5,"payload_bytes":64,"duration_s":65.0,"group_count":1,"sources_p'
+    'er_group":1,"churn_config":{"model":"none","start_s":0.0,"stop_s":null,"events_per_m'
+    'inute":6.0,"mean_on_s":120.0,"mean_off_s":120.0,"onoff_correlated":false,"flash_at_s'
+    '":0.0,"flash_joiners":0,"flash_stay_s":null,"script":[],"min_members":1,"max_members'
+    '":null,"pool":null},"protocol":"odmrp","gossip_enabled":true,"gossip_shared_round_rn'
+    'g":false,"gossip_config":{"gossip_interval_s":1.0,"lost_buffer_size":10,"member_cach'
+    'e_size":10,"lost_table_size":200,"history_size":100,"p_anon":0.7,"accept_probability'
+    '":0.5,"max_gossip_hops":16,"max_messages_per_reply":10,"enable_locality":true,"enabl'
+    'e_cached_gossip":true,"reply_when_empty":false,"initial_expected_seq":1,"request_bas'
+    'e_size_bytes":20,"request_per_lost_entry_bytes":6,"reply_base_size_bytes":16},"aodv_'
+    'config":{"hello_interval_s":0.6,"allowed_hello_loss":4,"active_route_timeout_s":10.0'
+    ',"rreq_initial_ttl":8,"rreq_ttl_increment":8,"rreq_max_ttl":32,"rreq_retries":2,"rou'
+    'te_discovery_timeout_s":1.0,"rreq_id_cache_s":5.0,"packet_buffer_limit":64,"broadcas'
+    't_jitter_s":0.01,"rreq_size_bytes":24,"rrep_size_bytes":20,"rerr_size_bytes":20,"hel'
+    'lo_size_bytes":12},"maodv_config":{"group_hello_interval_s":5.0,"flood_ttl":16,"repl'
+    'y_wait_s":0.5,"join_retries":3,"repair_retries":2,"repair_wait_s":0.75,"join_request'
+    '_size_bytes":28,"join_reply_size_bytes":24,"mact_size_bytes":16,"group_hello_size_by'
+    'tes":16,"nearest_member_update_size_bytes":12,"data_header_bytes":20,"data_cache_siz'
+    'e":4096,"nearest_member_infinity":64,"track_nearest_member":true,"broadcast_jitter_s'
+    '":0.01,"leader_handoff":true,"handoff_wait_s":1.0,"handoff_fallback_s":6.0,"leader_h'
+    'andoff_size_bytes":20},"flooding_config":{"flood_ttl":9,"rebroadcast_count":3,"rebro'
+    'adcast_interval_s":0.25,"broadcast_jitter_s":0.01,"data_cache_size":4096,"data_heade'
+    'r_bytes":20},"odmrp_config":{"join_query_interval_s":2.0,"forwarding_lifetime_s":7.5'
+    ',"flood_ttl":12,"join_query_size_bytes":20,"join_reply_size_bytes":20,"data_header_b'
+    'ytes":20,"data_cache_size":4096,"broadcast_jitter_s":0.01},"mac_config":{"slot_time_'
+    's":2e-05,"sifs_s":1e-05,"difs_s":5e-05,"cw_min":16,"cw_max":1024,"retry_limit":4,"ac'
+    'k_timeout_s":0.0015,"ack_size_bytes":14,"queue_limit":64},"obs_config":{"enabled":fa'
+    'lse,"sample_interval_s":1.0,"flight_recorder_capacity":4096,"reservoir_size":512,"to'
+    'p_fanout_n":10,"dump_on_error_path":null},"shards":1,"shard_mode":"sequential","shar'
+    'd_window_s":null,"seed":3},"groups":{},"membership":{}}'
+)
+
+
+class TestStoredLineCompatibility:
+    def test_line_written_before_the_config_move_loads_unchanged(self, tmp_path):
+        path = tmp_path / "campaign.jsonl"
+        path.write_text(LINE_BEFORE_CONFIG_MOVE + "\n")
+        store = ResultStore(path)
+        loaded = store.records()
+        assert store.skipped == 0
+        config = ScenarioConfig.quick(
+            seed=3,
+            protocol="odmrp",
+            flooding_config=FloodingConfig(
+                flood_ttl=9, rebroadcast_count=3, rebroadcast_interval_s=0.25
+            ),
+            odmrp_config=OdmrpConfig(
+                join_query_interval_s=2.0, forwarding_lifetime_s=7.5, flood_ttl=12
+            ),
+        )
+        expected = TrialRecord(
+            key="grid|x=0.0|variant=maodv|seed=3|scale=custom",
+            campaign="grid",
+            x=0.0,
+            variant="maodv",
+            seed=3,
+            scale="custom",
+            metrics={"delivery_ratio": 0.5, "packets_sent": 81},
+            member_counts={2: 40},
+            config=config_to_dict(config),
+        )
+        assert loaded == [expected]
+        assert config_from_dict(loaded[0].config) == config
+        assert expected.to_json() == LINE_BEFORE_CONFIG_MOVE

@@ -9,7 +9,8 @@ add_delivery_listener) the agent relies on.
 
 from repro.core.config import GossipConfig
 from repro.core.gossip import GossipAgent
-from repro.multicast.flooding import FloodingConfig, FloodingRouter
+from repro.multicast.config import FloodingConfig
+from repro.multicast.flooding import FloodingRouter
 from repro.workload.scenario import ScenarioConfig, run_scenario
 from tests.conftest import GROUP
 from tests.multicast.test_flooding import _build_flooding_network

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.multicast.flooding import FloodingConfig, FloodingRouter
+from repro.multicast.config import FloodingConfig
+from repro.multicast.flooding import FloodingRouter
 from repro.net.config import RadioConfig
 from repro.net.medium import Medium
 from repro.net.node import Node

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.mobility.static import StaticMobility
-from repro.multicast.odmrp import OdmrpConfig, OdmrpRouter
+from repro.multicast.config import OdmrpConfig
+from repro.multicast.odmrp import OdmrpRouter
 from repro.net.config import RadioConfig
 from repro.net.medium import Medium
 from repro.net.node import Node

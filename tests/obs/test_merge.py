@@ -19,16 +19,14 @@ campaign aggregator, ``repro report --merged``).  This suite pins its laws:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import (
-    FlightRecorder,
-    MetricsRegistry,
-    SpanTracker,
+from repro.obs import FlightRecorder, MetricsRegistry, SpanTracker
+from repro.obs.merge import (
+    downsample_sorted,
     interleave_events,
     merge_snapshots,
     merge_telemetry,
     merge_top_fanout,
 )
-from repro.obs.merge import downsample_sorted
 
 # Integer-valued observations: float addition over them is exact, so the
 # permutation/associativity laws hold byte-for-byte (with arbitrary floats

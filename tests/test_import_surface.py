@@ -1,0 +1,90 @@
+"""What a run imports: the modules it runs, and no alternative it does not.
+
+Each check starts a fresh interpreter, because this process has long since
+imported everything.  The default paper-scale build must load none of the
+import-on-use modules; a build that selects an alternative protocol or
+mobility model must load that one module.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro
+
+SRC = str(Path(repro.__file__).resolve().parents[1])
+
+#: Modules a default ``ScenarioConfig`` never runs, so ``import repro`` and
+#: its build must not load them.
+IMPORT_ON_USE = (
+    "repro.multicast.odmrp",
+    "repro.multicast.flooding",
+    "repro.mobility.gauss_markov",
+    "repro.mobility.rpgm",
+    "repro.mobility.manhattan",
+    "repro.mobility.static",
+    "repro.mobility.trace",
+    "repro.membership.churn",
+    "repro.membership.controller",
+    "repro.membership.directory",
+    "repro.membership.summary",
+    "repro.workload.failures",
+    "repro.obs.merge",
+    "repro.metrics.reporting",
+    "repro.sim.shard",
+)
+
+
+def _loaded_after(config: str) -> set:
+    """The ``repro`` modules a fresh interpreter holds after building ``config``."""
+    code = (
+        "import sys\n"
+        "from repro import Scenario, ScenarioConfig\n"
+        "from repro.mobility.config import MobilityConfig\n"
+        f"Scenario({config}).build()\n"
+        "print('\\n'.join(name for name in sys.modules if name.startswith('repro')))\n"
+    )
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    completed = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    return set(completed.stdout.split())
+
+
+def test_default_paper_build_loads_no_import_on_use_module():
+    loaded = _loaded_after("ScenarioConfig.paper(seed=1)")
+    assert "repro.multicast.maodv" in loaded
+    assert sorted(loaded.intersection(IMPORT_ON_USE)) == []
+
+
+@pytest.mark.parametrize(
+    "config, module",
+    [
+        ("ScenarioConfig.quick(protocol='flooding')", "repro.multicast.flooding"),
+        ("ScenarioConfig.quick(protocol='odmrp')", "repro.multicast.odmrp"),
+        (
+            "ScenarioConfig.quick(mobility_config=MobilityConfig(model='gauss_markov'))",
+            "repro.mobility.gauss_markov",
+        ),
+        (
+            "ScenarioConfig.quick(mobility_config=MobilityConfig(model='rpgm'))",
+            "repro.mobility.rpgm",
+        ),
+        (
+            "ScenarioConfig.quick(mobility_config=MobilityConfig(model='manhattan'))",
+            "repro.mobility.manhattan",
+        ),
+    ],
+    ids=["flooding", "odmrp", "gauss_markov", "rpgm", "manhattan"],
+)
+def test_alternative_build_imports_its_own_module(config, module):
+    loaded = _loaded_after(config)
+    assert sorted(loaded.intersection(IMPORT_ON_USE)) == [module]
