@@ -74,7 +74,7 @@ class DeliveryCollector:
         self._members: Dict[int, MemberDelivery] = {}
         #: member -> subscription spans ``[start, end]`` (``end`` None while open).
         self._intervals: Dict[int, List[List[Optional[float]]]] = {}
-        #: Optional observer ``(member, source, seq, via_gossip)`` called on
+        #: Optional observer ``(member, message_id, via_gossip)`` called on
         #: each first-time delivery; installed only by instrumented runs.
         self.on_delivery = None
 
@@ -83,20 +83,23 @@ class DeliveryCollector:
         """Declare ``member`` as a group member (so zero counts appear too)."""
         self._members.setdefault(member, MemberDelivery(member=member))
 
-    def note_sent(self, source: int, seq: int, at: Optional[float] = None) -> None:
-        """Record that the source multicast packet (source, seq) at ``at``."""
-        self._sent.add((source, seq))
-        if at is not None:
-            self._sent_at[(source, seq)] = at
+    def note_sent(self, message_id: MessageId, at: Optional[float] = None) -> None:
+        """Record that the source multicast packet ``(source, seq)`` at ``at``.
 
-    def note_delivered(self, member: int, source: int, seq: int, *, via_gossip: bool = False) -> None:
-        """Record that ``member`` received packet (source, seq).
+        Callers pass the packet's own id (``MulticastData.mid``), so every
+        table here shares the one tuple the message carries.
+        """
+        self._sent.add(message_id)
+        if at is not None:
+            self._sent_at[message_id] = at
+
+    def note_delivered(self, member: int, message_id: MessageId, *, via_gossip: bool = False) -> None:
+        """Record that ``member`` received packet ``(source, seq)``.
 
         Duplicate deliveries of the same packet to the same member are
         ignored, matching the paper's per-receiver packet counts.
         """
         record = self._members.setdefault(member, MemberDelivery(member=member))
-        message_id = (source, seq)
         if message_id in record.received:
             return
         record.received.add(message_id)
@@ -105,7 +108,7 @@ class DeliveryCollector:
         else:
             record.via_routing += 1
         if self.on_delivery is not None:
-            self.on_delivery(member, source, seq, via_gossip)
+            self.on_delivery(member, message_id, via_gossip)
 
     # ----------------------------------------------------- membership intervals
     def open_interval(self, member: int, at: float) -> None:

@@ -10,14 +10,13 @@ them, which is what the baseline benchmark uses.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.net.addressing import BROADCAST_ADDRESS, GroupAddress, NodeId
 from repro.net.node import Node
 from repro.multicast.config import FloodingConfig
-from repro.multicast.messages import MulticastData
+from repro.multicast.messages import DuplicateCache, MulticastData
 from repro.routing.aodv import AodvRouter
 
 DataListener = Callable[[MulticastData], None]
@@ -45,7 +44,7 @@ class FloodingRouter:
         self.stats = FloodingStats()
         self._members: Dict[GroupAddress, bool] = {}
         self._data_seq: Dict[GroupAddress, int] = {}
-        self._seen: "OrderedDict[tuple, None]" = OrderedDict()
+        self._seen = DuplicateCache(self.config.data_cache_size)
         self._delivery_listeners: List[DataListener] = []
         node.register_handler(MulticastData, self._on_multicast_data)
 
@@ -99,18 +98,18 @@ class FloodingRouter:
             sent_at=self.sim.now,
         )
         self.stats.data_originated += 1
-        self._remember(data.message_id())
+        self._seen.remember(data.mid)
         if self.is_member(group):
             self._deliver(data)
         self._broadcast_repeatedly(data, self.config.rebroadcast_count)
         return data
 
     def _on_multicast_data(self, data: MulticastData, from_node: NodeId) -> None:
-        key = (data.source, data.seq)  # ``message_id()`` inline: per copy
+        key = data.mid
         if key in self._seen:
             self.stats.data_duplicates += 1
             return
-        self._remember(key)
+        self._seen.remember(key)
         if self.is_member(data.group):
             self._deliver(data)
         if data.ttl <= 1:
@@ -133,8 +132,3 @@ class FloodingRouter:
         self.stats.data_delivered += 1
         for listener in self._delivery_listeners:
             listener(data)
-
-    def _remember(self, key: tuple) -> None:
-        self._seen[key] = None
-        while len(self._seen) > self.config.data_cache_size:
-            self._seen.popitem(last=False)

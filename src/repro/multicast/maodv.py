@@ -26,7 +26,6 @@ Anonymous Gossip on top of:
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -35,6 +34,7 @@ from repro.net.node import Node
 from repro.net.packet import Packet
 from repro.multicast.config import MaodvConfig
 from repro.multicast.messages import (
+    DuplicateCache,
     GroupHello,
     JoinReply,
     JoinRequest,
@@ -122,7 +122,7 @@ class MaodvRouter:
         #: When this node last became a member, per group (the age that
         #: ranks leader hand-off bids).
         self._member_since: Dict[GroupAddress, float] = {}
-        self._seen_data: "OrderedDict[tuple, None]" = OrderedDict()
+        self._seen_data = DuplicateCache(self.config.data_cache_size)
         self._last_advertised: Dict[Tuple[GroupAddress, NodeId], int] = {}
         self._group_hello_timers: Dict[GroupAddress, PeriodicTimer] = {}
         self._delivery_listeners: List[DataListener] = []
@@ -257,7 +257,7 @@ class MaodvRouter:
             sent_at=self.sim.now,
         )
         self.stats.data_originated += 1
-        self._remember_data(data.message_id())
+        self._seen_data.remember(data.mid)
         entry = self.table.entry(group)
         if entry is not None and entry.is_member:
             self._deliver_to_member(data)
@@ -268,8 +268,7 @@ class MaodvRouter:
     def _on_multicast_data(self, data: MulticastData, from_node: NodeId) -> None:
         # Most copies end in the first four tests (no entry for the group,
         # not on the tree, off-tree sender, duplicate), so up to there this
-        # is one frame: ``table.entry``, ``entry.on_tree`` and
-        # ``data.message_id()`` are written out.
+        # is one frame: ``table.entry`` and ``entry.on_tree`` are written out.
         entry = self._groups.get(data.group)
         if entry is None:
             return
@@ -285,11 +284,11 @@ class MaodvRouter:
             # activation); anything else is off-tree traffic.
             self.stats.data_rejected_off_tree += 1
             return
-        key = (data.source, data.seq)
+        key = data.mid
         if key in self._seen_data:
             self.stats.data_duplicates += 1
             return
-        self._remember_data(key)
+        self._seen_data.remember(key)
         if entry.is_member:
             self._deliver_to_member(data)
         # Forward along the tree if there is anyone besides the sender.
@@ -302,11 +301,6 @@ class MaodvRouter:
         self.stats.data_delivered += 1
         for listener in self._delivery_listeners:
             listener(data)
-
-    def _remember_data(self, key: tuple) -> None:
-        self._seen_data[key] = None
-        while len(self._seen_data) > self.config.data_cache_size:
-            self._seen_data.popitem(last=False)
 
     # ------------------------------------------------------------ join protocol
     def _start_join(self, group: GroupAddress, *, repair: bool = False,
@@ -356,6 +350,10 @@ class MaodvRouter:
         if expiry is not None and expiry > now:
             return
         self._seen_join_requests[key] = now + 10.0
+        if len(self._seen_join_requests) > 1024:
+            self._seen_join_requests = {
+                k: v for k, v in self._seen_join_requests.items() if v > now
+            }
         self._reverse_routes[key] = from_node
 
         entry = self.table.entry(request.group)

@@ -1,4 +1,4 @@
-"""MAODV control and data messages.
+"""MAODV control and data messages, and the routers' duplicate cache.
 
 MAODV reuses AODV's message structure with multicast extensions; here the
 extensions are modelled as dedicated packet classes to keep the two protocols
@@ -7,7 +7,9 @@ independently testable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
+from typing import Optional
 
 from repro.net.addressing import BROADCAST_ADDRESS, GroupAddress, NodeId
 from repro.net.packet import Packet
@@ -28,10 +30,45 @@ class MulticastData(Packet):
     source: NodeId = -1
     seq: int = 0
     sent_at: float = 0.0
+    #: ``(source, seq)``, built once: every forwarded or gossiped copy shares
+    #: this one tuple, which keys every per-node table of the message.
+    mid: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.mid = (self.source, self.seq)
 
     def message_id(self) -> tuple:
         """Globally unique id of the multicast message: (source, seq)."""
-        return (self.source, self.seq)
+        return self.mid
+
+
+class DuplicateCache(dict):
+    """The ``data_cache_size`` most recently first-seen message ids.
+
+    A dict, so ``key in cache`` costs no Python frame; :meth:`remember` evicts
+    the oldest first-seen key past ``capacity`` in O(1), and a present key
+    keeps its place.  Nothing is deleted before the first overflow, so the
+    FIFO record is built then from the dict's own insertion order: a cache
+    that never fills is just a dict.
+    """
+
+    __slots__ = ("capacity", "_order")
+
+    def __init__(self, capacity: int):
+        super().__init__()
+        self.capacity = capacity
+        self._order: Optional[deque] = None
+
+    def remember(self, key) -> None:
+        """Insert ``key`` (a no-op when present), evicting the oldest past capacity."""
+        self[key] = None
+        if len(self) > self.capacity:
+            order = self._order
+            if order is None:
+                order = self._order = deque(self)
+            else:
+                order.append(key)
+            del self[order.popleft()]
 
 
 @dataclass

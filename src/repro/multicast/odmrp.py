@@ -25,12 +25,11 @@ so the gossip layer, the workload and the metrics run over it unchanged.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.multicast.config import OdmrpConfig
-from repro.multicast.messages import MulticastData
+from repro.multicast.messages import DuplicateCache, MulticastData
 from repro.net.addressing import BROADCAST_ADDRESS, GroupAddress, NodeId
 from repro.net.node import Node
 from repro.net.packet import Packet
@@ -116,7 +115,7 @@ class OdmrpRouter:
         #: group -> simulation time until which this node is a forwarder.
         self._forwarding_until: Dict[GroupAddress, float] = {}
         self._seen_queries: Dict[tuple, float] = {}
-        self._seen_data: "OrderedDict[tuple, None]" = OrderedDict()
+        self._seen_data = DuplicateCache(self.config.data_cache_size)
         self._delivery_listeners: List[DataListener] = []
 
         node.register_handler(MulticastData, self._on_multicast_data)
@@ -193,18 +192,18 @@ class OdmrpRouter:
             sent_at=self.sim.now,
         )
         self.stats.data_originated += 1
-        self._remember_data(data.message_id())
+        self._seen_data.remember(data.mid)
         if self.is_member(group):
             self._deliver(data)
         self.node.send_frame(data, BROADCAST_ADDRESS)
         return data
 
     def _on_multicast_data(self, data: MulticastData, from_node: NodeId) -> None:
-        key = data.message_id()
+        key = data.mid
         if key in self._seen_data:
             self.stats.data_duplicates += 1
             return
-        self._remember_data(key)
+        self._seen_data.remember(key)
         if self.is_member(data.group):
             self._deliver(data)
         if self.is_forwarder(data.group):
@@ -215,11 +214,6 @@ class OdmrpRouter:
         self.stats.data_delivered += 1
         for listener in self._delivery_listeners:
             listener(data)
-
-    def _remember_data(self, key: tuple) -> None:
-        self._seen_data[key] = None
-        while len(self._seen_data) > self.config.data_cache_size:
-            self._seen_data.popitem(last=False)
 
     # ------------------------------------------------------------- mesh building
     def _ensure_source(self, group: GroupAddress) -> None:

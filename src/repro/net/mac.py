@@ -150,8 +150,9 @@ class CsmaMac:
         self._poll = self._attempt_transmission
         # Recently received unicast frame ids, used to suppress duplicate
         # deliveries caused by lost ACKs + retransmission (802.11 does the
-        # same with its retry bit and sequence-number cache).
-        self._recent_unicast: Deque[tuple] = deque(maxlen=32)
+        # same with its retry bit and sequence-number cache).  Created by the
+        # first unicast received: most nodes of a flood never get one.
+        self._recent_unicast: Optional[Deque[tuple]] = None
 
         phy.set_receive_callback(self._on_phy_receive)
         # Intact unicast frames addressed elsewhere (which _on_phy_receive
@@ -329,11 +330,14 @@ class CsmaMac:
         if dst != BROADCAST_ADDRESS:
             self._send_ack(packet, sender_id)
             key = (sender_id, packet.uid)
-            if key in self._recent_unicast:
+            recent = self._recent_unicast
+            if recent is None:
+                recent = self._recent_unicast = deque(maxlen=32)
+            elif key in recent:
                 # Retransmission of a frame whose ACK was lost: acknowledge
                 # again but do not deliver a duplicate upward.
                 return
-            self._recent_unicast.append(key)
+            recent.append(key)
         self.stats.delivered_to_upper += 1
         if self._on_receive is not None:
             self._on_receive(packet, sender_id)

@@ -55,7 +55,7 @@ class CbrSource:
         data = self.multicast.send_data(self.group, self.payload_bytes)
         self.packets_sent += 1
         if self.collector is not None:
-            self.collector.note_sent(data.source, data.seq, at=now)
+            self.collector.note_sent(data.mid, at=now)
         self.node.sim.schedule(self.interval_s, self._send)
 
     @property
@@ -98,14 +98,10 @@ class MulticastSink:
         if self.group is not None and data.group != self.group:
             return
         self.packets_received += 1
-        self.collector.note_delivered(
-            self.node.node_id, data.source, data.seq, via_gossip=False
-        )
+        self.collector.note_delivered(self.node.node_id, data.mid, via_gossip=False)
 
     def _on_gossip_recovery(self, data: MulticastData) -> None:
         if self.group is not None and data.group != self.group:
             return
         self.packets_recovered += 1
-        self.collector.note_delivered(
-            self.node.node_id, data.source, data.seq, via_gossip=True
-        )
+        self.collector.note_delivered(self.node.node_id, data.mid, via_gossip=True)

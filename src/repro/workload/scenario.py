@@ -567,7 +567,7 @@ class Scenario:
         pending = self._pending_joins
         histogram = self._h_join_latency
 
-        def probe(member: int, source: int, seq: int, via_gossip: bool) -> None:
+        def probe(member: int, message_id: tuple, via_gossip: bool) -> None:
             joined_at = pending.pop((group_index, member), None)
             if joined_at is not None:
                 histogram.observe(self.sim.now - joined_at)

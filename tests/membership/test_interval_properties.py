@@ -34,11 +34,11 @@ def _build(send_times, boundaries, mask):
         else:
             collector.close_interval(member, at)
     for seq, at in enumerate(send_times, start=1):
-        collector.note_sent(1, seq, at=at)
+        collector.note_sent((1, seq), at=at)
     delivered = []
     for seq, at in enumerate(send_times, start=1):
         if mask[(seq - 1) % len(mask)]:
-            collector.note_delivered(member, 1, seq)
+            collector.note_delivered(member, (1, seq))
             delivered.append(seq)
     return collector, member, boundaries, delivered
 
@@ -90,9 +90,9 @@ def test_members_without_intervals_keep_static_accounting():
     collector.open_interval(1, 50.0)   # member 1 is churned...
     collector.register_member(2)       # ...member 2 is static
     for seq, at in enumerate([10.0, 60.0], start=1):
-        collector.note_sent(9, seq, at=at)
-        collector.note_delivered(1, 9, seq)
-        collector.note_delivered(2, 9, seq)
+        collector.note_sent((9, seq), at=at)
+        collector.note_delivered(1, (9, seq))
+        collector.note_delivered(2, (9, seq))
     # Member 1 only gets credit (and blame) for the post-join packet.
     assert collector.received_by(1) == 1
     assert len(collector.expected_for(1)) == 1

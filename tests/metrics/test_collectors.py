@@ -9,29 +9,29 @@ class TestDeliveryCollector:
     def test_counts_distinct_packets_per_member(self):
         collector = DeliveryCollector()
         collector.register_member(1)
-        collector.note_sent(0, 1)
-        collector.note_sent(0, 2)
-        collector.note_delivered(1, 0, 1)
-        collector.note_delivered(1, 0, 2)
+        collector.note_sent((0, 1))
+        collector.note_sent((0, 2))
+        collector.note_delivered(1, (0, 1))
+        collector.note_delivered(1, (0, 2))
         assert collector.received_by(1) == 2
         assert collector.packets_sent == 2
 
     def test_duplicate_deliveries_counted_once(self):
         collector = DeliveryCollector()
-        collector.note_delivered(1, 0, 1)
-        collector.note_delivered(1, 0, 1, via_gossip=True)
+        collector.note_delivered(1, (0, 1))
+        collector.note_delivered(1, (0, 1), via_gossip=True)
         assert collector.received_by(1) == 1
 
     def test_duplicate_sends_counted_once(self):
         collector = DeliveryCollector()
-        collector.note_sent(0, 1)
-        collector.note_sent(0, 1)
+        collector.note_sent((0, 1))
+        collector.note_sent((0, 1))
         assert collector.packets_sent == 1
 
     def test_gossip_and_routing_paths_tracked_separately(self):
         collector = DeliveryCollector()
-        collector.note_delivered(1, 0, 1)
-        collector.note_delivered(1, 0, 2, via_gossip=True)
+        collector.note_delivered(1, (0, 1))
+        collector.note_delivered(1, (0, 2), via_gossip=True)
         record = collector.member_record(1)
         assert record.via_routing == 1
         assert record.via_gossip == 1
@@ -40,7 +40,7 @@ class TestDeliveryCollector:
     def test_registered_member_with_no_receptions_appears_with_zero(self):
         collector = DeliveryCollector()
         collector.register_member(4)
-        collector.note_sent(0, 1)
+        collector.note_sent((0, 1))
         assert collector.counts() == {4: 0}
 
     def test_unknown_member_received_by_is_zero(self):
@@ -51,11 +51,11 @@ class TestSummary:
     def test_summary_statistics(self):
         collector = DeliveryCollector()
         for seq in range(1, 11):
-            collector.note_sent(0, seq)
+            collector.note_sent((0, seq))
         for member, count in ((1, 10), (2, 6), (3, 2)):
             collector.register_member(member)
             for seq in range(1, count + 1):
-                collector.note_delivered(member, 0, seq)
+                collector.note_delivered(member, (0, seq))
         summary = collector.summary()
         assert summary.packets_sent == 10
         assert summary.mean == pytest.approx(6.0)
@@ -79,9 +79,9 @@ class TestSummary:
 
     def test_summary_str_mentions_key_figures(self):
         collector = DeliveryCollector()
-        collector.note_sent(0, 1)
+        collector.note_sent((0, 1))
         collector.register_member(1)
-        collector.note_delivered(1, 0, 1)
+        collector.note_delivered(1, (0, 1))
         text = str(collector.summary())
         assert "sent=1" in text
         assert "mean=1.0" in text

@@ -1,5 +1,10 @@
 """Integration tests: MAODV tree construction, leadership and pruning."""
 
+from repro.multicast.maodv import MaodvRouter
+from repro.multicast.messages import JoinRequest
+from repro.net.addressing import BROADCAST_ADDRESS
+from repro.sim.engine import Simulator
+from repro.sim.random import RandomStreams
 from tests.conftest import GROUP, build_network, line_topology
 
 
@@ -132,3 +137,72 @@ class TestLeaveAndPrune:
         network.maodv[0].leave_group(GROUP)
         network.run(1.0)
         assert network.maodv[0].table.entry(GROUP) is None
+
+
+class _StubNode:
+    """What a router needs of its node, with no radio: sent frames are kept."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.node_id = 0
+        self.streams = RandomStreams(1)
+        self.sent = []
+
+    def register_handler(self, packet_type, handler):
+        pass
+
+    def send_frame(self, packet, next_hop):
+        self.sent.append((self.sim.now, packet.origin, packet.rreq_id, next_hop))
+
+
+class _StubAodv:
+    sequence_number = 0
+
+    def add_neighbor_loss_listener(self, listener):
+        pass
+
+
+class _NeverPurged(dict):
+    """A seen-table that never reads as past the purge threshold."""
+
+    def __len__(self):
+        return 0
+
+
+class TestSeenJoinRequests:
+    """The join-request seen-table drops expired entries once past 1024, as
+    the group-hello table does, without changing a single answer."""
+
+    @staticmethod
+    def _flood(purge):
+        sim = Simulator()
+        node = _StubNode(sim)
+        router = MaodvRouter(node, _StubAodv())
+        if not purge:
+            router._seen_join_requests = _NeverPurged()
+        sizes = []
+
+        def deliver(step):
+            # A new flood every 25 ms (3000 keys over 75 s), a duplicate of
+            # the one from 3 s ago (still seen: suppressed) and of the one from
+            # 12 s ago (expired: forwarded again).
+            for earlier in (step, step - 120, step - 480):
+                if earlier >= 0:
+                    request = JoinRequest(
+                        origin=1 + earlier % 50, destination=BROADCAST_ADDRESS,
+                        ttl=5, group=GROUP, rreq_id=earlier)
+                    router._on_join_request(request, 9)
+            sizes.append(dict.__len__(router._seen_join_requests))
+
+        for step in range(3000):
+            sim.schedule_at(step * 0.025, deliver, step)
+        sim.run()
+        return node.sent, sizes
+
+    def test_bounded_and_answering_as_the_unpurged_table(self):
+        sent, sizes = self._flood(purge=True)
+        unpurged_sent, unpurged_sizes = self._flood(purge=False)
+        assert max(sizes) <= 1025
+        assert unpurged_sizes[-1] == 3000
+        assert sent == unpurged_sent
+        assert len(sent) == 3000 + 2520  # every first sight, every expired repeat
