@@ -3,10 +3,14 @@
 
 Usage::
 
-    python scripts/retained_memory.py --workload W [--top N] [--smoke]
+    python scripts/retained_memory.py --workload W [--top N] [--smoke] \
+        [--set FIELD=VALUE ...]
 
 Builds one ``bench/`` workload at seed 1 (``bench.workloads.scenario_config``
 or ``campaign_trials``, read-only) and runs it once, under ``tracemalloc``.
+Each ``--set`` overrides one ``ScenarioConfig`` field (the value is a Python
+literal, else a string), e.g. ``--set duration_s=1800 --set
+source_stop_s=1790`` to see what a longer run keeps.
 Prints the traced totals after the build and after the run -- the live bytes
 and the peak so far -- then the ``N`` allocation sites holding the most bytes
 still alive at the end of the run, with their block counts.  Tracing starts
@@ -18,6 +22,7 @@ benchmark metric.
 from __future__ import annotations
 
 import argparse
+import ast
 import sys
 import tracemalloc
 from pathlib import Path
@@ -35,12 +40,25 @@ def _totals(label: str) -> None:
     print(f"{label}: {_mb(current)} live, {_mb(peak)} peak")
 
 
+def _override(text: str):
+    name, sep, value = text.partition("=")
+    if not sep or not name:
+        raise argparse.ArgumentTypeError(f"expected FIELD=VALUE, got {text!r}")
+    try:
+        return name, ast.literal_eval(value)
+    except (ValueError, SyntaxError):
+        return name, value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--top", type=int, default=10, help="sites to list (default 10)")
     parser.add_argument("--smoke", action="store_true", help="the workload at toy size")
+    parser.add_argument("--set", type=_override, action="append", default=[],
+                        metavar="FIELD=VALUE", help="override a ScenarioConfig field (repeatable)")
     args = parser.parse_args(argv)
+    overrides = dict(args.set)
 
     from bench import workloads
 
@@ -48,16 +66,23 @@ def main(argv=None) -> int:
         parser.error(f"unknown workload {args.workload!r}; known: {', '.join(workloads.WORKLOADS)}")
     tracemalloc.start()
     try:
-        if args.workload in workloads.CAMPAIGN:
+        campaign = args.workload in workloads.CAMPAIGN
+        try:
+            if campaign:
+                _, trials = workloads.campaign_trials(
+                    workloads.PINNED_SEED, args.smoke, **overrides)
+            else:
+                config = workloads.scenario_config(
+                    args.workload, workloads.PINNED_SEED, args.smoke, **overrides)
+        except TypeError as error:  # a --set field ScenarioConfig does not have
+            parser.error(str(error))
+        if campaign:
             from repro.campaign import run_campaign
 
-            _, trials = workloads.campaign_trials(workloads.PINNED_SEED, args.smoke)
             run = lambda: run_campaign(trials, jobs=1)  # noqa: E731
         else:
             from repro import Scenario
 
-            config = workloads.scenario_config(
-                args.workload, workloads.PINNED_SEED, args.smoke)
             run = Scenario(config).build().run
         _totals("after build")
         result = run()  # noqa: F841 -- kept alive: its tables are what the run retains

@@ -30,14 +30,20 @@ class MemberDelivery:
     """Reception record of one group member."""
 
     member: int
-    received: Set[MessageId] = field(default_factory=set)
+    #: source -> byte per seq, 1 once received (a set of ids costs ~50 bytes each)
+    marks: Dict[int, bytearray] = field(default_factory=dict)
     via_routing: int = 0
     via_gossip: int = 0
 
     @property
     def count(self) -> int:
         """Number of distinct data packets this member received."""
-        return len(self.received)
+        return self.via_routing + self.via_gossip
+
+    def has(self, message_id: MessageId) -> bool:
+        """True once packet ``(source, seq)`` was received."""
+        source, seq = message_id
+        return self.marks.get(source, b"")[seq:seq + 1] == b"\x01"
 
 
 @dataclass
@@ -99,10 +105,16 @@ class DeliveryCollector:
         Duplicate deliveries of the same packet to the same member are
         ignored, matching the paper's per-receiver packet counts.
         """
-        record = self._members.setdefault(member, MemberDelivery(member=member))
-        if message_id in record.received:
+        record = self._members.get(member)
+        if record is None:
+            record = self._members[member] = MemberDelivery(member=member)
+        source, seq = message_id
+        marks = record.marks.setdefault(source, bytearray())
+        if seq >= len(marks):
+            marks.extend(bytes(seq + 1 - len(marks)))
+        elif marks[seq]:
             return
-        record.received.add(message_id)
+        marks[seq] = 1
         if via_gossip:
             record.via_gossip += 1
         else:
@@ -188,7 +200,7 @@ class DeliveryCollector:
     def _count_of(self, record: MemberDelivery) -> int:
         if record.member not in self._intervals:
             return record.count
-        return len(record.received & self.expected_for(record.member))
+        return sum(map(record.has, self.expected_for(record.member)))
 
     def counts(self) -> Dict[int, int]:
         """Mapping member -> number of packets received (interval-aware)."""
@@ -212,7 +224,7 @@ class DeliveryCollector:
         for member, record in sorted(self._members.items()):
             if member in self._intervals:
                 expected = self.expected_for(member)
-                counts[member] = len(record.received & expected)
+                counts[member] = sum(map(record.has, expected))
                 expected_sizes[member] = len(expected)
             else:
                 counts[member] = record.count

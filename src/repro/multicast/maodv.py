@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.net.addressing import BROADCAST_ADDRESS, GroupAddress, NodeId
 from repro.net.node import Node
-from repro.net.packet import Packet
+from repro.net.packet import Packet, SeenCache
 from repro.multicast.config import MaodvConfig
 from repro.multicast.messages import (
     DuplicateCache,
@@ -111,8 +111,8 @@ class MaodvRouter:
         self._pending_joins: Dict[GroupAddress, _PendingJoin] = {}
         self._reverse_routes: Dict[tuple, NodeId] = {}
         self._potential_upstream: Dict[tuple, NodeId] = {}
-        self._seen_join_requests: Dict[tuple, float] = {}
-        self._seen_group_hellos: Dict[tuple, float] = {}
+        self._seen_join_requests = SeenCache(10.0)
+        self._seen_group_hellos = SeenCache(60.0)
         self._seen_handoffs: Dict[tuple, float] = {}
         #: Election key -> best ``(age_s, -node_id)`` bid seen for that
         #: hand-off flood (max-ordered: older membership wins, lower node id
@@ -336,7 +336,7 @@ class MaodvRouter:
             repair=pending.repair,
             requester_hops_to_leader=pending.requester_hops_to_leader,
         )
-        self._seen_join_requests[request.key()] = self.sim.now + 10.0
+        self._seen_join_requests.mark(request.flood_key, self.sim.now)
         self.node.send_frame(request, BROADCAST_ADDRESS)
         wait = self.config.repair_wait_s if pending.repair else self.config.reply_wait_s
         self.sim.schedule(wait, self._join_wait_expired, pending.group, pending.rreq_id)
@@ -344,16 +344,9 @@ class MaodvRouter:
     def _on_join_request(self, request: JoinRequest, from_node: NodeId) -> None:
         if request.origin == self.node_id:
             return
-        now = self.sim.now
-        key = request.key()
-        expiry = self._seen_join_requests.get(key)
-        if expiry is not None and expiry > now:
+        key = request.flood_key
+        if not self._seen_join_requests.first_sight(key, self.sim.now):
             return
-        self._seen_join_requests[key] = now + 10.0
-        if len(self._seen_join_requests) > 1024:
-            self._seen_join_requests = {
-                k: v for k, v in self._seen_join_requests.items() if v > now
-            }
         self._reverse_routes[key] = from_node
 
         entry = self.table.entry(request.group)
@@ -394,6 +387,7 @@ class MaodvRouter:
             group_seq_known=request.group_seq_known,
             repair=request.repair,
             requester_hops_to_leader=request.requester_hops_to_leader,
+            flood_key=key,
         )
         self.stats.join_requests_forwarded += 1
         self._broadcast_jittered(forwarded)
@@ -669,20 +663,12 @@ class MaodvRouter:
             group_seq=entry.group_seq,
             hop_count=0,
         )
-        self._seen_group_hellos[hello.key()] = self.sim.now + 60.0
+        self._seen_group_hellos.mark(hello.flood_key, self.sim.now)
         self.node.send_frame(hello, BROADCAST_ADDRESS)
 
     def _on_group_hello(self, hello: GroupHello, from_node: NodeId) -> None:
-        now = self.sim.now
-        key = hello.key()
-        expiry = self._seen_group_hellos.get(key)
-        if expiry is not None and expiry > now:
+        if not self._seen_group_hellos.first_sight(hello.flood_key, self.sim.now):
             return
-        self._seen_group_hellos[key] = now + 60.0
-        if len(self._seen_group_hellos) > 1024:
-            self._seen_group_hellos = {
-                k: v for k, v in self._seen_group_hellos.items() if v > now
-            }
         entry = self.table.entry(hello.group)
         if entry is not None:
             self._reconcile_leader(entry, hello)
@@ -696,6 +682,7 @@ class MaodvRouter:
                 leader=hello.leader,
                 group_seq=hello.group_seq,
                 hop_count=hello.hop_count + 1,
+                flood_key=hello.flood_key,
             )
             self.stats.group_hellos_forwarded += 1
             self._broadcast_jittered(forwarded)

@@ -86,13 +86,17 @@ class JoinRequest(Packet):
     #: For repair requests: the requester's last known distance to the group
     #: leader.  Only nodes strictly closer to the leader may answer.
     requester_hops_to_leader: int = 0
+    #: ``(origin, rreq_id)``, built once and passed on, as ``RouteRequest``'s.
+    flood_key: tuple = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         self.destination = BROADCAST_ADDRESS
+        if self.flood_key is None:
+            self.flood_key = (self.origin, self.rreq_id)
 
     def key(self) -> tuple:
         """Duplicate-suppression key."""
-        return (self.origin, self.rreq_id)
+        return self.flood_key
 
 
 @dataclass
@@ -133,13 +137,17 @@ class GroupHello(Packet):
     leader: NodeId = -1
     group_seq: int = 0
     hop_count: int = 0
+    #: ``(leader, group_seq, group)``, built once and passed on.
+    flood_key: tuple = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         self.destination = BROADCAST_ADDRESS
+        if self.flood_key is None:
+            self.flood_key = (self.leader, self.group_seq, self.group)
 
     def key(self) -> tuple:
         """Duplicate-suppression key."""
-        return (self.leader, self.group_seq, self.group)
+        return self.flood_key
 
 
 @dataclass

@@ -32,7 +32,7 @@ from repro.multicast.config import OdmrpConfig
 from repro.multicast.messages import DuplicateCache, MulticastData
 from repro.net.addressing import BROADCAST_ADDRESS, GroupAddress, NodeId
 from repro.net.node import Node
-from repro.net.packet import Packet
+from repro.net.packet import Packet, SeenCache
 from repro.routing.aodv import AodvRouter
 from repro.sim.timers import PeriodicTimer
 
@@ -47,13 +47,17 @@ class JoinQuery(Packet):
     source: NodeId = -1
     query_seq: int = 0
     hop_count: int = 0
+    #: ``(source, group, query_seq)``, built once and passed on.
+    flood_key: tuple = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         self.destination = BROADCAST_ADDRESS
+        if self.flood_key is None:
+            self.flood_key = (self.source, self.group, self.query_seq)
 
     def key(self) -> tuple:
         """Duplicate-suppression key."""
-        return (self.source, self.group, self.query_seq)
+        return self.flood_key
 
 
 @dataclass
@@ -114,7 +118,7 @@ class OdmrpRouter:
         self._routes: Dict[Tuple[GroupAddress, NodeId], _SourceRoute] = {}
         #: group -> simulation time until which this node is a forwarder.
         self._forwarding_until: Dict[GroupAddress, float] = {}
-        self._seen_queries: Dict[tuple, float] = {}
+        self._seen_queries = SeenCache(60.0)
         self._seen_data = DuplicateCache(self.config.data_cache_size)
         self._delivery_listeners: List[DataListener] = []
 
@@ -246,19 +250,14 @@ class OdmrpRouter:
             query_seq=self._query_seq,
             hop_count=0,
         )
-        self._seen_queries[query.key()] = self.sim.now + 60.0
+        self._seen_queries.mark(query.flood_key, self.sim.now)
         self.node.send_frame(query, BROADCAST_ADDRESS)
 
     def _on_join_query(self, query: JoinQuery, from_node: NodeId) -> None:
         if query.source == self.node_id:
             return
-        now = self.sim.now
-        expiry = self._seen_queries.get(query.key())
-        if expiry is not None and expiry > now:
+        if not self._seen_queries.first_sight(query.flood_key, self.sim.now):
             return
-        self._seen_queries[query.key()] = now + 60.0
-        if len(self._seen_queries) > 2048:
-            self._seen_queries = {k: v for k, v in self._seen_queries.items() if v > now}
 
         self._routes[(query.group, query.source)] = _SourceRoute(
             upstream=from_node, query_seq=query.query_seq, hop_count=query.hop_count + 1
@@ -275,6 +274,7 @@ class OdmrpRouter:
                 source=query.source,
                 query_seq=query.query_seq,
                 hop_count=query.hop_count + 1,
+                flood_key=query.flood_key,
             )
             self.stats.queries_forwarded += 1
             self._broadcast_jittered(forwarded)

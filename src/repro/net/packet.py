@@ -6,6 +6,9 @@ subclass it to add their own fields (RREQ, MACT, gossip requests, ...).
 
 A :class:`Frame` is the link-layer unit handed to the MAC: a packet plus the
 addresses of the transmitting node and of the next hop (or broadcast).
+
+A :class:`SeenCache` is the flood duplicate-suppression table of AODV, MAODV
+and ODMRP.
 """
 
 from __future__ import annotations
@@ -65,6 +68,39 @@ class Packet:
         clone.__dict__.update(self.__dict__)
         clone.ttl = self.ttl - 1
         return clone
+
+
+class SeenCache(dict):
+    """Flood keys heard within the last ``lifetime`` seconds: key -> expiry.
+
+    A key reads as seen while its expiry is later than now (RFC 3561 §6.3
+    buffers an RREQ's key for PATH_DISCOVERY_TIME).  Expired keys already read
+    as unseen; one pass drops them at most once per lifetime, so after any
+    call the table holds only keys marked in the last two lifetimes.
+    """
+
+    __slots__ = ("lifetime", "_purge_at")
+
+    def __init__(self, lifetime: float):
+        super().__init__()
+        self.lifetime = lifetime
+        self._purge_at = lifetime
+
+    def first_sight(self, key, now: float) -> bool:
+        """False if ``key`` is seen at ``now``; else remember it and return True."""
+        if now >= self._purge_at:
+            self._purge_at = now + self.lifetime
+            for stale in [k for k, expiry in self.items() if expiry <= now]:
+                del self[stale]
+        if self.get(key, 0.0) > now:  # simulation time is never negative
+            return False
+        self[key] = now + self.lifetime
+        return True
+
+    def mark(self, key, now: float) -> None:
+        """Remember ``key`` as seen until ``now + lifetime``."""
+        if not self.first_sight(key, now):
+            self[key] = now + self.lifetime
 
 
 class Frame:

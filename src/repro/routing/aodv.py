@@ -31,7 +31,7 @@ from typing import Callable, Deque, Dict, List, Optional
 
 from repro.net.addressing import BROADCAST_ADDRESS, NodeId
 from repro.net.node import Node
-from repro.net.packet import Packet, UnicastData
+from repro.net.packet import Packet, SeenCache, UnicastData
 from repro.routing.config import AodvConfig
 from repro.routing.messages import HelloMessage, RouteError, RouteReply, RouteRequest
 from repro.routing.route_table import RouteTable
@@ -83,7 +83,7 @@ class AodvRouter:
 
         self.sequence_number = 0
         self._rreq_id = 0
-        self._seen_rreqs: Dict[tuple, float] = {}
+        self._seen_rreqs = SeenCache(self.config.rreq_id_cache_s)
         self._pending: Dict[NodeId, _PendingDiscovery] = {}
         #: Neighbour -> time last heard: the node's liveness table itself
         #: (node and medium write it per packet received; this class reads,
@@ -235,7 +235,7 @@ class AodvRouter:
             rreq_id=self._rreq_id,
             hop_count=0,
         )
-        self._seen_rreqs[rreq.key()] = self.sim.now + self.config.rreq_id_cache_s
+        self._seen_rreqs.mark(rreq.flood_key, self.sim.now)
         self.node.send_frame(rreq, BROADCAST_ADDRESS)
         pending.timer_handle = self.sim.schedule(
             self.config.route_discovery_timeout_s, self._discovery_timeout, pending.destination
@@ -272,12 +272,8 @@ class AodvRouter:
     # --------------------------------------------------------------- handlers
     def _on_rreq(self, rreq: RouteRequest, from_node: NodeId) -> None:
         now = self.sim.now
-        key = rreq.key()
-        expiry = self._seen_rreqs.get(key)
-        if expiry is not None and expiry > now:
+        if not self._seen_rreqs.first_sight(rreq.flood_key, now):
             return
-        self._seen_rreqs[key] = now + self.config.rreq_id_cache_s
-        self._purge_seen(now)
 
         hop_count = rreq.hop_count + 1
         # Install / refresh the reverse route towards the originator.
@@ -319,6 +315,7 @@ class AodvRouter:
             origin_seq=rreq.origin_seq,
             rreq_id=rreq.rreq_id,
             hop_count=hop_count,
+            flood_key=rreq.flood_key,
         )
         self.stats.rreq_forwarded += 1
         self._broadcast_jittered(forwarded)
@@ -440,10 +437,3 @@ class AodvRouter:
         """
         jitter = self.rng.uniform(0.0, self.config.broadcast_jitter_s)
         self.sim.schedule(jitter, self.node.send_frame, packet, BROADCAST_ADDRESS)
-
-    def _purge_seen(self, now: float) -> None:
-        if len(self._seen_rreqs) < 512:
-            return
-        stale = [key for key, expiry in self._seen_rreqs.items() if expiry <= now]
-        for key in stale:
-            del self._seen_rreqs[key]

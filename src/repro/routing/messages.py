@@ -19,13 +19,18 @@ class RouteRequest(Packet):
     origin_seq: int = 0
     rreq_id: int = 0
     hop_count: int = 0
+    #: ``(origin, rreq_id)``, built once by the originator; forwarders pass it
+    #: on, so every node's seen-cache entry of one flood is this one tuple.
+    flood_key: tuple = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         self.destination = BROADCAST_ADDRESS
+        if self.flood_key is None:
+            self.flood_key = (self.origin, self.rreq_id)
 
     def key(self) -> tuple:
         """Duplicate-suppression key."""
-        return (self.origin, self.rreq_id)
+        return self.flood_key
 
 
 @dataclass

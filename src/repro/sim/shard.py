@@ -778,7 +778,9 @@ def _merge_collectors(config, payloads) -> Dict[int, "object"]:
                 into = target._members.setdefault(
                     member, MemberDelivery(member=member)
                 )
-                into.received |= record.received
+                for source, marks in record.marks.items():
+                    into.marks[source] = bytearray(map(max, itertools.zip_longest(
+                        into.marks.get(source, b""), marks, fillvalue=0)))
                 into.via_routing += record.via_routing
                 into.via_gossip += record.via_gossip
     return merged

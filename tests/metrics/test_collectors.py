@@ -1,6 +1,8 @@
 """Unit tests for delivery accounting."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.metrics.collectors import DeliveryCollector
 
@@ -85,3 +87,59 @@ class TestSummary:
         text = str(collector.summary())
         assert "sent=1" in text
         assert "mean=1.0" in text
+
+
+#: Collector inputs at non-decreasing times: ``(op, member, source, seq,
+#: via_gossip, time step)``; ids repeat, so duplicates are common.
+_inputs = st.lists(
+    st.tuples(
+        st.sampled_from(["sent", "delivered", "delivered", "open", "close"]),
+        st.integers(0, 3), st.integers(0, 2), st.integers(0, 20),
+        st.booleans(), st.integers(0, 3),
+    ),
+    max_size=150,
+)
+
+
+class TestMarksAreTheSetOfIds:
+    """Per-source marks give what the former set of ids per member gave."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_inputs, st.booleans())
+    def test_counts_and_summary(self, inputs, with_intervals):
+        collector, received, via = DeliveryCollector(), {}, {}
+        now = 0.0
+        for op, member, source, seq, via_gossip, step in inputs:
+            now += step
+            if op == "sent":
+                collector.note_sent((source, seq), at=now)
+            elif op == "delivered":
+                collector.note_delivered(member, (source, seq), via_gossip=via_gossip)
+                ids = received.setdefault(member, set())
+                if (source, seq) not in ids:
+                    ids.add((source, seq))
+                    via[member, via_gossip] = via.get((member, via_gossip), 0) + 1
+            elif with_intervals:
+                (collector.open_interval if op == "open" else collector.close_interval)(member, now)
+        expected = {}
+        for member in collector.members:
+            ids = received.get(member, set())
+            record = collector.member_record(member)
+            assert record.count == len(ids)
+            assert (record.via_routing, record.via_gossip) == (
+                via.get((member, False), 0), via.get((member, True), 0))
+            assert all(record.has(message_id) for message_id in ids)
+            expected[member] = collector.expected_for(member)
+        counts = {member: len(received.get(member, set()) & expected[member])
+                  if collector.intervals_of(member) else len(received.get(member, set()))
+                  for member in collector.members}
+        assert collector.counts() == counts
+        summary = collector.summary()
+        assert summary.member_counts == counts
+        sent = collector.packets_sent
+        if not collector.has_intervals:
+            ratio = (sum(counts.values()) / len(counts) / sent) if counts and sent else 0.0
+        else:
+            ratios = [counts[m] / len(expected[m]) for m in counts if expected[m]]
+            ratio = sum(ratios) / len(ratios) if ratios else 0.0
+        assert summary.delivery_ratio == pytest.approx(ratio)

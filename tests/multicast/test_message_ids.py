@@ -77,8 +77,11 @@ class TestOneIdPerMessage:
         for agent in agents:
             held.extend(agent.history.message_ids())
         for collector in scenario.collectors.values():
+            held.extend(collector._sent)
             for member in collector.members:
-                held.extend(collector.member_record(member).received)
+                # A member's delivery record is per-source marks: no id at all.
+                marks = collector.member_record(member).marks
+                assert all(type(mark) is bytearray for mark in marks.values())
         assert len(held) > 10 * len(set(held))  # many tables hold each id
         assert len({id(key) for key in held}) == len(set(held))
 

@@ -28,3 +28,34 @@ def test_unknown_workload_is_a_usage_error(capsys):
         retained_memory.main(["--workload", "paper41"])
     assert raised.value.code == 2
     assert "known: paper40_ag" in capsys.readouterr().err
+
+
+def test_set_overrides_scenario_config_fields(monkeypatch, capsys):
+    from bench import workloads
+
+    built = []
+    real = workloads.scenario_config
+
+    def spy(*args, **overrides):
+        built.append(real(*args, **overrides))
+        return built[-1]
+
+    monkeypatch.setattr(workloads, "scenario_config", spy)
+    argv = ["--workload", "paper40_maodv", "--smoke", "--top", "1",
+            "--set", "duration_s=6", "--set", "source_stop_s=5.5", "--set", "protocol=odmrp"]
+    assert retained_memory.main(argv) == 0
+    (config,) = built
+    assert (config.duration_s, config.source_stop_s, config.protocol) == (6, 5.5, "odmrp")
+    assert config.num_nodes == workloads.SMOKE_SCENARIO["num_nodes"]  # the rest as before
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("duration_s", "expected FIELD=VALUE"),
+    ("no_such_field=1", "no_such_field"),
+])
+def test_a_bad_set_is_a_usage_error(setting, message, capsys):
+    with pytest.raises(SystemExit) as raised:
+        retained_memory.main(["--workload", "paper40_maodv", "--smoke", "--set", setting])
+    assert raised.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not tracemalloc.is_tracing()
