@@ -14,14 +14,17 @@ The subsystem bundles four pieces behind one facade (:class:`Obs`):
 
 Zero-overhead contract
 ----------------------
-:func:`build_obs` returns the shared :data:`NULL_OBS` singleton whenever
-observability is off (``config is None`` or ``config.enabled`` is false).
-Every component has a no-op twin with an identical interface, so
-instrumented code binds its metrics **once at construction time** and
-guards hot probe sites with one cached boolean (``self._obs_on``).  With
-obs disabled nothing is allocated, no sampler events enter the calendar,
-and simulation results are bit-identical to an uninstrumented build --
-the golden-digest suite enforces this.
+There is one facade and no no-op copy of it.  :func:`build_obs` returns
+the shared :data:`NULL_OBS` -- a real :class:`Obs` switched off
+(``enabled`` is false) -- whenever observability is off (``config is
+None`` or ``config.enabled`` is false).  Instrumented code binds its
+metrics and spans **once at construction time** from whichever facade it
+is handed, and gates every probe site on the facade's ``enabled`` flag
+(hot paths cache it as ``self._obs_on``).  A disabled run therefore binds
+into the shared facade but never writes to it: no sampler events enter
+the calendar, every metric of :data:`NULL_OBS` stays at zero (the no-op
+identity tests check this), and simulation results are bit-identical to
+an uninstrumented build -- the golden-digest suite enforces this.
 
 What loads with the package
 ---------------------------
@@ -37,33 +40,22 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from .config import ObsConfig
-from .naming import CANONICAL_NAMESPACES, canonical_namespace, promote_flat, promote_stats
-from .recorder import NULL_RECORDER, FlightRecorder, NullFlightRecorder
-from .registry import (
-    DEFAULT_BUCKETS,
-    NULL_COUNTER,
-    NULL_GAUGE,
-    NULL_HISTOGRAM,
-    NULL_REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullCounter,
-    NullGauge,
-    NullHistogram,
-    NullRegistry,
-)
-from .spans import NULL_SPAN, NULL_SPAN_TRACKER, NullSpan, NullSpanTracker, Span, SpanTracker
+from .naming import CANONICAL_NAMESPACES, canonical_namespace, promote_flat
+from .recorder import FlightRecorder
+from .registry import DEFAULT_BUCKETS, Counter, Gauge, Histogram, MetricsRegistry
+from .spans import Span, SpanTracker
 
 
 class Obs:
-    """Facade owning one run's registry, flight recorder and span tracker."""
+    """Facade owning one run's registry, flight recorder and span tracker.
 
-    enabled = True
+    ``enabled`` mirrors ``config.enabled``; every probe site is gated on it,
+    so a switched-off facade is bound but never written to.
+    """
 
-    def __init__(self, config: Optional[ObsConfig] = None):
-        self.config = config or ObsConfig(enabled=True)
+    def __init__(self, config: ObsConfig):
+        self.config = config
+        self.enabled = config.enabled
         self.registry = MetricsRegistry(reservoir_size=self.config.reservoir_size)
         self.recorder = FlightRecorder(capacity=self.config.flight_recorder_capacity)
         self.spans = SpanTracker()
@@ -88,11 +80,6 @@ class Obs:
         """Dump the flight-recorder ring to ``path`` (JSONL); returns count."""
         return self.recorder.dump_jsonl(path)
 
-    def reset(self) -> None:
-        self.registry.reset()
-        self.recorder.clear()
-        self.spans.reset()
-
     def snapshot(self) -> Dict[str, object]:
         """One JSON-ready telemetry snapshot (deterministically ordered)."""
         data = self.registry.snapshot()
@@ -101,48 +88,14 @@ class Obs:
         return data
 
 
-class _NullObs:
-    """Shared do-nothing facade: the disabled-mode ``obs`` binding."""
-
-    __slots__ = ()
-    enabled = False
-    config = None
-    registry = NULL_REGISTRY
-    recorder = NULL_RECORDER
-    spans = NULL_SPAN_TRACKER
-
-    def counter(self, name: str) -> NullCounter:
-        return NULL_COUNTER
-
-    def gauge(self, name: str) -> NullGauge:
-        return NULL_GAUGE
-
-    def histogram(self, name, buckets=DEFAULT_BUCKETS, reservoir=False) -> NullHistogram:
-        return NULL_HISTOGRAM
-
-    def span(self, name: str) -> NullSpan:
-        return NULL_SPAN
-
-    def record(self, kind: str, t: float, **fields: object) -> None:
-        pass
-
-    def dump_recorder(self, path) -> int:
-        return 0
-
-    def reset(self) -> None:
-        pass
-
-    def snapshot(self) -> Dict[str, object]:
-        return {}
+#: The shared, switched-off facade every disabled run binds.
+NULL_OBS = Obs(ObsConfig())
 
 
-NULL_OBS = _NullObs()
-
-
-def build_obs(config: Optional[ObsConfig]):
+def build_obs(config: Optional[ObsConfig]) -> Obs:
     """The run's ``obs`` binding: a live :class:`Obs`, or :data:`NULL_OBS`.
 
-    Returns the shared no-op singleton unless ``config`` exists and has
+    Returns the shared switched-off facade unless ``config`` exists and has
     ``enabled=True`` -- callers never need to branch on the config again.
     """
     if config is None or not config.enabled:
@@ -158,21 +111,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_COUNTER",
-    "NULL_GAUGE",
-    "NULL_HISTOGRAM",
     "NULL_OBS",
-    "NULL_RECORDER",
-    "NULL_REGISTRY",
-    "NULL_SPAN",
-    "NULL_SPAN_TRACKER",
-    "NullCounter",
-    "NullFlightRecorder",
-    "NullGauge",
-    "NullHistogram",
-    "NullRegistry",
-    "NullSpan",
-    "NullSpanTracker",
     "Obs",
     "ObsConfig",
     "Span",
@@ -180,5 +119,4 @@ __all__ = [
     "build_obs",
     "canonical_namespace",
     "promote_flat",
-    "promote_stats",
 ]

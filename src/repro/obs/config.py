@@ -6,9 +6,10 @@ subsystem.  It rides on :class:`~repro.workload.scenario.ScenarioConfig`
 other nested config, so an instrumented trial is as reproducible as a plain
 one.
 
-The default is **disabled**: every instrumentation point then resolves to
-the shared no-op singletons of :mod:`repro.obs` and the zero-allocation hot
-paths stay untouched (see the package docstring for the overhead contract).
+The default is **disabled**: every instrumentation point then binds the one
+shared, switched-off facade :data:`repro.obs.NULL_OBS` and never writes to
+it, so the hot paths stay untouched (see the package docstring for the
+overhead contract).
 """
 
 from __future__ import annotations
@@ -24,14 +25,15 @@ class ObsConfig:
     Attributes
     ----------
     enabled:
-        Master switch.  ``False`` (the default) makes the whole obs layer a
-        shared no-op singleton: no registry, no recorder, no sampler events
-        on the calendar, and bit-identical simulation results.
+        Master switch.  ``False`` (the default) binds the run to the
+        shared, switched-off facade: every probe site is gated off, no
+        sampler events enter the calendar, and simulation results are
+        bit-identical.
     sample_interval_s:
         Period of the engine sampler (simulated seconds between samples of
-        events/sec wall-clock throughput, heap depth, tombstones and slot
-        pool occupancy).  Sampler events ride the simulation calendar, so an
-        instrumented run processes more events than a plain one.
+        events/sec wall-clock throughput, heap depth and tombstones).
+        Sampler events ride the simulation calendar, so an instrumented
+        run processes more events than a plain one.
     flight_recorder_capacity:
         Ring-buffer size of the flight recorder (structured events; the
         oldest are overwritten once the ring is full).

@@ -56,16 +56,17 @@ def downsample_sorted(samples: Sequence[float], size: int) -> List[float]:
     return [samples[int(round(index * step))] for index in range(size)]
 
 
-def ordered_quantile(ordered: Sequence[float], q: float) -> Optional[float]:
-    """The ``q``-quantile of a sorted sample list (``None`` when empty).
+def quantile_summary(ordered: Sequence[float]) -> Dict[str, Optional[float]]:
+    """The ``p50``/``p90``/``p99`` of a sorted sample list (``None`` when empty).
 
-    Same estimator as :meth:`repro.obs.registry.Histogram.quantile`, so
-    merged snapshots quote quantiles on the same scale as per-run ones.
+    The one estimator behind both :meth:`repro.obs.registry.Histogram.snapshot`
+    and merged snapshots, so both quote quantiles on the same scale.
     """
-    if not ordered:
-        return None
-    index = min(len(ordered) - 1, int(q * len(ordered)))
-    return ordered[index]
+    n = len(ordered)
+    return {
+        name: ordered[min(n - 1, int(q * n))] if n else None
+        for name, q in (("p50", 0.50), ("p90", 0.90), ("p99", 0.99))
+    }
 
 
 def interleave_events(event_lists: Sequence[Sequence[dict]]) -> List[dict]:
@@ -140,11 +141,7 @@ def _merge_histogram_snaps(snaps: Sequence[Dict[str, object]]) -> Dict[str, obje
         )
         samples = downsample_sorted(samples, capacity)
         merged["reservoir"] = {"capacity": capacity, "samples": samples}
-        merged["quantiles"] = {
-            "p50": ordered_quantile(samples, 0.50),
-            "p90": ordered_quantile(samples, 0.90),
-            "p99": ordered_quantile(samples, 0.99),
-        }
+        merged["quantiles"] = quantile_summary(samples)
     return merged
 
 

@@ -30,16 +30,16 @@ layer          subsystem        examples
                                 ``join_to_first_delivery_s`` histogram
 =============  ===============  ==============================================
 
-The legacy flat ``protocol_stats`` dict (``"mac.enqueued"``-style keys,
-aggregated by the scenario since PR 1) is unchanged and remains the
-compatibility surface; :func:`promote_stats` maps those same dataclass
-counters into the canonical namespace for the telemetry snapshot, so each
-counter has exactly one storage location and two read paths.
+The flat ``protocol_stats`` dict (``"mac.enqueued"``-style keys, aggregated
+by the scenario from the per-layer stats dataclasses) remains the
+compatibility surface; :func:`promote_flat` maps those same keys into the
+canonical namespace for the telemetry snapshot, so each counter has exactly
+one storage location and two read paths.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Tuple
+from typing import Dict
 
 #: Aggregation prefix (the ``protocol_stats`` key prefix) -> canonical
 #: ``layer.subsystem`` namespace.
@@ -58,20 +58,6 @@ CANONICAL_NAMESPACES: Dict[str, str] = {
 def canonical_namespace(prefix: str) -> str:
     """The ``layer.subsystem`` namespace of an aggregation prefix."""
     return CANONICAL_NAMESPACES.get(prefix, prefix)
-
-
-def promote_stats(prefix: str, stats_object) -> Iterator[Tuple[str, float]]:
-    """Yield ``(canonical_name, value)`` for a stats dataclass's counters.
-
-    Promotes every numeric attribute of ``stats_object`` (a ``MediumStats``/
-    ``MacStats``/``GossipStats``-style dataclass) into the canonical
-    namespace of ``prefix``.  Non-numeric attributes are skipped, matching
-    the scenario's ``protocol_stats`` aggregation.
-    """
-    namespace = canonical_namespace(prefix)
-    for name, value in vars(stats_object).items():
-        if isinstance(value, (int, float)):
-            yield f"{namespace}.{name}", value
 
 
 def promote_flat(flat: Dict[str, float]) -> Dict[str, float]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List
 
 
 class FlightRecorder:
@@ -46,18 +46,12 @@ class FlightRecorder:
         """Events overwritten by ring wraparound."""
         return self.recorded - len(self._ring)
 
-    def events(self, kind: Optional[str] = None) -> List[Dict[str, object]]:
-        """Retained events, oldest first, optionally filtered by ``kind``."""
-        if kind is None:
-            return list(self._ring)
-        return [event for event in self._ring if event["kind"] == kind]
+    def events(self) -> List[Dict[str, object]]:
+        """Retained events, oldest first."""
+        return list(self._ring)
 
     def __len__(self) -> int:
         return len(self._ring)
-
-    def clear(self) -> None:
-        self._ring.clear()
-        self.recorded = 0
 
     def dump_jsonl(self, path) -> int:
         """Write the retained events to ``path`` (JSONL); returns the count."""
@@ -75,33 +69,3 @@ class FlightRecorder:
             "recorded": self.recorded,
             "dropped": self.dropped,
         }
-
-
-class NullFlightRecorder:
-    """Shared do-nothing recorder (the disabled-mode binding)."""
-
-    __slots__ = ()
-    capacity = 0
-    recorded = 0
-    dropped = 0
-
-    def record(self, kind: str, t: float, **fields: object) -> None:
-        pass
-
-    def events(self, kind: Optional[str] = None) -> List[Dict[str, object]]:
-        return []
-
-    def __len__(self) -> int:
-        return 0
-
-    def clear(self) -> None:
-        pass
-
-    def dump_jsonl(self, path) -> int:
-        return 0
-
-    def snapshot(self) -> Dict[str, int]:
-        return {}
-
-
-NULL_RECORDER = NullFlightRecorder()

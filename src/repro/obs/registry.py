@@ -10,14 +10,12 @@ of different runs or shards are combined through their snapshots
 
 Zero-overhead contract
 ----------------------
-Every metric class has a no-op twin with the same interface, and the module
-exposes one shared singleton of each (:data:`NULL_COUNTER`,
-:data:`NULL_GAUGE`, :data:`NULL_HISTOGRAM`) plus :data:`NULL_REGISTRY`,
-whose factory methods hand those singletons out.  Instrumented code binds
-its metrics once, at construction time; with obs disabled every binding is
-the same shared no-op object and hot paths guard their probe sites with a
-single pre-computed boolean, so the simulation allocates and computes
-exactly what it did before the obs layer existed.
+There is one implementation of each metric.  Instrumented code binds its
+metrics once, at construction time, from the run's ``obs`` facade; with obs
+disabled that facade is the one shared, switched-off
+:data:`repro.obs.NULL_OBS`, and every probe site is gated on the facade's
+``enabled`` flag (cached as ``self._obs_on`` on hot paths), so a disabled
+run binds but never writes.
 
 Determinism
 -----------
@@ -47,8 +45,6 @@ class Counter:
         """Add ``amount`` (default 1) to the counter."""
         self.value += amount
 
-    def reset(self) -> None:
-        self.value = 0
 
 
 class Gauge:
@@ -71,11 +67,6 @@ class Gauge:
         if self.max is None or value > self.max:
             self.max = value
 
-    def reset(self) -> None:
-        self.value = 0.0
-        self.min = None
-        self.max = None
-        self.updates = 0
 
 
 #: Default fixed buckets: powers of two, a good fit for fan-out sizes and
@@ -155,25 +146,6 @@ class Histogram:
         """Mean of all observations (0.0 before the first one)."""
         return self.total / self.count if self.count else 0.0
 
-    def quantile(self, q: float) -> Optional[float]:
-        """Estimated ``q``-quantile from the reservoir (``None`` without one)."""
-        if not self._reservoir:
-            return None
-        ordered = sorted(self._reservoir)
-        index = min(len(ordered) - 1, int(q * len(ordered)))
-        return ordered[index]
-
-    def reset(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.min = None
-        self.max = None
-        if self.bucket_counts is not None:
-            self.bucket_counts = [0] * len(self.bucket_counts)
-        self._reservoir = []
-        if self._rng is not None:
-            self._rng = random.Random(zlib.crc32(self.name.encode("utf-8")))
-
     def snapshot(self) -> Dict[str, object]:
         """Plain-dict summary (JSON-ready, deterministic)."""
         data: Dict[str, object] = {
@@ -190,18 +162,14 @@ class Histogram:
             ] + [["+inf", self.bucket_counts[-1]]]
         if self._reservoir_size:
             # Import-on-use: a disabled run never loads the merge module.
-            from .merge import ordered_quantile
+            from .merge import quantile_summary
 
             samples = sorted(self._reservoir)
             data["reservoir"] = {
                 "capacity": self._reservoir_size,
                 "samples": samples,
             }
-            data["quantiles"] = {
-                "p50": ordered_quantile(samples, 0.50),
-                "p90": ordered_quantile(samples, 0.90),
-                "p99": ordered_quantile(samples, 0.99),
-            }
+            data["quantiles"] = quantile_summary(samples)
         return data
 
 
@@ -213,11 +181,6 @@ class MetricsRegistry:
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._default_reservoir = reservoir_size
-
-    @property
-    def enabled(self) -> bool:
-        """True: this is a live registry (the null twin reports False)."""
-        return True
 
     def counter(self, name: str) -> Counter:
         """The counter called ``name``, created on first request."""
@@ -259,12 +222,6 @@ class MetricsRegistry:
             counter = self.counter(name)
             counter.value = value
 
-    def reset(self) -> None:
-        """Zero every registered metric (the instances stay bound)."""
-        for group in (self._counters, self._gauges, self._histograms):
-            for metric in group.values():
-                metric.reset()
-
     def snapshot(self) -> Dict[str, object]:
         """All metrics as one nested, deterministically ordered dict."""
         metrics: Dict[str, object] = {}
@@ -283,92 +240,3 @@ class MetricsRegistry:
             for name in sorted(self._histograms)
         }
         return {"metrics": metrics, "histograms": histograms}
-
-
-# --------------------------------------------------------------- no-op twins
-class NullCounter:
-    """Shared do-nothing counter (the disabled-mode binding)."""
-
-    __slots__ = ()
-    name = "null"
-    value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        pass
-
-    def reset(self) -> None:
-        pass
-
-
-class NullGauge:
-    """Shared do-nothing gauge."""
-
-    __slots__ = ()
-    name = "null"
-    value = 0.0
-    min = None
-    max = None
-    updates = 0
-
-    def set(self, value: float) -> None:
-        pass
-
-    def reset(self) -> None:
-        pass
-
-
-class NullHistogram:
-    """Shared do-nothing histogram."""
-
-    __slots__ = ()
-    name = "null"
-    count = 0
-    total = 0.0
-    min = None
-    max = None
-    mean = 0.0
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def quantile(self, q: float) -> None:
-        return None
-
-    def reset(self) -> None:
-        pass
-
-    def snapshot(self) -> Dict[str, object]:
-        return {}
-
-
-NULL_COUNTER = NullCounter()
-NULL_GAUGE = NullGauge()
-NULL_HISTOGRAM = NullHistogram()
-
-
-class NullRegistry:
-    """Registry twin whose factories return the shared no-op singletons."""
-
-    __slots__ = ()
-    enabled = False
-
-    def counter(self, name: str) -> NullCounter:
-        return NULL_COUNTER
-
-    def gauge(self, name: str) -> NullGauge:
-        return NULL_GAUGE
-
-    def histogram(self, name, buckets=DEFAULT_BUCKETS, reservoir=False) -> NullHistogram:
-        return NULL_HISTOGRAM
-
-    def set_metrics(self, items) -> None:
-        pass
-
-    def reset(self) -> None:
-        pass
-
-    def snapshot(self) -> Dict[str, object]:
-        return {"metrics": {}, "histograms": {}}
-
-
-NULL_REGISTRY = NullRegistry()

@@ -10,8 +10,9 @@ wall-clock breakdown from them.
 Spans are reusable and re-entrant-free by design: the object returned by
 :meth:`SpanTracker.span` is bound to its aggregate once, so hot paths hold
 it in a local/attribute and pay two ``perf_counter()`` calls per section
-entry, nothing else.  The :data:`NULL_SPAN` twin makes every call a no-op
-when obs is disabled.
+entry, nothing else.  A disabled run binds its spans from the shared,
+switched-off :data:`repro.obs.NULL_OBS` and never enters them: every timed
+section sits behind the caller's cached ``obs.enabled`` flag.
 """
 
 from __future__ import annotations
@@ -60,11 +61,6 @@ class Span:
         if elapsed_s > self.max_s:
             self.max_s = elapsed_s
 
-    def reset(self) -> None:
-        self.count = 0
-        self.total_s = 0.0
-        self.max_s = 0.0
-
 
 class SpanTracker:
     """Creates and holds the run's spans, keyed by dotted section name."""
@@ -79,10 +75,6 @@ class SpanTracker:
             span = self._spans[name] = Span(name)
         return span
 
-    def reset(self) -> None:
-        for span in self._spans.values():
-            span.reset()
-
     def snapshot(self) -> Dict[str, Dict[str, float]]:
         """Per-section breakdown: name -> count/total_s/max_s (sorted)."""
         return {
@@ -94,52 +86,3 @@ class SpanTracker:
             for name, span in sorted(self._spans.items())
             if span.count
         }
-
-
-class NullSpan:
-    """Shared do-nothing span (the disabled-mode binding)."""
-
-    __slots__ = ()
-    name = "null"
-    count = 0
-    total_s = 0.0
-    max_s = 0.0
-
-    def start(self) -> None:
-        pass
-
-    def stop(self) -> None:
-        pass
-
-    def add(self, elapsed_s: float) -> None:
-        pass
-
-    def __enter__(self) -> "NullSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        pass
-
-    def reset(self) -> None:
-        pass
-
-
-NULL_SPAN = NullSpan()
-
-
-class NullSpanTracker:
-    """Tracker twin handing out the shared no-op span."""
-
-    __slots__ = ()
-
-    def span(self, name: str) -> NullSpan:
-        return NULL_SPAN
-
-    def reset(self) -> None:
-        pass
-
-    def snapshot(self) -> Dict[str, Dict[str, float]]:
-        return {}
-
-
-NULL_SPAN_TRACKER = NullSpanTracker()

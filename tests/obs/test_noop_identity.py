@@ -10,10 +10,16 @@ probes only read.
 
 import dataclasses
 
-from repro.obs import ObsConfig
+from repro.membership.config import ChurnConfig
+from repro.obs import NULL_OBS, ObsConfig
 from repro.workload.scenario import Scenario, ScenarioConfig
 
-from tests.properties.hotpath_golden import GOLDEN_SCENARIOS, run_digest
+from tests.properties.hotpath_golden import (
+    GOLDEN_FAILURES,
+    GOLDEN_SCENARIOS,
+    run_digest,
+    run_with_delivery_log,
+)
 
 _SCENARIO = "fig4_speed_low"
 
@@ -32,6 +38,47 @@ class TestDisabledIdentity:
     def test_disabled_run_has_no_telemetry(self):
         result = Scenario(GOLDEN_SCENARIOS[_SCENARIO]).run()
         assert result.telemetry is None
+
+
+class TestDisabledRunsNeverWrite:
+    """Every probe site is gated on its cached ``obs.enabled``.
+
+    A disabled run binds its metrics from the one shared, switched-off
+    :data:`NULL_OBS`, so an ungated probe would write into it.  After a
+    spread of disabled runs -- every stack, a failure overlay, sequential
+    shards and multi-group churn -- every value it holds must still be
+    zero.  (Its set of *names* grows as runs bind, so the check reads
+    values, not a before/after diff.)
+    """
+
+    def test_shared_facade_stays_zero(self):
+        base = GOLDEN_SCENARIOS[_SCENARIO]
+        for config in (
+            base,
+            GOLDEN_SCENARIOS["odmrp_stack"],
+            GOLDEN_SCENARIOS["flooding_stack"],
+            dataclasses.replace(base, shards=2),
+            dataclasses.replace(
+                base,
+                group_count=2,
+                churn_config=ChurnConfig(model="poisson", events_per_minute=30.0),
+            ),
+        ):
+            assert Scenario(config).run().telemetry is None
+        scenario_name, outages = GOLDEN_FAILURES["fig7_with_outages"]
+        run_with_delivery_log(GOLDEN_SCENARIOS[scenario_name], outages)
+
+        snapshot = NULL_OBS.snapshot()
+        assert snapshot["metrics"], "disabled runs bind their metrics here"
+        for name, value in snapshot["metrics"].items():
+            if isinstance(value, dict):
+                assert value["updates"] == 0, name
+            else:
+                assert value == 0, name
+        for name, histogram in snapshot["histograms"].items():
+            assert histogram["count"] == 0, name
+        assert snapshot["spans"] == {}
+        assert snapshot["recorder"]["recorded"] == 0
 
 
 class TestEnabledNonPerturbation:

@@ -1,10 +1,10 @@
-"""Flight recorder: ring wraparound, dumping, the null twin."""
+"""Flight recorder: ring wraparound, dumping; span aggregation."""
 
 import json
 
 import pytest
 
-from repro.obs import NULL_RECORDER, FlightRecorder
+from repro.obs import FlightRecorder
 from repro.obs.spans import SpanTracker
 
 
@@ -29,20 +29,6 @@ class TestRing:
         assert recorder.recorded == 10
         assert recorder.dropped == 6
         assert [event["index"] for event in recorder.events()] == [6, 7, 8, 9]
-
-    def test_kind_filter(self):
-        recorder = FlightRecorder(capacity=8)
-        recorder.record("a", 0.0)
-        recorder.record("b", 1.0)
-        recorder.record("a", 2.0)
-        assert [event["t"] for event in recorder.events("a")] == [0.0, 2.0]
-
-    def test_clear(self):
-        recorder = FlightRecorder(capacity=4)
-        recorder.record("a", 0.0)
-        recorder.clear()
-        assert len(recorder) == 0
-        assert recorder.recorded == 0
 
     def test_rejects_negative_capacity(self):
         with pytest.raises(ValueError):
@@ -72,15 +58,6 @@ class TestDump:
             "recorded": 3,
             "dropped": 1,
         }
-
-
-class TestNullRecorder:
-    def test_absorbs_everything(self, tmp_path):
-        NULL_RECORDER.record("tick", 0.0, x=1)
-        assert len(NULL_RECORDER) == 0
-        assert NULL_RECORDER.events() == []
-        assert NULL_RECORDER.dump_jsonl(tmp_path / "x.jsonl") == 0
-        assert NULL_RECORDER.snapshot() == {}
 
 
 class TestSpans:
