@@ -10,6 +10,8 @@ probes only read.
 
 import dataclasses
 
+import pytest
+
 from repro.membership.config import ChurnConfig
 from repro.obs import NULL_OBS, ObsConfig
 from repro.workload.scenario import Scenario, ScenarioConfig
@@ -28,6 +30,35 @@ def _with_obs(config: ScenarioConfig, **obs_overrides) -> ScenarioConfig:
     return dataclasses.replace(config, obs_config=ObsConfig(**obs_overrides))
 
 
+def _run_disabled(config: ScenarioConfig) -> None:
+    assert Scenario(config).run().telemetry is None
+
+
+def _run_fig7_outages() -> None:
+    scenario_name, outages = GOLDEN_FAILURES["fig7_with_outages"]
+    run_with_delivery_log(GOLDEN_SCENARIOS[scenario_name], outages)
+
+
+_BASE = GOLDEN_SCENARIOS[_SCENARIO]
+
+# One cheap disabled run per stack and overlay: MAODV + gossip, ODMRP,
+# flooding, sequential shards, multi-group churn and a failure overlay.
+_DISABLED_RUNS = {
+    "maodv_gossip": lambda: _run_disabled(_BASE),
+    "odmrp": lambda: _run_disabled(GOLDEN_SCENARIOS["odmrp_stack"]),
+    "flooding": lambda: _run_disabled(GOLDEN_SCENARIOS["flooding_stack"]),
+    "shards2": lambda: _run_disabled(dataclasses.replace(_BASE, shards=2)),
+    "multigroup_churn": lambda: _run_disabled(
+        dataclasses.replace(
+            _BASE,
+            group_count=2,
+            churn_config=ChurnConfig(model="poisson", events_per_minute=30.0),
+        )
+    ),
+    "fig7_outages": _run_fig7_outages,
+}
+
+
 class TestDisabledIdentity:
     def test_explicit_disabled_config_matches_default_digest(self):
         config = GOLDEN_SCENARIOS[_SCENARIO]
@@ -44,29 +75,15 @@ class TestDisabledRunsNeverWrite:
     """Every probe site is gated on its cached ``obs.enabled``.
 
     A disabled run binds its metrics from the one shared, switched-off
-    :data:`NULL_OBS`, so an ungated probe would write into it.  After a
-    spread of disabled runs -- every stack, a failure overlay, sequential
-    shards and multi-group churn -- every value it holds must still be
-    zero.  (Its set of *names* grows as runs bind, so the check reads
+    :data:`NULL_OBS`, so an ungated probe would write into it.  After each
+    disabled run -- every stack, a failure overlay, sequential shards and
+    multi-group churn -- every value it holds must still be zero.  (Its set of *names* grows as runs bind, so the check reads
     values, not a before/after diff.)
     """
 
-    def test_shared_facade_stays_zero(self):
-        base = GOLDEN_SCENARIOS[_SCENARIO]
-        for config in (
-            base,
-            GOLDEN_SCENARIOS["odmrp_stack"],
-            GOLDEN_SCENARIOS["flooding_stack"],
-            dataclasses.replace(base, shards=2),
-            dataclasses.replace(
-                base,
-                group_count=2,
-                churn_config=ChurnConfig(model="poisson", events_per_minute=30.0),
-            ),
-        ):
-            assert Scenario(config).run().telemetry is None
-        scenario_name, outages = GOLDEN_FAILURES["fig7_with_outages"]
-        run_with_delivery_log(GOLDEN_SCENARIOS[scenario_name], outages)
+    @pytest.mark.parametrize("run", list(_DISABLED_RUNS))
+    def test_shared_facade_stays_zero(self, run):
+        _DISABLED_RUNS[run]()
 
         snapshot = NULL_OBS.snapshot()
         assert snapshot["metrics"], "disabled runs bind their metrics here"

@@ -105,10 +105,16 @@ class TestSnapshot:
 
 
 class TestBuildObs:
-    def test_disabled_configs_share_the_switched_off_facade(self):
+    def test_no_config_returns_the_shared_facade(self):
         assert build_obs(None) is NULL_OBS
+
+    def test_disabled_config_returns_the_shared_facade(self):
         assert build_obs(ObsConfig(enabled=False)) is NULL_OBS
+
+    def test_shared_facade_is_switched_off(self):
         assert NULL_OBS.enabled is False
+
+    def test_enabled_config_is_switched_on(self):
         assert build_obs(ObsConfig(enabled=True)).enabled
 
     def test_enabled_config_builds_live_facade(self):
