@@ -148,6 +148,8 @@ class CsmaMac:
         #: ACK-timeout when the ACK arrives -- cancelled through this entry.
         self._pending: Optional[list] = None
         self._poll = self._attempt_transmission
+        #: Where an enabled radio's frames go: straight onto the channel.
+        self._medium = phy.medium
         # Recently received unicast frame ids, used to suppress duplicate
         # deliveries caused by lost ACKs + retransmission (802.11 does the
         # same with its retry bit and sequence-number cache).  Created by the
@@ -158,7 +160,7 @@ class CsmaMac:
         # Intact unicast frames addressed elsewhere (which _on_phy_receive
         # would discard unread) are filtered medium-side without a dispatch.
         phy.unicast_filter = True
-        phy.on_transmission_finished = self._on_phy_tx_finished
+        phy.on_transmission_finished = self._frame_done
 
     # ----------------------------------------------------------------- public
     @property
@@ -199,22 +201,22 @@ class CsmaMac:
         queue is full.
         """
         frame = Frame(src=self._node_id, dst=next_hop, packet=packet)
-        if len(self._queue) >= self._queue_limit:
+        queue = self._queue
+        if len(queue) >= self._queue_limit:
             self.stats.queue_drops += 1
             return False
         self.stats.enqueued += 1
-        self._queue.append(_OutgoingFrame(frame, self._cw_min))
+        outgoing = _OutgoingFrame(frame, self._cw_min)
         if self._state is _IDLE:
-            self._dequeue_next()
+            # Idle means no current frame and an empty queue: this one
+            # contends at once.
+            self._current = outgoing
+            self._start_contention()
+        else:
+            queue.append(outgoing)
         return True
 
     # ----------------------------------------------------------- transmit path
-    def _dequeue_next(self) -> None:
-        if self._current is not None or not self._queue:
-            return
-        self._current = self._queue.popleft()
-        self._start_contention()
-
     def _start_contention(self) -> None:
         self._state = _CONTEND
         if self._obs_on:
@@ -265,35 +267,38 @@ class CsmaMac:
             self.stats.broadcast_transmissions += 1
         else:
             self.stats.data_transmissions += 1
-        phy.transmit(frame)
+        if phy.enabled:
+            self._medium.transmit(phy, frame)
+        else:
+            phy.transmit(frame)  # a dark radio's fake flight
         # No "transmission done" event: the phy signals the end of flight
-        # through _on_phy_tx_finished, saving one scheduled event per frame.
+        # through _frame_done, saving one scheduled event per frame.
 
-    def _on_phy_tx_finished(self, frame: Frame) -> None:
-        """End-of-flight hook from the radio.
+    def _frame_done(self, frame: Frame) -> None:
+        """The completion routine: the radio's end-of-flight hook, and the
+        ACK and ACK-timeout paths' way out of ``WAIT_ACK``.
 
         Fires, with the frame, for every transmission this radio started.
-        Only the end of the *current* data frame advances the state machine:
-        ACK flights (and stale disabled-radio fake flights, which can end
-        out of order) carry a different frame and are ignored.
+        Only the *current* frame advances the state machine: ACK flights
+        (and stale disabled-radio fake flights, which can end out of order)
+        carry a different frame and are ignored.  The current frame's
+        flight ends only in ``TRANSMIT``, so a call in ``WAIT_ACK`` is the
+        ACK or the retry limit.  A unicast flight's end waits for its ACK;
+        anything else finishes the frame, and the next queued one contends.
         """
-        if (
-            self._state is _TRANSMIT
-            and self._current is not None
-            and frame is self._current.frame
-        ):
-            self._transmission_done()
-
-    def _transmission_done(self) -> None:
-        if self._current is None:
-            self._state = _IDLE
+        current = self._current
+        if current is None or frame is not current.frame:
             return
-        frame = self._current.frame
-        if frame.dst == BROADCAST_ADDRESS:
-            self._finish_current()
-        else:
+        if self._state is _TRANSMIT and frame.dst != BROADCAST_ADDRESS:
             self._state = _WAIT_ACK
             self._pending = self.sim.call_in(self._ack_timeout_s, self._ack_timeout)
+            return
+        if self._queue:
+            self._current = self._queue.popleft()
+            self._start_contention()
+        else:
+            self._current = None
+            self._state = _IDLE
 
     def _ack_timeout(self) -> None:
         if self._state is not _WAIT_ACK or self._current is None:
@@ -302,7 +307,7 @@ class CsmaMac:
         if current.retries >= self.config.retry_limit:
             self.stats.unicast_failures += 1
             failed = current.frame
-            self._finish_current()
+            self._frame_done(failed)
             if self.on_unicast_failure is not None:
                 self.on_unicast_failure(failed.packet, failed.dst)
             return
@@ -312,11 +317,6 @@ class CsmaMac:
         if self._obs_on:
             self._c_retries.inc()
         self._start_contention()
-
-    def _finish_current(self) -> None:
-        self._current = None
-        self._state = _IDLE
-        self._dequeue_next()
 
     # ------------------------------------------------------------ receive path
     def _on_phy_receive(self, frame: Frame, sender_id: NodeId) -> None:
@@ -351,7 +351,7 @@ class CsmaMac:
             and sender_id == self._current.frame.dst
         ):
             self.sim.cancel(self._pending)  # the ACK-timeout
-            self._finish_current()
+            self._frame_done(self._current.frame)
 
     def _send_ack(self, packet: Packet, sender_id: NodeId) -> None:
         ack = MacAck(
@@ -363,10 +363,14 @@ class CsmaMac:
         self.sim.call_in(self._sifs_s, self._transmit_ack, (ack, sender_id))
 
     def _transmit_ack(self, ack: MacAck, sender_id: NodeId) -> None:
-        if self.phy.transmitting:
+        phy = self.phy
+        if phy.transmitting:
             # Half-duplex: we started another transmission in the meantime,
             # the data sender will retransmit.
             return
         frame = Frame(src=self._node_id, dst=sender_id, packet=ack)
         self.stats.ack_transmissions += 1
-        self.phy.transmit(frame)
+        if phy.enabled:
+            self._medium.transmit(phy, frame)
+        else:
+            phy.transmit(frame)

@@ -74,7 +74,11 @@ one walk of that list each, with no per-copy record, append, link or unlink
 anywhere.  Ownership: the list belongs to the index, a flight only reads it
 and drops its reference at teardown; radios that join mid-flight (late
 register, power-up) go on the batch's own ``late`` side list, never on the
-borrowed one.
+borrowed one.  The sender's own position is known only on demand
+(``ReceptionBatch.sender_pos``): a flight on a cached window samples no
+position at all, and the late attach that needs it asks the index for the
+sender's position at the flight's start -- a position is a function of
+time, so the answer is the one an eager sample would have given.
 
 Delivery has its own fast paths.  A receiver's MAC opts in to
 medium-side unicast filtering (``Phy.unicast_filter`` -- copies of unicast
@@ -141,7 +145,10 @@ class ReceptionBatch:
         self.frame: Optional[Frame] = None
         self.start_time = 0.0
         self.end_time = 0.0
-        self.sender_pos: tuple = ()
+        #: The sender's position at ``start_time``, known only on demand: a
+        #: local flight leaves it ``None`` until a late attach (or the
+        #: cross-shard export) asks; a foreign flight arrives with it.
+        self.sender_pos: Optional[tuple] = None
         #: ``(phy, in_range)`` per radio holding a copy since the start of
         #: the flight.  Borrowed and frozen: never mutated by anyone.
         self.reach: Optional[list] = None
@@ -175,7 +182,7 @@ class _ForeignSender:
         self.node_id = node_id
         self.shard = 0
 
-    def transmission_finished(self) -> None:
+    def transmission_finished(self, frame: Frame) -> None:
         return None
 
 
@@ -215,8 +222,9 @@ class Medium:
             "sender_downs": 0,
         }
         #: Observability binding (see :mod:`repro.obs`).  Defaults to the
-        #: shared no-op facade; probe sites below are additionally gated on
-        #: one cached bool so the disabled hot path pays nothing.
+        #: shared ``NULL_OBS``, the one obs layer switched off; probe sites
+        #: below are additionally gated on one cached bool so the disabled
+        #: hot path pays nothing.
         self.obs = obs if obs is not None else NULL_OBS
         self._obs_on = self.obs.enabled
         self._h_fanout = self.obs.histogram("medium.channel.fanout", reservoir=True)
@@ -229,6 +237,9 @@ class Medium:
         #: In-flight transmissions.
         self._active: List[ReceptionBatch] = []
         self._airtime = self.config.airtime
+        #: Frame size -> ``RadioConfig.airtime`` of it (the same float): a
+        #: flight reads its airtime with one dict lookup.
+        self._airtimes: Dict[int, float] = {}
         self._cs_range = self.config.carrier_sense_range_m
         self._rx_range = self.config.transmission_range_m
         # Free list (see module docstring).
@@ -297,8 +308,15 @@ class Medium:
         Mobility models that can teleport report jumps automatically through
         their position listeners; call this manually only when positions are
         mutated behind the mobility interface (e.g. ad-hoc test stubs).
+        A jump is the one break in "a position is a function of time", so
+        the jumper's flights still on the air pin their start position
+        first, while the index still remembers it.
         """
-        self._index.invalidate(node_id)
+        index = self._index
+        for batch in self._active:
+            if batch.sender_pos is None and node_id in (None, batch.sender.node_id):
+                batch.sender_pos = index.exact(batch.sender, batch.start_time)
+        index.invalidate(node_id)
 
     # --------------------------------------------------------------- geometry
     def _deltas(self, ax: float, ay: float, bx: float, by: float) -> tuple:
@@ -364,25 +382,27 @@ class Medium:
         if obs_on:
             self._span_fanout.start()
         now = self.sim.now
-        duration = self._airtime(frame.size_bytes)
+        size = frame.packet.size_bytes + frame.header_bytes
+        duration = self._airtimes.get(size)
+        if duration is None:
+            duration = self._airtimes[size] = self._airtime(size)
         end_time = now + duration
-        index = self._index
-        sender_pos = index.exact(sender, now)
+        sender.transmitting = True
         stats = self.stats
         stats.transmissions += 1
         # A node that starts transmitting loses the frame it was receiving.
         if sender.rx_current is not None:
             stats.half_duplex_losses += 1
             sender.rx_current = None
-        reach = index.transmission_window(
-            sender, sender_pos, self._cs_range, self._rx_range, now
+        # No position is sampled here: the window knows when it needs one.
+        reach = self._index.transmission_window(
+            sender, self._cs_range, self._rx_range, now
         )
-        batch = self._launch(sender, frame, end_time, sender_pos, reach)
+        batch = self._launch(sender, frame, end_time, None, reach)
         self.sim.call_in(duration, self._finish_batch, (batch,))
         if self._export is not None:
-            self._export.append(
-                ("tx", now, sender.node_id, end_time, sender_pos[0], sender_pos[1], frame)
-            )
+            sx, sy = batch.sender_pos = self._index.exact(sender, now)
+            self._export.append(("tx", now, sender.node_id, end_time, sx, sy, frame))
         if obs_on:
             count = len(reach)
             self._h_fanout.observe(count)
@@ -396,11 +416,12 @@ class Medium:
     #: profiler attributes medium time by the function names above and below.
     transmit = _transmit_batch
 
-    def _launch(self, sender, frame: Frame, end_time: float, sender_pos: tuple,
-                reach: list) -> ReceptionBatch:
+    def _launch(self, sender, frame: Frame, end_time: float,
+                sender_pos: Optional[tuple], reach: list) -> ReceptionBatch:
         """Put a flight on the air at every radio in ``reach``.
 
-        Shared by local transmissions and attached foreign ones.  Per radio:
+        Shared by local transmissions (``sender_pos`` ``None``: known on
+        demand) and attached foreign ones.  Per radio:
         a copy arriving on top of held energy is lost and kills the one the
         radio was locked on, a copy arriving while the radio transmits is
         lost, and any other copy finds the radio idle and locks it.
@@ -475,7 +496,9 @@ class Medium:
         # ``rx_current`` is read per copy, at visit time, so a callback that
         # powers a radio down mid-teardown is seen by the copies still
         # pending -- exactly like the per-copy oracle's per-record reads.
-        for receiver, in_range in batch.copies():
+        # The copies are ``ReceptionBatch.copies()``, spelled out.
+        late = batch.late
+        for receiver, in_range in batch.reach if late is None else batch.reach + late:
             receiver.rx_held_count -= 1
             if receiver.rx_current is not batch:
                 # Not the flight this radio is locked on: undecodable.
@@ -538,7 +561,7 @@ class Medium:
         self._batch_pool.append(batch)
         if set_shard is not None:
             set_shard(sender.shard)
-        sender.transmission_finished()
+        sender.transmission_finished(frame)
         if obs_on:
             # Includes upper-layer dispatch and the sender's MAC hook: the
             # span covers everything a frame's end-of-airtime costs, which
@@ -634,9 +657,10 @@ class Medium:
             # statistics.
             if any(holder is phy for holder, _ in batch.copies()):
                 continue
-            dx, dy = self._deltas(
-                batch.sender_pos[0], batch.sender_pos[1], position[0], position[1]
-            )
+            if batch.sender_pos is None:  # known on demand: see the module docstring
+                batch.sender_pos = self._index.exact(batch.sender, batch.start_time)
+            sx, sy = batch.sender_pos
+            dx, dy = self._deltas(sx, sy, position[0], position[1])
             distance_sq = dx * dx + dy * dy
             if distance_sq > cs_sq:
                 continue

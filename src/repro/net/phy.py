@@ -1,8 +1,10 @@
 """The per-node radio.
 
 The :class:`Phy` is the thin adapter between a node's MAC and the shared
-:class:`~repro.net.medium.Medium`: it exposes carrier sensing, frame
-transmission and delivers received frames upward.
+:class:`~repro.net.medium.Medium`: it holds the reception state the medium
+keeps per radio, ends its flights and delivers received frames upward.  The
+MAC puts an enabled radio's frames straight on the medium; :meth:`Phy.transmit`
+is for tests and for a powered-down radio's fake flights.
 
 The radio is on the per-frame hot path, so it is slotted and what it exposes
 upward -- :attr:`receive_callback`, :attr:`on_transmission_finished`, the
@@ -23,12 +25,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.node import Node
 
 
+def _ignore_flight_end(frame: Frame) -> None:
+    """The end-of-flight hook of a radio no MAC drives."""
+
+
 class Phy:
     """A half-duplex radio bound to one node and one medium."""
 
     __slots__ = ("node", "node_id", "medium", "transmitting", "enabled",
                  "receive_callback", "broadcast_route", "unicast_filter",
-                 "on_transmission_finished", "_tx_frame", "rx_busy_until",
+                 "on_transmission_finished", "rx_busy_until",
                  "rx_held_count", "rx_current", "shard")
 
     def __init__(self, node: "Node", medium: Medium):
@@ -37,6 +43,7 @@ class Phy:
         #: lookup is flattened out of the per-frame paths).
         self.node_id: int = node.node_id
         self.medium = medium
+        #: Set by the medium for a flight's airtime.
         self.transmitting = False
         #: A powered-down radio neither transmits nor receives; used for
         #: failure injection (node crashes) in tests and scenarios.
@@ -65,10 +72,9 @@ class Phy:
         #: medium's own end-of-flight event (they always fired back to
         #: back); the frame identifies *which* flight ended, so a stale
         #: notification (e.g. from a disabled-radio fake flight) can never
-        #: be mistaken for the current one.
-        self.on_transmission_finished: Optional[Callable[[Frame], None]] = None
-        #: Frame currently on the air (bookkeeping for the hook above).
-        self._tx_frame: Optional[Frame] = None
+        #: be mistaken for the current one.  A radio no MAC drives ignores
+        #: the end of its flights.
+        self.on_transmission_finished: Callable[[Frame], None] = _ignore_flight_end
         #: Latest end-of-flight instant over every copy this radio has held
         #: (maintained by the medium on attach).  Because copies are removed
         #: exactly at their end time, the channel is sensed busy iff this
@@ -119,31 +125,24 @@ class Phy:
     def transmit(self, frame: Frame) -> float:
         """Put ``frame`` on the air; returns its airtime in seconds.
 
-        A powered-down radio silently swallows the frame; it still reports
+        The entry for tests and for a powered-down radio's MAC: the MAC hands
+        an enabled radio's frame straight to ``Medium.transmit``.  A
+        powered-down radio silently swallows the frame; it still reports
         the airtime and still signals :attr:`on_transmission_finished` at the
         end of it, so the MAC state machine keeps functioning.
         """
         if not self.enabled:
             duration = self.medium.config.airtime(frame.size_bytes)
-            self.medium.sim.call_in(duration, self._notify_finished, (frame,))
+            self.medium.sim.call_in(duration, self.on_transmission_finished, (frame,))
             return duration
         if self.transmitting:
             raise RuntimeError(f"node {self.node_id} radio is already transmitting")
-        self.transmitting = True
-        self._tx_frame = frame
         return self.medium.transmit(self, frame)
 
-    def transmission_finished(self) -> None:
-        """Called by the medium when this radio's transmission ends."""
+    def transmission_finished(self, frame: Frame) -> None:
+        """Called by the medium when this radio's flight of ``frame`` ends."""
         self.transmitting = False
-        frame = self._tx_frame
-        self._tx_frame = None
-        self._notify_finished(frame)
-
-    def _notify_finished(self, frame: Frame) -> None:
-        callback = self.on_transmission_finished
-        if callback is not None:
-            callback(frame)
+        self.on_transmission_finished(frame)
 
     def power_down(self) -> None:
         """Disable the radio (failure injection).

@@ -457,15 +457,14 @@ class UniformGridIndex:
         return window
 
     def transmission_window(
-        self, sender: "Phy", origin: Position, cs_range: float, rx_range: float,
-        now: float,
+        self, sender: "Phy", cs_range: float, rx_range: float, now: float,
     ) -> List[Tuple["Phy", bool]]:
-        """The frozen interference list of one transmission.
+        """The frozen interference list of a transmission from ``sender`` at
+        ``now``.
 
-        ``origin`` must be the sender's position at ``now``.  Returns
-        ``(phy, in_reception_range)`` pairs in registration order: exactly
-        the enabled radios within carrier sense, never the sender.  The
-        list is **frozen** -- the index never mutates a list it has
+        Returns ``(phy, in_reception_range)`` pairs in registration order:
+        exactly the enabled radios within carrier sense, never the sender.
+        The list is **frozen** -- the index never mutates a list it has
         returned, it drops it (see :attr:`_KineticWindow.frozen`) -- so the
         caller may keep it for the flight's airtime, and successive calls
         return the same object for as long as nothing changed.
@@ -475,8 +474,9 @@ class UniformGridIndex:
         both nodes extrapolated along their current segments -- comes
         within :data:`_GUARD_M` of a range boundary, either segment ends,
         or (on a torus) the pair's minimum image switches.  A call before
-        every such deadline resolves nothing; any other call re-resolves
-        exactly the members that are due.
+        every such deadline resolves nothing and samples no position, not
+        even the sender's; any other call samples the sender and
+        re-resolves exactly the members that are due.
         """
         if cs_range != self._cs_range or rx_range != self._rx_range:
             self._set_ranges(cs_range, rx_range)
@@ -486,13 +486,12 @@ class UniformGridIndex:
             self.window_hits += 1
             frozen = window.frozen
             return frozen if frozen is not None else window.freeze()
+        segment = self.memo.segment
+        ox, oy, svx, svy, sender_until = segment(sender_id, now)
         if window is None or now >= window.expires:
             window = self._windows[sender_id] = self._build_window(
-                sender, origin, cs_range, now, window
+                sender, (ox, oy), cs_range, now, window
             )
-        ox, oy = origin
-        segment = self.memo.segment
-        _, _, svx, svy, sender_until = segment(sender_id, now)
         sender_moving = svx != 0.0 or svy != 0.0
         bands = self._bands
         wrap = self._wrap
@@ -557,19 +556,19 @@ class UniformGridIndex:
         return frozen if frozen is not None else window.freeze()
 
     def interferers(
-        self, sender: "Phy", origin: Position, cs_range: float, rx_range: float,
-        now: float,
+        self, sender: "Phy", cs_range: float, rx_range: float, now: float,
     ) -> List[Tuple[int, int, "Phy", bool]]:
         """Classified interference set of a transmission starting at ``now``.
 
         Returns ``(order, node_id, phy, in_reception_range)`` for every
-        radio other than ``sender`` within ``cs_range`` of ``origin`` that
-        is *enabled at call time*, in registration order -- exactly what
-        the linear-scan oracle computes by brute force.  The view for
-        tests and tools, derived from the window's members and verdicts;
-        the medium consumes :meth:`transmission_window`'s frozen list.
+        radio other than ``sender`` within ``cs_range`` of the sender's
+        position at ``now`` that is *enabled at call time*, in registration
+        order -- exactly what the linear-scan oracle computes by brute
+        force.  The view for tests and tools, derived from the window's
+        members and verdicts; the medium consumes
+        :meth:`transmission_window`'s frozen list.
         """
-        self.transmission_window(sender, origin, cs_range, rx_range, now)
+        self.transmission_window(sender, cs_range, rx_range, now)
         window = self._windows[sender.node_id]
         return [
             member + (verdict,)

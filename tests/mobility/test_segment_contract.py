@@ -198,9 +198,8 @@ class TestDefaultSegment:
         for step in range(200):
             now = step * 0.05
             for sender in radios[:2]:
-                origin = sender.position(now)
                 # 31 m > the 30 m orbit radius; the 25 m reception range cuts
                 # the orbiting pair in and out.
-                got = [(m[1], m[3]) for m in grid.interferers(sender, origin, 31.0, 25.0, now)]
-                want = [(m[1], m[3]) for m in naive.interferers(sender, origin, 31.0, 25.0, now)]
+                got = [(m[1], m[3]) for m in grid.interferers(sender, 31.0, 25.0, now)]
+                want = [(m[1], m[3]) for m in naive.interferers(sender, 31.0, 25.0, now)]
                 assert got == want

@@ -88,24 +88,21 @@ class LinearScanIndex:
         return self._members
 
     def transmission_window(
-        self, sender: "Phy", origin: Position, cs_range: float, rx_range: float,
-        now: float,
+        self, sender: "Phy", cs_range: float, rx_range: float, now: float,
     ) -> List[Tuple["Phy", bool]]:
         """The interference list, by exhaustive scan: a fresh list per call
         (flights keep theirs, so two overlapping flights must not share one)."""
         return [
             (phy, in_range)
-            for _, _, phy, in_range in self.interferers(
-                sender, origin, cs_range, rx_range, now
-            )
+            for _, _, phy, in_range in self.interferers(sender, cs_range, rx_range, now)
         ]
 
     def interferers(
-        self, sender: "Phy", origin: Position, cs_range: float, rx_range: float,
-        now: float,
+        self, sender: "Phy", cs_range: float, rx_range: float, now: float,
     ) -> List[Tuple[int, int, "Phy", bool]]:
-        """Classified interference set, by exhaustive scan."""
-        ox, oy = origin
+        """Classified interference set around the sender's position at
+        ``now``, by exhaustive scan."""
+        ox, oy = sender.position(now)
         cs_sq = cs_range * cs_range
         rx_sq = rx_range * rx_range
         wrap = self._wrap
@@ -179,11 +176,14 @@ class PerCopyMedium(Medium):
         raise RuntimeError("the per-copy oracle does not run the parallel shard modes")
 
     def transmit(self, sender: Phy, frame: Frame) -> float:
-        """Start transmitting ``frame``; all geometry is frozen now."""
+        """Start transmitting ``frame``; all geometry is frozen now, the
+        sender's position included (the production medium knows it only on
+        demand)."""
         now = self.sim.now
         duration = self._airtime(frame.size_bytes)
         end_time = now + duration
         sender_pos = self._index.exact(sender, now)
+        sender.transmitting = True
         stats = self.stats
         stats.transmissions += 1
         # A node that starts transmitting corrupts anything it was receiving.
@@ -193,7 +193,7 @@ class PerCopyMedium(Medium):
                 stats.half_duplex_losses += 1
         flight = _Flight(sender, frame, end_time, sender_pos)
         for phy, in_range in self._index.transmission_window(
-            sender, sender_pos, self._cs_range, self._rx_range, now
+            sender, self._cs_range, self._rx_range, now
         ):
             copy = _Copy(phy, flight, in_range, corrupted=False)
             ongoing = self._active_receptions[phy.node_id]
@@ -238,7 +238,7 @@ class PerCopyMedium(Medium):
                 self._dispatch(receiver, flight.frame, sender.node_id)
         if self._set_shard is not None:
             self._set_shard(sender.shard)
-        sender.transmission_finished()
+        sender.transmission_finished(flight.frame)
 
     def radio_powered_down(self, phy: Phy) -> None:
         """Everything the radio hears, and anything it had on the air, is

@@ -283,7 +283,7 @@ class TestEndOfFlightHook:
         # A foreign flight (e.g. an ACK queued before the data frame) ends
         # while the data frame is still in the air.
         stale = Frame(src=0, dst=1, packet=Packet(origin=0, destination=1, size_bytes=14))
-        nodes[0].phy._notify_finished(stale)
+        nodes[0].phy.on_transmission_finished(stale)
         assert mac.state == "transmit"
         assert mac._current is not None and mac._current.frame is data_frame
         # The real end of flight still advances the machine.

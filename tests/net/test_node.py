@@ -186,14 +186,14 @@ class TestBroadcastRoute:
         finally:
             sys.setprofile(None)
         assert seen[2:] == [(packet.uid, 0), (packet.uid, 0)]
-        # One frame per flight to list the copies, then per decoded copy the
-        # handler and nothing else (three frames sat in between before: MAC
-        # entry, ``Node.deliver``, liveness sniffer); then the sender's
-        # end-of-flight notification.
+        # Per decoded copy the handler and nothing else (three frames sat in
+        # between before: MAC entry, ``Node.deliver``, liveness sniffer; and
+        # one per flight listed the copies); then the sender's end-of-flight
+        # hook, which hands the MAC a frame it did not send.
         at = calls.index("_finish_batch")
         assert calls[at:at + 5] == [
-            "_finish_batch", "copies", "on_app_packet", "on_app_packet",
-            "transmission_finished",
+            "_finish_batch", "on_app_packet", "on_app_packet",
+            "transmission_finished", "_frame_done",
         ]
         assert [node.mac.stats.delivered_to_upper for node in nodes[1:]] == [2, 2]
         assert nodes[1].heard == {0: sim.now} and nodes[2].heard == {0: sim.now}
@@ -339,7 +339,7 @@ class TestMailbox:
         # Two decoded copies and no Python frame for either (the parent ran
         # ``_on_hello`` and ``update`` per copy): each is one dict store.
         at = calls.index("_finish_batch")
-        assert calls[at:at + 3] == ["_finish_batch", "copies", "transmission_finished"]
+        assert calls[at:at + 3] == ["_finish_batch", "transmission_finished", "_frame_done"]
         for router in routers[1:]:
             assert router.route_table.hellos == {0: (hello, sim.now)}
             assert router.has_route(0) and router.route_table.hellos == {}

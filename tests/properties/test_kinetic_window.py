@@ -122,8 +122,7 @@ def _critical_instants(radios, sender, at_time, ranges, period):
 
 
 def _verdicts(index, sender, ranges, now):
-    origin = sender.position(now)
-    return [(m[0], m[1], m[3]) for m in index.interferers(sender, origin, *ranges, now)]
+    return [(m[0], m[1], m[3]) for m in index.interferers(sender, *ranges, now)]
 
 
 def _indexes(period):
