@@ -24,8 +24,8 @@ from typing import Optional, Sequence
 
 import pytest
 
+from repro.campaign import ExperimentResult, aggregate_experiment, run_campaign, trials_for_spec
 from repro.experiments.figures import ExperimentSpec
-from repro.experiments.runner import ExperimentResult, run_experiment
 
 
 def bench_scale() -> str:
@@ -69,10 +69,10 @@ def run_figure_benchmark(
     jobs = bench_jobs()
 
     def _run() -> ExperimentResult:
-        return run_experiment(
-            spec, scale=scale, seeds=seeds, x_values=x_values, variants=variants,
-            jobs=jobs,
+        trials = trials_for_spec(
+            spec, scale=scale, seeds=seeds, x_values=x_values, variants=variants
         )
+        return aggregate_experiment(spec, run_campaign(trials, jobs=jobs))
 
     result = benchmark.pedantic(_run, rounds=1, iterations=1)
     _record(benchmark, result)

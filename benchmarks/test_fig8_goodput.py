@@ -9,8 +9,8 @@ reply carried useful data.
 import pytest
 
 from benchmarks.conftest import bench_scale, bench_seeds
+from repro.campaign import aggregate_goodput, run_campaign, trials_for_spec
 from repro.experiments.figures import figure8_goodput
-from repro.experiments.runner import run_goodput_experiment
 from repro.metrics.reporting import format_rows
 
 
@@ -21,7 +21,8 @@ def test_fig8_goodput_per_member(benchmark):
     seeds = bench_seeds(1)
 
     def _run():
-        return run_goodput_experiment(spec, scale=scale, seeds=seeds)
+        trials = trials_for_spec(spec, scale=scale, seeds=seeds, variants=("gossip",))
+        return aggregate_goodput(spec, run_campaign(trials))
 
     results = benchmark.pedantic(_run, rounds=1, iterations=1)
 

@@ -1,19 +1,20 @@
-"""Parallel, resumable experiment campaigns.
+"""Running and aggregating experiment sweeps: the one sweep pipeline.
 
-A *campaign* turns any experiment sweep into a flat list of independent
-trials, runs them across CPU cores, persists one JSONL record per completed
-trial, and reconstitutes the usual experiment aggregates from the records:
+The specs and variants of a sweep live in :mod:`repro.experiments`; this
+package executes them.  Every sweep -- each paper figure, Fig. 8 included,
+and each beyond-the-paper sweep -- runs as a flat list of independent
+trials, across CPU cores, with one JSONL record persisted per completed
+trial, and is then folded back into the figure's results:
 
-* :mod:`repro.campaign.trials` -- flatten sweeps into :class:`TrialSpec`
-  records (figure specs, the Fig. 8 goodput experiment, ad-hoc grids) with
-  deterministic per-trial seeds.
+* :mod:`repro.campaign.trials` -- :func:`trials_for_spec` flattens a spec
+  into :class:`TrialSpec` records.
 * :mod:`repro.campaign.executor` -- :func:`run_campaign` executes trials
   serially or on a process pool, skipping trials already in the store.
 * :mod:`repro.campaign.store` -- the append-only JSONL
   :class:`ResultStore` that makes interrupted campaigns resumable.
-* :mod:`repro.campaign.aggregate` -- rebuild
-  :class:`~repro.experiments.runner.ExperimentResult` objects (and the
-  goodput mapping) from stored records, bit-identical to the serial path.
+* :mod:`repro.campaign.aggregate` -- :func:`aggregate_experiment` builds an
+  :class:`ExperimentResult` from the records (:func:`aggregate_goodput`
+  folds Fig. 8's per-member goodput), bit-identical for every job count.
 
 Typical use::
 
@@ -27,6 +28,8 @@ Typical use::
 """
 
 from repro.campaign.aggregate import (
+    ExperimentPoint,
+    ExperimentResult,
     TelemetryAggregator,
     aggregate_experiment,
     aggregate_goodput,
@@ -39,13 +42,12 @@ from repro.campaign.trials import (
     TrialSpec,
     config_from_dict,
     config_to_dict,
-    derive_seed,
-    trials_for_goodput,
-    trials_for_grid,
     trials_for_spec,
 )
 
 __all__ = [
+    "ExperimentPoint",
+    "ExperimentResult",
     "TelemetryAggregator",
     "TrialSpec",
     "TrialRecord",
@@ -56,10 +58,7 @@ __all__ = [
     "merged_store_telemetry",
     "config_from_dict",
     "config_to_dict",
-    "derive_seed",
     "execute_trial",
     "run_campaign",
-    "trials_for_goodput",
-    "trials_for_grid",
     "trials_for_spec",
 ]

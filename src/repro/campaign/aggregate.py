@@ -1,16 +1,15 @@
-"""Aggregation: reconstitute experiment results from stored trial records.
+"""Aggregation: fold trial records into the results of an experiment.
 
 Given the flat :class:`~repro.campaign.store.TrialRecord` list of a campaign
 -- whether it was produced serially, in parallel, or stitched together from
-a resumed store -- this module rebuilds the exact
-:class:`~repro.experiments.runner.ExperimentPoint` /
-:class:`~repro.experiments.runner.ExperimentResult` objects the serial
-runner produces, so everything downstream (tables, figures, benchmarks) is
-unchanged.
+a resumed store -- this module builds the :class:`ExperimentPoint` /
+:class:`ExperimentResult` objects of a figure sweep (one point per
+(x, variant) pair), and :func:`aggregate_goodput` folds Fig. 8's per-member
+gossip goodput.
 
 Bit-identical aggregation is guaranteed by recombining each (x, variant)
-group's records in ascending seed order -- the order the serial runner sums
-them in -- before averaging.
+group's records in ascending seed order before averaging, so the result
+does not depend on completion order or the job count.
 
 For instrumented campaigns (``obs_config.enabled`` trials), the module also
 folds per-trial telemetry snapshots into one campaign-wide snapshot: the
@@ -21,12 +20,63 @@ same merge from a store on disk -- the ``repro report --merged`` path.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.campaign.store import ResultStore, TrialRecord
-from repro.experiments.figures import GOODPUT_COMBINATIONS, ExperimentSpec
-from repro.experiments.runner import ExperimentPoint, ExperimentResult
+from repro.experiments.figures import ExperimentSpec
+from repro.metrics.reporting import format_rows
 from repro.obs.merge import merge_telemetry
+
+
+@dataclass
+class ExperimentPoint:
+    """Aggregated measurements for one (x value, protocol variant) pair."""
+
+    x: float
+    variant: str
+    packets_sent: float
+    mean: float
+    minimum: float
+    maximum: float
+    delivery_ratio: float
+    goodput: float
+    runs: int
+
+    def as_row(self) -> List[object]:
+        """Row used by the text reports."""
+        return [
+            self.x,
+            self.variant,
+            f"{self.mean:.1f}",
+            f"{self.minimum:.1f}",
+            f"{self.maximum:.1f}",
+            f"{self.delivery_ratio:.3f}",
+            f"{self.goodput:.1f}",
+        ]
+
+
+@dataclass
+class ExperimentResult:
+    """All points of one experiment (one reproduced figure)."""
+
+    spec_figure: str
+    title: str
+    x_label: str
+    points: List[ExperimentPoint] = field(default_factory=list)
+
+    def points_for(self, variant: str) -> List[ExperimentPoint]:
+        """Points of one protocol variant, ordered by x."""
+        return sorted(
+            (point for point in self.points if point.variant == variant),
+            key=lambda point: point.x,
+        )
+
+    def to_table(self) -> str:
+        """Human-readable table of every measured point."""
+        headers = [self.x_label, "variant", "mean", "min", "max", "ratio", "goodput%"]
+        rows = [point.as_row() for point in sorted(self.points, key=lambda p: (p.x, p.variant))]
+        return f"{self.title}\n" + format_rows(headers, rows)
 
 
 def aggregate_point(x: float, variant: str, records: Sequence[TrialRecord]) -> ExperimentPoint:
@@ -59,8 +109,8 @@ def aggregate_experiment(
     """Rebuild the :class:`ExperimentResult` of ``spec`` from trial records.
 
     Records are grouped by (x, variant) in first-seen order, which for
-    records returned by :func:`~repro.campaign.executor.run_campaign`
-    reproduces the serial runner's point order.
+    records returned by :func:`~repro.campaign.executor.run_campaign` is
+    the order of the trial list.
     """
     groups: Dict[Tuple[float, str], List[TrialRecord]] = {}
     for record in records:
@@ -76,17 +126,16 @@ def aggregate_experiment(
 def aggregate_goodput(
     spec: ExperimentSpec, records: Iterable[TrialRecord]
 ) -> Dict[tuple, Dict[int, float]]:
-    """Rebuild the Fig. 8 goodput mapping from trial records.
+    """Fold the Fig. 8 goodput records into per-member means.
 
-    Returns ``(range_m, speed) -> {member -> mean goodput percent}``, the
-    exact shape of the serial ``run_goodput_experiment``.
+    Returns ``(range_m, speed) -> {member -> goodput percent averaged over
+    seeds}``, one entry per combination of ``spec.combinations``.
     """
-    combinations = spec.combinations if spec.combinations is not None else GOODPUT_COMBINATIONS
     by_index: Dict[int, List[TrialRecord]] = {}
     for record in records:
         by_index.setdefault(int(record.x), []).append(record)
     results: Dict[tuple, Dict[int, float]] = {}
-    for index, combination in enumerate(combinations):
+    for index, combination in enumerate(spec.combinations):
         accumulated: Dict[int, List[float]] = {}
         for record in sorted(by_index.get(index, []), key=lambda r: r.seed):
             for member, goodput in record.goodput_by_member.items():

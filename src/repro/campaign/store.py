@@ -25,7 +25,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Set
+from typing import TYPE_CHECKING, Dict, List
 
 from repro.membership.summary import group_metrics
 
@@ -56,8 +56,6 @@ class TrialRecord:
     member_counts: Dict[int, int] = field(default_factory=dict)
     #: Aggregated protocol counters of the run.
     protocol_stats: Dict[str, float] = field(default_factory=dict)
-    #: Grid-point overrides (for ad-hoc grid campaigns).
-    params: Dict[str, object] = field(default_factory=dict)
     #: The materialised scenario config the trial ran (plain dict).
     config: Dict[str, object] = field(default_factory=dict)
     #: Per-group delivery metrics (group index -> metric dict); populated for
@@ -96,7 +94,6 @@ class TrialRecord:
             goodput_by_member=dict(result.goodput_by_member),
             member_counts=dict(result.member_counts),
             protocol_stats=dict(result.protocol_stats),
-            params=dict(trial.params),
             config=config_to_dict(trial.config),
             groups=group_metrics(result.group_summaries) if multi else {},
             membership=(
@@ -122,7 +119,6 @@ class TrialRecord:
             "goodput_by_member": {str(k): v for k, v in self.goodput_by_member.items()},
             "member_counts": {str(k): v for k, v in self.member_counts.items()},
             "protocol_stats": self.protocol_stats,
-            "params": self.params,
             "config": self.config,
             "groups": self.groups,
             "membership": self.membership,
@@ -133,7 +129,11 @@ class TrialRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "TrialRecord":
-        """Parse one stored line back into a record."""
+        """Parse one stored line back into a record.
+
+        Keys a record no longer has, such as the ``params`` of older
+        stores, are ignored.
+        """
         payload = json.loads(line)
         return cls(
             key=payload["key"],
@@ -146,7 +146,6 @@ class TrialRecord:
             goodput_by_member={int(k): v for k, v in payload.get("goodput_by_member", {}).items()},
             member_counts={int(k): v for k, v in payload.get("member_counts", {}).items()},
             protocol_stats=dict(payload.get("protocol_stats", {})),
-            params=dict(payload.get("params", {})),
             config=dict(payload.get("config", {})),
             groups=dict(payload.get("groups", {})),
             membership=dict(payload.get("membership", {})),
@@ -211,10 +210,6 @@ class ResultStore:
                     self.skipped += 1
                     continue
                 yield record
-
-    def completed_keys(self) -> Set[str]:
-        """Keys of every trial already present in the store."""
-        return set(self.load())
 
     def records(self) -> List[TrialRecord]:
         """The deduped records in on-disk order."""

@@ -1,4 +1,4 @@
-"""Trial model: flatten experiment sweeps into independently-runnable trials.
+"""Trial model: flatten an experiment sweep into independently-runnable trials.
 
 A *campaign* is a flat list of :class:`TrialSpec` records.  Each trial is
 self-describing -- it carries the fully materialised
@@ -7,26 +7,20 @@ run plus the coordinates (campaign name, x value, variant, seed, scale) that
 locate it inside the sweep -- so trials can be executed in any order, on any
 worker process, and their results recombined afterwards.
 
-Three builders cover the common shapes:
-
-* :func:`trials_for_spec` flattens an :class:`ExperimentSpec` figure sweep
-  (the ``x × seed × variant`` loops of the serial runner) in the exact order
-  the serial runner visits them, so aggregates are bit-identical.
-* :func:`trials_for_goodput` flattens the Fig. 8 goodput experiment.
-* :func:`trials_for_grid` builds an ad-hoc cartesian sweep over arbitrary
-  :class:`ScenarioConfig` fields with deterministic per-trial seeds derived
-  from the campaign name and grid coordinates (see :func:`derive_seed`).
+:func:`trials_for_spec` is the one builder: it flattens an
+:class:`ExperimentSpec` sweep into its ``x × seed × variant`` trials.  For
+Fig. 8 the x values index the spec's (range, speed) combinations and the
+one variant is ``gossip``.
 """
 
 from __future__ import annotations
 
-import itertools
-import zlib
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
+from dataclasses import fields as dataclass_fields
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.core.config import GossipConfig
-from repro.experiments.figures import GOODPUT_COMBINATIONS, ExperimentSpec
+from repro.experiments.figures import ExperimentSpec
 from repro.experiments.variants import variant_config
 from repro.membership.config import ChurnConfig
 from repro.mobility.config import MobilityConfig
@@ -41,10 +35,9 @@ from repro.workload.scenario import ScenarioConfig
 class TrialSpec:
     """One independently-runnable simulation run of a campaign."""
 
-    #: Campaign the trial belongs to (a figure id such as ``"fig2"`` or an
-    #: ad-hoc grid name).
+    #: Campaign the trial belongs to (a figure id such as ``"fig2"``).
     campaign: str
-    #: Swept x value (for grids: the index of the grid point).
+    #: Swept x value (for Fig. 8: the index of the (range, speed) combination).
     x: float
     #: Protocol variant name (see :data:`repro.experiments.variants.KNOWN_VARIANTS`).
     variant: str
@@ -54,8 +47,6 @@ class TrialSpec:
     scale: str
     #: The fully materialised scenario config (variant applied, seed set).
     config: ScenarioConfig = field(repr=False)
-    #: For grid campaigns: the config overrides of this grid point.
-    params: Dict[str, object] = field(default_factory=dict)
 
     @property
     def key(self) -> str:
@@ -70,17 +61,6 @@ class TrialSpec:
         )
 
 
-def derive_seed(campaign: str, point: str, replicate: int) -> int:
-    """Deterministic positive seed for replicate ``replicate`` of a grid point.
-
-    Stable across processes and Python versions (CRC32, not ``hash``), and
-    decorrelated between campaigns and grid points so ad-hoc sweeps do not
-    accidentally reuse mobility patterns across points.
-    """
-    digest = zlib.crc32(f"{campaign}|{point}|{replicate}".encode("utf-8"))
-    return (digest % (2**31 - 1)) + 1
-
-
 def trials_for_spec(
     spec: ExperimentSpec,
     *,
@@ -89,7 +69,7 @@ def trials_for_spec(
     x_values: Optional[Sequence[float]] = None,
     variants: Sequence[str] = ("maodv", "gossip"),
 ) -> List[TrialSpec]:
-    """Flatten a figure sweep into trials, in serial-runner visit order."""
+    """Flatten a figure sweep into trials: x, then seed, then variant."""
     seeds = seeds if seeds is not None else spec.seeds_for(scale)
     xs = list(x_values) if x_values is not None else list(spec.x_values)
     trials: List[TrialSpec] = []
@@ -105,73 +85,6 @@ def trials_for_spec(
                         seed=seed,
                         scale=scale,
                         config=variant_config(base, variant),
-                    )
-                )
-    return trials
-
-
-def trials_for_goodput(
-    spec: ExperimentSpec,
-    *,
-    scale: str = "quick",
-    seeds: Optional[int] = None,
-    variant: str = "gossip",
-) -> List[TrialSpec]:
-    """Flatten the Fig. 8 goodput experiment into trials."""
-    seeds = seeds if seeds is not None else spec.seeds_for(scale)
-    combinations = spec.combinations if spec.combinations is not None else GOODPUT_COMBINATIONS
-    trials: List[TrialSpec] = []
-    for index, (range_m, speed) in enumerate(combinations):
-        for seed in range(1, seeds + 1):
-            base = spec.config_for(index, scale=scale, seed=seed)
-            trials.append(
-                TrialSpec(
-                    campaign=spec.figure,
-                    x=index,
-                    variant=variant,
-                    seed=seed,
-                    scale=scale,
-                    config=variant_config(base, variant),
-                    params={"range_m": range_m, "speed_mps": speed},
-                )
-            )
-    return trials
-
-
-def trials_for_grid(
-    name: str,
-    base: ScenarioConfig,
-    grid: Mapping[str, Sequence[object]],
-    *,
-    variants: Sequence[str] = ("maodv", "gossip"),
-    replicates: int = 1,
-    scale: str = "custom",
-) -> List[TrialSpec]:
-    """Cartesian sweep over arbitrary :class:`ScenarioConfig` fields.
-
-    ``grid`` maps config field names (e.g. ``"transmission_range_m"``,
-    ``"max_speed_mps"``, ``"num_nodes"``) to the values to sweep.  Every grid
-    point runs ``replicates`` trials per variant, each with a deterministic
-    seed derived from the campaign name and the point's coordinates.
-    """
-    names = sorted(grid)
-    trials: List[TrialSpec] = []
-    for index, values in enumerate(itertools.product(*(grid[n] for n in names))):
-        overrides = dict(zip(names, values))
-        point = ",".join(f"{n}={v!r}" for n, v in sorted(overrides.items()))
-        for replicate in range(1, replicates + 1):
-            seed = derive_seed(name, point, replicate)
-            base_config = replace(base, seed=seed, **overrides)
-            for variant in variants:
-                trials.append(
-                    TrialSpec(
-                        campaign=name,
-                        x=float(index),
-                        variant=variant,
-                        seed=seed,
-                        scale=scale,
-                        config=variant_config(base_config, variant),
-                        params={**overrides, "replicate": replicate},
                     )
                 )
     return trials
@@ -197,8 +110,13 @@ _NESTED_CONFIG_TYPES = {
 
 
 def config_from_dict(data: Mapping[str, object]) -> ScenarioConfig:
-    """Rebuild a :class:`ScenarioConfig` from :func:`config_to_dict` output."""
-    fields: Dict[str, object] = dict(data)
+    """Rebuild a :class:`ScenarioConfig` from :func:`config_to_dict` output.
+
+    Keys of fields an older version stored but :class:`ScenarioConfig` no
+    longer has are dropped, so configs in older stores still rebuild.
+    """
+    known = {spec.name for spec in dataclass_fields(ScenarioConfig)}
+    fields: Dict[str, object] = {name: value for name, value in data.items() if name in known}
     for name, config_type in _NESTED_CONFIG_TYPES.items():
         value = fields.get(name)
         if isinstance(value, Mapping):

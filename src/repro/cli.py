@@ -1,23 +1,22 @@
 """Command-line interface.
 
-Five subcommands cover the common workflows::
+Four subcommands cover the common workflows::
 
     python -m repro run --profile quick --range 55 --speed 2 --gossip
-    python -m repro figure fig2 --scale quick --seeds 2
     python -m repro campaign fig2 --jobs 4 --out fig2.jsonl --resume
     python -m repro report telemetry.json
     python -m repro list-figures
 
 ``run`` executes a single scenario and prints its delivery summary;
-``figure`` regenerates one of the paper's figures (MAODV vs MAODV + AG
-series) serially and in-process; ``campaign`` runs the same sweeps through
-the parallel, resumable campaign subsystem (``--jobs`` worker processes, one
-JSONL record per trial in ``--out``, ``--resume`` to skip already-stored
-trials); ``report`` renders the telemetry of an instrumented run (``run
---obs``/``campaign --obs``) from a snapshot JSON or a campaign store
-(``--merged`` folds a whole store into one campaign-wide snapshot), and
-``--diff A B`` renders the delta between any two of those; ``list-figures``
-shows which figures are available.
+``campaign`` regenerates one of the paper's figures (MAODV vs MAODV + AG
+series, or Fig. 8's per-member gossip goodput) or one of the extension
+sweeps -- in-process by default, across ``--jobs`` worker processes
+otherwise, with one JSONL record per trial in ``--out`` and ``--resume`` to
+skip already-stored trials; ``report`` renders the telemetry of an
+instrumented run (``run --obs``/``campaign --obs``) from a snapshot JSON or
+a campaign store (``--merged`` folds a whole store into one campaign-wide
+snapshot), and ``--diff A B`` renders the delta between any two of those;
+``list-figures`` shows which figures are available.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import dataclasses
 import json
 import sys
 import time
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.campaign import (
     ResultStore,
@@ -36,11 +35,9 @@ from repro.campaign import (
     aggregate_experiment,
     aggregate_goodput,
     run_campaign,
-    trials_for_goodput,
     trials_for_spec,
 )
 from repro.experiments.figures import all_figures
-from repro.experiments.runner import run_experiment
 from repro.experiments.variants import variant_names
 from repro.membership.config import ChurnConfig
 from repro.metrics.reporting import format_rows
@@ -116,20 +113,27 @@ def build_parser() -> argparse.ArgumentParser:
                             help="dump the flight-recorder ring to PATH as "
                                  "JSONL after the run (implies --obs)")
 
-    figure_parser = subparsers.add_parser("figure", help="reproduce one paper figure")
-    _add_sweep_arguments(figure_parser)
-
     campaign_parser = subparsers.add_parser(
         "campaign",
-        help="run a figure sweep as a parallel, resumable campaign",
+        help="reproduce one figure as a resumable campaign of trials",
         description="Flatten one figure sweep into independent trials, run "
-                    "them across worker processes, and aggregate the results. "
+                    "them in-process or across --jobs worker processes, and "
+                    "aggregate the results. "
                     "With --out every completed trial is appended to a JSONL "
                     "store; with --resume trials already in the store are "
                     "skipped, so an interrupted campaign picks up where it "
                     "left off.",
     )
-    _add_sweep_arguments(campaign_parser)
+    campaign_parser.add_argument("figure", choices=sorted(all_figures()))
+    campaign_parser.add_argument("--scale", choices=("quick", "paper"), default="quick")
+    campaign_parser.add_argument("--seeds", type=int, default=None)
+    campaign_parser.add_argument("--points", type=float, nargs="*", default=None,
+                                 help="subset of x values to run")
+    campaign_parser.add_argument(
+        "--variants", nargs="*", default=None,
+        help="protocol variants to compare (default: maodv gossip): "
+             + ", ".join(variant_names()),
+    )
     campaign_parser.add_argument("--jobs", type=int, default=1,
                                  help="number of worker processes (default 1: serial)")
     campaign_parser.add_argument("--out", default=None,
@@ -172,19 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     subparsers.add_parser("list-figures", help="list the reproducible figures")
     return parser
-
-
-def _add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("figure", choices=sorted(all_figures()))
-    parser.add_argument("--scale", choices=("quick", "paper"), default="quick")
-    parser.add_argument("--seeds", type=int, default=None)
-    parser.add_argument("--points", type=float, nargs="*", default=None,
-                        help="subset of x values to run")
-    parser.add_argument(
-        "--variants", nargs="*", default=None,
-        help="protocol variants to compare (default: maodv gossip): "
-             + ", ".join(variant_names()),
-    )
 
 
 def _command_run(args: argparse.Namespace) -> int:
@@ -333,37 +324,13 @@ def _command_run(args: argparse.Namespace) -> int:
 DEFAULT_VARIANTS = ("maodv", "gossip")
 
 
-def _check_variants(variants: Sequence[str]) -> Optional[str]:
-    """Error message naming the known variants, or ``None`` when all valid."""
-    unknown = [variant for variant in variants if variant not in variant_names()]
-    if not unknown:
-        return None
-    bad = ", ".join(repr(variant) for variant in unknown)
-    return f"unknown variant(s) {bad}; known variants: {', '.join(variant_names())}"
-
-
-def _command_figure(args: argparse.Namespace) -> int:
-    variants = tuple(args.variants) if args.variants is not None else DEFAULT_VARIANTS
-    error = _check_variants(variants)
-    if error:
-        print(error, file=sys.stderr)
-        return 2
-    spec = all_figures()[args.figure]
-    result = run_experiment(
-        spec,
-        scale=args.scale,
-        seeds=args.seeds,
-        x_values=args.points,
-        variants=variants,
-    )
-    print(result.to_table())
-    return 0
-
-
 def _command_campaign(args: argparse.Namespace) -> int:
-    error = _check_variants(args.variants if args.variants is not None else DEFAULT_VARIANTS)
-    if error:
-        print(error, file=sys.stderr)
+    variants = tuple(args.variants) if args.variants is not None else DEFAULT_VARIANTS
+    unknown = [variant for variant in variants if variant not in variant_names()]
+    if unknown:
+        bad = ", ".join(repr(variant) for variant in unknown)
+        print(f"unknown variant(s) {bad}; known variants: {', '.join(variant_names())}",
+              file=sys.stderr)
         return 2
     if args.resume and not args.out:
         print("--resume requires --out (the store to resume from)", file=sys.stderr)
@@ -380,16 +347,14 @@ def _command_campaign(args: argparse.Namespace) -> int:
                   "gossip variant over its fixed (range, speed) combinations, "
                   "so --points/--variants do not apply", file=sys.stderr)
             return 2
-        trials = trials_for_goodput(spec, scale=args.scale, seeds=args.seeds)
-    else:
-        variants = tuple(args.variants) if args.variants is not None else DEFAULT_VARIANTS
-        trials = trials_for_spec(
-            spec,
-            scale=args.scale,
-            seeds=args.seeds,
-            x_values=args.points,
-            variants=variants,
-        )
+        variants = ("gossip",)
+    trials = trials_for_spec(
+        spec,
+        scale=args.scale,
+        seeds=args.seeds,
+        x_values=args.points,
+        variants=variants,
+    )
     if args.obs:
         trials = [
             dataclasses.replace(
@@ -565,8 +530,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "run":
         return _command_run(args)
-    if args.command == "figure":
-        return _command_figure(args)
     if args.command == "campaign":
         return _command_campaign(args)
     if args.command == "report":

@@ -1,10 +1,12 @@
-"""Experiment definitions reproducing the paper's figures.
+"""What the paper's figures sweep: experiment specs and protocol variants.
 
 Each figure of the evaluation section maps to an :class:`ExperimentSpec`
-produced by a function in :mod:`repro.experiments.figures`; the
-:mod:`repro.experiments.runner` executes the sweep (MAODV alone vs
-MAODV + Anonymous Gossip, several seeds per point) and aggregates the
-per-member delivery counts exactly as the paper plots them.
+produced by a function in :mod:`repro.experiments.figures`, and
+:mod:`repro.experiments.variants` names the protocol variants a sweep
+compares (MAODV alone, MAODV + Anonymous Gossip, the baselines and
+ablations).  Running and aggregating a sweep is :mod:`repro.campaign`'s
+job: ``trials_for_spec`` -> ``run_campaign`` -> ``aggregate_experiment``
+(``aggregate_goodput`` for Fig. 8).
 """
 
 from repro.experiments.figures import (
@@ -18,20 +20,12 @@ from repro.experiments.figures import (
     figure8_goodput,
     all_figures,
 )
-from repro.experiments.runner import (
-    ExperimentPoint,
-    ExperimentResult,
-    run_experiment,
-    run_goodput_experiment,
-)
 from repro.experiments.variants import KNOWN_VARIANTS, variant_config, variant_names
 
 __all__ = [
     "KNOWN_VARIANTS",
     "variant_config",
     "variant_names",
-    "ExperimentPoint",
-    "ExperimentResult",
     "ExperimentSpec",
     "all_figures",
     "figure2_range_slow",
@@ -41,6 +35,4 @@ __all__ = [
     "figure6_nodes_constant_degree",
     "figure7_nodes_constant_range",
     "figure8_goodput",
-    "run_experiment",
-    "run_goodput_experiment",
 ]

@@ -48,10 +48,6 @@ class ExperimentSpec:
     x_values: List[float]
     #: Builds the scenario config for one x value at a given scale.
     config_builder: Callable[[float, str], ScenarioConfig] = field(repr=False)
-    #: Number of random seeds per point at paper scale (the paper uses 10).
-    paper_seeds: int = 10
-    #: Number of random seeds per point at quick scale.
-    quick_seeds: int = 2
     #: For goodput-style experiments the x values are indices into these
     #: (transmission range, max speed) combinations; ``None`` for plain
     #: single-parameter sweeps.
@@ -65,8 +61,8 @@ class ExperimentSpec:
         return replace(config, seed=seed)
 
     def seeds_for(self, scale: str) -> int:
-        """Number of replications used at ``scale``."""
-        return self.paper_seeds if scale == "paper" else self.quick_seeds
+        """Number of replications used at ``scale`` (the paper uses 10)."""
+        return 10 if scale == "paper" else 2
 
 
 def _base_config(scale: str, **overrides) -> ScenarioConfig:

@@ -4,7 +4,7 @@ Every experiment compares a handful of named protocol *variants* -- plain
 MAODV, MAODV + Anonymous Gossip, the flooding baseline, ODMRP and the gossip
 ablations.  :data:`KNOWN_VARIANTS` maps each public variant name to a builder
 that derives the variant's :class:`~repro.workload.scenario.ScenarioConfig`
-from a base config; the CLI, the experiment runner and the campaign layer all
+from a base config; the CLI and the campaign's trials builder both
 resolve variants through this registry so an unknown name fails with the full
 list of valid ones.
 """

@@ -5,7 +5,7 @@
   or through gossip recovery) and derives the per-receiver statistics the
   paper plots: mean / min / max packets received and the delivery ratio.
 * :mod:`repro.metrics.reporting` -- plain-text table formatting used by the
-  examples, the CLI and the experiment runner.  Import-on-use: a simulation
+  examples, the CLI and the campaign's result tables.  Import-on-use: a simulation
   never formats a table, so it is imported from its module.
 """
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Iterable, List, Sequence
 
 
 def format_rows(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
@@ -21,38 +21,3 @@ def format_rows(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str
     lines = [render(list(headers)), render(["-" * width for width in widths])]
     lines.extend(render(row) for row in materialised)
     return "\n".join(lines)
-
-
-def format_summary_table(
-    title: str,
-    series: Mapping[str, Mapping[object, "object"]],
-    x_label: str = "x",
-) -> str:
-    """Format several named series of :class:`DeliverySummary` objects.
-
-    ``series`` maps a series name (e.g. ``"maodv"`` / ``"gossip"``) to a
-    mapping from the swept x value to a summary-like object exposing
-    ``mean``, ``minimum`` and ``maximum`` attributes.
-    """
-    x_values: List[object] = []
-    for points in series.values():
-        for x in points:
-            if x not in x_values:
-                x_values.append(x)
-    x_values.sort(key=lambda value: (str(type(value)), value))
-
-    headers = [x_label]
-    for name in series:
-        headers.extend([f"{name} mean", f"{name} min", f"{name} max"])
-    rows = []
-    for x in x_values:
-        row: List[object] = [x]
-        for name, points in series.items():
-            summary = points.get(x)
-            if summary is None:
-                row.extend(["-", "-", "-"])
-            else:
-                row.extend([f"{summary.mean:.1f}", summary.minimum, summary.maximum])
-        rows.append(row)
-    body = format_rows(headers, rows)
-    return f"{title}\n{body}"

@@ -67,7 +67,6 @@ class _PendingDiscovery:
     retries: int = 0
     ttl: int = 0
     buffered: Deque[UnicastData] = field(default_factory=deque)
-    timer_handle: Optional[object] = None
 
 
 class AodvRouter:
@@ -237,8 +236,8 @@ class AodvRouter:
         )
         self._seen_rreqs.mark(rreq.flood_key, self.sim.now)
         self.node.send_frame(rreq, BROADCAST_ADDRESS)
-        pending.timer_handle = self.sim.schedule(
-            self.config.route_discovery_timeout_s, self._discovery_timeout, pending.destination
+        self.sim.call_in(
+            self.config.route_discovery_timeout_s, self._discovery_timeout, (pending.destination,)
         )
 
     def _discovery_timeout(self, destination: NodeId) -> None:

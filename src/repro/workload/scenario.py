@@ -99,11 +99,6 @@ class ScenarioConfig:
     # Protocols.
     protocol: str = "maodv"  # "maodv", "flooding" or "odmrp"
     gossip_enabled: bool = True
-    #: Share each node's group-0 gossip round RNG with its agents in every
-    #: extra group (variance reduction: a group-count sweep then isolates
-    #: pure contention effects from per-group jitter resampling).  ``False``
-    #: keeps the historic independent per-group streams.
-    gossip_shared_round_rng: bool = False
     gossip_config: GossipConfig = field(default_factory=GossipConfig)
     aodv_config: AodvConfig = field(default_factory=AodvConfig)
     maodv_config: MaodvConfig = field(default_factory=MaodvConfig)
@@ -423,14 +418,9 @@ class Scenario:
             if config.gossip_enabled:
                 for group_index, group in enumerate(self.groups):
                     # Group 0 draws the exact per-node stream the single-group
-                    # scenario always used; extra groups get their own --
-                    # unless round-RNG sharing is on, in which case every
-                    # group of this node draws from the group-0 stream object
-                    # so a group-count sweep resamples no per-group jitter.
+                    # scenario always used; extra groups get their own.
                     if group_index == 0:
                         rng = None
-                    elif config.gossip_shared_round_rng:
-                        rng = self.gossip_by_group[0][node_id].rng
                     else:
                         rng = streams.for_node(f"gossip.g{group_index}", node_id)
                     self.gossip_by_group[group_index][node_id] = GossipAgent(

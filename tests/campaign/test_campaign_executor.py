@@ -11,6 +11,7 @@ that finished.
 import gc
 import multiprocessing
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -19,14 +20,12 @@ from repro.campaign import (
     ResultStore,
     aggregate_experiment,
     aggregate_goodput,
+    TrialSpec,
     execute_trial,
     run_campaign,
-    trials_for_goodput,
-    trials_for_grid,
     trials_for_spec,
 )
 from repro.experiments.figures import figure2_range_slow, figure8_goodput
-from repro.experiments.runner import run_experiment
 from repro.net.node import Node
 from repro.workload.scenario import Scenario, ScenarioConfig
 
@@ -73,14 +72,14 @@ class TestMemory:
 class TestParallelDeterminism:
     def test_parallel_aggregates_identical_to_serial_runner(self):
         spec = figure2_range_slow()
-        serial = run_experiment(spec, **SPEC_KWARGS)
         trials = trials_for_spec(spec, **SPEC_KWARGS)
+        serial = aggregate_experiment(spec, run_campaign(trials, jobs=1))
         parallel = aggregate_experiment(spec, run_campaign(trials, jobs=2))
         assert parallel == serial
 
     def test_parallel_goodput_identical_to_serial(self):
         spec = figure8_goodput()
-        trials = trials_for_goodput(spec, scale="quick", seeds=1)
+        trials = trials_for_spec(spec, scale="quick", seeds=1, variants=("gossip",))
         serial = aggregate_goodput(spec, run_campaign(trials, jobs=1))
         parallel = aggregate_goodput(spec, run_campaign(trials, jobs=2))
         assert parallel == serial
@@ -92,6 +91,15 @@ class TestParallelDeterminism:
         fresh = aggregate_experiment(spec, run_campaign(trials, jobs=1, store=store))
         reloaded = aggregate_experiment(spec, store.records())
         assert reloaded == fresh
+
+    def test_parallel_campaign_with_store_matches_serial(self, tmp_path):
+        spec = figure2_range_slow()
+        trials = trials_for_spec(spec, scale="quick", seeds=1, x_values=[55])
+        store = ResultStore(tmp_path / "fig2.jsonl")
+        with_store = aggregate_experiment(spec, run_campaign(trials, jobs=2, store=store))
+        plain = aggregate_experiment(spec, run_campaign(trials, jobs=1))
+        assert with_store == plain
+        assert len(store.records()) == 2
 
 
 _fork_only = pytest.mark.skipif(
@@ -109,10 +117,11 @@ class TestFailingTrial:
             num_nodes=6, member_count=3, join_window_s=2.0,
             source_start_s=5.0, source_stop_s=15.0, duration_s=20.0,
         )
-        trials = trials_for_grid(
-            "boom", tiny, {"max_speed_mps": [0.1 * n for n in range(1, 11)]},
-            variants=("gossip",),
-        )
+        trials = [
+            TrialSpec(campaign="boom", x=float(n), variant="gossip", seed=n, scale="custom",
+                      config=replace(tiny, seed=n, max_speed_mps=0.1 * n))
+            for n in range(1, 11)
+        ]
         assert len({trial.config.seed for trial in trials}) == len(trials) == 10
         failing_seed = trials[0].config.seed
         markers = tmp_path / "markers"
@@ -165,7 +174,7 @@ class TestResume:
 
         # Simulate a campaign killed after the first two trials completed.
         run_campaign(trials[:2], jobs=1, store=store)
-        assert store.completed_keys() == {t.key for t in trials[:2]}
+        assert set(store.load()) == {t.key for t in trials[:2]}
 
         executed = []
 
@@ -177,9 +186,10 @@ class TestResume:
         records = run_campaign(trials, jobs=1, store=store)
 
         assert executed == [t.key for t in trials[2:]]
-        assert store.completed_keys() == {t.key for t in trials}
+        assert set(store.load()) == {t.key for t in trials}
         # The stitched-together campaign matches an uninterrupted serial run.
-        assert aggregate_experiment(spec, records) == run_experiment(spec, **SPEC_KWARGS)
+        uninterrupted = aggregate_experiment(spec, run_campaign(trials, jobs=1))
+        assert aggregate_experiment(spec, records) == uninterrupted
 
     def test_resume_skip_count_reported_via_progress(self, tmp_path):
         spec = figure2_range_slow()
@@ -190,15 +200,3 @@ class TestResume:
         run_campaign(trials, jobs=1, store=store,
                      progress=lambda d, t, r: calls.append((d, t, r)))
         assert calls[0] == (1, len(trials), None)
-
-
-class TestRunExperimentIntegration:
-    def test_run_experiment_with_jobs_and_store(self, tmp_path):
-        spec = figure2_range_slow()
-        store = ResultStore(tmp_path / "fig2.jsonl")
-        with_store = run_experiment(
-            spec, scale="quick", seeds=1, x_values=[55], jobs=2, store=store
-        )
-        plain = run_experiment(spec, scale="quick", seeds=1, x_values=[55])
-        assert with_store == plain
-        assert len(store.records()) == 2

@@ -1,9 +1,21 @@
-"""Tests for the JSONL result store (append, dedupe, robustness)."""
+"""Tests for the JSONL result store (append, dedupe, robustness, old stores)."""
 
+import json
+import shutil
+from pathlib import Path
+
+import pytest
+
+import repro.campaign.executor as executor_module
+from repro.campaign import execute_trial, trials_for_spec
 from repro.campaign.store import ResultStore, TrialRecord
 from repro.campaign.trials import config_from_dict, config_to_dict
+from repro.cli import main
+from repro.experiments.figures import all_figures
 from repro.multicast.config import FloodingConfig, OdmrpConfig
 from repro.workload.scenario import ScenarioConfig
+
+HERE = Path(__file__).resolve().parent
 
 
 def _record(key: str, seed: int = 1, mean: float = 10.0) -> TrialRecord:
@@ -27,7 +39,6 @@ def _record(key: str, seed: int = 1, mean: float = 10.0) -> TrialRecord:
         goodput_by_member={3: 90.0, 7: 93.0},
         member_counts={3: 72, 7: 75},
         protocol_stats={"gossip.requests_sent": 40.0},
-        params={"range_m": 55.0},
     )
 
 
@@ -51,7 +62,6 @@ class TestResultStore:
         store.append(_record("b"))
         loaded = store.load()
         assert set(loaded) == {"a", "b"}
-        assert store.completed_keys() == {"a", "b"}
 
     def test_duplicate_keys_dedupe_last_wins(self, tmp_path):
         store = ResultStore(tmp_path / "campaign.jsonl")
@@ -125,7 +135,6 @@ class TestResultStore:
     def test_missing_file_loads_empty(self, tmp_path):
         store = ResultStore(tmp_path / "never-written.jsonl")
         assert store.load() == {}
-        assert store.completed_keys() == set()
         assert store.skipped == 0
 
 
@@ -194,6 +203,7 @@ class TestStoredLineCompatibility:
                 join_query_interval_s=2.0, forwarding_lifetime_s=7.5, flood_ttl=12
             ),
         )
+        stored_config = json.loads(LINE_BEFORE_CONFIG_MOVE)["config"]
         expected = TrialRecord(
             key="grid|x=0.0|variant=maodv|seed=3|scale=custom",
             campaign="grid",
@@ -203,8 +213,87 @@ class TestStoredLineCompatibility:
             scale="custom",
             metrics={"delivery_ratio": 0.5, "packets_sent": 81},
             member_counts={2: 40},
-            config=config_to_dict(config),
+            config=stored_config,
         )
         assert loaded == [expected]
         assert config_from_dict(loaded[0].config) == config
-        assert expected.to_json() == LINE_BEFORE_CONFIG_MOVE
+        # The stored config differs from today's only by the retired knob.
+        retired = {"gossip_shared_round_rng": False}
+        assert config_to_dict(config) == {
+            name: value for name, value in stored_config.items() if name not in retired
+        }
+        # Writing the record back drops only the retired ``params`` field.
+        assert expected.to_json() == LINE_BEFORE_CONFIG_MOVE.replace('"params":{},', "")
+
+    def test_fields_scenario_config_no_longer_has_are_dropped(self):
+        data = config_to_dict(ScenarioConfig.quick(seed=2))
+        old = {**data, "gossip_shared_round_rng": False}
+        assert config_from_dict(old) == config_from_dict(data)
+
+    def test_line_with_params_parses_into_the_record_minus_params(self):
+        line = (HERE / "store_with_params_fig8.jsonl").read_text().splitlines()[0]
+        payload = json.loads(line)
+        assert payload.pop("params") == {"range_m": 45.0, "speed_mps": 0.2}
+        record = TrialRecord.from_json(line)
+        assert record == TrialRecord.from_json(json.dumps(payload))
+        assert json.loads(record.to_json()) == payload
+
+
+#: Stores written before ``params`` was dropped: the ``repro campaign``
+#: arguments and ``trials_for_spec`` keywords of each, and the table it prints.
+OLD_STORES = {
+    "fig8": (
+        ["--seeds", "1"],
+        {"variants": ("gossip",)},
+        "Gossip goodput per member (range, speed combinations)\n"
+        "combination   mean    min     max     members\n"
+        "------------  ------  ------  ------  -------\n"
+        "45m @ 0.2m/s  95.83   75.00   100.00  6      \n"
+        "75m @ 0.2m/s  100.00  100.00  100.00  6      \n"
+        "45m @ 2m/s    100.00  100.00  100.00  6      \n"
+        "75m @ 2m/s    100.00  100.00  100.00  6      \n",
+    ),
+    "fig7": (
+        ["--seeds", "1", "--points", "40"],
+        {"x_values": [40]},
+        "Packet delivery vs number of nodes (range 55 m)\n"
+        "# nodes  variant  mean  min   max   ratio  goodput%\n"
+        "-------  -------  ----  ----  ----  -----  --------\n"
+        "40.0     gossip   81.0  81.0  81.0  1.000  100.0   \n"
+        "40.0     maodv    80.8  80.0  81.0  0.997  100.0   \n",
+    ),
+}
+
+
+class TestOldStores:
+    @pytest.mark.parametrize("figure", sorted(OLD_STORES))
+    def test_old_store_resumes_with_no_trial_rerun(self, figure, tmp_path, capsys,
+                                                   monkeypatch):
+        store = tmp_path / f"{figure}.jsonl"
+        shutil.copy(HERE / f"store_with_params_{figure}.jsonl", store)
+
+        def explode(trial):
+            raise AssertionError(f"stored trial {trial.key} was re-executed")
+
+        monkeypatch.setattr(executor_module, "execute_trial", explode)
+        arguments, _, table = OLD_STORES[figure]
+        assert main(["campaign", figure, *arguments, "--out", str(store), "--resume"]) == 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines(keepends=True)
+        stored = len(ResultStore(store).load())
+        assert f"resume: {stored}/{stored} trials already stored" in lines[0]
+        assert lines[-1] == f"results stored in {store}\n"
+        assert "".join(lines[1:-1]) == table
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("figure", sorted(OLD_STORES))
+    def test_fresh_trials_reproduce_the_stored_records(self, figure):
+        _, keywords, _ = OLD_STORES[figure]
+        trials = trials_for_spec(all_figures()[figure], seeds=1, **keywords)
+        stored = ResultStore(HERE / f"store_with_params_{figure}.jsonl").load()
+        assert [trial.key for trial in trials] == list(stored)
+        for trial in trials:
+            old = stored[trial.key]
+            new = execute_trial(trial)
+            assert config_from_dict(old.config) == trial.config
+            assert new == TrialRecord(**{**vars(old), "config": new.config})

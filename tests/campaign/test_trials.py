@@ -6,9 +6,6 @@ from repro.campaign.trials import (
     TrialSpec,
     config_from_dict,
     config_to_dict,
-    derive_seed,
-    trials_for_goodput,
-    trials_for_grid,
     trials_for_spec,
 )
 from repro.experiments.figures import figure2_range_slow, figure8_goodput
@@ -56,61 +53,31 @@ class TestTrialsForSpec:
                             variants=("amris",))
 
 
-class TestTrialsForGoodput:
-    def test_one_trial_per_combination_and_seed(self):
+class TestFig8Trials:
+    def test_one_gossip_trial_per_combination_and_seed(self):
         spec = figure8_goodput()
-        trials = trials_for_goodput(spec, scale="quick", seeds=2)
+        trials = trials_for_spec(spec, scale="quick", seeds=2, variants=("gossip",))
         assert len(trials) == 4 * 2
-        assert {t.x for t in trials} == {0.0, 1.0, 2.0, 3.0}
+        assert [(t.x, t.seed) for t in trials] == [
+            (x, seed) for x in (0, 1, 2, 3) for seed in (1, 2)
+        ]
         assert all(t.variant == "gossip" for t in trials)
         assert all(t.config.gossip_enabled for t in trials)
 
-    def test_params_describe_the_combination(self):
+    @pytest.mark.parametrize("scale", ["quick", "paper"])
+    def test_x_indexes_the_spec_combinations(self, scale):
         spec = figure8_goodput()
-        trials = trials_for_goodput(spec, scale="quick", seeds=1)
-        assert trials[0].params == {"range_m": 45.0, "speed_mps": 0.2}
-        assert trials[1].params == {"range_m": 75.0, "speed_mps": 0.2}
-
-
-class TestTrialsForGrid:
-    def test_cartesian_product_with_replicates(self):
-        base = ScenarioConfig.quick()
-        trials = trials_for_grid(
-            "density-sweep",
-            base,
-            {"transmission_range_m": [50.0, 70.0], "max_speed_mps": [0.2, 2.0]},
-            variants=("gossip",),
-            replicates=2,
-        )
-        assert len(trials) == 2 * 2 * 2
-        points = {
-            tuple(sorted((k, v) for k, v in t.params.items() if k != "replicate"))
-            for t in trials
-        }
-        assert points == {
-            (("max_speed_mps", 0.2), ("transmission_range_m", 50.0)),
-            (("max_speed_mps", 0.2), ("transmission_range_m", 70.0)),
-            (("max_speed_mps", 2.0), ("transmission_range_m", 50.0)),
-            (("max_speed_mps", 2.0), ("transmission_range_m", 70.0)),
-        }
-        assert {t.params["replicate"] for t in trials} == {1, 2}
-        # The recorded seed is the seed the trial actually runs with.
-        assert all(t.seed == t.config.seed for t in trials)
-
-    def test_grid_seeds_deterministic_and_decorrelated(self):
-        base = ScenarioConfig.quick()
-        grid = {"transmission_range_m": [50.0, 70.0]}
-        first = trials_for_grid("g", base, grid, variants=("gossip",), replicates=2)
-        second = trials_for_grid("g", base, grid, variants=("gossip",), replicates=2)
-        assert [t.config.seed for t in first] == [t.config.seed for t in second]
-        assert len({t.config.seed for t in first}) == len(first)
-
-    def test_derive_seed_stable_and_positive(self):
-        seed = derive_seed("campaign", "range=50.0", 1)
-        assert seed == derive_seed("campaign", "range=50.0", 1)
-        assert seed >= 1
-        assert seed != derive_seed("campaign", "range=50.0", 2)
-        assert seed != derive_seed("other", "range=50.0", 1)
+        trials = trials_for_spec(spec, scale=scale, seeds=1, variants=("gossip",))
+        assert [t.key for t in trials] == [
+            f"fig8|x={float(x)!r}|variant=gossip|seed=1|scale={scale}" for x in range(4)
+        ]
+        assert [t.config.max_speed_mps for t in trials] == [
+            speed for _, speed in spec.combinations
+        ]
+        ranges = [t.config.transmission_range_m for t in trials]
+        assert ranges[0] == ranges[2] < ranges[1] == ranges[3]
+        if scale == "paper":
+            assert ranges == [range_m for range_m, _ in spec.combinations]
 
 
 class TestConfigSerialisation:

@@ -24,8 +24,8 @@ class TestSpecCatalogue:
 
     def test_specs_have_paper_seed_counts(self):
         for spec in all_figures().values():
-            assert spec.paper_seeds == 10
-            assert spec.quick_seeds >= 1
+            assert spec.seeds_for("paper") == 10
+            assert spec.seeds_for("quick") == 2
 
 
 class TestRangeSweeps:

@@ -1,11 +1,16 @@
-"""Tests for the experiment runner (sweep execution and aggregation)."""
+"""Tests for protocol variants and the sweep pipeline (execution and aggregation)."""
 
 import pytest
 
+from repro.campaign import aggregate_experiment, aggregate_goodput, run_campaign, trials_for_spec
 from repro.experiments.figures import GOODPUT_COMBINATIONS, figure2_range_slow, figure8_goodput
-from repro.experiments.runner import run_experiment, run_goodput_experiment
 from repro.experiments.variants import KNOWN_VARIANTS, variant_config, variant_names
 from repro.workload.scenario import ScenarioConfig
+
+
+def run_sweep(spec, **kwargs):
+    """``trials_for_spec`` -> ``run_campaign`` -> ``aggregate_experiment``."""
+    return aggregate_experiment(spec, run_campaign(trials_for_spec(spec, **kwargs)))
 
 
 class TestVariantConfigs:
@@ -67,12 +72,12 @@ class TestVariantRegistry:
         assert variant_config(base, "gossip") == variant_config(base, "gossip")
 
 
-class TestRunExperiment:
+class TestSweepPipeline:
     def test_small_sweep_produces_points_for_each_variant(self):
         spec = figure2_range_slow()
-        result = run_experiment(spec, scale="quick", seeds=1, x_values=[55, 75])
+        result = run_sweep(spec, scale="quick", seeds=1, x_values=[55, 75])
         assert result.spec_figure == "fig2"
-        assert sorted(result.variants()) == ["gossip", "maodv"]
+        assert {point.variant for point in result.points} == {"gossip", "maodv"}
         assert len(result.points) == 4
         for point in result.points:
             assert point.runs == 1
@@ -85,10 +90,10 @@ class TestRunExperiment:
         from repro.experiments.figures import MOBILITY_SWEEP_MODELS, mobility_model_sweep
 
         spec = mobility_model_sweep()
-        first = run_experiment(
+        first = run_sweep(
             spec, scale="quick", seeds=1, x_values=[x], variants=("gossip",)
         )
-        second = run_experiment(
+        second = run_sweep(
             spec, scale="quick", seeds=1, x_values=[x], variants=("gossip",)
         )
         assert first.points == second.points
@@ -100,20 +105,20 @@ class TestRunExperiment:
 
     def test_points_for_orders_by_x(self):
         spec = figure2_range_slow()
-        result = run_experiment(spec, scale="quick", seeds=1, x_values=[75, 55])
+        result = run_sweep(spec, scale="quick", seeds=1, x_values=[75, 55])
         xs = [point.x for point in result.points_for("maodv")]
         assert xs == [55, 75]
 
     def test_table_rendering_contains_all_points(self):
         spec = figure2_range_slow()
-        result = run_experiment(spec, scale="quick", seeds=1, x_values=[60])
+        result = run_sweep(spec, scale="quick", seeds=1, x_values=[60])
         table = result.to_table()
         assert spec.title in table
         assert "maodv" in table and "gossip" in table
 
     def test_gossip_variant_not_worse_than_maodv(self):
         spec = figure2_range_slow()
-        result = run_experiment(spec, scale="quick", seeds=2, x_values=[55])
+        result = run_sweep(spec, scale="quick", seeds=2, x_values=[55])
         maodv = result.points_for("maodv")[0]
         gossip = result.points_for("gossip")[0]
         assert gossip.mean >= maodv.mean
@@ -122,7 +127,8 @@ class TestRunExperiment:
 class TestGoodputExperiment:
     def test_goodput_reported_per_member(self):
         spec = figure8_goodput()
-        results = run_goodput_experiment(spec, scale="quick", seeds=1)
+        trials = trials_for_spec(spec, scale="quick", seeds=1, variants=("gossip",))
+        results = aggregate_goodput(spec, run_campaign(trials))
         assert set(results) == {(45.0, 0.2), (75.0, 0.2), (45.0, 2.0), (75.0, 2.0)}
         for per_member in results.values():
             assert per_member, "every combination reports at least one member"

@@ -1,19 +1,6 @@
 """Unit tests for text-report formatting."""
 
-from repro.metrics.collectors import DeliverySummary
-from repro.metrics.reporting import format_rows, format_summary_table
-
-
-def _summary(mean, minimum, maximum):
-    return DeliverySummary(
-        packets_sent=100,
-        member_counts={},
-        mean=mean,
-        minimum=minimum,
-        maximum=maximum,
-        std=0.0,
-        delivery_ratio=mean / 100.0,
-    )
+from repro.metrics.reporting import format_rows
 
 
 class TestFormatRows:
@@ -36,31 +23,3 @@ class TestFormatRows:
     def test_extra_cells_do_not_crash(self):
         text = format_rows(["x"], [[1, 2, 3]])
         assert "3" in text
-
-
-class TestFormatSummaryTable:
-    def test_series_rendered_side_by_side(self):
-        series = {
-            "maodv": {45: _summary(50.0, 10, 80)},
-            "gossip": {45: _summary(70.0, 40, 80)},
-        }
-        text = format_summary_table("Fig 2", series, x_label="range")
-        assert "Fig 2" in text
-        assert "maodv mean" in text
-        assert "gossip mean" in text
-        assert "50.0" in text and "70.0" in text
-
-    def test_missing_points_rendered_as_dashes(self):
-        series = {
-            "maodv": {45: _summary(50.0, 10, 80), 55: _summary(60.0, 20, 90)},
-            "gossip": {45: _summary(70.0, 40, 80)},
-        }
-        text = format_summary_table("t", series)
-        assert "-" in text.splitlines()[-1]
-
-    def test_x_values_sorted(self):
-        series = {"maodv": {55: _summary(1, 1, 1), 45: _summary(2, 2, 2)}}
-        text = format_summary_table("t", series)
-        lines = text.splitlines()
-        assert lines[3].startswith("45")
-        assert lines[4].startswith("55")

@@ -168,8 +168,8 @@ class TestEnabledNonPerturbation:
         assert counters_first == counters_second
 
 
-class TestSharedRoundRng:
-    def _agents(self, shared: bool):
+class TestPerGroupRoundRng:
+    def test_default_keeps_independent_streams(self):
         config = ScenarioConfig.quick(
             group_count=2,
             num_nodes=8,
@@ -178,16 +178,7 @@ class TestSharedRoundRng:
             source_start_s=2.0,
             source_stop_s=4.0,
             duration_s=5.0,
-            gossip_shared_round_rng=shared,
         )
-        return Scenario(config).build()
-
-    def test_shared_flag_reuses_group0_stream_per_node(self):
-        scenario = self._agents(shared=True)
-        for node_id, agent in scenario.gossip_by_group[0].items():
-            assert scenario.gossip_by_group[1][node_id].rng is agent.rng
-
-    def test_default_keeps_independent_streams(self):
-        scenario = self._agents(shared=False)
+        scenario = Scenario(config).build()
         for node_id, agent in scenario.gossip_by_group[0].items():
             assert scenario.gossip_by_group[1][node_id].rng is not agent.rng

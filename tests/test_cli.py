@@ -18,7 +18,7 @@ class TestParser:
 
     def test_figure_arguments(self):
         args = build_parser().parse_args(
-            ["figure", "fig3", "--scale", "quick", "--seeds", "2", "--points", "55", "75"]
+            ["campaign", "fig3", "--scale", "quick", "--seeds", "2", "--points", "55", "75"]
         )
         assert args.figure == "fig3"
         assert args.points == [55.0, 75.0]
@@ -26,7 +26,13 @@ class TestParser:
 
     def test_unknown_figure_rejected(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["figure", "fig99"])
+            build_parser().parse_args(["campaign", "fig99"])
+
+    def test_four_subcommands(self):
+        parser = build_parser()
+        assert "{run,campaign,report,list-figures}" in parser.format_help()
+        with pytest.raises(SystemExit):
+            parser.parse_args(["figure", "fig2"])
 
     def test_command_required(self):
         with pytest.raises(SystemExit):
@@ -92,36 +98,6 @@ class TestCommands:
         assert "maodv " in output
         assert "+ gossip" not in output
 
-    def test_figure_command_prints_series(self, capsys):
-        exit_code = main([
-            "figure", "fig2", "--scale", "quick", "--seeds", "1", "--points", "65",
-        ])
-        assert exit_code == 0
-        output = capsys.readouterr().out
-        assert "Packet delivery vs transmission range" in output
-        assert "maodv" in output and "gossip" in output
-
-    def test_figure_command_with_custom_variants(self, capsys):
-        exit_code = main([
-            "figure", "fig2", "--scale", "quick", "--seeds", "1", "--points", "65",
-            "--variants", "maodv",
-        ])
-        assert exit_code == 0
-        output = capsys.readouterr().out
-        assert "maodv" in output
-        assert "gossip" not in output.replace("Anonymous Gossip", "")
-
-    def test_figure_command_rejects_unknown_variant_with_list(self, capsys):
-        exit_code = main([
-            "figure", "fig2", "--seeds", "1", "--points", "65",
-            "--variants", "amris",
-        ])
-        assert exit_code == 2
-        err = capsys.readouterr().err
-        assert "'amris'" in err
-        assert "known variants" in err
-        assert "gossip-no-locality" in err
-
 
 class TestCampaignCommand:
     def test_campaign_without_store_prints_table(self, capsys):
@@ -133,16 +109,27 @@ class TestCampaignCommand:
         assert "Packet delivery vs transmission range" in output
         assert "[1/2]" in output and "[2/2]" in output
 
-    def test_campaign_matches_figure_aggregates(self, capsys):
-        assert main(["figure", "fig2", "--seeds", "1", "--points", "65"]) == 0
-        figure_table = capsys.readouterr().out
-        assert main([
-            "campaign", "fig2", "--seeds", "1", "--points", "65", "--jobs", "2",
-        ]) == 0
-        campaign_output = capsys.readouterr().out
-        # The campaign output ends with exactly the serial figure table.
-        assert figure_table.strip().splitlines()[-2:] == \
-            campaign_output.strip().splitlines()[-2:]
+    def test_campaign_jobs_2_prints_the_same_table_as_jobs_1(self, capsys):
+        tables = []
+        for jobs in ("1", "2"):
+            assert main([
+                "campaign", "fig2", "--seeds", "1", "--points", "65", "--jobs", jobs,
+            ]) == 0
+            output = capsys.readouterr().out.splitlines()
+            tables.append([line for line in output if not line.startswith("[")])
+        assert tables[0] == tables[1]
+        assert tables[0][0] == "Packet delivery vs transmission range (max speed 0.2 m/s)"
+        assert len(tables[0]) == 5
+
+    def test_campaign_with_custom_variants(self, capsys):
+        exit_code = main([
+            "campaign", "fig2", "--scale", "quick", "--seeds", "1", "--points", "65",
+            "--variants", "maodv",
+        ])
+        assert exit_code == 0
+        output = capsys.readouterr().out
+        assert "maodv" in output
+        assert "gossip" not in output.replace("Anonymous Gossip", "")
 
     def test_campaign_with_store_and_resume(self, capsys, tmp_path):
         out = str(tmp_path / "fig2.jsonl")
@@ -185,7 +172,10 @@ class TestCampaignCommand:
             "--variants", "amris",
         ])
         assert exit_code == 2
-        assert "known variants" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "'amris'" in err
+        assert "known variants" in err
+        assert "gossip-no-locality" in err
 
     def test_campaign_fig8_prints_goodput_combinations(self, capsys):
         exit_code = main(["campaign", "fig8", "--seeds", "1"])
