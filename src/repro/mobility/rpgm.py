@@ -113,22 +113,33 @@ class RpgmMobility(MobilityModel):
         return reference_bound + self.member_speed_mps
 
 
+#: How far beyond an edge, in metres, the unclamped coordinate of a pinned
+#: axis must still be for its hold to last.  ``u`` at a later instant is
+#: re-interpolated from the two underlying legs, not extrapolated from this
+#: sample, and the two differ by float error (~1e-14 m): a hold that ran up
+#: to the exact crossing could end with the coordinate already a hair inside,
+#: breaking the promise that an at-rest position is bit-constant.
+_PIN_GUARD_M = 1e-9
+
+
 def _clamp_axis(u: float, v: float, limit: float) -> Tuple[float, float, float]:
     """One coordinate of ``clamp(u + v*t)`` onto ``[0, limit]`` as a segment.
 
     Returns ``(clamped u, velocity, seconds the velocity holds)``: a free
     coordinate keeps ``v`` until it reaches the edge it is heading for; one
-    pinned to an edge has zero velocity until ``u`` comes back inside.
+    pinned to an edge has zero velocity until ``u`` comes within
+    :data:`_PIN_GUARD_M` of coming back inside, and promises nothing (zero
+    seconds) once it is that close.
     """
     clamped = min(max(u, 0.0), limit)
     if v > 0.0:
         if u < 0.0:
-            return clamped, 0.0, -u / v
+            return clamped, 0.0, max(-u - _PIN_GUARD_M, 0.0) / v
         if u < limit:
             return clamped, v, (limit - u) / v
     elif v < 0.0:
         if u > limit:
-            return clamped, 0.0, (limit - u) / v
+            return clamped, 0.0, min(limit - u + _PIN_GUARD_M, 0.0) / v
         if u > 0.0:
             return clamped, v, -u / v
     return clamped, 0.0, math.inf

@@ -8,6 +8,7 @@ positions, so protocol behaviour can be asserted on hand-built topologies
 
 from __future__ import annotations
 
+import gc
 import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -121,18 +122,28 @@ def build_network(
 
 def python_calls(run, *args) -> List[str]:
     """Names of the Python functions entered while ``run(*args)`` executes, in
-    order (``sys.setprofile``): how frame-count tests pin a hot path's depth."""
+    order (``sys.setprofile``): how frame-count tests pin a hot path's depth.
+
+    The cyclic garbage collector is off while ``run`` executes: a collection
+    would finalize garbage left by earlier code (closing a suspended
+    generator enters its frame), and those frames are not ``run``'s.
+    """
     calls: List[str] = []
 
     def profiler(frame, event, arg):
         if event == "call":
             calls.append(frame.f_code.co_name)
 
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
     sys.setprofile(profiler)
     try:
         run(*args)
     finally:
         sys.setprofile(None)
+        if collecting:
+            gc.enable()
     return calls
 
 

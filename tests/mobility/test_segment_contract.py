@@ -15,7 +15,7 @@ from repro.mobility.base import MobilityModel, RectangularArea
 from repro.mobility.gauss_markov import GaussMarkovMobility
 from repro.mobility.manhattan import ManhattanGridMobility
 from repro.mobility.random_waypoint import RandomWaypointMobility
-from repro.mobility.rpgm import RpgmMobility, build_group_reference
+from repro.mobility.rpgm import RpgmMobility, _clamp_axis, build_group_reference
 from repro.mobility.static import StaticMobility
 from repro.mobility.trace import WaypointTraceMobility
 from repro.net.spatial import UniformGridIndex
@@ -74,6 +74,15 @@ class TestSegmentContract:
                 probe = t + (min(until, t + 50.0) - t) * 0.5
                 assert mobility.position(probe) == (x, y)
                 assert mobility.position_hold(t) == ((x, y), until)
+
+    @_per_model
+    def test_at_rest_segments_hold_to_their_last_instant(self, mobility):
+        # The position memo reuses an at-rest segment up to ``until``
+        # exclusive, so the last float before it must still be bit-equal.
+        for t in TIMES:
+            x, y, vx, vy, until = mobility.segment(t)
+            if vx == 0.0 and vy == 0.0 and t < until < math.inf:
+                assert mobility.position(math.nextafter(until, t)) == (x, y)
 
     @pytest.mark.parametrize(
         "mobility",
@@ -156,6 +165,34 @@ class TestRpgmClamp:
         x, y, vx, vy, until = member.segment(6.0)
         assert (vx, vy, until) == (2.0, 1.0, 10.0)
         assert x == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("edge", ["left", "right"])
+    def test_pinned_hold_ends_while_the_axis_is_still_pinned(self, edge):
+        # The reference comes back inside at an awkward speed, so the
+        # crossing instant is not a float.  The member's x is re-interpolated
+        # from the reference leg at every query; wherever a pinned hold is
+        # sampled, x must still be exactly the edge at the hold's last float.
+        if edge == "left":
+            member = self._member([(0.0, -10.3, 50.0), (7.7, 10.1, 50.0)])
+            pinned = 0.0
+        else:
+            member = self._member([(0.0, 214.6, 50.0), (7.5, 187.0, 50.0)])
+            pinned = 200.0
+        holds = 0
+        for step in range(400):
+            t = step * 0.0097
+            x, y, vx, vy, until = member.segment(t)
+            if vx == 0.0 and vy == 0.0 and until > t:
+                holds += 1
+                assert x == pinned
+                assert member.position(math.nextafter(until, t)) == (pinned, 50.0)
+        assert holds > 300
+
+    def test_axis_within_the_guard_of_release_promises_nothing(self):
+        assert _clamp_axis(-2e-9, 1.0, 200.0) == (0.0, 0.0, pytest.approx(1e-9))
+        assert _clamp_axis(-1e-10, 1.0, 200.0) == (0.0, 0.0, 0.0)
+        assert _clamp_axis(200.0 + 1e-10, -1.0, 200.0) == (200.0, 0.0, 0.0)
+        assert _clamp_axis(-1e-10, -1.0, 200.0) == (0.0, 0.0, math.inf)
 
     def test_member_pinned_in_a_corner_is_at_rest(self):
         member = self._member([(0, 250.0, 250.0), (10, 260.0, 270.0)])

@@ -13,7 +13,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.mobility.base import RectangularArea
@@ -141,6 +141,9 @@ def _indexes(period):
         st.floats(min_value=0.0, max_value=HORIZON_S - 1.0), min_size=4, max_size=8),
 )
 @settings(max_examples=40, deadline=None)
+# An RPGM member pinned to an edge, probed a float before its hold ends.
+@example(seed=1493, size=8, torus=False, ranges=(40.0, 40.0),
+         base_times=[0.0, 0.0, 0.0, 14.5])
 def test_mixed_fleet_matches_linear_scan_at_critical_instants(
     seed, size, torus, ranges, base_times
 ):

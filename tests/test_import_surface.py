@@ -40,11 +40,18 @@ IMPORT_ON_USE = (
 
 def _loaded_after(config: str) -> set:
     """The ``repro`` modules a fresh interpreter holds after building ``config``."""
-    code = (
-        "import sys\n"
+    return _modules_after(
         "from repro import Scenario, ScenarioConfig\n"
         "from repro.mobility.config import MobilityConfig\n"
         f"Scenario({config}).build()\n"
+    )
+
+
+def _modules_after(statements: str) -> set:
+    """The ``repro`` modules a fresh interpreter holds after ``statements``."""
+    code = (
+        "import sys\n"
+        f"{statements}"
         "print('\\n'.join(name for name in sys.modules if name.startswith('repro')))\n"
     )
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
@@ -88,3 +95,11 @@ def test_default_paper_build_loads_no_import_on_use_module():
 def test_alternative_build_imports_its_own_module(config, module):
     loaded = _loaded_after(config)
     assert sorted(loaded.intersection(IMPORT_ON_USE)) == [module]
+
+
+def test_experiment_specs_load_no_campaign_module():
+    # Specs and variants sit below execution: the campaign imports the
+    # experiments, never the other way round.
+    loaded = _modules_after("import repro.experiments\n")
+    assert "repro.experiments.figures" in loaded
+    assert sorted(name for name in loaded if name.startswith("repro.campaign")) == []
