@@ -121,11 +121,10 @@ class FloodingRouter:
     def _broadcast_repeatedly(self, data: MulticastData, count: int) -> None:
         for attempt in range(count):
             jitter = self.rng.uniform(0.0, self.config.broadcast_jitter_s)
-            self.sim.schedule(
+            self.sim.call_in(
                 attempt * self.config.rebroadcast_interval_s + jitter,
                 self.node.send_frame,
-                data,
-                BROADCAST_ADDRESS,
+                (data, BROADCAST_ADDRESS),
             )
 
     def _deliver(self, data: MulticastData) -> None:

@@ -148,7 +148,7 @@ class MaodvRouter:
         instant; without jitter, hidden terminals collide systematically.
         """
         jitter = self.rng.uniform(0.0, self.config.broadcast_jitter_s)
-        self.sim.schedule(jitter, self.node.send_frame, packet, BROADCAST_ADDRESS)
+        self.sim.call_in(jitter, self.node.send_frame, (packet, BROADCAST_ADDRESS))
 
     def is_member(self, group: GroupAddress) -> bool:
         """True when this node is a member of ``group``."""

@@ -312,4 +312,4 @@ class OdmrpRouter:
     # ----------------------------------------------------------------- helpers
     def _broadcast_jittered(self, packet: Packet) -> None:
         jitter = self.rng.uniform(0.0, self.config.broadcast_jitter_s)
-        self.sim.schedule(jitter, self.node.send_frame, packet, BROADCAST_ADDRESS)
+        self.sim.call_in(jitter, self.node.send_frame, (packet, BROADCAST_ADDRESS))

@@ -63,18 +63,34 @@ most one decodable copy** -- the invariant this design rests on, asserted
 in ``tests/properties/test_medium_equivalence.py`` on the per-copy oracle
 (``PerCopyMedium`` in ``tests/net/reference_medium.py``: one record per
 in-flight copy, against which this medium is proven bit-identical on the
-hot-path goldens, failure injection included) -- and its whole reception
-state is a count of held copies, the busy watermark and one pointer,
-``Phy.rx_current``: the flight it is locked on, or ``None``.  "Copy is
-intact" is ``rx_current is batch``; "all this radio hears is lost" is
-``rx_current = None``; a crashing sender clears the pointer on the radios
-locked on its flight.  A pooled :class:`ReceptionBatch` holds the shared
-frame and *borrows* the frozen interference list; fan-out and teardown are
-one walk of that list each, with no per-copy record, append, link or unlink
-anywhere.  Ownership: the list belongs to the index, a flight only reads it
-and drops its reference at teardown; radios that join mid-flight (late
-register, power-up) go on the batch's own ``late`` side list, never on the
-borrowed one.  The sender's own position is known only on demand
+hot-path goldens, failure injection and exact end-instant ties included).
+A radio's whole reception state is two fields.  ``Phy.rx_busy_until`` is
+the latest end over the copies it was given: it holds energy iff that lies
+in the future, and at equality iff a flight ending *now* that lists it is
+still in ``_active`` -- a launch at a flight's end instant may run before
+its teardown (and collide with it) or after.  ``Phy.rx_current`` is the
+flight it is locked on, or ``None``: "copy is intact" is ``rx_current is
+batch``, "all this radio hears is lost" is ``rx_current = None``, and a
+crashing sender clears the pointer on the radios locked on its flight.
+
+Each :class:`ReceptionBatch` holds the shared frame, *borrows* the frozen
+interference list, and counts its own locks (``locked``: set at launch, one
+less per lock that breaks, zero on truncation).  Ownership: the list
+belongs to the index, a flight only reads it and drops its reference at
+teardown; radios that join mid-flight (late register, power-up) go on the
+batch's own ``late`` side list, never on the borrowed one.  The fan-out is
+one walk of the list with no per-copy record, append or link.  So is the
+teardown of a broadcast, and of any flight the counters cannot decide.  A
+*unicast* flight with no late copy, no copy out of range, no power change
+since its launch and every radio filtering unicast is decided by its
+counters: ``deliveries += locked`` and one dispatch to the addressee if it
+is still locked, O(1) for all its copies.  The radios it does not visit
+keep pointing at it; a pointer at a ``done`` flight reads as no lock (the
+radio's next transmission counts no loss for it, its next arrival finds it
+idle and relocks it), which is why a batch is never reused.  This relies on
+the addressee's receive path changing no power state and starting no
+flight before it returns -- the MAC defers everything it sends by at least
+SIFS.  The sender's own position is known only on demand
 (``ReceptionBatch.sender_pos``): a flight on a cached window samples no
 position at all, and the late attach that needs it asks the index for the
 sender's position at the flight's start -- a position is a function of
@@ -129,35 +145,39 @@ class MediumStats:
 class ReceptionBatch:
     """One in-flight transmission and the radios it reaches.
 
-    Slotted and pooled: the medium recycles batches through a free
-    list, and a batch owns no per-copy storage at all.  :attr:`reach` is
-    the sender's frozen interference list, *borrowed* from the spatial
-    index for the airtime (see ``transmission_window``); which of those
-    radios can still decode the frame is not recorded here but on the
-    radios -- the one locked on this flight has ``rx_current is batch``.
+    Slotted, built by :meth:`Medium._launch` (which sets every field, with
+    no ``__init__`` frame) and never reused: a radio's lock pointer may
+    outlive the flight it names, so a batch is not recycled; it reads as no
+    lock once the flight is :attr:`done`.  It owns no per-copy storage.
+
+    ``sender``, ``frame``, ``start_time``, ``end_time``
+        The flight itself.
+    ``sender_pos``
+        The sender's position at ``start_time``, known only on demand: a
+        local flight leaves it ``None`` until a late attach (or the
+        cross-shard export) asks; a foreign flight arrives with it.
+    ``reach``
+        ``(phy, in_range)`` per radio holding a copy since the start of the
+        flight: the sender's frozen interference list, *borrowed* from the
+        spatial index for the airtime (see ``transmission_window``) and
+        never mutated by anyone.
+    ``late``
+        ``(phy, in_range)`` per radio that registered or powered up
+        mid-flight (it missed the head of the frame, so it can never decode
+        it); ``None`` on all but such flights.
+    ``locked``
+        How many radios are locked on the flight (``rx_current is batch``):
+        set at launch, one less per lock that breaks -- a collision, the
+        receiver starting to transmit, its power-down -- and zero once the
+        sender is truncated.
+    ``done``
+        Set by the teardown; from then on no lock pointer at it counts.
+    ``active_slot``
+        Index in ``Medium._active`` (intrusive membership, O(1) removal).
     """
 
     __slots__ = ("sender", "frame", "start_time", "end_time", "sender_pos",
-                 "reach", "late", "active_slot")
-
-    def __init__(self):
-        self.sender: Optional["Phy"] = None
-        self.frame: Optional[Frame] = None
-        self.start_time = 0.0
-        self.end_time = 0.0
-        #: The sender's position at ``start_time``, known only on demand: a
-        #: local flight leaves it ``None`` until a late attach (or the
-        #: cross-shard export) asks; a foreign flight arrives with it.
-        self.sender_pos: Optional[tuple] = None
-        #: ``(phy, in_range)`` per radio holding a copy since the start of
-        #: the flight.  Borrowed and frozen: never mutated by anyone.
-        self.reach: Optional[list] = None
-        #: ``(phy, in_range)`` per radio that registered or powered up
-        #: mid-flight (it missed the head of the frame, so it can never
-        #: decode it); ``None`` on all but such flights.
-        self.late: Optional[list] = None
-        #: Index in ``Medium._active`` (intrusive membership, O(1) removal).
-        self.active_slot = -1
+                 "reach", "late", "locked", "done", "active_slot")
 
     def copies(self) -> list:
         """Every ``(phy, in_range)`` copy of the frame, late ones last."""
@@ -242,8 +262,14 @@ class Medium:
         self._airtimes: Dict[int, float] = {}
         self._cs_range = self.config.carrier_sense_range_m
         self._rx_range = self.config.transmission_range_m
-        # Free list (see module docstring).
-        self._batch_pool: List[ReceptionBatch] = []
+        #: Every copy of every flight is in reception range: carrier sense
+        #: reaches no farther than reception (the default).
+        self._all_in_range = self._cs_range == self._rx_range
+        #: Registered radios whose MAC does not filter unicast frames
+        #: addressed elsewhere (kept by ``Phy.unicast_filter``).
+        self._unfiltered = 0
+        #: Last instant a radio powered down or up.
+        self._power_changed_at = -math.inf
         #: (width, height) of the periodic area, or ``None`` on the flat
         #: rectangle; every direct distance below applies the minimum-image
         #: convention when set.
@@ -280,6 +306,8 @@ class Medium:
         if phy.node_id in self._phys:
             raise ValueError(f"node {phy.node_id} already registered on this medium")
         self._phys[phy.node_id] = phy
+        if not phy.unicast_filter:
+            self._unfiltered += 1
         self._index.add(phy)
         mobility = getattr(phy.node, "mobility", None)
         subscribe = getattr(mobility, "add_position_listener", None)
@@ -287,6 +315,10 @@ class Medium:
             subscribe(lambda node_id=phy.node_id: self.positions_changed(node_id))
         if phy.enabled:
             self._attach_to_active(phy)
+
+    def unicast_filter_changed(self, filters: bool) -> None:
+        """A registered radio's ``Phy.unicast_filter`` was switched."""
+        self._unfiltered += -1 if filters else 1
 
     @property
     def node_ids(self) -> List[int]:
@@ -391,8 +423,11 @@ class Medium:
         stats = self.stats
         stats.transmissions += 1
         # A node that starts transmitting loses the frame it was receiving.
-        if sender.rx_current is not None:
-            stats.half_duplex_losses += 1
+        current = sender.rx_current
+        if current is not None:
+            if not current.done:
+                stats.half_duplex_losses += 1
+                current.locked -= 1
             sender.rx_current = None
         # No position is sampled here: the window knows when it needs one.
         reach = self._index.transmission_window(
@@ -426,21 +461,30 @@ class Medium:
         radio was locked on, a copy arriving while the radio transmits is
         lost, and any other copy finds the radio idle and locks it.
         """
-        pool = self._batch_pool
-        batch = pool.pop() if pool else ReceptionBatch()
+        now = self.sim.now
+        batch = object.__new__(ReceptionBatch)  # every slot is set below
         batch.sender = sender
         batch.frame = frame
-        batch.start_time = self.sim.now
+        batch.start_time = now
         batch.end_time = end_time
         batch.sender_pos = sender_pos
         batch.reach = reach
+        batch.late = None
+        batch.done = False
         collisions = 0
         half_duplex = 0
+        locked = 0
         for phy, _ in reach:
-            held = phy.rx_held_count
-            if held:
-                if phy.rx_current is not None:
+            busy = phy.rx_busy_until
+            if busy > now or (busy == now and self._holds_ending_flight(phy, now)):
+                # ``current`` is never a finished flight here: a radio left
+                # pointing at one finds its next arrival with nothing else
+                # on the air and re-locks, unless its own transmission or
+                # power-down cleared the pointer first.
+                current = phy.rx_current
+                if current is not None:
                     collisions += 2
+                    current.locked -= 1
                     phy.rx_current = None
                 else:
                     collisions += 1
@@ -450,9 +494,10 @@ class Medium:
                 half_duplex += 1
             else:
                 phy.rx_current = batch
-            phy.rx_held_count = held + 1
-            if end_time > phy.rx_busy_until:
+                locked += 1
+            if end_time > busy:
                 phy.rx_busy_until = end_time
+        batch.locked = locked
         stats = self.stats
         if collisions:
             stats.collisions += collisions
@@ -461,6 +506,18 @@ class Medium:
         batch.active_slot = len(self._active)
         self._active.append(batch)
         return batch
+
+    def _holds_ending_flight(self, phy: "Phy", now: float) -> bool:
+        """Does ``phy``, whose watermark is exactly ``now``, still hold
+        energy?  Only if a flight ending now has not been torn down yet and
+        lists it: a launch at a flight's end instant may run before or
+        after that flight's teardown, and sees its energy only before."""
+        for batch in self._active:
+            if batch.end_time == now:
+                for holder, _ in batch.copies():
+                    if holder is phy:
+                        return True
+        return False
 
     def _finish_batch(self, batch: ReceptionBatch) -> None:
         obs_on = self._obs_on
@@ -473,92 +530,113 @@ class Medium:
             slot = batch.active_slot
             active[slot] = tail
             tail.active_slot = slot
+        batch.done = True
         stats = self.stats
         frame = batch.frame
         sender = batch.sender
         sender_id = sender.node_id
         dst = frame.dst
-        packet = frame.packet
-        packet_type = type(packet)
-        now = self.sim.now
-        # What a receiver's mailbox for this packet type holds per sender.
-        receipt = (packet, now)
-        # Ordinary broadcast traffic (everything but a broadcast MAC ACK,
-        # which no stack sends but tests may craft) runs the receivers' lent
-        # broadcast routes right here, the ``_dispatch`` decision inlined.
         unicast = dst != BROADCAST_ADDRESS
-        routed = not unicast and not packet.is_mac_control
         set_shard = self._set_shard
-        disabled_discards = 0
-        out_of_range = 0
-        half_duplex = 0
-        deliveries = 0
-        # ``rx_current`` is read per copy, at visit time, so a callback that
-        # powers a radio down mid-teardown is seen by the copies still
-        # pending -- exactly like the per-copy oracle's per-record reads.
-        # The copies are ``ReceptionBatch.copies()``, spelled out.
-        late = batch.late
-        for receiver, in_range in batch.reach if late is None else batch.reach + late:
-            receiver.rx_held_count -= 1
-            if receiver.rx_current is not batch:
-                # Not the flight this radio is locked on: undecodable.
-                if receiver.enabled:
-                    if not in_range:
-                        out_of_range += 1
-                else:
-                    disabled_discards += 1
-                continue
-            receiver.rx_current = None
-            if not receiver.enabled:
-                disabled_discards += 1
-                continue
-            if not in_range:
-                out_of_range += 1
-                continue
-            if receiver.transmitting:
-                half_duplex += 1
-                continue
-            deliveries += 1
-            if routed:
-                route = receiver.broadcast_route
-                if route is not None:
+        if (
+            unicast
+            and batch.late is None
+            and self._all_in_range
+            and not self._unfiltered
+            and self._power_changed_at < batch.start_time
+        ):
+            # The counters decide every copy.  No late copy, every copy in
+            # range and no power change since launch: each radio still
+            # locked is a delivery to an enabled radio that is not
+            # transmitting, and no other copy counts anywhere.  Every radio
+            # filters unicast, so only the addressee's copy is read; the
+            # others keep pointing here and read as unlocked (``done``).
+            stats.deliveries += batch.locked
+            receiver = self._phys.get(dst)
+            if receiver is not None and receiver.rx_current is batch:
+                callback = receiver.receive_callback
+                if callback is not None:
                     if set_shard is not None:
-                        # Sharded engine: whatever the upcalls schedule lands
-                        # in the receiving radio's home-shard calendar.
                         set_shard(receiver.shard)
-                    chains, resolve, mac_stats, heard = route
-                    mac_stats.delivered_to_upper += 1
-                    heard[sender_id] = now
-                    chain = chains.get(packet_type)
-                    if chain is None:
-                        chain = resolve(packet_type)
-                    if chain.__class__ is dict:
-                        chain[sender_id] = receipt
+                    callback(frame, sender_id)
+        else:
+            packet = frame.packet
+            packet_type = type(packet)
+            now = self.sim.now
+            # What a receiver's mailbox for this packet type holds per sender.
+            receipt = (packet, now)
+            # Ordinary broadcast traffic (everything but a broadcast MAC
+            # ACK, which no stack sends but tests may craft) runs the
+            # receivers' lent broadcast routes right here, the ``_dispatch``
+            # decision inlined.
+            routed = not unicast and not packet.is_mac_control
+            disabled_discards = 0
+            out_of_range = 0
+            half_duplex = 0
+            deliveries = 0
+            # ``rx_current`` is read per copy, at visit time, so a callback
+            # that powers a radio down mid-teardown is seen by the copies
+            # still pending -- exactly like the per-copy oracle's per-record
+            # reads.  The copies are ``ReceptionBatch.copies()``, spelled out.
+            late = batch.late
+            for receiver, in_range in batch.reach if late is None else batch.reach + late:
+                if receiver.rx_current is not batch:
+                    # Not the flight this radio is locked on: undecodable.
+                    if receiver.enabled:
+                        if not in_range:
+                            out_of_range += 1
                     else:
-                        for upcall in chain:
-                            upcall(packet, sender_id)
+                        disabled_discards += 1
                     continue
-            elif unicast and receiver.unicast_filter and dst != receiver.node_id:
-                # The copy arrived intact (counted above) but the MAC would
-                # discard it unread -- skip the dispatch entirely.
-                continue
-            # Addressed unicast, link-layer control, or no route lent.
-            self._dispatch(receiver, frame, sender_id)
-        if disabled_discards:
-            stats.disabled_discards += disabled_discards
-        if out_of_range:
-            stats.out_of_range_discards += out_of_range
-        if half_duplex:
-            stats.half_duplex_losses += half_duplex
-        stats.deliveries += deliveries
-        # Recycle.  Every radio that was locked on this flight was visited
-        # above, so nothing points at a pooled batch, and the batch gives
-        # its lists back: it pins no radio and no window.
+                receiver.rx_current = None
+                if not receiver.enabled:
+                    disabled_discards += 1
+                    continue
+                if not in_range:
+                    out_of_range += 1
+                    continue
+                if receiver.transmitting:
+                    half_duplex += 1
+                    continue
+                deliveries += 1
+                if routed:
+                    route = receiver.broadcast_route
+                    if route is not None:
+                        if set_shard is not None:
+                            # Sharded engine: whatever the upcalls schedule
+                            # lands in the receiving radio's home-shard
+                            # calendar.
+                            set_shard(receiver.shard)
+                        chains, resolve, mac_stats, heard = route
+                        mac_stats.delivered_to_upper += 1
+                        heard[sender_id] = now
+                        chain = chains.get(packet_type)
+                        if chain is None:
+                            chain = resolve(packet_type)
+                        if chain.__class__ is dict:
+                            chain[sender_id] = receipt
+                        else:
+                            for upcall in chain:
+                                upcall(packet, sender_id)
+                        continue
+                elif unicast and receiver.unicast_filter and dst != receiver.node_id:
+                    # The copy arrived intact (counted above) but the MAC
+                    # would discard it unread -- skip the dispatch entirely.
+                    continue
+                # Addressed unicast, link-layer control, or no route lent.
+                self._dispatch(receiver, frame, sender_id)
+            if disabled_discards:
+                stats.disabled_discards += disabled_discards
+            if out_of_range:
+                stats.out_of_range_discards += out_of_range
+            if half_duplex:
+                stats.half_duplex_losses += half_duplex
+            stats.deliveries += deliveries
+        # The batch gives its lists back: it pins no radio and no window.
         batch.reach = None
         batch.late = None
         batch.sender = None
         batch.frame = None
-        self._batch_pool.append(batch)
         if set_shard is not None:
             set_shard(sender.shard)
         sender.transmission_finished(frame)
@@ -606,13 +684,17 @@ class Medium:
         a collision: a dead radio stops inflating ``deliveries`` and
         ``collisions``.
         """
-        now = self.sim.now
+        now = self._power_changed_at = self.sim.now
         self._index.power_changed()
         if self._export is not None:
             # Tell the other shards: their copies of any frame this radio
             # still had on the air are truncated too.
             self._export.append(("down", now, phy.node_id))
-        phy.rx_current = None
+        current = phy.rx_current
+        if current is not None:
+            if not current.done:
+                current.locked -= 1
+            phy.rx_current = None
         for batch in self._active:
             if batch.sender is phy and batch.end_time > now:
                 self._truncate(batch)
@@ -627,9 +709,11 @@ class Medium:
         for receiver, _ in batch.reach:
             if receiver.rx_current is batch:
                 receiver.rx_current = None
+        batch.locked = 0
 
     def radio_powered_up(self, phy: "Phy") -> None:
         """A radio came (back) up: attach it to every in-flight transmission."""
+        self._power_changed_at = self.sim.now
         self._index.power_changed()
         self._attach_to_active(phy)
 
@@ -667,7 +751,6 @@ class Medium:
             if batch.late is None:
                 batch.late = []
             batch.late.append((phy, distance_sq <= rx_sq))
-            phy.rx_held_count += 1
             if batch.end_time > phy.rx_busy_until:
                 phy.rx_busy_until = batch.end_time
 

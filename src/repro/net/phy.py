@@ -33,9 +33,9 @@ class Phy:
     """A half-duplex radio bound to one node and one medium."""
 
     __slots__ = ("node", "node_id", "medium", "transmitting", "enabled",
-                 "receive_callback", "broadcast_route", "unicast_filter",
-                 "on_transmission_finished", "rx_busy_until",
-                 "rx_held_count", "rx_current", "shard")
+                 "receive_callback", "broadcast_route", "_unicast_filter",
+                 "on_transmission_finished", "rx_busy_until", "rx_current",
+                 "shard")
 
     def __init__(self, node: "Node", medium: Medium):
         self.node = node
@@ -62,10 +62,8 @@ class Phy:
         #: layer *is* that table, withdrawn (``None``) when ``on_receive`` is
         #: reassigned; without it copies take :attr:`receive_callback`.
         self.broadcast_route: Optional[tuple] = None
-        #: When ``True`` (set by the MAC, which discards such frames
-        #: unread), the medium counts -- but never dispatches -- intact
-        #: copies of unicast frames addressed to some other node.
-        self.unicast_filter = False
+        #: See :attr:`unicast_filter`.
+        self._unicast_filter = False
         #: Invoked with the frame whenever a transmission started by this
         #: radio ends.  The MAC keys its state machine off this hook instead
         #: of scheduling a twin "transmission done" event next to the
@@ -75,22 +73,22 @@ class Phy:
         #: be mistaken for the current one.  A radio no MAC drives ignores
         #: the end of its flights.
         self.on_transmission_finished: Callable[[Frame], None] = _ignore_flight_end
-        #: Latest end-of-flight instant over every copy this radio has held
-        #: (maintained by the medium on attach).  Because copies are removed
-        #: exactly at their end time, the channel is sensed busy iff this
-        #: watermark lies in the future -- an O(1) carrier-sense test.  Stale
-        #: (past) values are harmless.
+        #: The reception record, maintained by the medium: one per radio,
+        #: not one per copy, and two fields.  ``rx_busy_until`` is the latest
+        #: end-of-flight instant over every copy this radio has held (set on
+        #: attach): the radio holds energy iff it lies in the future -- the
+        #: O(1) carrier-sense test -- or equals *now* while a flight ending
+        #: now that lists the radio is still on the medium's active list
+        #: (the medium resolves that tie).  Of the copies held, **at most
+        #: one is decodable** -- a copy decodes only if it arrived on a radio
+        #: holding nothing and not transmitting, and the next arrival (or
+        #: this radio starting to transmit, or powering down) kills it.
+        #: ``rx_current`` is that one flight (a ``ReceptionBatch``), else
+        #: ``None``: "this copy is intact" is ``rx_current is batch``, and
+        #: "everything this radio is hearing is now lost" is ``rx_current =
+        #: None``.  A pointer at a flight that has ended (``done``) is no
+        #: lock: a unicast teardown visits only the addressee.
         self.rx_busy_until = -1.0
-        #: The reception record, maintained by the medium: one per
-        #: radio, not one per copy.  ``rx_held_count`` copies are in flight
-        #: at this radio, and **at most one of them is decodable** -- a copy
-        #: decodes only if it arrived on a radio holding nothing and not
-        #: transmitting, and the next arrival (or this radio starting to
-        #: transmit, or powering down) kills it.  ``rx_current`` is that one
-        #: flight (a ``ReceptionBatch``), else ``None``: "this copy is
-        #: intact" is ``rx_current is batch``, and "everything this radio is
-        #: hearing is now lost" is ``rx_current = None``.
-        self.rx_held_count = 0
         self.rx_current = None
         #: Home shard of this radio under a region-sharded engine (see
         #: :mod:`repro.sim.shard`): the shard whose region contained the
@@ -99,6 +97,22 @@ class Phy:
         #: input -- nodes may roam outside their home region freely.
         self.shard = 0
         medium.register(self)
+
+    @property
+    def unicast_filter(self) -> bool:
+        """When ``True`` (set by the MAC, which discards such frames unread),
+        the medium counts -- but never dispatches -- intact copies of unicast
+        frames addressed to some other node.  The medium keeps count of the
+        radios without it: while there are none, a unicast teardown reads
+        the addressee's copy only."""
+        return self._unicast_filter
+
+    @unicast_filter.setter
+    def unicast_filter(self, value: bool) -> None:
+        value = bool(value)
+        if value != self._unicast_filter:
+            self._unicast_filter = value
+            self.medium.unicast_filter_changed(value)
 
     def position(self, at_time: float) -> Tuple[float, float]:
         """Position of the owning node at ``at_time``."""

@@ -435,4 +435,4 @@ class AodvRouter:
         would otherwise collide systematically (hidden-terminal problem).
         """
         jitter = self.rng.uniform(0.0, self.config.broadcast_jitter_s)
-        self.sim.schedule(jitter, self.node.send_frame, packet, BROADCAST_ADDRESS)
+        self.sim.call_in(jitter, self.node.send_frame, (packet, BROADCAST_ADDRESS))

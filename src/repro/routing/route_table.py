@@ -13,21 +13,28 @@ A received HELLO means ``update(X, X, 1, seq, received + lifetime)`` (RFC 3561
 section 6.9), and most such refreshes are overwritten by the neighbour's next
 beacon before anyone looks.  So the table owns a *mailbox* (:attr:`hellos`;
 see :mod:`repro.net.node`) in which the receive path stores the last receipt
-per neighbour, and every public method first **folds** it: applies the
-pending receipts through the unchanged :meth:`update` rule.  Only *when* the
-arithmetic is done changes:
+per neighbour, and the methods below **fold** it -- apply pending receipts
+by the :meth:`update` rule -- as far as what they read requires.  Only
+*when* the arithmetic is done changes:
 
 1. *The last receipt suffices.*  A node's HELLO ``seq`` never decreases and
    receipt times increase, so on any prior entry k receipts leave what the
    k-th alone leaves: the first that overwrites turns the rest into "same
    seq, same next hop: ``expiry = max``", the last; if none overwrites, only
    the expiry can move, again to ``max(old, last)``.
-2. *Nobody sees the gap*: ``_entries`` is touched only by the methods below
-   and each folds first, so a link break after a pending HELLO still sees
-   "refreshed, then broken".
+2. *A receipt is folded when its route is read.*  A receipt from X touches
+   X's entry only, so an operation on destination D (:meth:`entry`,
+   :meth:`lookup`, :meth:`update`, :meth:`refresh`, :meth:`invalidate`)
+   folds D's own receipt first -- a link break after a pending HELLO still
+   sees "refreshed, then broken" -- and leaves every other neighbour's
+   pending.  What reads every entry (iteration, ``len``,
+   :meth:`invalidate_through`, :meth:`destinations`) folds them all.
 3. *Insertion order is kept* (it orders :meth:`invalidate_through`, hence
-   RERR contents): a dict keeps an overwritten key's first position, and the
-   fold runs before the triggering operation's own insert.
+   RERR contents).  Only a receipt whose sender has no entry yet inserts,
+   and a dict keeps an overwritten key's first position; so every operation
+   first folds, in mailbox order, each pending receipt from a sender without
+   an entry, before its own insert.  ``hellos.keys() <= _entries.keys()`` is
+   the test that there is none.
 4. ``received + lifetime`` is the float expression the eager handler computed.
 
 ``tests/routing/test_route_table.py`` holds the eager rule as the oracle.
@@ -75,17 +82,53 @@ class RouteTable:
         #: Lifetime a received HELLO gives the one-hop route to its sender.
         self._hello_lifetime_s = hello_lifetime_s
 
-    def _fold(self) -> None:
-        """Apply the pending HELLO receipts, in mailbox order, and clear them.
+    def _apply(self, receipts) -> None:
+        """Fold ``(sender, (hello, received))`` receipts, in order: each is
+        ``update(sender, sender, 1, hello.seq, received + lifetime)``."""
+        entries = self._entries
+        lifetime = self._hello_lifetime_s
+        for sender, (hello, at) in receipts:
+            seq = hello.seq
+            expiry = at + lifetime
+            current = entries.get(sender)
+            if current is None:
+                entries[sender] = RouteEntry(sender, sender, 1, seq, expiry)
+            elif current.valid and (seq < current.seq or (
+                    seq == current.seq and current.hop_count <= 1)):
+                # Not fresher: at most a confirmation of the same route.
+                if current.next_hop == sender and current.seq == seq:
+                    current.expiry_time = max(current.expiry_time, expiry)
+            else:
+                current.next_hop = sender
+                current.hop_count = 1
+                current.seq = seq
+                current.expiry_time = expiry
+                current.valid = True
 
-        The mailbox is emptied first, so the ``update`` calls below (and
-        anything else that reads the table from here on) find nothing pending.
-        """
+    def _fold(self) -> None:
+        """Fold every pending receipt, in mailbox order; empty the mailbox."""
         receipts = list(self.hellos.items())
         self.hellos.clear()
-        lifetime = self._hello_lifetime_s
-        for neighbor, (hello, at) in receipts:
-            self.update(neighbor, neighbor, 1, hello.seq, at + lifetime)
+        self._apply(receipts)
+
+    def _fold_for(self, destination: NodeId) -> None:
+        """Fold what an operation on ``destination`` may observe (rules 2-3):
+        the receipts of senders without an entry, in mailbox order, then
+        ``destination``'s own."""
+        hellos = self.hellos
+        entries = self._entries
+        if hellos.keys() <= entries.keys():
+            receipt = hellos.pop(destination, None)
+            if receipt is not None:
+                self._apply(((destination, receipt),))
+            return
+        receipts = [item for item in hellos.items() if item[0] not in entries]
+        for sender, _ in receipts:
+            del hellos[sender]
+        receipt = hellos.pop(destination, None)
+        if receipt is not None:
+            receipts.append((destination, receipt))
+        self._apply(receipts)
 
     def __len__(self) -> int:
         if self.hellos:
@@ -100,13 +143,13 @@ class RouteTable:
     def entry(self, destination: NodeId) -> Optional[RouteEntry]:
         """Return the entry for ``destination`` whether or not it is valid."""
         if self.hellos:
-            self._fold()
+            self._fold_for(destination)
         return self._entries.get(destination)
 
     def lookup(self, destination: NodeId, now: float) -> Optional[RouteEntry]:
         """Return a usable route to ``destination`` or ``None``."""
         if self.hellos:
-            self._fold()
+            self._fold_for(destination)
         entry = self._entries.get(destination)
         if entry is not None and entry.is_usable(now):
             return entry
@@ -122,7 +165,7 @@ class RouteTable:
     ) -> bool:
         """Install or refresh a route; returns True when the table changed."""
         if self.hellos:
-            self._fold()
+            self._fold_for(destination)
         current = self._entries.get(destination)
         if current is not None:
             if current.valid:
@@ -149,7 +192,7 @@ class RouteTable:
     def refresh(self, destination: NodeId, expiry_time: float) -> None:
         """Extend the lifetime of an active route that just carried traffic."""
         if self.hellos:
-            self._fold()
+            self._fold_for(destination)
         entry = self._entries.get(destination)
         if entry is not None and entry.valid:
             entry.expiry_time = max(entry.expiry_time, expiry_time)
@@ -157,7 +200,7 @@ class RouteTable:
     def invalidate(self, destination: NodeId) -> Optional[RouteEntry]:
         """Mark the route to ``destination`` as broken; returns the entry."""
         if self.hellos:
-            self._fold()
+            self._fold_for(destination)
         entry = self._entries.get(destination)
         if entry is not None and entry.valid:
             entry.valid = False

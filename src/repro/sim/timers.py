@@ -17,8 +17,8 @@ from repro.sim.engine import Simulator
 class OneShotTimer:
     """A re-armable one-shot timer: at most one pending event.
 
-    Used by :class:`PeriodicTimer` and wherever a deadline is pushed back
-    or withdrawn; arming allocates nothing beyond the calendar entry.
+    For a deadline that is pushed back or withdrawn; arming allocates
+    nothing beyond the calendar entry.
     Re-arming cancels any still-pending shot first.
     """
 
@@ -59,7 +59,8 @@ class PeriodicTimer:
     ``[-jitter, +jitter]``) desynchronises periodic protocol traffic, which is
     how real MANET implementations avoid beacon synchronisation.
 
-    The timer is created stopped; call :meth:`start`.
+    The timer is created stopped; call :meth:`start`.  It keeps the calendar
+    entry of its next tick itself, so a tick re-arms with one ``call_in``.
     """
 
     def __init__(
@@ -84,7 +85,8 @@ class PeriodicTimer:
         self._delay = float(delay)
         self._jitter = float(jitter)
         self._rng = rng
-        self._shot = OneShotTimer(sim)
+        #: Calendar entry of the next tick, or ``None`` while stopped.
+        self._entry: Optional[list] = None
         self._running = False
         self.ticks = 0
 
@@ -103,12 +105,20 @@ class PeriodicTimer:
         if self._running:
             return
         self._running = True
-        self._schedule_next(self._delay + self._next_jitter())
+        delay = self._delay
+        jitter = self._jitter
+        if jitter:
+            # ``rng.uniform(-jitter, jitter)`` spelled out: the same float.
+            delay += -jitter + (jitter - -jitter) * self._rng.random()
+        self._entry = self._sim.call_in(delay if delay > 0.0 else 0.0, self._fire)
 
     def stop(self) -> None:
         """Disarm the timer."""
         self._running = False
-        self._shot.disarm()
+        entry = self._entry
+        if entry is not None:
+            self._sim.cancel(entry)
+            self._entry = None
 
     def restart(self, interval: Optional[float] = None) -> None:
         """Stop and start again, optionally changing the interval."""
@@ -119,18 +129,20 @@ class PeriodicTimer:
             self._interval = float(interval)
         self.start()
 
-    def _next_jitter(self) -> float:
-        if self._jitter == 0:
-            return 0.0
-        return self._rng.uniform(-self._jitter, self._jitter)
-
-    def _schedule_next(self, delay: float) -> None:
-        self._shot.arm(delay if delay > 0.0 else 0.0, self._fire)
-
     def _fire(self) -> None:
         if not self._running:
             return
         self.ticks += 1
         self._callback()
         if self._running:
-            self._schedule_next(self._interval + self._next_jitter())
+            # The next tick, as :meth:`start` arms it, in this frame.
+            delay = self._interval
+            jitter = self._jitter
+            if jitter:
+                delay += -jitter + (jitter - -jitter) * self._rng.random()
+            sim = self._sim
+            entry = self._entry
+            if entry[2] is not None:
+                # The callback restarted the timer: this tick replaces that one.
+                sim.cancel(entry)
+            self._entry = sim.call_in(delay if delay > 0.0 else 0.0, self._fire)

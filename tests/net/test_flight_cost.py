@@ -105,15 +105,16 @@ class TestFrameBudget:
             "send_frame", "send", "__init__", "__init__", "_start_contention",
             "call_in", "_attempt_transmission", "_transmit_batch",
             "transmission_window", "_launch", "call_in", "_finish_batch",
-            # ... but its one decoded copy is the receiver MAC's: it builds
-            # and schedules the ACK, then delivers upward.
-            "_dispatch", "_on_phy_receive", "_send_ack", "__init__", "_next_uid",
+            # ... but its teardown reads the addressee's copy only, and hands
+            # it straight to the receiver MAC: it builds and schedules the
+            # ACK, then delivers upward.
+            "_on_phy_receive", "_send_ack", "__init__", "_next_uid",
             "__post_init__", "call_in", "deliver",
             # The sender waits for the ACK.
             "transmission_finished", "_frame_done", "call_in",
             # The ACK's flight; its copy completes the sender's frame.
             "_transmit_ack", "__init__", "_transmit_batch", "transmission_window",
-            "_launch", "call_in", "_finish_batch", "_dispatch", "_on_phy_receive",
+            "_launch", "call_in", "_finish_batch", "_on_phy_receive",
             "_handle_ack", "cancel", "_frame_done",
             # The receiver's end of flight: not its current frame.
             "transmission_finished", "_frame_done",

@@ -195,8 +195,9 @@ class TestApplyForeignRecords:
         medium_b.apply_foreign_records([tx_record, down_record])
         assert medium_b.foreign_stats["attached"] == 1
         assert medium_b.foreign_stats["sender_downs"] == 1
-        assert phys_b[1].rx_held_count == 1
-        assert phys_b[1].rx_current is None
+        # Still on the air, so still energy at the radio; but no lock.
+        assert phys_b[1].carrier_busy()
+        assert phys_b[1].rx_current is None and medium_b._active[0].locked == 0
         sim_b.run()
         assert received_b[1] == []
         assert medium_b.stats.deliveries == 0

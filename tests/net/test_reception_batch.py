@@ -5,8 +5,8 @@ sender's frozen interference list from the spatial index and each radio
 records the one flight it can still decode (``Phy.rx_current``;
 see ``repro.net.medium``).  These tests pin the awkward corners of that
 representation -- radios detaching from or attaching to *live* batches, a
-transmitter crashing under its own batch, pooled batches coming back, and
-record consistency across those events -- and prove the per-copy oracle
+transmitter crashing under its own batch, lock pointers outliving their
+flight, and record consistency across those events -- and prove the per-copy oracle
 (``"object"``: ``PerCopyMedium`` in ``tests/net/reference_medium.py``) agrees
 on all of them.
 Whole-scenario bit-identity (including failure injection) is pinned
@@ -157,7 +157,8 @@ class TestMidFlightPowerDown:
         phys[1].power_down()
         duration = phys[0].transmit(_frame(0, -1))
         sim.run(until=sim.now + duration / 2)
-        assert medium.receptions_for(1) == [] and phys[1].rx_held_count == 0
+        # The dark radio holds nothing: its watermark is the last flight's.
+        assert medium.receptions_for(1) == [] and phys[1].rx_busy_until < sim.now
         sim.run()
         phys[1].power_up()
         phys[0].transmit(_frame(0, -1))
@@ -258,18 +259,19 @@ class TestMidFlightAttach:
         # power cycle must not attach a second one and double the discard
         # accounting.
         assert observed["copies"] == [(0, duration, True, True)]
-        assert phys[1].rx_held_count == 0
+        assert medium.receptions_for(1) == []
         assert received[1] == []
         assert medium.stats.deliveries == 0
         assert medium.stats.disabled_discards + medium.stats.out_of_range_discards == 0
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
-class TestPooledFlights:
-    def test_corrupted_radio_does_not_decode_the_next_user_of_a_pooled_batch(self, kernel):
+class TestFinishedFlights:
+    def test_a_finished_flight_reads_done_and_decodes_nowhere_after(self, kernel):
         # Radio 3 locks on flight A, flight B (longer) collides with it, A
-        # ends and its record goes back to the pool; flight C takes that very
-        # record while 3 still holds B.  Nothing stale may make C decodable.
+        # ends; flight C starts while 3 still holds B.  A finished flight is
+        # never reused: it reads ``done`` and has let go of its lists, and
+        # nothing of it may make C decodable.
         sim, medium, phys, received = _network([(0, 0), (10, 0), (20, 0), (30, 20)], kernel)
         flights = {}
 
@@ -280,10 +282,11 @@ class TestPooledFlights:
         start(0, 100)
         sim.call_in(1e-5, start, (1, 1500))
         sim.run(until=flights[0].end_time)
-        pooled = kernel == "batch"  # the oracle pools nothing
-        assert not pooled or flights[0].sender is None  # A is over and pooled
+        if kernel == "batch":  # the oracle's flights carry no such flags
+            assert flights[0].done and flights[0].reach is None
+            assert not flights[1].done
         start(2, 100)
-        assert not pooled or flights[2] is flights[0]   # ...and C reuses its record
+        assert flights[2] is not flights[0]
         assert medium.receptions_for(3) != []
         sim.run()
         assert received[3] == []
@@ -293,12 +296,60 @@ class TestPooledFlights:
         sim, medium, phys, received = _run_failure_script(kernel)
         assert medium._active == []
         for phy in phys:
-            assert phy.rx_held_count == 0 and phy.rx_current is None
+            assert phy.rx_current is None and not phy.carrier_busy()
             assert medium.receptions_for(phy.node_id) == []
-        assert len(medium._batch_pool) == (2 if kernel == "batch" else 0)
-        for batch in medium._batch_pool:
-            assert batch.reach is None and batch.late is None
-            assert batch.sender is None and batch.frame is None
+
+
+class TestUnicastTeardown:
+    """A unicast flight on a quiet channel is decided by its counters: the
+    teardown reads the addressee's copy and leaves every other radio
+    unvisited, still pointing at the finished flight -- which reads as no
+    lock from then on."""
+
+    def _quiet_unicast(self):
+        sim, medium, phys, received = _network([(0, 0), (40, 0), (0, 40), (40, 40)], "batch")
+        for phy in phys:
+            phy.unicast_filter = True  # as every MAC sets it
+        phys[0].transmit(_frame(0, 1))
+        (flight,) = medium._active
+        assert flight.locked == 3
+        sim.run()
+        return sim, medium, phys, received, flight
+
+    def test_non_addressees_are_left_unvisited(self):
+        sim, medium, phys, received, flight = self._quiet_unicast()
+        assert flight.done and flight.reach is None
+        assert [len(received[nid]) for nid in (1, 2, 3)] == [1, 0, 0]
+        assert medium.stats.deliveries == 3
+        # Radios 2 and 3 were never visited: their pointers were not reset.
+        assert phys[2].rx_current is flight and phys[3].rx_current is flight
+
+    def test_a_pointer_at_a_finished_flight_reads_as_unlocked(self):
+        sim, medium, phys, received, flight = self._quiet_unicast()
+        assert medium.receptions_for(2) == [] and not phys[2].carrier_busy()
+        # Radio 2 starting to transmit loses nothing, and its next arrival
+        # finds radio 3 idle: a clean delivery, no collision.
+        phys[2].transmit(_frame(2, -1))
+        sim.run()
+        assert medium.stats.half_duplex_losses == 0
+        assert medium.stats.collisions == 0
+        assert [sender for _, sender in received[3]] == [2]
+        # Powering a radio down over a finished flight's pointer unlocks
+        # nothing that is live.
+        phys[3].power_down()
+        assert phys[3].rx_current is None and flight.locked == 3
+
+    def test_a_collision_is_counted_off_the_flights_locks(self):
+        sim, medium, phys, received = _network([(0, 0), (40, 0), (80, 0)], "batch")
+        for phy in phys:
+            phy.unicast_filter = True
+        duration = phys[0].transmit(_frame(0, 1))
+        (flight,) = medium._active
+        sim.call_in(duration / 2, phys[2].transmit, (_frame(2, -1),))
+        sim.run()
+        # Radio 1 lost its lock to radio 2's flight; radio 2 to its own start.
+        assert flight.locked == 0
+        assert received[1] == [] and medium.stats.deliveries == 0
 
 
 @pytest.mark.parametrize("kernel", ["batch", "naive"])

@@ -10,9 +10,18 @@ set or classified a distance differently, so everything is compared for
 exact equality, not approximate.
 """
 
+import random
+from dataclasses import asdict
+
 import pytest
 
 from repro.campaign.executor import execute_trial
+from repro.mobility.static import StaticMobility
+from repro.net.config import RadioConfig
+from repro.net.medium import Medium
+from repro.net.packet import Frame, Packet
+from repro.net.phy import Phy
+from repro.sim.engine import Simulator
 from repro.campaign.trials import TrialSpec
 from repro.workload.scenario import Scenario, ScenarioConfig
 from tests.net.reference_medium import MEDIA, PerCopyMedium, scenario_medium
@@ -160,3 +169,93 @@ def test_object_kernel_never_holds_two_decodable_copies(protocol):
     result = scenario.run()
     assert result.protocol_stats["medium.collisions"] > 0
     assert decodable_seen == {0, 1}
+
+
+# --------------------------------------------------------------------------
+# Exact ties: a launch at the very instant a flight ends
+# --------------------------------------------------------------------------
+
+#: 1/16 s per 64 bytes and no preamble: every airtime and every grid time
+#: below is a small dyadic fraction, so a flight's computed end lands
+#: *exactly* on the grid and launches there tie with it.
+_TIE_RADIO = RadioConfig(bitrate_bps=8 * 1024.0, preamble_s=0.0, transmission_range_m=100.0)
+_TIE_STEP = 1.0 / 16.0
+_TIE_SIZES = (64 - 34, 128 - 34, 256 - 34)  # payload bytes; the header is 34
+
+
+class _Still:
+    def __init__(self, node_id, x, y):
+        self.node_id = node_id
+        self.mobility = StaticMobility(x, y)
+        self.position = self.mobility.position
+
+
+def _run_tie_script(kind, seed, cs_range_m):
+    """Launches, power cycles and unicasts on a 1/16 s grid.  Events
+    scheduled up front run *before* the teardowns at their instant (lower
+    sequence numbers); the ones a helper schedules 1/32 s ahead run
+    *after* them.  Returns the statistics and every delivery, in order."""
+    rng = random.Random(seed)
+    sim = Simulator()
+    radio = RadioConfig(**{**asdict(_TIE_RADIO), "carrier_sense_range_m": cs_range_m})
+    medium = MEDIA[kind](sim, radio)
+    positions = [(0, 0), (40, 0), (80, 0), (40, 40), (120, 40), (160, 0)]
+    log = []
+    phys = []
+    for node_id, (x, y) in enumerate(positions):
+        phy = Phy(_Still(node_id, x, y), medium)
+        phy.set_receive_callback(
+            lambda frame, sender, nid=node_id: log.append(
+                (sim.now, nid, sender, frame.packet.ttl)
+            )
+        )
+        phy.unicast_filter = True  # as every MAC sets it
+        phys.append(phy)
+
+    def launch(sender, dst, size, label):
+        phy = phys[sender]
+        if phy.enabled and not phy.transmitting:
+            packet = Packet(origin=sender, destination=dst, size_bytes=size, ttl=label)
+            phy.transmit(Frame(src=sender, dst=dst, packet=packet))
+
+    def toggle(node_id):
+        phy = phys[node_id]
+        phy.power_up() if not phy.enabled else phy.power_down()
+
+    for label in range(60):
+        at = rng.randrange(1, 48) * _TIE_STEP
+        if rng.random() < 0.08:
+            call, args = toggle, (rng.randrange(len(phys)),)
+        else:
+            sender = rng.randrange(len(phys))
+            dst = rng.choice([-1, rng.randrange(len(phys))])
+            call, args = launch, (sender, dst, rng.choice(_TIE_SIZES), label)
+        if rng.random() < 0.5:
+            sim.call_at(at, call, args)  # before the teardowns at ``at``
+        else:  # after them
+            sim.call_at(at - _TIE_STEP / 2, sim.call_at, (at, call, args))
+    sim.run()
+    return asdict(medium.stats), log
+
+
+@pytest.mark.parametrize("cs_range_m", [None, 130.0])
+@pytest.mark.parametrize("seed", range(6))
+def test_launches_at_flight_end_instants_match_the_per_copy_oracle(seed, cs_range_m):
+    ties = []
+    holds = Medium._holds_ending_flight
+
+    def counted(self, phy, now):
+        held = holds(self, phy, now)
+        ties.append(held)
+        return held
+
+    Medium._holds_ending_flight = counted
+    try:
+        batch = _run_tie_script("batch", seed, cs_range_m)
+    finally:
+        Medium._holds_ending_flight = holds
+    assert batch == _run_tie_script("object", seed, cs_range_m)
+    assert batch[0]["collisions"] > 0 and batch[0]["deliveries"] > 0
+    # Both sides of the tie were taken: launches before a teardown at the
+    # same instant see its energy, launches after it do not.
+    assert True in ties and False in ties

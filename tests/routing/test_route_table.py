@@ -167,6 +167,20 @@ class TestHelloMailbox:
         ]
 
 
+    def test_a_known_neighbours_receipt_waits_for_a_read_of_its_route(self):
+        table = RouteTable(hello_lifetime_s=HELLO_LIFETIME_S)
+        table.hellos[4] = (_hello(4, 1), 0.5)
+        table.update(destination=9, next_hop=4, hop_count=2, seq=1, expiry_time=10.0)
+        table.hellos[4] = (_hello(4, 2), 1.0)
+        table.hellos[5] = (_hello(5, 1), 1.5)
+        # 5 is new: folded before the read; 4 has an entry: still pending.
+        assert table.lookup(9, 2.0).next_hop == 4
+        assert list(table.hellos) == [4]
+        assert _fields(table.entry(4)) == (4, 4, 1, 2, 1.0 + HELLO_LIFETIME_S, True)
+        assert table.hellos == {}
+        assert [entry.destination for entry in table] == [4, 9, 5]
+
+
 class CoalescingAgainstEager(RuleBasedStateMachine):
     """The coalescing table against an **eager oracle** -- a second table on
     which the test calls ``update`` per HELLO receipt, as ``_on_hello`` did --
@@ -174,7 +188,9 @@ class CoalescingAgainstEager(RuleBasedStateMachine):
 
     After every step the two hold equal entries **in iteration order**.  The
     comparison reads a deep copy, so the receipts pending on the table under
-    test stay pending across steps.
+    test stay pending across steps.  After an operation on one destination
+    D, no receipt is pending for D or for a sender without an entry; after
+    one that reads every entry, none is pending at all.
     """
 
     nodes = st.integers(min_value=0, max_value=5)
@@ -185,12 +201,24 @@ class CoalescingAgainstEager(RuleBasedStateMachine):
         self.eager = RouteTable()
         self.now = 0.0
         self.hello_seq = {}
+        #: Next never-seen node id (above ``nodes``) for a new neighbour.
+        self.fresh = 100
 
-    def _both(self, operation):
-        """Run one operation on both tables; the results must agree."""
+    def _both(self, operation, destination=None):
+        """Run one operation on both tables (on ``destination``, or on every
+        entry when ``None``); the results must agree."""
         got, expected = operation(self.lazy), operation(self.eager)
         assert got == expected
-        assert not self.lazy.hellos  # drained before the read or write
+        pending = self.lazy.hellos
+        if destination is None:
+            assert not pending  # drained before the read or write
+        else:
+            assert destination not in pending
+            assert pending.keys() <= self.lazy._entries.keys()
+
+    def _receive(self, sender, seq):
+        self.lazy.hellos[sender] = (_hello(sender, seq), self.now)
+        self.eager.update(sender, sender, 1, seq, self.now + HELLO_LIFETIME_S)
 
     @rule(sender=nodes, bump=st.sampled_from((0, 0, 0, 1, 2)),
           dt=st.floats(min_value=0.001, max_value=1.5))
@@ -198,23 +226,41 @@ class CoalescingAgainstEager(RuleBasedStateMachine):
         # Per sender the HELLO ``seq`` never decreases; time only advances.
         self.now += dt
         seq = self.hello_seq[sender] = self.hello_seq.get(sender, 3) + bump
-        self.lazy.hellos[sender] = (_hello(sender, seq), self.now)
-        self.eager.update(sender, sender, 1, seq, self.now + HELLO_LIFETIME_S)
+        self._receive(sender, seq)
+
+    @rule(inserts=st.lists(st.tuples(st.booleans(), st.integers(1, 3)),
+                           min_size=1, max_size=4),
+          dt=st.floats(min_value=0.001, max_value=1.5))
+    def new_neighbours_between_inserts(self, inserts, dt):
+        # Receipts from never-seen neighbours interleaved with inserts of
+        # never-seen destinations: their relative order is the table's.
+        self.now += dt
+        for heard_first, hop_count in inserts:
+            if heard_first:
+                self._receive(self.fresh, 1)
+                self.fresh += 1
+            destination = self.fresh
+            self.fresh += 1
+            self._both(
+                lambda t: t.update(destination, 0, hop_count, 1, self.now + 3.0),
+                destination,
+            )
 
     @rule(destination=nodes, next_hop=nodes, hop_count=st.integers(1, 3),
           seq=st.integers(0, 8), lifetime=st.floats(min_value=0.0, max_value=5.0))
     def update(self, destination, next_hop, hop_count, seq, lifetime):
         expiry = self.now + lifetime
-        self._both(lambda t: t.update(destination, next_hop, hop_count, seq, expiry))
+        self._both(lambda t: t.update(destination, next_hop, hop_count, seq, expiry),
+                   destination)
 
     @rule(destination=nodes, lifetime=st.floats(min_value=0.0, max_value=5.0))
     def refresh(self, destination, lifetime):
         expiry = self.now + lifetime
-        self._both(lambda t: t.refresh(destination, expiry))
+        self._both(lambda t: t.refresh(destination, expiry), destination)
 
     @rule(destination=nodes)
     def invalidate(self, destination):
-        self._both(lambda t: _fields(t.invalidate(destination)))
+        self._both(lambda t: _fields(t.invalidate(destination)), destination)
 
     @rule(next_hop=nodes)
     def invalidate_through(self, next_hop):
@@ -222,11 +268,11 @@ class CoalescingAgainstEager(RuleBasedStateMachine):
 
     @rule(destination=nodes)
     def lookup(self, destination):
-        self._both(lambda t: _fields(t.lookup(destination, self.now)))
+        self._both(lambda t: _fields(t.lookup(destination, self.now)), destination)
 
     @rule(destination=nodes)
     def entry(self, destination):
-        self._both(lambda t: _fields(t.entry(destination)))
+        self._both(lambda t: _fields(t.entry(destination)), destination)
 
     @rule()
     def iterate(self):

@@ -87,6 +87,36 @@ class TestPeriodicTimer:
         assert all(0.6 <= interval <= 1.4 for interval in intervals)
         assert len(set(round(i, 6) for i in intervals)) > 1
 
+    def test_jittered_ticks_are_rng_uniform_draw_for_draw(self):
+        sim = Simulator()
+        ticks = []
+        timer = PeriodicTimer(sim, 1.0, lambda: ticks.append(sim.now), delay=0.3,
+                              jitter=0.2, rng=random.Random(7))
+        timer.start()
+        sim.run(until=20.0)
+        rng = random.Random(7)
+        expected = [0.0 + (0.3 + rng.uniform(-0.2, 0.2))]
+        while len(expected) < len(ticks):
+            expected.append(expected[-1] + (1.0 + rng.uniform(-0.2, 0.2)))
+        assert ticks == expected and len(ticks) > 15
+
+    def test_restart_inside_the_callback_leaves_one_pending_tick(self):
+        # The restart arms a tick (after ``delay``); the callback's own
+        # re-arm, one ``interval`` on, cancels and replaces it.
+        sim = Simulator()
+        ticks = []
+
+        def tick():
+            ticks.append(sim.now)
+            if len(ticks) == 2:
+                timer.restart()
+
+        timer = PeriodicTimer(sim, 1.0, tick, delay=0.25)
+        timer.start()
+        sim.run(until=4.5)
+        assert ticks == [0.25, 1.25, 2.25, 3.25, 4.25]
+        assert sim.pending_events == 1
+
     def test_invalid_interval_rejected(self):
         sim = Simulator()
         with pytest.raises(ValueError):
