@@ -84,7 +84,7 @@ def main() -> None:
                 radius_m=r,
                 min_outage_s=4.0,
                 max_outage_s=10.0,
-                protected=[scenario.source_id],
+                protected=[scenario.sources_by_group[0][0]],
             ),
         )
     rows["independent (random)"] = _run(
@@ -96,7 +96,7 @@ def main() -> None:
             mean_time_to_failure_s=60.0,
             min_outage_s=4.0,
             max_outage_s=10.0,
-            protected=[scenario.source_id],
+            protected=[scenario.sources_by_group[0][0]],
         ),
     )
 

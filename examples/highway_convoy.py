@@ -88,7 +88,7 @@ def main() -> None:
         gossip[index].add_recovery_listener(
             lambda data, i=index: received[i].add(data.seq)
         )
-        sim.schedule_at(0.5 + 0.5 * index, maodv[index].join_group, GROUP)
+        sim.call_at(0.5 + 0.5 * index, maodv[index].join_group, (GROUP,))
 
     warnings_sent = []
 
@@ -96,9 +96,9 @@ def main() -> None:
         data = maodv[0].send_data(GROUP, 64)
         warnings_sent.append(data.seq)
         if sim.now + 2.0 <= 100.0:
-            sim.schedule(2.0, send_warning)
+            sim.call_in(2.0, send_warning)
 
-    sim.schedule_at(10.0, send_warning)
+    sim.call_at(10.0, send_warning)
 
     for node in nodes:
         node.start()

@@ -39,7 +39,7 @@ class ScriptedChurn(ChurnModel):
     def start(self, controller: "MembershipController") -> None:
         for time_s, group_index, node_id, kind in self.script:
             apply = controller.join if kind == "join" else controller.leave
-            controller.sim.schedule_at(float(time_s), apply, int(group_index), int(node_id))
+            controller.sim.call_at(time_s, apply, (int(group_index), int(node_id)))
 
 
 class PoissonChurn(ChurnModel):
@@ -66,7 +66,7 @@ class PoissonChurn(ChurnModel):
         at = max(not_before, controller.sim.now) + self.rng.expovariate(self.rate_per_s)
         if at >= controller.window[1]:
             return
-        controller.sim.schedule_at(at, self._event, controller, group_index)
+        controller.sim.call_at(at, self._event, (controller, group_index))
 
     def _event(self, controller: "MembershipController", group_index: int) -> None:
         if self.rng.random() < 0.5:
@@ -121,7 +121,7 @@ class OnOffChurn(ChurnModel):
 
     def start(self, controller: "MembershipController") -> None:
         start, _ = controller.window
-        controller.sim.schedule_at(start, self._arm, controller)
+        controller.sim.call_at(start, self._arm, (controller,))
 
     def _arm(self, controller: "MembershipController") -> None:
         now = controller.sim.now
@@ -150,7 +150,7 @@ class OnOffChurn(ChurnModel):
         at = max(not_before, controller.sim.now) + self.rng.expovariate(1.0 / mean)
         if at >= controller.window[1]:
             return
-        controller.sim.schedule_at(at, self._device_toggle, controller, node_id)
+        controller.sim.call_at(at, self._device_toggle, (controller, node_id))
 
     def _device_toggle(self, controller: "MembershipController", node_id: int) -> None:
         directory = controller.directory
@@ -187,7 +187,7 @@ class OnOffChurn(ChurnModel):
         at = max(not_before, controller.sim.now) + self.rng.expovariate(1.0 / mean)
         if at >= controller.window[1]:
             return
-        controller.sim.schedule_at(at, self._toggle, controller, group_index, node_id)
+        controller.sim.call_at(at, self._toggle, (controller, group_index, node_id))
 
     def _toggle(self, controller: "MembershipController", group_index: int, node_id: int) -> None:
         # Re-read the *actual* state at toggle time: a rejected proposal (or a
@@ -214,7 +214,7 @@ class FlashCrowdChurn(ChurnModel):
         self.flash_stay_s = config.flash_stay_s
 
     def start(self, controller: "MembershipController") -> None:
-        controller.sim.schedule_at(self.flash_at_s, self._flash, controller)
+        controller.sim.call_at(self.flash_at_s, self._flash, (controller,))
 
     def _flash(self, controller: "MembershipController") -> None:
         for group_index in range(controller.group_count):
@@ -227,7 +227,7 @@ class FlashCrowdChurn(ChurnModel):
             for node_id in joiners:
                 if controller.join(group_index, node_id) and self.flash_stay_s is not None:
                     stay = self.rng.expovariate(1.0 / self.flash_stay_s)
-                    controller.sim.schedule(stay, controller.leave, group_index, node_id)
+                    controller.sim.call_in(stay, controller.leave, (group_index, node_id))
 
 
 def build_churn_model(config: ChurnConfig, rng) -> ChurnModel:

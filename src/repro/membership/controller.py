@@ -133,7 +133,7 @@ class MembershipController:
     # ----------------------------------------------------------------- events
     def schedule_initial_join(self, group_index: int, node_id: int, at: float) -> None:
         """Schedule a startup join at ``at`` (mirrors the static join path)."""
-        self.sim.schedule_at(at, self._apply_join, group_index, node_id, True)
+        self.sim.call_at(at, self._apply_join, (group_index, node_id, True))
 
     def join(self, group_index: int, node_id: int) -> bool:
         """Apply a mid-run join; returns False when rejected or a no-op."""

@@ -202,13 +202,6 @@ class DeliveryCollector:
             return record.count
         return sum(map(record.has, self.expected_for(record.member)))
 
-    def counts(self) -> Dict[int, int]:
-        """Mapping member -> number of packets received (interval-aware)."""
-        return {
-            member: self._count_of(record)
-            for member, record in sorted(self._members.items())
-        }
-
     def summary(self) -> DeliverySummary:
         """Aggregate statistics over all registered members.
 

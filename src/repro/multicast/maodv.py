@@ -339,7 +339,7 @@ class MaodvRouter:
         self._seen_join_requests.mark(request.flood_key, self.sim.now)
         self.node.send_frame(request, BROADCAST_ADDRESS)
         wait = self.config.repair_wait_s if pending.repair else self.config.reply_wait_s
-        self.sim.schedule(wait, self._join_wait_expired, pending.group, pending.rreq_id)
+        self.sim.call_in(wait, self._join_wait_expired, (pending.group, pending.rreq_id))
 
     def _on_join_request(self, request: JoinRequest, from_node: NodeId) -> None:
         if request.origin == self.node_id:
@@ -524,9 +524,9 @@ class MaodvRouter:
         # tree router resumes leading rather than leaving the group
         # leaderless.  (A leaver that pruned itself off the tree cannot
         # fall back; that residual window matches a leader crash.)
-        self.sim.schedule(
+        self.sim.call_in(
             self.config.handoff_fallback_s,
-            self._handoff_fallback, group, entry.group_seq,
+            self._handoff_fallback, (group, entry.group_seq),
         )
 
     def _handoff_fallback(self, group: GroupAddress, handoff_seq: int) -> None:
@@ -581,10 +581,10 @@ class MaodvRouter:
                     best = bid
                     # Our bid leads so far: check back after the flood (and
                     # any better bid's echo) has had time to sweep the tree.
-                    self.sim.schedule(
+                    self.sim.call_in(
                         self.config.handoff_wait_s,
                         self._attempt_takeover,
-                        handoff.group, key, handoff.group_seq,
+                        (handoff.group, key, handoff.group_seq),
                     )
         if best is not None:
             self._handoff_best[key] = best

@@ -131,7 +131,6 @@ class CsmaMac:
         self._obs_on = obs.enabled
         self._c_defers = obs.counter("mac.csma.defers")
         self._c_backoffs = obs.counter("mac.csma.backoffs")
-        self._c_retries = obs.counter("mac.csma.retries")
         # Per-frame hot-path copies of the (immutable) config scalars.
         self._difs_s = config.difs_s
         self._slottime_s = config.slot_time_s
@@ -314,8 +313,6 @@ class CsmaMac:
         current.retries += 1
         current.cw = min(current.cw * 2, self.config.cw_max)
         self.stats.retransmissions += 1
-        if self._obs_on:
-            self._c_retries.inc()
         self._start_contention()
 
     # ------------------------------------------------------------ receive path

@@ -3,9 +3,9 @@
 This package replaces the GloMoSim/PARSEC substrate used by the paper with a
 pure-Python, sequential, deterministic discrete-event engine:
 
-* :class:`repro.sim.engine.Simulator` -- the event calendar and clock.
-* :class:`repro.sim.engine.EventHandle` -- cancellable handle returned by
-  ``schedule``.
+* :class:`repro.sim.engine.Simulator` -- the event calendar and clock;
+  ``call_in`` / ``call_at`` file an event and return its entry, which
+  ``cancel`` takes back.
 * :class:`repro.sim.timers.PeriodicTimer` -- repeating timers (hello beacons,
   gossip rounds, group hellos, ...).
 * :class:`repro.sim.timers.OneShotTimer` -- a re-armable one-shot timer
@@ -18,12 +18,11 @@ behaviour depends only on event order and timestamps, which are identical, so
 this substitution does not change any result shape (see DESIGN.md).
 """
 
-from repro.sim.engine import EventHandle, Simulator, SimulationError
+from repro.sim.engine import Simulator, SimulationError
 from repro.sim.random import RandomStreams
 from repro.sim.timers import OneShotTimer, PeriodicTimer
 
 __all__ = [
-    "EventHandle",
     "OneShotTimer",
     "PeriodicTimer",
     "RandomStreams",

@@ -14,33 +14,27 @@ self-contained ``[time, seq, callback, args]`` lists.  ``seq`` is globally
 unique, so list comparison is decided by the first two fields in C and never
 reaches the callback.
 
+:meth:`Simulator.call_in` / :meth:`Simulator.call_at` are the whole
+scheduling API: they file ``callback(*args)`` and return its entry as an
+opaque token for :meth:`Simulator.cancel`.  Fire-and-forget callers ignore
+the token; whoever may need to take the event back keeps it.
+
 An entry is *live* iff ``entry[2] is not None``.  The run loop clears the
 callback field before it makes the call, so an entry reads as fired inside
 its own callback, and cancellation is O(1) and lazy: :meth:`Simulator.cancel`
-clears the same field (and marks ``entry[3]`` so a handle can tell cancelled
-from fired), and the entry stays in the heap as a *tombstone* that is
-discarded when it surfaces.  A tombstone counter triggers a periodic in-place
-compaction so a cancel-heavy workload cannot grow the heap unboundedly.
-That in-place marking is why an entry is a list and not a tuple: whoever
-kept the entry -- a timer, the MAC, an :class:`EventHandle` -- holds the very
-object the heap holds, entries are never reused, and so a stale cancel of a
-fired event is a no-op by construction rather than by bookkeeping.
-
-:meth:`Simulator.call_in` / :meth:`Simulator.call_at` are the raw hot-path
-API: they return the entry as an opaque token for :meth:`Simulator.cancel`
-and allocate nothing else.  :class:`EventHandle` is a thin view over one
-entry, created only by :meth:`Simulator.schedule` /
-:meth:`Simulator.schedule_at`.
+clears the same field and the entry stays in the heap as a *tombstone* that
+is discarded when it surfaces.  A tombstone counter triggers a periodic
+in-place compaction so a cancel-heavy workload cannot grow the heap
+unboundedly.  That in-place clearing is why an entry is a list and not a
+tuple: whoever kept the entry -- a timer, the MAC -- holds the very object
+the heap holds, entries are never reused, and so a stale cancel of a fired
+or cancelled event is a no-op by construction rather than by bookkeeping.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional
-
-#: ``entry[3]`` of a cancelled entry (a live or fired one holds its args
-#: tuple there): how an :class:`EventHandle` tells cancelled from fired.
-_CANCELLED = object()
+from typing import Callable, List, Optional
 
 #: Compaction policy: rebuild the heap in place once tombstones outnumber
 #: live entries and there are enough of them for the rebuild to pay off.
@@ -51,60 +45,6 @@ class SimulationError(RuntimeError):
     """Raised for invalid uses of the simulation engine."""
 
 
-class EventHandle:
-    """A handle to a scheduled event.
-
-    The handle can be used to :meth:`cancel` the event before it fires and to
-    query whether it is still :attr:`pending`.  It is a view over the event's
-    calendar entry and is only created by the public ``schedule`` /
-    ``schedule_at`` API, so hot paths that never look at a handle pay
-    nothing for it.
-    """
-
-    __slots__ = ("_sim", "_entry")
-
-    def __init__(self, sim: "Simulator", entry: list):
-        self._sim = sim
-        self._entry = entry
-
-    def cancel(self) -> None:
-        """Cancel the event.  Cancelling an already fired event is a no-op."""
-        self._sim.cancel(self._entry)
-
-    @property
-    def time(self) -> float:
-        """Simulation time the event is (or was) due at."""
-        return self._entry[0]
-
-    @property
-    def seq(self) -> int:
-        """The event's sequence number (its same-instant tie-break)."""
-        return self._entry[1]
-
-    @property
-    def cancelled(self) -> bool:
-        """True when the event was cancelled before firing."""
-        return self._entry[3] is _CANCELLED
-
-    @property
-    def fired(self) -> bool:
-        """True once the callback has run (or is running)."""
-        entry = self._entry
-        return entry[2] is None and entry[3] is not _CANCELLED
-
-    @property
-    def pending(self) -> bool:
-        """True when the event is still waiting to fire."""
-        return self._entry[2] is not None
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        return self._entry[:2] < other._entry[:2]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        state = "pending" if self.pending else "fired" if self.fired else "cancelled"
-        return f"EventHandle(t={self.time:.6f}, seq={self.seq}, {state})"
-
-
 class Simulator:
     """A sequential discrete-event simulator.
 
@@ -112,8 +52,8 @@ class Simulator:
     -------
     >>> sim = Simulator()
     >>> fired = []
-    >>> _ = sim.schedule(1.5, fired.append, "a")
-    >>> _ = sim.schedule(0.5, fired.append, "b")
+    >>> _ = sim.call_in(1.5, fired.append, ("a",))
+    >>> _ = sim.call_in(0.5, fired.append, ("b",))
     >>> sim.run()
     >>> fired
     ['b', 'a']
@@ -171,20 +111,8 @@ class Simulator:
         return self._tombstones
 
     # -------------------------------------------------------------- schedule
-    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> EventHandle:
-        """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
-        if not delay >= 0:  # spelled so that NaN is rejected too
-            raise SimulationError(f"cannot schedule an event in the past (delay={delay})")
-        return self.schedule_at(self.now + delay, callback, *args)
-
-    def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> EventHandle:
-        """Schedule ``callback(*args)`` to run at absolute simulation ``time``."""
-        if not callable(callback):
-            raise SimulationError(f"callback {callback!r} is not callable")
-        return EventHandle(self, self.call_at(time, callback, args))
-
     def call_in(self, delay: float, callback: Callable[..., None], args: tuple = ()) -> list:
-        """Raw hot-path scheduling: no handle, no ``*args`` repacking.
+        """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
 
         Returns the calendar entry as an opaque token: fire-and-forget
         callers ignore it, and whoever may need to take the event back keeps
@@ -199,7 +127,7 @@ class Simulator:
         return entry
 
     def call_at(self, time: float, callback: Callable[..., None], args: tuple = ()) -> list:
-        """Absolute-time variant of :meth:`call_in`."""
+        """Schedule ``callback(*args)`` to run at absolute simulation ``time``."""
         if not time >= self.now:  # spelled so that NaN is rejected too
             raise SimulationError(
                 f"cannot schedule an event at t={time} before current time t={self.now}"
@@ -209,48 +137,6 @@ class Simulator:
         entry = [float(time), seq, callback, args]
         heapq.heappush(self._heap, entry)
         return entry
-
-    def schedule_many(self, calls, *, absolute: bool = False) -> int:
-        """Batch-schedule ``(when, callback, args)`` triples; returns the count.
-
-        ``when`` is a delay from now, or an absolute simulation time with
-        ``absolute=True`` (use absolute times when the batch must tie-break
-        identically with ``schedule_at`` callers -- converting through a
-        delay would reintroduce float rounding).  Equivalent to ``call_in`` /
-        ``call_at`` per triple (same sequence numbering, so the same
-        tie-break order), but when the calendar is empty the batch is
-        heapified in one pass instead of pushed entry by entry.
-        """
-        heap = self._heap
-        bulk = not heap
-        now = self.now
-        count = 0
-        try:
-            for when, callback, args in calls:
-                if absolute:
-                    if not when >= now:
-                        raise SimulationError(
-                            f"cannot schedule an event at t={when} before current time t={now}"
-                        )
-                    time = float(when)
-                else:
-                    if not when >= 0:
-                        raise SimulationError(
-                            f"cannot schedule an event in the past (delay={when})"
-                        )
-                    time = now + when
-                seq = self._seq
-                self._seq = seq + 1
-                entry = [time, seq, callback, args]
-                if bulk:
-                    heap.append(entry)
-                else:
-                    heapq.heappush(heap, entry)
-                count += 1
-        finally:
-            if bulk:
-                heapq.heapify(heap)
-        return count
 
     # ---------------------------------------------------------------- cancel
     def cancel(self, entry: list) -> bool:
@@ -263,7 +149,6 @@ class Simulator:
         if entry[2] is None:
             return False
         entry[2] = None
-        entry[3] = _CANCELLED
         self._tombstones += 1
         tombstones = self._tombstones
         if tombstones >= _COMPACT_MIN_TOMBSTONES and tombstones * 2 > len(self._heap):
@@ -347,12 +232,11 @@ class Simulator:
     def clear(self) -> None:
         """Drop all pending events (the clock is left untouched).
 
-        Outstanding entries and :class:`EventHandle` objects read as
-        cancelled afterwards.
+        Outstanding entries read as dead afterwards, so cancelling one is a
+        no-op.
         """
         for heap in self._heaps:
             for entry in heap:
                 entry[2] = None
-                entry[3] = _CANCELLED
             del heap[:]
         self._tombstones = 0

@@ -802,11 +802,6 @@ def _merge_worker_results(
         if config.group_count == 1
         else combine_summaries(group_summaries)
     )
-    member_counts = (
-        collectors[0].counts()
-        if config.group_count == 1
-        else dict(summary.member_counts)
-    )
     protocol_stats: Dict[str, float] = {}
     goodput_by_group: Dict[int, Dict[int, float]] = {}
     foreign: Dict[str, int] = {}
@@ -855,7 +850,7 @@ def _merge_worker_results(
     return ScenarioResult(
         config=config,
         summary=summary,
-        member_counts=member_counts,
+        member_counts=dict(summary.member_counts),
         goodput_by_member=goodput_by_group.get(0, {}),
         packets_sent=sum(c.packets_sent for c in collectors.values()),
         protocol_stats=protocol_stats,

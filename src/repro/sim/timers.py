@@ -1,10 +1,9 @@
 """Timer helpers built on top of the event calendar.
 
 Both helpers keep the calendar entry of their pending shot (see
-:mod:`repro.sim.engine`): arming schedules a raw event (no
-:class:`~repro.sim.engine.EventHandle` allocation), and because entries are
-never reused, disarming after the shot fired is a no-op -- exactly like
-cancelling a fired handle.
+:mod:`repro.sim.engine`): arming files one entry with ``call_in``, and
+because entries are never reused, disarming after the shot fired is a
+no-op -- exactly like cancelling any fired entry.
 """
 
 from __future__ import annotations

@@ -46,7 +46,7 @@ class CbrSource:
 
     def start(self) -> None:
         """Schedule the first transmission."""
-        self.node.sim.schedule_at(self.start_s, self._send)
+        self.node.sim.call_at(self.start_s, self._send)
 
     def _send(self) -> None:
         now = self.node.sim.now
@@ -56,7 +56,7 @@ class CbrSource:
         self.packets_sent += 1
         if self.collector is not None:
             self.collector.note_sent(data.mid, at=now)
-        self.node.sim.schedule(self.interval_s, self._send)
+        self.node.sim.call_in(self.interval_s, self._send)
 
     @property
     def expected_packet_count(self) -> int:

@@ -54,18 +54,11 @@ class FailureSchedule:
                 raise ValueError(f"failure event references unknown node {event.node_id}")
 
     def start(self) -> None:
-        """Schedule every outage on the simulator (batched, absolute times)."""
-        self.sim.schedule_many(
-            (
-                (time_s, callback, (event.node_id,))
-                for event in self.events
-                for time_s, callback in (
-                    (event.start_s, self._fail),
-                    (event.end_s, self._recover),
-                )
-            ),
-            absolute=True,
-        )
+        """Schedule every outage on the simulator (absolute times)."""
+        call_at = self.sim.call_at
+        for event in self.events:
+            call_at(event.start_s, self._fail, (event.node_id,))
+            call_at(event.end_s, self._recover, (event.node_id,))
 
     def _fail(self, node_id: int) -> None:
         self._nodes[node_id].fail()
@@ -115,13 +108,13 @@ class RandomFailureInjector:
 
     def _schedule_next_failure(self, node: Node) -> None:
         delay = self.rng.expovariate(1.0 / self.mean_time_to_failure_s)
-        self.sim.schedule(delay, self._fail, node)
+        self.sim.call_in(delay, self._fail, (node,))
 
     def _fail(self, node: Node) -> None:
         outage = self.rng.uniform(self.min_outage_s, self.max_outage_s)
         node.fail()
         self.outages.append((node.node_id, self.sim.now, self.sim.now + outage))
-        self.sim.schedule(outage, self._recover, node)
+        self.sim.call_in(outage, self._recover, (node,))
 
     def _recover(self, node: Node) -> None:
         node.recover()
@@ -201,7 +194,7 @@ class RegionalFailureInjector:
 
     def _schedule_next_strike(self) -> None:
         delay = self.rng.expovariate(1.0 / self.mean_time_between_outages_s)
-        self.sim.schedule(delay, self._strike)
+        self.sim.call_in(delay, self._strike)
 
     def _strike(self) -> None:
         if not self._armed:
@@ -222,7 +215,7 @@ class RegionalFailureInjector:
         for node in affected:
             node.fail()
         if affected:
-            self.sim.schedule(duration, self._recover_group, affected)
+            self.sim.call_in(duration, self._recover_group, (affected,))
         self.outages.append(
             RegionalOutage(
                 center=center,

@@ -235,10 +235,14 @@ class ScenarioResult:
 
     @property
     def mean_goodput(self) -> float:
-        """Mean gossip goodput across members (100.0 when gossip is off)."""
-        if not self.goodput_by_member:
+        """Mean gossip goodput over every (group, member) pair (100.0 when
+        gossip is off)."""
+        values = [
+            value for goodput in self.goodput_by_group.values() for value in goodput.values()
+        ]
+        if not values:
             return 100.0
-        return sum(self.goodput_by_member.values()) / len(self.goodput_by_member)
+        return sum(values) / len(values)
 
 
 class Scenario:
@@ -261,23 +265,17 @@ class Scenario:
         self.groups: List[GroupAddress] = [
             make_group_address(index) for index in range(config.group_count)
         ]
-        self.group = self.groups[0]
-        #: group index -> node id -> agent; ``self.gossip`` aliases group 0.
+        #: group index -> node id -> agent.
         self.gossip_by_group: Dict[int, Dict[int, GossipAgent]] = {
             index: {} for index in range(config.group_count)
         }
-        self.gossip: Dict[int, GossipAgent] = self.gossip_by_group[0]
         self.members_by_group: Dict[int, List[int]] = {}
         self.sources_by_group: Dict[int, List[int]] = {}
-        self.members: List[int] = []
-        self.source_id: Optional[int] = None
         self.collectors: Dict[int, DeliveryCollector] = {
             index: DeliveryCollector() for index in range(config.group_count)
         }
-        self.collector = self.collectors[0]
-        self.source: Optional[CbrSource] = None
+        #: (group index, source node id) -> the source's CBR application.
         self.sources: Dict[Tuple[int, int], CbrSource] = {}
-        self.sinks: Dict[int, MulticastSink] = {}
         self.sinks_by_group: Dict[int, Dict[int, MulticastSink]] = {
             index: {} for index in range(config.group_count)
         }
@@ -453,8 +451,6 @@ class Scenario:
                 sources = sorted(rng.sample(members, config.sources_per_group))
             self.members_by_group[group_index] = members
             self.sources_by_group[group_index] = sources
-        self.members = self.members_by_group[0]
-        self.source_id = self.sources_by_group[0][0]
 
     def _build_membership(self, streams: RandomStreams) -> None:
         """Create the churn subsystem (only when a churn model is configured)."""
@@ -512,8 +508,8 @@ class Scenario:
                 if self.controller is not None:
                     self.controller.schedule_initial_join(group_index, member, join_at)
                 elif self._owns(member):
-                    self.sim.schedule_at(
-                        join_at, self.multicast[member].join_group, group
+                    self.sim.call_at(
+                        join_at, self.multicast[member].join_group, (group,)
                     )
             for source_id in self.sources_by_group[group_index]:
                 if not self._owns(source_id):
@@ -531,9 +527,6 @@ class Scenario:
                 )
                 self.sources[(group_index, source_id)] = source
                 source_node.add_application(source)
-        # ``.get``: a parallel worker that does not own the group-0 source
-        # has no CbrSource for it.
-        self.source = self.sources.get((0, self.sources_by_group[0][0]))
 
     def _attach_probes(self) -> None:
         """Observability-only wiring (never reached with obs disabled).
@@ -582,8 +575,6 @@ class Scenario:
             group=self.groups[group_index],
         )
         self.sinks_by_group[group_index][node_id] = sink
-        if group_index == 0:
-            self.sinks[node_id] = sink
         node.add_application(sink)
         return sink
 
@@ -679,15 +670,10 @@ class Scenario:
             }
             for group_index, agents in self.gossip_by_group.items()
         }
-        member_counts = (
-            self.collector.counts()
-            if self.config.group_count == 1
-            else dict(summary.member_counts)
-        )
         return ScenarioResult(
             config=self.config,
             summary=summary,
-            member_counts=member_counts,
+            member_counts=dict(summary.member_counts),
             goodput_by_member=goodput_by_group.get(0, {}),
             packets_sent=sum(c.packets_sent for c in self.collectors.values()),
             protocol_stats=self._aggregate_protocol_stats(),

@@ -61,8 +61,10 @@ class StaticNetwork:
     def join_all(self, members: Sequence[int], spacing_s: float = 0.5) -> None:
         """Schedule group joins for ``members``, ``spacing_s`` apart."""
         for index, member in enumerate(members):
-            self.sim.schedule_at(
-                self.sim.now + index * spacing_s, self.maodv[member].join_group, self.group
+            self.sim.call_at(
+                self.sim.now + index * spacing_s,
+                self.maodv[member].join_group,
+                (self.group,),
             )
 
     def move(self, node_id: int, x: float, y: float) -> None:

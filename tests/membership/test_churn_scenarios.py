@@ -44,7 +44,7 @@ class TestJoinDuringSourcePhase:
         # Pick a node that is NOT an initial member and join it mid-source.
         base = Scenario(_config(seed=21)).build()
         outsider = next(
-            n for n in range(base.config.num_nodes) if n not in base.members
+            n for n in range(base.config.num_nodes) if n not in base.members_by_group[0]
         )
         join_at = 15.0  # half-way through the 8-22 s source phase
         scenario = Scenario(_scripted([[join_at, 0, outsider, "join"]], seed=21))
@@ -52,7 +52,7 @@ class TestJoinDuringSourcePhase:
 
         assert scenario.directory.is_member(0, outsider)
         assert outsider in result.member_counts
-        collector = scenario.collector
+        collector = scenario.collectors[0]
         expected = collector.expected_for(outsider)
         # The joiner's denominator only contains packets sent at/after its join.
         assert expected
@@ -60,13 +60,13 @@ class TestJoinDuringSourcePhase:
         # ... and its count never exceeds that denominator.
         assert result.member_counts[outsider] <= len(expected)
         # Initial members still answer for the full sent packet count.
-        initial = scenario.members[0]
+        initial = scenario.members_by_group[0][0]
         assert len(collector.expected_for(initial)) == collector.packets_sent
 
     def test_late_joiner_receives_post_join_traffic(self):
         base = Scenario(_config(seed=23)).build()
         outsider = next(
-            n for n in range(base.config.num_nodes) if n not in base.members
+            n for n in range(base.config.num_nodes) if n not in base.members_by_group[0]
         )
         scenario = Scenario(_scripted([[12.0, 0, outsider, "join"]], seed=23))
         result = scenario.run()
@@ -76,16 +76,16 @@ class TestJoinDuringSourcePhase:
     def test_mid_run_joiner_gossips_without_bootstrap(self):
         base = Scenario(_config(seed=21)).build()
         outsider = next(
-            n for n in range(base.config.num_nodes) if n not in base.members
+            n for n in range(base.config.num_nodes) if n not in base.members_by_group[0]
         )
         scenario = Scenario(_scripted([[15.0, 0, outsider, "join"]], seed=21))
         scenario.run()
-        agent = scenario.gossip[outsider]
+        agent = scenario.gossip_by_group[0][outsider]
         assert agent._bootstrap is False
         assert agent.lost_table.baseline_first_observation
         # No pre-join packet may sit in the lost table: every recorded loss
         # has a sequence number at or above the first post-join packet.
-        collector = scenario.collector
+        collector = scenario.collectors[0]
         expected = collector.expected_for(outsider)
         if expected:
             first_post_join = min(seq for _, seq in expected)
@@ -96,22 +96,23 @@ class TestJoinDuringSourcePhase:
 class TestLeaveDuringGossip:
     def test_leaver_stops_serving_and_counting(self):
         scenario = Scenario(_config(seed=25)).build()
-        leaver = next(m for m in scenario.members if m != scenario.source_id)
+        source = scenario.sources_by_group[0][0]
+        leaver = next(m for m in scenario.members_by_group[0] if m != source)
         leave_at = 15.0
         scenario = Scenario(
             _scripted([[leave_at, 0, leaver, "leave"]], seed=25)
         )
         result = scenario.run()
         assert not scenario.directory.is_member(0, leaver)
-        collector = scenario.collector
+        collector = scenario.collectors[0]
         # The leaver is only charged for packets sent while subscribed.
         expected = collector.expected_for(leaver)
         assert len(expected) < collector.packets_sent
         assert result.member_counts[leaver] <= len(expected)
         # Its gossip state was dropped: nothing buffered to serve pulls from.
-        agent = scenario.gossip[leaver]
+        agent = scenario.gossip_by_group[0][leaver]
         assert len(agent.history) == 0
-        assert not scenario.multicast[leaver].is_member(scenario.group)
+        assert not scenario.multicast[leaver].is_member(scenario.groups[0])
 
     def test_requests_to_leaver_are_dropped_not_served(self):
         # Unit-level determinism: an agent whose node left the group drops
@@ -139,8 +140,8 @@ class TestLastMemberLeaveAndRecreation:
         # source subscribed); later one node re-joins and gets a second
         # subscription interval.
         build_probe = Scenario(_config(seed=27)).build()
-        members = list(build_probe.members)
-        source = build_probe.source_id
+        members = list(build_probe.members_by_group[0])
+        source = build_probe.sources_by_group[0][0]
         rejoiner = members[0] if members[0] != source else members[1]
         script = [[10.0 + 0.5 * i, 0, m, "leave"] for i, m in enumerate(members)]
         script.append([18.0, 0, rejoiner, "join"])
@@ -164,7 +165,7 @@ class TestLastMemberLeaveAndRecreation:
         from tests.conftest import build_network, line_topology
 
         network = build_network(line_topology(3, 50.0), seed=5)
-        network.sim.schedule_at(0.1, network.maodv[0].join_group, network.group)
+        network.sim.call_at(0.1, network.maodv[0].join_group, (network.group,))
         network.run(5.0)
         assert network.maodv[0].is_group_leader(network.group)
 
@@ -173,8 +174,10 @@ class TestLastMemberLeaveAndRecreation:
         assert not network.maodv[0].is_member(network.group)
 
         became_leader_before = network.maodv[0].stats.partitions_became_leader
-        network.sim.schedule_at(
-            network.sim.now + 0.1, network.maodv[0].join_group, network.group
+        network.sim.call_at(
+            network.sim.now + 0.1,
+            network.maodv[0].join_group,
+            (network.group,),
         )
         network.run(10.0)
         assert network.maodv[0].is_member(network.group)
@@ -185,8 +188,8 @@ class TestLastMemberLeaveAndRecreation:
         from tests.conftest import build_network, line_topology
 
         network = build_network(line_topology(3, 50.0), seed=6)
-        network.sim.schedule_at(0.1, network.maodv[0].join_group, network.group)
-        network.sim.schedule_at(6.0, network.maodv[2].join_group, network.group)
+        network.sim.call_at(0.1, network.maodv[0].join_group, (network.group,))
+        network.sim.call_at(6.0, network.maodv[2].join_group, (network.group,))
         network.run(14.0)
         leader = next(
             n for n in (0, 2) if network.maodv[n].is_group_leader(network.group)

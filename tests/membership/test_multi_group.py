@@ -43,10 +43,6 @@ class TestBuild:
             assert len(sources) == 1
             assert sources[0] in scenario.members_by_group[group_index]
             assert len(scenario.sinks_by_group[group_index]) == 4
-        # Back-compat aliases point at group 0.
-        assert scenario.members == scenario.members_by_group[0]
-        assert scenario.source_id == scenario.sources_by_group[0][0]
-        assert scenario.collector is scenario.collectors[0]
 
     def test_gossip_agents_exist_per_node_per_group(self):
         config = _config(group_count=2, member_count=4, seed=41)
@@ -65,7 +61,7 @@ class TestBuild:
         ).build()
         sources = scenario.sources_by_group[0]
         assert len(sources) == 2
-        assert all(s in scenario.members for s in sources)
+        assert all(s in scenario.members_by_group[0] for s in sources)
         assert len(scenario.sources) == 2
 
     def test_group_zero_build_matches_single_group_build(self):
@@ -86,6 +82,18 @@ class TestRun:
         assert result.packets_sent == 2 * expected_per_source
         assert 0.0 <= result.delivery_ratio <= 1.0
         assert set(result.goodput_by_group) == {0, 1}
+
+    def test_mean_goodput_averages_every_group_member(self):
+        result = Scenario(ScenarioConfig.quick(group_count=2, seed=3)).run()
+        values = [
+            value for goodput in result.goodput_by_group.values() for value in goodput.values()
+        ]
+        assert result.goodput_by_group[1]
+        assert result.mean_goodput == pytest.approx(sum(values) / len(values))
+        group_zero = result.goodput_by_group[0]
+        assert result.mean_goodput != pytest.approx(
+            sum(group_zero.values()) / len(group_zero)
+        )
 
     def test_two_group_run_is_reproducible(self):
         first = Scenario(_config(group_count=2, member_count=4, seed=51)).run()

@@ -79,7 +79,7 @@ class TestDataDissemination:
         network = build_network(line_topology(2, 60.0), range_m=100)
         received = _attach_sink(network, 0)
         network.start()
-        network.sim.schedule_at(0.2, network.maodv[0].join_group, GROUP)
+        network.sim.call_at(0.2, network.maodv[0].join_group, (GROUP,))
         network.run(5.0)
         network.maodv[0].send_data(GROUP, 64)
         network.run(1.0)

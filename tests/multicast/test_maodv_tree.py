@@ -12,7 +12,7 @@ class TestGroupCreation:
     def test_first_member_becomes_group_leader(self):
         network = build_network(line_topology(3, 60.0), range_m=100)
         network.start()
-        network.sim.schedule_at(0.5, network.maodv[0].join_group, GROUP)
+        network.sim.call_at(0.5, network.maodv[0].join_group, (GROUP,))
         network.run(5.0)
         assert network.maodv[0].is_member(GROUP)
         assert network.maodv[0].is_group_leader(GROUP)
@@ -30,8 +30,8 @@ class TestGroupCreation:
     def test_join_is_idempotent(self):
         network = build_network(line_topology(2, 60.0), range_m=100)
         network.start()
-        network.sim.schedule_at(0.5, network.maodv[0].join_group, GROUP)
-        network.sim.schedule_at(3.0, network.maodv[0].join_group, GROUP)
+        network.sim.call_at(0.5, network.maodv[0].join_group, (GROUP,))
+        network.sim.call_at(3.0, network.maodv[0].join_group, (GROUP,))
         network.run(6.0)
         assert network.maodv[0].stats.joins_initiated == 1
 
@@ -193,7 +193,7 @@ class TestSeenJoinRequests:
             sizes.append(len(router._seen_join_requests))
 
         for step in range(3000):
-            sim.schedule_at(step * 0.025, deliver, step)
+            sim.call_at(step * 0.025, deliver, (step,))
         sim.run()
         return node.sent, sizes
 

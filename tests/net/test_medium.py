@@ -144,7 +144,7 @@ class TestCollisions:
         sim, medium, phys, received = _make_network([(0, 0), (50, 0), (100, 0)])
         airtime = medium.config.airtime(_frame(0, 1).size_bytes)
         phys[0].transmit(_frame(0, 1))
-        sim.schedule(airtime * 2, lambda: phys[2].transmit(_frame(2, 1)))
+        sim.call_in(airtime * 2, lambda: phys[2].transmit(_frame(2, 1)))
         sim.run()
         assert len(received[1]) == 2
 
@@ -191,7 +191,7 @@ class TestFailureInjection:
     def test_power_down_mid_transmission_discards_delivery(self):
         sim, medium, phys, received = _make_network([(0, 0), (50, 0)])
         airtime = phys[0].transmit(_frame(0, 1))
-        sim.schedule(airtime / 2, phys[1].power_down)
+        sim.call_in(airtime / 2, phys[1].power_down)
         sim.run()
         assert received[1] == []
         assert medium.stats.deliveries == 0
@@ -202,9 +202,9 @@ class TestFailureInjection:
         # frame ends but missed part of it, so it cannot decode.
         sim, medium, phys, received = _make_network([(0, 0), (50, 0)])
         airtime = phys[0].transmit(_frame(0, 1))
-        sim.schedule(airtime / 3, phys[1].power_down)
-        sim.schedule(airtime / 2, phys[1].power_up)
-        sim.schedule(airtime * 0.75, lambda: setattr(
+        sim.call_in(airtime / 3, phys[1].power_down)
+        sim.call_in(airtime / 2, phys[1].power_up)
+        sim.call_in(airtime * 0.75, lambda: setattr(
             self, "_busy_after_cycle", medium.is_busy_for(phys[1])
         ))
         sim.run()
@@ -245,7 +245,7 @@ class TestFailureInjection:
         # truncated and nobody can decode it.
         sim, medium, phys, received = _make_network([(0, 0), (50, 0)])
         airtime = phys[0].transmit(_frame(0, 1))
-        sim.schedule(airtime / 2, phys[0].power_down)
+        sim.call_in(airtime / 2, phys[0].power_down)
         sim.run()
         assert received[1] == []
         assert medium.stats.deliveries == 0
@@ -255,9 +255,9 @@ class TestFailureInjection:
         # duplicate copies of the same in-flight frame.
         sim, medium, phys, received = _make_network([(0, 0), (50, 0)])
         airtime = phys[0].transmit(_frame(0, 1))
-        sim.schedule(airtime * 0.2, phys[1].power_down)
-        sim.schedule(airtime * 0.4, phys[1].power_up)
-        sim.schedule(airtime * 0.6, phys[1].power_down)
+        sim.call_in(airtime * 0.2, phys[1].power_down)
+        sim.call_in(airtime * 0.4, phys[1].power_up)
+        sim.call_in(airtime * 0.6, phys[1].power_down)
         sim.run()
         assert received[1] == []
         assert medium.stats.disabled_discards == 1
@@ -270,8 +270,8 @@ class TestFailureInjection:
         sender = Phy(_StubNode(0, 0, 0), medium)
         neighbor = Phy(_StubNode(1, 100, 0), medium)  # cs range only
         airtime = sender.transmit(_frame(0, -1))
-        sim.schedule(airtime * 0.3, neighbor.power_down)
-        sim.schedule(airtime * 0.6, neighbor.power_up)
+        sim.call_in(airtime * 0.3, neighbor.power_down)
+        sim.call_in(airtime * 0.6, neighbor.power_up)
         sim.run()
         assert medium.stats.out_of_range_discards == 1
 
@@ -306,7 +306,7 @@ class TestSnapshotGeometry:
         )
         airtime = sender.transmit(_frame(0, 1))
         probes = []
-        sim.schedule(airtime * 0.75, lambda: probes.append(medium.is_busy_for(mover)))
+        sim.call_in(airtime * 0.75, lambda: probes.append(medium.is_busy_for(mover)))
         sim.run()
         assert probes == [True]  # still senses the frame it is receiving
         assert len(received) == 1
@@ -318,7 +318,7 @@ class TestSnapshotGeometry:
         )
         airtime = sender.transmit(_frame(0, 1))
         probes = []
-        sim.schedule(airtime * 0.75, lambda: probes.append(medium.is_busy_for(mover)))
+        sim.call_in(airtime * 0.75, lambda: probes.append(medium.is_busy_for(mover)))
         sim.run()
         assert probes == [False]  # was outside the start-time interference set
         assert received == []
@@ -344,7 +344,7 @@ class TestSnapshotGeometry:
                 checks.append(medium.is_busy_for(mover) == expected)
 
             for fraction in (0.25, 0.5, 0.9):
-                sim.schedule(airtime * fraction, check)
+                sim.call_in(airtime * fraction, check)
             sim.run()
             assert checks == [True, True, True]
 
@@ -361,7 +361,7 @@ class TestLateRegistration:
             late["phy"] = phy
             late["busy"] = medium.is_busy_for(phy)
 
-        sim.schedule(airtime / 2, join)
+        sim.call_in(airtime / 2, join)
         sim.run()
         assert late["busy"]  # joined the in-flight interference set
         assert "rx" not in late  # but missed the head of the frame
@@ -377,7 +377,7 @@ class TestLateRegistration:
             phy = Phy(_StubNode(2, 500, 0), medium)
             late["busy"] = medium.is_busy_for(phy)
 
-        sim.schedule(airtime / 2, join)
+        sim.call_in(airtime / 2, join)
         sim.run()
         assert late["busy"] is False
 
@@ -389,7 +389,7 @@ class TestLateRegistration:
             phy = Phy(_StubNode(2, 30, 0), medium)
             phy.transmit(_frame(2, -1))
 
-        sim.schedule(airtime / 2, join_and_transmit)
+        sim.call_in(airtime / 2, join_and_transmit)
         sim.run()
         # Node 1's copy of frame 0 was corrupted by the overlapping energy.
         assert received[1] == []

@@ -20,7 +20,7 @@ class TestEngineInvariants:
         sim = Simulator()
         fired_times = []
         for delay in delays:
-            sim.schedule(delay, lambda: fired_times.append(sim.now))
+            sim.call_in(delay, lambda: fired_times.append(sim.now))
         sim.run()
         assert fired_times == sorted(fired_times)
         assert len(fired_times) == len(delays)
@@ -31,7 +31,7 @@ class TestEngineInvariants:
         sim = Simulator()
         observed = []
         for delay in delays:
-            sim.schedule(delay, lambda: observed.append(sim.now))
+            sim.call_in(delay, lambda: observed.append(sim.now))
         sim.run()
         assert sim.now == (max(delays) if delays else 0.0)
 
@@ -40,11 +40,11 @@ class TestEngineInvariants:
     def test_cancelled_events_never_fire(self, delays, cancel_count):
         sim = Simulator()
         fired = []
-        handles = [sim.schedule(delay, fired.append, index)
+        entries = [sim.call_in(delay, fired.append, (index,))
                    for index, delay in enumerate(delays)]
-        cancelled = {index for index in range(min(cancel_count, len(handles)))}
+        cancelled = {index for index in range(min(cancel_count, len(entries)))}
         for index in cancelled:
-            handles[index].cancel()
+            sim.cancel(entries[index])
         sim.run()
         assert set(fired).isdisjoint(cancelled)
         assert len(fired) == len(delays) - len(cancelled)
@@ -55,7 +55,7 @@ class TestEngineInvariants:
         sim = Simulator()
         fired_times = []
         for delay in delays:
-            sim.schedule(delay, lambda: fired_times.append(sim.now))
+            sim.call_in(delay, lambda: fired_times.append(sim.now))
         sim.run(until=until)
         assert all(time <= until for time in fired_times)
         expected = sum(1 for delay in delays if delay <= until)
@@ -70,13 +70,13 @@ class TestEngineInvariants:
         single = Simulator()
         single_fired = []
         for delay in delays:
-            single.schedule(delay, single_fired.append, delay)
+            single.call_in(delay, single_fired.append, (delay,))
         single.run()
 
         stepped = Simulator()
         stepped_fired = []
         for delay in delays:
-            stepped.schedule(delay, stepped_fired.append, delay)
+            stepped.call_in(delay, stepped_fired.append, (delay,))
         midpoint = max(delays) / 2
         stepped.run(until=midpoint)
         stepped.run()

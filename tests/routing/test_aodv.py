@@ -154,18 +154,18 @@ class TestLivenessTable:
         network = self._triangle()
         sim, nodes, aodv = network.sim, network.nodes, network.aodv
         # t=1: node 2 broadcasts (medium-delivered at 0 and 1).
-        sim.schedule_at(1.0, nodes[2].send_frame, _AppMessage(origin=2, destination=-1), -1)
+        sim.call_at(1.0, nodes[2].send_frame, (_AppMessage(origin=2, destination=-1), -1))
         # t=2: node 1 unicasts to node 0 (MAC-delivered; 2 overhears, and all
         # hear 0's ACK: neither is a packet for the upper layer).
-        sim.schedule_at(2.0, nodes[1].send_frame, _AppMessage(origin=1, destination=0), 0)
+        sim.call_at(2.0, nodes[1].send_frame, (_AppMessage(origin=1, destination=0), 0))
         # t=3: node 0 delivers locally an envelope whose origin, 7, is no
         # radio neighbour of anyone.
         envelope = UnicastData(origin=7, destination=0,
                                payload=_AppMessage(origin=7, destination=0))
-        sim.schedule_at(3.0, aodv[0]._deliver_locally, envelope)
+        sim.call_at(3.0, aodv[0]._deliver_locally, (envelope,))
         # t=4: node 1 broadcasts; t=5: node 2 again (refreshes, keeps its place).
-        sim.schedule_at(4.0, nodes[1].send_frame, _AppMessage(origin=1, destination=-1), -1)
-        sim.schedule_at(5.0, nodes[2].send_frame, _AppMessage(origin=2, destination=-1), -1)
+        sim.call_at(4.0, nodes[1].send_frame, (_AppMessage(origin=1, destination=-1), -1))
+        sim.call_at(5.0, nodes[2].send_frame, (_AppMessage(origin=2, destination=-1), -1))
         network.run(5.2)
         order = {nid: list(aodv[nid]._neighbors) for nid in (0, 1, 2)}
         assert order == {0: [2, 1, 7], 1: [2], 2: [1]}
@@ -188,14 +188,14 @@ class TestLivenessTable:
         sim, nodes, aodv = network.sim, network.nodes, network.aodv
         losses = []
         aodv[0].add_neighbor_loss_listener(losses.append)
-        sim.schedule_at(1.0, nodes[1].send_frame, _AppMessage(origin=1, destination=-1), -1)
-        sim.schedule_at(1.5, nodes[2].send_frame, _AppMessage(origin=2, destination=-1), -1)
+        sim.call_at(1.0, nodes[1].send_frame, (_AppMessage(origin=1, destination=-1), -1))
+        sim.call_at(1.5, nodes[2].send_frame, (_AppMessage(origin=2, destination=-1), -1))
         network.run(2.0)
         assert list(nodes[0].heard) == [1, 2]
         aodv[0]._on_mac_failure(_AppMessage(origin=0, destination=1), 1)
         assert list(nodes[0].heard) == [2] and losses == [1]
         # Node 1 is heard again: re-inserted by the medium, now *after* 2.
-        sim.schedule_at(2.5, nodes[1].send_frame, _AppMessage(origin=1, destination=-1), -1)
+        sim.call_at(2.5, nodes[1].send_frame, (_AppMessage(origin=1, destination=-1), -1))
         network.run(1.0)
         assert list(nodes[0].heard) == [2, 1]
         sim.run(until=2.5 + aodv[0].config.neighbor_timeout_s + 0.1)
@@ -223,8 +223,8 @@ class TestLivenessTable:
         tracer = PacketTracer()
         tracer.attach_all(network.nodes)
         network.aodv[0].send_unicast(_AppMessage(origin=0, destination=2, text="far"), 2)
-        network.sim.schedule(0.5, network.nodes[1].send_frame,
-                             _AppMessage(origin=1, destination=-1), -1)
+        network.sim.call_in(0.5, network.nodes[1].send_frame,
+                            (_AppMessage(origin=1, destination=-1), -1))
         network.run(3.0)
         traced = [(r.time, r.node, r.from_node, r.uid) for r in tracer.records]
         assert traced == [entry for entry in sniffed if entry[0] >= attached_at]

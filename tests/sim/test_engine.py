@@ -9,9 +9,9 @@ class TestScheduling:
     def test_events_run_in_time_order(self):
         sim = Simulator()
         fired = []
-        sim.schedule(2.0, fired.append, "late")
-        sim.schedule(1.0, fired.append, "early")
-        sim.schedule(1.5, fired.append, "middle")
+        sim.call_in(2.0, fired.append, ("late",))
+        sim.call_in(1.0, fired.append, ("early",))
+        sim.call_in(1.5, fired.append, ("middle",))
         sim.run()
         assert fired == ["early", "middle", "late"]
 
@@ -19,15 +19,15 @@ class TestScheduling:
         sim = Simulator()
         fired = []
         for label in "abcde":
-            sim.schedule(1.0, fired.append, label)
+            sim.call_in(1.0, fired.append, (label,))
         sim.run()
         assert fired == list("abcde")
 
     def test_clock_advances_to_event_time(self):
         sim = Simulator()
         times = []
-        sim.schedule(0.5, lambda: times.append(sim.now))
-        sim.schedule(3.25, lambda: times.append(sim.now))
+        sim.call_in(0.5, lambda: times.append(sim.now))
+        sim.call_in(3.25, lambda: times.append(sim.now))
         sim.run()
         assert times == [0.5, 3.25]
         assert sim.now == 3.25
@@ -35,19 +35,20 @@ class TestScheduling:
     def test_schedule_negative_delay_rejected(self):
         sim = Simulator()
         with pytest.raises(SimulationError):
-            sim.schedule(-0.1, lambda: None)
+            sim.call_in(-0.1, lambda: None)
 
     def test_schedule_at_in_past_rejected(self):
         sim = Simulator()
-        sim.schedule(5.0, lambda: None)
+        sim.call_in(5.0, lambda: None)
         sim.run()
         with pytest.raises(SimulationError):
-            sim.schedule_at(1.0, lambda: None)
+            sim.call_at(1.0, lambda: None)
 
-    def test_non_callable_rejected(self):
+    def test_non_callable_raises_when_it_fires(self):
         sim = Simulator()
-        with pytest.raises(SimulationError):
-            sim.schedule(1.0, "not callable")
+        sim.call_in(1.0, "not callable")
+        with pytest.raises(TypeError):
+            sim.run()
 
     def test_events_scheduled_during_run_execute(self):
         sim = Simulator()
@@ -56,9 +57,9 @@ class TestScheduling:
         def chain(depth):
             fired.append(depth)
             if depth < 3:
-                sim.schedule(1.0, chain, depth + 1)
+                sim.call_in(1.0, chain, (depth + 1,))
 
-        sim.schedule(1.0, chain, 0)
+        sim.call_in(1.0, chain, (0,))
         sim.run()
         assert fired == [0, 1, 2, 3]
         assert sim.now == 4.0
@@ -66,7 +67,7 @@ class TestScheduling:
     def test_zero_delay_event_runs_at_current_time(self):
         sim = Simulator()
         fired = []
-        sim.schedule(1.0, lambda: sim.schedule(0.0, fired.append, sim.now))
+        sim.call_in(1.0, lambda: sim.call_in(0.0, fired.append, (sim.now,)))
         sim.run()
         assert fired == [1.0]
 
@@ -75,8 +76,8 @@ class TestRunControl:
     def test_run_until_stops_before_later_events(self):
         sim = Simulator()
         fired = []
-        sim.schedule(1.0, fired.append, "a")
-        sim.schedule(10.0, fired.append, "b")
+        sim.call_in(1.0, fired.append, ("a",))
+        sim.call_in(10.0, fired.append, ("b",))
         sim.run(until=5.0)
         assert fired == ["a"]
         assert sim.now == 5.0
@@ -84,15 +85,15 @@ class TestRunControl:
     def test_run_until_includes_events_at_exact_boundary(self):
         sim = Simulator()
         fired = []
-        sim.schedule(5.0, fired.append, "boundary")
+        sim.call_in(5.0, fired.append, ("boundary",))
         sim.run(until=5.0)
         assert fired == ["boundary"]
 
     def test_resume_after_partial_run(self):
         sim = Simulator()
         fired = []
-        sim.schedule(1.0, fired.append, "a")
-        sim.schedule(10.0, fired.append, "b")
+        sim.call_in(1.0, fired.append, ("a",))
+        sim.call_in(10.0, fired.append, ("b",))
         sim.run(until=5.0)
         sim.run()
         assert fired == ["a", "b"]
@@ -100,15 +101,15 @@ class TestRunControl:
 
     def test_run_advances_clock_to_until_when_queue_drains(self):
         sim = Simulator()
-        sim.schedule(1.0, lambda: None)
+        sim.call_in(1.0, lambda: None)
         sim.run(until=42.0)
         assert sim.now == 42.0
 
     def test_stop_halts_processing(self):
         sim = Simulator()
         fired = []
-        sim.schedule(1.0, lambda: (fired.append("a"), sim.stop()))
-        sim.schedule(2.0, fired.append, "b")
+        sim.call_in(1.0, lambda: (fired.append("a"), sim.stop()))
+        sim.call_in(2.0, fired.append, ("b",))
         sim.run()
         assert fired == ["a"]
 
@@ -116,60 +117,57 @@ class TestRunControl:
         sim = Simulator()
         fired = []
         for i in range(10):
-            sim.schedule(float(i + 1), fired.append, i)
+            sim.call_in(float(i + 1), fired.append, (i,))
         sim.run(max_events=3)
         assert fired == [0, 1, 2]
 
     def test_events_processed_counter(self):
         sim = Simulator()
         for i in range(5):
-            sim.schedule(float(i), lambda: None)
+            sim.call_in(float(i), lambda: None)
         sim.run()
         assert sim.events_processed == 5
 
     def test_clear_drops_pending_events(self):
         sim = Simulator()
         fired = []
-        sim.schedule(1.0, fired.append, "a")
+        sim.call_in(1.0, fired.append, ("a",))
         sim.clear()
         sim.run()
         assert fired == []
 
 
-class TestEventHandles:
+class TestCancel:
     def test_cancelled_event_does_not_fire(self):
         sim = Simulator()
         fired = []
-        handle = sim.schedule(1.0, fired.append, "a")
-        handle.cancel()
+        entry = sim.call_in(1.0, fired.append, ("a",))
+        assert sim.cancel(entry) is True
         sim.run()
         assert fired == []
-        assert handle.cancelled
-        assert not handle.fired
+        assert sim.cancel(entry) is False
 
-    def test_handle_states_transition(self):
+    def test_entry_is_cancellable_until_it_fires(self):
         sim = Simulator()
-        handle = sim.schedule(1.0, lambda: None)
-        assert handle.pending
+        entry = sim.call_in(1.0, lambda: None)
+        assert sim.pending_events == 1
         sim.run()
-        assert handle.fired
-        assert not handle.pending
-        assert not handle.cancelled
+        assert sim.pending_events == 0
+        assert sim.cancel(entry) is False
 
     def test_cancel_after_firing_is_noop(self):
         sim = Simulator()
         fired = []
-        handle = sim.schedule(1.0, fired.append, "a")
+        entry = sim.call_in(1.0, fired.append, ("a",))
         sim.run()
-        handle.cancel()
-        assert handle.fired
-        assert not handle.cancelled
+        assert sim.cancel(entry) is False
+        assert sim.tombstones == 0
         assert fired == ["a"]
 
     def test_pending_events_counts_only_live_events(self):
         sim = Simulator()
-        keep = sim.schedule(1.0, lambda: None)
-        drop = sim.schedule(2.0, lambda: None)
-        drop.cancel()
+        keep = sim.call_in(1.0, lambda: None)
+        drop = sim.call_in(2.0, lambda: None)
+        sim.cancel(drop)
         assert sim.pending_events == 1
-        assert keep.pending
+        assert sim.cancel(keep) is True

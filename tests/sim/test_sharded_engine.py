@@ -219,22 +219,22 @@ class TestShardedSimulator:
         sim = ShardedSimulator(2)
         fired = []
         sim.set_shard(1)
-        handle = sim.schedule(1.0, fired.append, "cancelled")
+        entry = sim.call_in(1.0, fired.append, ("cancelled",))
         sim.call_in(2.0, fired.append, ("kept",))
-        handle.cancel()
+        assert sim.cancel(entry) is True
         assert sim.tombstones == 1
         sim.run()
         assert fired == ["kept"]
-        assert handle.cancelled
+        assert sim.cancel(entry) is False
 
     def test_compaction_sheds_tombstones_in_every_heap(self):
         sim = ShardedSimulator(2)
-        handles = []
+        entries = []
         for index in range(200):
             sim.set_shard(index % 2)
-            handles.append(sim.schedule(1.0 + index, lambda: None))
-        for handle in handles[:150]:
-            handle.cancel()
+            entries.append(sim.call_in(1.0 + index, lambda: None))
+        for entry in entries[:150]:
+            sim.cancel(entry)
         assert sim.compactions >= 1
         assert sim.tombstones * 2 <= sim.heap_size
         assert sim.pending_events == 50
@@ -251,11 +251,12 @@ class TestShardedSimulator:
         sim.run()  # nothing left to fire
         assert sim.events_processed == 0
 
-    def test_schedule_many_lands_in_current_shard(self):
+    def test_scheduling_lands_in_current_shard(self):
         sim = ShardedSimulator(2)
         fired = []
         sim.set_shard(1)
-        sim.schedule_many((float(i), fired.append, (i,)) for i in range(5))
+        for i in range(5):
+            sim.call_in(float(i), fired.append, (i,))
         assert sim.heap_sizes() == [0, 5]
         sim.run()
         assert fired == [0, 1, 2, 3, 4]

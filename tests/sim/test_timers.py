@@ -30,7 +30,7 @@ class TestPeriodicTimer:
         ticks = []
         timer = PeriodicTimer(sim, 1.0, lambda: ticks.append(sim.now))
         timer.start()
-        sim.schedule(2.5, timer.stop)
+        sim.call_in(2.5, timer.stop)
         sim.run(until=10.0)
         assert ticks == [0.0, 1.0, 2.0]
         assert not timer.running

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.workload.scenario import Scenario, ScenarioConfig
 
 
 class TestParser:
@@ -207,6 +208,14 @@ class TestMembershipCli:
         output = capsys.readouterr().out
         assert "group" in output
         assert "membership events applied:" in output
+
+    def test_run_with_groups_reports_the_all_group_goodput(self, capsys):
+        result = Scenario(ScenarioConfig.quick(group_count=2, seed=3)).run()
+        values = [
+            value for goodput in result.goodput_by_group.values() for value in goodput.values()
+        ]
+        assert main(["run", "--profile", "quick", "--groups", "2", "--seed", "3"]) == 0
+        assert f"{sum(values) / len(values):.1f}%" in capsys.readouterr().out
 
     def test_run_with_flash_churn(self, capsys):
         # --churn flash must build a valid config (joiners and instant are

@@ -108,4 +108,4 @@ class TestMulticastSink:
         network = build_network(line_topology(1, 10.0))
         collector = DeliveryCollector()
         MulticastSink(network.nodes[0], _RecordingMulticast(), collector)
-        assert collector.counts() == {0: 0}
+        assert collector.summary().member_counts == {0: 0}

@@ -74,6 +74,23 @@ class TestFailureSchedule:
         assert schedule.failures_applied == 1
         assert schedule.recoveries_applied == 1
 
+    def test_outages_fire_at_their_exact_instants_in_filing_order(self):
+        # Absolute times, not delays from now: an event filed afterwards at
+        # the same instant ties with the outage and runs after it.
+        network = build_network(line_topology(2, 50.0), range_m=100)
+        sim = network.sim
+        sim.call_in(0.1, lambda: None)
+        sim.run()
+        schedule = FailureSchedule(
+            sim, network.nodes, [FailureEvent(node_id=1, start_s=30.3, end_s=30.7)]
+        )
+        schedule.start()
+        seen = []
+        for time_s in (30.3, 30.7):
+            sim.call_at(time_s, lambda: seen.append((sim.now, network.nodes[1].alive)))
+        sim.run(until=31.0)
+        assert seen == [(30.3, False), (30.7, True)]
+
     def test_unknown_node_rejected(self):
         network = build_network(line_topology(2, 50.0), range_m=100)
         with pytest.raises(ValueError):
@@ -98,9 +115,9 @@ class TestFailureSchedule:
         def send_periodically():
             network.maodv[0].send_data(GROUP, 64)
             if network.sim.now < 34.0:
-                network.sim.schedule(2.0, send_periodically)
+                network.sim.call_in(2.0, send_periodically)
 
-        network.sim.schedule_at(13.0, send_periodically)
+        network.sim.call_at(13.0, send_periodically)
         network.run(70.0)
         all_seqs = set(received) | set(recovered)
         sent = network.maodv[0].stats.data_originated

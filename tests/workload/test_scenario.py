@@ -55,14 +55,14 @@ class TestScenarioBuild:
         assert len(scenario.nodes) == config.num_nodes
         assert len(scenario.aodv) == config.num_nodes
         assert len(scenario.multicast) == config.num_nodes
-        assert len(scenario.gossip) == config.num_nodes
-        assert len(scenario.members) == config.resolved_member_count
-        assert scenario.source_id in scenario.members
-        assert len(scenario.sinks) == config.resolved_member_count
+        assert len(scenario.gossip_by_group[0]) == config.num_nodes
+        assert len(scenario.members_by_group[0]) == config.resolved_member_count
+        assert scenario.sources_by_group[0][0] in scenario.members_by_group[0]
+        assert len(scenario.sinks_by_group[0]) == config.resolved_member_count
 
     def test_gossip_disabled_builds_no_agents(self):
         scenario = Scenario(ScenarioConfig.quick(seed=2, gossip_enabled=False)).build()
-        assert scenario.gossip == {}
+        assert scenario.gossip_by_group[0] == {}
 
     def test_flooding_protocol_builds_flooding_routers(self):
         from repro.multicast.flooding import FloodingRouter
@@ -84,7 +84,8 @@ class TestScenarioRun:
     def test_quick_run_produces_results(self):
         result = run_scenario(ScenarioConfig.quick(seed=3))
         assert result.packets_sent == ScenarioConfig.quick().expected_packets
-        assert set(result.member_counts) == set(Scenario(ScenarioConfig.quick(seed=3)).build().members)
+        assert set(result.member_counts) == set(
+            Scenario(ScenarioConfig.quick(seed=3)).build().members_by_group[0])
         assert 0.0 <= result.delivery_ratio <= 1.0
         assert result.events_processed > 0
         assert "mac.enqueued" in result.protocol_stats

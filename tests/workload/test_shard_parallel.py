@@ -164,7 +164,7 @@ def test_worker_elides_foreign_stacks_and_indexes_halo_only():
     assert 0 < len(owned) < config.num_nodes
     assert set(scenario.aodv) == owned
     assert set(scenario.multicast) == owned
-    assert set(scenario.sinks) <= owned
+    assert set(scenario.sinks_by_group[0]) <= owned
     # Index = owned + halo, characterised exactly by region distance.
     plan = scenario.shard_plan
     cs_range = worker.medium.config.carrier_sense_range_m
