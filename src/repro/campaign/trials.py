@@ -69,9 +69,17 @@ def trials_for_spec(
     x_values: Optional[Sequence[float]] = None,
     variants: Sequence[str] = ("maodv", "gossip"),
 ) -> List[TrialSpec]:
-    """Flatten a figure sweep into trials: x, then seed, then variant."""
+    """Flatten a figure sweep into trials: x, then seed, then variant.
+
+    Raises :class:`ValueError` for a sweep of no trials: fewer than one
+    seed, or no x values or variants.
+    """
     seeds = seeds if seeds is not None else spec.seeds_for(scale)
     xs = list(x_values) if x_values is not None else list(spec.x_values)
+    if seeds < 1:
+        raise ValueError(f"seeds must be at least 1, got {seeds}")
+    if not xs or not variants:
+        raise ValueError("a campaign needs at least one x value and one variant")
     trials: List[TrialSpec] = []
     for x in xs:
         for seed in range(1, seeds + 1):

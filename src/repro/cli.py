@@ -348,13 +348,17 @@ def _command_campaign(args: argparse.Namespace) -> int:
                   "so --points/--variants do not apply", file=sys.stderr)
             return 2
         variants = ("gossip",)
-    trials = trials_for_spec(
-        spec,
-        scale=args.scale,
-        seeds=args.seeds,
-        x_values=args.points,
-        variants=variants,
-    )
+    try:
+        trials = trials_for_spec(
+            spec,
+            scale=args.scale,
+            seeds=args.seeds,
+            x_values=args.points,
+            variants=variants,
+        )
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     if args.obs:
         trials = [
             dataclasses.replace(

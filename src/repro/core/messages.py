@@ -50,11 +50,6 @@ class GossipRequest(Packet):
     #: every served message must satisfy ``sent_at >= joined_at``.
     joined_at: Optional[float] = None
 
-    @property
-    def number_lost(self) -> int:
-        """The paper's Number Lost field."""
-        return len(self.lost)
-
 
 @dataclass
 class GossipReply(Packet):

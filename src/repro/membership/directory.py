@@ -81,27 +81,3 @@ class MembershipDirectory:
     def intervals(self, group_index: int, node_id: int) -> List[Tuple[float, Optional[float]]]:
         """The node's subscription spans, oldest first (open span ends ``None``)."""
         return [tuple(span) for span in self._intervals[group_index].get(node_id, [])]
-
-    def is_subscribed(self, group_index: int, node_id: int, at: float) -> bool:
-        """Was ``node_id`` subscribed to the group at time ``at``?"""
-        for start, end in self._intervals[group_index].get(node_id, []):
-            if start <= at and (end is None or at < end):
-                return True
-        return False
-
-    def subscribed_span(self, group_index: int, node_id: int, horizon_s: float) -> float:
-        """Total subscribed seconds of the node up to ``horizon_s``."""
-        total = 0.0
-        for start, end in self._intervals[group_index].get(node_id, []):
-            stop = horizon_s if end is None else min(end, horizon_s)
-            if stop > start:
-                total += stop - start
-        return total
-
-    def joins(self) -> int:
-        """Number of join events recorded so far."""
-        return sum(1 for event in self.events if event.kind == "join")
-
-    def leaves(self) -> int:
-        """Number of leave events recorded so far."""
-        return sum(1 for event in self.events if event.kind == "leave")

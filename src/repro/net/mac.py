@@ -188,10 +188,10 @@ class CsmaMac:
         self._on_receive = callback
         self.phy.broadcast_route = None
 
-    def lend_broadcast_route(self, chains: dict, resolve: Callable, heard: dict) -> None:
+    def lend_broadcast_route(self, receivers: dict, resolve: Callable, heard: dict) -> None:
         """Lend the radio the node's receive table (``Phy.broadcast_route``):
         the lender vouches that running it *is* :attr:`on_receive`."""
-        self.phy.broadcast_route = (chains, resolve, self.stats, heard)
+        self.phy.broadcast_route = (receivers, resolve, self.stats, heard)
 
     def send(self, packet: Packet, next_hop: int) -> bool:
         """Queue ``packet`` for transmission to ``next_hop``.

@@ -102,13 +102,14 @@ frames addressed elsewhere are counted but never dispatched) and lends the
 radio its node's *broadcast route* (``Phy.broadcast_route``): the node's
 receive table as data, which the teardown runs itself for ordinary broadcast
 copies -- count the delivery for the MAC, note the sender as heard, one
-``dict.get`` for the packet type's upcalls -- with no MAC or node frame in
+``dict.get`` for the packet type's receiver -- with no MAC or node frame in
 between; anything else takes ``Phy.receive_callback``.  What the table holds
-for a type is either its upcalls (a tuple, called in order) or, for a type
+for a type is its one receiver: its handler, called once, or, for a type
 received into a *mailbox* (see :mod:`repro.net.node`; AODV's HELLOs), the
 mailbox dict itself: the copy is then one store, ``mailbox[sender] =
 (packet, now)``, the tuple built once per flight, and no Python frame at all.
-Telling the two apart is one class test per decoded copy.  ``_finish_batch``
+Telling the two apart is one class test per decoded copy, and a type nothing
+receives holds ``False``, which a truth test skips.  ``_finish_batch``
 inlines the broadcast route per flight; ``_dispatch`` is the whole decision
 per copy, shared with the late-foreign path (and the per-copy oracle).
 """
@@ -330,10 +331,6 @@ class Medium:
         """The medium's spatial index (read-only use: telemetry, censuses)."""
         return self._index
 
-    def phy_for(self, node_id: int) -> "Phy":
-        """Return the radio registered for ``node_id``."""
-        return self._phys[node_id]
-
     def positions_changed(self, node_id: Optional[int] = None) -> None:
         """Invalidate cached geometry after a non-analytic position change.
 
@@ -397,11 +394,6 @@ class Medium:
             if dx * dx + dy * dy <= limit_sq:
                 result.append(other.node_id)
         return sorted(result)
-
-    # ------------------------------------------------------------ busy sense
-    def is_busy_for(self, phy: "Phy") -> bool:
-        """Carrier sense as perceived by ``phy`` (see ``Phy.carrier_busy``)."""
-        return phy.carrier_busy()
 
     # -------------------------------------------------------------- fan-out
     def _transmit_batch(self, sender: "Phy", frame: Frame) -> float:
@@ -603,21 +595,20 @@ class Medium:
                     route = receiver.broadcast_route
                     if route is not None:
                         if set_shard is not None:
-                            # Sharded engine: whatever the upcalls schedule
+                            # Sharded engine: whatever the receiver schedules
                             # lands in the receiving radio's home-shard
                             # calendar.
                             set_shard(receiver.shard)
-                        chains, resolve, mac_stats, heard = route
+                        receivers, resolve, mac_stats, heard = route
                         mac_stats.delivered_to_upper += 1
                         heard[sender_id] = now
-                        chain = chains.get(packet_type)
-                        if chain is None:
-                            chain = resolve(packet_type)
-                        if chain.__class__ is dict:
-                            chain[sender_id] = receipt
-                        else:
-                            for upcall in chain:
-                                upcall(packet, sender_id)
+                        upper = receivers.get(packet_type)
+                        if upper is None:
+                            upper = resolve(packet_type)
+                        if upper.__class__ is dict:
+                            upper[sender_id] = receipt
+                        elif upper:
+                            upper(packet, sender_id)
                         continue
                 elif unicast and receiver.unicast_filter and dst != receiver.node_id:
                     # The copy arrived intact (counted above) but the MAC
@@ -659,18 +650,17 @@ class Medium:
         packet = frame.packet
         route = receiver.broadcast_route
         if route is not None and dst == BROADCAST_ADDRESS and not packet.is_mac_control:
-            chains, resolve, mac_stats, heard = route
+            receivers, resolve, mac_stats, heard = route
             mac_stats.delivered_to_upper += 1
             now = self.sim.now
             heard[sender_id] = now
-            chain = chains.get(type(packet))
-            if chain is None:
-                chain = resolve(type(packet))
-            if chain.__class__ is dict:
-                chain[sender_id] = (packet, now)
-            else:
-                for upcall in chain:
-                    upcall(packet, sender_id)
+            upper = receivers.get(type(packet))
+            if upper is None:
+                upper = resolve(type(packet))
+            if upper.__class__ is dict:
+                upper[sender_id] = (packet, now)
+            elif upper:
+                upper(packet, sender_id)
         elif receiver.receive_callback is not None:
             receiver.receive_callback(frame, sender_id)
 

@@ -24,8 +24,6 @@ keeping the position of its first pending receipt.  The owner takes on two
 obligations the node cannot check: *the last receipt suffices* (applying it
 alone must leave the owner's state as applying every receipt in order would)
 and *drain before any read or write* of the state the receipts bear on.
-Sniffers are not the owner's concern: one that matches the type still sees
-every copy, in order, before its receipt is stored.
 """
 
 from __future__ import annotations
@@ -74,20 +72,18 @@ class Node:
         self.mac: Optional[CsmaMac] = None
         #: Packet type -> its handler, or the mailbox registered in its place.
         self._handlers: Dict[Type[Packet], Union[PacketHandler, Mailbox]] = {}
-        #: (sniffer, packet types it wants or None for all), registration order.
-        self._sniffers: List[Tuple[PacketHandler, Optional[Tuple[Type[Packet], ...]]]] = []
         #: The receive table, the node's one receive mechanism: concrete
-        #: packet type -> its upcalls, the matching sniffers (registration
-        #: order) then the resolved handler -- or the type's mailbox itself
-        #: when no sniffer matches.  Filled lazily per type, cleared
-        #: whenever a handler or sniffer is added: receiving is one dict hit
-        #: however many protocols or groups are registered.  :meth:`deliver`
-        #: reads it, and so does the medium for ordinary broadcast copies
-        #: (lent through the MAC below) -- this dict object, never a copy.
-        self._dispatch_cache: Dict[Type[Packet], Union[Tuple[PacketHandler, ...], Mailbox]] = {}
+        #: packet type -> its one receiver, the handler or the mailbox dict
+        #: (see :meth:`_resolve_receiver`), or ``False`` when nothing
+        #: receives the type.  Filled lazily per type, cleared whenever a
+        #: receiver registers: receiving is one dict hit however many
+        #: protocols or groups are registered.  :meth:`deliver` reads it, and
+        #: so does the medium for ordinary broadcast copies (lent through the
+        #: MAC below) -- this dict object, never a copy.
+        self._dispatch_cache: Dict[Type[Packet], Union[PacketHandler, Mailbox, bool]] = {}
         #: Neighbour liveness: sender -> time anything was last received
-        #: from it, written by both entries before the upcalls run.  AODV
-        #: adopts this very dict as its neighbour table instead of sniffing.
+        #: from it, written by both entries before the receiver runs.  AODV
+        #: adopts this very dict as its neighbour table.
         self.heard: Dict[NodeId, float] = {}
         if build_mac:
             self.mac = CsmaMac(
@@ -99,7 +95,7 @@ class Node:
                 on_unicast_failure=self._on_unicast_failure,
             )
             self.mac.lend_broadcast_route(
-                self._dispatch_cache, self._build_dispatch_chain, self.heard
+                self._dispatch_cache, self._resolve_receiver, self.heard
             )
         self._link_failure_listeners: List[LinkFailureListener] = []
         self.applications: List = []
@@ -154,7 +150,7 @@ class Node:
         is the :class:`ValueError` two handlers are.
         """
         if type(mailbox) is not dict:
-            # The receive paths tell a mailbox from a chain by exact class.
+            # The receive paths tell a mailbox from a handler by exact class.
             raise TypeError(f"a mailbox is a plain dict, not {type(mailbox).__name__}")
         self._register(packet_type, mailbox)
 
@@ -166,70 +162,32 @@ class Node:
         self._handlers[packet_type] = receiver
         self._dispatch_cache.clear()
 
-    def add_sniffer(
-        self,
-        sniffer: PacketHandler,
-        packet_types: Optional[Tuple[Type[Packet], ...]] = None,
-    ) -> None:
-        """Register a callback invoked for packets this node receives.
-
-        With the default ``packet_types=None`` the sniffer sees *every*
-        packet (tracing, tests; neighbour liveness needs none, see
-        :attr:`heard`).  Passing a tuple of packet classes restricts the
-        sniffer to those types (and their subclasses), so type-specific
-        observers stop taxing the dispatch of every other packet.
-        """
-        self._sniffers.append((sniffer, tuple(packet_types) if packet_types else None))
-        self._dispatch_cache.clear()
-
     def deliver(self, packet: Packet, from_node: NodeId) -> None:
         """Dispatch a packet received from the MAC (or from a local protocol)."""
         if from_node != self.node_id and from_node >= 0:
             self.heard[from_node] = self.sim.now
-        chain = self._dispatch_cache.get(type(packet))
-        if chain is None:
-            chain = self._build_dispatch_chain(type(packet))
-        if chain.__class__ is dict:
-            chain[from_node] = (packet, self.sim.now)
-        else:
-            for callback in chain:
-                callback(packet, from_node)
+        receiver = self._dispatch_cache.get(type(packet))
+        if receiver is None:
+            receiver = self._resolve_receiver(type(packet))
+        if receiver.__class__ is dict:
+            receiver[from_node] = (packet, self.sim.now)
+        elif receiver:
+            receiver(packet, from_node)
 
-    def _build_dispatch_chain(self, packet_type: Type[Packet]):
-        """Resolve and cache the full delivery chain of one packet type.
-
-        The chain preserves the historic call order exactly: sniffers in
-        registration order first, then the handler (exact type match, falling
-        back to the first registered base class).  A mailbox resolves to the
-        dict itself unless a sniffer matches: then the chain is the sniffers
-        followed by one closure that stamps the mailbox.
-        """
-        callbacks = [
-            sniffer
-            for sniffer, wanted in self._sniffers
-            if wanted is None or issubclass(packet_type, wanted)
-        ]
-        handler = self._handlers.get(packet_type)
-        if handler is None:
-            for registered_type, candidate in self._handlers.items():
-                if issubclass(packet_type, registered_type):
-                    handler = candidate
-                    break
-        if handler.__class__ is dict:
-            mailbox, sim = handler, self.sim
-            if not callbacks:
-                self._dispatch_cache[packet_type] = mailbox
-                return mailbox
-
-            def stamp(packet: Packet, from_node: NodeId) -> None:
-                mailbox[from_node] = (packet, sim.now)
-
-            handler = stamp
-        if handler is not None:
-            callbacks.append(handler)
-        chain = tuple(callbacks)
-        self._dispatch_cache[packet_type] = chain
-        return chain
+    def _resolve_receiver(self, packet_type: Type[Packet]):
+        """Resolve and cache the one receiver of ``packet_type``: the handler
+        or mailbox registered for the exact type, else for the first
+        registered base class, else ``False`` -- falsy, so an unhandled copy
+        costs no call, and not ``None``, so the miss is cached too."""
+        receiver = self._handlers.get(packet_type)
+        if receiver is None:
+            receiver = next(
+                (candidate for registered_type, candidate in self._handlers.items()
+                 if issubclass(packet_type, registered_type)),
+                False,
+            )
+        self._dispatch_cache[packet_type] = receiver
+        return receiver
 
     # ------------------------------------------------------------- link layer
     def send_frame(self, packet: Packet, next_hop: NodeId) -> bool:

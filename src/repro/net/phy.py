@@ -53,8 +53,8 @@ class Phy:
         #: to the MAC without an intermediate method call per frame.
         self.receive_callback: Optional[Callable[[Frame, int], None]] = None
         #: Route of ordinary broadcast copies (all but link-layer control):
-        #: ``(chains, resolve, mac_stats, heard)`` -- the node's receive
-        #: table (``type(packet)`` -> upcalls; the very dict the node clears
+        #: ``(receivers, resolve, mac_stats, heard)`` -- the node's receive
+        #: table (``type(packet)`` -> receiver; the very dict the node clears
         #: on a late registration, so no hook is needed), its miss resolver,
         #: the ``MacStats`` whose ``delivered_to_upper`` a copy bumps and the
         #: node's liveness table (sender -> time last heard).  The medium

@@ -24,6 +24,14 @@ class TestTrialsForSpec:
             (75.0, 2, "maodv"), (75.0, 2, "gossip"),
         ]
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(seeds=0), dict(seeds=-2), dict(seeds=1, x_values=[]),
+        dict(seeds=1, variants=()),
+    ], ids=["seeds_0", "seeds_negative", "no_x_values", "no_variants"])
+    def test_a_sweep_of_no_trials_is_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            trials_for_spec(figure2_range_slow(), scale="quick", **kwargs)
+
     def test_trial_configs_carry_variant_and_seed(self):
         spec = figure2_range_slow()
         trials = trials_for_spec(spec, scale="quick", seeds=1, x_values=[55])

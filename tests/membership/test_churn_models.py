@@ -386,7 +386,7 @@ class TestFlashCrowdChurn:
         controller.start()
         sim.run(until=200.0)
         assert controller.directory.member_count(0) == 0
-        assert controller.directory.leaves() == 3
+        assert [e.kind for e in controller.directory.events].count("leave") == 3
 
 
 class TestBuildChurnModel:

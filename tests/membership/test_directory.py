@@ -38,8 +38,9 @@ class TestJoinLeave:
         directory.record_leave(0, 5, 30.0)
         directory.record_join(0, 5, 40.0)
         assert directory.intervals(0, 5) == [(10.0, 30.0), (40.0, None)]
-        assert directory.joins() == 2
-        assert directory.leaves() == 1
+        assert [(event.time_s, event.kind) for event in directory.events] == [
+            (10.0, "join"), (30.0, "leave"), (40.0, "join"),
+        ]
 
     def test_group_count_validation(self):
         with pytest.raises(ValueError):
@@ -47,28 +48,6 @@ class TestJoinLeave:
 
 
 class TestQueries:
-    def test_is_subscribed_respects_interval_bounds(self):
-        directory = MembershipDirectory(1)
-        directory.record_join(0, 5, 10.0)
-        directory.record_leave(0, 5, 30.0)
-        assert directory.is_subscribed(0, 5, 10.0)      # closed at the start
-        assert directory.is_subscribed(0, 5, 29.9)
-        assert not directory.is_subscribed(0, 5, 30.0)  # open at the end
-        assert not directory.is_subscribed(0, 5, 5.0)
-
-    def test_open_interval_extends_to_any_later_time(self):
-        directory = MembershipDirectory(1)
-        directory.record_join(0, 5, 10.0)
-        assert directory.is_subscribed(0, 5, 10_000.0)
-
-    def test_subscribed_span_clamps_to_horizon(self):
-        directory = MembershipDirectory(1)
-        directory.record_join(0, 5, 10.0)
-        directory.record_leave(0, 5, 30.0)
-        directory.record_join(0, 5, 50.0)
-        assert directory.subscribed_span(0, 5, 60.0) == pytest.approx(30.0)
-        assert directory.subscribed_span(0, 5, 20.0) == pytest.approx(10.0)
-
     def test_ever_members_includes_departed_nodes(self):
         directory = MembershipDirectory(1)
         directory.record_join(0, 5, 10.0)

@@ -49,6 +49,25 @@ class TestDeliveryCollector:
         assert DeliveryCollector().received_by(9) == 0
 
 
+class TestSubscriptionIntervals:
+    def _collector(self, send_times):
+        collector = DeliveryCollector()
+        for seq, at in enumerate(send_times, start=1):
+            collector.note_sent((9, seq), at=at)
+        return collector
+
+    def test_interval_is_closed_at_the_start_and_open_at_the_end(self):
+        collector = self._collector([5.0, 10.0, 29.9, 30.0])
+        collector.open_interval(1, 10.0)
+        collector.close_interval(1, 30.0)
+        assert collector.expected_for(1) == {(9, 2), (9, 3)}
+
+    def test_open_interval_extends_to_any_later_time(self):
+        collector = self._collector([5.0, 10_000.0])
+        collector.open_interval(1, 10.0)
+        assert collector.expected_for(1) == {(9, 2)}
+
+
 class TestSummary:
     def test_summary_statistics(self):
         collector = DeliveryCollector()

@@ -88,7 +88,7 @@ class TestApplyForeignRecords:
         assert medium_b.foreign_stats["attached"] == 1
         end_time = records[0][3]
         assert phys_b[1].rx_busy_until == pytest.approx(end_time)
-        assert medium_b.is_busy_for(phys_b[1])
+        assert phys_b[1].carrier_busy()
         sim_b.run()
         assert received_b[1] == [(end_time, 0, records[0][6].packet.uid)]
         assert medium_b.stats.deliveries == 1

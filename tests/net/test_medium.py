@@ -153,20 +153,20 @@ class TestCarrierSense:
     def test_busy_while_neighbor_transmits(self):
         sim, medium, phys, _ = _make_network([(0, 0), (50, 0)])
         phys[0].transmit(_frame(0, 1))
-        assert medium.is_busy_for(phys[1])
+        assert phys[1].carrier_busy()
         sim.run()
-        assert not medium.is_busy_for(phys[1])
+        assert not phys[1].carrier_busy()
 
     def test_not_busy_when_transmitter_out_of_sense_range(self):
         sim, medium, phys, _ = _make_network([(0, 0), (500, 0)], range_m=100)
         phys[0].transmit(_frame(0, -1))
-        assert not medium.is_busy_for(phys[1])
+        assert not phys[1].carrier_busy()
         sim.run()
 
     def test_own_transmission_counts_as_busy(self):
         sim, medium, phys, _ = _make_network([(0, 0), (50, 0)])
         phys[0].transmit(_frame(0, 1))
-        assert medium.is_busy_for(phys[0])
+        assert phys[0].carrier_busy()
         sim.run()
 
     def test_radio_cannot_double_transmit(self):
@@ -182,7 +182,7 @@ class TestFailureInjection:
         sim, medium, phys, received = _make_network([(0, 0), (50, 0)])
         phys[1].power_down()
         phys[0].transmit(_frame(0, 1))
-        assert not medium.is_busy_for(phys[1])
+        assert not phys[1].carrier_busy()
         sim.run()
         assert received[1] == []
         assert medium.stats.deliveries == 0
@@ -205,7 +205,7 @@ class TestFailureInjection:
         sim.call_in(airtime / 3, phys[1].power_down)
         sim.call_in(airtime / 2, phys[1].power_up)
         sim.call_in(airtime * 0.75, lambda: setattr(
-            self, "_busy_after_cycle", medium.is_busy_for(phys[1])
+            self, "_busy_after_cycle", phys[1].carrier_busy()
         ))
         sim.run()
         assert self._busy_after_cycle  # rejoined the interference set
@@ -306,7 +306,7 @@ class TestSnapshotGeometry:
         )
         airtime = sender.transmit(_frame(0, 1))
         probes = []
-        sim.call_in(airtime * 0.75, lambda: probes.append(medium.is_busy_for(mover)))
+        sim.call_in(airtime * 0.75, lambda: probes.append(mover.carrier_busy()))
         sim.run()
         assert probes == [True]  # still senses the frame it is receiving
         assert len(received) == 1
@@ -318,7 +318,7 @@ class TestSnapshotGeometry:
         )
         airtime = sender.transmit(_frame(0, 1))
         probes = []
-        sim.call_in(airtime * 0.75, lambda: probes.append(medium.is_busy_for(mover)))
+        sim.call_in(airtime * 0.75, lambda: probes.append(mover.carrier_busy()))
         sim.run()
         assert probes == [False]  # was outside the start-time interference set
         assert received == []
@@ -326,7 +326,7 @@ class TestSnapshotGeometry:
         assert medium.stats.out_of_range_discards == 0
 
     def test_carrier_sense_agrees_with_reception_set(self):
-        # The satellite invariant: is_busy_for == membership in the frozen
+        # The satellite invariant: carrier_busy() == membership in the frozen
         # interference set, no matter where the node has moved since.
         for waypoints in (
             [(0.0, 90.0, 0.0), (3e-4, 250.0, 0.0)],  # leaves mid-airtime
@@ -341,7 +341,7 @@ class TestSnapshotGeometry:
                     end_time > sim.now
                     for _, end_time, _, _ in medium.receptions_for(mover.node_id)
                 )
-                checks.append(medium.is_busy_for(mover) == expected)
+                checks.append(mover.carrier_busy() == expected)
 
             for fraction in (0.25, 0.5, 0.9):
                 sim.call_in(airtime * fraction, check)
@@ -359,7 +359,7 @@ class TestLateRegistration:
             phy = Phy(_StubNode(2, 30, 0), medium)
             phy.set_receive_callback(lambda f, s: late.setdefault("rx", []).append(f))
             late["phy"] = phy
-            late["busy"] = medium.is_busy_for(phy)
+            late["busy"] = phy.carrier_busy()
 
         sim.call_in(airtime / 2, join)
         sim.run()
@@ -375,7 +375,7 @@ class TestLateRegistration:
 
         def join():
             phy = Phy(_StubNode(2, 500, 0), medium)
-            late["busy"] = medium.is_busy_for(phy)
+            late["busy"] = phy.carrier_busy()
 
         sim.call_in(airtime / 2, join)
         sim.run()

@@ -17,7 +17,6 @@ from repro.routing.messages import HelloMessage
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
 from repro.sim.shard import ShardedSimulator
-from repro.trace.tracer import PacketTracer
 from tests.conftest import python_calls
 from tests.net.reference_medium import MEDIA
 
@@ -54,6 +53,9 @@ class TestDispatch:
         node.register_handler(_AppPacket, lambda packet, sender: None)
         # Must not raise even though no handler matches.
         node.deliver(_OtherPacket(origin=1, destination=0), 1)
+        # The miss is cached as a falsy receiver, so the next copy of the
+        # type resolves nothing and calls nothing.
+        assert node._dispatch_cache == {_OtherPacket: False}
 
     def test_duplicate_handler_registration_rejected(self):
         _, node = _make_node()
@@ -72,51 +74,8 @@ class TestDispatch:
         node.deliver(_Derived(origin=1, destination=0), 1)
         assert len(seen) == 1
 
-    def test_sniffers_see_every_packet(self):
-        _, node = _make_node()
-        sniffed = []
-        node.add_sniffer(lambda packet, sender: sniffed.append(type(packet)))
-        node.register_handler(_AppPacket, lambda packet, sender: None)
-        node.deliver(_AppPacket(origin=1, destination=0), 1)
-        node.deliver(_OtherPacket(origin=2, destination=0), 2)
-        assert sniffed == [_AppPacket, _OtherPacket]
-
-    def test_typed_sniffer_sees_only_its_types(self):
-        _, node = _make_node()
-        sniffed = []
-        node.add_sniffer(
-            lambda packet, sender: sniffed.append(type(packet)),
-            packet_types=(_AppPacket,),
-        )
-        node.deliver(_AppPacket(origin=1, destination=0), 1)
-        node.deliver(_OtherPacket(origin=2, destination=0), 2)
-        assert sniffed == [_AppPacket]
-
-    def test_typed_sniffer_matches_subclasses(self):
-        @dataclass
-        class _Derived(_AppPacket):
-            pass
-
-        _, node = _make_node()
-        sniffed = []
-        node.add_sniffer(
-            lambda packet, sender: sniffed.append(type(packet)),
-            packet_types=(_AppPacket,),
-        )
-        node.deliver(_Derived(origin=1, destination=0), 1)
-        assert sniffed == [_Derived]
-
-    def test_sniffers_run_in_registration_order_before_handler(self):
-        _, node = _make_node()
-        calls = []
-        node.add_sniffer(lambda packet, sender: calls.append("first"))
-        node.add_sniffer(lambda packet, sender: calls.append("second"))
-        node.register_handler(_AppPacket, lambda packet, sender: calls.append("handler"))
-        node.deliver(_AppPacket(origin=1, destination=0), 1)
-        assert calls == ["first", "second", "handler"]
-
     def test_handler_registered_after_first_delivery_is_picked_up(self):
-        # The per-type dispatch chain is cached; late registrations must
+        # The per-type receiver is cached; late registrations must
         # invalidate it.
         _, node = _make_node()
         seen = []
@@ -124,15 +83,6 @@ class TestDispatch:
         node.register_handler(_AppPacket, lambda packet, sender: seen.append(packet))
         node.deliver(_AppPacket(origin=2, destination=0), 2)
         assert len(seen) == 1
-
-    def test_sniffer_added_after_first_delivery_is_picked_up(self):
-        _, node = _make_node()
-        sniffed = []
-        node.register_handler(_AppPacket, lambda packet, sender: None)
-        node.deliver(_AppPacket(origin=1, destination=0), 1)
-        node.add_sniffer(lambda packet, sender: sniffed.append(sender))
-        node.deliver(_AppPacket(origin=2, destination=0), 2)
-        assert sniffed == [2]
 
 
 def _make_stacks(positions, kernel="batch", sim=None, shards=1, build_mac=None):
@@ -171,7 +121,7 @@ class TestBroadcastRoute:
             AodvRouter(node)  # the full stack: AODV's liveness used to be a sniffer
             node.register_handler(_AppPacket, on_app_packet)
         _air(nodes[0], _AppPacket(origin=0, destination=-1))
-        sim.run()  # first copy of the type resolves and caches its chain
+        sim.run()  # first copy of the type resolves and caches its receiver
         packet = _AppPacket(origin=0, destination=-1)
         _air(nodes[0], packet)
         calls = []
@@ -200,28 +150,24 @@ class TestBroadcastRoute:
 
     def test_route_is_the_nodes_own_table_and_liveness_dict(self):
         _, _, nodes = _make_stacks([(0, 0)])
-        chains, resolve, mac_stats, heard = nodes[0].phy.broadcast_route
-        assert chains is nodes[0]._dispatch_cache
-        assert resolve == nodes[0]._build_dispatch_chain
+        receivers, resolve, mac_stats, heard = nodes[0].phy.broadcast_route
+        assert receivers is nodes[0]._dispatch_cache
+        assert resolve == nodes[0]._resolve_receiver
         assert mac_stats is nodes[0].mac.stats
         assert heard is nodes[0].heard
 
     @pytest.mark.parametrize("kernel", KERNELS)
-    def test_late_handler_and_late_sniffer_are_seen_by_the_next_copy(self, kernel):
+    def test_late_handler_is_seen_by_the_next_copy(self, kernel):
         sim, medium, nodes = _make_stacks([(0, 0), (50, 0)], kernel)
         calls = []
         _air(nodes[0], _AppPacket(origin=0, destination=-1))
-        sim.run()  # first medium delivery caches "no upcalls" for the type
+        sim.run()  # first medium delivery caches "no receiver" for the type
         assert nodes[1].mac.stats.delivered_to_upper == 1 and calls == []
         nodes[1].register_handler(_AppPacket, lambda p, s: calls.append(("handler", s)))
         _air(nodes[0], _AppPacket(origin=0, destination=-1))
         sim.run()
         assert calls == [("handler", 0)]
-        nodes[1].add_sniffer(lambda p, s: calls.append(("sniffer", s)))
-        _air(nodes[0], _AppPacket(origin=0, destination=-1))
-        sim.run()
-        assert calls == [("handler", 0), ("sniffer", 0), ("handler", 0)]
-        assert nodes[1].mac.stats.delivered_to_upper == 3
+        assert nodes[1].mac.stats.delivered_to_upper == 2
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_subclass_packet_reaches_base_class_handler(self, kernel):
@@ -240,15 +186,15 @@ class TestBroadcastRoute:
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_crafted_broadcast_mac_ack_takes_the_receive_callback(self, kernel):
         sim, medium, nodes = _make_stacks([(0, 0), (50, 0)], kernel)
-        sniffed = []
-        nodes[1].add_sniffer(lambda p, s: sniffed.append(p))
+        seen = []
+        nodes[1].register_handler(MacAck, lambda p, s: seen.append(p))
         _air(nodes[0], MacAck(origin=0, destination=-1, acked_uid=99))
         sim.run()
         # Link-layer control never reaches the receive table: the MAC eats it.
         assert medium.stats.deliveries == 1
         assert nodes[1].mac.stats.acks_received == 1
         assert nodes[1].mac.stats.delivered_to_upper == 0
-        assert sniffed == [] and nodes[1].heard == {}
+        assert seen == [] and nodes[1].heard == {}
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_radio_without_mac_or_callback_is_never_dispatched(self, kernel):
@@ -312,7 +258,7 @@ class TestMailbox:
         with pytest.raises(TypeError):
             node.register_mailbox(_AppPacket, OrderedDict())
 
-    def test_deliver_stores_the_last_receipt_per_sender_after_the_sniffers(self):
+    def test_deliver_stores_the_last_receipt_per_sender(self):
         sim, node = _make_node()
         mailbox = {}
         node.register_mailbox(_AppPacket, mailbox)
@@ -323,10 +269,8 @@ class TestMailbox:
         node.deliver(second, 5)
         # An overwritten sender keeps the position of its first pending receipt.
         assert list(mailbox.items()) == [(5, (second, 1.5)), (7, (other, 0.0))]
-        held_at_sniff_time = []
-        node.add_sniffer(lambda packet, sender: held_at_sniff_time.append(mailbox[sender][0]))
         node.deliver(third, 5)
-        assert held_at_sniff_time == [second] and mailbox[5] == (third, 1.5)
+        assert list(mailbox.items()) == [(5, (third, 1.5)), (7, (other, 0.0))]
 
     def test_decoded_hello_copy_runs_no_frame_in_the_teardown_loop(self):
         sim, medium, nodes = _make_stacks([(0, 0), (50, 0), (0, 50)])
@@ -347,23 +291,15 @@ class TestMailbox:
         assert [node.mac.stats.delivered_to_upper for node in nodes[1:]] == [2, 2]
 
     @pytest.mark.parametrize("kernel", KERNELS)
-    def test_tracers_attached_before_and_after_the_first_hello_see_every_later_one(self, kernel):
+    def test_every_later_hello_replaces_the_receipt(self, kernel):
         sim, medium, nodes = _make_stacks([(0, 0), (50, 0), (0, 50)], kernel)
         routers = [AodvRouter(node) for node in nodes]
-        early, late = PacketTracer(), PacketTracer()
-        early.attach(nodes[1])
-        hellos = [HelloMessage(origin=0, destination=-1, seq=seq) for seq in (1, 2, 3)]
-        _air(nodes[0], hellos[0])
-        sim.run()  # node 2 has cached the bare mailbox, node 1 sniffer + stamp
-        late.attach_all(nodes[1:])
-        for hello in hellos[1:]:
+        for seq in (1, 2, 3):
+            hello = HelloMessage(origin=0, destination=-1, seq=seq)
             _air(nodes[0], hello)
             sim.run()
-        uids = [hello.uid for hello in hellos]
-        assert [(r.node, r.uid) for r in early.records] == [(1, uid) for uid in uids]
-        assert [(r.node, r.uid) for r in late.records] == [
-            (1, uids[1]), (2, uids[1]), (1, uids[2]), (2, uids[2]),
-        ]
+            for router in routers[1:]:
+                assert router.route_table.hellos == {0: (hello, sim.now)}
         for router in routers[1:]:
             assert router.has_route(0) and router.route_table.entry(0).seq == 3
 

@@ -467,8 +467,9 @@ class TestDispatchAgreement:
 
     # ------------------------------------------------------------ mailboxes
     def _run_hellos(self, kernel, late_foreign=False):
-        """Three HELLOs and a data packet from node 0 to mailboxes at 1 and 2
-        (node 2 behind a sniffer); returns the boxes and what was sniffed."""
+        """Three HELLOs and a data packet from node 0 to a mailbox at 1 and a
+        handler at 2; returns the mailbox and the ``(packet, time)`` copies
+        the handler saw."""
         sim, medium, nodes, _ = self._stacks(kernel, (0,) if late_foreign else (0, 1, 2))
         for index, seq in enumerate((4, 4, None, 5)):
             packet = (Packet(origin=0, destination=-1) if seq is None
@@ -480,32 +481,31 @@ class TestDispatchAgreement:
             sim.run()
             records = medium.drain_export()
             sim, medium, nodes, _ = self._stacks("batch", (1, 2))
-        boxes = {1: {}, 2: {}}
-        sniffed = []
-        for node_id, box in boxes.items():
-            nodes[node_id].register_mailbox(HelloMessage, box)
-        nodes[2].add_sniffer(lambda packet, sender: sniffed.append(packet.seq), (HelloMessage,))
+        box, handled = {}, []
+        nodes[1].register_mailbox(HelloMessage, box)
+        nodes[2].register_handler(
+            HelloMessage, lambda packet, sender: handled.append((packet, sim.now))
+        )
         if late_foreign:
             sim.run(until=1.0)  # the boundary: every flight is long over
             medium.apply_foreign_records(records)
         else:
             sim.run()
-        return boxes, sniffed
+        return box, handled
 
     def test_both_kernels_and_the_late_foreign_path_leave_equal_mailboxes(self):
-        def last_seq(boxes):
-            return {nid: {sender: hello.seq for sender, (hello, _) in box.items()}
-                    for nid, box in boxes.items()}
+        def seqs(handled):
+            return [packet.seq for packet, _ in handled]
 
-        boxes, sniffed = self._run_hellos("batch")
-        assert last_seq(boxes) == {1: {0: 5}, 2: {0: 5}} and sniffed == [4, 4, 5]
-        # Node 1's receipt is the flight's shared tuple, node 2's was stamped
-        # by the closure behind its sniffer: same packet, same time.
-        assert boxes[1] == boxes[2] and boxes[1][0][1] > 0.4
-        object_boxes, object_sniffed = self._run_hellos("object")
-        assert last_seq(object_boxes) == last_seq(boxes) and object_sniffed == sniffed
-        assert [box[0][1] for box in object_boxes.values()] == [box[0][1] for box in boxes.values()]
-        late_boxes, late_sniffed = self._run_hellos("batch", late_foreign=True)
-        assert last_seq(late_boxes) == last_seq(boxes) and late_sniffed == sniffed
+        box, handled = self._run_hellos("batch")
+        assert list(box) == [0] and seqs(handled) == [4, 4, 5]
+        # The mailbox holds the last copy the handler saw: same packet, same time.
+        assert box[0] == handled[-1] and box[0][1] > 0.4
+        object_box, object_handled = self._run_hellos("object")
+        assert object_box[0][0].seq == 5 and seqs(object_handled) == seqs(handled)
+        assert object_box[0][1] == box[0][1]
+        assert [at for _, at in object_handled] == [at for _, at in handled]
+        late_box, late_handled = self._run_hellos("batch", late_foreign=True)
+        assert late_box[0] == late_handled[-1] and seqs(late_handled) == seqs(handled)
         # Received at the boundary, as the handlers on that path always were.
-        assert [box[0][1] for box in late_boxes.values()] == [1.0, 1.0]
+        assert late_box[0][1] == 1.0

@@ -121,7 +121,7 @@ class TestWrappedGeometry:
             [(1.0, 50.0), (199.0, 50.0)], range_m=20.0
         )
         phys[0].transmit(_frame(0, -1))
-        assert medium.is_busy_for(phys[1])
+        assert phys[1].carrier_busy()
 
 
 class TestTorusEquivalence:

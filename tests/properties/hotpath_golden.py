@@ -1,7 +1,7 @@
 """Golden-digest harness pinning the simulator's observable behaviour.
 
 The engine / medium / MAC hot-path refactor (slot-pooled event queue,
-reception pooling, flattened receive chain) must be *behaviour preserving*:
+reception pooling, flattened receive table) must be *behaviour preserving*:
 every protocol counter, every delivered frame, every aggregate metric has to
 come out bit-identical to the pre-refactor implementation.  Grid-vs-naive
 equivalence (``test_medium_equivalence.py``) proves the medium agrees with
@@ -136,6 +136,40 @@ GOLDEN_FAILURES: Dict[str, tuple] = {
 }
 
 
+def _log_receptions(node, log) -> None:
+    """Log every copy ``node`` receives, then hand it to its receiver.
+
+    Every entry of the node's receive table becomes a logger around the
+    entry's own receiver: it appends ``(time, receiver, sender, uid, type)``
+    and then calls the handler or stamps the mailbox, so a copy nothing
+    handles is logged too.  Both receive paths see the wrapped entries:
+    ``Node.deliver`` through the shadowed resolver, the medium's teardown
+    through the broadcast route lent again with that resolver.
+    """
+    resolve = node._resolve_receiver
+    table = node._dispatch_cache
+    sim = node.sim
+    nid = node.node_id
+
+    def logged(packet_type):
+        receiver = resolve(packet_type)
+
+        def log_copy(packet, from_node):
+            log.append((sim.now, nid, from_node, packet.uid, packet_type.__name__))
+            if receiver.__class__ is dict:
+                receiver[from_node] = (packet, sim.now)
+            elif receiver:
+                receiver(packet, from_node)
+
+        table[packet_type] = log_copy
+        return log_copy
+
+    table.clear()
+    node._resolve_receiver = logged
+    if node.phy.broadcast_route is not None:
+        node.mac.lend_broadcast_route(table, logged, node.heard)
+
+
 def run_with_delivery_log(config: ScenarioConfig, failure_events=None, medium=None):
     """Run a scenario recording every packet delivery in order.
 
@@ -150,15 +184,24 @@ def run_with_delivery_log(config: ScenarioConfig, failure_events=None, medium=No
     equivalence suite and the golden digests so both pin the same notion of
     "delivered-frame sequence".
     """
+    log = []
+    result = _run(config, failure_events, medium, log)
+    canonical = {}
+    canonical_log = [
+        (now, nid, from_node, canonical.setdefault(uid, len(canonical)), kind)
+        for now, nid, from_node, uid, kind in log
+    ]
+    return result, canonical_log
+
+
+def _run(config: ScenarioConfig, failure_events, medium, log):
+    """Build and run one scenario, logging receptions into ``log`` unless
+    it is ``None``."""
     with scenario_medium(medium):
         scenario = Scenario(config).build()
-    log = []
-    for node in scenario.nodes:
-        node.add_sniffer(
-            lambda packet, from_node, nid=node.node_id: log.append(
-                (scenario.sim.now, nid, from_node, packet.uid, type(packet).__name__)
-            )
-        )
+    if log is not None:
+        for node in scenario.nodes:
+            _log_receptions(node, log)
     if failure_events:
         from repro.workload.failures import FailureEvent, FailureSchedule
 
@@ -168,13 +211,18 @@ def run_with_delivery_log(config: ScenarioConfig, failure_events=None, medium=No
             [FailureEvent(node_id=n, start_s=s, end_s=e) for n, s, e in failure_events],
         )
         schedule.start()
-    result = scenario.run()
-    canonical = {}
-    canonical_log = [
-        (now, nid, from_node, canonical.setdefault(uid, len(canonical)), kind)
-        for now, nid, from_node, uid, kind in log
-    ]
-    return result, canonical_log
+    return scenario.run()
+
+
+def _result_digest(result) -> dict:
+    """The digest fields read off the run's result alone."""
+    return {
+        "protocol_stats": {key: result.protocol_stats[key] for key in sorted(result.protocol_stats)},
+        "member_counts": {str(k): v for k, v in sorted(result.member_counts.items())},
+        "goodput_by_member": {str(k): v for k, v in sorted(result.goodput_by_member.items())},
+        "packets_sent": result.packets_sent,
+        "events_processed": result.events_processed,
+    }
 
 
 def run_digest(config: ScenarioConfig, failure_events=None, medium=None) -> dict:
@@ -186,24 +234,30 @@ def run_digest(config: ScenarioConfig, failure_events=None, medium=None) -> dict
     result, canonical_log = run_with_delivery_log(config, failure_events, medium)
     log_hash = hashlib.sha256(repr(canonical_log).encode()).hexdigest()
     return {
-        "protocol_stats": {key: result.protocol_stats[key] for key in sorted(result.protocol_stats)},
-        "member_counts": {str(k): v for k, v in sorted(result.member_counts.items())},
-        "goodput_by_member": {str(k): v for k, v in sorted(result.goodput_by_member.items())},
-        "packets_sent": result.packets_sent,
-        "events_processed": result.events_processed,
+        **_result_digest(result),
         "deliveries_logged": len(canonical_log),
         "delivery_log_sha256": log_hash,
     }
 
 
+def run_unlogged_digest(config: ScenarioConfig, failure_events=None, medium=None) -> dict:
+    """:func:`run_digest` without the delivery log, and so without its two
+    fields: every copy takes the production receive paths, HELLO mailboxes
+    included, instead of the logger's."""
+    return _result_digest(_run(config, failure_events, medium, None))
+
+
+def golden_case(name: str) -> tuple:
+    """``(config, failure_events, medium)`` of one stored golden."""
+    if name in GOLDEN_FAILURES:
+        base, events = GOLDEN_FAILURES[name]
+        return GOLDEN_SCENARIOS[base], events, None
+    return GOLDEN_SCENARIOS[name], None, GOLDEN_MEDIA.get(name)
+
+
 def compute_all() -> Dict[str, dict]:
     """Digests for every golden scenario and failure overlay."""
-    digests = {}
-    for name, config in GOLDEN_SCENARIOS.items():
-        digests[name] = run_digest(config, medium=GOLDEN_MEDIA.get(name))
-    for name, (base, events) in GOLDEN_FAILURES.items():
-        digests[name] = run_digest(GOLDEN_SCENARIOS[base], failure_events=events)
-    return digests
+    return {name: run_digest(*golden_case(name)) for name in (*GOLDEN_SCENARIOS, *GOLDEN_FAILURES)}
 
 
 def load_golden() -> Dict[str, dict]:

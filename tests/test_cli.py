@@ -167,6 +167,21 @@ class TestCampaignCommand:
         assert exit_code == 2
         assert "--out" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--seeds", "0"], "seeds must be at least 1"),
+        (["--seeds", "-2"], "seeds must be at least 1"),
+        (["--seeds", "1", "--points"], "at least one x value"),
+        (["--seeds", "1", "--variants"], "one variant"),
+    ], ids=["seeds_0", "seeds_negative", "bare_points", "bare_variants"])
+    def test_campaign_of_zero_trials_exits_2_and_writes_nothing(
+        self, flags, message, capsys, tmp_path
+    ):
+        out = tmp_path / "fig7.jsonl"
+        assert main(["campaign", "fig7", *flags, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+        assert not out.exists()
+
     def test_campaign_rejects_unknown_variant(self, capsys):
         exit_code = main([
             "campaign", "fig2", "--seeds", "1", "--points", "65",

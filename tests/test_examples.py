@@ -1,5 +1,4 @@
-"""Every example script imports cleanly, and the ones that drive the
-calendar or the failure injectors directly run to completion.
+"""Every example script imports cleanly and runs to completion.
 
 The examples use module paths the tests do not, so a moved or removed name
 would otherwise only surface when someone runs one.  Each keeps its work
@@ -38,7 +37,13 @@ def test_example_imports(path):
     ("highway_convoy", "vehicle 3  straggler      46/46              35"),
     # Drives the regional and the independent failure injectors.
     ("failure_sweep", "regional r=60 m       6        30         1.000"),
-], ids=["highway_convoy", "failure_sweep"])
+    # MAODV, MAODV + AG and flooding to rescue teams at walking pace.
+    ("disaster_relief", "MAODV + AG  131.0 / 131       131         131        100.0%    8623"),
+    # One gossip knob at a time against the paper's defaults.
+    ("parameter_study", "paper defaults             81.0/81         100.0%    146        96.8%    701"),
+    # The README's first run.
+    ("quickstart", "MAODV + Anonymous Gossip  81    59.3       55   81   9.7   73.3%     100.0%"),
+], ids=["highway_convoy", "failure_sweep", "disaster_relief", "parameter_study", "quickstart"])
 def test_example_runs(stem, line, capsys, monkeypatch):
     path = next(path for path in EXAMPLES if path.stem == stem)
     monkeypatch.setattr(sys, "argv", [str(path)])
