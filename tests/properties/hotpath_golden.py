@@ -34,6 +34,7 @@ import math
 import os
 from typing import Dict
 
+from repro.membership.config import ChurnConfig
 from repro.workload.scenario import Scenario, ScenarioConfig
 from tests.net.reference_medium import LinearScanMedium, scenario_medium
 
@@ -133,6 +134,45 @@ GOLDEN_FAILURES: Dict[str, tuple] = {
         "flooding_stack",
         [(2, 9.5, 14.0), (6, 12.0, 21.0)],
     ),
+}
+
+
+
+def _churn(model: str, groups: int, seed: int, **churn) -> ScenarioConfig:
+    """A quick churn golden: ``model`` over ``groups`` groups (script rows
+    of absent groups dropped)."""
+    if "script" in churn:
+        churn["script"] = [row for row in churn["script"] if row[1] < groups]
+    return _config(
+        num_nodes=12, member_count=4, transmission_range_m=60.0,
+        max_speed_mps=1.0, max_pause_s=10.0, group_count=groups, seed=seed,
+        churn_config=ChurnConfig(model=model, **churn),
+    )
+
+
+#: Rate-driven churn starts after the join window, so the initial members
+#: are subscribed when the on/off model samples its starting states.
+_ONOFF = dict(start_s=4.0, mean_on_s=8.0, mean_off_s=6.0)
+_SCRIPT = [
+    [9.0, 0, 1, "join"], [10.0, 0, 2, "join"], [12.0, 0, 1, "leave"],
+    [13.0, 1, 3, "join"], [15.0, 0, 1, "join"], [16.0, 1, 3, "leave"],
+    [18.0, 0, 2, "leave"],
+]
+
+#: Dynamic membership and multiple groups: every churn model over one and
+#: two groups (digested by :func:`churn_digest`, which adds the per-group
+#: and interval-aware outputs the static goldens cannot reach).
+GOLDEN_CHURN: Dict[str, ScenarioConfig] = {
+    f"churn_{name}_{groups}g": _churn(model, groups, seed, **dict(churn))
+    for name, model, seed, churn in (
+        ("poisson", "poisson", 21, dict(start_s=4.0, events_per_minute=30.0)),
+        ("onoff", "onoff", 22, _ONOFF),
+        ("onoff_correlated", "onoff", 23, dict(_ONOFF, onoff_correlated=True)),
+        ("flash_stay", "flash", 24,
+         dict(flash_at_s=10.0, flash_joiners=3, flash_stay_s=6.0)),
+        ("scripted", "scripted", 25, dict(script=_SCRIPT)),
+    )
+    for groups in (1, 2)
 }
 
 
@@ -247,6 +287,30 @@ def run_unlogged_digest(config: ScenarioConfig, failure_events=None, medium=None
     return _result_digest(_run(config, failure_events, medium, None))
 
 
+def _summary_digest(summary) -> dict:
+    fields = dict(vars(summary))
+    fields["member_counts"] = {str(k): v for k, v in sorted(summary.member_counts.items())}
+    return fields
+
+
+def churn_digest(config: ScenarioConfig) -> dict:
+    """Run a churn golden and digest its per-group, interval-aware outputs."""
+    result = Scenario(config).run()
+    return {
+        **_result_digest(result),
+        "delivery_ratio": result.delivery_ratio,
+        "membership_events": result.membership_events,
+        "goodput_by_group": {
+            str(group): {str(k): v for k, v in sorted(goodput.items())}
+            for group, goodput in sorted(result.goodput_by_group.items())
+        },
+        "group_summaries": {
+            str(group): _summary_digest(summary)
+            for group, summary in sorted(result.group_summaries.items())
+        },
+    }
+
+
 def golden_case(name: str) -> tuple:
     """``(config, failure_events, medium)`` of one stored golden."""
     if name in GOLDEN_FAILURES:
@@ -256,8 +320,13 @@ def golden_case(name: str) -> tuple:
 
 
 def compute_all() -> Dict[str, dict]:
-    """Digests for every golden scenario and failure overlay."""
-    return {name: run_digest(*golden_case(name)) for name in (*GOLDEN_SCENARIOS, *GOLDEN_FAILURES)}
+    """Digests for every golden scenario, failure overlay and churn pin."""
+    digests = {
+        name: run_digest(*golden_case(name))
+        for name in (*GOLDEN_SCENARIOS, *GOLDEN_FAILURES)
+    }
+    digests.update((name, churn_digest(config)) for name, config in GOLDEN_CHURN.items())
+    return digests
 
 
 def load_golden() -> Dict[str, dict]:

@@ -16,15 +16,20 @@ Logging deliveries wraps every receive-table entry, so the passes above
 never take the production receive paths themselves (a HELLO mailbox is
 stamped by the logger, not the medium).  A last pass runs every golden
 without the log and compares the fields that need none.
+
+The churn pins (``GOLDEN_CHURN``) run every churn model over one and two
+groups and compare the per-group, interval-aware outputs.
 """
 
 import pytest
 
 from tests.net.reference_medium import PerCopyMedium
 from tests.properties.hotpath_golden import (
+    GOLDEN_CHURN,
     GOLDEN_FAILURES,
     GOLDEN_MEDIA,
     GOLDEN_SCENARIOS,
+    churn_digest,
     golden_case,
     load_golden,
     run_digest,
@@ -39,7 +44,7 @@ def golden():
 
 def test_golden_file_has_no_stale_entries(golden):
     """Every stored digest corresponds to a scenario that still runs."""
-    expected = set(GOLDEN_SCENARIOS) | set(GOLDEN_FAILURES)
+    expected = set(GOLDEN_SCENARIOS) | set(GOLDEN_FAILURES) | set(GOLDEN_CHURN)
     assert set(golden) == expected
 
 
@@ -89,3 +94,12 @@ def test_unlogged_run_matches_golden(name, golden):
     expected = golden[name]
     for key, value in observed.items():
         assert value == expected[key], f"{name}: {key} diverged from golden without the log"
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CHURN))
+def test_churn_matches_golden(name, golden):
+    observed = churn_digest(GOLDEN_CHURN[name])
+    expected = golden[name]
+    assert set(observed) == set(expected)
+    for key, value in observed.items():
+        assert value == expected[key], f"{name}: {key} diverged from golden"
