@@ -3,8 +3,8 @@
 Each model turns a :class:`~repro.membership.config.ChurnConfig` into
 scheduled calls against a :class:`~repro.membership.controller.MembershipController`.
 Models only *propose* events -- the controller enforces the membership floor
-and ceiling, skips no-op joins/leaves, and keeps the directory, the metrics
-intervals and the protocol stack in sync.
+and ceiling, skips no-op joins/leaves, and keeps its member sets, the
+collectors' subscription intervals and the protocol stack in sync.
 
 All stochastic models draw exclusively from the single ``rng`` they are given
 (the scenario's ``"churn"`` stream), so a seed fully determines the event
@@ -130,7 +130,7 @@ class OnOffChurn(ChurnModel):
                 home = [
                     group_index
                     for group_index in range(controller.group_count)
-                    if controller.directory.is_member(group_index, node_id)
+                    if controller.is_member(group_index, node_id)
                 ]
                 if not home:
                     continue
@@ -140,7 +140,7 @@ class OnOffChurn(ChurnModel):
             return
         for group_index in range(controller.group_count):
             for node_id in controller.pool:
-                on = controller.directory.is_member(group_index, node_id)
+                on = controller.is_member(group_index, node_id)
                 self._schedule_toggle(controller, group_index, node_id, on, now)
 
     # ------------------------------------------------- correlated (device) mode
@@ -153,7 +153,6 @@ class OnOffChurn(ChurnModel):
         controller.sim.call_at(at, self._device_toggle, (controller, node_id))
 
     def _device_toggle(self, controller: "MembershipController", node_id: int) -> None:
-        directory = controller.directory
         if self._session_on.get(node_id, False):
             # Session end: the device drops every subscription it holds.
             # The home set is *merged* with the current memberships, never
@@ -164,7 +163,7 @@ class OnOffChurn(ChurnModel):
             memberships = [
                 group_index
                 for group_index in range(controller.group_count)
-                if directory.is_member(group_index, node_id)
+                if controller.is_member(group_index, node_id)
             ]
             if memberships:
                 self._home[node_id] = sorted(
@@ -192,11 +191,11 @@ class OnOffChurn(ChurnModel):
     def _toggle(self, controller: "MembershipController", group_index: int, node_id: int) -> None:
         # Re-read the *actual* state at toggle time: a rejected proposal (or a
         # competing model) may have left the node in either state.
-        if controller.directory.is_member(group_index, node_id):
+        if controller.is_member(group_index, node_id):
             controller.leave(group_index, node_id)
         else:
             controller.join(group_index, node_id)
-        on = controller.directory.is_member(group_index, node_id)
+        on = controller.is_member(group_index, node_id)
         self._schedule_toggle(controller, group_index, node_id, on, controller.sim.now)
 
 

@@ -4,10 +4,11 @@
 joins and leaves) and the protocol stack (which must react to them).  For
 every accepted event it
 
-1. updates the :class:`~repro.membership.directory.MembershipDirectory`,
+1. updates the current member set of the group, which it alone writes,
 2. opens/closes the member's subscription interval in the group's
-   :class:`~repro.metrics.collectors.DeliveryCollector` (so delivery ratios
-   only charge a member for packets sent while it was subscribed), and
+   :class:`~repro.metrics.collectors.DeliveryCollector`, the one record of
+   *since when* (so delivery ratios only charge a member for packets sent
+   while it was subscribed), and
 3. invokes the scenario-provided ``join_hook`` / ``leave_hook`` that drives
    the actual protocol machinery (MAODV join/prune, gossip state reset,
    sink attachment).
@@ -22,12 +23,9 @@ free.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.membership.churn import ChurnModel
-from repro.membership.directory import MembershipDirectory
-
-Protected = Union[Iterable[int], Mapping[int, Iterable[int]]]
 
 #: Hook signature: ``(group_index, node_id, initial)``; ``initial`` is True
 #: for the scenario's startup joins (which must behave exactly like the
@@ -58,41 +56,34 @@ class MembershipController:
     def __init__(
         self,
         sim,
-        directory: MembershipDirectory,
+        collectors: Mapping[int, object],
         *,
         pool: Sequence[int],
         window: Tuple[float, float],
         churn: Optional[ChurnModel] = None,
         min_members: int = 1,
         max_members: Optional[int] = None,
-        protected: Protected = (),
-        collectors: Optional[Dict[int, object]] = None,
+        protected: Optional[Mapping[int, Iterable[int]]] = None,
         join_hook: Optional[MembershipHook] = None,
         leave_hook: Optional[MembershipHook] = None,
     ):
         self.sim = sim
-        self.directory = directory
+        #: group index -> the group's delivery collector (one per group).
+        self._collectors = collectors
+        #: group index -> current members; only this controller writes it.
+        self._members: Dict[int, Set[int]] = {group_index: set() for group_index in collectors}
         self.churn = churn
         self.pool = sorted(set(pool))
         self._pool_set = frozenset(self.pool)
         self.window = window
         self.min_members = min_members
         self.max_members = max_members
-        # ``protected`` is per group: a mapping group_index -> node ids, or a
-        # flat iterable applied to every group.  A node sourcing group 0 can
-        # still churn in and out of group 1.
-        if isinstance(protected, Mapping):
-            self._protected: Dict[int, frozenset] = {
-                group_index: frozenset(nodes)
-                for group_index, nodes in protected.items()
-            }
-        else:
-            everywhere = frozenset(protected)
-            self._protected = {
-                group_index: everywhere
-                for group_index in range(directory.group_count)
-            }
-        self._collectors = collectors or {}
+        # ``protected`` is per group: a node sourcing group 0 can still churn
+        # in and out of group 1.
+        self._protected: Dict[int, frozenset] = {
+            group_index: frozenset(nodes)
+            for group_index, nodes in (protected or {}).items()
+        }
         self._join_hook = join_hook
         self._leave_hook = leave_hook
         self.stats = MembershipStats()
@@ -100,7 +91,15 @@ class MembershipController:
     @property
     def group_count(self) -> int:
         """Number of groups under management."""
-        return self.directory.group_count
+        return len(self._members)
+
+    def is_member(self, group_index: int, node_id: int) -> bool:
+        """True while ``node_id`` is currently subscribed to the group."""
+        return node_id in self._members[group_index]
+
+    def members(self, group_index: int) -> List[int]:
+        """Current members of the group, sorted."""
+        return sorted(self._members[group_index])
 
     def start(self) -> None:
         """Arm the churn model (if any)."""
@@ -110,12 +109,10 @@ class MembershipController:
     # ------------------------------------------------------------- candidates
     def join_candidates(self, group_index: int) -> List[int]:
         """Pool nodes that could join the group right now (sorted)."""
-        if (
-            self.max_members is not None
-            and self.directory.member_count(group_index) >= self.max_members
-        ):
+        members = self._members[group_index]
+        if self.max_members is not None and len(members) >= self.max_members:
             return []
-        return [n for n in self.pool if not self.directory.is_member(group_index, n)]
+        return [n for n in self.pool if n not in members]
 
     def leave_candidates(self, group_index: int) -> List[int]:
         """Members that could leave the group right now (sorted).
@@ -123,12 +120,10 @@ class MembershipController:
         Empty while the group sits at its ``min_members`` floor; protected
         nodes (sources) never appear.
         """
-        if self.directory.member_count(group_index) <= self.min_members:
+        if len(self._members[group_index]) <= self.min_members:
             return []
         protected = self._protected.get(group_index, frozenset())
-        return [
-            n for n in self.directory.members(group_index) if n not in protected
-        ]
+        return [n for n in self.members(group_index) if n not in protected]
 
     # ----------------------------------------------------------------- events
     def schedule_initial_join(self, group_index: int, node_id: int, at: float) -> None:
@@ -141,44 +136,31 @@ class MembershipController:
 
     def leave(self, group_index: int, node_id: int) -> bool:
         """Apply a mid-run leave; returns False when rejected or a no-op."""
-        now = self.sim.now
-        if node_id in self._protected.get(group_index, frozenset()):
+        members = self._members[group_index]
+        if (
+            node_id in self._protected.get(group_index, frozenset())
+            or node_id not in members
+            or len(members) <= self.min_members
+        ):
             self.stats.events_skipped += 1
             return False
-        if not self.directory.is_member(group_index, node_id):
-            self.stats.events_skipped += 1
-            return False
-        if self.directory.member_count(group_index) <= self.min_members:
-            self.stats.events_skipped += 1
-            return False
-        self.directory.record_leave(group_index, node_id, now)
-        collector = self._collectors.get(group_index)
-        if collector is not None:
-            collector.close_interval(node_id, now)
+        members.remove(node_id)
+        self._collectors[group_index].close_interval(node_id, self.sim.now)
         if self._leave_hook is not None:
             self._leave_hook(group_index, node_id, False)
         self.stats.leaves_applied += 1
         return True
 
     def _apply_join(self, group_index: int, node_id: int, initial: bool) -> bool:
-        now = self.sim.now
-        if not initial and node_id not in self._pool_set:
+        members = self._members[group_index]
+        if node_id in members or (not initial and (
+            node_id not in self._pool_set
+            or (self.max_members is not None and len(members) >= self.max_members)
+        )):
             self.stats.events_skipped += 1
             return False
-        if self.directory.is_member(group_index, node_id):
-            self.stats.events_skipped += 1
-            return False
-        if (
-            not initial
-            and self.max_members is not None
-            and self.directory.member_count(group_index) >= self.max_members
-        ):
-            self.stats.events_skipped += 1
-            return False
-        self.directory.record_join(group_index, node_id, now)
-        collector = self._collectors.get(group_index)
-        if collector is not None:
-            collector.open_interval(node_id, now)
+        members.add(node_id)
+        self._collectors[group_index].open_interval(node_id, self.sim.now)
         if self._join_hook is not None:
             self._join_hook(group_index, node_id, initial)
         if initial:

@@ -75,7 +75,7 @@ class DeliveryCollector:
     """Collects sent/received packet counts for one multicast group."""
 
     def __init__(self) -> None:
-        self._sent: Set[MessageId] = set()
+        #: sent packet -> its send time (the keys are the sent packets).
         self._sent_at: Dict[MessageId, float] = {}
         self._members: Dict[int, MemberDelivery] = {}
         #: member -> subscription spans ``[start, end]`` (``end`` None while open).
@@ -89,15 +89,13 @@ class DeliveryCollector:
         """Declare ``member`` as a group member (so zero counts appear too)."""
         self._members.setdefault(member, MemberDelivery(member=member))
 
-    def note_sent(self, message_id: MessageId, at: Optional[float] = None) -> None:
+    def note_sent(self, message_id: MessageId, at: float) -> None:
         """Record that the source multicast packet ``(source, seq)`` at ``at``.
 
         Callers pass the packet's own id (``MulticastData.mid``), so every
         table here shares the one tuple the message carries.
         """
-        self._sent.add(message_id)
-        if at is not None:
-            self._sent_at[message_id] = at
+        self._sent_at[message_id] = at
 
     def note_delivered(self, member: int, message_id: MessageId, *, via_gossip: bool = False) -> None:
         """Record that ``member`` received packet ``(source, seq)``.
@@ -147,11 +145,6 @@ class DeliveryCollector:
         """The member's recorded subscription spans (empty = always subscribed)."""
         return [tuple(span) for span in self._intervals.get(member, [])]
 
-    @property
-    def has_intervals(self) -> bool:
-        """True once any member has recorded subscription intervals."""
-        return bool(self._intervals)
-
     def _subscribed_at(self, member: int, at: float) -> bool:
         for start, end in self._intervals.get(member, []):
             if start <= at and (end is None or at < end):
@@ -162,45 +155,30 @@ class DeliveryCollector:
         """Packets that count for ``member``: sent while it was subscribed.
 
         Members without recorded intervals expect every sent packet (the
-        paper's static accounting).  A sent packet without a recorded send
-        time falls back to "expected" so legacy callers of
-        :meth:`note_sent` keep the static behaviour.
+        paper's static accounting).
         """
         if member not in self._intervals:
-            return set(self._sent)
-        expected = set()
-        for message_id in self._sent:
-            sent_at = self._sent_at.get(message_id)
-            if sent_at is None or self._subscribed_at(member, sent_at):
-                expected.add(message_id)
-        return expected
+            return set(self._sent_at)
+        return {
+            message_id
+            for message_id, sent_at in self._sent_at.items()
+            if self._subscribed_at(member, sent_at)
+        }
 
     # ----------------------------------------------------------------- queries
     @property
     def packets_sent(self) -> int:
         """Number of distinct data packets multicast by the sources."""
-        return len(self._sent)
+        return len(self._sent_at)
 
     @property
     def members(self) -> List[int]:
         """Registered member identifiers."""
         return sorted(self._members)
 
-    def received_by(self, member: int) -> int:
-        """Number of distinct (expected) packets received by ``member``."""
-        record = self._members.get(member)
-        if record is None:
-            return 0
-        return self._count_of(record)
-
     def member_record(self, member: int) -> MemberDelivery:
         """Full reception record of ``member``."""
         return self._members.setdefault(member, MemberDelivery(member=member))
-
-    def _count_of(self, record: MemberDelivery) -> int:
-        if record.member not in self._intervals:
-            return record.count
-        return sum(map(record.has, self.expected_for(record.member)))
 
     def summary(self) -> DeliverySummary:
         """Aggregate statistics over all registered members.

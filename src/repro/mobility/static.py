@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from typing import Tuple
 
 from repro.mobility.base import MobilityModel, Position, Segment
 
@@ -56,7 +55,3 @@ class GridMobility(StaticMobility):
         self.index = index
         self.columns = columns
 
-
-def line_positions(count: int, spacing_m: float) -> Tuple[StaticMobility, ...]:
-    """Build ``count`` static nodes on a horizontal line, ``spacing_m`` apart."""
-    return tuple(StaticMobility(i * spacing_m, 0.0) for i in range(count))

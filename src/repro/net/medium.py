@@ -322,11 +322,6 @@ class Medium:
         self._unfiltered += -1 if filters else 1
 
     @property
-    def node_ids(self) -> List[int]:
-        """Identifiers of every registered radio."""
-        return sorted(self._phys)
-
-    @property
     def spatial_index(self):
         """The medium's spatial index (read-only use: telemetry, censuses)."""
         return self._index

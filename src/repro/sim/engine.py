@@ -181,12 +181,14 @@ class Simulator:
             Optional safety valve limiting the number of callbacks executed
             in this call.
         """
+        if until is not None:
+            until = float(until)
+            if until != until:
+                raise SimulationError("cannot run until t=nan")
         if self._running:
             raise SimulationError("simulator is already running")
         self._running = True
         self._stopped = False
-        if until is not None:
-            until = float(until)
         executed = 0
         heap = self._heap
         pop = heapq.heappop

@@ -289,12 +289,14 @@ class ShardedSimulator(Simulator):
         O(shards); correctness needs only that every live event is in
         exactly one heap and sequence numbers are globally unique.
         """
+        if until is not None:
+            until = float(until)
+            if until != until:
+                raise SimulationError("cannot run until t=nan")
         if self._running:
             raise SimulationError("simulator is already running")
         self._running = True
         self._stopped = False
-        if until is not None:
-            until = float(until)
         executed = 0
         heaps = self._heaps
         pop = heapq.heappop
@@ -772,7 +774,6 @@ def _merge_collectors(config, payloads) -> Dict[int, "object"]:
     for payload in payloads:
         for group_index, collector in payload["collectors"].items():
             target = merged[group_index]
-            target._sent |= collector._sent
             target._sent_at.update(collector._sent_at)
             for member, record in collector._members.items():
                 into = target._members.setdefault(

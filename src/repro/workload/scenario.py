@@ -27,6 +27,7 @@ Two constructors cover the common cases:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -52,7 +53,6 @@ from repro.workload.cbr import CbrSource, MulticastSink
 
 if TYPE_CHECKING:  # import-on-use below: only churn runs build these
     from repro.membership.controller import MembershipController
-    from repro.membership.directory import MembershipDirectory
 
 
 @dataclass
@@ -129,6 +129,12 @@ class ScenarioConfig:
     seed: int = 1
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        for name in ("join_window_s", "source_start_s", "payload_bytes"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
         if self.num_nodes < 2:
             raise ValueError("a scenario needs at least two nodes")
         if self.protocol not in ("maodv", "flooding", "odmrp"):
@@ -141,6 +147,9 @@ class ScenarioConfig:
             raise ValueError("duration_s must exceed source_start_s")
         if self.group_count < 1:
             raise ValueError("group_count must be at least 1")
+        for row in self.churn_config.script:
+            if not 0 <= row[1] < self.group_count:
+                raise ValueError(f"churn_config script row {row!r} names no group")
         if not 1 <= self.sources_per_group <= self.resolved_member_count:
             raise ValueError("sources_per_group must lie in [1, member_count]")
         if self.shards < 1:
@@ -279,7 +288,6 @@ class Scenario:
         self.sinks_by_group: Dict[int, Dict[int, MulticastSink]] = {
             index: {} for index in range(config.group_count)
         }
-        self.directory: Optional[MembershipDirectory] = None
         self.controller: Optional[MembershipController] = None
         self.obs = NULL_OBS
         self.sampler: Optional[EngineSampler] = None
@@ -460,9 +468,7 @@ class Scenario:
             return
         from repro.membership.churn import build_churn_model
         from repro.membership.controller import MembershipController
-        from repro.membership.directory import MembershipDirectory
 
-        self.directory = MembershipDirectory(config.group_count)
         churn_rng = streams.get("churn")
         pool = (
             list(churn_config.pool)
@@ -477,14 +483,13 @@ class Scenario:
         }
         self.controller = MembershipController(
             self.sim,
-            self.directory,
+            self.collectors,
             pool=pool,
             window=churn_config.window(config.duration_s),
             churn=build_churn_model(churn_config, churn_rng),
             min_members=churn_config.min_members,
             max_members=churn_config.max_members,
             protected=protected,
-            collectors=self.collectors,
             join_hook=self._apply_membership_join,
             leave_hook=self._apply_membership_leave,
         )
@@ -739,9 +744,14 @@ class Scenario:
         return snapshot
 
     def _ever_members(self, group_index: int) -> List[int]:
-        """Every node that was a member of the group at some point."""
-        if self.directory is not None:
-            return self.directory.ever_members(group_index)
+        """Every node that was a member of the group at some point.
+
+        Under churn these are the collector's members with a subscription
+        interval: the controller opens one on every join it applies.
+        """
+        if self.controller is not None:
+            collector = self.collectors[group_index]
+            return [m for m in collector.members if collector.intervals_of(m)]
         return self.members_by_group[group_index]
 
     def _aggregate_protocol_stats(self) -> Dict[str, float]:

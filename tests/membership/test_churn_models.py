@@ -1,6 +1,7 @@
 """Unit tests for the churn models and the membership controller."""
 
 import random
+from collections import namedtuple
 
 import pytest
 
@@ -13,8 +14,11 @@ from repro.membership.churn import (
     build_churn_model,
 )
 from repro.membership.controller import MembershipController
-from repro.membership.directory import MembershipDirectory
+from repro.metrics.collectors import DeliveryCollector
 from repro.sim.engine import Simulator
+
+#: One applied membership change, as the controller's hooks report it.
+Event = namedtuple("Event", "time_s group_index node_id kind")
 
 
 def make_controller(
@@ -26,19 +30,28 @@ def make_controller(
     churn=None,
     min_members=1,
     max_members=None,
-    protected=(),
+    protected=None,
     initial=(),
+    log=None,
+    collectors=None,
 ):
-    directory = MembershipDirectory(groups)
+    """A controller over fresh collectors; applied events go to ``log``."""
+    hooks = {}
+    if log is not None:
+        hooks = dict(
+            join_hook=lambda g, n, _: log.append(Event(sim.now, g, n, "join")),
+            leave_hook=lambda g, n, _: log.append(Event(sim.now, g, n, "leave")),
+        )
     controller = MembershipController(
         sim,
-        directory,
+        collectors or {g: DeliveryCollector() for g in range(groups)},
         pool=pool,
         window=window,
         churn=churn,
         min_members=min_members,
         max_members=max_members,
         protected=protected,
+        **hooks,
     )
     for group_index, node_id in initial:
         controller.schedule_initial_join(group_index, node_id, 0.0)
@@ -76,7 +89,7 @@ class TestController:
         )
         sim.run(until=1.0)
         assert not controller.leave(0, 1)
-        assert controller.directory.members(0) == [1, 2]
+        assert controller.members(0) == [1, 2]
         assert controller.stats.events_skipped == 1
 
     def test_ceiling_blocks_joins(self):
@@ -89,7 +102,7 @@ class TestController:
     def test_protected_nodes_never_leave(self):
         sim = Simulator()
         controller = make_controller(
-            sim, protected={1}, initial=[(0, 1), (0, 2), (0, 3)]
+            sim, protected={0: {1}}, initial=[(0, 1), (0, 2), (0, 3)]
         )
         sim.run(until=1.0)
         assert not controller.leave(0, 1)
@@ -124,7 +137,7 @@ class TestController:
         sim = Simulator()
         controller = make_controller(sim, pool=[7, 8], initial=[(0, 1)])
         sim.run(until=1.0)
-        assert controller.directory.is_member(0, 1)
+        assert controller.is_member(0, 1)
         # ... but mid-run churn joins are restricted to the pool.
         assert not controller.join(0, 2)
         assert controller.join(0, 7)
@@ -132,10 +145,9 @@ class TestController:
     def test_hooks_fire_on_applied_events_only(self):
         sim = Simulator()
         calls = []
-        directory = MembershipDirectory(1)
         controller = MembershipController(
             sim,
-            directory,
+            {0: DeliveryCollector()},
             pool=[1, 2],
             window=(0.0, 10.0),
             join_hook=lambda g, n, initial: calls.append(("join", n, initial)),
@@ -156,44 +168,49 @@ class TestScriptedChurn:
             model="scripted",
             script=[[1.0, 0, 3, "join"], [2.0, 0, 4, "join"], [3.0, 0, 3, "leave"]],
         )
-        controller = make_controller(sim, churn=ScriptedChurn(config))
+        collector = DeliveryCollector()
+        controller = make_controller(
+            sim, churn=ScriptedChurn(config), collectors={0: collector}
+        )
         controller.start()
         sim.run(until=10.0)
-        assert controller.directory.members(0) == [4]
-        assert controller.directory.intervals(0, 3) == [(1.0, 3.0)]
+        assert controller.members(0) == [4]
+        assert collector.intervals_of(3) == [(1.0, 3.0)]
+        assert collector.intervals_of(4) == [(2.0, None)]
 
 
 class TestPoissonChurn:
     def _run(self, seed, rate=30.0):
+        """The applied events of one seeded run."""
         sim = Simulator()
         config = ChurnConfig(model="poisson", events_per_minute=rate, min_members=2)
         model = PoissonChurn(config, random.Random(seed))
+        events = []
         controller = make_controller(
             sim,
             churn=model,
             min_members=2,
             initial=[(0, n) for n in range(4)],
             window=(0.0, 100.0),
+            log=events,
         )
         controller.start()
         sim.run(until=100.0)
-        return controller
+        return events
 
     def test_same_seed_same_event_sequence(self):
         first = self._run(7)
-        second = self._run(7)
-        assert first.directory.events == second.directory.events
-        assert first.directory.events  # churn actually happened
+        assert first == self._run(7)
+        assert len(first) > 4  # churn actually happened
 
     def test_different_seeds_differ(self):
-        assert self._run(7).directory.events != self._run(8).directory.events
+        assert self._run(7) != self._run(8)
 
     def test_floor_respected_throughout(self):
-        controller = self._run(7)
         # Replay the event log: after the initial joins (all at t=0) the
         # group size never drops below the min_members floor.
         size = 0
-        for event in controller.directory.events:
+        for event in self._run(7):
             size += 1 if event.kind == "join" else -1
             if event.time_s > 0.0:
                 assert size >= 2
@@ -204,13 +221,13 @@ class TestOnOffChurn:
         sim = Simulator()
         config = ChurnConfig(model="onoff", mean_on_s=5.0, mean_off_s=5.0)
         model = OnOffChurn(config, random.Random(3))
+        events = []
         controller = make_controller(
             sim, churn=model, pool=[0, 1, 2], window=(0.0, 200.0),
-            initial=[(0, 0)],
+            initial=[(0, 0)], log=events,
         )
         controller.start()
         sim.run(until=200.0)
-        events = controller.directory.events
         # Per node, kinds must strictly alternate join/leave.
         for node in (0, 1, 2):
             kinds = [e.kind for e in events if e.node_id == node]
@@ -226,13 +243,14 @@ class TestOnOffChurn:
             model="onoff", start_s=1.0, mean_on_s=2.0, mean_off_s=1e9
         )
         model = OnOffChurn(config, random.Random(5))
+        events = []
         controller = make_controller(
             sim, churn=model, pool=[0, 1], window=(1.0, 500.0),
-            initial=[(0, 0)], min_members=0,
+            initial=[(0, 0)], min_members=0, log=events,
         )
         controller.start()
         sim.run(until=500.0)
-        leaves = [e for e in controller.directory.events if e.kind == "leave"]
+        leaves = [e for e in events if e.kind == "leave"]
         # The member's short on-session ended; with mean_off_s=1e9 a node
         # misread as "off" would effectively never toggle at all.
         assert leaves and leaves[0].node_id == 0
@@ -240,26 +258,27 @@ class TestOnOffChurn:
 
 
 class TestCorrelatedOnOffChurn:
-    def _controller(self, sim, *, mean_on=5.0, mean_off=5.0, seed=7):
+    def _run(self, *, mean_on=5.0, mean_off=5.0, seed=7):
+        """The applied events of one seeded 300 s run."""
+        sim = Simulator()
         config = ChurnConfig(
             model="onoff", mean_on_s=mean_on, mean_off_s=mean_off,
             onoff_correlated=True, min_members=0,
         )
         model = OnOffChurn(config, random.Random(seed))
+        events = []
         controller = make_controller(
             sim, groups=2, churn=model, pool=[0, 1, 2, 3], window=(0.0, 300.0),
-            min_members=0, initial=[(0, 0), (1, 0), (0, 1)],
+            min_members=0, initial=[(0, 0), (1, 0), (0, 1)], log=events,
         )
-        return controller
+        controller.start()
+        sim.run(until=300.0)
+        return events
 
     def test_session_end_drops_every_subscription_at_once(self):
         # Node 0 holds both groups; each of its session ends must leave both
         # groups at the same instant, and each session start re-join both.
-        sim = Simulator()
-        controller = self._controller(sim)
-        controller.start()
-        sim.run(until=300.0)
-        events = [e for e in controller.directory.events if e.node_id == 0]
+        events = [e for e in self._run() if e.node_id == 0]
         assert any(e.kind == "leave" for e in events)
         by_time = {}
         for event in events:
@@ -271,23 +290,12 @@ class TestCorrelatedOnOffChurn:
     def test_only_subscribed_devices_cycle(self):
         # Nodes 2 and 3 hold nothing at the window start: device churn has
         # no home groups for them, so they never join anything.
-        sim = Simulator()
-        controller = self._controller(sim)
-        controller.start()
-        sim.run(until=300.0)
-        assert all(e.node_id in (0, 1) for e in controller.directory.events)
+        assert all(e.node_id in (0, 1) for e in self._run())
 
     def test_rejoin_returns_to_home_groups(self):
         # Node 1 starts only in group 0: after any number of cycles it only
         # ever re-joins group 0.
-        sim = Simulator()
-        controller = self._controller(sim)
-        controller.start()
-        sim.run(until=300.0)
-        joins = [
-            e for e in controller.directory.events
-            if e.node_id == 1 and e.kind == "join"
-        ]
+        joins = [e for e in self._run() if e.node_id == 1 and e.kind == "join"]
         assert joins
         assert all(e.group_index == 0 for e in joins)
 
@@ -304,17 +312,15 @@ class TestCorrelatedOnOffChurn:
             onoff_correlated=True, min_members=1,
         )
         model = OnOffChurn(config, random.Random(11))
+        events = []
         controller = make_controller(
             sim, groups=2, churn=model, pool=[0, 1], window=(0.0, 300.0),
-            min_members=1, initial=[(0, 0), (1, 0), (0, 1)],
+            min_members=1, initial=[(0, 0), (1, 0), (0, 1)], log=events,
         )
         controller.start()
         sim.run(until=300.0)
         # Group 0 keeps cycling for node 0 throughout the window (no stall).
-        node0_group0 = [
-            e for e in controller.directory.events
-            if e.node_id == 0 and e.group_index == 0
-        ]
+        node0_group0 = [e for e in events if e.node_id == 0 and e.group_index == 0]
         assert len(node0_group0) > 10
         assert max(e.time_s for e in node0_group0) > 150.0
         # The un-leavable group stays in the home set.
@@ -333,17 +339,16 @@ class TestCorrelatedOnOffChurn:
             onoff_correlated=True, min_members=0, max_members=1,
         )
         model = OnOffChurn(config, random.Random(13))
-        directory = MembershipDirectory(2)
-        controller = MembershipController(
-            sim, directory, pool=[0], window=(0.0, 200.0), churn=model,
-            min_members=0, max_members=1, protected=[1],
+        events = []
+        controller = make_controller(
+            sim, groups=2, pool=[0], window=(0.0, 200.0), churn=model,
+            min_members=0, max_members=1, protected={0: [1], 1: [1]},
+            # Node 1 is a protected squatter that keeps group 1 full.
+            initial=[(0, 0), (1, 0), (1, 1)], log=events,
         )
-        directory.record_join(0, 0, 0.0)
-        directory.record_join(1, 0, 0.0)
-        directory.record_join(1, 1, 0.0)  # protected squatter keeps group 1 full
         controller.start()
         sim.run(until=200.0)
-        leaves = [e for e in directory.events if e.node_id == 0 and e.kind == "leave"]
+        leaves = [e for e in events if e.node_id == 0 and e.kind == "leave"]
         assert len(leaves) > 2  # several sessions ended
         assert sorted(model._home[0]) == [0, 1]
 
@@ -369,11 +374,12 @@ class TestFlashCrowdChurn:
         sim = Simulator()
         config = ChurnConfig(model="flash", flash_at_s=5.0, flash_joiners=3)
         model = FlashCrowdChurn(config, random.Random(2))
-        controller = make_controller(sim, churn=model, pool=range(8))
+        events = []
+        controller = make_controller(sim, churn=model, pool=range(8), log=events)
         controller.start()
         sim.run(until=6.0)
-        assert controller.directory.member_count(0) == 3
-        assert all(e.time_s == 5.0 for e in controller.directory.events)
+        assert len(controller.members(0)) == 3
+        assert [e.time_s for e in events] == [5.0] * 3
 
     def test_flash_with_stay_departs_again(self):
         sim = Simulator()
@@ -382,11 +388,14 @@ class TestFlashCrowdChurn:
             min_members=0,
         )
         model = FlashCrowdChurn(config, random.Random(2))
-        controller = make_controller(sim, churn=model, pool=range(8), min_members=0)
+        events = []
+        controller = make_controller(
+            sim, churn=model, pool=range(8), min_members=0, log=events
+        )
         controller.start()
         sim.run(until=200.0)
-        assert controller.directory.member_count(0) == 0
-        assert [e.kind for e in controller.directory.events].count("leave") == 3
+        assert controller.members(0) == []
+        assert [e.kind for e in events].count("leave") == 3
 
 
 class TestBuildChurnModel:

@@ -50,7 +50,7 @@ class TestJoinDuringSourcePhase:
         scenario = Scenario(_scripted([[join_at, 0, outsider, "join"]], seed=21))
         result = scenario.run()
 
-        assert scenario.directory.is_member(0, outsider)
+        assert scenario.controller.is_member(0, outsider)
         assert outsider in result.member_counts
         collector = scenario.collectors[0]
         expected = collector.expected_for(outsider)
@@ -103,7 +103,7 @@ class TestLeaveDuringGossip:
             _scripted([[leave_at, 0, leaver, "leave"]], seed=25)
         )
         result = scenario.run()
-        assert not scenario.directory.is_member(0, leaver)
+        assert not scenario.controller.is_member(0, leaver)
         collector = scenario.collectors[0]
         # The leaver is only charged for packets sent while subscribed.
         expected = collector.expected_for(leaver)
@@ -148,14 +148,9 @@ class TestLastMemberLeaveAndRecreation:
         scenario = Scenario(_scripted(script, seed=27))
         result = scenario.run()
 
-        assert scenario.directory.is_member(0, source)  # protected
-        for member in members:
-            if member in (source, rejoiner):
-                continue
-            assert not scenario.directory.is_member(0, member)
-        assert scenario.directory.is_member(0, rejoiner)
+        assert scenario.controller.members(0) == sorted({source, rejoiner})
         # The re-joined member has two subscription intervals on record.
-        assert len(scenario.directory.intervals(0, rejoiner)) == 2
+        assert len(scenario.collectors[0].intervals_of(rejoiner)) == 2
         assert result.membership_events >= len(members)
 
     def test_last_member_leave_removes_group_state(self):

@@ -11,23 +11,23 @@ class TestDeliveryCollector:
     def test_counts_distinct_packets_per_member(self):
         collector = DeliveryCollector()
         collector.register_member(1)
-        collector.note_sent((0, 1))
-        collector.note_sent((0, 2))
+        collector.note_sent((0, 1), at=1.0)
+        collector.note_sent((0, 2), at=2.0)
         collector.note_delivered(1, (0, 1))
         collector.note_delivered(1, (0, 2))
-        assert collector.received_by(1) == 2
+        assert collector.summary().member_counts == {1: 2}
         assert collector.packets_sent == 2
 
     def test_duplicate_deliveries_counted_once(self):
         collector = DeliveryCollector()
         collector.note_delivered(1, (0, 1))
         collector.note_delivered(1, (0, 1), via_gossip=True)
-        assert collector.received_by(1) == 1
+        assert collector.summary().member_counts == {1: 1}
 
     def test_duplicate_sends_counted_once(self):
         collector = DeliveryCollector()
-        collector.note_sent((0, 1))
-        collector.note_sent((0, 1))
+        collector.note_sent((0, 1), at=1.0)
+        collector.note_sent((0, 1), at=1.0)
         assert collector.packets_sent == 1
 
     def test_gossip_and_routing_paths_tracked_separately(self):
@@ -42,11 +42,8 @@ class TestDeliveryCollector:
     def test_registered_member_with_no_receptions_appears_with_zero(self):
         collector = DeliveryCollector()
         collector.register_member(4)
-        collector.note_sent((0, 1))
+        collector.note_sent((0, 1), at=1.0)
         assert collector.summary().member_counts == {4: 0}
-
-    def test_unknown_member_received_by_is_zero(self):
-        assert DeliveryCollector().received_by(9) == 0
 
 
 class TestSubscriptionIntervals:
@@ -72,7 +69,7 @@ class TestSummary:
     def test_summary_statistics(self):
         collector = DeliveryCollector()
         for seq in range(1, 11):
-            collector.note_sent((0, seq))
+            collector.note_sent((0, seq), at=float(seq))
         for member, count in ((1, 10), (2, 6), (3, 2)):
             collector.register_member(member)
             for seq in range(1, count + 1):
@@ -100,7 +97,7 @@ class TestSummary:
 
     def test_summary_str_mentions_key_figures(self):
         collector = DeliveryCollector()
-        collector.note_sent((0, 1))
+        collector.note_sent((0, 1), at=1.0)
         collector.register_member(1)
         collector.note_delivered(1, (0, 1))
         text = str(collector.summary())
@@ -155,7 +152,7 @@ class TestMarksAreTheSetOfIds:
         summary = collector.summary()
         assert summary.member_counts == counts
         sent = collector.packets_sent
-        if not collector.has_intervals:
+        if not any(map(collector.intervals_of, collector.members)):
             ratio = (sum(counts.values()) / len(counts) / sent) if counts and sent else 0.0
         else:
             ratios = [counts[m] / len(expected[m]) for m in counts if expected[m]]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.mobility.base import RectangularArea
-from repro.mobility.static import GridMobility, StaticMobility, line_positions
+from repro.mobility.static import GridMobility, StaticMobility
 
 
 class TestStaticMobility:
@@ -44,7 +44,7 @@ class TestGridMobility:
 
 class TestLinePositions:
     def test_line_spacing(self):
-        line = line_positions(4, 25.0)
+        line = tuple(StaticMobility(i * 25.0, 0.0) for i in range(4))
         assert [m.position(0.0) for m in line] == [(0.0, 0.0), (25.0, 0.0), (50.0, 0.0), (75.0, 0.0)]
 
 

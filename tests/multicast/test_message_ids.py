@@ -77,7 +77,7 @@ class TestOneIdPerMessage:
         for agent in agents:
             held.extend(agent.history.message_ids())
         for collector in scenario.collectors.values():
-            held.extend(collector._sent)
+            held.extend(collector._sent_at)
             for member in collector.members:
                 # A member's delivery record is per-source marks: no id at all.
                 marks = collector.member_record(member).marks

@@ -136,6 +136,18 @@ class TestRunControl:
         sim.run()
         assert fired == []
 
+    @pytest.mark.parametrize("engine", ["plain", "sharded"])
+    def test_nan_horizon_rejected(self, engine):
+        from repro.sim.shard import ShardedSimulator
+
+        sim = Simulator() if engine == "plain" else ShardedSimulator(2)
+        sim.call_in(1.0, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.run(until=float("nan"))
+        # The rejected call left the engine usable.
+        sim.run(until=2.0)
+        assert sim.events_processed == 1
+
 
 class TestCancel:
     def test_cancelled_event_does_not_fire(self):

@@ -29,7 +29,6 @@ IMPORT_ON_USE = (
     "repro.mobility.trace",
     "repro.membership.churn",
     "repro.membership.controller",
-    "repro.membership.directory",
     "repro.membership.summary",
     "repro.workload.failures",
     "repro.obs.merge",

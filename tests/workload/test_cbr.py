@@ -80,7 +80,7 @@ class TestMulticastSink:
         MulticastSink(network.nodes[0], multicast, collector)
         data = MulticastData(origin=7, destination=GROUP, group=GROUP, source=7, seq=1)
         multicast.deliver(data)
-        assert collector.received_by(0) == 1
+        assert collector.summary().member_counts == {0: 1}
         assert collector.member_record(0).via_routing == 1
 
     def test_gossip_recoveries_recorded_separately(self):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.membership.config import ChurnConfig
 from repro.workload.scenario import Scenario, ScenarioConfig, run_scenario
 
 
@@ -46,6 +47,26 @@ class TestScenarioConfig:
             ScenarioConfig(member_count=100, num_nodes=10)
         with pytest.raises(ValueError):
             ScenarioConfig(duration_s=10.0, source_start_s=120.0)
+
+    @pytest.mark.parametrize("name,value", [
+        ("duration_s", float("nan")),
+        ("duration_s", float("inf")),
+        ("source_stop_s", float("nan")),
+        ("max_speed_mps", float("nan")),
+        ("max_pause_s", float("nan")),
+        ("transmission_range_m", float("nan")),
+        ("source_start_s", float("nan")),
+        ("source_start_s", -1.0),
+        ("join_window_s", float("nan")),
+        ("join_window_s", -1.0),
+        ("payload_bytes", -10),
+        ("churn_config", ChurnConfig(model="scripted", script=[[9.0, 1, 0, "join"]])),
+    ])
+    def test_nonsensical_field_rejected_by_name(self, name, value):
+        # Each of these used to hang, run to a meaningless result, or fail
+        # part-way through the build.
+        with pytest.raises(ValueError, match=name):
+            ScenarioConfig.quick(**{name: value})
 
 
 class TestScenarioBuild:
