@@ -19,7 +19,9 @@ counter, per-member delivery counts, goodputs, the engine's event count and
 a hash of the canonicalised packet-delivery log -- and compared against
 digests recorded from the pre-refactor implementation
 (``golden_hotpath.json``, regenerated via
-``scripts/regen_hotpath_golden.py``).
+``scripts/regen_hotpath_golden.py``).  The churn pins (``GOLDEN_CHURN``)
+add every churn model over one and two groups, digested on the per-group
+and interval-aware outputs (:func:`churn_digest`).
 
 Digest mismatches mean the refactor changed simulation behaviour; they are
 never to be "fixed" by regenerating the goldens unless the behaviour change
@@ -137,7 +139,6 @@ GOLDEN_FAILURES: Dict[str, tuple] = {
 }
 
 
-
 def _churn(model: str, groups: int, seed: int, **churn) -> ScenarioConfig:
     """A quick churn golden: ``model`` over ``groups`` groups (script rows
     of absent groups dropped)."""
@@ -163,7 +164,7 @@ _SCRIPT = [
 #: two groups (digested by :func:`churn_digest`, which adds the per-group
 #: and interval-aware outputs the static goldens cannot reach).
 GOLDEN_CHURN: Dict[str, ScenarioConfig] = {
-    f"churn_{name}_{groups}g": _churn(model, groups, seed, **dict(churn))
+    f"churn_{name}_{groups}g": _churn(model, groups, seed, **churn)
     for name, model, seed, churn in (
         ("poisson", "poisson", 21, dict(start_s=4.0, events_per_minute=30.0)),
         ("onoff", "onoff", 22, _ONOFF),
