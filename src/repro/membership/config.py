@@ -22,8 +22,8 @@ common deployment shapes:
     An explicit, fully deterministic ``[time_s, group_index, node_id, kind]``
     schedule for hand-built regression scenarios.
 
-``model="none"`` (the default) disables churn entirely: the scenario builds
-and runs exactly the paper's static-membership code path.
+``model="none"`` (the default) disables churn: membership changes only at
+the initial joins, the paper's fixed member set.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
-"""The membership controller: applies churn to a live scenario.
+"""The membership controller: the one path by which a node joins or leaves.
 
-:class:`MembershipController` sits between a churn model (which *proposes*
-joins and leaves) and the protocol stack (which must react to them).  For
-every accepted event it
+Every scenario builds one :class:`MembershipController`.  It schedules the
+initial members' startup joins and, when a churn model is configured, sits
+between that model (which *proposes* joins and leaves) and the protocol
+stack (which must react to them).  For every accepted event it
 
 1. updates the current member set of the group, which it alone writes,
 2. opens/closes the member's subscription interval in the group's
@@ -23,13 +24,15 @@ free.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
+)
 
-from repro.membership.churn import ChurnModel
+if TYPE_CHECKING:  # churn models are import-on-use: only churn runs build one
+    from repro.membership.churn import ChurnModel
 
 #: Hook signature: ``(group_index, node_id, initial)``; ``initial`` is True
-#: for the scenario's startup joins (which must behave exactly like the
-#: static path) and False for mid-run churn events.
+#: for the scenario's startup joins and False for mid-run churn events.
 MembershipHook = Callable[[int, int, bool], None]
 
 
@@ -127,7 +130,11 @@ class MembershipController:
 
     # ----------------------------------------------------------------- events
     def schedule_initial_join(self, group_index: int, node_id: int, at: float) -> None:
-        """Schedule a startup join at ``at`` (mirrors the static join path)."""
+        """Schedule an initial member's startup join at ``at``.
+
+        The join opens the member's first subscription interval, so the
+        member is charged only for packets sent from ``at`` on.
+        """
         self.sim.call_at(at, self._apply_join, (group_index, node_id, True))
 
     def join(self, group_index: int, node_id: int) -> bool:

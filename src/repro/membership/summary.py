@@ -5,14 +5,14 @@ this module recombines their per-group :class:`DeliverySummary` objects into
 the single-summary shape the rest of the toolchain (experiment points, trial
 records, CLI tables) consumes.
 
-For a single group the combination is the group's summary, verbatim -- the
-static single-group pipeline is bit-identical to the pre-membership code.
+For a single group the combination is the group's summary, verbatim.
 For ``G > 1`` groups every (group, member) pair is treated as one *member
 instance*: the mean/min/max/std are taken over instance delivery counts, the
-delivery ratio is the mean of per-instance ratios (each against its own
-group's sent count), and ``packets_sent`` is the total over groups.  The
-reported ``member_counts`` sum a node's counts across the groups it belongs
-to; exact per-group counts stay available in the per-group summaries.
+delivery ratio is the mean of per-instance ratios (each against the packets
+its group sent while the member was subscribed), and ``packets_sent`` is the
+total over groups.  The reported ``member_counts`` sum a node's counts across
+the groups it belongs to; exact per-group counts stay available in the
+per-group summaries.
 """
 
 from __future__ import annotations
@@ -28,35 +28,29 @@ def combine_summaries(per_group: Dict[int, DeliverySummary]) -> DeliverySummary:
     if not per_group:
         return DeliverySummary(
             packets_sent=0, member_counts={}, mean=0.0, minimum=0,
-            maximum=0, std=0.0, delivery_ratio=0.0,
+            maximum=0, std=0.0, delivery_ratio=0.0, ratio_members=0,
         )
     if len(per_group) == 1:
         return next(iter(per_group.values()))
     counts: List[int] = []
     merged_counts: Dict[int, int] = {}
     total_sent = 0
-    ratio_weight = 0.0
+    ratio_weight = 0
     ratio_sum = 0.0
     for summary in per_group.values():
         total_sent += summary.packets_sent
-        # The group's ratio is already the mean of its per-member ratios
-        # (interval-aware under churn), so weighting it by the number of
-        # members it actually averaged over (``ratio_members`` under churn,
-        # everyone otherwise) yields the mean over (group, member) instances.
-        members = (
-            summary.ratio_members
-            if summary.ratio_members is not None
-            else len(summary.member_counts)
-        )
-        ratio_sum += summary.delivery_ratio * members
-        ratio_weight += members
+        # The group's ratio is already the mean of its per-member ratios, so
+        # weighting it by the number of members it averaged over yields the
+        # mean over (group, member) instances.
+        ratio_sum += summary.delivery_ratio * summary.ratio_members
+        ratio_weight += summary.ratio_members
         for member, count in summary.member_counts.items():
             counts.append(count)
             merged_counts[member] = merged_counts.get(member, 0) + count
     if not counts:
         return DeliverySummary(
             packets_sent=total_sent, member_counts={}, mean=0.0, minimum=0,
-            maximum=0, std=0.0, delivery_ratio=0.0,
+            maximum=0, std=0.0, delivery_ratio=0.0, ratio_members=0,
         )
     mean = sum(counts) / len(counts)
     variance = sum((value - mean) ** 2 for value in counts) / len(counts)
@@ -68,6 +62,7 @@ def combine_summaries(per_group: Dict[int, DeliverySummary]) -> DeliverySummary:
         maximum=max(counts),
         std=math.sqrt(variance),
         delivery_ratio=(ratio_sum / ratio_weight) if ratio_weight else 0.0,
+        ratio_members=ratio_weight,
     )
 
 

@@ -7,13 +7,12 @@ exactly that: sources register the packets they send, members register the
 packets they receive -- whether the packet arrived through MAODV or through a
 gossip reply -- and duplicates are counted once.
 
-With dynamic membership (see :mod:`repro.membership`) the collector becomes
-*interval-aware*: :meth:`DeliveryCollector.open_interval` /
-:meth:`~DeliveryCollector.close_interval` record a member's subscription
-spans, and a packet then counts for (and against) that member only when it
-was **sent while the member was subscribed**.  Members without recorded
-intervals keep the paper's static accounting -- every sent packet counts --
-so scenarios without churn are bit-identical to the original collector.
+The collector is *interval-aware*: :meth:`DeliveryCollector.open_interval`
+/ :meth:`~DeliveryCollector.close_interval` record a member's subscription
+spans (the :mod:`repro.membership` controller opens one on every join, the
+initial ones included), and a packet counts for (and against) a member only
+when it was **sent while the member was subscribed**.  A member that never
+subscribed is charged for nothing.
 """
 
 from __future__ import annotations
@@ -57,11 +56,10 @@ class DeliverySummary:
     maximum: int
     std: float
     delivery_ratio: float
-    #: Number of members the delivery ratio averaged over.  ``None`` means
-    #: every member in ``member_counts`` (the static accounting); with
-    #: subscription intervals, members whose expected-packet set is empty
-    #: are excluded from the ratio and from this count.
-    ratio_members: Optional[int] = None
+    #: Number of members the delivery ratio averaged over: members whose
+    #: expected-packet set is empty are excluded from the ratio and from
+    #: this count.
+    ratio_members: int
 
     def __str__(self) -> str:
         return (
@@ -124,9 +122,9 @@ class DeliveryCollector:
     def open_interval(self, member: int, at: float) -> None:
         """Start a subscription span for ``member`` at time ``at``.
 
-        From the first opened interval on, the member's delivery accounting
-        only covers packets sent inside one of its spans.  Opening while a
-        span is already open is a no-op (idempotent joins).
+        The member's delivery accounting covers only packets sent inside one
+        of its spans.  Opening while a span is already open is a no-op
+        (idempotent joins).
         """
         self.register_member(member)
         spans = self._intervals.setdefault(member, [])
@@ -142,28 +140,22 @@ class DeliveryCollector:
         spans[-1][1] = at
 
     def intervals_of(self, member: int) -> List[Tuple[float, Optional[float]]]:
-        """The member's recorded subscription spans (empty = always subscribed)."""
+        """The member's recorded subscription spans (empty = never subscribed)."""
         return [tuple(span) for span in self._intervals.get(member, [])]
 
-    def _subscribed_at(self, member: int, at: float) -> bool:
-        for start, end in self._intervals.get(member, []):
-            if start <= at and (end is None or at < end):
-                return True
-        return False
-
     def expected_for(self, member: int) -> Set[MessageId]:
-        """Packets that count for ``member``: sent while it was subscribed.
+        """Packets that count for ``member``: sent while it was subscribed."""
+        return set(self._sent_during_spans(member))
 
-        Members without recorded intervals expect every sent packet (the
-        paper's static accounting).
-        """
-        if member not in self._intervals:
-            return set(self._sent_at)
-        return {
+    def _sent_during_spans(self, member: int) -> List[MessageId]:
+        # Spans are disjoint -- one opens only after the previous one closed,
+        # at a later simulated time -- so no packet is listed twice.
+        return [
             message_id
+            for start, end in self._intervals.get(member, [])
             for message_id, sent_at in self._sent_at.items()
-            if self._subscribed_at(member, sent_at)
-        }
+            if start <= sent_at and (end is None or sent_at < end)
+        ]
 
     # ----------------------------------------------------------------- queries
     @property
@@ -183,22 +175,21 @@ class DeliveryCollector:
     def summary(self) -> DeliverySummary:
         """Aggregate statistics over all registered members.
 
-        Without recorded intervals this is the paper's computation verbatim.
-        With intervals, each member's count covers only packets sent while it
-        was subscribed and the delivery ratio averages the per-member ratios
-        (each against the member's own expected-packet denominator).
+        Each member's count covers only packets sent while it was
+        subscribed, and the delivery ratio averages the per-member ratios
+        (each against the member's own expected-packet denominator).  When
+        every member expected every sent packet, the ratio is the paper's
+        ``mean / sent``: equal in exact arithmetic, and the form every
+        churn-free figure was computed in, bit for bit.
         """
-        # One expected-set computation per interval member, shared by the
-        # count and the per-member ratio denominator.
+        # One expected-packet list per member, shared by the count and the
+        # per-member ratio denominator.
         counts: Dict[int, int] = {}
         expected_sizes: Dict[int, int] = {}
         for member, record in sorted(self._members.items()):
-            if member in self._intervals:
-                expected = self.expected_for(member)
-                counts[member] = sum(map(record.has, expected))
-                expected_sizes[member] = len(expected)
-            else:
-                counts[member] = record.count
+            expected = self._sent_during_spans(member)
+            counts[member] = sum(map(record.has, expected))
+            expected_sizes[member] = len(expected)
         values = list(counts.values())
         if not values:
             return DeliverySummary(
@@ -209,21 +200,20 @@ class DeliveryCollector:
                 maximum=0,
                 std=0.0,
                 delivery_ratio=0.0,
+                ratio_members=0,
             )
         mean = sum(values) / len(values)
         variance = sum((value - mean) ** 2 for value in values) / len(values)
         sent = self.packets_sent
-        ratio_members: Optional[int] = None
-        if not self._intervals:
-            ratio = (mean / sent) if sent else 0.0
+        per_member = [
+            counts[member] / size for member, size in expected_sizes.items() if size
+        ]
+        if not per_member:
+            ratio = 0.0
+        elif all(size == sent for size in expected_sizes.values()):
+            ratio = mean / sent
         else:
-            per_member: List[float] = []
-            for member, count in counts.items():
-                expected_size = expected_sizes.get(member, sent)
-                if expected_size:
-                    per_member.append(count / expected_size)
-            ratio = (sum(per_member) / len(per_member)) if per_member else 0.0
-            ratio_members = len(per_member)
+            ratio = sum(per_member) / len(per_member)
         return DeliverySummary(
             packets_sent=sent,
             member_counts=counts,
@@ -232,5 +222,5 @@ class DeliveryCollector:
             maximum=max(values),
             std=math.sqrt(variance),
             delivery_ratio=ratio,
-            ratio_members=ratio_members,
+            ratio_members=len(per_member),
         )

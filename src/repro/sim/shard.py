@@ -599,15 +599,6 @@ class _ShardWorker:
             for node in scenario.nodes
             if node.phy.shard == self.role
         )
-        owned_set = set(owned)
-        goodput = {
-            group_index: {
-                member: agents[member].stats.goodput_percent
-                for member in scenario.members_by_group[group_index]
-                if member in agents and member in owned_set
-            }
-            for group_index, agents in scenario.gossip_by_group.items()
-        }
         for collector in scenario.collectors.values():
             collector.on_delivery = None
         payload = {
@@ -616,7 +607,8 @@ class _ShardWorker:
             "collectors": scenario.collectors,
             "protocol_stats": scenario._aggregate_protocol_stats(),
             "events_processed": self.sim.events_processed,
-            "goodput": goodput,
+            # Only owned members joined here, so only they are reported.
+            "goodput": scenario._goodput_by_group(),
             "foreign": dict(self.medium.foreign_stats),
             "census": census,
             "halo": self.halo_size,
@@ -775,6 +767,8 @@ def _merge_collectors(config, payloads) -> Dict[int, "object"]:
         for group_index, collector in payload["collectors"].items():
             target = merged[group_index]
             target._sent_at.update(collector._sent_at)
+            # Each member joined in the one worker that owns it.
+            target._intervals.update(collector._intervals)
             for member, record in collector._members.items():
                 into = target._members.setdefault(
                     member, MemberDelivery(member=member)
@@ -877,7 +871,7 @@ def run_sharded(config, failure_events=None):
         raise ValueError("run_sharded needs shards >= 2")
     if config.shard_mode != "process":
         raise ValueError(f"unknown parallel shard mode {config.shard_mode!r}")
-    if config.churn_enabled:
+    if config.churn_config.enabled:
         raise ValueError(
             "the parallel shard mode does not support churn "
             "(membership control would need its own cross-worker protocol); "

@@ -65,12 +65,7 @@ class CbrSource:
 
 
 class MulticastSink:
-    """Member-side application recording every received packet.
-
-    ``group`` restricts the sink to one multicast group's packets; ``None``
-    (the historic default) records every delivery the multicast layer hands
-    up, which is equivalent whenever the node subscribes to a single group.
-    """
+    """Member-side application recording every received packet of ``group``."""
 
     def __init__(
         self,
@@ -78,8 +73,8 @@ class MulticastSink:
         multicast,
         collector: DeliveryCollector,
         *,
+        group: GroupAddress,
         gossip=None,
-        group: Optional[GroupAddress] = None,
     ):
         self.node = node
         self.collector = collector
@@ -95,13 +90,13 @@ class MulticastSink:
         """Sinks are passive; nothing to start."""
 
     def _on_routing_delivery(self, data: MulticastData) -> None:
-        if self.group is not None and data.group != self.group:
+        if data.group != self.group:
             return
         self.packets_received += 1
         self.collector.note_delivered(self.node.node_id, data.mid, via_gossip=False)
 
     def _on_gossip_recovery(self, data: MulticastData) -> None:
-        if self.group is not None and data.group != self.group:
+        if data.group != self.group:
             return
         self.packets_recovered += 1
         self.collector.note_delivered(self.node.node_id, data.mid, via_gossip=True)

@@ -13,9 +13,10 @@ CBR source(s), per-group delivery collector and gossip agents sharing one
 protocol stack -- and **dynamic membership** (``churn_config``): a seeded
 churn model joins and leaves members mid-run through the
 :mod:`repro.membership` subsystem, with delivery ratios accounted per
-subscription interval.  With ``group_count=1`` and churn disabled (the
-defaults) the build and run path is bit-identical to the paper's static
-single-group reproduction.
+subscription interval.  Every run, churn or not, joins its initial members
+through the :class:`~repro.membership.controller.MembershipController`, so
+one interval record charges each member only for packets sent while it was
+subscribed.
 
 Two constructors cover the common cases:
 
@@ -29,11 +30,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import GossipConfig
 from repro.core.gossip import GossipAgent
 from repro.membership.config import ChurnConfig
+from repro.membership.controller import MembershipController
 from repro.metrics.collectors import DeliveryCollector, DeliverySummary
 from repro.mobility.base import RectangularArea
 from repro.mobility.config import MobilityConfig, build_fleet, fleet_speed_bound
@@ -50,9 +52,6 @@ from repro.routing.config import AodvConfig
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
 from repro.workload.cbr import CbrSource, MulticastSink
-
-if TYPE_CHECKING:  # import-on-use below: only churn runs build these
-    from repro.membership.controller import MembershipController
 
 
 @dataclass
@@ -200,11 +199,6 @@ class ScenarioConfig:
         return max(2, self.num_nodes // 3)
 
     @property
-    def churn_enabled(self) -> bool:
-        """True when a dynamic-membership model is configured."""
-        return self.churn_config.enabled
-
-    @property
     def expected_packets(self) -> int:
         """Number of data packets one source will originate."""
         return int((self.source_stop_s - self.source_start_s) / self.packet_interval_s) + 1
@@ -288,7 +282,8 @@ class Scenario:
         self.sinks_by_group: Dict[int, Dict[int, MulticastSink]] = {
             index: {} for index in range(config.group_count)
         }
-        self.controller: Optional[MembershipController] = None
+        #: Every join and leave goes through it; created by :meth:`build`.
+        self.controller: MembershipController
         self.obs = NULL_OBS
         self.sampler: Optional[EngineSampler] = None
         #: (group index, member) -> churn-join time, pending first delivery
@@ -461,15 +456,14 @@ class Scenario:
             self.sources_by_group[group_index] = sources
 
     def _build_membership(self, streams: RandomStreams) -> None:
-        """Create the churn subsystem (only when a churn model is configured)."""
+        """Create the membership controller, with the churn model if any."""
         config = self.config
         churn_config = config.churn_config
-        if not churn_config.enabled:
-            return
-        from repro.membership.churn import build_churn_model
-        from repro.membership.controller import MembershipController
+        churn = None
+        if churn_config.enabled:
+            from repro.membership.churn import build_churn_model
 
-        churn_rng = streams.get("churn")
+            churn = build_churn_model(churn_config, streams.get("churn"))
         pool = (
             list(churn_config.pool)
             if churn_config.pool is not None
@@ -486,7 +480,7 @@ class Scenario:
             self.collectors,
             pool=pool,
             window=churn_config.window(config.duration_s),
-            churn=build_churn_model(churn_config, churn_rng),
+            churn=churn,
             min_members=churn_config.min_members,
             max_members=churn_config.max_members,
             protected=protected,
@@ -500,22 +494,16 @@ class Scenario:
         for group_index, group in enumerate(self.groups):
             collector = self.collectors[group_index]
             for member in self.members_by_group[group_index]:
+                # The join time is drawn unconditionally so a shard worker's
+                # stream stays aligned with the whole-fleet build.
+                join_at = join_rng.uniform(0.0, config.join_window_s)
                 # Foreign members in a parallel worker have no multicast
-                # router or gossip agent (stack elision), so their sinks are
-                # skipped too; every member is owned by exactly one worker,
-                # so the merged member registry stays complete.
+                # router or gossip agent (stack elision), so their sinks and
+                # joins are skipped; every member is owned by exactly one
+                # worker, so the merged member registry stays complete.
                 if self._owns(member):
                     self._ensure_sink(group_index, member)
-                # The join time is drawn unconditionally so a shard worker's
-                # stream stays aligned with the whole-fleet build; only
-                # owned members get the join actually scheduled.
-                join_at = join_rng.uniform(0.0, config.join_window_s)
-                if self.controller is not None:
                     self.controller.schedule_initial_join(group_index, member, join_at)
-                elif self._owns(member):
-                    self.sim.call_at(
-                        join_at, self.multicast[member].join_group, (group,)
-                    )
             for source_id in self.sources_by_group[group_index]:
                 if not self._owns(source_id):
                     continue
@@ -638,8 +626,7 @@ class Scenario:
             for node_id, agent in agents.items():
                 if owns(node_id):
                     agent.start()
-        if self.controller is not None:
-            self.controller.start()
+        self.controller.start()
         if self.sampler is not None:
             self.sampler.start()
 
@@ -667,14 +654,7 @@ class Scenario:
             from repro.membership.summary import combine_summaries
 
             summary = combine_summaries(group_summaries)
-        goodput_by_group = {
-            group_index: {
-                member: agents[member].stats.goodput_percent
-                for member in self._ever_members(group_index)
-                if member in agents
-            }
-            for group_index, agents in self.gossip_by_group.items()
-        }
+        goodput_by_group = self._goodput_by_group()
         return ScenarioResult(
             config=self.config,
             summary=summary,
@@ -685,9 +665,7 @@ class Scenario:
             events_processed=self.sim.events_processed,
             group_summaries=group_summaries,
             goodput_by_group=goodput_by_group,
-            membership_events=(
-                self.controller.stats.churn_events if self.controller else 0
-            ),
+            membership_events=self.controller.stats.churn_events,
             telemetry=self._collect_telemetry(),
             shard_stats=(
                 {
@@ -743,16 +721,25 @@ class Scenario:
         ]
         return snapshot
 
+    def _goodput_by_group(self) -> Dict[int, Dict[int, float]]:
+        """Gossip goodput (percent) of every member that ever joined a group."""
+        return {
+            group_index: {
+                member: agents[member].stats.goodput_percent
+                for member in self._ever_members(group_index)
+                if member in agents
+            }
+            for group_index, agents in self.gossip_by_group.items()
+        }
+
     def _ever_members(self, group_index: int) -> List[int]:
         """Every node that was a member of the group at some point.
 
-        Under churn these are the collector's members with a subscription
-        interval: the controller opens one on every join it applies.
+        These are the collector's members with a subscription interval: the
+        controller opens one on every join it applies.
         """
-        if self.controller is not None:
-            collector = self.collectors[group_index]
-            return [m for m in collector.members if collector.intervals_of(m)]
-        return self.members_by_group[group_index]
+        collector = self.collectors[group_index]
+        return [m for m in collector.members if collector.intervals_of(m)]
 
     def _aggregate_protocol_stats(self) -> Dict[str, float]:
         totals: Dict[str, float] = {}
@@ -773,7 +760,9 @@ class Scenario:
             if node.mac is not None:
                 accumulate("mac", node.mac.stats)
         accumulate("medium", self.medium.stats)
-        if self.controller is not None:
+        # Only churn runs report the membership counters: the pinned digests
+        # of churn-free runs hash these stats without them.
+        if self.controller.churn is not None:
             accumulate("membership", self.controller.stats)
         return totals
 

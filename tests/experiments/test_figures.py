@@ -112,7 +112,7 @@ class TestMembershipSweeps:
         spec = churn_rate_sweep()
         assert spec.x_values[0] == 0.0
         static = spec.config_for(0.0, scale="quick")
-        assert not static.churn_enabled
+        assert not static.churn_config.enabled
         churny = spec.config_for(6.0, scale="paper", seed=4)
         assert churny.churn_config.model == "poisson"
         assert churny.churn_config.events_per_minute == 6.0

@@ -9,8 +9,8 @@ churn and assert the membership semantics that matter:
   round in flight,
 * the last member leaving dissolves the group and a later join re-creates
   it (fresh leader, packets flowing again),
-* the static path is reproducible and churn-disabled configs collapse to
-  the historic behaviour (covered bit-exactly by the hot-path goldens).
+* churn-disabled runs join through the same controller and collapse to
+  the historic results (covered bit-exactly by the hot-path goldens).
 """
 
 import pytest

@@ -62,10 +62,7 @@ def _subscribed(boundaries, at):
 @given(_sends, _boundaries, _delivery_mask)
 def test_count_only_reflects_subscribed_intervals(send_times, boundaries, mask):
     collector, member, boundaries, delivered = _build(send_times, boundaries, mask)
-    if not boundaries:
-        # No intervals recorded: static accounting, every delivery counts.
-        assert _count(collector, member) == len(set(delivered))
-        return
+    # With no boundaries the member never subscribed: nothing is expected.
     expected_count = sum(
         1
         for seq in set(delivered)
@@ -90,10 +87,10 @@ def test_summary_ratio_bounded_and_consistent(send_times, boundaries, mask):
         assert summary.member_counts[member] <= len(collector.expected_for(member))
 
 
-def test_members_without_intervals_keep_static_accounting():
+def test_member_never_subscribed_is_charged_for_nothing():
     collector = DeliveryCollector()
-    collector.open_interval(1, 50.0)   # member 1 is churned...
-    collector.register_member(2)       # ...member 2 is static
+    collector.open_interval(1, 50.0)   # member 1 joined mid-run...
+    collector.register_member(2)       # ...member 2 never subscribed
     for seq, at in enumerate([10.0, 60.0], start=1):
         collector.note_sent((9, seq), at=at)
         collector.note_delivered(1, (9, seq))
@@ -101,6 +98,7 @@ def test_members_without_intervals_keep_static_accounting():
     # Member 1 only gets credit (and blame) for the post-join packet.
     assert _count(collector, 1) == 1
     assert len(collector.expected_for(1)) == 1
-    # Member 2 answers for everything.
-    assert _count(collector, 2) == 2
-    assert len(collector.expected_for(2)) == 2
+    # Member 2 answers for nothing, and the ratio leaves it out.
+    assert _count(collector, 2) == 0
+    assert collector.expected_for(2) == set()
+    assert collector.summary().ratio_members == 1

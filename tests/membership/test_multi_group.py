@@ -124,7 +124,7 @@ class TestCombineSummaries:
         return DeliverySummary(
             packets_sent=sent, member_counts=counts, mean=mean,
             minimum=min(values), maximum=max(values), std=0.0,
-            delivery_ratio=ratio,
+            delivery_ratio=ratio, ratio_members=len(counts),
         )
 
     def test_single_group_passthrough(self):
@@ -142,6 +142,7 @@ class TestCombineSummaries:
         assert merged.minimum == 6 and merged.maximum == 20
         # Ratio is the member-weighted mean of the per-group ratios.
         assert merged.delivery_ratio == pytest.approx((0.8 * 2 + 0.75 * 2) / 4)
+        assert merged.ratio_members == 4
 
     def test_empty_input(self):
         assert combine_summaries({}).packets_sent == 0

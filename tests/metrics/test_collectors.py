@@ -10,7 +10,7 @@ from repro.metrics.collectors import DeliveryCollector
 class TestDeliveryCollector:
     def test_counts_distinct_packets_per_member(self):
         collector = DeliveryCollector()
-        collector.register_member(1)
+        collector.open_interval(1, 0.0)
         collector.note_sent((0, 1), at=1.0)
         collector.note_sent((0, 2), at=2.0)
         collector.note_delivered(1, (0, 1))
@@ -20,6 +20,8 @@ class TestDeliveryCollector:
 
     def test_duplicate_deliveries_counted_once(self):
         collector = DeliveryCollector()
+        collector.open_interval(1, 0.0)
+        collector.note_sent((0, 1), at=1.0)
         collector.note_delivered(1, (0, 1))
         collector.note_delivered(1, (0, 1), via_gossip=True)
         assert collector.summary().member_counts == {1: 1}
@@ -71,7 +73,7 @@ class TestSummary:
         for seq in range(1, 11):
             collector.note_sent((0, seq), at=float(seq))
         for member, count in ((1, 10), (2, 6), (3, 2)):
-            collector.register_member(member)
+            collector.open_interval(member, 0.0)
             for seq in range(1, count + 1):
                 collector.note_delivered(member, (0, seq))
         summary = collector.summary()
@@ -80,8 +82,30 @@ class TestSummary:
         assert summary.minimum == 2
         assert summary.maximum == 10
         assert summary.delivery_ratio == pytest.approx(0.6)
+        assert summary.ratio_members == 3
         assert summary.std == pytest.approx(3.265986, rel=1e-4)
         assert summary.member_counts == {1: 10, 2: 6, 3: 2}
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 7), min_size=1, max_size=9), st.booleans())
+    def test_ratio_form_follows_the_denominators(self, counts, late_joiner):
+        # Every member expecting every packet keeps the paper's mean / sent;
+        # a member that joined late switches to the per-member average.  The
+        # two agree in exact arithmetic but not always in the last bit.
+        collector = DeliveryCollector()
+        for seq in range(1, 8):
+            collector.note_sent((0, seq), at=float(seq))
+        for member, count in enumerate(counts):
+            collector.open_interval(member, 3.5 if late_joiner and member == 0 else 0.0)
+            for seq in range(8 - count, 8):
+                collector.note_delivered(member, (0, seq))
+        summary = collector.summary()
+        if late_joiner:
+            values = list(summary.member_counts.values())
+            ratios = [values[0] / 4] + [count / 7 for count in values[1:]]
+            assert summary.delivery_ratio == sum(ratios) / len(ratios)
+        else:
+            assert summary.delivery_ratio == summary.mean / 7
 
     def test_empty_summary(self):
         summary = DeliveryCollector().summary()
@@ -98,7 +122,7 @@ class TestSummary:
     def test_summary_str_mentions_key_figures(self):
         collector = DeliveryCollector()
         collector.note_sent((0, 1), at=1.0)
-        collector.register_member(1)
+        collector.open_interval(1, 0.0)
         collector.note_delivered(1, (0, 1))
         text = str(collector.summary())
         assert "sent=1" in text
@@ -147,14 +171,10 @@ class TestMarksAreTheSetOfIds:
             assert all(record.has(message_id) for message_id in ids)
             expected[member] = collector.expected_for(member)
         counts = {member: len(received.get(member, set()) & expected[member])
-                  if collector.intervals_of(member) else len(received.get(member, set()))
                   for member in collector.members}
         summary = collector.summary()
         assert summary.member_counts == counts
-        sent = collector.packets_sent
-        if not any(map(collector.intervals_of, collector.members)):
-            ratio = (sum(counts.values()) / len(counts) / sent) if counts and sent else 0.0
-        else:
-            ratios = [counts[m] / len(expected[m]) for m in counts if expected[m]]
-            ratio = sum(ratios) / len(ratios) if ratios else 0.0
-        assert summary.delivery_ratio == pytest.approx(ratio)
+        ratios = [counts[m] / len(expected[m]) for m in counts if expected[m]]
+        assert summary.ratio_members == len(ratios)
+        assert summary.delivery_ratio == pytest.approx(
+            sum(ratios) / len(ratios) if ratios else 0.0)

@@ -28,7 +28,6 @@ IMPORT_ON_USE = (
     "repro.mobility.static",
     "repro.mobility.trace",
     "repro.membership.churn",
-    "repro.membership.controller",
     "repro.membership.summary",
     "repro.workload.failures",
     "repro.obs.merge",
@@ -68,6 +67,10 @@ def _modules_after(statements: str) -> set:
 def test_default_paper_build_loads_no_import_on_use_module():
     loaded = _loaded_after("ScenarioConfig.paper(seed=1)")
     assert "repro.multicast.maodv" in loaded
+    # Every run joins its members through the controller; only a churn run
+    # builds a churn model.
+    assert "repro.membership.controller" in loaded
+    assert "repro.membership.churn" not in loaded
     assert sorted(loaded.intersection(IMPORT_ON_USE)) == []
 
 

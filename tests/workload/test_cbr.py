@@ -4,6 +4,7 @@ import pytest
 
 from repro.metrics.collectors import DeliveryCollector
 from repro.multicast.messages import MulticastData
+from repro.net.addressing import make_group_address
 from repro.workload.cbr import CbrSource, MulticastSink
 from tests.conftest import GROUP, build_network, line_topology
 
@@ -77,11 +78,23 @@ class TestMulticastSink:
         network = build_network(line_topology(1, 10.0))
         multicast = _RecordingMulticast()
         collector = DeliveryCollector()
-        MulticastSink(network.nodes[0], multicast, collector)
+        MulticastSink(network.nodes[0], multicast, collector, group=GROUP)
+        collector.open_interval(0, 0.0)
         data = MulticastData(origin=7, destination=GROUP, group=GROUP, source=7, seq=1)
+        collector.note_sent(data.mid, at=1.0)
         multicast.deliver(data)
         assert collector.summary().member_counts == {0: 1}
         assert collector.member_record(0).via_routing == 1
+
+    def test_other_groups_deliveries_ignored(self):
+        network = build_network(line_topology(1, 10.0))
+        multicast = _RecordingMulticast()
+        collector = DeliveryCollector()
+        sink = MulticastSink(network.nodes[0], multicast, collector, group=GROUP)
+        other = make_group_address(1)
+        multicast.deliver(MulticastData(origin=7, destination=other, group=other, source=7, seq=1))
+        assert sink.packets_received == 0
+        assert collector.member_record(0).count == 0
 
     def test_gossip_recoveries_recorded_separately(self):
         class _FakeGossip:
@@ -99,7 +112,7 @@ class TestMulticastSink:
         multicast = _RecordingMulticast()
         gossip = _FakeGossip()
         collector = DeliveryCollector()
-        sink = MulticastSink(network.nodes[0], multicast, collector, gossip=gossip)
+        sink = MulticastSink(network.nodes[0], multicast, collector, group=GROUP, gossip=gossip)
         gossip.recover(MulticastData(origin=7, destination=GROUP, group=GROUP, source=7, seq=2))
         assert collector.member_record(0).via_gossip == 1
         assert sink.packets_recovered == 1
@@ -107,5 +120,5 @@ class TestMulticastSink:
     def test_member_registered_even_before_reception(self):
         network = build_network(line_topology(1, 10.0))
         collector = DeliveryCollector()
-        MulticastSink(network.nodes[0], _RecordingMulticast(), collector)
+        MulticastSink(network.nodes[0], _RecordingMulticast(), collector, group=GROUP)
         assert collector.summary().member_counts == {0: 0}

@@ -22,7 +22,7 @@ from repro.cli import build_parser
 from repro.sim.engine import SimulationError
 from repro.sim.shard import _ShardWorker, run_sharded
 from repro.workload.failures import FailureEvent
-from repro.workload.scenario import ScenarioConfig, run_scenario
+from repro.workload.scenario import Scenario, ScenarioConfig, run_scenario
 from tests.sim.reference_shard_driver import drive_lockstep, shard_driver
 
 
@@ -115,6 +115,33 @@ def test_process_mode_is_deterministic(process_result):
 def test_process_mode_is_bit_identical_to_the_oracle(process_result, oracle_result):
     assert _comparable(process_result) == _comparable(oracle_result)
     assert process_result.summary.member_counts == oracle_result.summary.member_counts
+
+
+def test_process_merge_keeps_each_members_join(process_result):
+    # Against the unsharded run the mode is an approximation in what was
+    # received, but not in what was expected: the merged collectors hold
+    # the same sends and the same join intervals, so the group summaries
+    # agree on packets sent, members and the ratio's member count.
+    unsharded = Scenario(_parallel_config(shards=1, shard_mode="sequential"))
+    reference = unsharded.run().group_summaries[0]
+    merged = process_result.group_summaries[0]
+    assert merged.packets_sent == reference.packets_sent
+    assert set(merged.member_counts) == set(reference.member_counts)
+    assert merged.ratio_members == reference.ratio_members == 8
+    payloads = []
+
+    def capturing(*args):
+        outcome = drive_lockstep(*args)
+        payloads.extend(outcome[0])
+        return outcome
+
+    with shard_driver(capturing):
+        run_scenario(_parallel_config())
+    collector = shard_module._merge_collectors(_parallel_config(), payloads)[0]
+    expected = unsharded.collectors[0]
+    assert collector.members == expected.members
+    for member in expected.members:
+        assert collector.intervals_of(member) == expected.intervals_of(member)
 
 
 def test_failure_injection_with_cross_shard_flights():
