@@ -20,21 +20,18 @@ class RadioConfig:
     Attributes
     ----------
     transmission_range_m:
-        Unit-disk reception range; nodes farther apart than this cannot
-        receive each other's frames.
-    carrier_sense_range_m:
-        Range within which a transmission is sensed as channel-busy (and can
-        corrupt concurrent receptions).  Defaults to the transmission range
-        when left at ``None``.
+        The radio's one range (unit disk): a transmission is received,
+        sensed as channel-busy and able to corrupt concurrent receptions
+        exactly within it.
     bitrate_bps:
         Channel bit rate.  The paper assumes 2 Mbps.
     preamble_s:
         Fixed per-frame PHY overhead added to the transmission duration.
     grid_cell_m:
         Cell size of the uniform grid.  The default is speed-aware: a third
-        of the carrier-sense range for slow fleets (``speed_bound_mps``
+        of the transmission range for slow fleets (``speed_bound_mps``
         below 2 m/s, where finer cells prune more candidates and rebuilds
-        are rare) and half the carrier-sense range otherwise (fast fleets
+        are rare) and half the transmission range otherwise (fast fleets
         rebuild the grid often, so fewer, larger cells win).  Cell size is a
         pure performance knob -- queries classify candidates exactly, so
         results are identical for any value.
@@ -64,7 +61,6 @@ class RadioConfig:
     """
 
     transmission_range_m: float = 75.0
-    carrier_sense_range_m: float | None = None
     bitrate_bps: float = 2_000_000.0
     preamble_s: float = 192e-6
     grid_cell_m: float | None = None
@@ -80,10 +76,6 @@ class RadioConfig:
             raise ValueError("transmission_range_m must be positive")
         if self.bitrate_bps <= 0:
             raise ValueError("bitrate_bps must be positive")
-        if self.carrier_sense_range_m is None:
-            self.carrier_sense_range_m = self.transmission_range_m
-        if self.carrier_sense_range_m < self.transmission_range_m:
-            raise ValueError("carrier_sense_range_m cannot be below transmission_range_m")
         if self.area_topology not in ("flat", "torus"):
             raise ValueError(
                 f"area_topology must be 'flat' or 'torus', got {self.area_topology!r}"
@@ -96,7 +88,7 @@ class RadioConfig:
         if self.speed_bound_mps is not None and self.speed_bound_mps < 0:
             raise ValueError("speed_bound_mps must be non-negative")
         if self.grid_cell_m is None:
-            self.grid_cell_m = self.carrier_sense_range_m / self.grid_cell_divisor(
+            self.grid_cell_m = self.transmission_range_m / self.grid_cell_divisor(
                 self.speed_bound_mps
             )
         if self.grid_cell_m <= 0:
@@ -108,16 +100,16 @@ class RadioConfig:
         if self.shards < 1:
             raise ValueError("shards must be at least 1")
 
-    #: Fleets at or above this speed bound use the coarser cs/2 grid cell.
+    #: Fleets at or above this speed bound use the coarser range/2 grid cell.
     FAST_FLEET_MPS = 2.0
 
     @staticmethod
     def grid_cell_divisor(speed_bound_mps: float | None) -> float:
-        """Carrier-sense-range divisor for the default grid cell size.
+        """Transmission-range divisor for the default grid cell size.
 
-        Slow fleets (bound below :data:`FAST_FLEET_MPS`) get cs/3 -- finer
+        Slow fleets (bound below :data:`FAST_FLEET_MPS`) get range/3 -- finer
         cells prune more of the candidate window and the grid rarely needs a
-        rebuild; fast or unknown-speed fleets get the rebuild-friendly cs/2.
+        rebuild; fast or unknown-speed fleets get the rebuild-friendly range/2.
         """
         if speed_bound_mps is None or speed_bound_mps >= RadioConfig.FAST_FLEET_MPS:
             return 2.0

@@ -4,12 +4,12 @@ The medium implements a unit-disk propagation model with collisions:
 
 * A frame transmitted by node ``S`` occupies the channel for
   ``RadioConfig.airtime(size)`` seconds.
-* Every node within the *carrier-sense range* of ``S`` senses the channel as
-  busy for that interval.
-* Every node within the *transmission range* of ``S`` receives the frame at
-  the end of the interval **unless** the reception was corrupted, which
-  happens when (a) another sensed transmission overlapped in time at that
-  receiver, or (b) the receiver was itself transmitting (half-duplex radio).
+* Every node within the *transmission range* of ``S`` senses the channel as
+  busy for that interval, and receives the frame at the end of it **unless**
+  the reception was corrupted, which happens when (a) another sensed
+  transmission overlapped in time at that receiver, or (b) the receiver was
+  itself transmitting (half-duplex radio).  The radio has this one range:
+  nothing is sensed farther away than it can be received.
 
 This is the behaviour the paper depends on: finite bandwidth, spatial reuse,
 and congestion-induced loss.
@@ -17,8 +17,8 @@ and congestion-induced loss.
 Snapshot semantics
 ------------------
 All geometry of a transmission is evaluated **once, at transmission start**:
-the set of radios in carrier-sense range (the interference set) and the
-subset in reception range are frozen from the start-time positions.  Carrier
+the set of radios in range (the interference set) is frozen from the
+start-time positions.  Carrier
 sense (``Phy.carrier_busy``) is membership in that frozen interference
 set -- a radio senses the channel busy exactly when it holds an in-flight
 copy -- so the channel can never present two inconsistent geometries for the
@@ -42,9 +42,9 @@ it is proven bit-identical against is a test oracle
 The medium consumes one interface for static and moving senders alike:
 ``transmission_window`` resolves the sender's kinetic interference window --
 every candidate with its verdict, each cached until the exact instant the
-pair's linear motion next brings it to a range boundary (see the mobility
+pair's linear motion next brings it to the range boundary (see the mobility
 ``segment`` contract) -- and returns the sender's *interference list*: the
-``(phy, in_range)`` pairs of the enabled radios within carrier sense.  The
+enabled radios within range.  The
 list is **frozen** -- the index never mutates one it has handed out, it
 builds a new one when a verdict flips, the candidate set is rebuilt or a
 radio's power state changes (the medium tells it) -- so a flight keeps a
@@ -53,7 +53,7 @@ reference for its airtime and most flights of a sender share one object.
 Reception bookkeeping
 ---------------------
 A paper-scale run starts tens of thousands of transmissions, each fanning
-out to every radio in carrier-sense range, so the per-reception bookkeeping
+out to every radio in range, so the per-reception bookkeeping
 is the dominant hot path.  It keeps one reception record per *radio*, not
 per copy.  Every corruption event at a radio (overlapping energy, the radio
 starting to transmit, its power-down) corrupts *all* copies it currently
@@ -81,7 +81,7 @@ teardown; radios that join mid-flight (late register, power-up) go on the
 batch's own ``late`` side list, never on the borrowed one.  The fan-out is
 one walk of the list with no per-copy record, append or link.  So is the
 teardown of a broadcast, and of any flight the counters cannot decide.  A
-*unicast* flight with no late copy, no copy out of range, no power change
+*unicast* flight with no late copy, no power change
 since its launch and every radio filtering unicast is decided by its
 counters: ``deliveries += locked`` and one dispatch to the addressee if it
 is still locked, O(1) for all its copies.  The radios it does not visit
@@ -138,6 +138,8 @@ class MediumStats:
     transmissions: int = 0
     deliveries: int = 0
     collisions: int = 0
+    #: Always zero since the radio has one range; kept because stored
+    #: records and the pinned digests carry the field.
     out_of_range_discards: int = 0
     half_duplex_losses: int = 0
     disabled_discards: int = 0
@@ -158,12 +160,12 @@ class ReceptionBatch:
         local flight leaves it ``None`` until a late attach (or the
         cross-shard export) asks; a foreign flight arrives with it.
     ``reach``
-        ``(phy, in_range)`` per radio holding a copy since the start of the
-        flight: the sender's frozen interference list, *borrowed* from the
-        spatial index for the airtime (see ``transmission_window``) and
-        never mutated by anyone.
+        Every radio holding a copy since the start of the flight: the
+        sender's frozen interference list, *borrowed* from the spatial index
+        for the airtime (see ``transmission_window``) and never mutated by
+        anyone.
     ``late``
-        ``(phy, in_range)`` per radio that registered or powered up
+        Every radio that registered or powered up
         mid-flight (it missed the head of the frame, so it can never decode
         it); ``None`` on all but such flights.
     ``locked``
@@ -181,7 +183,7 @@ class ReceptionBatch:
                  "reach", "late", "locked", "done", "active_slot")
 
     def copies(self) -> list:
-        """Every ``(phy, in_range)`` copy of the frame, late ones last."""
+        """Every radio holding a copy of the frame, late ones last."""
         return self.reach if self.late is None else self.reach + self.late
 
 
@@ -261,11 +263,7 @@ class Medium:
         #: Frame size -> ``RadioConfig.airtime`` of it (the same float): a
         #: flight reads its airtime with one dict lookup.
         self._airtimes: Dict[int, float] = {}
-        self._cs_range = self.config.carrier_sense_range_m
-        self._rx_range = self.config.transmission_range_m
-        #: Every copy of every flight is in reception range: carrier sense
-        #: reaches no farther than reception (the default).
-        self._all_in_range = self._cs_range == self._rx_range
+        self._range = self.config.transmission_range_m
         #: Registered radios whose MAC does not filter unicast frames
         #: addressed elsewhere (kept by ``Phy.unicast_filter``).
         self._unfiltered = 0
@@ -375,7 +373,7 @@ class Medium:
         if not phy.enabled:
             return []
         now = self.sim.now
-        limit = self._rx_range
+        limit = self._range
         limit_sq = limit * limit
         index = self._index
         origin = index.exact(phy, now)
@@ -417,9 +415,7 @@ class Medium:
                 current.locked -= 1
             sender.rx_current = None
         # No position is sampled here: the window knows when it needs one.
-        reach = self._index.transmission_window(
-            sender, self._cs_range, self._rx_range, now
-        )
+        reach = self._index.transmission_window(sender, self._range, now)
         batch = self._launch(sender, frame, end_time, None, reach)
         self.sim.call_in(duration, self._finish_batch, (batch,))
         if self._export is not None:
@@ -461,7 +457,7 @@ class Medium:
         collisions = 0
         half_duplex = 0
         locked = 0
-        for phy, _ in reach:
+        for phy in reach:
             busy = phy.rx_busy_until
             if busy > now or (busy == now and self._holds_ending_flight(phy, now)):
                 # ``current`` is never a finished flight here: a radio left
@@ -501,7 +497,7 @@ class Medium:
         after that flight's teardown, and sees its energy only before."""
         for batch in self._active:
             if batch.end_time == now:
-                for holder, _ in batch.copies():
+                for holder in batch.copies():
                     if holder is phy:
                         return True
         return False
@@ -528,12 +524,11 @@ class Medium:
         if (
             unicast
             and batch.late is None
-            and self._all_in_range
             and not self._unfiltered
             and self._power_changed_at < batch.start_time
         ):
-            # The counters decide every copy.  No late copy, every copy in
-            # range and no power change since launch: each radio still
+            # The counters decide every copy.  No late copy and no power
+            # change since launch: each radio still
             # locked is a delivery to an enabled radio that is not
             # transmitting, and no other copy counts anywhere.  Every radio
             # filters unicast, so only the addressee's copy is read; the
@@ -558,7 +553,6 @@ class Medium:
             # decision inlined.
             routed = not unicast and not packet.is_mac_control
             disabled_discards = 0
-            out_of_range = 0
             half_duplex = 0
             deliveries = 0
             # ``rx_current`` is read per copy, at visit time, so a callback
@@ -566,21 +560,15 @@ class Medium:
             # still pending -- exactly like the per-copy oracle's per-record
             # reads.  The copies are ``ReceptionBatch.copies()``, spelled out.
             late = batch.late
-            for receiver, in_range in batch.reach if late is None else batch.reach + late:
+            for receiver in batch.reach if late is None else batch.reach + late:
                 if receiver.rx_current is not batch:
                     # Not the flight this radio is locked on: undecodable.
-                    if receiver.enabled:
-                        if not in_range:
-                            out_of_range += 1
-                    else:
+                    if not receiver.enabled:
                         disabled_discards += 1
                     continue
                 receiver.rx_current = None
                 if not receiver.enabled:
                     disabled_discards += 1
-                    continue
-                if not in_range:
-                    out_of_range += 1
                     continue
                 if receiver.transmitting:
                     half_duplex += 1
@@ -613,8 +601,6 @@ class Medium:
                 self._dispatch(receiver, frame, sender_id)
             if disabled_discards:
                 stats.disabled_discards += disabled_discards
-            if out_of_range:
-                stats.out_of_range_discards += out_of_range
             if half_duplex:
                 stats.half_duplex_losses += half_duplex
             stats.deliveries += deliveries
@@ -691,7 +677,7 @@ class Medium:
         Late copies never lock a radio, so :attr:`ReceptionBatch.reach` is
         all there is to walk.
         """
-        for receiver, _ in batch.reach:
+        for receiver in batch.reach:
             if receiver.rx_current is batch:
                 receiver.rx_current = None
         batch.locked = 0
@@ -713,10 +699,7 @@ class Medium:
             return
         now = self.sim.now
         position = self._index.exact(phy, now)
-        cs_range = self._cs_range
-        rx_range = self._rx_range
-        cs_sq = cs_range * cs_range
-        rx_sq = rx_range * rx_range
+        range_sq = self._range * self._range
         for batch in self._active:
             if batch.sender is phy or batch.end_time <= now:
                 continue
@@ -724,18 +707,17 @@ class Medium:
             # copy of a transmission the radio already holds (from before
             # it went down) -- duplicates would double-count the discard
             # statistics.
-            if any(holder is phy for holder, _ in batch.copies()):
+            if any(holder is phy for holder in batch.copies()):
                 continue
             if batch.sender_pos is None:  # known on demand: see the module docstring
                 batch.sender_pos = self._index.exact(batch.sender, batch.start_time)
             sx, sy = batch.sender_pos
             dx, dy = self._deltas(sx, sy, position[0], position[1])
-            distance_sq = dx * dx + dy * dy
-            if distance_sq > cs_sq:
+            if dx * dx + dy * dy > range_sq:
                 continue
             if batch.late is None:
                 batch.late = []
-            batch.late.append((phy, distance_sq <= rx_sq))
+            batch.late.append(phy)
             if batch.end_time > phy.rx_busy_until:
                 phy.rx_busy_until = batch.end_time
 
@@ -811,18 +793,16 @@ class Medium:
         """
         now = self.sim.now
         index = self._index
-        cs_range = self._cs_range
-        cs_sq = cs_range * cs_range
-        rx_sq = self._rx_range * self._rx_range
+        range_m = self._range
+        range_sq = range_m * range_m
         reach = []
-        for _, _, phy in index.candidates((sx, sy), cs_range, now):
+        for _, _, phy in index.candidates((sx, sy), range_m, now):
             if not phy.enabled:
                 continue
             px, py = index.exact(phy, now)
             dx, dy = self._deltas(px, py, sx, sy)
-            distance_sq = dx * dx + dy * dy
-            if distance_sq <= cs_sq:
-                reach.append((phy, distance_sq <= rx_sq))
+            if dx * dx + dy * dy <= range_sq:
+                reach.append(phy)
         batch = self._launch(_ForeignSender(sender_id), frame, end_time, (sx, sy), reach)
         self.sim.call_at(end_time, self._finish_batch, (batch,))
 
@@ -838,16 +818,16 @@ class Medium:
         """
         now = self.sim.now
         index = self._index
-        rx_range = self._rx_range
-        rx_sq = rx_range * rx_range
+        range_m = self._range
+        range_sq = range_m * range_m
         half_duplex = 0
         deliveries = 0
-        for _, _, receiver in index.candidates((sx, sy), rx_range, now):
+        for _, _, receiver in index.candidates((sx, sy), range_m, now):
             if not receiver.enabled:
                 continue
             px, py = index.exact(receiver, now)
             dx, dy = self._deltas(px, py, sx, sy)
-            if dx * dx + dy * dy > rx_sq:
+            if dx * dx + dy * dy > range_sq:
                 continue
             if receiver.transmitting:
                 half_duplex += 1
@@ -880,15 +860,15 @@ class Medium:
     def receptions_for(self, node_id: int) -> List[tuple]:
         """In-flight copies heading for ``node_id``.
 
-        Returns ``(sender_id, end_time, in_range, corrupted)`` tuples -- the
+        Returns ``(sender_id, end_time, corrupted)`` tuples -- the
         stable view for tests and tools over the per-radio reception record
         underneath.  Tuple order is unspecified.
         """
         phy = self._phys.get(node_id)
         return [
-            (batch.sender.node_id, batch.end_time, in_range, phy.rx_current is not batch)
+            (batch.sender.node_id, batch.end_time, phy.rx_current is not batch)
             for batch in self._active
-            for holder, in_range in batch.copies()
+            for holder in batch.copies()
             if holder is phy
         ]
 

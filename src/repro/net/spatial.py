@@ -18,7 +18,7 @@ point, without changing a single simulation outcome:
     entries through the mobility position listeners.
 
 :class:`UniformGridIndex`
-    A uniform grid with cell size of the order of the carrier-sense range,
+    A uniform grid with cell size of the order of the transmission range,
     built from exact positions and kept until accumulated drift
     (``speed bound x age``) exceeds a slack budget.  Queries inflate their
     radius by that slack, so the returned candidate set is a guaranteed
@@ -29,14 +29,14 @@ point, without changing a single simulation outcome:
     :meth:`~UniformGridIndex.transmission_window`: every candidate carries
     its resolved verdict *and the instant that verdict expires*, and the
     call hands out the sender's **frozen interference list** -- the
-    ``(phy, in_range)`` pairs of the enabled members within carrier sense,
-    never mutated once returned, so a flight can keep it for its airtime.
+    enabled member radios within range, never mutated once returned, so a
+    flight can keep it for its airtime.
     All motion is piecewise linear, so the instant a sender-receiver
-    distance crosses a radio range is a quadratic root, computed once when
+    distance crosses the radio range is a quadratic root, computed once when
     the pair is classified (the kinetic-data-structure idea of Basch,
     Guibas & Hershberger, SODA 1997).  A cached verdict is reused only
-    while the pair is provably more than :data:`_GUARD_M` from both range
-    boundaries on an unchanged linear segment of both nodes; everything
+    while the pair is provably more than :data:`_GUARD_M` from the range
+    boundary on an unchanged linear segment of both nodes; everything
     else is the linear scan's own expression on exact positions.
 
 The O(N) reference with the exact semantics of the original medium -- every
@@ -156,9 +156,8 @@ class _KineticWindow:
     def __init__(self, members: List[Tuple[int, int, "Phy"]], expires: float):
         #: Candidate ``(order, node_id, phy)`` triples, never the sender.
         self.members = members
-        #: Per member: ``None`` beyond carrier sense, ``False`` sensed only,
-        #: ``True`` receivable.
-        self.verdicts: List[Optional[bool]] = [None] * len(members)
+        #: Per member: within range.
+        self.verdicts = [False] * len(members)
         #: Instant each member's verdict stops being provably current.
         self.deadlines = [-math.inf] * len(members)
         #: Instant the candidate set itself stops being a superset.
@@ -168,20 +167,14 @@ class _KineticWindow:
         #: The interference list handed to flights, or ``None`` when a
         #: verdict or a radio's power state changed since it was built.
         #: Never mutated: a stale list is dropped and a new one built.
-        self.frozen: Optional[List[Tuple["Phy", bool]]] = None
+        self.frozen: Optional[List["Phy"]] = None
 
-    def freeze(self) -> List[Tuple["Phy", bool]]:
-        """Build (and keep) the list of enabled members within carrier sense.
-
-        The pairs are made afresh for every list on purpose: keeping one
-        tuple per member across builds halves this call and still loses
-        end to end -- the fan-out walks run faster over tuples allocated
-        together than over ones that have aged apart.
-        """
+    def freeze(self) -> List["Phy"]:
+        """Build (and keep) the list of enabled members within range."""
         self.frozen = frozen = [
-            (member[2], verdict)
+            member[2]
             for member, verdict in zip(self.members, self.verdicts)
-            if verdict is not None and member[2].enabled
+            if verdict and member[2].enabled
         ]
         return frozen
 
@@ -224,12 +217,11 @@ class UniformGridIndex:
         #: sender id -> its kinetic window.  Windows outlive grid rebuilds;
         #: only a membership change or a teleport flushes them.
         self._windows: Dict[int, _KineticWindow] = {}
-        #: The (carrier-sense, reception) ranges the windows are resolved
-        #: for, and per verdict the guarded squared-distance band inside
-        #: which that verdict provably holds.
-        self._cs_range: Optional[float] = None
-        self._rx_range: Optional[float] = None
-        self._bands: Dict[Optional[bool], Tuple[float, float]] = {}
+        #: The range the windows are resolved for, and per verdict the
+        #: guarded squared-distance band inside which that verdict provably
+        #: holds.
+        self._range: Optional[float] = None
+        self._bands: Dict[bool, Tuple[float, float]] = {}
         self._built_at: Optional[float] = None
         self._dirty = True
         #: Max speed bound over every tracked node; ``None`` once any node's
@@ -405,26 +397,19 @@ class UniformGridIndex:
         )
 
     # ------------------------------------------------------ kinetic windows
-    def _set_ranges(self, cs_range: float, rx_range: float) -> None:
-        """Bind the windows to one pair of ranges (flushing any other)."""
+    def _set_range(self, range_m: float) -> None:
+        """Bind the windows to one range (flushing any other)."""
         self._windows.clear()
-        self._cs_range = cs_range
-        self._rx_range = rx_range
-        rx_lo = max(rx_range - _GUARD_M, 0.0)
-        rx_hi = rx_range + _GUARD_M
-        cs_lo = max(cs_range - _GUARD_M, 0.0)
-        cs_hi = cs_range + _GUARD_M
-        self._bands = {
-            True: (-1.0, rx_lo * rx_lo),
-            False: (rx_hi * rx_hi, cs_lo * cs_lo),
-            None: (cs_hi * cs_hi, math.inf),
-        }
+        self._range = range_m
+        lo = max(range_m - _GUARD_M, 0.0)
+        hi = range_m + _GUARD_M
+        self._bands = {True: (-1.0, lo * lo), False: (hi * hi, math.inf)}
 
-    def _build_window(self, sender: "Phy", origin: Position, cs_range: float,
+    def _build_window(self, sender: "Phy", origin: Position, range_m: float,
                       now: float, previous: Optional[_KineticWindow]) -> _KineticWindow:
         """A fresh candidate window around ``origin``.
 
-        The candidates reach one grid cell beyond carrier sense, so the set
+        The candidates reach one grid cell beyond the range, so the set
         stays a superset until sender and member together may have closed
         that margin: half of it each at the fleet speed bound.  Members
         already in the sender's ``previous`` window keep their verdict and
@@ -435,7 +420,7 @@ class UniformGridIndex:
         margin = self.cell_m
         cx, cy = self._cell_key(origin[0], origin[1])
         members = [
-            member for member in self._window(cx, cy, cs_range + margin)
+            member for member in self._window(cx, cy, range_m + margin)
             if member[2] is not sender
         ]
         bound = self._speed_bound
@@ -457,13 +442,13 @@ class UniformGridIndex:
         return window
 
     def transmission_window(
-        self, sender: "Phy", cs_range: float, rx_range: float, now: float,
-    ) -> List[Tuple["Phy", bool]]:
+        self, sender: "Phy", range_m: float, now: float,
+    ) -> List["Phy"]:
         """The frozen interference list of a transmission from ``sender`` at
         ``now``.
 
-        Returns ``(phy, in_reception_range)`` pairs in registration order:
-        exactly the enabled radios within carrier sense, never the sender.
+        Returns radios in registration order: exactly the enabled radios
+        within ``range_m``, never the sender.
         The list is **frozen** -- the index never mutates a list it has
         returned, it drops it (see :attr:`_KineticWindow.frozen`) -- so the
         caller may keep it for the flight's airtime, and successive calls
@@ -472,14 +457,14 @@ class UniformGridIndex:
         Each member's verdict is the linear scan's expression on exact
         positions, cached until the earliest instant at which the pair --
         both nodes extrapolated along their current segments -- comes
-        within :data:`_GUARD_M` of a range boundary, either segment ends,
+        within :data:`_GUARD_M` of the range boundary, either segment ends,
         or (on a torus) the pair's minimum image switches.  A call before
         every such deadline resolves nothing and samples no position, not
         even the sender's; any other call samples the sender and
         re-resolves exactly the members that are due.
         """
-        if cs_range != self._cs_range or rx_range != self._rx_range:
-            self._set_ranges(cs_range, rx_range)
+        if range_m != self._range:
+            self._set_range(range_m)
         sender_id = sender.node_id
         window = self._windows.get(sender_id)
         if window is not None and now < window.valid_until:
@@ -490,15 +475,14 @@ class UniformGridIndex:
         ox, oy, svx, svy, sender_until = segment(sender_id, now)
         if window is None or now >= window.expires:
             window = self._windows[sender_id] = self._build_window(
-                sender, (ox, oy), cs_range, now, window
+                sender, (ox, oy), range_m, now, window
             )
         sender_moving = svx != 0.0 or svy != 0.0
         bands = self._bands
         wrap = self._wrap
         if wrap is not None:
             period_x, period_y = wrap
-        cs_sq = cs_range * cs_range
-        rx_sq = rx_range * rx_range
+        range_sq = range_m * range_m
         members = window.members
         verdicts = window.verdicts
         deadlines = window.deadlines
@@ -516,10 +500,7 @@ class UniformGridIndex:
                     dx -= period_x * round(dx / period_x)
                     dy -= period_y * round(dy / period_y)
                 distance_sq = dx * dx + dy * dy
-                if distance_sq > cs_sq:
-                    verdict = None
-                else:
-                    verdict = distance_sq <= rx_sq
+                verdict = distance_sq <= range_sq
                 if verdicts[slot] is not verdict:
                     verdicts[slot] = verdict
                     window.frozen = None
@@ -556,24 +537,23 @@ class UniformGridIndex:
         return frozen if frozen is not None else window.freeze()
 
     def interferers(
-        self, sender: "Phy", cs_range: float, rx_range: float, now: float,
-    ) -> List[Tuple[int, int, "Phy", bool]]:
-        """Classified interference set of a transmission starting at ``now``.
+        self, sender: "Phy", range_m: float, now: float,
+    ) -> List[Tuple[int, int, "Phy"]]:
+        """Interference set of a transmission starting at ``now``.
 
-        Returns ``(order, node_id, phy, in_reception_range)`` for every
-        radio other than ``sender`` within ``cs_range`` of the sender's
-        position at ``now`` that is *enabled at call time*, in registration
-        order -- exactly what the linear-scan oracle computes by brute
-        force.  The view for tests and tools, derived from the window's
-        members and verdicts; the medium consumes
-        :meth:`transmission_window`'s frozen list.
+        Returns ``(order, node_id, phy)`` for every radio other than
+        ``sender`` within ``range_m`` of the sender's position at ``now``
+        that is *enabled at call time*, in registration order -- exactly
+        what the linear-scan oracle computes by brute force.  The view for
+        tests and tools, derived from the window's members and verdicts;
+        the medium consumes :meth:`transmission_window`'s frozen list.
         """
-        self.transmission_window(sender, cs_range, rx_range, now)
+        self.transmission_window(sender, range_m, now)
         window = self._windows[sender.node_id]
         return [
-            member + (verdict,)
+            member
             for member, verdict in zip(window.members, window.verdicts)
-            if verdict is not None and member[2].enabled
+            if verdict and member[2].enabled
         ]
 
 

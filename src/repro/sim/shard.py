@@ -170,7 +170,7 @@ class ShardPlan:
         """Distance from ``(x, y)`` to ``shard``'s region (0 inside it).
 
         The *halo set* of a region is exactly the points whose region
-        distance is at most the carrier-sense range: every radio there can
+        distance is at most the transmission range: every radio there can
         interfere with (or be sensed by) a radio inside the region, and no
         radio outside the halo can.  With ``torus=True`` both axes use the
         minimum-image convention, so halos wrap around the seams.
@@ -191,7 +191,7 @@ class ShardPlan:
 
         The neighbor set of a transmission: a radio inside shard ``s`` can
         only observe a transmission from ``(x, y)`` when ``s`` is in this
-        tuple (with ``radius`` = the carrier-sense range plus any motion
+        tuple (with ``radius`` = the transmission range plus any motion
         slack).  Soundness -- every point within ``radius`` of a region is
         routed to it -- is what the interest-filtered boundary exchange and
         the halo-filtered spatial indexes rely on; the Hypothesis geometry
@@ -205,7 +205,7 @@ class ShardPlan:
 
     @staticmethod
     def sync_window(
-        cs_range_m: float,
+        range_m: float,
         speed_bound_mps: Optional[float],
         override: Optional[float] = None,
     ) -> float:
@@ -224,7 +224,7 @@ class ShardPlan:
             return override
         if not speed_bound_mps or speed_bound_mps <= 0:
             return _MAX_WINDOW_S
-        derived = 0.1 * cs_range_m / speed_bound_mps
+        derived = 0.1 * range_m / speed_bound_mps
         return min(max(derived, _MIN_WINDOW_S), _MAX_WINDOW_S)
 
 
@@ -368,7 +368,7 @@ class _Interest:
     """The interest filter's inputs: geometry plus the motion envelope.
 
     A "tx" record is shipped to worker ``j`` only when the sender's
-    interference disc -- carrier-sense range plus per-record motion slack
+    interference disc -- transmission range plus per-record motion slack
     ``speed_bound * airtime``, covering radios that power up and attach
     while the foreign frame is still in flight -- intersects a region
     worker ``j``'s radios currently occupy.  "down" records carry no
@@ -379,7 +379,7 @@ class _Interest:
 
     plan: ShardPlan
     torus: bool
-    cs_range_m: float
+    range_m: float
     speed_bound_mps: float
 
 
@@ -430,7 +430,7 @@ def _route(
     tagged.sort(key=_record_sort_key)
     plan = interest.plan
     torus = interest.torus
-    cs_range = interest.cs_range_m
+    range_m = interest.range_m
     speed = interest.speed_bound_mps
     occupied = [frozenset(occupancy) for occupancy in occupancies]
     inboxes = [[] for _ in range(shards)]
@@ -441,7 +441,7 @@ def _route(
             # slack covers receiver drift between this boundary and the
             # frame's end of flight (start falls in the window just closed,
             # so end - start bounds any attach-time displacement).
-            radius = cs_range + speed * (record[3] - record[1])
+            radius = range_m + speed * (record[3] - record[1])
             neighbors = plan.shards_within(record[4], record[5], radius, torus)
             for j in range(shards):
                 if j == origin:
@@ -521,7 +521,7 @@ class _ShardWorker:
             node for node in scenario.nodes if node.phy.shard == role
         ]
         #: Foreign radios the shard-local index admitted: the region's halo
-        #: (within carrier-sense range of the region at t=0).  Deterministic
+        #: (within transmission range of the region at t=0).  Deterministic
         #: -- a pure function of the seed and the plan.
         self.halo_size = sum(
             1
@@ -879,7 +879,7 @@ def run_sharded(config, failure_events=None):
         )
     radio = _radio_envelope(config)
     window_s = ShardPlan.sync_window(
-        radio.carrier_sense_range_m,
+        radio.transmission_range_m,
         radio.speed_bound_mps,
         override=config.shard_window_s,
     )
@@ -889,7 +889,7 @@ def run_sharded(config, failure_events=None):
             config.shards, config.area_width_m, config.area_height_m
         ),
         torus=(config.area_topology == "torus"),
-        cs_range_m=radio.carrier_sense_range_m,
+        range_m=radio.transmission_range_m,
         # Exact for every fleet ScenarioConfig builds (fleet_speed_bound).
         speed_bound_mps=radio.speed_bound_mps,
     )

@@ -331,7 +331,7 @@ class Scenario:
             if self.shard_role is not None:
                 # Shard-local spatial index: a parallel worker admits only
                 # the radios it can ever interact with -- its own region's
-                # plus the *halo* (radios within carrier-sense range of the
+                # plus the *halo* (radios within transmission range of the
                 # region at t=0).  Foreign non-halo radios are registered on
                 # the medium (the registry and the failure filter need every
                 # phy) but never indexed, so the grid, its motion tracking
@@ -339,16 +339,16 @@ class Scenario:
                 # always pass (distance 0 inside their home region); halo
                 # radios are disabled foreign ones, filtered by ``enabled``
                 # checks everywhere, so admitting them is free future-proofing
-                # and keeps the index an honest cs-range closure of the region.
+                # and keeps the index an honest range closure of the region.
                 def index_membership(
                     phy,
                     plan=self.shard_plan,
                     role=self.shard_role,
                     torus=(config.area_topology == "torus"),
-                    cs_range=radio.carrier_sense_range_m,
+                    range_m=radio.transmission_range_m,
                 ):
                     x, y = phy.position(0.0)
-                    return plan.region_distance(role, x, y, torus=torus) <= cs_range
+                    return plan.region_distance(role, x, y, torus=torus) <= range_m
 
         self.medium = Medium(
             self.sim, radio, obs=self.obs, index_membership=index_membership

@@ -88,23 +88,19 @@ class LinearScanIndex:
         return self._members
 
     def transmission_window(
-        self, sender: "Phy", cs_range: float, rx_range: float, now: float,
-    ) -> List[Tuple["Phy", bool]]:
+        self, sender: "Phy", range_m: float, now: float,
+    ) -> List["Phy"]:
         """The interference list, by exhaustive scan: a fresh list per call
         (flights keep theirs, so two overlapping flights must not share one)."""
-        return [
-            (phy, in_range)
-            for _, _, phy, in_range in self.interferers(sender, cs_range, rx_range, now)
-        ]
+        return [phy for _, _, phy in self.interferers(sender, range_m, now)]
 
     def interferers(
-        self, sender: "Phy", cs_range: float, rx_range: float, now: float,
-    ) -> List[Tuple[int, int, "Phy", bool]]:
-        """Classified interference set around the sender's position at
-        ``now``, by exhaustive scan."""
+        self, sender: "Phy", range_m: float, now: float,
+    ) -> List[Tuple[int, int, "Phy"]]:
+        """Interference set around the sender's position at ``now``, by
+        exhaustive scan."""
         ox, oy = sender.position(now)
-        cs_sq = cs_range * cs_range
-        rx_sq = rx_range * rx_range
+        range_sq = range_m * range_m
         wrap = self._wrap
         out = []
         for order, node_id, phy in self._members:
@@ -117,10 +113,8 @@ class LinearScanIndex:
                 w, h = wrap
                 dx -= w * round(dx / w)
                 dy -= h * round(dy / h)
-            distance_sq = dx * dx + dy * dy
-            if distance_sq > cs_sq:
-                continue
-            out.append((order, node_id, phy, distance_sq <= rx_sq))
+            if dx * dx + dy * dy <= range_sq:
+                out.append((order, node_id, phy))
         return out
 
 
@@ -149,12 +143,11 @@ class _Flight:
 class _Copy:
     """An in-flight copy of a frame heading for one receiver."""
 
-    __slots__ = ("receiver", "flight", "in_range", "corrupted")
+    __slots__ = ("receiver", "flight", "corrupted")
 
-    def __init__(self, receiver: Phy, flight: _Flight, in_range: bool, corrupted: bool):
+    def __init__(self, receiver: Phy, flight: _Flight, corrupted: bool):
         self.receiver = receiver
         self.flight = flight
-        self.in_range = in_range
         self.corrupted = corrupted
 
 
@@ -192,10 +185,8 @@ class PerCopyMedium(Medium):
                 copy.corrupted = True
                 stats.half_duplex_losses += 1
         flight = _Flight(sender, frame, end_time, sender_pos)
-        for phy, in_range in self._index.transmission_window(
-            sender, self._cs_range, self._rx_range, now
-        ):
-            copy = _Copy(phy, flight, in_range, corrupted=False)
+        for phy in self._index.transmission_window(sender, self._range, now):
+            copy = _Copy(phy, flight, corrupted=False)
             ongoing = self._active_receptions[phy.node_id]
             if ongoing:
                 # Overlapping energy at this receiver: everything is lost.
@@ -227,8 +218,6 @@ class PerCopyMedium(Medium):
             # powers a radio down mid-teardown is seen by the copies pending.
             if not receiver.enabled:
                 stats.disabled_discards += 1
-            elif not copy.in_range:
-                stats.out_of_range_discards += 1
             elif copy.corrupted:
                 pass
             elif receiver.transmitting:
@@ -259,8 +248,7 @@ class PerCopyMedium(Medium):
             return
         now = self.sim.now
         px, py = self._index.exact(phy, now)
-        cs_sq = self._cs_range * self._cs_range
-        rx_sq = self._rx_range * self._rx_range
+        range_sq = self._range * self._range
         ongoing = self._active_receptions[phy.node_id]
         for flight in self._active:
             if flight.sender is phy or flight.end_time <= now:
@@ -270,17 +258,16 @@ class PerCopyMedium(Medium):
             if any(copy.flight is flight for copy in ongoing):
                 continue
             dx, dy = self._deltas(flight.sender_pos[0], flight.sender_pos[1], px, py)
-            distance_sq = dx * dx + dy * dy
-            if distance_sq > cs_sq:
+            if dx * dx + dy * dy > range_sq:
                 continue
-            copy = _Copy(phy, flight, distance_sq <= rx_sq, corrupted=True)
+            copy = _Copy(phy, flight, corrupted=True)
             phy.rx_busy_until = max(phy.rx_busy_until, flight.end_time)
             ongoing.append(copy)
             flight.copies.append(copy)
 
     def receptions_for(self, node_id: int) -> List[tuple]:
         return [
-            (copy.flight.sender.node_id, copy.flight.end_time, copy.in_range, copy.corrupted)
+            (copy.flight.sender.node_id, copy.flight.end_time, copy.corrupted)
             for copy in self._active_receptions.get(node_id, ())
         ]
 

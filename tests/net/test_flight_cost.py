@@ -127,8 +127,8 @@ class TestFrameBudget:
 # --------------------------------------------------------------------------
 
 SPEED_MPS = 10.0
-RX_M, CS_M = 50.0, 75.0
-#: How far inside or outside carrier sense the late radio sits, measured
+RANGE_M = 75.0
+#: How far inside or outside range the late radio sits, measured
 #: from the sender's position at the flight's start.  Smaller than the
 #: distance the sender covers before the attach, so a position sampled at
 #: attach time instead would flip the verdict; larger than the distance it
@@ -140,16 +140,16 @@ WIDTH_M = 400.0
 def _config(topology):
     if topology == "torus":
         return RadioConfig(
-            transmission_range_m=RX_M, carrier_sense_range_m=CS_M,
+            transmission_range_m=RANGE_M,
             area_topology="torus", area_width_m=WIDTH_M, area_height_m=WIDTH_M,
         )
-    return RadioConfig(transmission_range_m=RX_M, carrier_sense_range_m=CS_M)
+    return RadioConfig(transmission_range_m=RANGE_M)
 
 
 def _late_attach(medium_cls, topology, side):
     """Two flights of a sender moving at ``SPEED_MPS`` along +x: a short one
     that builds its window, then a long one on that window during which a
-    radio ``MARGIN_M`` inside or outside carrier sense powers up.
+    radio ``MARGIN_M`` inside or outside range powers up.
 
     Returns the late radio's reception view mid-flight, the times the
     sender's ``segment`` ran while the long flight started and while the
@@ -179,7 +179,7 @@ def _late_attach(medium_cls, topology, side):
     # Inside: behind the sender, which draws away.  Outside: ahead of it,
     # and it closes in.
     sx = start_x + second_start * SPEED_MPS
-    late_x = sx - (CS_M - MARGIN_M) if side == "inside" else sx + (CS_M + MARGIN_M)
+    late_x = sx - (RANGE_M - MARGIN_M) if side == "inside" else sx + (RANGE_M + MARGIN_M)
     if topology == "torus":
         late_x %= WIDTH_M  # inside: across the seam from the sender
     streams = RandomStreams(1)
@@ -203,7 +203,6 @@ def _late_attach(medium_cls, topology, side):
     stats = medium.stats
     return view, at_start, at_attach, hits, (
         stats.transmissions, stats.deliveries, stats.disabled_discards,
-        stats.out_of_range_discards,
     )
 
 
@@ -222,7 +221,7 @@ class TestPositionOnDemand:
         assert hits == 1 and at_attach == 1  # asked once, when needed
         want_view, _, _, _, want_stats = _late_attach(PerCopyMedium, topology, side)
         assert view == want_view
-        assert view == ([(0, view[0][1], False, True)] if side == "inside" else [])
+        assert view == ([(0, view[0][1], True)] if side == "inside" else [])
         assert stats == want_stats
 
     def test_a_sender_teleporting_mid_flight_keeps_its_start_position(self, topology):
@@ -242,7 +241,7 @@ class TestPositionOnDemand:
                     Frame(src=0, dst=-1, packet=Packet(origin=0, destination=-1)))
                 sim.run(until=sim.now + duration / 2.0)
                 if flight == 1:
-                    jumper.move_to(300.0, 200.0)  # far out of carrier sense
+                    jumper.move_to(300.0, 200.0)  # far out of range
                     late.phy.power_up()
                     views.append(medium.receptions_for(1))
                 sim.run()

@@ -262,18 +262,20 @@ class TestFailureInjection:
         assert received[1] == []
         assert medium.stats.disabled_discards == 1
 
-    def test_power_cycle_of_cs_only_neighbor_counts_one_discard(self):
-        sim = Simulator()
-        medium = Medium(
-            sim, RadioConfig(transmission_range_m=75, carrier_sense_range_m=150)
-        )
-        sender = Phy(_StubNode(0, 0, 0), medium)
-        neighbor = Phy(_StubNode(1, 100, 0), medium)  # cs range only
-        airtime = sender.transmit(_frame(0, -1))
-        sim.call_in(airtime * 0.3, neighbor.power_down)
-        sim.call_in(airtime * 0.6, neighbor.power_up)
+    def test_power_cycle_within_one_airtime_keeps_one_copy(self):
+        # down -> up inside one airtime: the radio comes back holding its one
+        # (now undecodable) copy, which ends with no delivery and no discard.
+        sim, medium, phys, received = _make_network([(0, 0), (50, 0)])
+        airtime = phys[0].transmit(_frame(0, -1))
+        copies = []
+        sim.call_in(airtime * 0.3, phys[1].power_down)
+        sim.call_in(airtime * 0.6, phys[1].power_up)
+        sim.call_in(airtime * 0.8, lambda: copies.append(medium.receptions_for(1)))
         sim.run()
-        assert medium.stats.out_of_range_discards == 1
+        assert copies == [[(0, airtime, True)]]
+        assert received[1] == []
+        stats = medium.stats
+        assert (stats.deliveries, stats.disabled_discards, stats.collisions) == (0, 0, 0)
 
     def test_power_transitions_are_idempotent(self):
         sim, medium, phys, _ = _make_network([(0, 0), (50, 0)])
@@ -339,7 +341,7 @@ class TestSnapshotGeometry:
             def check():
                 expected = any(
                     end_time > sim.now
-                    for _, end_time, _, _ in medium.receptions_for(mover.node_id)
+                    for _, end_time, _ in medium.receptions_for(mover.node_id)
                 )
                 checks.append(mover.carrier_busy() == expected)
 
@@ -401,11 +403,3 @@ class TestRadioConfigValidation:
     def test_negative_range_rejected(self):
         with pytest.raises(ValueError):
             RadioConfig(transmission_range_m=-5)
-
-    def test_carrier_sense_below_transmission_range_rejected(self):
-        with pytest.raises(ValueError):
-            RadioConfig(transmission_range_m=100, carrier_sense_range_m=50)
-
-    def test_carrier_sense_defaults_to_transmission_range(self):
-        config = RadioConfig(transmission_range_m=80)
-        assert config.carrier_sense_range_m == 80

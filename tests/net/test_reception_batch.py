@@ -41,12 +41,9 @@ class _StubNode:
         self.position = self.mobility.position
 
 
-def _network(positions, kernel, range_m=100.0, cs_range_m=None):
+def _network(positions, kernel, range_m=100.0):
     sim = Simulator()
-    medium = MEDIA[kernel](
-        sim,
-        RadioConfig(transmission_range_m=range_m, carrier_sense_range_m=cs_range_m),
-    )
+    medium = MEDIA[kernel](sim, RadioConfig(transmission_range_m=range_m))
     phys = []
     received = {}
     for node_id, (x, y) in enumerate(positions):
@@ -131,8 +128,8 @@ class TestMidFlightPowerDown:
 
         sim.call_in(duration / 2, crash, ())
         sim.run(until=duration / 2)
-        assert observed["before"] == [[(0, duration, True, False)]] * 2
-        assert observed["after"] == [[(0, duration, True, True)]] * 2
+        assert observed["before"] == [[(0, duration, False)]] * 2
+        assert observed["after"] == [[(0, duration, True)]] * 2
         assert all(phy.rx_current is None for phy in phys)
 
     def test_power_down_inside_teardown_reaches_unvisited_copies(self, kernel):
@@ -185,24 +182,19 @@ class TestMidFlightAttach:
         sim.run()
         # It missed the head of the frame: senses energy, can never decode.
         assert observed["busy"] is True
-        assert observed["copies"] == [(0, duration, True, True)]
+        assert observed["copies"] == [(0, duration, True)]
         assert received[1] == []
         assert medium.stats.deliveries == 0
         assert medium.stats.collisions == 0
 
-    @pytest.mark.parametrize(
-        "x, goes_dark_again, discards",
-        [(50, False, (0, 0)), (150, False, (0, 1)), (50, True, (1, 0)), (150, True, (1, 0))],
-    )
+    @pytest.mark.parametrize("goes_dark_again, discards", [(False, 0), (True, 1)])
     def test_dark_at_start_gets_exactly_one_late_copy(
-        self, kernel, x, goes_dark_again, discards
+        self, kernel, goes_dark_again, discards
     ):
-        # In reception range (50 m) or only in carrier-sense range (150 m);
-        # the late copy is booked once, under the counter its end state
-        # calls for, and never as a delivery or a collision.
-        sim, medium, phys, received = _network(
-            [(0, 0), (x, 0)], kernel, cs_range_m=200.0
-        )
+        # The late copy is booked once, as a disabled discard only if the
+        # radio is dark again at the end, and never as a delivery or a
+        # collision.
+        sim, medium, phys, received = _network([(0, 0), (50, 0)], kernel)
         phys[1].power_down()
         duration = phys[0].transmit(_frame(0, -1))
         observed = {}
@@ -217,10 +209,10 @@ class TestMidFlightAttach:
             sim.call_in(duration / 2, phys[1].power_down, ())
         sim.run()
         assert observed["dark"] == []
-        assert observed["up"] == [(0, duration, x == 50, True)]
+        assert observed["up"] == [(0, duration, True)]
         assert received[1] == []
         stats = medium.stats
-        assert (stats.disabled_discards, stats.out_of_range_discards) == discards
+        assert stats.disabled_discards == discards
         assert (stats.deliveries, stats.collisions, stats.half_duplex_losses) == (0, 0, 0)
 
     def test_late_register_attaches_corrupted_copy(self, kernel):
@@ -239,7 +231,7 @@ class TestMidFlightAttach:
         sim.call_in(duration / 2, join, ())
         sim.run()
         assert observed["busy"] is True
-        assert observed["copies"] == [(0, duration, True, True)]
+        assert observed["copies"] == [(0, duration, True)]
         assert received.get(1, []) == []
         assert medium.stats.deliveries == 0
 
@@ -258,11 +250,11 @@ class TestMidFlightAttach:
         # The radio already held (a now-corrupted copy of) this frame; the
         # power cycle must not attach a second one and double the discard
         # accounting.
-        assert observed["copies"] == [(0, duration, True, True)]
+        assert observed["copies"] == [(0, duration, True)]
         assert medium.receptions_for(1) == []
         assert received[1] == []
         assert medium.stats.deliveries == 0
-        assert medium.stats.disabled_discards + medium.stats.out_of_range_discards == 0
+        assert medium.stats.disabled_discards == 0
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -354,7 +346,7 @@ class TestUnicastTeardown:
 
 @pytest.mark.parametrize("kernel", ["batch", "naive"])
 def test_overlapping_flights_keep_their_own_interference_lists(kernel):
-    # Two senders out of each other's carrier sense, on the air at once,
+    # Two senders out of each other's range, on the air at once,
     # with disjoint receiver sets.  A flight keeps its list for the whole
     # airtime, so an index that reused one list object would hand the first
     # flight's teardown the second flight's receivers.
@@ -396,8 +388,8 @@ class TestKernelAgreement:
         )
         sim.run()
         assert observed[0] == []
-        assert observed[1] == [(0, duration, True, False)]
-        assert observed[2] == [(0, duration, True, False)]
+        assert observed[1] == [(0, duration, False)]
+        assert observed[2] == [(0, duration, False)]
 
 
 class TestDispatchAgreement:

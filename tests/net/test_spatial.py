@@ -261,21 +261,15 @@ class TestUniformGridIndex:
             naive.add(phy)
         for now in [0.0, 3.5, 7.25, 11.0, 30.0, 31.0]:
             sender = grid_phys[0]
-            got = [
-                (order, node_id, in_range)
-                for order, node_id, _, in_range in grid.interferers(sender, 60.0, 45.0, now)
-            ]
-            want = [
-                (order, node_id, in_range)
-                for order, node_id, _, in_range in naive.interferers(sender, 60.0, 45.0, now)
-            ]
+            got = [(order, node_id) for order, node_id, _ in grid.interferers(sender, 45.0, now)]
+            want = [(order, node_id) for order, node_id, _ in naive.interferers(sender, 45.0, now)]
             assert got == want, f"diverged at t={now}"
 
     def test_interferers_skip_disabled(self):
         phys = [_static_phy(0, 0.0, 0.0), _static_phy(1, 10.0, 0.0), _static_phy(2, 20.0, 0.0)]
         phys[1].enabled = False
         index = self._index(phys)
-        hit = [phy.node_id for _, _, phy, _ in index.interferers(phys[0], 60.0, 60.0, 0.0)]
+        hit = [phy.node_id for _, _, phy in index.interferers(phys[0], 60.0, 0.0)]
         assert hit == [2]
 
 
@@ -312,8 +306,8 @@ class TestKineticWindows:
         for step in range(60):
             now = step * 0.8
             sender = phys[step % 5]
-            got = [(m[0], m[1], m[3]) for m in grid.interferers(sender, 60.0, 45.0, now)]
-            want = [(m[0], m[1], m[3]) for m in naive.interferers(sender, 60.0, 45.0, now)]
+            got = [(m[0], m[1]) for m in grid.interferers(sender, 45.0, now)]
+            want = [(m[0], m[1]) for m in naive.interferers(sender, 45.0, now)]
             assert got == want, f"{model} diverged at t={now}"
 
     def test_window_is_reused_until_a_verdict_deadline_passes(self):
@@ -326,14 +320,14 @@ class TestKineticWindows:
         for phy in phys:
             index.add(phy)
         sender = phys[0]
-        index.interferers(sender, 60.0, 60.0, 1.0)
+        index.interferers(sender, 60.0, 1.0)
         assert (index.window_builds, index.window_resolves, index.window_hits) == (1, 5, 0)
         # Node 5 starts 50 m away and separates at 5 mm/s: it stays within
         # 60 m until t=2000, every other pair longer, and the candidate set
         # is good for 50 m / (2 * 0.105 m/s) = 238 s -- calls before that
         # resolve nothing.
         for now in (10.0, 100.0, 230.0):
-            hit = index.interferers(sender, 60.0, 60.0, now)
+            hit = index.interferers(sender, 60.0, now)
             assert [m[1] for m in hit] == [1, 2, 3, 4, 5]
         assert (index.window_builds, index.window_resolves, index.window_hits) == (1, 5, 3)
 
@@ -348,16 +342,16 @@ class TestKineticWindows:
         for phy in phys:
             index.add(phy)
 
-        def in_range(now):
-            return [m[1] for m in index.interferers(phys[0], 60.0, 60.0, now)]
+        def reached(now):
+            return [m[1] for m in index.interferers(phys[0], 60.0, now)]
 
-        assert in_range(1.0) == [1, 2]
+        assert reached(1.0) == [1, 2]
         assert index.window_resolves == 2
-        assert in_range(19.0) == [1, 2]
+        assert reached(19.0) == [1, 2]
         assert (index.window_hits, index.window_resolves) == (1, 2)
         # Past node 1's deadline (1 micrometre short of the boundary): one
         # pair is re-resolved, the static pair is not.
-        assert in_range(20.5) == [2]
+        assert reached(20.5) == [2]
         assert (index.window_builds, index.window_resolves) == (1, 3)
 
     def test_candidate_refresh_keeps_verdicts_that_are_not_due(self):
@@ -369,11 +363,11 @@ class TestKineticWindows:
         index = UniformGridIndex(cell_m=30.0, slack_m=4.0)
         for phy in phys:
             index.add(phy)
-        index.interferers(phys[0], 60.0, 60.0, 1.0)
+        index.interferers(phys[0], 60.0, 1.0)
         assert (index.window_builds, index.window_resolves) == (1, 2)
         # The candidate set is good for 30 m / (2 * 1 m/s) = 15 s; node 1's
         # verdict for 19 s.  Refreshing the set at t=18 resolves nothing.
-        index.interferers(phys[0], 60.0, 60.0, 18.0)
+        index.interferers(phys[0], 60.0, 18.0)
         assert (index.window_builds, index.window_resolves) == (2, 2)
 
     def test_teleport_flushes_windows_through_the_medium(self):
@@ -417,7 +411,7 @@ class TestKineticWindows:
 
     @pytest.mark.parametrize("crosses", [False, True])
     def test_transmission_window_keeps_out_of_reach_members_off_the_list(self, crosses):
-        # A candidate that resolves beyond carrier sense keeps its slot in
+        # A candidate that resolves beyond range keeps its slot in
         # the window (it may come into range before the candidate set
         # expires) but is on neither the frozen list nor the interferers()
         # view.  When it does cross, a *new* list is handed out and the old
@@ -432,14 +426,14 @@ class TestKineticWindows:
             index.add(phy)
 
         def window(now):
-            return index.transmission_window(phys[0], 60.0, 60.0, now)
+            return index.transmission_window(phys[0], 60.0, now)
 
-        first = window(10.0)  # beyond the 60 m carrier sense
+        first = window(10.0)  # beyond the 60 m range
         assert first == []
-        assert index.interferers(phys[0], 60.0, 60.0, 10.0) == []
+        assert index.interferers(phys[0], 60.0, 10.0) == []
         assert window(11.0) is first
         if crosses:
-            assert window(19.0) == [(phys[1], True)] and first == []
+            assert window(19.0) == [phys[1]] and first == []
         else:
             assert window(19.0) is first
 

@@ -190,14 +190,14 @@ class _Still:
         self.position = self.mobility.position
 
 
-def _run_tie_script(kind, seed, cs_range_m):
+def _run_tie_script(kind, seed, range_m):
     """Launches, power cycles and unicasts on a 1/16 s grid.  Events
     scheduled up front run *before* the teardowns at their instant (lower
     sequence numbers); the ones a helper schedules 1/32 s ahead run
     *after* them.  Returns the statistics and every delivery, in order."""
     rng = random.Random(seed)
     sim = Simulator()
-    radio = RadioConfig(**{**asdict(_TIE_RADIO), "carrier_sense_range_m": cs_range_m})
+    radio = RadioConfig(**{**asdict(_TIE_RADIO), "transmission_range_m": range_m})
     medium = MEDIA[kind](sim, radio)
     positions = [(0, 0), (40, 0), (80, 0), (40, 40), (120, 40), (160, 0)]
     log = []
@@ -238,9 +238,9 @@ def _run_tie_script(kind, seed, cs_range_m):
     return asdict(medium.stats), log
 
 
-@pytest.mark.parametrize("cs_range_m", [None, 130.0])
+@pytest.mark.parametrize("range_m", [100.0, 130.0])
 @pytest.mark.parametrize("seed", range(6))
-def test_launches_at_flight_end_instants_match_the_per_copy_oracle(seed, cs_range_m):
+def test_launches_at_flight_end_instants_match_the_per_copy_oracle(seed, range_m):
     ties = []
     holds = Medium._holds_ending_flight
 
@@ -251,10 +251,10 @@ def test_launches_at_flight_end_instants_match_the_per_copy_oracle(seed, cs_rang
 
     Medium._holds_ending_flight = counted
     try:
-        batch = _run_tie_script("batch", seed, cs_range_m)
+        batch = _run_tie_script("batch", seed, range_m)
     finally:
         Medium._holds_ending_flight = holds
-    assert batch == _run_tie_script("object", seed, cs_range_m)
+    assert batch == _run_tie_script("object", seed, range_m)
     assert batch[0]["collisions"] > 0 and batch[0]["deliveries"] > 0
     # Both sides of the tie were taken: launches before a teardown at the
     # same instant see its energy, launches after it do not.

@@ -194,14 +194,14 @@ def test_worker_elides_foreign_stacks_and_indexes_halo_only():
     assert set(scenario.sinks_by_group[0]) <= owned
     # Index = owned + halo, characterised exactly by region distance.
     plan = scenario.shard_plan
-    cs_range = worker.medium.config.carrier_sense_range_m
+    range_m = worker.medium.config.transmission_range_m
     indexed = {
         phy.node_id for _, _, phy in worker.medium.spatial_index.members()
     }
     expected = {
         node.node_id
         for node in scenario.nodes
-        if plan.region_distance(0, *node.phy.position(0.0)) <= cs_range
+        if plan.region_distance(0, *node.phy.position(0.0)) <= range_m
     }
     assert owned <= indexed == expected
     assert worker.halo_size == len(indexed) - len(owned)
