@@ -26,7 +26,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.campaign.store import ResultStore, TrialRecord
 from repro.experiments.figures import ExperimentSpec
 from repro.metrics.reporting import format_rows
-from repro.obs.merge import merge_telemetry
 
 
 @dataclass
@@ -170,6 +169,7 @@ class TelemetryAggregator:
         """Fold one trial's telemetry in (no-op for empty/missing)."""
         if not telemetry:
             return
+        from repro.obs.merge import merge_telemetry
         snapshot = {
             key: value
             for key, value in telemetry.items()

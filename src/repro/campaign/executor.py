@@ -27,7 +27,6 @@ once the record is built.
 from __future__ import annotations
 
 import gc
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.campaign.store import ResultStore, TrialRecord
@@ -119,6 +118,7 @@ def run_campaign(
         for trial in pending:
             finish(execute_trial(trial))
     else:
+        from concurrent.futures import ProcessPoolExecutor, as_completed
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(execute_trial, trial) for trial in pending]
             try:

@@ -3,7 +3,8 @@
 Each check starts a fresh interpreter, because this process has long since
 imported everything.  The default paper-scale build must load none of the
 import-on-use modules; a build that selects an alternative protocol or
-mobility model must load that one module.
+mobility model must load that one module; importing the campaign runner
+starts no process pool and loads no telemetry merge.
 """
 
 import os
@@ -33,11 +34,14 @@ IMPORT_ON_USE = (
     "repro.obs.merge",
     "repro.metrics.reporting",
     "repro.sim.shard",
+    # Only a campaign with jobs > 1 starts a process pool.
+    "concurrent.futures",
+    "multiprocessing",
 )
 
 
 def _loaded_after(config: str) -> set:
-    """The ``repro`` modules a fresh interpreter holds after building ``config``."""
+    """The modules a fresh interpreter holds after building ``config``."""
     return _modules_after(
         "from repro import Scenario, ScenarioConfig\n"
         "from repro.mobility.config import MobilityConfig\n"
@@ -46,12 +50,8 @@ def _loaded_after(config: str) -> set:
 
 
 def _modules_after(statements: str) -> set:
-    """The ``repro`` modules a fresh interpreter holds after ``statements``."""
-    code = (
-        "import sys\n"
-        f"{statements}"
-        "print('\\n'.join(name for name in sys.modules if name.startswith('repro')))\n"
-    )
+    """The modules a fresh interpreter holds after ``statements``."""
+    code = f"import sys\n{statements}print('\\n'.join(sys.modules))\n"
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     completed = subprocess.run(
         [sys.executable, "-c", code],
@@ -105,3 +105,12 @@ def test_experiment_specs_load_no_campaign_module():
     loaded = _modules_after("import repro.experiments\n")
     assert "repro.experiments.figures" in loaded
     assert sorted(name for name in loaded if name.startswith("repro.campaign")) == []
+
+
+def test_campaign_runner_loads_no_pool_and_no_telemetry_merge():
+    # A serial campaign never forks, and only instrumented trials fold
+    # telemetry: both modules load where they are used.
+    loaded = _modules_after("from repro.campaign import run_campaign\n")
+    assert "repro.campaign.executor" in loaded
+    on_use = {"concurrent.futures", "multiprocessing", "repro.obs.merge"}
+    assert sorted(loaded & on_use) == []
