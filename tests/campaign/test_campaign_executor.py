@@ -3,9 +3,10 @@
 ``jobs=2`` produces aggregates identical to the serial path, a
 killed-then-resumed campaign completes using only the trials missing from
 the store (verified by asserting stored trials are never re-executed), no
-finished trial's scenario stays resident after its record is returned, and
-a raising trial in the pool starts no queued trial but stores every one
-that finished.
+finished trial's scenario stays resident after its record is returned (nor
+is what was alive before it walked by its collections), and a raising
+trial in the pool starts no queued trial but stores every one that
+finished.
 """
 
 import gc
@@ -67,6 +68,27 @@ class TestMemory:
             if was_enabled:
                 gc.enable()
         assert alive == 0
+
+    def test_a_trial_runs_with_what_was_alive_before_it_frozen(self, monkeypatch):
+        # Its collections then walk the trial's own objects only; the freeze
+        # is undone after it, and a caller's own freeze is left alone.
+        counts = []
+
+        def scenario(config):
+            counts.append(gc.get_freeze_count())
+            return Scenario(config)
+
+        monkeypatch.setattr(executor_module, "Scenario", scenario)
+        trial = trials_for_spec(figure2_range_slow(), **SPEC_KWARGS)[0]
+        execute_trial(trial)
+        assert counts[0] > 0 and gc.get_freeze_count() == 0
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            execute_trial(trial)
+            assert counts[1] == frozen and gc.get_freeze_count() == frozen
+        finally:
+            gc.unfreeze()
 
 
 class TestParallelDeterminism:
