@@ -97,87 +97,94 @@ def _equivalent_quick_range(
     return paper_range_m * math.sqrt(_PAPER_DENSITY / quick_density)
 
 
-# --------------------------------------------------------------------- figures
-def figure2_range_slow() -> ExperimentSpec:
-    """Fig. 2: packet delivery vs transmission range, max speed 0.2 m/s."""
+def _reference_config(scale: str, range_m: float, speed: float, **overrides) -> ScenarioConfig:
+    """The paper's 40-node setup at one (transmission range, max speed) point.
 
-    def build(x: float, scale: str) -> ScenarioConfig:
-        if scale == "paper":
-            return _base_config(
-                scale, num_nodes=40, max_speed_mps=0.2, transmission_range_m=x
-            )
+    At quick scale the range is scaled to keep the paper's connectivity.
+    """
+    if scale == "paper":
         return _base_config(
-            scale, max_speed_mps=0.2, transmission_range_m=_equivalent_quick_range(x, 16)
+            scale, num_nodes=40, transmission_range_m=range_m, max_speed_mps=speed,
+            **overrides,
         )
+    return _base_config(
+        scale, transmission_range_m=_equivalent_quick_range(range_m, 16),
+        max_speed_mps=speed, **overrides,
+    )
 
+
+# --------------------------------------------------------------------- figures
+def _range_sweep(figure: str, speed: float) -> ExperimentSpec:
+    """Figs. 2/3: packet delivery vs transmission range at one max speed."""
     return ExperimentSpec(
-        figure="fig2",
-        title="Packet delivery vs transmission range (max speed 0.2 m/s)",
+        figure=figure,
+        title=f"Packet delivery vs transmission range (max speed {speed:g} m/s)",
         x_label="transmission range (m)",
         x_values=[45, 50, 55, 60, 65, 70, 75, 80, 85],
-        config_builder=build,
+        config_builder=lambda x, scale: _reference_config(scale, x, speed),
     )
+
+
+def figure2_range_slow() -> ExperimentSpec:
+    """Fig. 2: packet delivery vs transmission range, max speed 0.2 m/s."""
+    return _range_sweep("fig2", 0.2)
 
 
 def figure3_range_fast() -> ExperimentSpec:
     """Fig. 3: packet delivery vs transmission range, max speed 2 m/s."""
+    return _range_sweep("fig3", 2.0)
 
-    def build(x: float, scale: str) -> ScenarioConfig:
-        if scale == "paper":
-            return _base_config(
-                scale, num_nodes=40, max_speed_mps=2.0, transmission_range_m=x
-            )
-        return _base_config(
-            scale, max_speed_mps=2.0, transmission_range_m=_equivalent_quick_range(x, 16)
-        )
 
+def _speed_sweep(figure: str, speeds: str, x_values: List[float]) -> ExperimentSpec:
+    """Figs. 4/5: packet delivery vs maximum speed at a range of 75 m."""
     return ExperimentSpec(
-        figure="fig3",
-        title="Packet delivery vs transmission range (max speed 2 m/s)",
-        x_label="transmission range (m)",
-        x_values=[45, 50, 55, 60, 65, 70, 75, 80, 85],
-        config_builder=build,
+        figure=figure,
+        title=f"Packet delivery vs maximum speed ({speeds}, range 75 m)",
+        x_label="max speed (m/s)",
+        x_values=x_values,
+        config_builder=lambda x, scale: _reference_config(scale, 75.0, x),
     )
 
 
 def figure4_speed_low() -> ExperimentSpec:
     """Fig. 4: packet delivery vs maximum speed, 0.1-1 m/s, range 75 m."""
-
-    def build(x: float, scale: str) -> ScenarioConfig:
-        if scale == "paper":
-            return _base_config(
-                scale, num_nodes=40, transmission_range_m=75.0, max_speed_mps=x
-            )
-        return _base_config(
-            scale, transmission_range_m=_equivalent_quick_range(75.0, 16), max_speed_mps=x
-        )
-
-    return ExperimentSpec(
-        figure="fig4",
-        title="Packet delivery vs maximum speed (0.1-1 m/s, range 75 m)",
-        x_label="max speed (m/s)",
-        x_values=[round(0.1 * i, 1) for i in range(1, 11)],
-        config_builder=build,
-    )
+    return _speed_sweep("fig4", "0.1-1 m/s", [round(0.1 * i, 1) for i in range(1, 11)])
 
 
 def figure5_speed_high() -> ExperimentSpec:
     """Fig. 5: packet delivery vs maximum speed, 1-10 m/s, range 75 m."""
+    return _speed_sweep("fig5", "1-10 m/s", [float(i) for i in range(1, 11)])
+
+
+def _node_sweep(
+    figure: str, title: str, range_for: Callable[[float], float]
+) -> ExperimentSpec:
+    """Figs. 6/7: packet delivery vs number of nodes at max speed 0.2 m/s.
+
+    ``range_for(nodes)`` is the paper-scale transmission range; quick scale
+    shrinks the fleet and scales that range to keep its connectivity.
+    """
 
     def build(x: float, scale: str) -> ScenarioConfig:
+        range_m = range_for(x)
         if scale == "paper":
             return _base_config(
-                scale, num_nodes=40, transmission_range_m=75.0, max_speed_mps=x
+                scale, num_nodes=int(x), max_speed_mps=0.2, transmission_range_m=range_m
             )
+        nodes = _quick_node_count(x)
         return _base_config(
-            scale, transmission_range_m=_equivalent_quick_range(75.0, 16), max_speed_mps=x
+            scale,
+            num_nodes=nodes,
+            member_count=max(2, nodes // 3),
+            max_speed_mps=0.2,
+            transmission_range_m=_equivalent_quick_range(range_m, nodes),
         )
 
     return ExperimentSpec(
-        figure="fig5",
-        title="Packet delivery vs maximum speed (1-10 m/s, range 75 m)",
-        x_label="max speed (m/s)",
-        x_values=[float(i) for i in range(1, 11)],
+        figure=figure,
+        title=title,
+        x_label="# nodes",
+        x_values=[40, 50, 60, 70, 80, 90, 100],
         config_builder=build,
     )
 
@@ -189,62 +196,17 @@ def figure6_nodes_constant_degree() -> ExperimentSpec:
     number of neighbours of a node stays approximately constant as the node
     count grows, which is how the paper runs this experiment.
     """
-
-    def build(x: float, scale: str) -> ScenarioConfig:
-        reference_nodes = 40.0
-        reference_range = 75.0
-        scaled_range = reference_range * math.sqrt(reference_nodes / x)
-        if scale == "paper":
-            return _base_config(
-                scale,
-                num_nodes=int(x),
-                max_speed_mps=0.2,
-                transmission_range_m=scaled_range,
-            )
-        nodes = _quick_node_count(x)
-        return _base_config(
-            scale,
-            num_nodes=nodes,
-            member_count=max(2, nodes // 3),
-            max_speed_mps=0.2,
-            transmission_range_m=_equivalent_quick_range(scaled_range, nodes),
-        )
-
-    return ExperimentSpec(
-        figure="fig6",
-        title="Packet delivery vs number of nodes (constant average degree)",
-        x_label="# nodes",
-        x_values=[40, 50, 60, 70, 80, 90, 100],
-        config_builder=build,
+    return _node_sweep(
+        "fig6",
+        "Packet delivery vs number of nodes (constant average degree)",
+        lambda nodes: 75.0 * math.sqrt(40.0 / nodes),
     )
 
 
 def figure7_nodes_constant_range() -> ExperimentSpec:
     """Fig. 7: packet delivery vs number of nodes, fixed 55 m range."""
-
-    def build(x: float, scale: str) -> ScenarioConfig:
-        if scale == "paper":
-            return _base_config(
-                scale,
-                num_nodes=int(x),
-                max_speed_mps=0.2,
-                transmission_range_m=55.0,
-            )
-        nodes = _quick_node_count(x)
-        return _base_config(
-            scale,
-            num_nodes=nodes,
-            member_count=max(2, nodes // 3),
-            max_speed_mps=0.2,
-            transmission_range_m=_equivalent_quick_range(55.0, nodes),
-        )
-
-    return ExperimentSpec(
-        figure="fig7",
-        title="Packet delivery vs number of nodes (range 55 m)",
-        x_label="# nodes",
-        x_values=[40, 50, 60, 70, 80, 90, 100],
-        config_builder=build,
+    return _node_sweep(
+        "fig7", "Packet delivery vs number of nodes (range 55 m)", lambda nodes: 55.0
     )
 
 
@@ -259,19 +221,7 @@ def figure8_goodput() -> ExperimentSpec:
     combinations = list(GOODPUT_COMBINATIONS)
 
     def build(x: float, scale: str) -> ScenarioConfig:
-        range_m, speed = combinations[int(x)]
-        if scale == "paper":
-            return _base_config(
-                scale,
-                num_nodes=40,
-                transmission_range_m=range_m,
-                max_speed_mps=speed,
-            )
-        return _base_config(
-            scale,
-            transmission_range_m=_equivalent_quick_range(range_m, 16),
-            max_speed_mps=speed,
-        )
+        return _reference_config(scale, *combinations[int(x)])
 
     return ExperimentSpec(
         figure="fig8",
@@ -388,20 +338,7 @@ def mobility_model_sweep() -> ExperimentSpec:
             mobility = MobilityConfig(model="rpgm", rpgm_align_multicast=False)
         else:
             mobility = MobilityConfig(model=name)
-        if scale == "paper":
-            return _base_config(
-                scale,
-                num_nodes=40,
-                transmission_range_m=75.0,
-                max_speed_mps=2.0,
-                mobility_config=mobility,
-            )
-        return _base_config(
-            scale,
-            transmission_range_m=_equivalent_quick_range(75.0, 16),
-            max_speed_mps=2.0,
-            mobility_config=mobility,
-        )
+        return _reference_config(scale, 75.0, 2.0, mobility_config=mobility)
 
     return ExperimentSpec(
         figure="mobility",
