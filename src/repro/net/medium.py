@@ -18,9 +18,8 @@ Snapshot semantics
 ------------------
 All geometry of a transmission is evaluated **once, at transmission start**:
 the set of radios in range (the interference set) is frozen from the
-start-time positions.  Carrier
-sense (``Phy.carrier_busy``) is membership in that frozen interference
-set -- a radio senses the channel busy exactly when it holds an in-flight
+start-time positions.  Carrier sense (``Phy.carrier_busy``) is membership in
+that frozen interference set -- a radio senses the channel busy exactly when it holds an in-flight
 copy -- so the channel can never present two inconsistent geometries for the
 same frame, no matter how nodes move during the airtime.
 
@@ -81,9 +80,8 @@ teardown; radios that join mid-flight (late register, power-up) go on the
 batch's own ``late`` side list, never on the borrowed one.  The fan-out is
 one walk of the list with no per-copy record, append or link.  So is the
 teardown of a broadcast, and of any flight the counters cannot decide.  A
-*unicast* flight with no late copy, no power change
-since its launch and every radio filtering unicast is decided by its
-counters: ``deliveries += locked`` and one dispatch to the addressee if it
+*unicast* flight with no late copy, no power change since its launch and
+every radio filtering unicast is decided by its counters: ``deliveries += locked`` and one dispatch to the addressee if it
 is still locked, O(1) for all its copies.  The radios it does not visit
 keep pointing at it; a pointer at a ``done`` flight reads as no lock (the
 radio's next transmission counts no loss for it, its next arrival finds it
@@ -528,11 +526,11 @@ class Medium:
             and self._power_changed_at < batch.start_time
         ):
             # The counters decide every copy.  No late copy and no power
-            # change since launch: each radio still
-            # locked is a delivery to an enabled radio that is not
-            # transmitting, and no other copy counts anywhere.  Every radio
-            # filters unicast, so only the addressee's copy is read; the
-            # others keep pointing here and read as unlocked (``done``).
+            # change since launch: each radio still locked is a delivery to
+            # an enabled radio that is not transmitting, and no other copy
+            # counts anywhere.  Every radio filters unicast, so only the
+            # addressee's copy is read; the others keep pointing here and
+            # read as unlocked (``done``).
             stats.deliveries += batch.locked
             receiver = self._phys.get(dst)
             if receiver is not None and receiver.rx_current is batch:
