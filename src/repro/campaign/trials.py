@@ -117,16 +117,21 @@ _NESTED_CONFIG_TYPES = {
 }
 
 
+def _known_fields(config_type: type, data: Mapping[str, object]) -> Dict[str, object]:
+    known = {spec.name for spec in dataclass_fields(config_type)}
+    return {name: value for name, value in data.items() if name in known}
+
+
 def config_from_dict(data: Mapping[str, object]) -> ScenarioConfig:
     """Rebuild a :class:`ScenarioConfig` from :func:`config_to_dict` output.
 
-    Keys of fields an older version stored but :class:`ScenarioConfig` no
-    longer has are dropped, so configs in older stores still rebuild.
+    Keys of fields an older version stored but :class:`ScenarioConfig` or
+    one of its nested configs no longer has are dropped, so configs in
+    older stores still rebuild.
     """
-    known = {spec.name for spec in dataclass_fields(ScenarioConfig)}
-    fields: Dict[str, object] = {name: value for name, value in data.items() if name in known}
+    fields = _known_fields(ScenarioConfig, data)
     for name, config_type in _NESTED_CONFIG_TYPES.items():
         value = fields.get(name)
         if isinstance(value, Mapping):
-            fields[name] = config_type(**value)
+            fields[name] = config_type(**_known_fields(config_type, value))
     return ScenarioConfig(**fields)

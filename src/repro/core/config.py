@@ -42,9 +42,6 @@ class GossipConfig:
     #: Enable cached gossip (section 4.3).  Disabled, every round is
     #: anonymous.
     enable_cached_gossip: bool = True
-    #: Send a gossip reply even when no requested message was found (off by
-    #: default; an empty reply only helps populate member caches).
-    reply_when_empty: bool = False
     #: The sequence number each source is assumed to start from; losses
     #: before the first successful reception are counted against it.
     initial_expected_seq: int = 1

@@ -404,7 +404,7 @@ class GossipAgent:
             return
         self.stats.requests_accepted += 1
         messages = self._collect_reply_messages(request)
-        if not messages and not self.config.reply_when_empty:
+        if not messages:
             return
         reply = GossipReply(
             origin=self.node_id,

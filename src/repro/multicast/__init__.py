@@ -5,8 +5,8 @@
   RREQ/RREP/MACT, group leader with periodic group hellos, tree repair on
   link breaks, pruning, and the nearest-member annotations used by Anonymous
   Gossip's locality optimisation.
-* :mod:`repro.multicast.flooding` -- blind flooding and hyper-flooding
-  baselines (the comparison protocols discussed in the paper's related work).
+* :mod:`repro.multicast.flooding` -- the blind-flooding baseline (the
+  comparison protocol discussed in the paper's related work).
 * :mod:`repro.multicast.odmrp` -- the mesh-based ODMRP baseline.
 * :mod:`repro.multicast.config` -- the parameters of all three.
 

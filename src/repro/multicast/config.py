@@ -42,20 +42,14 @@ class MaodvConfig:
     data_cache_size: int = 4096
     #: Value used as "infinity" for nearest-member distances.
     nearest_member_infinity: int = 64
-    #: Whether routers maintain nearest-member distances (needed by the
-    #: gossip locality optimisation; cheap, so enabled by default).
-    track_nearest_member: bool = True
     #: Random delay added before re-broadcasting flooded packets (join
     #: requests, group hellos, tree data); avoids systematic
     #: synchronised-rebroadcast collisions between hidden terminals.
     broadcast_jitter_s: float = 0.01
-    #: Explicit leadership hand-off when the group leader leaves the group
-    #: (draft rule): the leaver floods a tree-scoped hand-off carrying a
-    #: one-pass best-so-far election, and the oldest member on the tree
-    #: takes over (node id breaks exact ties).  Disabling falls back to the
-    #: old simplification (the leaver keeps leading until partition/merge
-    #: machinery elects someone else).
-    leader_handoff: bool = True
+    # Leadership hand-off when the group leader leaves the group (draft
+    # rule): the leaver floods a tree-scoped hand-off carrying a one-pass
+    # best-so-far election, and the oldest member on the tree takes over
+    # (node id breaks exact ties).
     #: How long a bidding member waits, after first hearing a hand-off
     #: flood, before checking whether its bid is still the best it has
     #: seen and taking over.  Must cover a tree-wide flood sweep plus the
@@ -86,15 +80,10 @@ class MaodvConfig:
 
 @dataclass
 class FloodingConfig:
-    """Parameters of the flooding baselines."""
+    """Parameters of the flooding baseline."""
 
     #: TTL given to flooded data packets.
     flood_ttl: int = 16
-    #: Number of times each node rebroadcasts a packet.  1 is plain flooding;
-    #: larger values approximate hyper-flooding's aggressive re-sending.
-    rebroadcast_count: int = 1
-    #: Spacing between repeated rebroadcasts (hyper-flooding only).
-    rebroadcast_interval_s: float = 0.5
     #: Random delay before each (re)broadcast; prevents synchronised
     #: rebroadcast collisions between hidden terminals.
     broadcast_jitter_s: float = 0.01
@@ -106,8 +95,6 @@ class FloodingConfig:
     def __post_init__(self) -> None:
         if self.flood_ttl < 1:
             raise ValueError("flood_ttl must be at least 1")
-        if self.rebroadcast_count < 1:
-            raise ValueError("rebroadcast_count must be at least 1")
 
 
 @dataclass

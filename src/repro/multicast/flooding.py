@@ -1,11 +1,11 @@
-"""Flooding-based multicast baselines.
+"""The blind-flooding multicast baseline.
 
-The paper's related-work section discusses flooding and *hyper-flooding*
-(Ho et al.) as the brute-force way to obtain reliability in MANETs: every
-node rebroadcasts every new packet, optionally several times.  These routers
-share the delivery-listener interface of :class:`~repro.multicast.maodv.MaodvRouter`
-so the same workload, metrics and (optionally) gossip layer can run on top of
-them, which is what the baseline benchmark uses.
+The paper's related-work section discusses flooding as the brute-force way
+to obtain reliability in MANETs: every node rebroadcasts every new packet
+once.  The router shares the delivery-listener interface of
+:class:`~repro.multicast.maodv.MaodvRouter` so the same workload, metrics and
+(optionally) gossip layer can run on top of it, which is what the flooding
+baseline check uses.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ class FloodingStats:
 
 
 class FloodingRouter:
-    """Blind (or hyper-) flooding multicast."""
+    """Blind flooding multicast."""
 
     def __init__(self, node: Node, aodv: AodvRouter, config: Optional[FloodingConfig] = None):
         self.node = node
@@ -101,7 +101,7 @@ class FloodingRouter:
         self._seen.remember(data.mid)
         if self.is_member(group):
             self._deliver(data)
-        self._broadcast_repeatedly(data, self.config.rebroadcast_count)
+        self._broadcast(data)
         return data
 
     def _on_multicast_data(self, data: MulticastData, from_node: NodeId) -> None:
@@ -116,16 +116,11 @@ class FloodingRouter:
             return
         forwarded = data.copy_for_forwarding()
         self.stats.data_forwarded += 1
-        self._broadcast_repeatedly(forwarded, self.config.rebroadcast_count)
+        self._broadcast(forwarded)
 
-    def _broadcast_repeatedly(self, data: MulticastData, count: int) -> None:
-        for attempt in range(count):
-            jitter = self.rng.uniform(0.0, self.config.broadcast_jitter_s)
-            self.sim.call_in(
-                attempt * self.config.rebroadcast_interval_s + jitter,
-                self.node.send_frame,
-                (data, BROADCAST_ADDRESS),
-            )
+    def _broadcast(self, data: MulticastData) -> None:
+        jitter = self.rng.uniform(0.0, self.config.broadcast_jitter_s)
+        self.sim.call_in(jitter, self.node.send_frame, (data, BROADCAST_ADDRESS))
 
     def _deliver(self, data: MulticastData) -> None:
         self.stats.data_delivered += 1

@@ -203,12 +203,10 @@ class MaodvRouter:
           leadership off (draft rule): it floods a tree-scoped
           :class:`LeaderHandoff` whose one-pass best-so-far election makes
           the oldest member on the tree take over
-          (see :meth:`_on_leader_handoff`); with ``leader_handoff`` disabled
-          it falls back to the old simplification of leading on until the
-          partition/merge machinery elects someone else.  When the leader is
-          the last tree node the group dissolves here: hellos stop and the
-          entry is removed, so a later :meth:`join_group` re-creates the
-          group from scratch.
+          (see :meth:`_on_leader_handoff`).  When the leader is the last
+          tree node the group dissolves here: hellos stop and the entry is
+          removed, so a later :meth:`join_group` re-creates the group from
+          scratch.
         * A leaf member (including an ex-leader left with a single branch)
           MACT-prunes its single tree link and forgets the group.
         * Any other non-leaf member keeps routing for the tree, only its
@@ -227,11 +225,7 @@ class MaodvRouter:
                 self._stop_group_hello(group)
                 self.table.remove(group)
                 return
-            if self.config.leader_handoff:
-                self._hand_off_leadership(group, entry)
-            else:
-                self._propagate_nearest_member(group)
-                return
+            self._hand_off_leadership(group, entry)
         if len(neighbors) <= 1:
             if neighbors:
                 self._send_prune(group, neighbors[0])
@@ -773,8 +767,6 @@ class MaodvRouter:
 
     # ------------------------------------------------------- nearest member data
     def _propagate_nearest_member(self, group: GroupAddress) -> None:
-        if not self.config.track_nearest_member:
-            return
         entry = self.table.entry(group)
         if entry is None:
             return

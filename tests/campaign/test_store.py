@@ -186,6 +186,16 @@ LINE_BEFORE_CONFIG_MOVE = (
 )
 
 
+def _without(config: dict, retired: set) -> dict:
+    """``config`` minus the ``retired`` keys; ``a.b`` names key ``b`` of ``a``."""
+    kept = {name: value for name, value in config.items() if name not in retired}
+    for name in retired:
+        parent, _, key = name.partition(".")
+        if key:
+            kept[parent] = {k: v for k, v in kept[parent].items() if k != key}
+    return kept
+
+
 class TestStoredLineCompatibility:
     def test_line_written_before_the_config_move_loads_unchanged(self, tmp_path):
         path = tmp_path / "campaign.jsonl"
@@ -196,9 +206,7 @@ class TestStoredLineCompatibility:
         config = ScenarioConfig.quick(
             seed=3,
             protocol="odmrp",
-            flooding_config=FloodingConfig(
-                flood_ttl=9, rebroadcast_count=3, rebroadcast_interval_s=0.25
-            ),
+            flooding_config=FloodingConfig(flood_ttl=9),
             odmrp_config=OdmrpConfig(
                 join_query_interval_s=2.0, forwarding_lifetime_s=7.5, flood_ttl=12
             ),
@@ -217,17 +225,26 @@ class TestStoredLineCompatibility:
         )
         assert loaded == [expected]
         assert config_from_dict(loaded[0].config) == config
-        # The stored config differs from today's only by the retired knob.
-        retired = {"gossip_shared_round_rng": False}
-        assert config_to_dict(config) == {
-            name: value for name, value in stored_config.items() if name not in retired
+        # The stored config differs from today's only by the retired knobs.
+        retired = {
+            "gossip_shared_round_rng",
+            "gossip_config.reply_when_empty",
+            "maodv_config.track_nearest_member",
+            "maodv_config.leader_handoff",
+            "flooding_config.rebroadcast_count",
+            "flooding_config.rebroadcast_interval_s",
         }
+        assert config_to_dict(config) == _without(stored_config, retired)
         # Writing the record back drops only the retired ``params`` field.
         assert expected.to_json() == LINE_BEFORE_CONFIG_MOVE.replace('"params":{},', "")
 
     def test_fields_scenario_config_no_longer_has_are_dropped(self):
         data = config_to_dict(ScenarioConfig.quick(seed=2))
-        old = {**data, "gossip_shared_round_rng": False}
+        old = {
+            **data,
+            "gossip_shared_round_rng": False,
+            "flooding_config": {**data["flooding_config"], "rebroadcast_count": 3},
+        }
         assert config_from_dict(old) == config_from_dict(data)
 
     def test_line_with_params_parses_into_the_record_minus_params(self):

@@ -347,18 +347,6 @@ class TestRequestHandling:
         agent._on_request(request, 5)
         assert aodv.sent == []
 
-    def test_reply_when_empty_option(self):
-        config = GossipConfig(reply_when_empty=True)
-        agent, multicast, aodv, frames, sim = _make_agent(config=config)
-        request = GossipRequest(
-            origin=5, destination=agent.node_id, group=GROUP, initiator=5,
-            lost=[(7, 1)], expected={}, direct=True,
-        )
-        agent._on_request(request, 5)
-        assert len(aodv.sent) == 1
-        reply, _ = aodv.sent[0]
-        assert reply.messages == []
-
     def test_reply_bounded_by_max_messages(self):
         config = GossipConfig(max_messages_per_reply=2)
         agent, multicast, aodv, frames, sim = _make_agent(config=config)

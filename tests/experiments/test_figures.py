@@ -141,26 +141,26 @@ class TestMembershipSweeps:
 #: (trial key, config) pair of its default sweep, per scale.  A change to a
 #: builder that moves any config, title or x value fails here.
 TRIAL_PINS = {
-    ("fig2", "quick"): "8d6d76871bde81a05d10a363a19595695684b9b2cb005f403d52effbbbaec454",
-    ("fig2", "paper"): "1cc9b7b346a74fa6912cd5c2628c65d0a8342c0effa220dce527bfd97e7252a8",
-    ("fig3", "quick"): "6d7f3491741730cd667a1630848e2738209f65c435d76f06cabd9c888b2ad700",
-    ("fig3", "paper"): "020d55c4a9e701b537efe08d6a9a18c8c6cf7febbacec9008563f6def8dcb571",
-    ("fig4", "quick"): "993aaf829891a51fb811fd05edcfe32efe853be9538ca4345c29abde5dcbe2df",
-    ("fig4", "paper"): "57dd2a22f32a33b95aaae8268ccc7cd131282639b4ba825e0d960b2b74a68ffa",
-    ("fig5", "quick"): "6b6aeddca2a9b510c75b246972e7edb2468c6ffbe42cc76bd98a7dd43a16e6c7",
-    ("fig5", "paper"): "e73cf8272cf5ee08ec2c46db94619bd569bc8c9b9868116974560b26969df1e4",
-    ("fig6", "quick"): "5bb2c5bb1747489a795e18d37a61ccb836ab62e626e435078cbff0a914736cc0",
-    ("fig6", "paper"): "99dfeccba3ccdb50e0d3675b7fd2c47623022638c69d1d7943bd4e42b2c924c2",
-    ("fig7", "quick"): "c10ce276dc5446e59a88c1ed2ef91ea9629c9cc5b5809bce19fdc1024bc24f40",
-    ("fig7", "paper"): "49b5c2482494663448c94aabffed5a78470dae0534c65f6cad0b1ead4ee46463",
-    ("fig8", "quick"): "32a36d146e2383ec38243bc165a4fd4b1c2f6e275f0f3b61c842697e48b0073c",
-    ("fig8", "paper"): "0a468945c44672d9650d9d4209504ecbbd7adc8708f1d04298687638a0b2f9bb",
-    ("churn", "quick"): "3845a8d8d3828d249482922bf4fb0f33818bc9d2ee034f16b2e0dce57022c7da",
-    ("churn", "paper"): "141317d7c17ffd2ce5e192a5c459e337748f953d646df7c6692bf6b02db3c538",
-    ("groups", "quick"): "b4b82461ed3a3a65baf278a25f63a029c6542a8208e92b7a9caaefda4d71d0f3",
-    ("groups", "paper"): "974c7db85b04ef5c3420f59f6a43a5443eed96efb6813a460c33b80be2233d0d",
-    ("mobility", "quick"): "76bb310fd8306fbd28e14efa4bcd858835b2a1e3ba860b0c00cc4825567bb0b6",
-    ("mobility", "paper"): "355342bd548df75346959579d3cb8db30cf6823a49b44c15731217cfaef107d8",
+    ("fig2", "quick"): "2861c2825b5c7e7f98f939530c5242916596415e5469815bac145cfaa95b2d31",
+    ("fig2", "paper"): "7983b9fb610f3b1258c21a8fb02d5e7e137de41ef83ea87a45a8b1b1c8d55c5e",
+    ("fig3", "quick"): "ccd026b5bb2ef25afd80f4782729e808c443b645aa69be0a90039b3e1505850e",
+    ("fig3", "paper"): "f32a77a542341473ea5424e2eae67c3089c5425b3aefb84a285ede8e412a178e",
+    ("fig4", "quick"): "105b9b8536fcafba2fb2cb7a09b10e11b8b050c39104769622433e62468358a9",
+    ("fig4", "paper"): "416173a4723260752811d86ebb236121c5f93a5a88e2937a6cdcdf9978d298ae",
+    ("fig5", "quick"): "b847733cc12dccc32f1bc4eb82c31ccce5ddeea763161f8740cde73de794bb4f",
+    ("fig5", "paper"): "d50e2c44167b6d0964123be188d343d42b6b0b087cec68f8b65fa6a33edd6c54",
+    ("fig6", "quick"): "efdbc13388d9d1cd06ff568f157b576e1c0e43732390a0e834c74f4a71afa766",
+    ("fig6", "paper"): "4f1d9641b866fe45558f4139be59d3140bc53ef76c64be7d3cc5ce0963010767",
+    ("fig7", "quick"): "912f81871f98aef13f7221695114f2710416c6f8cc76f46f6a9ea48340d43131",
+    ("fig7", "paper"): "3bc9f4fa07382b4a1284f0406d8636d7b0489a9f1ac2aa842961f742c6e546a0",
+    ("fig8", "quick"): "b629afcaf8bd52a79cad3df420974a3bb0852f6a23ca307504ade3767e9fc04c",
+    ("fig8", "paper"): "43c3580799312a0188e0390692e3cc3110a36aa43d826e1ead8455e10092976e",
+    ("churn", "quick"): "ed93a07c8e3e5214b8f440ff1bde7904df762ae9b83869a78ed4b6f347a696cf",
+    ("churn", "paper"): "37d97aa38e85a17bb21f157541197f8f7d73ed5890768d1cc210eb3a41f18ff4",
+    ("groups", "quick"): "a13d2b107c40476e290dcdf4acb35714f03a4b4511da3bc5de38365d5718d830",
+    ("groups", "paper"): "5bcbbf86208e280bc72bf153c2e36b1ee57b5c54d09647c583f911999b6b9ce8",
+    ("mobility", "quick"): "338ac434fb12cd9d3ffe758d74714ac20a66dc36d1883f058bb3c798b56f257f",
+    ("mobility", "paper"): "d14e53bd484a85b199c8e13cc74f8896f9d5d887ac47e22d8b19f937df0bc575",
 }
 
 
