@@ -1,4 +1,4 @@
-"""Plain-text reporting helpers used by the examples and benchmarks."""
+"""Plain-text reporting helpers used by the examples and the CLI."""
 
 from __future__ import annotations
 

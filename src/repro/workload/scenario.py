@@ -23,7 +23,7 @@ Two constructors cover the common cases:
 * :meth:`ScenarioConfig.paper` -- the exact parameters of the paper
   (600 s runs, 2201 packets); these take minutes per run in pure Python.
 * :meth:`ScenarioConfig.quick` -- a scaled-down variant with identical
-  protocol parameters used by the test suite and the default benchmarks.
+  protocol parameters used by the test suite and quick-scale campaigns.
 """
 
 from __future__ import annotations
