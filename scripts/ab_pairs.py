@@ -15,14 +15,19 @@ median and quartiles, the pairs won, and the simplicity guide's verdict:
 count for neither side) *and* the medians differ by more than the distance
 between the parent's quartiles; ``worse`` symmetrically; else ``unresolved``
 (always, for a single pair: one run has no spread).
-Directions come from ``BENCHMARK.json``.  Exits non-zero if either side
-reports a failed operation or the two sides' ``# digest_changed`` lines differ.
+Directions come from ``BENCHMARK.json``.  Apart from those verdicts it
+prints the raw readings of each run's ``# seed`` lines (wall and CPU
+seconds, machine speed; a run's median when it has several): median,
+quartiles and pairs won, with no verdict, since host drift moves them.
+Exits non-zero if either side reports a failed operation or the two sides'
+``# digest_changed`` lines differ.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -54,8 +59,29 @@ def verdict(parent, change, better):
     return change_wins, parent_wins, word
 
 
+#: The raw readings of a ``# seed`` line, each with the direction a pair is
+#: won in (a higher ``speed`` means the side ran on a faster host).
+RAW = {"wall_s": "lower", "cpu_s": "lower", "speed": "higher"}
+_SEED_LINE = re.compile(
+    r"^# seed \d+: .*, wall ([0-9.]+) s, cpu ([0-9.]+) s at machine speed ([0-9.]+)"
+)
+
+
+def raw_readings(lines):
+    """The median of each :data:`RAW` reading over a run's ``# seed`` lines."""
+    rows = [match.groups() for match in map(_SEED_LINE.match, lines) if match]
+    if not rows:
+        return {}
+    return {name: statistics.median(float(row[index]) for row in rows)
+            for index, name in enumerate(RAW)}
+
+
 def run_once(tree, workload, seed, seconds):
-    """One invocation of ``tree``'s benchmark: ``(metrics, failed, digest_line)``."""
+    """One invocation of ``tree``'s benchmark: ``(metrics, failed, digest_line)``.
+
+    ``metrics`` holds the last-line JSON's values and the :data:`RAW`
+    readings.
+    """
     done = subprocess.run(
         ["python3", "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -67,6 +93,7 @@ def run_once(tree, workload, seed, seconds):
         return {}, 1, digest_line
     report = json.loads(lines[-1])
     metrics = {name: cell["value"] for name, cell in report["metrics"].items()}
+    metrics.update(raw_readings(lines))
     return metrics, report["failed"], digest_line
 
 
@@ -83,7 +110,7 @@ def main(argv=None) -> int:
     declared = json.loads((args.parent_dir / "BENCHMARK.json").read_text())
     directions = {metric["name"]: metric["better"] for metric in declared["end_to_end"]}
     trees = {"parent": args.parent_dir, "change": args.change_dir}
-    values = {side: {name: [] for name in directions} for side in trees}
+    values = {side: {name: [] for name in {**directions, **RAW}} for side in trees}
     trouble = []
     for pair in range(1, args.pairs + 1):
         order = ("parent", "change") if pair % 2 else ("change", "parent")
@@ -94,12 +121,13 @@ def main(argv=None) -> int:
             )
             if failed:
                 trouble.append(f"pair {pair}: {side} reported {failed} failed operation(s)")
-            for name in directions:
+            for name in values[side]:
                 values[side][name].append(metrics.get(name, float("nan")))
         if digests["parent"] != digests["change"]:
             trouble.append(f"pair {pair}: {digests['parent']!r} != {digests['change']!r}")
-        for name in directions:
-            print(f"pair {pair:2d} ({order[0]} first) {name}: parent "
+        for name in {**directions, **RAW}:
+            label = f"raw {name}" if name in RAW else name
+            print(f"pair {pair:2d} ({order[0]} first) {label}: parent "
                   f"{values['parent'][name][-1]:.6g}  change {values['change'][name][-1]:.6g}")
 
     print(f"\n{args.workload}, seed {args.seed}, "
@@ -113,6 +141,16 @@ def main(argv=None) -> int:
                   f"(quartiles {q1:.6g} .. {q3:.6g})")
         print(f"{name}: change won {change_wins}, parent won {parent_wins} "
               f"of {args.pairs} -> {word}")
+    print("\nraw readings of the # seed lines (uncalibrated, no verdict)")
+    for name, better in RAW.items():
+        parent, change = values["parent"][name], values["change"][name]
+        for side, column in (("parent", parent), ("change", change)):
+            q1, median, q3 = quartiles(column)
+            print(f"raw {name} [{better} wins] {side}: median {median:.6g} "
+                  f"(quartiles {q1:.6g} .. {q3:.6g})")
+        change_wins, parent_wins, _ = verdict(parent, change, better)
+        print(f"raw {name}: change won {change_wins}, parent won {parent_wins} "
+              f"of {args.pairs}")
     for line in trouble:
         print(f"TROUBLE: {line}")
     return 1 if trouble else 0

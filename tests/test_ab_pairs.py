@@ -1,11 +1,13 @@
 """Tests for scripts/ab_pairs.py: the verdict rule and the exit status.
 
-No benchmark is spawned: the verdict is a pure function, and ``main`` is
-driven with ``run_once`` replaced by scripted results.
+No benchmark is spawned: the verdict is a pure function, ``run_once`` reads
+a scripted ``bench/run.py`` output, and ``main`` is driven with ``run_once``
+replaced by scripted results.
 """
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -60,8 +62,38 @@ class TestVerdict:
         assert ab_pairs.verdict(PARENT, _shifted(-4.0), "higher") == (0, 10, "unresolved")
 
 
+class TestRunOnce:
+    def test_reads_the_last_line_json_and_the_raw_seed_lines(self, monkeypatch):
+        output = "\n".join([
+            "# seed 1: 263750 events, wall 1.742 s, cpu 1.728 s at machine speed 0.867 "
+            "(20 readings), rss 24.7 MB, digest c3b60f0e28b0",
+            "# seed 1: 263750 events, wall 1.500 s, cpu 1.400 s at machine speed 1.100 "
+            "(20 readings), rss 24.7 MB, digest c3b60f0e28b0",
+            "# seed 1: 263750 events, wall 1.600 s, cpu 1.500 s at machine speed 0.900 "
+            "(20 readings), rss 24.7 MB, digest c3b60f0e28b0",
+            "# digest_changed=0",
+            json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": {
+                "cal_events_per_s": {"value": 150000.0, "unit": "1/s"}}}),
+        ]) + "\n"
+        seen = []
+
+        def scripted(command, cwd, stdout, text):
+            seen.append((command, cwd))
+            return subprocess.CompletedProcess(command, 0, stdout=output)
+
+        monkeypatch.setattr(ab_pairs.subprocess, "run", scripted)
+        metrics, failed, digest_line = ab_pairs.run_once("tree", "paper40_maodv", 1, 2.0)
+        assert seen == [(["python3", "bench/run.py", "--workload", "paper40_maodv",
+                          "--seed", "1", "--seconds", "2.0", "--trace", "0"], "tree")]
+        assert (failed, digest_line) == (0, "# digest_changed=0")
+        # Each raw reading is the median over the run's seed lines.
+        assert metrics == {"cal_events_per_s": 150000.0,
+                           "wall_s": 1.6, "cpu_s": 1.5, "speed": 0.9}
+
+
 class TestExitStatus:
-    METRICS = {"cal_events_per_s": 100.0, "setup_s": 0.2}
+    METRICS = {"cal_events_per_s": 100.0, "setup_s": 0.2,
+               "wall_s": 1.5, "cpu_s": 1.4, "speed": 1.0}
 
     def _main(self, tmp_path, monkeypatch, results):
         """Run ``main`` for two pairs with ``results[side]`` scripted per tree."""
@@ -93,6 +125,10 @@ class TestExitStatus:
         out = capsys.readouterr().out
         assert "cal_events_per_s: change won 0, parent won 0 of 2 -> unresolved" in out
         assert "setup_s [lower is better] parent: median 0.2" in out
+        raw = out[out.index("raw readings"):]
+        assert "raw wall_s [lower wins] parent: median 1.5" in raw
+        assert "raw speed: change won 0, parent won 0 of 2\n" in raw
+        assert "->" not in raw
 
     @pytest.mark.parametrize("side", ["parent", "change"])
     def test_a_failed_operation_on_either_side_exits_non_zero(
