@@ -149,10 +149,6 @@ class GossipAgent:
         self.history = HistoryTable(capacity=self.config.history_size)
         self.member_cache = MemberCache(capacity=self.config.member_cache_size)
         self._recovery_listeners: List[RecoveryListener] = []
-        #: False after a mid-run join: requests then refuse *unfiltered*
-        #: history bootstrap so the member is never back-filled with
-        #: pre-subscription packets.
-        self._bootstrap = True
         #: Start of the current subscription; ``None`` for run-long members.
         #: Carried on requests so responders can serve exactly the post-join
         #: suffix (data packets are stamped with their send time).
@@ -200,9 +196,8 @@ class GossipAgent:
         The agent drops any recovery state from a previous subscription and
         switches to no-credit-for-the-past mode: the new lost table baselines
         every source at the first packet observed after the join, and gossip
-        requests go out with ``bootstrap=False`` plus the join time, so
-        packets multicast before the join are neither recorded as lost nor
-        served by responders.
+        requests go out with the join time, so packets multicast before the
+        join are neither recorded as lost nor served by responders.
 
         Data packets carry their send time, so a responder *can* separate
         "sent before the join" from "sent after the join but never
@@ -218,7 +213,6 @@ class GossipAgent:
             baseline_first_observation=True,
         )
         self.history = HistoryTable(capacity=self.config.history_size)
-        self._bootstrap = False
         self._joined_at = self.sim.now
 
     def on_membership_leave(self) -> None:
@@ -299,7 +293,6 @@ class GossipAgent:
             lost=list(lost),
             expected=expected,
             hops_remaining=self.config.max_gossip_hops,
-            bootstrap=self._bootstrap,
             joined_at=self._joined_at,
         )
 
@@ -389,7 +382,6 @@ class GossipAgent:
             expected=request.expected,
             hops_remaining=request.hops_remaining - 1,
             direct=False,
-            bootstrap=request.bootstrap,
             joined_at=request.joined_at,
         )
         self.stats.requests_forwarded += 1
@@ -470,11 +462,10 @@ class GossipAgent:
         # Mid-run joiners participate through the send-time filter above
         # (``joined_at`` set): they get the post-join suffix of unknown
         # sources, never pre-subscription traffic.
-        if request.bootstrap or cutoff is not None:
-            known_sources = set(request.expected)
-            for source in {message_id[0] for message_id in self.history.message_ids()}:
-                if source not in known_sources:
-                    offer(source, self.config.initial_expected_seq)
+        known_sources = set(request.expected)
+        for source in {message_id[0] for message_id in self.history.message_ids()}:
+            if source not in known_sources:
+                offer(source, self.config.initial_expected_seq)
         return messages[:limit]
 
     def _on_reply(self, reply: GossipReply, from_node: NodeId) -> None:

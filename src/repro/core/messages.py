@@ -38,16 +38,12 @@ class GossipRequest(Packet):
     #: True for cached gossip: the request was unicast straight to a known
     #: member and must be accepted rather than propagated.
     direct: bool = False
-    #: When True (the default) the responder may also serve messages from
-    #: sources the initiator has never heard of (history bootstrap).  Members
-    #: that joined mid-run send False so they are not back-filled with
-    #: packets from before their subscription started.
-    bootstrap: bool = True
     #: When the initiator's current subscription began, or ``None`` for a
-    #: member subscribed since the start of the run.  Data packets carry
-    #: their send time, so a responder serves a mid-run joiner exactly the
-    #: post-join suffix: unknown-source bootstrap is re-enabled for it, but
-    #: every served message must satisfy ``sent_at >= joined_at``.
+    #: member subscribed since the start of the run.  The responder may
+    #: serve messages from sources the initiator has never heard of
+    #: (history bootstrap); data packets carry their send time, so a
+    #: mid-run joiner is served exactly the post-join suffix: every served
+    #: message must satisfy ``sent_at >= joined_at``.
     joined_at: Optional[float] = None
 
 

@@ -6,16 +6,17 @@ configurable transmission range (the paper sweeps 45 m - 85 m).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 @dataclass
 class RadioConfig:
     """Physical-layer parameters.
 
-    There is one medium implementation (:mod:`repro.net.medium`); the grid
-    cell and slack below are the only performance knobs, and neither can
-    change a result.
+    There is one medium implementation (:mod:`repro.net.medium`) on one
+    area geometry, the paper's bounded rectangle.  The grid cell and slack
+    below are derived from the range and the speed bound, never set; they
+    are performance choices only and cannot change a result.
 
     Attributes
     ----------
@@ -28,7 +29,7 @@ class RadioConfig:
     preamble_s:
         Fixed per-frame PHY overhead added to the transmission duration.
     grid_cell_m:
-        Cell size of the uniform grid.  The default is speed-aware: a third
+        Cell size of the uniform grid (derived).  It is speed-aware: a third
         of the transmission range for slow fleets (``speed_bound_mps``
         below 2 m/s, where finer cells prune more candidates and rebuilds
         are rare) and half the transmission range otherwise (fast fleets
@@ -36,22 +37,13 @@ class RadioConfig:
         pure performance knob -- queries classify candidates exactly, so
         results are identical for any value.
     speed_bound_mps:
-        Upper bound on node speed, used only to pick the default grid cell
-        size.  ``None`` (unknown) selects the conservative half-range cell.
+        Upper bound on node speed, used only to pick the grid cell size.
+        ``None`` (unknown) selects the conservative half-range cell.
     grid_slack_m:
-        Staleness budget of the grid in metres: the grid is rebuilt once
-        the fleet may have moved this far since it was built.  Queries
-        inflate their radius accordingly, so results are unaffected.
-        Defaults to 1/8 cell.
-    area_topology:
-        Geometry of the radio area: ``"flat"`` (the paper's bounded
-        rectangle, the default) or ``"torus"`` (opposite edges identified;
-        distances use the minimum-image convention).  The torus removes the
-        paper's edge effects -- border nodes have the same expected degree
-        as interior ones -- and needs the area dimensions below.
-    area_width_m / area_height_m:
-        Dimensions of the (periodic) area; required for ``"torus"`` and
-        ignored for ``"flat"``.
+        Staleness budget of the grid in metres (derived, 1/8 cell): the grid
+        is rebuilt once the fleet may have moved this far since it was
+        built.  Queries inflate their radius accordingly, so results are
+        unaffected.
     shards:
         Number of spatial regions of the region-sharded engine (see
         :mod:`repro.sim.shard`).  With more than one shard the medium routes
@@ -63,49 +55,31 @@ class RadioConfig:
     transmission_range_m: float = 75.0
     bitrate_bps: float = 2_000_000.0
     preamble_s: float = 192e-6
-    grid_cell_m: float | None = None
-    grid_slack_m: float | None = None
     speed_bound_mps: float | None = None
-    area_topology: str = "flat"
-    area_width_m: float | None = None
-    area_height_m: float | None = None
     shards: int = 1
+    grid_cell_m: float = field(init=False)
+    grid_slack_m: float = field(init=False)
 
     def __post_init__(self) -> None:
         if self.transmission_range_m <= 0:
             raise ValueError("transmission_range_m must be positive")
         if self.bitrate_bps <= 0:
             raise ValueError("bitrate_bps must be positive")
-        if self.area_topology not in ("flat", "torus"):
-            raise ValueError(
-                f"area_topology must be 'flat' or 'torus', got {self.area_topology!r}"
-            )
-        if self.area_topology == "torus":
-            if not self.area_width_m or not self.area_height_m:
-                raise ValueError("a torus area needs area_width_m and area_height_m")
-            if self.area_width_m <= 0 or self.area_height_m <= 0:
-                raise ValueError("torus area dimensions must be positive")
         if self.speed_bound_mps is not None and self.speed_bound_mps < 0:
             raise ValueError("speed_bound_mps must be non-negative")
-        if self.grid_cell_m is None:
-            self.grid_cell_m = self.transmission_range_m / self.grid_cell_divisor(
-                self.speed_bound_mps
-            )
-        if self.grid_cell_m <= 0:
-            raise ValueError("grid_cell_m must be positive")
-        if self.grid_slack_m is None:
-            self.grid_slack_m = self.grid_cell_m / 8.0
-        if self.grid_slack_m < 0:
-            raise ValueError("grid_slack_m must be non-negative")
         if self.shards < 1:
             raise ValueError("shards must be at least 1")
+        self.grid_cell_m = self.transmission_range_m / self.grid_cell_divisor(
+            self.speed_bound_mps
+        )
+        self.grid_slack_m = self.grid_cell_m / 8.0
 
     #: Fleets at or above this speed bound use the coarser range/2 grid cell.
     FAST_FLEET_MPS = 2.0
 
     @staticmethod
     def grid_cell_divisor(speed_bound_mps: float | None) -> float:
-        """Transmission-range divisor for the default grid cell size.
+        """Transmission-range divisor for the grid cell size.
 
         Slow fleets (bound below :data:`FAST_FLEET_MPS`) get range/3 -- finer
         cells prune more of the candidate window and the grid rarely needs a

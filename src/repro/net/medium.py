@@ -34,7 +34,7 @@ Spatial index
 -------------
 Candidate receivers/interferers come from the spatial index of
 :mod:`repro.net.spatial`: a uniform grid over memoised positions, O(k) per
-transmission (its torus subclass on a periodic area).  The O(N) linear scan
+transmission.  The O(N) linear scan
 it is proven bit-identical against is a test oracle
 (``tests/net/reference_medium.py``), not an option.
 
@@ -121,7 +121,7 @@ from typing import Dict, List, Optional, TYPE_CHECKING
 from repro.net.addressing import BROADCAST_ADDRESS
 from repro.net.config import RadioConfig
 from repro.net.packet import Frame
-from repro.net.spatial import TorusGridIndex, UniformGridIndex
+from repro.net.spatial import UniformGridIndex
 from repro.obs import NULL_OBS
 from repro.sim.engine import Simulator
 
@@ -267,29 +267,11 @@ class Medium:
         self._unfiltered = 0
         #: Last instant a radio powered down or up.
         self._power_changed_at = -math.inf
-        #: (width, height) of the periodic area, or ``None`` on the flat
-        #: rectangle; every direct distance below applies the minimum-image
-        #: convention when set.
-        self._wrap = (
-            (self.config.area_width_m, self.config.area_height_m)
-            if self.config.area_topology == "torus"
-            else None
+        self._index = UniformGridIndex(
+            cell_m=self.config.grid_cell_m,
+            slack_m=self.config.grid_slack_m,
+            membership=index_membership,
         )
-        self._index: UniformGridIndex
-        if self._wrap is not None:
-            self._index = TorusGridIndex(
-                cell_m=self.config.grid_cell_m,
-                slack_m=self.config.grid_slack_m,
-                width_m=self._wrap[0],
-                height_m=self._wrap[1],
-                membership=index_membership,
-            )
-        else:
-            self._index = UniformGridIndex(
-                cell_m=self.config.grid_cell_m,
-                slack_m=self.config.grid_slack_m,
-                membership=index_membership,
-            )
 
     # --------------------------------------------------------------- registry
     def register(self, phy: "Phy") -> None:
@@ -339,28 +321,13 @@ class Medium:
         index.invalidate(node_id)
 
     # --------------------------------------------------------------- geometry
-    def _deltas(self, ax: float, ay: float, bx: float, by: float) -> tuple:
-        """Coordinate deltas ``a - b``, wrapped on a torus topology."""
-        dx = ax - bx
-        dy = ay - by
-        wrap = self._wrap
-        if wrap is not None:
-            w, h = wrap
-            dx -= w * round(dx / w)
-            dy -= h * round(dy / h)
-        return dx, dy
-
-    def _distance(self, a: tuple, b: tuple) -> float:
-        dx, dy = self._deltas(a[0], a[1], b[0], b[1])
-        return math.hypot(dx, dy)
-
     def distance_between(self, node_a: int, node_b: int) -> float:
-        """Current distance between two nodes (wrapped on a torus)."""
+        """Current distance between two nodes."""
         now = self.sim.now
         index = self._index
-        return self._distance(
-            index.exact(self._phys[node_a], now), index.exact(self._phys[node_b], now)
-        )
+        ax, ay = index.exact(self._phys[node_a], now)
+        bx, by = index.exact(self._phys[node_b], now)
+        return math.hypot(ax - bx, ay - by)
 
     def neighbors_of(self, node_id: int) -> List[int]:
         """Enabled node ids currently within transmission range of ``node_id``.
@@ -381,7 +348,8 @@ class Medium:
             if other is phy or not other.enabled:
                 continue
             px, py = index.exact(other, now)
-            dx, dy = self._deltas(px, py, ox, oy)
+            dx = px - ox
+            dy = py - oy
             if dx * dx + dy * dy <= limit_sq:
                 result.append(other.node_id)
         return sorted(result)
@@ -710,7 +678,8 @@ class Medium:
             if batch.sender_pos is None:  # known on demand: see the module docstring
                 batch.sender_pos = self._index.exact(batch.sender, batch.start_time)
             sx, sy = batch.sender_pos
-            dx, dy = self._deltas(sx, sy, position[0], position[1])
+            dx = sx - position[0]
+            dy = sy - position[1]
             if dx * dx + dy * dy > range_sq:
                 continue
             if batch.late is None:
@@ -798,7 +767,8 @@ class Medium:
             if not phy.enabled:
                 continue
             px, py = index.exact(phy, now)
-            dx, dy = self._deltas(px, py, sx, sy)
+            dx = px - sx
+            dy = py - sy
             if dx * dx + dy * dy <= range_sq:
                 reach.append(phy)
         batch = self._launch(_ForeignSender(sender_id), frame, end_time, (sx, sy), reach)
@@ -824,7 +794,8 @@ class Medium:
             if not receiver.enabled:
                 continue
             px, py = index.exact(receiver, now)
-            dx, dy = self._deltas(px, py, sx, sy)
+            dx = px - sx
+            dy = py - sy
             if dx * dx + dy * dy > range_sq:
                 continue
             if receiver.transmitting:

@@ -190,9 +190,6 @@ class UniformGridIndex:
     Query instants must not decrease from one call to the next.
     """
 
-    #: ``(width, height)`` of a periodic area; ``None`` on the flat plane.
-    _wrap: Optional[Tuple[float, float]] = None
-
     def __init__(self, cell_m: float, slack_m: float, membership=None):
         if cell_m <= 0:
             raise ValueError("cell_m must be positive")
@@ -297,7 +294,7 @@ class UniformGridIndex:
         return drift
 
     def _cell_key(self, x: float, y: float) -> Tuple[int, int]:
-        """Grid cell containing ``(x, y)`` (overridden by the torus variant)."""
+        """Grid cell containing ``(x, y)``."""
         inv_cell = self._inv_cell
         return (math.floor(x * inv_cell), math.floor(y * inv_cell))
 
@@ -457,11 +454,10 @@ class UniformGridIndex:
         Each member's verdict is the linear scan's expression on exact
         positions, cached until the earliest instant at which the pair --
         both nodes extrapolated along their current segments -- comes
-        within :data:`_GUARD_M` of the range boundary, either segment ends,
-        or (on a torus) the pair's minimum image switches.  A call before
-        every such deadline resolves nothing and samples no position, not
-        even the sender's; any other call samples the sender and
-        re-resolves exactly the members that are due.
+        within :data:`_GUARD_M` of the range boundary or either segment
+        ends.  A call before every such deadline resolves nothing and
+        samples no position, not even the sender's; any other call samples
+        the sender and re-resolves exactly the members that are due.
         """
         if range_m != self._range:
             self._set_range(range_m)
@@ -479,9 +475,6 @@ class UniformGridIndex:
             )
         sender_moving = svx != 0.0 or svy != 0.0
         bands = self._bands
-        wrap = self._wrap
-        if wrap is not None:
-            period_x, period_y = wrap
         range_sq = range_m * range_m
         members = window.members
         verdicts = window.verdicts
@@ -496,9 +489,6 @@ class UniformGridIndex:
                     until = sender_until
                 dx = mx - ox
                 dy = my - oy
-                if wrap is not None:
-                    dx -= period_x * round(dx / period_x)
-                    dy -= period_y * round(dy / period_y)
                 distance_sq = dx * dx + dy * dy
                 verdict = distance_sq <= range_sq
                 if verdicts[slot] is not verdict:
@@ -519,15 +509,6 @@ class UniformGridIndex:
                     until = min(until, now + crossing_delay(
                         distance_sq, dx * dvx + dy * dvy, speed_sq, inner_sq, outer_sq
                     ))
-                    if wrap is not None:
-                        # The minimum image switches where a wrapped
-                        # component reaches half the period.
-                        if dvx != 0.0:
-                            until = min(until, now + (
-                                math.copysign(period_x / 2.0, dvx) - dx) / dvx)
-                        if dvy != 0.0:
-                            until = min(until, now + (
-                                math.copysign(period_y / 2.0, dvy) - dy) / dvy)
                 deadlines[slot] = deadline = until
             if deadline < valid_until:
                 valid_until = deadline
@@ -555,71 +536,6 @@ class UniformGridIndex:
             for member, verdict in zip(window.members, window.verdicts)
             if verdict and member[2].enabled
         ]
-
-
-class TorusGridIndex(UniformGridIndex):
-    """Uniform grid over a torus: opposite area edges are identified.
-
-    Cell sizes are chosen per axis so the grid period equals the area
-    exactly (otherwise wrapped cell indexes and wrapped distances would
-    disagree near the seam) and window enumeration wraps cell coordinates
-    modulo the grid dimensions.  Only cell keying and enumeration differ
-    from the flat grid: the kinetic windows are the flat grid's, told the
-    period so they measure by the minimum-image convention.
-    """
-
-    def __init__(self, cell_m: float, slack_m: float, width_m: float, height_m: float,
-                 membership=None):
-        super().__init__(cell_m=cell_m, slack_m=slack_m, membership=membership)
-        if width_m <= 0 or height_m <= 0:
-            raise ValueError("torus dimensions must be positive")
-        self.width_m = width_m
-        self.height_m = height_m
-        self._wrap = (width_m, height_m)
-        #: Cells per axis; cell sizes divide the area exactly.
-        self._nx = max(1, int(width_m // cell_m))
-        self._ny = max(1, int(height_m // cell_m))
-        self._cell_x = width_m / self._nx
-        self._cell_y = height_m / self._ny
-
-    def _cell_key(self, x: float, y: float) -> Tuple[int, int]:
-        # floor, not int(): truncation would bucket coordinates in
-        # (-cell, 0) into cell 0 instead of the seam cell n-1, and the
-        # window enumeration would miss in-range interferers there.
-        return (
-            math.floor(x / self._cell_x) % self._nx,
-            math.floor(y / self._cell_y) % self._ny,
-        )
-
-    def _window(self, cx: int, cy: int, radius: float) -> List[Tuple[int, int, "Phy"]]:
-        """Members of every cell within wrapped reach of cell ``(cx, cy)``."""
-        key = (cx, cy, radius)
-        cached = self._window_cache.get(key)
-        if cached is not None:
-            return cached
-        reach = radius + self.slack_m
-        nx, ny = self._nx, self._ny
-        kx = int(reach / self._cell_x) + 1
-        ky = int(reach / self._cell_y) + 1
-        xs = range(nx) if 2 * kx + 1 >= nx else [(cx + j) % nx for j in range(-kx, kx + 1)]
-        ys = range(ny) if 2 * ky + 1 >= ny else [(cy + j) % ny for j in range(-ky, ky + 1)]
-        cells = self._cells
-        out: List[Tuple[int, int, "Phy"]] = []
-        for gx in xs:
-            for gy in ys:
-                bucket = cells.get((gx, gy))
-                if bucket:
-                    out.extend(bucket)
-        out.sort()
-        self._window_cache[key] = out
-        return out
-
-    def candidates(
-        self, origin: Position, radius: float, now: float
-    ) -> List[Tuple[int, int, "Phy"]]:
-        self._ensure_current(now)
-        cx, cy = self._cell_key(origin[0], origin[1])
-        return self._window(cx, cy, radius)
 
 
 def region_census(index, classify, now: float) -> Dict[int, int]:

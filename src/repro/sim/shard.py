@@ -2,7 +2,7 @@
 
 One paper-scale run has always meant one event calendar and one spatial
 index; past a few thousand nodes that single heap is the structural wall.
-This module partitions the (torus) area into ``shards`` rectangular regions
+This module partitions the area into ``shards`` rectangular regions
 and gives each region its own event heap, with a conservative
 synchronisation window derived from the fleet's motion envelope
 (``interference range / fleet speed bound`` -- the lookahead the
@@ -83,8 +83,8 @@ class ShardPlan:
 
     Regions are half-open cells ``[col*cell_w, (col+1)*cell_w) x [row*cell_h,
     (row+1)*cell_h)``; positions on the far edges (or marginally outside, as
-    float wrap-around can produce) clamp into the last row/column, so every
-    coordinate maps to exactly one shard on flat and torus areas alike.
+    float error can produce) clamp into the last row/column, so every
+    coordinate maps to exactly one shard.
     """
 
     shards: int
@@ -141,52 +141,32 @@ class ShardPlan:
         return (col * cw, row * ch, (col + 1) * cw, (row + 1) * ch)
 
     @staticmethod
-    def _axis_distance(v: float, lo: float, hi: float, wrap: float, torus: bool) -> float:
-        """Distance from coordinate ``v`` to the interval ``[lo, hi]``.
-
-        On a torus the minimum-image convention applies: the nearest of the
-        three periodic images of ``v`` decides (regions never span more than
-        one period, so adjacent images suffice).
-        """
-        if torus:
-            best = math.inf
-            for image in (v - wrap, v, v + wrap):
-                if image < lo:
-                    d = lo - image
-                elif image > hi:
-                    d = image - hi
-                else:
-                    return 0.0
-                if d < best:
-                    best = d
-            return best
+    def _axis_distance(v: float, lo: float, hi: float) -> float:
+        """Distance from coordinate ``v`` to the interval ``[lo, hi]``."""
         if v < lo:
             return lo - v
         if v > hi:
             return v - hi
         return 0.0
 
-    def region_distance(self, shard: int, x: float, y: float, torus: bool = False) -> float:
+    def region_distance(self, shard: int, x: float, y: float) -> float:
         """Distance from ``(x, y)`` to ``shard``'s region (0 inside it).
 
         The *halo set* of a region is exactly the points whose region
         distance is at most the transmission range: every radio there can
         interfere with (or be sensed by) a radio inside the region, and no
-        radio outside the halo can.  With ``torus=True`` both axes use the
-        minimum-image convention, so halos wrap around the seams.
+        radio outside the halo can.
         """
         x0, y0, x1, y1 = self.region_bounds(shard)
-        dx = self._axis_distance(x, x0, x1, self.width_m, torus)
-        dy = self._axis_distance(y, y0, y1, self.height_m, torus)
+        dx = self._axis_distance(x, x0, x1)
+        dy = self._axis_distance(y, y0, y1)
         if dx == 0.0:
             return dy
         if dy == 0.0:
             return dx
         return math.hypot(dx, dy)
 
-    def shards_within(
-        self, x: float, y: float, radius: float, torus: bool = False
-    ) -> Tuple[int, ...]:
+    def shards_within(self, x: float, y: float, radius: float) -> Tuple[int, ...]:
         """Every shard whose region the disc ``(x, y, radius)`` intersects.
 
         The neighbor set of a transmission: a radio inside shard ``s`` can
@@ -195,12 +175,12 @@ class ShardPlan:
         slack).  Soundness -- every point within ``radius`` of a region is
         routed to it -- is what the interest-filtered boundary exchange and
         the halo-filtered spatial indexes rely on; the Hypothesis geometry
-        suite pins it over area x shard count x range, flat and torus.
+        suite pins it over area x shard count x range.
         """
         return tuple(
             shard
             for shard in range(self.shards)
-            if self.region_distance(shard, x, y, torus) <= radius
+            if self.region_distance(shard, x, y) <= radius
         )
 
     @staticmethod
@@ -356,9 +336,6 @@ def _radio_envelope(config):
     return RadioConfig(
         transmission_range_m=config.transmission_range_m,
         bitrate_bps=config.bitrate_bps,
-        area_topology=config.area_topology,
-        area_width_m=config.area_width_m,
-        area_height_m=config.area_height_m,
         speed_bound_mps=fleet_speed_bound(config.mobility_config, config.max_speed_mps),
     )
 
@@ -378,7 +355,6 @@ class _Interest:
     """
 
     plan: ShardPlan
-    torus: bool
     range_m: float
     speed_bound_mps: float
 
@@ -429,7 +405,6 @@ def _route(
     ]
     tagged.sort(key=_record_sort_key)
     plan = interest.plan
-    torus = interest.torus
     range_m = interest.range_m
     speed = interest.speed_bound_mps
     occupied = [frozenset(occupancy) for occupancy in occupancies]
@@ -442,7 +417,7 @@ def _route(
             # frame's end of flight (start falls in the window just closed,
             # so end - start bounds any attach-time displacement).
             radius = range_m + speed * (record[3] - record[1])
-            neighbors = plan.shards_within(record[4], record[5], radius, torus)
+            neighbors = plan.shards_within(record[4], record[5], radius)
             for j in range(shards):
                 if j == origin:
                     continue
@@ -888,7 +863,6 @@ def run_sharded(config, failure_events=None):
         plan=ShardPlan.build(
             config.shards, config.area_width_m, config.area_height_m
         ),
-        torus=(config.area_topology == "torus"),
         range_m=radio.transmission_range_m,
         # Exact for every fleet ScenarioConfig builds (fleet_speed_bound).
         speed_bound_mps=radio.speed_bound_mps,

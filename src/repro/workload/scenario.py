@@ -58,15 +58,12 @@ from repro.workload.cbr import CbrSource, MulticastSink
 class ScenarioConfig:
     """Complete description of one simulation run."""
 
-    # Topology and radio.
+    # Topology and radio: the paper's bounded rectangle.
     num_nodes: int = 40
     area_width_m: float = 200.0
     area_height_m: float = 200.0
     transmission_range_m: float = 75.0
     bitrate_bps: float = 2_000_000.0
-    #: Radio-area geometry: "flat" (the paper's bounded rectangle) or
-    #: "torus" (wrap-around edges, no border effects).
-    area_topology: str = "flat"
 
     # Mobility.  The speed envelope below is shared by every model (it is
     # what the paper sweeps); ``mobility_config`` selects the model family
@@ -134,12 +131,16 @@ class ScenarioConfig:
         for name in ("join_window_s", "source_start_s", "payload_bytes"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
+        for name in ("packet_interval_s", "area_width_m", "area_height_m",
+                     "transmission_range_m", "bitrate_bps"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        if self.source_stop_s < self.source_start_s:
+            raise ValueError("source_stop_s must not precede source_start_s")
         if self.num_nodes < 2:
             raise ValueError("a scenario needs at least two nodes")
         if self.protocol not in ("maodv", "flooding", "odmrp"):
             raise ValueError(f"unknown protocol {self.protocol!r}")
-        if self.area_topology not in ("flat", "torus"):
-            raise ValueError(f"unknown area_topology {self.area_topology!r}")
         if self.member_count is not None and not 1 <= self.member_count <= self.num_nodes:
             raise ValueError("member_count must lie in [1, num_nodes]")
         if self.duration_s <= self.source_start_s:
@@ -315,9 +316,6 @@ class Scenario:
         radio = RadioConfig(
             transmission_range_m=config.transmission_range_m,
             bitrate_bps=config.bitrate_bps,
-            area_topology=config.area_topology,
-            area_width_m=config.area_width_m,
-            area_height_m=config.area_height_m,
             speed_bound_mps=fleet_speed_bound(config.mobility_config, config.max_speed_mps),
             shards=config.shards,
         )
@@ -344,11 +342,10 @@ class Scenario:
                     phy,
                     plan=self.shard_plan,
                     role=self.shard_role,
-                    torus=(config.area_topology == "torus"),
                     range_m=radio.transmission_range_m,
                 ):
                     x, y = phy.position(0.0)
-                    return plan.region_distance(role, x, y, torus=torus) <= range_m
+                    return plan.region_distance(role, x, y) <= range_m
 
         self.medium = Medium(
             self.sim, radio, obs=self.obs, index_membership=index_membership

@@ -227,6 +227,7 @@ class TestStoredLineCompatibility:
         assert config_from_dict(loaded[0].config) == config
         # The stored config differs from today's only by the retired knobs.
         retired = {
+            "area_topology",
             "gossip_shared_round_rng",
             "gossip_config.reply_when_empty",
             "maodv_config.track_nearest_member",

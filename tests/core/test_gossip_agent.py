@@ -252,7 +252,7 @@ class TestRequestHandling:
         assert aodv.sent == []
 
     def test_joined_at_serves_exactly_the_post_join_suffix(self):
-        # A mid-run joiner (bootstrap off, join time carried) gets unknown
+        # A mid-run joiner (join time carried) gets unknown
         # sources served, but only messages *sent* after its join.
         agent, multicast, aodv, frames, sim = _make_agent()
         multicast.deliver(_data(7, 1, sent_at=5.0))
@@ -260,7 +260,7 @@ class TestRequestHandling:
         multicast.deliver(_data(7, 3, sent_at=15.0))
         request = GossipRequest(
             origin=5, destination=agent.node_id, group=GROUP, initiator=5,
-            lost=[], expected={}, direct=True, bootstrap=False, joined_at=8.0,
+            lost=[], expected={}, direct=True, joined_at=8.0,
         )
         agent._on_request(request, 5)
         reply, _ = aodv.sent[0]
@@ -275,8 +275,7 @@ class TestRequestHandling:
         multicast.deliver(_data(7, 2, sent_at=10.0))
         request = GossipRequest(
             origin=5, destination=agent.node_id, group=GROUP, initiator=5,
-            lost=[(7, 1)], expected={7: 2}, direct=True, bootstrap=False,
-            joined_at=8.0,
+            lost=[(7, 1)], expected={7: 2}, direct=True, joined_at=8.0,
         )
         agent._on_request(request, 5)
         reply, _ = aodv.sent[0]
@@ -295,7 +294,7 @@ class TestRequestHandling:
             multicast.deliver(_data(7, seq, sent_at=100.0 + seq))  # post-join
         request = GossipRequest(
             origin=5, destination=agent.node_id, group=GROUP, initiator=5,
-            lost=[], expected={}, direct=True, bootstrap=False, joined_at=100.0,
+            lost=[], expected={}, direct=True, joined_at=100.0,
         )
         agent._on_request(request, 5)
         assert len(aodv.sent) == 1
@@ -319,7 +318,7 @@ class TestRequestHandling:
         request = GossipRequest(
             origin=5, destination=agent.node_id, group=GROUP, initiator=5,
             lost=lost, expected={7: limit + 2, 9: 2}, direct=True,
-            bootstrap=False, joined_at=100.0,
+            joined_at=100.0,
         )
         agent._on_request(request, 5)
         assert len(aodv.sent) == 1
@@ -332,7 +331,6 @@ class TestRequestHandling:
         sim.run(until=12.5)
         agent.on_membership_join()
         request = agent._build_request()
-        assert request.bootstrap is False
         assert request.joined_at == 12.5
         # Run-long members advertise no join time at all.
         fresh_agent, _, _, _, _ = _make_agent()

@@ -12,7 +12,7 @@ noisy, so every threshold is loose.  ``repro campaign FIG --scale paper``
 runs a figure at the paper's scale.
 """
 
-from typing import Dict, List
+from typing import Dict, Iterable, List, Mapping
 
 import pytest
 
@@ -67,6 +67,17 @@ def assert_gossip_improves_delivery(
         )
 
 
+def recovered(protocol_stats: Iterable[Mapping[str, float]]) -> float:
+    """Messages gossip replies recovered, summed over runs.
+
+    Goodput and the delivery bounds above can pass with gossip replies
+    switched off (a member that received no reply reads 100 % goodput), so
+    the Fig. 8, flooding-baseline and substrates checks also require each
+    gossip variant to have recovered something.
+    """
+    return sum(stats.get("gossip.recovered_messages", 0) for stats in protocol_stats)
+
+
 def _range_helps_delivery(result: ExperimentResult) -> None:
     # Delivery improves, or at worst stays flat, from the sparsest range to
     # the densest.
@@ -111,17 +122,15 @@ def test_figure_shape(figure, x_values, extra_shape):
     extra_shape(result)
 
 
-def fig8_goodput() -> Dict[tuple, Dict[int, float]]:
-    """Fig. 8's per-member gossip goodput at quick scale, one seed."""
-    spec = all_figures()["fig8"]
-    trials = trials_for_spec(spec, scale="quick", seeds=1, variants=("gossip",))
-    return aggregate_goodput(spec, run_campaign(trials))
-
-
 def test_fig8_goodput_stays_high():
     # The paper reports 97-100 %; a quick-scale seed is noisier.
-    for per_member in fig8_goodput().values():
+    spec = all_figures()["fig8"]
+    records = run_campaign(
+        trials_for_spec(spec, scale="quick", seeds=1, variants=("gossip",))
+    )
+    for per_member in aggregate_goodput(spec, records).values():
         assert sum(per_member.values()) / len(per_member) >= 60.0
+    assert recovered(record.protocol_stats for record in records) > 0
 
 
 ABLATION = (
@@ -168,6 +177,7 @@ def flooding_baseline() -> Dict[str, Dict[str, float]]:
                 + run.protocol_stats.get("mac.broadcast_transmissions", 0)
                 for run in results
             ) / len(results),
+            "recovered": recovered(run.protocol_stats for run in results),
         }
         for variant, results in runs.items()
     }
@@ -179,6 +189,7 @@ def test_flooding_buys_delivery_with_transmissions():
     # plain MAODV.
     rows = flooding_baseline()
     assert rows["gossip"]["mean"] >= rows["maodv"]["mean"] - 1.0
+    assert rows["gossip"]["recovered"] > 0
     assert rows["flooding"]["transmissions"] > rows["maodv"]["transmissions"]
 
 
@@ -194,6 +205,7 @@ def substrates() -> Dict[str, Dict[str, float]]:
             "mean": sum(run.summary.mean for run in results) / len(results),
             "sent": results[0].packets_sent,
             "goodput": sum(run.mean_goodput for run in results) / len(results),
+            "recovered": recovered(run.protocol_stats for run in results),
         }
         for variant, results in runs.items()
     }
@@ -206,3 +218,5 @@ def test_gossip_helps_every_substrate():
     measured = substrates()
     assert measured["gossip"]["mean"] >= measured["maodv"]["mean"] - 1.0
     assert measured["odmrp-gossip"]["mean"] >= measured["odmrp"]["mean"] - 1.0
+    for variant in ("gossip", "odmrp-gossip"):
+        assert measured[variant]["recovered"] > 0, f"{variant} recovered nothing"

@@ -141,26 +141,26 @@ class TestMembershipSweeps:
 #: (trial key, config) pair of its default sweep, per scale.  A change to a
 #: builder that moves any config, title or x value fails here.
 TRIAL_PINS = {
-    ("fig2", "quick"): "2861c2825b5c7e7f98f939530c5242916596415e5469815bac145cfaa95b2d31",
-    ("fig2", "paper"): "7983b9fb610f3b1258c21a8fb02d5e7e137de41ef83ea87a45a8b1b1c8d55c5e",
-    ("fig3", "quick"): "ccd026b5bb2ef25afd80f4782729e808c443b645aa69be0a90039b3e1505850e",
-    ("fig3", "paper"): "f32a77a542341473ea5424e2eae67c3089c5425b3aefb84a285ede8e412a178e",
-    ("fig4", "quick"): "105b9b8536fcafba2fb2cb7a09b10e11b8b050c39104769622433e62468358a9",
-    ("fig4", "paper"): "416173a4723260752811d86ebb236121c5f93a5a88e2937a6cdcdf9978d298ae",
-    ("fig5", "quick"): "b847733cc12dccc32f1bc4eb82c31ccce5ddeea763161f8740cde73de794bb4f",
-    ("fig5", "paper"): "d50e2c44167b6d0964123be188d343d42b6b0b087cec68f8b65fa6a33edd6c54",
-    ("fig6", "quick"): "efdbc13388d9d1cd06ff568f157b576e1c0e43732390a0e834c74f4a71afa766",
-    ("fig6", "paper"): "4f1d9641b866fe45558f4139be59d3140bc53ef76c64be7d3cc5ce0963010767",
-    ("fig7", "quick"): "912f81871f98aef13f7221695114f2710416c6f8cc76f46f6a9ea48340d43131",
-    ("fig7", "paper"): "3bc9f4fa07382b4a1284f0406d8636d7b0489a9f1ac2aa842961f742c6e546a0",
-    ("fig8", "quick"): "b629afcaf8bd52a79cad3df420974a3bb0852f6a23ca307504ade3767e9fc04c",
-    ("fig8", "paper"): "43c3580799312a0188e0390692e3cc3110a36aa43d826e1ead8455e10092976e",
-    ("churn", "quick"): "ed93a07c8e3e5214b8f440ff1bde7904df762ae9b83869a78ed4b6f347a696cf",
-    ("churn", "paper"): "37d97aa38e85a17bb21f157541197f8f7d73ed5890768d1cc210eb3a41f18ff4",
-    ("groups", "quick"): "a13d2b107c40476e290dcdf4acb35714f03a4b4511da3bc5de38365d5718d830",
-    ("groups", "paper"): "5bcbbf86208e280bc72bf153c2e36b1ee57b5c54d09647c583f911999b6b9ce8",
-    ("mobility", "quick"): "338ac434fb12cd9d3ffe758d74714ac20a66dc36d1883f058bb3c798b56f257f",
-    ("mobility", "paper"): "d14e53bd484a85b199c8e13cc74f8896f9d5d887ac47e22d8b19f937df0bc575",
+    ("fig2", "quick"): "23667cadf28547b7c57cdd7165ab814a2da7c5400fd711aafe1acff0d7eae1e5",
+    ("fig2", "paper"): "785005ea43f9ecf57d1d9dd7a5c64ae1dbe8cf792875bf42f1ac7f6f5dbe8dcc",
+    ("fig3", "quick"): "3b27aa320a2bd024e78ef06e31c15214aa9aabe3070483b45f389f9f15ce38b9",
+    ("fig3", "paper"): "75f36667b8534777261d81bd599ff2f87b5954c3f1748ffac5a9b6afe69ac51b",
+    ("fig4", "quick"): "e031a24f0592693ec229fc04533d295fd3dc01abfd9a0e6dcd0eecdb4560e853",
+    ("fig4", "paper"): "dc57b63bf9da369ddaf7452bec30a4e6ae01fdde8fc76c471ac7f0a8186a0fc6",
+    ("fig5", "quick"): "7ccc0cfb13bcee743fff3d6d0f71065a8c1514635173aea1a5d47100be8e7532",
+    ("fig5", "paper"): "bef334f83924a69809c32457e7afb1741e78b67d61ca07c68a803162ad843535",
+    ("fig6", "quick"): "64a52381bd7979e000b35250ec5a83d4522b78e844c9cda9151fe33e9c2eedc6",
+    ("fig6", "paper"): "1ea4184d07aa1f9f49c44219f67796487ff781419f7c167a873ab338ee49f0aa",
+    ("fig7", "quick"): "713d67aad3e4a9f831b288b1ff571d70dc2acdbe052ae24a04878a92fba918a5",
+    ("fig7", "paper"): "5a50b5cd4df6b3fa3c3e053c38305ec8b8e3c0559460cf55885e71777f23fcf8",
+    ("fig8", "quick"): "3f7965d68557cc1161bbfe0339cd98db3c976c0dd8a67902b6641baff5ef0cdb",
+    ("fig8", "paper"): "083e348744cc2085722167ff2e821e5e89d14b021fd943160f8c198ed08e66ae",
+    ("churn", "quick"): "ef86f59d0ba942db31559a3e0d85bc6d56c3667796ce4cb541587f165e40fcc9",
+    ("churn", "paper"): "8948f8e66b432702fc75e7b5b317b020c29345255a07125fa8c3639a773f2665",
+    ("groups", "quick"): "610f46e5f622250f7426b85c09c63fe026e8841676f54439b65a633b76377310",
+    ("groups", "paper"): "dc3438cbece52524d48c6f502c9d1c5e5dca3609a7d69c641ccf55c5c95afc3b",
+    ("mobility", "quick"): "fa06806fa2720c2034a621774e8ce273bf6febb687f37079902f31764a4a1f3b",
+    ("mobility", "paper"): "0c2f893563a63a0589c422e4997f8c08b94f9aeccfccee3699225396f20297a4",
 }
 
 

@@ -81,7 +81,7 @@ class TestJoinDuringSourcePhase:
         scenario = Scenario(_scripted([[15.0, 0, outsider, "join"]], seed=21))
         scenario.run()
         agent = scenario.gossip_by_group[0][outsider]
-        assert agent._bootstrap is False
+        assert agent._joined_at is not None and agent._joined_at >= 15.0
         assert agent.lost_table.baseline_first_observation
         # No pre-join packet may sit in the lost table: every recorded loss
         # has a sequence number at or above the first post-join packet.

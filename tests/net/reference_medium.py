@@ -23,7 +23,7 @@ references that are obviously right rather than fast.
 Each oracle is proven against the production medium (statistics, delivery
 sequence, event count -- ``tests/properties/test_medium_equivalence.py``,
 ``test_hotpath_equivalence.py``, ``tests/net/test_reception_batch.py``,
-``test_torus.py``).  The combination *per-copy records on the linear scan* is
+``tests/net/test_medium.py``).  The combination *per-copy records on the linear scan* is
 not run: two oracles are never compared with each other, only each with the
 medium that ships.  Nothing under ``src/`` imports this module.
 """
@@ -47,8 +47,7 @@ class LinearScanIndex:
     This is the original medium semantics laid bare: every registered
     radio's position is interpolated on demand and every distance is
     computed, O(N) per query.  The grid index is proven equivalent against
-    it -- on the flat rectangle and, via ``wrap``, on the torus (wrapped
-    distances by brute force).
+    it.
     """
 
     #: Telemetry counters, kept for a uniform ``spatial.index.*`` read path;
@@ -58,9 +57,8 @@ class LinearScanIndex:
     window_builds = 0
     window_resolves = 0
 
-    def __init__(self, wrap: Optional[Tuple[float, float]] = None, membership=None):
+    def __init__(self, membership=None):
         self._members: List[Tuple[int, int, "Phy"]] = []
-        self._wrap = wrap
         #: See :attr:`UniformGridIndex.membership` -- same halo-filter hook.
         self.membership = membership
 
@@ -101,7 +99,6 @@ class LinearScanIndex:
         exhaustive scan."""
         ox, oy = sender.position(now)
         range_sq = range_m * range_m
-        wrap = self._wrap
         out = []
         for order, node_id, phy in self._members:
             if phy is sender or not phy.enabled:
@@ -109,10 +106,6 @@ class LinearScanIndex:
             position = phy.position(now)
             dx = position[0] - ox
             dy = position[1] - oy
-            if wrap is not None:
-                w, h = wrap
-                dx -= w * round(dx / w)
-                dy -= h * round(dy / h)
             if dx * dx + dy * dy <= range_sq:
                 out.append((order, node_id, phy))
         return out
@@ -124,7 +117,7 @@ class LinearScanMedium(Medium):
     def __init__(self, sim, config=None, obs=None, index_membership=None):
         super().__init__(sim, config, obs, index_membership)
         # No radio has registered yet, so the grid built above is empty.
-        self._index = LinearScanIndex(wrap=self._wrap, membership=index_membership)
+        self._index = LinearScanIndex(membership=index_membership)
 
 
 class _Flight:
@@ -257,7 +250,8 @@ class PerCopyMedium(Medium):
             # of a transmission the radio still holds from before it went down.
             if any(copy.flight is flight for copy in ongoing):
                 continue
-            dx, dy = self._deltas(flight.sender_pos[0], flight.sender_pos[1], px, py)
+            dx = flight.sender_pos[0] - px
+            dy = flight.sender_pos[1] - py
             if dx * dx + dy * dy > range_sq:
                 continue
             copy = _Copy(phy, flight, corrupted=True)

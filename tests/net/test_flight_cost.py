@@ -134,19 +134,10 @@ RANGE_M = 75.0
 #: attach time instead would flip the verdict; larger than the distance it
 #: covers between the two flights, so the second one is a window hit.
 MARGIN_M = 0.01
-WIDTH_M = 400.0
+CONFIG = RadioConfig(transmission_range_m=RANGE_M)
 
 
-def _config(topology):
-    if topology == "torus":
-        return RadioConfig(
-            transmission_range_m=RANGE_M,
-            area_topology="torus", area_width_m=WIDTH_M, area_height_m=WIDTH_M,
-        )
-    return RadioConfig(transmission_range_m=RANGE_M)
-
-
-def _late_attach(medium_cls, topology, side):
+def _late_attach(medium_cls, side):
     """Two flights of a sender moving at ``SPEED_MPS`` along +x: a short one
     that builds its window, then a long one on that window during which a
     radio ``MARGIN_M`` inside or outside range powers up.
@@ -156,7 +147,7 @@ def _late_attach(medium_cls, topology, side):
     radio attached, the window hits of the long flight and the channel
     statistics after it.
     """
-    config = _config(topology)
+    config = CONFIG
     start_x = 10.0
     sim = Simulator()
     medium = medium_cls(sim, config)
@@ -180,8 +171,6 @@ def _late_attach(medium_cls, topology, side):
     # and it closes in.
     sx = start_x + second_start * SPEED_MPS
     late_x = sx - (RANGE_M - MARGIN_M) if side == "inside" else sx + (RANGE_M + MARGIN_M)
-    if topology == "torus":
-        late_x %= WIDTH_M  # inside: across the seam from the sender
     streams = RandomStreams(1)
     sender = Node(0, sim, medium, sender_mobility, streams)
     late = Node(1, sim, medium, StaticMobility(late_x, 200.0), streams)
@@ -206,31 +195,30 @@ def _late_attach(medium_cls, topology, side):
     )
 
 
-@pytest.mark.parametrize("topology", ["flat", "torus"])
 class TestPositionOnDemand:
-    def test_a_window_hit_samples_no_position(self, topology):
-        _, at_start, _, hits, _ = _late_attach(Medium, topology, "inside")
+    def test_a_window_hit_samples_no_position(self):
+        _, at_start, _, hits, _ = _late_attach(Medium, "inside")
         assert hits == 1 and at_start == 0
         # The eager oracle samples the sender at every flight start.
-        _, at_start, _, _, _ = _late_attach(PerCopyMedium, topology, "inside")
+        _, at_start, _, _, _ = _late_attach(PerCopyMedium, "inside")
         assert at_start == 1
 
     @pytest.mark.parametrize("side", ["inside", "outside"])
-    def test_late_attach_matches_the_eager_oracle(self, topology, side):
-        view, _, at_attach, hits, stats = _late_attach(Medium, topology, side)
+    def test_late_attach_matches_the_eager_oracle(self, side):
+        view, _, at_attach, hits, stats = _late_attach(Medium, side)
         assert hits == 1 and at_attach == 1  # asked once, when needed
-        want_view, _, _, _, want_stats = _late_attach(PerCopyMedium, topology, side)
+        want_view, _, _, _, want_stats = _late_attach(PerCopyMedium, side)
         assert view == want_view
         assert view == ([(0, view[0][1], True)] if side == "inside" else [])
         assert stats == want_stats
 
-    def test_a_sender_teleporting_mid_flight_keeps_its_start_position(self, topology):
+    def test_a_sender_teleporting_mid_flight_keeps_its_start_position(self):
         # A jump is the one break in "a position is a function of time": the
         # medium pins the jumper's start position before the index forgets it.
         views = []
         for medium_cls in (Medium, PerCopyMedium):
             sim = Simulator()
-            medium = medium_cls(sim, _config(topology))
+            medium = medium_cls(sim, CONFIG)
             streams = RandomStreams(1)
             jumper = StaticMobility(10.0, 200.0)
             sender = Node(0, sim, medium, jumper, streams)

@@ -8,6 +8,7 @@ from repro.net.medium import Medium
 from repro.net.packet import Frame, Packet
 from repro.net.phy import Phy
 from repro.sim.engine import Simulator
+from tests.net.reference_medium import MEDIA
 
 
 class _StubNode:
@@ -35,9 +36,9 @@ class _TraceNode:
         return self.mobility.position(at_time)
 
 
-def _make_network(positions, range_m=100.0):
+def _make_network(positions, range_m=100.0, medium_cls=Medium):
     sim = Simulator()
-    medium = Medium(sim, RadioConfig(transmission_range_m=range_m))
+    medium = medium_cls(sim, RadioConfig(transmission_range_m=range_m))
     phys = []
     received = {}
     for node_id, (x, y) in enumerate(positions):
@@ -103,6 +104,58 @@ class TestPropagation:
     def test_distance_between(self):
         sim, medium, phys, _ = _make_network([(0, 0), (30, 40)])
         assert medium.distance_between(0, 1) == pytest.approx(50.0)
+
+    @pytest.mark.parametrize("medium_index", ["grid", "naive"])
+    def test_radios_at_opposite_edges_are_not_neighbours(self, medium_index):
+        # Radios near opposite edges of a 200 m area are 190 m apart, on the
+        # grid and on the linear-scan oracle alike.
+        sim = Simulator()
+        medium = MEDIA[medium_index](sim, RadioConfig(transmission_range_m=30.0))
+        for node_id, (x, y) in enumerate([(5.0, 100.0), (195.0, 100.0)]):
+            Phy(_StubNode(node_id, x, y), medium)
+        assert medium.neighbors_of(0) == []
+        assert medium.distance_between(0, 1) == pytest.approx(190.0)
+
+    @pytest.mark.parametrize("medium_index", ["grid", "naive"])
+    def test_radios_at_opposite_corners_are_not_neighbours(self, medium_index):
+        # (2, 2) and (198, 198) are a full diagonal apart; (2, 2) and (8, 8)
+        # share a corner cell and hear each other.
+        sim, medium, phys, received = _make_network(
+            [(2.0, 2.0), (198.0, 198.0), (8.0, 8.0)], range_m=10.0,
+            medium_cls=MEDIA[medium_index])
+        assert medium.neighbors_of(0) == [2]
+        assert medium.neighbors_of(1) == []
+        assert medium.distance_between(0, 1) == pytest.approx(196.0 * 2 ** 0.5)
+        phys[0].transmit(_frame(0, -1))
+        sim.run()
+        assert [sender for _, sender in received[2]] == [0]
+        assert received[1] == []
+
+    @pytest.mark.parametrize("medium_index", ["grid", "naive"])
+    def test_carrier_sense_ends_at_the_range(self, medium_index):
+        # A transmission near one edge is sensed 14 m away and not at the
+        # opposite edge, 198 m away.
+        sim, medium, phys, _ = _make_network(
+            [(1.0, 50.0), (199.0, 50.0), (15.0, 50.0)], range_m=20.0,
+            medium_cls=MEDIA[medium_index])
+        phys[0].transmit(_frame(0, -1))
+        assert phys[2].carrier_busy()
+        assert not phys[1].carrier_busy()
+        sim.run()
+        assert not phys[2].carrier_busy()
+
+    @pytest.mark.parametrize("medium_index", ["grid", "naive"])
+    def test_negative_coordinates_match_the_linear_scan(self, medium_index):
+        # A waypoint trace may leave the area; radios left of x = 0 are heard
+        # and missed exactly as the linear scan hears and misses them.
+        sim, medium, phys, received = _make_network(
+            [(60.0, 50.0), (-10.0, 50.0), (-80.0, 50.0)], range_m=75.0,
+            medium_cls=MEDIA[medium_index])
+        assert medium.neighbors_of(1) == [0, 2]
+        phys[0].transmit(_frame(0, -1))
+        sim.run()
+        assert [sender for _, sender in received[1]] == [0]
+        assert received[2] == []
 
     def test_duplicate_registration_rejected(self):
         sim, medium, phys, _ = _make_network([(0, 0)])

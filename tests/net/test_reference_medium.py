@@ -49,12 +49,10 @@ class TestScenarioMedium:
 
 
 class TestOracleConstruction:
-    def test_linear_scan_medium_carries_the_torus_wrap(self):
-        torus = RadioConfig(area_topology="torus", area_width_m=300.0, area_height_m=200.0)
-        index = LinearScanMedium(Simulator(), torus)._index
-        assert isinstance(index, LinearScanIndex) and index._wrap == (300.0, 200.0)
-        flat = LinearScanMedium(Simulator())._index
-        assert isinstance(flat, LinearScanIndex) and flat._wrap is None
+    def test_linear_scan_medium_runs_on_the_linear_scan(self):
+        admit_even = lambda phy: phy.node_id % 2 == 0  # noqa: E731
+        index = LinearScanMedium(Simulator(), index_membership=admit_even)._index
+        assert isinstance(index, LinearScanIndex) and index.membership is admit_even
 
     def test_per_copy_oracle_refuses_the_parallel_shard_modes(self):
         with pytest.raises(RuntimeError, match="parallel shard"):
@@ -71,6 +69,16 @@ class TestOptionsAreGone:
             ScenarioConfig(fanout_kernel="object")
         with pytest.raises(TypeError):
             ScenarioConfig(medium_index="naive")
+
+    def test_configs_reject_the_torus_and_the_grid_knobs(self):
+        # One area geometry, the paper's rectangle; the grid is derived.
+        for name, value in (("area_topology", "torus"), ("area_width_m", 200.0),
+                            ("area_height_m", 200.0), ("grid_cell_m", 17.0),
+                            ("grid_slack_m", 1.0)):
+            with pytest.raises(TypeError):
+                RadioConfig(**{name: value})
+        with pytest.raises(TypeError):
+            ScenarioConfig(area_topology="torus")
 
     def test_product_keeps_no_per_copy_state(self):
         assert "_rx_ongoing" not in Phy.__slots__

@@ -1,6 +1,7 @@
 """Unit tests for the medium's spatial index (memo, grid, linear scan)."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -213,6 +214,21 @@ class TestUniformGridIndex:
         index = self._index(phys)
         ids = [phy.node_id for _, _, phy in index.candidates((0.0, 0.0), 60.0, 0.0)]
         assert ids == [5, 2, 9]
+
+    def test_negative_coordinates_floor_into_their_own_cells(self):
+        # Truncating toward zero would put x in (-50, 0) into cell 0, with
+        # x in [0, 50); flooring gives each its own cell.
+        index = UniformGridIndex(cell_m=50.0, slack_m=5.0)
+        assert index._cell_key(-10.0, -60.0) == (-1, -2)
+        assert index._cell_key(0.0, 49.9) == (0, 0)
+        phys = [_static_phy(i, -17.0 * i, -3.0 * i) for i in range(12)]
+        index = self._index(phys)
+        origin = (-40.0, -10.0)
+        got = {phy.node_id for _, _, phy in index.candidates(origin, 60.0, 0.0)}
+        for phy in phys:
+            x, y = phy.position(0.0)
+            if math.hypot(x - origin[0], y - origin[1]) <= 60.0:
+                assert phy.node_id in got
 
     def test_grid_rebuilds_after_teleport(self):
         mobility = StaticMobility(0.0, 0.0)
@@ -453,11 +469,16 @@ class TestSpeedAwareCellSize:
         config = RadioConfig(transmission_range_m=60.0)
         assert config.grid_cell_m == pytest.approx(60.0 / 2.0)
 
-    def test_explicit_cell_size_wins(self):
-        config = RadioConfig(
-            transmission_range_m=60.0, speed_bound_mps=0.2, grid_cell_m=17.0
-        )
-        assert config.grid_cell_m == 17.0
+    def test_slack_is_an_eighth_of_the_derived_cell(self):
+        slow = RadioConfig(transmission_range_m=60.0, speed_bound_mps=0.2)
+        assert slow.grid_slack_m == pytest.approx(60.0 / 3.0 / 8.0)
+        fast = RadioConfig(transmission_range_m=60.0, speed_bound_mps=2.0)
+        assert fast.grid_slack_m == pytest.approx(60.0 / 2.0 / 8.0)
+
+    def test_replace_rederives_the_grid(self):
+        wide = replace(RadioConfig(transmission_range_m=60.0), transmission_range_m=90.0)
+        assert wide.grid_cell_m == pytest.approx(90.0 / 2.0)
+        assert wide.grid_slack_m == pytest.approx(90.0 / 2.0 / 8.0)
 
     def test_divisor_threshold(self):
         assert RadioConfig.grid_cell_divisor(0.0) == 3.0

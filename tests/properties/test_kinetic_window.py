@@ -2,11 +2,11 @@
 
 A kinetic window caches each sender-receiver verdict until the instant the
 pair's linear motion next brings it to a range boundary.  Whatever the
-fleet, the topology or the probe instants, ``UniformGridIndex.interferers``
-must equal ``LinearScanIndex.interferers`` -- so the probes here are aimed
-at the instants where a cached verdict is most likely to be stale: the
-computed boundary crossings themselves +/- 1 ns, segment ends, minimum-image
-switches, teleports, power cycles and late registrations.
+fleet or the probe instants, ``UniformGridIndex.interferers`` must equal
+``LinearScanIndex.interferers`` -- so the probes here are aimed at the
+instants where a cached verdict is most likely to be stale: the computed
+boundary crossings themselves +/- 1 ns, segment ends, teleports, power
+cycles and late registrations.
 """
 
 import math
@@ -23,7 +23,7 @@ from repro.mobility.random_waypoint import RandomWaypointMobility
 from repro.mobility.rpgm import RpgmMobility
 from repro.mobility.static import StaticMobility
 from repro.mobility.trace import WaypointTraceMobility
-from repro.net.spatial import TorusGridIndex, UniformGridIndex
+from repro.net.spatial import UniformGridIndex
 from tests.net.reference_medium import LinearScanIndex
 
 SIDE = 120.0
@@ -83,17 +83,12 @@ def _mixed_fleet(seed, size):
     return [_Radio(i, builders[i % len(builders)]()) for i in range(size)]
 
 
-def _wrapped(delta, period):
-    return delta - period * round(delta / period) if period else delta
-
-
-def _critical_instants(radios, sender, at_time, range_m, period):
+def _critical_instants(radios, sender, at_time, range_m):
     """Instants after ``at_time`` where some verdict around ``sender`` may flip.
 
     Worked out from the models' own segments: every root of
     ``|D + V*t| = range_m`` (a boundary crossing, or a tangential touch when the
-    roots coincide), both nodes' segment ends and, on a torus, the instants a
-    wrapped offset component reaches half the period.
+    roots coincide) and both nodes' segment ends.
     """
     sx, sy, svx, svy, s_until = sender.mobility.segment(at_time)
     instants = [s_until]
@@ -102,7 +97,7 @@ def _critical_instants(radios, sender, at_time, range_m, period):
             continue
         mx, my, mvx, mvy, m_until = radio.mobility.segment(at_time)
         instants.append(m_until)
-        dx, dy = _wrapped(mx - sx, period), _wrapped(my - sy, period)
+        dx, dy = mx - sx, my - sy
         dvx, dvy = mvx - svx, mvy - svy
         a = dvx * dvx + dvy * dvy
         if a == 0.0:
@@ -112,11 +107,6 @@ def _critical_instants(radios, sender, at_time, range_m, period):
         if disc >= 0.0:
             instants += [at_time + (-b - math.sqrt(disc)) / a,
                          at_time + (-b + math.sqrt(disc)) / a]
-        if period:
-            for offset, speed in ((dx, dvx), (dy, dvy)):
-                if speed:
-                    instants.append(
-                        at_time + (math.copysign(period / 2.0, speed) - offset) / speed)
     return [t for t in instants if at_time < t < HORIZON_S]
 
 
@@ -124,32 +114,27 @@ def _verdicts(index, sender, range_m, now):
     return [(m[0], m[1]) for m in index.interferers(sender, range_m, now)]
 
 
-def _indexes(period):
-    if period:
-        return (TorusGridIndex(cell_m=25.0, slack_m=3.0, width_m=period, height_m=period),
-                LinearScanIndex(wrap=(period, period)))
+def _indexes():
     return UniformGridIndex(cell_m=25.0, slack_m=3.0), LinearScanIndex()
 
 
 @given(
     seed=st.integers(min_value=0, max_value=100_000),
     size=st.integers(min_value=8, max_value=16),
-    torus=st.booleans(),
     range_m=st.sampled_from([35.0, 40.0, 55.0]),
     base_times=st.lists(
         st.floats(min_value=0.0, max_value=HORIZON_S - 1.0), min_size=4, max_size=8),
 )
 @settings(max_examples=40, deadline=None)
 # An RPGM member pinned to an edge, probed a float before its hold ends.
-@example(seed=1493, size=8, torus=False, range_m=40.0,
+@example(seed=1493, size=8, range_m=40.0,
          base_times=[0.0, 0.0, 0.0, 14.5])
 def test_mixed_fleet_matches_linear_scan_at_critical_instants(
-    seed, size, torus, range_m, base_times
+    seed, size, range_m, base_times
 ):
-    period = SIDE if torus else 0.0
     radios = _mixed_fleet(seed, size)
     latecomer = radios.pop()
-    grid, naive = _indexes(period)
+    grid, naive = _indexes()
     for radio in radios:
         grid.add(radio)
         naive.add(radio)
@@ -159,7 +144,7 @@ def test_mixed_fleet_matches_linear_scan_at_critical_instants(
     probes = set(base_times)
     for at_time in base_times:
         for sender in senders:
-            for instant in _critical_instants(radios, sender, at_time, range_m, period):
+            for instant in _critical_instants(radios, sender, at_time, range_m):
                 probes.update((instant - NUDGE_S, instant, instant + NUDGE_S))
     probes = sorted(t for t in probes if t >= 0.0)
     # Scripted disturbances, each in the middle of the probe sequence so
@@ -189,17 +174,15 @@ def test_mixed_fleet_matches_linear_scan_at_critical_instants(
     gap=st.sampled_from([-1e-3, -1e-7, -1e-9, 0.0, 1e-9, 1e-7, 1e-3]),
     heading=st.floats(min_value=0.0, max_value=2.0 * math.pi),
     speed=st.floats(min_value=0.5, max_value=15.0),
-    torus=st.booleans(),
 )
 @settings(max_examples=60, deadline=None)
-def test_co_moving_and_tangential_pairs_on_a_boundary(gap, heading, speed, torus):
+def test_co_moving_and_tangential_pairs_on_a_boundary(gap, heading, speed):
     """Pairs that sit on, or graze, a range boundary for a whole segment.
 
     ``gap`` is how far off the 40 m boundary the pair is placed: inside the
     guard band the verdict must be recomputed on every call, outside it the
     cached verdict must be the oracle's.
     """
-    period = 400.0 if torus else 0.0
     ux, uy = math.cos(heading), math.sin(heading)
     span = 20.0
     travel = (ux * speed * span, uy * speed * span)
@@ -217,7 +200,7 @@ def test_co_moving_and_tangential_pairs_on_a_boundary(gap, heading, speed, torus
         _Radio(2, StaticMobility(200.0 + travel[0] / 2.0 - uy * distance,
                                  200.0 + travel[1] / 2.0 + ux * distance)),
     ]
-    grid, naive = _indexes(period)
+    grid, naive = _indexes()
     for radio in radios:
         grid.add(radio)
         naive.add(radio)

@@ -11,7 +11,7 @@ exact equality, not approximate.
 """
 
 import random
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -89,6 +89,25 @@ def test_grid_and_naive_media_identical_for_every_mobility_model(model):
     assert naive_log == grid_log
     assert naive_result.member_counts == grid_result.member_counts
     assert naive_result.goodput_by_member == grid_result.goodput_by_member
+    assert naive_result.events_processed == grid_result.events_processed
+
+
+def test_grid_and_naive_media_identical_on_a_sparse_area():
+    """Twelve short-range radios on the paper's 200 m square: most sit near
+    an edge with few neighbours, and every grid cell query clips there."""
+    results = {}
+    for index in ("naive", "grid"):
+        config = _small_config(
+            9, num_nodes=12, member_count=4, area_width_m=200.0,
+            area_height_m=200.0, transmission_range_m=45.0,
+            source_stop_s=20.0, duration_s=24.0, protocol="maodv",
+        )
+        results[index] = run_with_delivery_log(config, medium=MEDIA[index])
+    naive_result, naive_log = results["naive"]
+    grid_result, grid_log = results["grid"]
+    assert naive_result.protocol_stats["medium.deliveries"] > 0
+    assert naive_result.protocol_stats == grid_result.protocol_stats
+    assert naive_log == grid_log
     assert naive_result.events_processed == grid_result.events_processed
 
 
@@ -197,7 +216,7 @@ def _run_tie_script(kind, seed, range_m):
     *after* them.  Returns the statistics and every delivery, in order."""
     rng = random.Random(seed)
     sim = Simulator()
-    radio = RadioConfig(**{**asdict(_TIE_RADIO), "transmission_range_m": range_m})
+    radio = replace(_TIE_RADIO, transmission_range_m=range_m)
     medium = MEDIA[kind](sim, radio)
     positions = [(0, 0), (40, 0), (80, 0), (40, 40), (120, 40), (160, 0)]
     log = []

@@ -37,7 +37,7 @@ class TestShardPlan:
 
     def test_far_edges_and_float_overshoot_clamp_inward(self):
         plan = ShardPlan.build(4, 200.0, 200.0)
-        # Exactly on the far edges (torus wrap can also produce marginal
+        # Exactly on the far edges (float error can also produce marginal
         # overshoot): clamp into the last row/column, never raise.
         assert plan.shard_of(200.0, 200.0) == 3
         assert plan.shard_of(200.0000001, -0.0000001) == 1

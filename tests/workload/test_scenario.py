@@ -61,6 +61,13 @@ class TestScenarioConfig:
         ("join_window_s", -1.0),
         ("payload_bytes", -10),
         ("churn_config", ChurnConfig(model="scripted", script=[[9.0, 1, 0, "join"]])),
+        ("packet_interval_s", 0.0),
+        ("packet_interval_s", -0.5),
+        ("area_width_m", 0.0),
+        ("area_height_m", -150.0),
+        ("transmission_range_m", 0.0),
+        ("bitrate_bps", 0.0),
+        ("source_stop_s", 10.0),  # before quick's source_start_s of 15 s
     ])
     def test_nonsensical_field_rejected_by_name(self, name, value):
         # Each of these used to hang, run to a meaningless result, or fail
