@@ -24,10 +24,7 @@ from repro.experiments.figures import ExperimentSpec
 from repro.experiments.variants import variant_config
 from repro.membership.config import ChurnConfig
 from repro.mobility.config import MobilityConfig
-from repro.multicast.config import FloodingConfig, MaodvConfig, OdmrpConfig
-from repro.net.config import MacConfig
 from repro.obs import ObsConfig
-from repro.routing.config import AodvConfig
 from repro.workload.scenario import ScenarioConfig
 
 
@@ -108,30 +105,130 @@ _NESTED_CONFIG_TYPES = {
     "mobility_config": MobilityConfig,
     "churn_config": ChurnConfig,
     "gossip_config": GossipConfig,
-    "aodv_config": AodvConfig,
-    "maodv_config": MaodvConfig,
-    "flooding_config": FloodingConfig,
-    "odmrp_config": OdmrpConfig,
-    "mac_config": MacConfig,
     "obs_config": ObsConfig,
 }
 
+#: Stands for every stored value in :data:`_RETIRED_FIELDS`.
+_ANY = object()
 
-def _known_fields(config_type: type, data: Mapping[str, object]) -> Dict[str, object]:
+#: Every field an earlier version stored that :class:`ScenarioConfig` or a
+#: nested config no longer has (``a.b`` names field ``b`` of ``a``), with
+#: the stored value that runs as this version does.  The five retired
+#: protocol configs hold the defaults they had, written out: their values
+#: are constants of the router modules now.
+_RETIRED_FIELDS: Dict[str, object] = {
+    "area_topology": "flat",
+    "gossip_shared_round_rng": False,
+    "gossip_config.reply_when_empty": False,
+    # Two implementations of one behaviour, proven bit-identical.
+    "medium_index": _ANY,
+    "fanout_kernel": _ANY,
+    "aodv_config.hello_interval_s": 0.6,
+    "aodv_config.allowed_hello_loss": 4,
+    "aodv_config.active_route_timeout_s": 10.0,
+    "aodv_config.rreq_initial_ttl": 8,
+    "aodv_config.rreq_ttl_increment": 8,
+    "aodv_config.rreq_max_ttl": 32,
+    "aodv_config.rreq_retries": 2,
+    "aodv_config.route_discovery_timeout_s": 1.0,
+    "aodv_config.rreq_id_cache_s": 5.0,
+    "aodv_config.packet_buffer_limit": 64,
+    "aodv_config.broadcast_jitter_s": 0.01,
+    "aodv_config.rreq_size_bytes": 24,
+    "aodv_config.rrep_size_bytes": 20,
+    "aodv_config.rerr_size_bytes": 20,
+    "aodv_config.hello_size_bytes": 12,
+    "maodv_config.group_hello_interval_s": 5.0,
+    "maodv_config.flood_ttl": 16,
+    "maodv_config.reply_wait_s": 0.5,
+    "maodv_config.join_retries": 3,
+    "maodv_config.repair_retries": 2,
+    "maodv_config.repair_wait_s": 0.75,
+    "maodv_config.join_request_size_bytes": 28,
+    "maodv_config.join_reply_size_bytes": 24,
+    "maodv_config.mact_size_bytes": 16,
+    "maodv_config.group_hello_size_bytes": 16,
+    "maodv_config.nearest_member_update_size_bytes": 12,
+    "maodv_config.data_header_bytes": 20,
+    "maodv_config.data_cache_size": 4096,
+    "maodv_config.nearest_member_infinity": 64,
+    "maodv_config.track_nearest_member": True,
+    "maodv_config.broadcast_jitter_s": 0.01,
+    "maodv_config.leader_handoff": True,
+    "maodv_config.handoff_wait_s": 1.0,
+    "maodv_config.handoff_fallback_s": 6.0,
+    "maodv_config.leader_handoff_size_bytes": 20,
+    "flooding_config.flood_ttl": 16,
+    # With one broadcast per packet the interval between them is moot.
+    "flooding_config.rebroadcast_count": 1,
+    "flooding_config.rebroadcast_interval_s": _ANY,
+    "flooding_config.broadcast_jitter_s": 0.01,
+    "flooding_config.data_cache_size": 4096,
+    "flooding_config.data_header_bytes": 20,
+    "odmrp_config.join_query_interval_s": 3.0,
+    "odmrp_config.forwarding_lifetime_s": 9.0,
+    "odmrp_config.flood_ttl": 16,
+    "odmrp_config.join_query_size_bytes": 20,
+    "odmrp_config.join_reply_size_bytes": 20,
+    "odmrp_config.data_header_bytes": 20,
+    "odmrp_config.data_cache_size": 4096,
+    "odmrp_config.broadcast_jitter_s": 0.01,
+    "mac_config.slot_time_s": 20e-6,
+    "mac_config.sifs_s": 10e-6,
+    "mac_config.difs_s": 50e-6,
+    "mac_config.cw_min": 16,
+    "mac_config.cw_max": 1024,
+    "mac_config.retry_limit": 4,
+    "mac_config.ack_timeout_s": 1.5e-3,
+    "mac_config.ack_size_bytes": 14,
+    "mac_config.queue_limit": 64,
+}
+
+#: The retired configs whose every field is in :data:`_RETIRED_FIELDS`.
+_RETIRED_CONFIGS = ("aodv_config", "maodv_config", "flooding_config", "odmrp_config", "mac_config")
+
+
+def _check_retired(key: str, value: object) -> None:
+    """Raise unless stored ``value`` of retired field ``key`` runs as today."""
+    if key in _RETIRED_CONFIGS and isinstance(value, Mapping):
+        for name, item in value.items():
+            _check_retired(f"{key}.{name}", item)
+        return
+    if key not in _RETIRED_FIELDS:
+        raise ValueError(f"stored config key {key!r} names no field of any version")
+    expected = _RETIRED_FIELDS[key]
+    if expected is not _ANY and value != expected:
+        raise ValueError(
+            f"stored config key {key!r} = {value!r} is retired; this version runs {expected!r}"
+        )
+
+
+def _current_fields(
+    config_type: type, data: Mapping[str, object], prefix: str = ""
+) -> Dict[str, object]:
+    """The items of ``data`` that ``config_type`` has; checks the rest."""
     known = {spec.name for spec in dataclass_fields(config_type)}
-    return {name: value for name, value in data.items() if name in known}
+    current = {}
+    for name, value in data.items():
+        if name in known:
+            current[name] = value
+        else:
+            _check_retired(prefix + name, value)
+    return current
 
 
 def config_from_dict(data: Mapping[str, object]) -> ScenarioConfig:
     """Rebuild a :class:`ScenarioConfig` from :func:`config_to_dict` output.
 
-    Keys of fields an older version stored but :class:`ScenarioConfig` or
-    one of its nested configs no longer has are dropped, so configs in
-    older stores still rebuild.
+    A key of a field an older version stored but :class:`ScenarioConfig` or
+    one of its nested configs no longer has is dropped when it holds the
+    value this version runs (see :data:`_RETIRED_FIELDS`), so configs in
+    older stores still rebuild; any other value of it, or a key no version
+    had, raises :class:`ValueError` naming the dotted key.
     """
-    fields = _known_fields(ScenarioConfig, data)
+    fields = _current_fields(ScenarioConfig, data)
     for name, config_type in _NESTED_CONFIG_TYPES.items():
         value = fields.get(name)
         if isinstance(value, Mapping):
-            fields[name] = config_type(**_known_fields(config_type, value))
+            fields[name] = config_type(**_current_fields(config_type, value, f"{name}."))
     return ScenarioConfig(**fields)

@@ -8,16 +8,15 @@
 * :mod:`repro.multicast.flooding` -- the blind-flooding baseline (the
   comparison protocol discussed in the paper's related work).
 * :mod:`repro.multicast.odmrp` -- the mesh-based ODMRP baseline.
-* :mod:`repro.multicast.config` -- the parameters of all three.
 
-MAODV, its messages, its route table and every protocol's config load with
-the package: the default scenario runs MAODV.  The flooding and ODMRP
-routers are import-on-use -- a scenario imports one only when its
-``protocol`` selects it -- so a run never pays for a baseline it does not
-run; import them from their modules.
+MAODV, its messages and its route table load with the package: the default
+scenario runs MAODV.  Each router's parameters are constants of its own
+module; the ones shared by all three (flood TTL, data header, data cache)
+are MAODV's.  The flooding and ODMRP routers are import-on-use -- a scenario
+imports one only when its ``protocol`` selects it -- so a run never pays for
+a baseline it does not run; import them from their modules.
 """
 
-from repro.multicast.config import FloodingConfig, MaodvConfig, OdmrpConfig
 from repro.multicast.maodv import MaodvRouter, MaodvStats
 from repro.multicast.messages import (
     GroupHello,
@@ -30,18 +29,15 @@ from repro.multicast.messages import (
 from repro.multicast.route_table import GroupEntry, MulticastRouteTable, NextHopEntry
 
 __all__ = [
-    "FloodingConfig",
     "GroupEntry",
     "GroupHello",
     "JoinReply",
     "JoinRequest",
     "MactMessage",
-    "MaodvConfig",
     "MaodvRouter",
     "MaodvStats",
     "MulticastData",
     "MulticastRouteTable",
     "NearestMemberUpdate",
     "NextHopEntry",
-    "OdmrpConfig",
 ]

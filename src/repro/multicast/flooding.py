@@ -11,13 +11,13 @@ baseline check uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.net.addressing import BROADCAST_ADDRESS, GroupAddress, NodeId
 from repro.net.node import Node
-from repro.multicast.config import FloodingConfig
+from repro.multicast.maodv import DATA_CACHE_SIZE, DATA_HEADER_BYTES, FLOOD_TTL
 from repro.multicast.messages import DuplicateCache, MulticastData
-from repro.routing.aodv import AodvRouter
+from repro.routing.aodv import BROADCAST_JITTER_S, AodvRouter
 
 DataListener = Callable[[MulticastData], None]
 
@@ -35,16 +35,15 @@ class FloodingStats:
 class FloodingRouter:
     """Blind flooding multicast."""
 
-    def __init__(self, node: Node, aodv: AodvRouter, config: Optional[FloodingConfig] = None):
+    def __init__(self, node: Node, aodv: AodvRouter):
         self.node = node
         self.sim = node.sim
         self.aodv = aodv
-        self.config = config or FloodingConfig()
         self.rng = node.streams.for_node("flooding", node.node_id)
         self.stats = FloodingStats()
         self._members: Dict[GroupAddress, bool] = {}
         self._data_seq: Dict[GroupAddress, int] = {}
-        self._seen = DuplicateCache(self.config.data_cache_size)
+        self._seen = DuplicateCache(DATA_CACHE_SIZE)
         self._delivery_listeners: List[DataListener] = []
         node.register_handler(MulticastData, self._on_multicast_data)
 
@@ -90,8 +89,8 @@ class FloodingRouter:
         data = MulticastData(
             origin=self.node_id,
             destination=group,
-            size_bytes=size_bytes + self.config.data_header_bytes,
-            ttl=self.config.flood_ttl,
+            size_bytes=size_bytes + DATA_HEADER_BYTES,
+            ttl=FLOOD_TTL,
             group=group,
             source=self.node_id,
             seq=seq,
@@ -119,7 +118,7 @@ class FloodingRouter:
         self._broadcast(forwarded)
 
     def _broadcast(self, data: MulticastData) -> None:
-        jitter = self.rng.uniform(0.0, self.config.broadcast_jitter_s)
+        jitter = self.rng.uniform(0.0, BROADCAST_JITTER_S)
         self.sim.call_in(jitter, self.node.send_frame, (data, BROADCAST_ADDRESS))
 
     def _deliver(self, data: MulticastData) -> None:

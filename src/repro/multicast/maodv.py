@@ -27,12 +27,11 @@ Anonymous Gossip on top of:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.net.addressing import BROADCAST_ADDRESS, GroupAddress, NodeId
 from repro.net.node import Node
 from repro.net.packet import Packet, SeenCache
-from repro.multicast.config import MaodvConfig
 from repro.multicast.messages import (
     DuplicateCache,
     GroupHello,
@@ -44,10 +43,60 @@ from repro.multicast.messages import (
     NearestMemberUpdate,
 )
 from repro.multicast.route_table import GroupEntry, MulticastRouteTable
-from repro.routing.aodv import AodvRouter
+from repro.routing.aodv import BROADCAST_JITTER_S, AodvRouter
 from repro.sim.timers import PeriodicTimer
 
 DataListener = Callable[[MulticastData], None]
+
+# Protocol parameters: the paper's simulation settings where it states them
+# (group hello interval 5 s).  README's "Model parameters" table gives each
+# value's source.
+
+#: Interval between group hello floods sent by the group leader.
+GROUP_HELLO_INTERVAL_S = 5.0
+#: TTL of every flood: group hellos and join requests here, flooded data
+#: (flooding baseline) and join queries (ODMRP).
+FLOOD_TTL = 16
+#: How long a join requester collects replies before activating the best.
+REPLY_WAIT_S = 0.5
+#: Number of join attempts before the node declares itself partitioned (and
+#: becomes its own group leader).
+JOIN_RETRIES = 3
+#: Number of repair attempts after a tree link break before giving up and
+#: becoming a partition leader.
+REPAIR_RETRIES = 2
+#: How long a repair attempt waits for replies.
+REPAIR_WAIT_S = 0.75
+#: Size in bytes of the control messages.
+JOIN_REQUEST_SIZE_BYTES = 28
+JOIN_REPLY_SIZE_BYTES = 24
+MACT_SIZE_BYTES = 16
+GROUP_HELLO_SIZE_BYTES = 16
+NEAREST_MEMBER_UPDATE_SIZE_BYTES = 12
+LEADER_HANDOFF_SIZE_BYTES = 20
+#: Link-layer header accounted for multicast data (the payload size comes
+#: from the application), by every multicast router.
+DATA_HEADER_BYTES = 20
+#: Size of every multicast router's (source, seq) duplicate-suppression
+#: cache for data.
+DATA_CACHE_SIZE = 4096
+#: Value used as "infinity" for nearest-member distances.
+NEAREST_MEMBER_INFINITY = 64
+# Leadership hand-off when the group leader leaves the group (draft rule):
+# the leaver floods a tree-scoped hand-off carrying a one-pass best-so-far
+# election, and the oldest member on the tree takes over (node id breaks
+# exact ties).
+#: How long a bidding member waits, after first hearing a hand-off flood,
+#: before checking whether its bid is still the best it has seen and taking
+#: over.  Must cover a tree-wide flood sweep plus the echo of a better bid
+#: back along its branch.
+HANDOFF_WAIT_S = 1.0
+#: How long an abdicated leader (that stayed a tree router) waits for a
+#: successor's group hello before resuming leadership itself.  The hand-off
+#: flood is a best-effort broadcast; without this fallback a lost flood
+#: would leave the group permanently leaderless (no hello timeout exists to
+#: trigger re-election).
+HANDOFF_FALLBACK_S = 6.0
 
 
 @dataclass
@@ -93,11 +142,10 @@ class _PendingJoin:
 class MaodvRouter:
     """MAODV multicast routing agent for a single node."""
 
-    def __init__(self, node: Node, aodv: AodvRouter, config: Optional[MaodvConfig] = None):
+    def __init__(self, node: Node, aodv: AodvRouter):
         self.node = node
         self.sim = node.sim
         self.aodv = aodv
-        self.config = config or MaodvConfig()
         self.rng = node.streams.for_node("maodv", node.node_id)
         self.stats = MaodvStats()
         self.table = MulticastRouteTable()
@@ -122,7 +170,7 @@ class MaodvRouter:
         #: When this node last became a member, per group (the age that
         #: ranks leader hand-off bids).
         self._member_since: Dict[GroupAddress, float] = {}
-        self._seen_data = DuplicateCache(self.config.data_cache_size)
+        self._seen_data = DuplicateCache(DATA_CACHE_SIZE)
         self._last_advertised: Dict[Tuple[GroupAddress, NodeId], int] = {}
         self._group_hello_timers: Dict[GroupAddress, PeriodicTimer] = {}
         self._delivery_listeners: List[DataListener] = []
@@ -147,7 +195,7 @@ class MaodvRouter:
         Several tree routers forward the same flooded packet at the same
         instant; without jitter, hidden terminals collide systematically.
         """
-        jitter = self.rng.uniform(0.0, self.config.broadcast_jitter_s)
+        jitter = self.rng.uniform(0.0, BROADCAST_JITTER_S)
         self.sim.call_in(jitter, self.node.send_frame, (packet, BROADCAST_ADDRESS))
 
     def is_member(self, group: GroupAddress) -> bool:
@@ -176,7 +224,7 @@ class MaodvRouter:
         """Nearest-member distance advertised by ``neighbor`` for ``group``."""
         entry = self.table.entry(group)
         if entry is None:
-            return self.config.nearest_member_infinity
+            return NEAREST_MEMBER_INFINITY
         return entry.nearest_member_via(neighbor)
 
     # -------------------------------------------------------------- membership
@@ -244,7 +292,7 @@ class MaodvRouter:
         data = MulticastData(
             origin=self.node_id,
             destination=group,
-            size_bytes=size_bytes + self.config.data_header_bytes,
+            size_bytes=size_bytes + DATA_HEADER_BYTES,
             group=group,
             source=self.node_id,
             seq=seq,
@@ -319,8 +367,8 @@ class MaodvRouter:
         request = JoinRequest(
             origin=self.node_id,
             destination=BROADCAST_ADDRESS,
-            size_bytes=self.config.join_request_size_bytes,
-            ttl=self.config.flood_ttl,
+            size_bytes=JOIN_REQUEST_SIZE_BYTES,
+            ttl=FLOOD_TTL,
             group=pending.group,
             origin_seq=self.aodv.sequence_number,
             rreq_id=pending.rreq_id,
@@ -332,7 +380,7 @@ class MaodvRouter:
         )
         self._seen_join_requests.mark(request.flood_key, self.sim.now)
         self.node.send_frame(request, BROADCAST_ADDRESS)
-        wait = self.config.repair_wait_s if pending.repair else self.config.reply_wait_s
+        wait = REPAIR_WAIT_S if pending.repair else REPLY_WAIT_S
         self.sim.call_in(wait, self._join_wait_expired, (pending.group, pending.rreq_id))
 
     def _on_join_request(self, request: JoinRequest, from_node: NodeId) -> None:
@@ -355,7 +403,7 @@ class MaodvRouter:
             reply = JoinReply(
                 origin=self.node_id,
                 destination=request.origin,
-                size_bytes=self.config.join_reply_size_bytes,
+                size_bytes=JOIN_REPLY_SIZE_BYTES,
                 group=request.group,
                 replier=self.node_id,
                 group_seq=entry.group_seq,
@@ -423,7 +471,7 @@ class MaodvRouter:
         if pending.replies:
             self._activate_best_reply(pending)
             return
-        max_retries = self.config.repair_retries if pending.repair else self.config.join_retries
+        max_retries = REPAIR_RETRIES if pending.repair else JOIN_RETRIES
         if pending.retries < max_retries:
             pending.retries += 1
             self._rreq_id += 1
@@ -453,7 +501,7 @@ class MaodvRouter:
         mact = MactMessage(
             origin=self.node_id,
             destination=next_hop,
-            size_bytes=self.config.mact_size_bytes,
+            size_bytes=MACT_SIZE_BYTES,
             group=pending.group,
             kind="activate",
             rreq_id=pending.rreq_id,
@@ -483,7 +531,7 @@ class MaodvRouter:
                 forwarded = MactMessage(
                     origin=self.node_id,
                     destination=upstream,
-                    size_bytes=self.config.mact_size_bytes,
+                    size_bytes=MACT_SIZE_BYTES,
                     group=mact.group,
                     kind="activate",
                     rreq_id=mact.rreq_id,
@@ -503,7 +551,7 @@ class MaodvRouter:
         handoff = LeaderHandoff(
             origin=self.node_id,
             destination=BROADCAST_ADDRESS,
-            size_bytes=self.config.leader_handoff_size_bytes,
+            size_bytes=LEADER_HANDOFF_SIZE_BYTES,
             group=group,
             leader=self.node_id,
             group_seq=entry.group_seq,
@@ -519,7 +567,7 @@ class MaodvRouter:
         # leaderless.  (A leaver that pruned itself off the tree cannot
         # fall back; that residual window matches a leader crash.)
         self.sim.call_in(
-            self.config.handoff_fallback_s,
+            HANDOFF_FALLBACK_S,
             self._handoff_fallback, (group, entry.group_seq),
         )
 
@@ -576,7 +624,7 @@ class MaodvRouter:
                     # Our bid leads so far: check back after the flood (and
                     # any better bid's echo) has had time to sweep the tree.
                     self.sim.call_in(
-                        self.config.handoff_wait_s,
+                        HANDOFF_WAIT_S,
                         self._attempt_takeover,
                         (handoff.group, key, handoff.group_seq),
                     )
@@ -623,7 +671,7 @@ class MaodvRouter:
         if group not in self._group_hello_timers:
             timer = PeriodicTimer(
                 self.sim,
-                self.config.group_hello_interval_s,
+                GROUP_HELLO_INTERVAL_S,
                 lambda g=group: self._send_group_hello(g),
                 delay=self.rng.uniform(0.0, 0.5),
             )
@@ -650,8 +698,8 @@ class MaodvRouter:
         hello = GroupHello(
             origin=self.node_id,
             destination=BROADCAST_ADDRESS,
-            size_bytes=self.config.group_hello_size_bytes,
-            ttl=self.config.flood_ttl,
+            size_bytes=GROUP_HELLO_SIZE_BYTES,
+            ttl=FLOOD_TTL,
             group=group,
             leader=self.node_id,
             group_seq=entry.group_seq,
@@ -758,7 +806,7 @@ class MaodvRouter:
         prune = MactMessage(
             origin=self.node_id,
             destination=neighbor,
-            size_bytes=self.config.mact_size_bytes,
+            size_bytes=MACT_SIZE_BYTES,
             group=group,
             kind="prune",
         )
@@ -770,7 +818,7 @@ class MaodvRouter:
         entry = self.table.entry(group)
         if entry is None:
             return
-        infinity = self.config.nearest_member_infinity
+        infinity = NEAREST_MEMBER_INFINITY
         for neighbor in entry.tree_neighbors():
             advertised = entry.advertised_distance_to(neighbor, infinity)
             last = self._last_advertised.get((group, neighbor))
@@ -780,7 +828,7 @@ class MaodvRouter:
             update = NearestMemberUpdate(
                 origin=self.node_id,
                 destination=neighbor,
-                size_bytes=self.config.nearest_member_update_size_bytes,
+                size_bytes=NEAREST_MEMBER_UPDATE_SIZE_BYTES,
                 group=group,
                 distance=advertised,
             )

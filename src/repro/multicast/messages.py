@@ -43,7 +43,7 @@ class MulticastData(Packet):
 
 
 class DuplicateCache(dict):
-    """The ``data_cache_size`` most recently first-seen message ids.
+    """The ``capacity`` most recently first-seen message ids.
 
     A dict, so ``key in cache`` costs no Python frame; :meth:`remember` evicts
     the oldest first-seen key past ``capacity`` in O(1), and a present key

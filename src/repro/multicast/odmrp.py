@@ -26,17 +26,26 @@ so the gossip layer, the workload and the metrics run over it unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
-from repro.multicast.config import OdmrpConfig
+from repro.multicast.maodv import DATA_CACHE_SIZE, DATA_HEADER_BYTES, FLOOD_TTL
 from repro.multicast.messages import DuplicateCache, MulticastData
 from repro.net.addressing import BROADCAST_ADDRESS, GroupAddress, NodeId
 from repro.net.node import Node
 from repro.net.packet import Packet, SeenCache
-from repro.routing.aodv import AodvRouter
+from repro.routing.aodv import BROADCAST_JITTER_S, AodvRouter
 from repro.sim.timers import PeriodicTimer
 
 DataListener = Callable[[MulticastData], None]
+
+#: Interval between join-query floods while a source is active.
+JOIN_QUERY_INTERVAL_S = 3.0
+#: Soft-state lifetime of the forwarding-group flag (the classic value is
+#: three times the query interval).
+FORWARDING_LIFETIME_S = 9.0
+#: Wire sizes (bytes) of the control messages.
+JOIN_QUERY_SIZE_BYTES = 20
+JOIN_REPLY_SIZE_BYTES = 20
 
 
 @dataclass
@@ -102,11 +111,10 @@ class _SourceRoute:
 class OdmrpRouter:
     """ODMRP multicast agent for a single node."""
 
-    def __init__(self, node: Node, aodv: AodvRouter, config: Optional[OdmrpConfig] = None):
+    def __init__(self, node: Node, aodv: AodvRouter):
         self.node = node
         self.sim = node.sim
         self.aodv = aodv
-        self.config = config or OdmrpConfig()
         self.rng = node.streams.for_node("odmrp", node.node_id)
         self.stats = OdmrpStats()
 
@@ -119,7 +127,7 @@ class OdmrpRouter:
         #: group -> simulation time until which this node is a forwarder.
         self._forwarding_until: Dict[GroupAddress, float] = {}
         self._seen_queries = SeenCache(60.0)
-        self._seen_data = DuplicateCache(self.config.data_cache_size)
+        self._seen_data = DuplicateCache(DATA_CACHE_SIZE)
         self._delivery_listeners: List[DataListener] = []
 
         node.register_handler(MulticastData, self._on_multicast_data)
@@ -189,7 +197,7 @@ class OdmrpRouter:
         data = MulticastData(
             origin=self.node_id,
             destination=group,
-            size_bytes=size_bytes + self.config.data_header_bytes,
+            size_bytes=size_bytes + DATA_HEADER_BYTES,
             group=group,
             source=self.node_id,
             seq=seq,
@@ -225,7 +233,7 @@ class OdmrpRouter:
             return
         timer = PeriodicTimer(
             self.sim,
-            self.config.join_query_interval_s,
+            JOIN_QUERY_INTERVAL_S,
             lambda g=group: self._send_join_query(g),
         )
         self._query_timers[group] = timer
@@ -243,8 +251,8 @@ class OdmrpRouter:
         query = JoinQuery(
             origin=self.node_id,
             destination=BROADCAST_ADDRESS,
-            size_bytes=self.config.join_query_size_bytes,
-            ttl=self.config.flood_ttl,
+            size_bytes=JOIN_QUERY_SIZE_BYTES,
+            ttl=FLOOD_TTL,
             group=group,
             source=self.node_id,
             query_seq=self._query_seq,
@@ -286,7 +294,7 @@ class OdmrpRouter:
         reply = OdmrpJoinReply(
             origin=self.node_id,
             destination=BROADCAST_ADDRESS,
-            size_bytes=self.config.join_reply_size_bytes,
+            size_bytes=JOIN_REPLY_SIZE_BYTES,
             group=group,
             source=source,
             upstream=upstream,
@@ -300,7 +308,7 @@ class OdmrpRouter:
         # This node was selected as a forwarder towards the source: refresh
         # the soft-state flag and propagate the reply towards the source.
         was_forwarder = self.is_forwarder(reply.group)
-        self._forwarding_until[reply.group] = self.sim.now + self.config.forwarding_lifetime_s
+        self._forwarding_until[reply.group] = self.sim.now + FORWARDING_LIFETIME_S
         if not was_forwarder:
             self.stats.forwarding_group_joins += 1
         if reply.source == self.node_id:
@@ -311,5 +319,5 @@ class OdmrpRouter:
 
     # ----------------------------------------------------------------- helpers
     def _broadcast_jittered(self, packet: Packet) -> None:
-        jitter = self.rng.uniform(0.0, self.config.broadcast_jitter_s)
+        jitter = self.rng.uniform(0.0, BROADCAST_JITTER_S)
         self.sim.call_in(jitter, self.node.send_frame, (packet, BROADCAST_ADDRESS))

@@ -19,7 +19,7 @@ evaluation relies on:
 """
 
 from repro.net.addressing import BROADCAST_ADDRESS, GroupAddress, NodeId, is_multicast
-from repro.net.config import MacConfig, RadioConfig
+from repro.net.config import RadioConfig
 from repro.net.mac import CsmaMac, MacStats
 from repro.net.medium import Medium, MediumStats
 from repro.net.node import Node
@@ -31,7 +31,6 @@ __all__ = [
     "CsmaMac",
     "Frame",
     "GroupAddress",
-    "MacConfig",
     "MacStats",
     "Medium",
     "MediumStats",

@@ -1,4 +1,4 @@
-"""Radio and MAC configuration.
+"""Radio configuration.
 
 Defaults mirror the paper's GloMoSim setup: IEEE 802.11 at 2 Mbps with a
 configurable transmission range (the paper sweeps 45 m - 85 m).
@@ -93,25 +93,3 @@ class RadioConfig:
         """Time in seconds to put ``size_bytes`` on the air."""
         return self.preamble_s + (size_bytes * 8.0) / self.bitrate_bps
 
-
-@dataclass
-class MacConfig:
-    """CSMA/CA MAC parameters (802.11-DCF-like)."""
-
-    slot_time_s: float = 20e-6
-    sifs_s: float = 10e-6
-    difs_s: float = 50e-6
-    cw_min: int = 16
-    cw_max: int = 1024
-    retry_limit: int = 4
-    ack_timeout_s: float = 1.5e-3
-    ack_size_bytes: int = 14
-    queue_limit: int = 64
-
-    def __post_init__(self) -> None:
-        if self.cw_min < 1 or self.cw_max < self.cw_min:
-            raise ValueError("contention window bounds must satisfy 1 <= cw_min <= cw_max")
-        if self.retry_limit < 0:
-            raise ValueError("retry_limit must be non-negative")
-        if self.queue_limit < 1:
-            raise ValueError("queue_limit must be at least 1")

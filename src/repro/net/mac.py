@@ -27,10 +27,24 @@ from dataclasses import dataclass
 from typing import Callable, Deque, Optional
 
 from repro.net.addressing import BROADCAST_ADDRESS, NodeId
-from repro.net.config import MacConfig
 from repro.net.packet import Frame, Packet
 from repro.net.phy import Phy
 from repro.sim.engine import Simulator
+
+
+# 802.11 DSSS timing (2 Mbps PHY) and DCF parameters.
+SLOT_TIME_S = 20e-6
+SIFS_S = 10e-6
+DIFS_S = 50e-6
+#: Contention-window bounds (slots) of the binary-exponential backoff.
+CW_MIN = 16
+CW_MAX = 1024
+#: Retransmissions of a unicast frame before it is reported as failed.
+RETRY_LIMIT = 4
+ACK_TIMEOUT_S = 1.5e-3
+ACK_SIZE_BYTES = 14
+#: Frames the transmit queue holds; one more is a congestion drop.
+QUEUE_LIMIT = 64
 
 
 @dataclass
@@ -93,9 +107,8 @@ class CsmaMac:
 
     Parameters
     ----------
-    sim, phy, config, rng:
-        Simulation engine, radio, MAC parameters and the random stream used
-        for backoff.
+    sim, phy, rng:
+        Simulation engine, radio and the random stream used for backoff.
     on_receive:
         ``callback(packet, from_node_id)`` invoked for every frame addressed
         to this node (or broadcast).
@@ -108,7 +121,6 @@ class CsmaMac:
         self,
         sim: Simulator,
         phy: Phy,
-        config: MacConfig,
         rng,
         *,
         on_receive: Optional[Callable[[Packet, NodeId], None]] = None,
@@ -116,7 +128,6 @@ class CsmaMac:
     ):
         self.sim = sim
         self.phy = phy
-        self.config = config
         self.rng = rng
         self._getrandbits = rng.getrandbits
         self.stats = MacStats()
@@ -131,13 +142,6 @@ class CsmaMac:
         self._obs_on = obs.enabled
         self._c_defers = obs.counter("mac.csma.defers")
         self._c_backoffs = obs.counter("mac.csma.backoffs")
-        # Per-frame hot-path copies of the (immutable) config scalars.
-        self._difs_s = config.difs_s
-        self._slottime_s = config.slot_time_s
-        self._sifs_s = config.sifs_s
-        self._ack_timeout_s = config.ack_timeout_s
-        self._cw_min = config.cw_min
-        self._queue_limit = config.queue_limit
         self._state = _IDLE
         self._queue: Deque[_OutgoingFrame] = deque()
         self._current: Optional[_OutgoingFrame] = None
@@ -201,11 +205,11 @@ class CsmaMac:
         """
         frame = Frame(src=self._node_id, dst=next_hop, packet=packet)
         queue = self._queue
-        if len(queue) >= self._queue_limit:
+        if len(queue) >= QUEUE_LIMIT:
             self.stats.queue_drops += 1
             return False
         self.stats.enqueued += 1
-        outgoing = _OutgoingFrame(frame, self._cw_min)
+        outgoing = _OutgoingFrame(frame, CW_MIN)
         if self._state is _IDLE:
             # Idle means no current frame and an empty queue: this one
             # contends at once.
@@ -229,7 +233,7 @@ class CsmaMac:
         while slots >= cw:
             slots = getrandbits(bits)
         self._pending = self.sim.call_in(
-            self._difs_s + slots * self._slottime_s, self._poll
+            DIFS_S + slots * SLOT_TIME_S, self._poll
         )
 
     def _attempt_transmission(self) -> None:
@@ -257,7 +261,7 @@ class CsmaMac:
             while slots >= cw:
                 slots = getrandbits(bits)
             self._pending = sim.call_in(
-                self._difs_s + slots * self._slottime_s, self._poll
+                DIFS_S + slots * SLOT_TIME_S, self._poll
             )
             return
         self._state = _TRANSMIT
@@ -290,7 +294,7 @@ class CsmaMac:
             return
         if self._state is _TRANSMIT and frame.dst != BROADCAST_ADDRESS:
             self._state = _WAIT_ACK
-            self._pending = self.sim.call_in(self._ack_timeout_s, self._ack_timeout)
+            self._pending = self.sim.call_in(ACK_TIMEOUT_S, self._ack_timeout)
             return
         if self._queue:
             self._current = self._queue.popleft()
@@ -303,7 +307,7 @@ class CsmaMac:
         if self._state is not _WAIT_ACK or self._current is None:
             return
         current = self._current
-        if current.retries >= self.config.retry_limit:
+        if current.retries >= RETRY_LIMIT:
             self.stats.unicast_failures += 1
             failed = current.frame
             self._frame_done(failed)
@@ -311,7 +315,7 @@ class CsmaMac:
                 self.on_unicast_failure(failed.packet, failed.dst)
             return
         current.retries += 1
-        current.cw = min(current.cw * 2, self.config.cw_max)
+        current.cw = min(current.cw * 2, CW_MAX)
         self.stats.retransmissions += 1
         self._start_contention()
 
@@ -354,10 +358,10 @@ class CsmaMac:
         ack = MacAck(
             origin=self._node_id,
             destination=sender_id,
-            size_bytes=self.config.ack_size_bytes,
+            size_bytes=ACK_SIZE_BYTES,
             acked_uid=packet.uid,
         )
-        self.sim.call_in(self._sifs_s, self._transmit_ack, (ack, sender_id))
+        self.sim.call_in(SIFS_S, self._transmit_ack, (ack, sender_id))
 
     def _transmit_ack(self, ack: MacAck, sender_id: NodeId) -> None:
         phy = self.phy

@@ -31,7 +31,6 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple, Type, Union
 
 from repro.net.addressing import NodeId
-from repro.net.config import MacConfig
 from repro.net.mac import CsmaMac
 from repro.net.medium import Medium
 from repro.net.packet import Packet
@@ -55,7 +54,6 @@ class Node:
         medium: Medium,
         mobility,
         streams: RandomStreams,
-        mac_config: Optional[MacConfig] = None,
         build_mac: bool = True,
     ):
         self.node_id = node_id
@@ -89,7 +87,6 @@ class Node:
             self.mac = CsmaMac(
                 sim,
                 self.phy,
-                mac_config or MacConfig(),
                 streams.for_node("mac", node_id),
                 on_receive=self.deliver,
                 on_unicast_failure=self._on_unicast_failure,

@@ -9,12 +9,10 @@ neighbour liveness, and RERR propagation on link breaks.
 """
 
 from repro.routing.aodv import AodvRouter, AodvStats
-from repro.routing.config import AodvConfig
 from repro.routing.messages import HelloMessage, RouteError, RouteReply, RouteRequest
 from repro.routing.route_table import RouteEntry, RouteTable
 
 __all__ = [
-    "AodvConfig",
     "AodvRouter",
     "AodvStats",
     "HelloMessage",

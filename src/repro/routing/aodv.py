@@ -27,18 +27,53 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List
 
 from repro.net.addressing import BROADCAST_ADDRESS, NodeId
 from repro.net.node import Node
 from repro.net.packet import Packet, SeenCache, UnicastData
-from repro.routing.config import AodvConfig
 from repro.routing.messages import HelloMessage, RouteError, RouteReply, RouteRequest
 from repro.routing.route_table import RouteTable
 from repro.sim.timers import PeriodicTimer
 
 DeliveryListener = Callable[[Packet, NodeId], None]
 NeighborLossListener = Callable[[NodeId], None]
+
+# Protocol parameters: the paper's simulation settings where it gives them
+# (hello interval 600 ms, allowed hello loss 4).  README's "Model
+# parameters" table gives each value's source.
+
+#: Interval between hello beacons (the paper uses 600 ms).
+HELLO_INTERVAL_S = 0.6
+#: Number of consecutive missed hellos after which a neighbour is declared
+#: lost (the paper uses 4).
+ALLOWED_HELLO_LOSS = 4
+#: Silence interval after which a neighbour is considered gone.
+NEIGHBOR_TIMEOUT_S = HELLO_INTERVAL_S * ALLOWED_HELLO_LOSS
+#: Lifetime of an active route without traffic.
+ACTIVE_ROUTE_TIMEOUT_S = 10.0
+#: Initial TTL of a route request, its increment on each retry, and its cap.
+RREQ_INITIAL_TTL = 8
+RREQ_TTL_INCREMENT = 8
+RREQ_MAX_TTL = 32
+#: Number of times a route request is retried before giving up.
+RREQ_RETRIES = 2
+#: Time to wait for a route reply before retrying the request.
+ROUTE_DISCOVERY_TIMEOUT_S = 1.0
+#: How long an (origin, rreq_id) pair is remembered for duplicate suppression.
+RREQ_ID_CACHE_S = 5.0
+#: Maximum number of data packets buffered while waiting for a route.
+PACKET_BUFFER_LIMIT = 64
+#: Random delay before re-broadcasting a flooded packet, which prevents the
+#: synchronised-rebroadcast collisions of the hidden-terminal problem.  Real
+#: AODV implementations use the same trick; every router here that floods
+#: (MAODV, flooding, ODMRP) draws its jitter from this bound.
+BROADCAST_JITTER_S = 0.01
+#: Wire sizes (bytes) of the control messages.
+RREQ_SIZE_BYTES = 24
+RREP_SIZE_BYTES = 20
+RERR_SIZE_BYTES = 20
+HELLO_SIZE_BYTES = 12
 
 
 @dataclass
@@ -72,17 +107,16 @@ class _PendingDiscovery:
 class AodvRouter:
     """AODV routing agent for a single node."""
 
-    def __init__(self, node: Node, config: Optional[AodvConfig] = None):
+    def __init__(self, node: Node):
         self.node = node
         self.sim = node.sim
-        self.config = config or AodvConfig()
         self.rng = node.streams.for_node("aodv", node.node_id)
         self.stats = AodvStats()
-        self.route_table = RouteTable(hello_lifetime_s=self.config.neighbor_timeout_s)
+        self.route_table = RouteTable(hello_lifetime_s=NEIGHBOR_TIMEOUT_S)
 
         self.sequence_number = 0
         self._rreq_id = 0
-        self._seen_rreqs = SeenCache(self.config.rreq_id_cache_s)
+        self._seen_rreqs = SeenCache(RREQ_ID_CACHE_S)
         self._pending: Dict[NodeId, _PendingDiscovery] = {}
         #: Neighbour -> time last heard: the node's liveness table itself
         #: (node and medium write it per packet received; this class reads,
@@ -100,17 +134,17 @@ class AodvRouter:
 
         self._hello_timer = PeriodicTimer(
             self.sim,
-            self.config.hello_interval_s,
+            HELLO_INTERVAL_S,
             self._send_hello,
-            delay=self.rng.uniform(0.0, self.config.hello_interval_s),
-            jitter=self.config.hello_interval_s * 0.1,
+            delay=self.rng.uniform(0.0, HELLO_INTERVAL_S),
+            jitter=HELLO_INTERVAL_S * 0.1,
             rng=self.rng,
         )
         self._neighbor_timer = PeriodicTimer(
             self.sim,
-            self.config.hello_interval_s,
+            HELLO_INTERVAL_S,
             self._check_neighbors,
-            delay=self.config.neighbor_timeout_s,
+            delay=NEIGHBOR_TIMEOUT_S,
         )
 
     # ------------------------------------------------------------------ setup
@@ -141,7 +175,7 @@ class AodvRouter:
     def neighbors(self) -> List[NodeId]:
         """Neighbours heard from within the neighbour timeout."""
         now = self.sim.now
-        timeout = self.config.neighbor_timeout_s
+        timeout = NEIGHBOR_TIMEOUT_S
         return sorted(n for n, last in self._neighbors.items() if now - last <= timeout)
 
     def has_route(self, destination: NodeId) -> bool:
@@ -157,7 +191,7 @@ class AodvRouter:
             origin=self.node_id,
             destination=destination,
             payload=payload,
-            ttl=self.config.rreq_max_ttl,
+            ttl=RREQ_MAX_TTL,
         )
         if destination == self.node_id:
             self._deliver_locally(envelope)
@@ -170,14 +204,14 @@ class AodvRouter:
         hello = HelloMessage(
             origin=self.node_id,
             destination=BROADCAST_ADDRESS,
-            size_bytes=self.config.hello_size_bytes,
+            size_bytes=HELLO_SIZE_BYTES,
             seq=self.sequence_number,
         )
         self.node.send_frame(hello, BROADCAST_ADDRESS)
 
     def _check_neighbors(self) -> None:
         now = self.sim.now
-        timeout = self.config.neighbor_timeout_s
+        timeout = NEIGHBOR_TIMEOUT_S
         lost = [n for n, last in self._neighbors.items() if now - last > timeout]
         for neighbor in lost:
             del self._neighbors[neighbor]
@@ -209,10 +243,10 @@ class AodvRouter:
         destination = envelope.destination
         pending = self._pending.get(destination)
         if pending is None:
-            pending = _PendingDiscovery(destination=destination, ttl=self.config.rreq_initial_ttl)
+            pending = _PendingDiscovery(destination=destination, ttl=RREQ_INITIAL_TTL)
             self._pending[destination] = pending
             self._originate_rreq(pending)
-        if len(pending.buffered) >= self.config.packet_buffer_limit:
+        if len(pending.buffered) >= PACKET_BUFFER_LIMIT:
             self.stats.data_dropped_no_route += 1
             return
         pending.buffered.append(envelope)
@@ -225,7 +259,7 @@ class AodvRouter:
         rreq = RouteRequest(
             origin=self.node_id,
             destination=BROADCAST_ADDRESS,
-            size_bytes=self.config.rreq_size_bytes,
+            size_bytes=RREQ_SIZE_BYTES,
             ttl=pending.ttl,
             target=pending.destination,
             target_seq=known.seq if known is not None else 0,
@@ -237,7 +271,7 @@ class AodvRouter:
         self._seen_rreqs.mark(rreq.flood_key, self.sim.now)
         self.node.send_frame(rreq, BROADCAST_ADDRESS)
         self.sim.call_in(
-            self.config.route_discovery_timeout_s, self._discovery_timeout, (pending.destination,)
+            ROUTE_DISCOVERY_TIMEOUT_S, self._discovery_timeout, (pending.destination,)
         )
 
     def _discovery_timeout(self, destination: NodeId) -> None:
@@ -247,13 +281,13 @@ class AodvRouter:
         if self.route_table.lookup(destination, self.sim.now) is not None:
             self._flush_pending(destination)
             return
-        if pending.retries >= self.config.rreq_retries:
+        if pending.retries >= RREQ_RETRIES:
             self.stats.discovery_failures += 1
             self.stats.data_dropped_no_route += len(pending.buffered)
             del self._pending[destination]
             return
         pending.retries += 1
-        pending.ttl = min(pending.ttl + self.config.rreq_ttl_increment, self.config.rreq_max_ttl)
+        pending.ttl = min(pending.ttl + RREQ_TTL_INCREMENT, RREQ_MAX_TTL)
         self._originate_rreq(pending)
 
     def _flush_pending(self, destination: NodeId) -> None:
@@ -281,7 +315,7 @@ class AodvRouter:
             next_hop=from_node,
             hop_count=hop_count,
             seq=rreq.origin_seq,
-            expiry_time=now + self.config.active_route_timeout_s,
+            expiry_time=now + ACTIVE_ROUTE_TIMEOUT_S,
         )
         self._flush_pending_if_routable(rreq.origin)
 
@@ -331,11 +365,11 @@ class AodvRouter:
         rrep = RouteReply(
             origin=self.node_id,
             destination=requester,
-            size_bytes=self.config.rrep_size_bytes,
+            size_bytes=RREP_SIZE_BYTES,
             target=target,
             target_seq=target_seq,
             hop_count=hop_count_to_target,
-            lifetime_s=self.config.active_route_timeout_s,
+            lifetime_s=ACTIVE_ROUTE_TIMEOUT_S,
         )
         self.node.send_frame(rrep, next_hop)
 
@@ -381,7 +415,7 @@ class AodvRouter:
         rerr = RouteError(
             origin=self.node_id,
             destination=BROADCAST_ADDRESS,
-            size_bytes=self.config.rerr_size_bytes,
+            size_bytes=RERR_SIZE_BYTES,
             unreachable=dict(unreachable),
         )
         self.node.send_frame(rerr, BROADCAST_ADDRESS)
@@ -410,7 +444,7 @@ class AodvRouter:
 
     def _forward_envelope(self, envelope: UnicastData, next_hop: NodeId) -> None:
         self.route_table.refresh(
-            envelope.destination, self.sim.now + self.config.active_route_timeout_s
+            envelope.destination, self.sim.now + ACTIVE_ROUTE_TIMEOUT_S
         )
         self.node.send_frame(envelope, next_hop)
 
@@ -434,5 +468,5 @@ class AodvRouter:
         Flooded packets forwarded by several neighbours at the same instant
         would otherwise collide systematically (hidden-terminal problem).
         """
-        jitter = self.rng.uniform(0.0, self.config.broadcast_jitter_s)
+        jitter = self.rng.uniform(0.0, BROADCAST_JITTER_S)
         self.sim.call_in(jitter, self.node.send_frame, (packet, BROADCAST_ADDRESS))

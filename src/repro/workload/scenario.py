@@ -39,16 +39,14 @@ from repro.membership.controller import MembershipController
 from repro.metrics.collectors import DeliveryCollector, DeliverySummary
 from repro.mobility.base import RectangularArea
 from repro.mobility.config import MobilityConfig, build_fleet, fleet_speed_bound
-from repro.multicast.config import FloodingConfig, MaodvConfig, OdmrpConfig
 from repro.multicast.maodv import MaodvRouter
 from repro.net.addressing import GroupAddress, make_group_address
-from repro.net.config import MacConfig, RadioConfig
+from repro.net.config import RadioConfig
 from repro.net.medium import Medium
 from repro.net.node import Node
 from repro.obs import NULL_OBS, ObsConfig, build_obs, promote_flat
 from repro.obs.probes import EngineSampler
 from repro.routing.aodv import AodvRouter
-from repro.routing.config import AodvConfig
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
 from repro.workload.cbr import CbrSource, MulticastSink
@@ -96,11 +94,6 @@ class ScenarioConfig:
     protocol: str = "maodv"  # "maodv", "flooding" or "odmrp"
     gossip_enabled: bool = True
     gossip_config: GossipConfig = field(default_factory=GossipConfig)
-    aodv_config: AodvConfig = field(default_factory=AodvConfig)
-    maodv_config: MaodvConfig = field(default_factory=MaodvConfig)
-    flooding_config: FloodingConfig = field(default_factory=FloodingConfig)
-    odmrp_config: OdmrpConfig = field(default_factory=OdmrpConfig)
-    mac_config: MacConfig = field(default_factory=MacConfig)
 
     #: Observability (see :mod:`repro.obs`).  Disabled by default: the run
     #: is then bit-identical to an uninstrumented build.
@@ -358,7 +351,6 @@ class Scenario:
             from repro.multicast.odmrp import OdmrpRouter as router_class
         elif config.protocol == "flooding":
             from repro.multicast.flooding import FloodingRouter as router_class
-        router_config = getattr(config, f"{config.protocol}_config")
 
         # Members are selected before the fleet is built so RPGM can align
         # mobility groups with the multicast member sets.  Every named
@@ -389,7 +381,6 @@ class Scenario:
                 self.medium,
                 fleet[node_id],
                 streams,
-                mac_config=config.mac_config,
                 build_mac=owned,
             )
             self.nodes.append(node)
@@ -409,9 +400,9 @@ class Scenario:
                     # draw sequence stays identical to the whole-fleet build.
                     node.phy.enabled = False
                     continue
-            aodv = AodvRouter(node, config.aodv_config)
+            aodv = AodvRouter(node)
             self.aodv[node_id] = aodv
-            multicast = router_class(node, aodv, router_config)
+            multicast = router_class(node, aodv)
             self.multicast[node_id] = multicast
             if config.gossip_enabled:
                 for group_index, group in enumerate(self.groups):

@@ -12,7 +12,6 @@ from repro.campaign.store import ResultStore, TrialRecord
 from repro.campaign.trials import config_from_dict, config_to_dict
 from repro.cli import main
 from repro.experiments.figures import all_figures
-from repro.multicast.config import FloodingConfig, OdmrpConfig
 from repro.workload.scenario import ScenarioConfig
 
 HERE = Path(__file__).resolve().parent
@@ -186,6 +185,20 @@ LINE_BEFORE_CONFIG_MOVE = (
 )
 
 
+#: The five protocol configs a stored config may hold, retired whole.
+RETIRED_CONFIGS = ("aodv_config", "maodv_config", "flooding_config", "odmrp_config", "mac_config")
+
+#: The retired keys the line holds at values this version does not run:
+#: key -> (stored value, value this version runs).
+LINE_NON_DEFAULTS = {
+    "flooding_config.flood_ttl": (9, 16),
+    "flooding_config.rebroadcast_count": (3, 1),
+    "odmrp_config.join_query_interval_s": (2.0, 3.0),
+    "odmrp_config.forwarding_lifetime_s": (7.5, 9.0),
+    "odmrp_config.flood_ttl": (12, 16),
+}
+
+
 def _without(config: dict, retired: set) -> dict:
     """``config`` minus the ``retired`` keys; ``a.b`` names key ``b`` of ``a``."""
     kept = {name: value for name, value in config.items() if name not in retired}
@@ -197,20 +210,14 @@ def _without(config: dict, retired: set) -> dict:
 
 
 class TestStoredLineCompatibility:
-    def test_line_written_before_the_config_move_loads_unchanged(self, tmp_path):
+    def test_line_written_before_the_config_move_parses_but_its_config_is_refused(
+        self, tmp_path
+    ):
         path = tmp_path / "campaign.jsonl"
         path.write_text(LINE_BEFORE_CONFIG_MOVE + "\n")
         store = ResultStore(path)
         loaded = store.records()
         assert store.skipped == 0
-        config = ScenarioConfig.quick(
-            seed=3,
-            protocol="odmrp",
-            flooding_config=FloodingConfig(flood_ttl=9),
-            odmrp_config=OdmrpConfig(
-                join_query_interval_s=2.0, forwarding_lifetime_s=7.5, flood_ttl=12
-            ),
-        )
         stored_config = json.loads(LINE_BEFORE_CONFIG_MOVE)["config"]
         expected = TrialRecord(
             key="grid|x=0.0|variant=maodv|seed=3|scale=custom",
@@ -224,29 +231,80 @@ class TestStoredLineCompatibility:
             config=stored_config,
         )
         assert loaded == [expected]
-        assert config_from_dict(loaded[0].config) == config
-        # The stored config differs from today's only by the retired knobs.
+        # Writing the record back drops only the retired ``params`` field.
+        assert expected.to_json() == LINE_BEFORE_CONFIG_MOVE.replace('"params":{},', "")
+        # The trial ran flooding and ODMRP parameters this version no longer
+        # has, so its config does not rebuild as today's.
+        with pytest.raises(ValueError, match=r"'flooding_config\.flood_ttl' = 9 "):
+            config_from_dict(loaded[0].config)
+        # It differs from today's config only by the retired keys.
         retired = {
             "area_topology",
             "gossip_shared_round_rng",
             "gossip_config.reply_when_empty",
-            "maodv_config.track_nearest_member",
-            "maodv_config.leader_handoff",
-            "flooding_config.rebroadcast_count",
-            "flooding_config.rebroadcast_interval_s",
+            *RETIRED_CONFIGS,
         }
-        assert config_to_dict(config) == _without(stored_config, retired)
-        # Writing the record back drops only the retired ``params`` field.
-        assert expected.to_json() == LINE_BEFORE_CONFIG_MOVE.replace('"params":{},', "")
+        assert config_to_dict(ScenarioConfig.quick(seed=3, protocol="odmrp")) == _without(
+            stored_config, retired
+        )
 
-    def test_fields_scenario_config_no_longer_has_are_dropped(self):
+    @pytest.mark.parametrize("key", LINE_NON_DEFAULTS)
+    def test_each_non_default_value_of_the_line_is_refused_by_name(self, key):
+        config = json.loads(LINE_BEFORE_CONFIG_MOVE)["config"]
+        for name, (_, runs_as) in LINE_NON_DEFAULTS.items():
+            parent, _, field = name.partition(".")
+            config[parent][field] = runs_as
+        assert config_from_dict(config) == ScenarioConfig.quick(seed=3, protocol="odmrp")
+        parent, _, field = key.partition(".")
+        stored = config[parent][field] = LINE_NON_DEFAULTS[key][0]
+        with pytest.raises(ValueError, match=f"'{key}' = {stored!r} is retired"):
+            config_from_dict(config)
+
+    def test_retired_fields_at_the_values_this_version_runs_are_dropped(self):
         data = config_to_dict(ScenarioConfig.quick(seed=2))
         old = {
             **data,
+            "area_topology": "flat",
             "gossip_shared_round_rng": False,
-            "flooding_config": {**data["flooding_config"], "rebroadcast_count": 3},
+            "medium_index": "naive",
+            "gossip_config": {**data["gossip_config"], "reply_when_empty": False},
+            "maodv_config": {"track_nearest_member": True, "leader_handoff": True,
+                             "flood_ttl": 16},
+            "flooding_config": {"rebroadcast_count": 1, "rebroadcast_interval_s": 0.25},
+            "mac_config": {"retry_limit": 4, "slot_time_s": 2e-05},
         }
         assert config_from_dict(old) == config_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("flooding_config.rebroadcast_count", 3),
+            ("area_topology", "torus"),
+            ("gossip_config.reply_when_empty", True),
+            ("mac_config.retry_limit", 7),
+        ],
+    )
+    def test_retired_field_at_another_value_raises_naming_it(self, key, value):
+        data = config_to_dict(ScenarioConfig.quick(seed=2))
+        parent, _, field = key.rpartition(".")
+        if parent:
+            data[parent] = {**data.get(parent, {}), field: value}
+        else:
+            data[field] = value
+        with pytest.raises(ValueError, match=f"'{key}' = {value!r} is retired"):
+            config_from_dict(data)
+
+    @pytest.mark.parametrize("key", ["no_such_field", "obs_config.no_such_field",
+                                     "aodv_config.no_such_field"])
+    def test_key_no_version_had_raises_naming_it(self, key):
+        data = config_to_dict(ScenarioConfig.quick(seed=2))
+        parent, _, field = key.rpartition(".")
+        if parent:
+            data[parent] = {**data.get(parent, {}), field: 1}
+        else:
+            data[field] = 1
+        with pytest.raises(ValueError, match=f"'{key}' names no field"):
+            config_from_dict(data)
 
     def test_line_with_params_parses_into_the_record_minus_params(self):
         line = (HERE / "store_with_params_fig8.jsonl").read_text().splitlines()[0]

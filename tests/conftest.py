@@ -19,14 +19,12 @@ from repro.core.config import GossipConfig
 from repro.core.gossip import GossipAgent
 from repro.metrics.collectors import DeliveryCollector
 from repro.mobility.static import StaticMobility
-from repro.multicast.config import MaodvConfig
 from repro.multicast.maodv import MaodvRouter
 from repro.net.addressing import make_group_address
-from repro.net.config import MacConfig, RadioConfig
+from repro.net.config import RadioConfig
 from repro.net.medium import Medium
 from repro.net.node import Node
 from repro.routing.aodv import AodvRouter
-from repro.routing.config import AodvConfig
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
 
@@ -87,9 +85,6 @@ def build_network(
     seed: int = 1,
     with_gossip: bool = False,
     gossip_config: Optional[GossipConfig] = None,
-    aodv_config: Optional[AodvConfig] = None,
-    maodv_config: Optional[MaodvConfig] = None,
-    mac_config: Optional[MacConfig] = None,
 ) -> StaticNetwork:
     """Build a static-topology network with one node per position."""
     sim = Simulator()
@@ -100,18 +95,11 @@ def build_network(
     maodv: Dict[int, MaodvRouter] = {}
     gossip: Dict[int, GossipAgent] = {}
     for node_id, (x, y) in enumerate(positions):
-        node = Node(
-            node_id,
-            sim,
-            medium,
-            StaticMobility(x, y),
-            streams,
-            mac_config=mac_config or MacConfig(),
-        )
+        node = Node(node_id, sim, medium, StaticMobility(x, y), streams)
         nodes.append(node)
-        router = AodvRouter(node, aodv_config or AodvConfig())
+        router = AodvRouter(node)
         aodv[node_id] = router
-        multicast = MaodvRouter(node, router, maodv_config or MaodvConfig())
+        multicast = MaodvRouter(node, router)
         maodv[node_id] = multicast
         if with_gossip:
             gossip[node_id] = GossipAgent(

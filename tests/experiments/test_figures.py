@@ -141,26 +141,26 @@ class TestMembershipSweeps:
 #: (trial key, config) pair of its default sweep, per scale.  A change to a
 #: builder that moves any config, title or x value fails here.
 TRIAL_PINS = {
-    ("fig2", "quick"): "23667cadf28547b7c57cdd7165ab814a2da7c5400fd711aafe1acff0d7eae1e5",
-    ("fig2", "paper"): "785005ea43f9ecf57d1d9dd7a5c64ae1dbe8cf792875bf42f1ac7f6f5dbe8dcc",
-    ("fig3", "quick"): "3b27aa320a2bd024e78ef06e31c15214aa9aabe3070483b45f389f9f15ce38b9",
-    ("fig3", "paper"): "75f36667b8534777261d81bd599ff2f87b5954c3f1748ffac5a9b6afe69ac51b",
-    ("fig4", "quick"): "e031a24f0592693ec229fc04533d295fd3dc01abfd9a0e6dcd0eecdb4560e853",
-    ("fig4", "paper"): "dc57b63bf9da369ddaf7452bec30a4e6ae01fdde8fc76c471ac7f0a8186a0fc6",
-    ("fig5", "quick"): "7ccc0cfb13bcee743fff3d6d0f71065a8c1514635173aea1a5d47100be8e7532",
-    ("fig5", "paper"): "bef334f83924a69809c32457e7afb1741e78b67d61ca07c68a803162ad843535",
-    ("fig6", "quick"): "64a52381bd7979e000b35250ec5a83d4522b78e844c9cda9151fe33e9c2eedc6",
-    ("fig6", "paper"): "1ea4184d07aa1f9f49c44219f67796487ff781419f7c167a873ab338ee49f0aa",
-    ("fig7", "quick"): "713d67aad3e4a9f831b288b1ff571d70dc2acdbe052ae24a04878a92fba918a5",
-    ("fig7", "paper"): "5a50b5cd4df6b3fa3c3e053c38305ec8b8e3c0559460cf55885e71777f23fcf8",
-    ("fig8", "quick"): "3f7965d68557cc1161bbfe0339cd98db3c976c0dd8a67902b6641baff5ef0cdb",
-    ("fig8", "paper"): "083e348744cc2085722167ff2e821e5e89d14b021fd943160f8c198ed08e66ae",
-    ("churn", "quick"): "ef86f59d0ba942db31559a3e0d85bc6d56c3667796ce4cb541587f165e40fcc9",
-    ("churn", "paper"): "8948f8e66b432702fc75e7b5b317b020c29345255a07125fa8c3639a773f2665",
-    ("groups", "quick"): "610f46e5f622250f7426b85c09c63fe026e8841676f54439b65a633b76377310",
-    ("groups", "paper"): "dc3438cbece52524d48c6f502c9d1c5e5dca3609a7d69c641ccf55c5c95afc3b",
-    ("mobility", "quick"): "fa06806fa2720c2034a621774e8ce273bf6febb687f37079902f31764a4a1f3b",
-    ("mobility", "paper"): "0c2f893563a63a0589c422e4997f8c08b94f9aeccfccee3699225396f20297a4",
+    ("fig2", "quick"): "6d76f6dd644d6d2b82b5c5190624d94e9cba7e2e811e3765c2b1c2c7b0173abf",
+    ("fig2", "paper"): "376b1349baa9ad316fed12c2b53628ea141e47c5b6d7dd6d6163c62c5aac8bb0",
+    ("fig3", "quick"): "6c8c973801f54bfbc3fcc7c2f62fbca4a808495d603d4dfd22813ec16ff8895c",
+    ("fig3", "paper"): "b544a54b9f01ddb9ce4943c75aed932b43d8210b742956b870c17dca4c29d489",
+    ("fig4", "quick"): "556536f6e90219ce257af89c13272b7ddc46089ba47cdebd137e9c797d077eff",
+    ("fig4", "paper"): "5f9e177c0bdddcb054970d76ed62068878bb5eb83a7069f053791bcc4d4b8cc5",
+    ("fig5", "quick"): "a97b5292d7b666d5d3580f669a97e11787ba4e1a8dee091c82b9dc13bd6ba7fe",
+    ("fig5", "paper"): "e2b0c2dba0fb15b7f2d1cd7f68cf685befb4fe7bfda7b90cda501f3cd2322448",
+    ("fig6", "quick"): "fc1e686e8e540cc6383680661c7adec50b0e7cd98f66224ba00a68cc8fb14f57",
+    ("fig6", "paper"): "06fd78503473323243b2eaa9b7e7d3662595febdcb60744d7655a4772607b881",
+    ("fig7", "quick"): "2c073617212dd43952e52b1b59e80be4d9e5431bd806cbbd1696e2fc076c22ee",
+    ("fig7", "paper"): "4e8ee74a3969e002ded7773f53202534137c1e2331a49dd4e1df6c18c535af33",
+    ("fig8", "quick"): "23b4620cfeebe7109641dddb27f9e7a82a2bd58be31c7983cfc73bf73ccc2a11",
+    ("fig8", "paper"): "b519d8c50e6e4ace8097837915cca32bc759808c92a7bfac1603edd08ed4411d",
+    ("churn", "quick"): "f2b14b7f9f051db2e8a925ac751fd2626b6daf965103086c853f88edb17f411e",
+    ("churn", "paper"): "4c4cc6bef3303eab98a224d40ec69bf779d695ca1350cefbfabc5a01e3c1d9c8",
+    ("groups", "quick"): "f8d47d3d7a14d39597c0ded21ba780e4e24d554609355da83a0bf8b5e81fabce",
+    ("groups", "paper"): "600e9136b2f2fb5bd8d132372c521f9ca8fd716d140cc2fe0917d5a6c1b38dcb",
+    ("mobility", "quick"): "1be3771fe3dcc3038f00342659dd12b7cb79d06356a3a84f75fd25c16cbecab2",
+    ("mobility", "paper"): "7d0da3ff4827473d4b13ab8dc2f77d3b9e60d7f3f322d95d67a3dc09c7a62fc1",
 }
 
 

@@ -1,9 +1,7 @@
 """Tests for the blind-flooding multicast baseline."""
 
-import pytest
-
-from repro.multicast.config import FloodingConfig
 from repro.multicast.flooding import FloodingRouter
+from repro.multicast.maodv import FLOOD_TTL
 from repro.net.config import RadioConfig
 from repro.net.medium import Medium
 from repro.net.node import Node
@@ -14,7 +12,7 @@ from repro.sim.random import RandomStreams
 from tests.conftest import GROUP
 
 
-def _build_flooding_network(positions, range_m=80.0, config=None):
+def _build_flooding_network(positions, range_m=80.0):
     sim = Simulator()
     streams = RandomStreams(5)
     medium = Medium(sim, RadioConfig(transmission_range_m=range_m))
@@ -23,7 +21,7 @@ def _build_flooding_network(positions, range_m=80.0, config=None):
     for node_id, (x, y) in enumerate(positions):
         node = Node(node_id, sim, medium, StaticMobility(x, y), streams)
         aodv = AodvRouter(node)
-        router = FloodingRouter(node, aodv, config or FloodingConfig())
+        router = FloodingRouter(node, aodv)
         nodes.append(node)
         routers.append(router)
     return sim, nodes, routers
@@ -85,16 +83,21 @@ class TestFloodingDelivery:
         assert total_duplicates >= 1
 
     def test_ttl_limits_propagation(self):
-        config = FloodingConfig(flood_ttl=2)
-        positions = [(i * 60.0, 0.0) for i in range(5)]
-        sim, nodes, routers = _build_flooding_network(positions, config=config)
-        received = []
-        routers[4].join_group(GROUP)
-        routers[4].add_delivery_listener(lambda data: received.append(data.seq))
+        # A line one hop longer than the TTL reaches: node FLOOD_TTL hears
+        # the last copy (TTL 1) and does not forward it.
+        positions = [(i * 60.0, 0.0) for i in range(FLOOD_TTL + 2)]
+        sim, nodes, routers = _build_flooding_network(positions)
+        received = {}
+        for member in (FLOOD_TTL, FLOOD_TTL + 1):
+            routers[member].join_group(GROUP)
+            routers[member].add_delivery_listener(
+                lambda data, m=member: received.setdefault(m, []).append(data.seq)
+            )
         routers[0].join_group(GROUP)
         routers[0].send_data(GROUP, 64)
         sim.run(until=2.0)
-        assert received == []
+        assert received == {FLOOD_TTL: [1]}
+        assert routers[FLOOD_TTL].stats.data_forwarded == 0
 
     def test_leave_group_stops_delivery(self):
         positions = [(0.0, 0.0), (60.0, 0.0)]
@@ -123,11 +126,7 @@ class TestOneRebroadcast:
         assert [router.stats.data_forwarded for router in routers] == [0, 1, 1]
 
 
-class TestFloodingConfig:
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            FloodingConfig(flood_ttl=0)
-
+class TestRouterInterface:
     def test_router_interface_compatibility(self):
         # The flooding router exposes the same surface the gossip layer needs.
         positions = [(0.0, 0.0), (60.0, 0.0)]

@@ -3,10 +3,9 @@
 import math
 import random
 
-import pytest
-
 from repro.mobility.static import StaticMobility
-from repro.net.config import MacConfig, RadioConfig
+from repro.net.config import RadioConfig
+from repro.net.mac import CW_MAX, CW_MIN, DIFS_S, QUEUE_LIMIT, RETRY_LIMIT, SLOT_TIME_S
 from repro.net.medium import Medium
 from repro.net.node import Node
 from repro.net.packet import Frame, Packet
@@ -15,15 +14,14 @@ from repro.sim.random import RandomStreams
 from tests.conftest import python_calls
 
 
-def _make_nodes(positions, range_m=100.0, mac_config=None):
+def _make_nodes(positions, range_m=100.0):
     sim = Simulator()
     streams = RandomStreams(7)
     medium = Medium(sim, RadioConfig(transmission_range_m=range_m))
     nodes = []
     received = {}
     for node_id, (x, y) in enumerate(positions):
-        node = Node(node_id, sim, medium, StaticMobility(x, y), streams,
-                    mac_config=mac_config or MacConfig())
+        node = Node(node_id, sim, medium, StaticMobility(x, y), streams)
         received[node_id] = []
         node.mac.on_receive = (
             lambda packet, sender, nid=node_id: received[nid].append((packet, sender))
@@ -59,7 +57,7 @@ class TestUnicast:
         assert len(failures) == 1
         assert failures[0][1] == 1
         assert nodes[0].mac.stats.unicast_failures == 1
-        assert nodes[0].mac.stats.retransmissions == nodes[0].mac.config.retry_limit
+        assert nodes[0].mac.stats.retransmissions == RETRY_LIMIT
 
     def test_frames_for_other_destinations_ignored(self):
         sim, medium, nodes, received = _make_nodes([(0, 0), (50, 0), (80, 0)])
@@ -77,15 +75,18 @@ class TestUnicast:
         assert ttls == [1, 2, 3, 4, 5]
 
     def test_queue_overflow_drops_frames(self):
-        config = MacConfig(queue_limit=2)
-        sim, medium, nodes, received = _make_nodes([(0, 0), (50, 0)], mac_config=config)
+        sim, medium, nodes, received = _make_nodes([(0, 0), (50, 0)])
+        mac = nodes[0].mac
+        # The first frame contends at once; the queue holds the next
+        # QUEUE_LIMIT, and every frame past them is dropped.
         accepted = [
-            nodes[0].mac.send(Packet(origin=0, destination=1, size_bytes=64), 1)
-            for _ in range(6)
+            mac.send(Packet(origin=0, destination=1, size_bytes=64), 1)
+            for _ in range(QUEUE_LIMIT + 3)
         ]
-        assert accepted.count(False) >= 1
-        assert nodes[0].mac.stats.queue_drops >= 1
+        assert accepted == [True] * (QUEUE_LIMIT + 1) + [False] * 2
+        assert mac.stats.queue_drops == 2 and mac.queue_length == QUEUE_LIMIT
         sim.run(until=2.0)
+        assert len(received[1]) == QUEUE_LIMIT + 1
 
 
 class TestBroadcast:
@@ -192,18 +193,17 @@ class TestCarrierSensePoll:
 
     def test_backoff_redraw_is_randrange_draw_for_draw(self):
         sim, mac, reference = self._deferring_mac()
-        config = mac.config
         # The first draw is ``_start_contention``'s, the rest are the poll's.
-        slots = reference.randrange(config.cw_min)
-        expected = sim.now + (config.difs_s + slots * config.slot_time_s)
-        cw = config.cw_min
-        while cw <= config.cw_max:
+        slots = reference.randrange(CW_MIN)
+        expected = sim.now + (DIFS_S + slots * SLOT_TIME_S)
+        cw = CW_MIN
+        while cw <= CW_MAX:
             mac._current.cw = cw
             for _ in range(10_000):
                 sim.run(max_events=1)  # one poll: defers, redraws from ``cw``
                 assert sim.now == expected
                 slots = reference.randrange(cw)
-                expected = sim.now + (config.difs_s + slots * config.slot_time_s)
+                expected = sim.now + (DIFS_S + slots * SLOT_TIME_S)
             cw *= 2
         assert mac.rng.getstate() == reference.getstate()
         assert mac.state == "contend" and sim.pending_events == 1
@@ -247,20 +247,6 @@ class TestCarrierSensePoll:
         assert mac.stats.broadcast_transmissions == 0
         sim.run()
         assert mac.stats.broadcast_transmissions == 1 and mac.state == "idle"
-
-
-class TestMacConfigValidation:
-    def test_invalid_contention_window_rejected(self):
-        with pytest.raises(ValueError):
-            MacConfig(cw_min=32, cw_max=16)
-
-    def test_negative_retry_limit_rejected(self):
-        with pytest.raises(ValueError):
-            MacConfig(retry_limit=-1)
-
-    def test_zero_queue_limit_rejected(self):
-        with pytest.raises(ValueError):
-            MacConfig(queue_limit=0)
 
 
 class TestEndOfFlightHook:

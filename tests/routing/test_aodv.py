@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.net.packet import Packet, UnicastData
+from repro.routing.aodv import NEIGHBOR_TIMEOUT_S, RREQ_RETRIES
 from tests.conftest import build_network, line_topology
 
 
@@ -94,7 +95,7 @@ class TestRouteDiscovery:
         network.start()
         network.aodv[0].send_unicast(_AppMessage(origin=0, destination=1, text="x"), 1)
         network.run(10.0)
-        expected_attempts = network.aodv[0].config.rreq_retries + 1
+        expected_attempts = RREQ_RETRIES + 1
         assert network.aodv[0].stats.rreq_originated == expected_attempts
 
 
@@ -197,7 +198,7 @@ class TestLivenessTable:
         sim.call_at(2.5, nodes[1].send_frame, (_AppMessage(origin=1, destination=-1), -1))
         network.run(1.0)
         assert list(nodes[0].heard) == [2, 1]
-        sim.run(until=2.5 + aodv[0].config.neighbor_timeout_s + 0.1)
+        sim.run(until=2.5 + NEIGHBOR_TIMEOUT_S + 0.1)
         aodv[0]._check_neighbors()
         assert nodes[0].heard == {} and losses == [1, 2, 1]
         assert aodv[0].stats.neighbor_losses == 3
@@ -248,7 +249,7 @@ class TestLivenessTable:
         network.run(1.5)
         assert network.medium.neighbors_of(2) == [1]  # 0 is two hops away
         assert network.aodv[2].neighbors() == [0, 1]  # ...yet listed as a neighbour
-        network.run(network.aodv[2].config.neighbor_timeout_s + 1.5)
+        network.run(NEIGHBOR_TIMEOUT_S + 1.5)
         assert losses == [0]  # the phantom times out; node 1 keeps beaconing
         assert network.aodv[2].stats.neighbor_losses == 1
         assert network.aodv[2].neighbors() == [1]

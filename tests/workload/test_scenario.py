@@ -27,7 +27,6 @@ class TestScenarioConfig:
         assert quick.num_nodes < paper.num_nodes
         assert quick.duration_s < paper.duration_s
         assert quick.gossip_config == paper.gossip_config
-        assert quick.maodv_config == paper.maodv_config
 
     def test_member_count_override(self):
         config = ScenarioConfig.quick(member_count=4)
