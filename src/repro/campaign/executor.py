@@ -1,9 +1,10 @@
 """Campaign execution: run trials serially or across a process pool.
 
 :func:`run_campaign` is the single entry point.  It takes a flat trial list
-(see :mod:`repro.campaign.trials`), skips every trial already present in the
-optional :class:`~repro.campaign.store.ResultStore` (resume), executes the
-remainder -- in-process for ``jobs=1``, otherwise on a
+(see :mod:`repro.campaign.trials`), skips every trial the optional
+:class:`~repro.campaign.store.ResultStore` already holds a record of, run
+with the trial's own config (resume), executes the remainder --
+in-process for ``jobs=1``, otherwise on a
 :class:`~concurrent.futures.ProcessPoolExecutor` -- and returns one
 :class:`~repro.campaign.store.TrialRecord` per input trial, in input order.
 
@@ -31,7 +32,7 @@ import gc
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.campaign.store import ResultStore, TrialRecord
-from repro.campaign.trials import TrialSpec
+from repro.campaign.trials import TrialSpec, config_from_dict
 from repro.workload.scenario import Scenario
 
 #: Progress callback: ``(completed_so_far, total, record)``.  ``record`` is
@@ -65,6 +66,18 @@ def execute_trial(trial: TrialSpec) -> TrialRecord:
     return record
 
 
+def _ran_config(record: TrialRecord, trial: TrialSpec) -> bool:
+    """Did the stored ``record`` run exactly ``trial``'s config?
+
+    A stored config that does not rebuild (a retired value, a key no
+    version had, a value of the wrong type) is not the trial's.
+    """
+    try:
+        return config_from_dict(record.config) == trial.config
+    except (ValueError, TypeError):
+        return False
+
+
 def run_campaign(
     trials: Sequence[TrialSpec],
     *,
@@ -77,9 +90,11 @@ def run_campaign(
 
     ``jobs`` selects the degree of parallelism: ``1`` runs everything
     in-process (no pool, no pickling), ``>1`` fans trials out over a process
-    pool with ``jobs`` workers.  When ``store`` is given, trials whose key is
-    already stored are *not* re-run (their stored record is returned
-    instead), and every freshly completed trial is appended to the store
+    pool with ``jobs`` workers.  When ``store`` is given, a trial whose key
+    is already stored is *not* re-run when the stored config rebuilds equal
+    to the trial's (the stored record is returned instead); a stored record
+    of another config, or of one this version refuses to load, is re-run
+    and superseded.  Every freshly completed trial is appended to the store
     before the next result is awaited -- so an interrupted campaign loses at
     most the in-flight trials.  A trial that raises ends the campaign: in
     the pool no queued trial starts, the running ones finish and are stored,
@@ -97,10 +112,11 @@ def run_campaign(
     if store is not None:
         stored = store.load()
         for trial in trials:
-            if trial.key in stored:
-                records[trial.key] = stored[trial.key]
+            record = stored.get(trial.key)
+            if record is not None and _ran_config(record, trial):
+                records[trial.key] = record
                 if telemetry is not None:
-                    telemetry.add(records[trial.key].telemetry)
+                    telemetry.add(record.telemetry)
 
     pending: List[TrialSpec] = []
     queued = set(records)

@@ -115,7 +115,10 @@ _ANY = object()
 #: nested config no longer has (``a.b`` names field ``b`` of ``a``), with
 #: the stored value that runs as this version does.  The five retired
 #: protocol configs hold the defaults they had, written out: their values
-#: are constants of the router modules now.
+#: are constants of the router modules now.  So do the retired fields of
+#: the mobility, gossip and obs configs: their values are the keyword
+#: defaults of the mobility models and constants of ``repro.core.gossip``
+#: and ``repro.obs``.
 _RETIRED_FIELDS: Dict[str, object] = {
     "area_topology": "flat",
     "gossip_shared_round_rng": False,
@@ -182,6 +185,32 @@ _RETIRED_FIELDS: Dict[str, object] = {
     "mac_config.ack_timeout_s": 1.5e-3,
     "mac_config.ack_size_bytes": 14,
     "mac_config.queue_limit": 64,
+    "mobility_config.gm_step_s": 2.0,
+    "mobility_config.gm_alpha": 0.85,
+    "mobility_config.gm_mean_speed_mps": None,
+    "mobility_config.gm_speed_sigma_mps": None,
+    "mobility_config.gm_direction_sigma_rad": 0.4,
+    "mobility_config.gm_edge_margin_m": None,
+    "mobility_config.rpgm_group_size": 4,
+    "mobility_config.rpgm_group_radius_m": 25.0,
+    "mobility_config.rpgm_member_speed_mps": None,
+    "mobility_config.mh_blocks_x": 4,
+    "mobility_config.mh_blocks_y": 4,
+    "mobility_config.mh_turn_probability": 0.25,
+    "mobility_config.mh_pause_probability": 0.5,
+    "gossip_config.member_cache_size": 10,
+    "gossip_config.lost_table_size": 200,
+    "gossip_config.accept_probability": 0.5,
+    "gossip_config.max_gossip_hops": 16,
+    "gossip_config.max_messages_per_reply": 10,
+    "gossip_config.initial_expected_seq": 1,
+    "gossip_config.request_base_size_bytes": 20,
+    "gossip_config.request_per_lost_entry_bytes": 6,
+    "gossip_config.reply_base_size_bytes": 16,
+    "obs_config.sample_interval_s": 1.0,
+    "obs_config.flight_recorder_capacity": 4096,
+    "obs_config.reservoir_size": 512,
+    "obs_config.top_fanout_n": 10,
 }
 
 #: The retired configs whose every field is in :data:`_RETIRED_FIELDS`.

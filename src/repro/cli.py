@@ -178,10 +178,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _command_run(args: argparse.Namespace) -> int:
-    obs_enabled = args.obs or args.obs_out is not None or args.obs_dump is not None
+def _run_config(args: argparse.Namespace) -> ScenarioConfig:
+    """The scenario ``repro run`` builds; :class:`ValueError` names a bad argument."""
     overrides = {"seed": args.seed, "protocol": args.protocol, "gossip_enabled": args.gossip}
-    if obs_enabled:
+    if args.obs or args.obs_out is not None or args.obs_dump is not None:
         overrides["obs_config"] = ObsConfig(enabled=True)
     if args.groups != 1:
         overrides["group_count"] = args.groups
@@ -206,9 +206,7 @@ def _command_run(args: argparse.Namespace) -> int:
         config = ScenarioConfig.quick(**overrides)
     if args.churn != "none":
         if args.churn in ("poisson", "onoff") and args.churn_rate <= 0:
-            print(f"--churn-rate must be positive for {args.churn} churn",
-                  file=sys.stderr)
-            return 2
+            raise ValueError(f"--churn-rate must be positive for {args.churn} churn")
         # Churn starts once the scenario's initial joins are done, so the
         # models sample real membership state.
         start_s = config.join_window_s
@@ -237,7 +235,15 @@ def _command_run(args: argparse.Namespace) -> int:
                 events_per_minute=args.churn_rate, min_members=2,
             )
         config = dataclasses.replace(config, churn_config=churn)
+    return config
 
+
+def _command_run(args: argparse.Namespace) -> int:
+    try:
+        config = _run_config(args)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     if config.shards > 1 and config.shard_mode == "process":
         # The parallel shard mode runs through the shard driver (which
         # rejects churn); the sequential mode runs in-process like
@@ -297,7 +303,7 @@ def _command_run(args: argparse.Namespace) -> int:
                 f" {stats['records_exchanged']} boundary records"
             )
         print(line)
-    if obs_enabled and result.telemetry is not None:
+    if config.obs_config.enabled and result.telemetry is not None:
         if args.obs_dump is not None:
             if scenario is not None:
                 dumped = scenario.obs.dump_recorder(args.obs_dump)

@@ -42,6 +42,25 @@ RecoveryListener = Callable[[MulticastData], None]
 #: the member is known.
 _UNKNOWN_HOPS = 8
 
+#: Entries of the member cache (10 in the paper).
+MEMBER_CACHE_SIZE = 10
+#: Lost messages tracked per member (200 in the paper).
+LOST_TABLE_SIZE = 200
+#: Probability that a member receiving an anonymous gossip request accepts
+#: it rather than propagating it further (section 4.1).
+ACCEPT_PROBABILITY = 0.5
+#: Tree hops an anonymous gossip request may travel.
+MAX_GOSSIP_HOPS = 16
+#: Recovered messages returned in one gossip reply.
+MAX_MESSAGES_PER_REPLY = 10
+#: The sequence number each source is assumed to start from; losses before
+#: the first successful reception are counted against it.
+INITIAL_EXPECTED_SEQ = 1
+#: Wire-size model of the gossip messages.
+REQUEST_BASE_SIZE_BYTES = 20
+REQUEST_PER_LOST_ENTRY_BYTES = 6
+REPLY_BASE_SIZE_BYTES = 16
+
 
 class GossipGroupDispatcher:
     """Per-node demultiplexer routing gossip packets to their group's agent.
@@ -143,11 +162,11 @@ class GossipAgent:
         self.stats = GossipStats()
 
         self.lost_table = LostTable(
-            capacity=self.config.lost_table_size,
-            initial_expected_seq=self.config.initial_expected_seq,
+            capacity=LOST_TABLE_SIZE,
+            initial_expected_seq=INITIAL_EXPECTED_SEQ,
         )
         self.history = HistoryTable(capacity=self.config.history_size)
-        self.member_cache = MemberCache(capacity=self.config.member_cache_size)
+        self.member_cache = MemberCache(capacity=MEMBER_CACHE_SIZE)
         self._recovery_listeners: List[RecoveryListener] = []
         #: Start of the current subscription; ``None`` for run-long members.
         #: Carried on requests so responders can serve exactly the post-join
@@ -208,8 +227,8 @@ class GossipAgent:
         onwards, even before the joiner's first direct reception.
         """
         self.lost_table = LostTable(
-            capacity=self.config.lost_table_size,
-            initial_expected_seq=self.config.initial_expected_seq,
+            capacity=LOST_TABLE_SIZE,
+            initial_expected_seq=INITIAL_EXPECTED_SEQ,
             baseline_first_observation=True,
         )
         self.history = HistoryTable(capacity=self.config.history_size)
@@ -225,11 +244,11 @@ class GossipAgent:
         replies after a quick re-join.
         """
         self.lost_table = LostTable(
-            capacity=self.config.lost_table_size,
-            initial_expected_seq=self.config.initial_expected_seq,
+            capacity=LOST_TABLE_SIZE,
+            initial_expected_seq=INITIAL_EXPECTED_SEQ,
         )
         self.history = HistoryTable(capacity=self.config.history_size)
-        self.member_cache = MemberCache(capacity=self.config.member_cache_size)
+        self.member_cache = MemberCache(capacity=MEMBER_CACHE_SIZE)
 
     # ------------------------------------------------------- reception tracking
     def _on_multicast_delivery(self, data: MulticastData) -> None:
@@ -281,8 +300,8 @@ class GossipAgent:
         lost = self.lost_table.most_recent_lost(self.config.lost_buffer_size)
         expected = self.lost_table.expected_map()
         size = (
-            self.config.request_base_size_bytes
-            + self.config.request_per_lost_entry_bytes * (len(lost) + len(expected))
+            REQUEST_BASE_SIZE_BYTES
+            + REQUEST_PER_LOST_ENTRY_BYTES * (len(lost) + len(expected))
         )
         return GossipRequest(
             origin=self.node_id,
@@ -292,7 +311,7 @@ class GossipAgent:
             initiator=self.node_id,
             lost=list(lost),
             expected=expected,
-            hops_remaining=self.config.max_gossip_hops,
+            hops_remaining=MAX_GOSSIP_HOPS,
             joined_at=self._joined_at,
         )
 
@@ -351,7 +370,7 @@ class GossipAgent:
         if request.direct:
             self._accept(request)
             return
-        if self.is_member and self.rng.random() < self.config.accept_probability:
+        if self.is_member and self.rng.random() < ACCEPT_PROBABILITY:
             self._accept(request)
             return
         self._propagate(request, from_node)
@@ -401,7 +420,7 @@ class GossipAgent:
         reply = GossipReply(
             origin=self.node_id,
             destination=request.initiator,
-            size_bytes=self.config.reply_base_size_bytes
+            size_bytes=REPLY_BASE_SIZE_BYTES
             + sum(message.size_bytes for message in messages),
             group=self.group,
             responder=self.node_id,
@@ -412,7 +431,7 @@ class GossipAgent:
         self.aodv.send_unicast(reply, request.initiator)
 
     def _collect_reply_messages(self, request: GossipRequest) -> List[MulticastData]:
-        limit = self.config.max_messages_per_reply
+        limit = MAX_MESSAGES_PER_REPLY
         # A mid-run joiner is served exactly the post-join suffix: every
         # candidate -- even one the joiner explicitly lists as lost, which
         # can reference a pre-join message when its baseline packet was sent
@@ -465,7 +484,7 @@ class GossipAgent:
         known_sources = set(request.expected)
         for source in {message_id[0] for message_id in self.history.message_ids()}:
             if source not in known_sources:
-                offer(source, self.config.initial_expected_seq)
+                offer(source, INITIAL_EXPECTED_SEQ)
         return messages[:limit]
 
     def _on_reply(self, reply: GossipReply, from_node: NodeId) -> None:

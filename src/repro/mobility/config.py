@@ -1,24 +1,27 @@
-"""Mobility-model configuration and fleet construction.
+"""Mobility-model selection and fleet construction.
 
 :class:`MobilityConfig` selects which mobility model a scenario's fleet
-uses and carries the model-specific parameters; :func:`build_fleet`
-materialises one :class:`~repro.mobility.base.MobilityModel` per node from
-a scenario's named random streams, so a seed fully determines every
-trajectory regardless of model.  The shared speed envelope
-(``min_speed_mps`` / ``max_speed_mps`` / ``max_pause_s``) stays on the
-scenario config -- the paper sweeps it -- and every model interprets it in
-its own terms:
+uses; :func:`build_fleet` materialises one
+:class:`~repro.mobility.base.MobilityModel` per node from a scenario's
+named random streams, so a seed fully determines every trajectory
+regardless of model.  The shared speed envelope (``min_speed_mps`` /
+``max_speed_mps`` / ``max_pause_s``) stays on the scenario config -- the
+paper sweeps it -- and is all :func:`build_fleet` passes on: every other
+model parameter is the keyword default of the model's class, its one
+definition.  Each model interprets the envelope in its own terms:
 
 ``"random_waypoint"``
     The paper's model (travel to a uniform waypoint, pause, repeat).  The
     default, and byte-for-byte the construction the scenario always used.
 ``"gauss_markov"``
     Smooth autoregressive speed/direction evolution -- no waypoint sharp
-    turns, tunable memory (:attr:`MobilityConfig.gm_alpha`).
+    turns, memory set by the ``alpha`` of
+    :class:`~repro.mobility.gauss_markov.GaussMarkovMobility`.
 ``"rpgm"``
     Reference-point group mobility: groups move together (optionally
     aligned with the multicast member sets -- the natural MANET-multicast
-    workload), members jitter around the group reference.
+    workload), members jitter around the group reference at up to half
+    the scenario's max speed.
 ``"manhattan"``
     Street-grid motion with probabilistic turns and intersection pauses
     (a city / vehicular workload).
@@ -35,40 +38,20 @@ from repro.mobility.random_waypoint import RandomWaypointMobility
 #: Models :func:`build_fleet` knows how to build.
 MOBILITY_MODELS = ("random_waypoint", "gauss_markov", "rpgm", "manhattan")
 
+#: RPGM: nodes per mobility group (used for nodes not covered by the
+#: multicast alignment, and for everything when it is off).
+RPGM_GROUP_SIZE = 4
+
 
 @dataclass
 class MobilityConfig:
-    """Which mobility model a scenario's fleet uses, and its parameters."""
+    """Which mobility model a scenario's fleet uses."""
 
     #: One of :data:`MOBILITY_MODELS`.
     model: str = "random_waypoint"
-
-    # Gauss-Markov: sampling period, memory, innovation scales.  The mean
-    # speed and the speed sigma default from the scenario's speed envelope.
-    gm_step_s: float = 2.0
-    gm_alpha: float = 0.85
-    gm_mean_speed_mps: Optional[float] = None
-    gm_speed_sigma_mps: Optional[float] = None
-    gm_direction_sigma_rad: float = 0.4
-    gm_edge_margin_m: Optional[float] = None
-
-    #: RPGM: nodes per mobility group (used for nodes not covered by the
-    #: multicast alignment below, and for everything when it is off).
-    rpgm_group_size: int = 4
-    #: Half-width of the offset box members roam around their reference.
-    rpgm_group_radius_m: float = 25.0
-    #: Max speed of a member relative to its reference; defaults to half
-    #: the scenario's max speed.
-    rpgm_member_speed_mps: Optional[float] = None
-    #: Put each multicast group's members into one mobility group (the
-    #: members travel together); non-members are chunked by node id.
+    #: RPGM: put each multicast group's members into one mobility group
+    #: (the members travel together); non-members are chunked by node id.
     rpgm_align_multicast: bool = True
-
-    # Manhattan: city-grid shape and intersection behaviour.
-    mh_blocks_x: int = 4
-    mh_blocks_y: int = 4
-    mh_turn_probability: float = 0.25
-    mh_pause_probability: float = 0.5
 
     def __post_init__(self) -> None:
         if self.model not in MOBILITY_MODELS:
@@ -76,28 +59,6 @@ class MobilityConfig:
                 f"unknown mobility model {self.model!r}; known models: "
                 + ", ".join(MOBILITY_MODELS)
             )
-        if self.gm_step_s <= 0:
-            raise ValueError("gm_step_s must be positive")
-        if not 0.0 <= self.gm_alpha <= 1.0:
-            raise ValueError("gm_alpha must lie in [0, 1]")
-        if self.rpgm_group_size < 1:
-            raise ValueError("rpgm_group_size must be at least 1")
-        if self.rpgm_group_radius_m <= 0:
-            raise ValueError("rpgm_group_radius_m must be positive")
-        if self.rpgm_member_speed_mps is not None and self.rpgm_member_speed_mps < 0:
-            raise ValueError("rpgm_member_speed_mps must be non-negative")
-        if self.mh_blocks_x < 1 or self.mh_blocks_y < 1:
-            raise ValueError("manhattan grids need at least one block per axis")
-        if not 0.0 <= self.mh_turn_probability <= 1.0:
-            raise ValueError("mh_turn_probability must lie in [0, 1]")
-        if not 0.0 <= self.mh_pause_probability <= 1.0:
-            raise ValueError("mh_pause_probability must lie in [0, 1]")
-
-    def member_speed(self, max_speed_mps: float) -> float:
-        """The RPGM offset-walk speed for a given scenario max speed."""
-        if self.rpgm_member_speed_mps is not None:
-            return self.rpgm_member_speed_mps
-        return max_speed_mps / 2.0
 
 
 def fleet_speed_bound(config: MobilityConfig, max_speed_mps: float) -> float:
@@ -105,10 +66,11 @@ def fleet_speed_bound(config: MobilityConfig, max_speed_mps: float) -> float:
 
     Every model clamps or draws speeds within the scenario envelope; RPGM
     members additionally move relative to their reference, so their bound
-    is the sum of the two.
+    is the sum of the two (a member's offset walk runs at up to half the
+    scenario's max speed, see :func:`build_fleet`).
     """
     if config.model == "rpgm":
-        return max_speed_mps + config.member_speed(max_speed_mps)
+        return max_speed_mps + max_speed_mps / 2.0
     return max_speed_mps
 
 
@@ -122,7 +84,7 @@ def _rpgm_groups(
     With multicast alignment each multicast group's members form one
     mobility group (a node belonging to several multicast groups rides
     with the first); every remaining node is chunked by id into groups of
-    ``rpgm_group_size``.
+    :data:`RPGM_GROUP_SIZE`.
     """
     groups: List[List[int]] = []
     assigned = set()
@@ -133,9 +95,8 @@ def _rpgm_groups(
                 groups.append(group)
                 assigned.update(group)
     rest = [n for n in range(num_nodes) if n not in assigned]
-    size = config.rpgm_group_size
-    for start in range(0, len(rest), size):
-        groups.append(rest[start:start + size])
+    for start in range(0, len(rest), RPGM_GROUP_SIZE):
+        groups.append(rest[start:start + RPGM_GROUP_SIZE])
     return groups
 
 
@@ -178,12 +139,6 @@ def build_fleet(
                 area,
                 streams.for_node("mobility", node_id),
                 max_speed_mps=max_speed_mps,
-                mean_speed_mps=config.gm_mean_speed_mps,
-                speed_sigma_mps=config.gm_speed_sigma_mps,
-                direction_sigma_rad=config.gm_direction_sigma_rad,
-                alpha=config.gm_alpha,
-                step_s=config.gm_step_s,
-                edge_margin_m=config.gm_edge_margin_m,
             )
             for node_id in range(num_nodes)
         ]
@@ -194,20 +149,15 @@ def build_fleet(
             ManhattanGridMobility(
                 area,
                 streams.for_node("mobility", node_id),
-                blocks_x=config.mh_blocks_x,
-                blocks_y=config.mh_blocks_y,
                 min_speed_mps=min_speed_mps,
                 max_speed_mps=max_speed_mps,
                 max_pause_s=max_pause_s,
-                turn_probability=config.mh_turn_probability,
-                pause_probability=config.mh_pause_probability,
             )
             for node_id in range(num_nodes)
         ]
     # RPGM: group references first (in group order), then per-node members.
     from repro.mobility.rpgm import RpgmMobility, build_group_reference
 
-    member_speed = config.member_speed(max_speed_mps)
     fleet: List[Optional[MobilityModel]] = [None] * num_nodes
     for group_index, members in enumerate(
         _rpgm_groups(config, num_nodes, member_groups)
@@ -224,8 +174,7 @@ def build_fleet(
                 area,
                 reference,
                 streams.for_node("mobility", node_id),
-                group_radius_m=config.rpgm_group_radius_m,
-                member_speed_mps=member_speed,
+                member_speed_mps=max_speed_mps / 2.0,
                 max_pause_s=max_pause_s,
             )
     return fleet  # type: ignore[return-value]

@@ -841,7 +841,7 @@ class Medium:
             if holder is phy
         ]
 
-    def top_fanout(self, n: int = 10) -> List[tuple]:
+    def top_fanout(self, n: int) -> List[tuple]:
         """Worst fan-out offenders: ``(sender, total receptions)``, top ``n``.
 
         Tracked only while observability is enabled; empty otherwise.

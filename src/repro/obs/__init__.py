@@ -56,8 +56,8 @@ class Obs:
     def __init__(self, config: ObsConfig):
         self.config = config
         self.enabled = config.enabled
-        self.registry = MetricsRegistry(reservoir_size=self.config.reservoir_size)
-        self.recorder = FlightRecorder(capacity=self.config.flight_recorder_capacity)
+        self.registry = MetricsRegistry()
+        self.recorder = FlightRecorder()
         self.spans = SpanTracker()
 
     def counter(self, name: str) -> Counter:

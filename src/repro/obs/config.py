@@ -10,6 +10,12 @@ The default is **disabled**: every instrumentation point then binds the one
 shared, switched-off facade :data:`repro.obs.NULL_OBS` and never writes to
 it, so the hot paths stay untouched (see the package docstring for the
 overhead contract).
+
+The telemetry sizes are constants, each defined once where it is read:
+:data:`~repro.obs.probes.SAMPLE_INTERVAL_S` (engine sampler period),
+:data:`~repro.obs.recorder.FLIGHT_RECORDER_CAPACITY`,
+:data:`~repro.obs.registry.RESERVOIR_SIZE` and :data:`TOP_FANOUT_N` below,
+which both the scenario and the process-shard merge read.
 """
 
 from __future__ import annotations
@@ -17,10 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+#: Worst fan-out offenders (senders by total reception fan-out) kept in a
+#: run's telemetry snapshot.
+TOP_FANOUT_N = 10
+
 
 @dataclass
 class ObsConfig:
-    """Telemetry knobs of one instrumented run.
+    """Telemetry switches of one instrumented run.
 
     Attributes
     ----------
@@ -28,22 +38,9 @@ class ObsConfig:
         Master switch.  ``False`` (the default) binds the run to the
         shared, switched-off facade: every probe site is gated off, no
         sampler events enter the calendar, and simulation results are
-        bit-identical.
-    sample_interval_s:
-        Period of the engine sampler (simulated seconds between samples of
-        events/sec wall-clock throughput, heap depth and tombstones).
-        Sampler events ride the simulation calendar, so an instrumented
-        run processes more events than a plain one.
-    flight_recorder_capacity:
-        Ring-buffer size of the flight recorder (structured events; the
-        oldest are overwritten once the ring is full).
-    reservoir_size:
-        Sample capacity of reservoir-mode histograms.  Reservoirs are
-        seeded deterministically per metric name, so snapshots are
-        reproducible for identical observation sequences.
-    top_fanout_n:
-        Number of worst fan-out offenders (senders by total reception
-        fan-out) kept in the telemetry snapshot.
+        bit-identical.  Enabled, the engine sampler's events ride the
+        simulation calendar, so an instrumented run processes more events
+        than a plain one.
     dump_on_error_path:
         When set, a scenario run that raises dumps the flight recorder to
         this JSONL path before re-raising (crash forensics).  ``None``
@@ -52,18 +49,4 @@ class ObsConfig:
     """
 
     enabled: bool = False
-    sample_interval_s: float = 1.0
-    flight_recorder_capacity: int = 4096
-    reservoir_size: int = 512
-    top_fanout_n: int = 10
     dump_on_error_path: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.sample_interval_s <= 0:
-            raise ValueError("sample_interval_s must be positive")
-        if self.flight_recorder_capacity < 1:
-            raise ValueError("flight_recorder_capacity must be at least 1")
-        if self.reservoir_size < 1:
-            raise ValueError("reservoir_size must be at least 1")
-        if self.top_fanout_n < 1:
-            raise ValueError("top_fanout_n must be at least 1")

@@ -1,7 +1,7 @@
 """Periodic engine probes (enabled mode only).
 
 The :class:`EngineSampler` rides the simulation calendar itself: every
-``sample_interval_s`` simulated seconds it reads the engine's throughput
+:data:`SAMPLE_INTERVAL_S` simulated seconds it reads the engine's throughput
 and calendar-health introspection properties, publishes them as gauges
 under ``engine.calendar.*`` and appends one ``"engine.sample"`` event to
 the flight recorder.  Events/sec is a *wall-clock* rate: the delta of
@@ -27,14 +27,16 @@ from __future__ import annotations
 
 import time
 
+#: Simulated seconds between two engine samples.
+SAMPLE_INTERVAL_S = 1.0
+
 
 class EngineSampler:
     """Samples engine throughput and calendar health on a fixed sim period."""
 
-    def __init__(self, sim, obs, interval_s: float = 1.0):
+    def __init__(self, sim, obs):
         self.sim = sim
         self.obs = obs
-        self.interval_s = interval_s
         self.samples = 0
         registry = obs.registry
         self._g_events_per_sec = registry.gauge("engine.calendar.events_per_sec")
@@ -64,7 +66,7 @@ class EngineSampler:
         self._running = True
         self._last_events = self.sim.events_processed
         self._last_wall = time.perf_counter()
-        self.sim.call_in(self.interval_s, self._tick)
+        self.sim.call_in(SAMPLE_INTERVAL_S, self._tick)
 
     def _tick(self) -> None:
         sim = self.sim
@@ -113,4 +115,4 @@ class EngineSampler:
                 heap_depths=depths,
                 shard_events=list(shard_events),
             )
-        self.sim.call_in(self.interval_s, self._tick)
+        self.sim.call_in(SAMPLE_INTERVAL_S, self._tick)

@@ -23,10 +23,14 @@ from collections import deque
 from typing import Deque, Dict, List
 
 
+#: Ring size of a run's flight recorder.
+FLIGHT_RECORDER_CAPACITY = 4096
+
+
 class FlightRecorder:
     """Bounded ring buffer of structured ``{"t": ..., "kind": ...}`` events."""
 
-    def __init__(self, capacity: int = 4096):
+    def __init__(self, capacity: int = FLIGHT_RECORDER_CAPACITY):
         if capacity < 0:
             raise ValueError("capacity must not be negative")
         self.capacity = capacity

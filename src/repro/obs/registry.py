@@ -173,10 +173,14 @@ class Histogram:
         return data
 
 
+#: Sample capacity of a run's reservoir-mode histograms.
+RESERVOIR_SIZE = 512
+
+
 class MetricsRegistry:
     """Creates and holds the run's metrics, keyed by dotted name."""
 
-    def __init__(self, reservoir_size: int = 512):
+    def __init__(self, reservoir_size: int = RESERVOIR_SIZE):
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}

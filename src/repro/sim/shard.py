@@ -659,8 +659,9 @@ def _exchange(connections, messages) -> list:
 
 
 # --------------------------------------------------------- telemetry merge
-def _merge_telemetry_snapshots(config, payloads) -> Dict[str, object]:
+def _merge_telemetry_snapshots(payloads) -> Dict[str, object]:
     """Fold the workers' snapshot dicts (shipped over the result pipes)."""
+    from repro.obs.config import TOP_FANOUT_N
     from repro.obs.merge import interleave_events, merge_snapshots, merge_top_fanout
 
     telemetry = merge_snapshots(
@@ -672,7 +673,7 @@ def _merge_telemetry_snapshots(config, payloads) -> Dict[str, object]:
     )
     telemetry["top_fanout"] = merge_top_fanout(
         [payload["fanout_totals"] for payload in payloads],
-        config.obs_config.top_fanout_n,
+        TOP_FANOUT_N,
     )
     return telemetry
 
@@ -726,7 +727,7 @@ def _drive_process(
                 process.terminate()
                 process.join(timeout=5)
     telemetry = (
-        _merge_telemetry_snapshots(config, payloads)
+        _merge_telemetry_snapshots(payloads)
         if config.obs_config.enabled
         else None
     )

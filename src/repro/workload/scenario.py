@@ -45,6 +45,7 @@ from repro.net.config import RadioConfig
 from repro.net.medium import Medium
 from repro.net.node import Node
 from repro.obs import NULL_OBS, ObsConfig, build_obs, promote_flat
+from repro.obs.config import TOP_FANOUT_N
 from repro.obs.probes import EngineSampler
 from repro.routing.aodv import AodvRouter
 from repro.sim.engine import Simulator
@@ -121,9 +122,12 @@ class ScenarioConfig:
         for name, value in vars(self).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        for name in ("join_window_s", "source_start_s", "payload_bytes"):
+        for name in ("join_window_s", "source_start_s", "payload_bytes",
+                     "min_speed_mps", "max_pause_s"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
+        if self.max_speed_mps < self.min_speed_mps:
+            raise ValueError("max_speed_mps must not be below min_speed_mps")
         for name in ("packet_interval_s", "area_width_m", "area_height_m",
                      "transmission_range_m", "bitrate_bps"):
             if getattr(self, name) <= 0:
@@ -518,9 +522,7 @@ class Scenario:
         it exists on the disabled path.
         """
         obs = self.obs
-        self.sampler = EngineSampler(
-            self.sim, obs, interval_s=self.config.obs_config.sample_interval_s
-        )
+        self.sampler = EngineSampler(self.sim, obs)
         self._h_join_latency = obs.histogram(
             "membership.churn.join_to_first_delivery_s", buckets=None, reservoir=True
         )
@@ -703,9 +705,7 @@ class Scenario:
         snapshot = obs.snapshot()
         snapshot["top_fanout"] = [
             [node_id, total]
-            for node_id, total in self.medium.top_fanout(
-                self.config.obs_config.top_fanout_n
-            )
+            for node_id, total in self.medium.top_fanout(TOP_FANOUT_N)
         ]
         return snapshot
 

@@ -213,6 +213,54 @@ class TestResume:
         uninterrupted = aggregate_experiment(spec, run_campaign(trials, jobs=1))
         assert aggregate_experiment(spec, records) == uninterrupted
 
+    def test_stored_record_of_another_config_is_rerun_and_superseded(
+        self, tmp_path, monkeypatch
+    ):
+        spec = figure2_range_slow()
+        trials = trials_for_spec(spec, scale="quick", seeds=1, x_values=[55])
+        store = ResultStore(tmp_path / "fig2.jsonl")
+        run_campaign(trials, jobs=1, store=store)
+        # The same keys now name other configs (say, a figure builder changed).
+        changed = [
+            replace(trial, config=replace(trial.config, packet_interval_s=1.0))
+            for trial in trials
+        ]
+        executed = []
+
+        def counting(trial):
+            executed.append(trial.key)
+            return execute_trial(trial)
+
+        monkeypatch.setattr(executor_module, "execute_trial", counting)
+        calls = []
+        records = run_campaign(changed, jobs=1, store=store,
+                               progress=lambda d, t, r: calls.append((d, t, r)))
+        assert executed == [trial.key for trial in changed]
+        assert calls[0] == (0, len(changed), None)
+        assert store.load() == {record.key: record for record in records}
+        assert [record.config["packet_interval_s"] for record in records] == [1.0, 1.0]
+
+    @pytest.mark.parametrize("stored", [{"area_topology": "torus"}, {"num_nodes": "16"}],
+                             ids=["retired_value", "wrong_type"])
+    def test_stored_config_that_does_not_rebuild_is_rerun(
+        self, stored, tmp_path, monkeypatch
+    ):
+        trials = trials_for_spec(figure2_range_slow(), scale="quick", seeds=1,
+                                 x_values=[55], variants=("maodv",))
+        store = ResultStore(tmp_path / "fig2.jsonl")
+        fresh = run_campaign(trials, jobs=1, store=store)
+        store.append(replace(fresh[0], config={**fresh[0].config, **stored}))
+        executed = []
+
+        def counting(trial):
+            executed.append(trial.key)
+            return fresh[0]
+
+        monkeypatch.setattr(executor_module, "execute_trial", counting)
+        assert run_campaign(trials, jobs=1, store=store) == fresh
+        assert executed == [trials[0].key]
+        assert store.load() == {fresh[0].key: fresh[0]}
+
     def test_resume_skip_count_reported_via_progress(self, tmp_path):
         spec = figure2_range_slow()
         trials = trials_for_spec(spec, scale="quick", seeds=1, x_values=[55])

@@ -188,6 +188,28 @@ LINE_BEFORE_CONFIG_MOVE = (
 #: The five protocol configs a stored config may hold, retired whole.
 RETIRED_CONFIGS = ("aodv_config", "maodv_config", "flooding_config", "odmrp_config", "mac_config")
 
+#: The fields of the mobility, gossip and obs configs a stored config may
+#: hold that are keyword defaults of the mobility models and constants of
+#: ``repro.core.gossip`` and ``repro.obs`` now.
+RETIRED_NESTED_FIELDS = (
+    *(f"mobility_config.{name}" for name in (
+        "gm_step_s", "gm_alpha", "gm_mean_speed_mps", "gm_speed_sigma_mps",
+        "gm_direction_sigma_rad", "gm_edge_margin_m", "rpgm_group_size",
+        "rpgm_group_radius_m", "rpgm_member_speed_mps", "mh_blocks_x",
+        "mh_blocks_y", "mh_turn_probability", "mh_pause_probability",
+    )),
+    *(f"gossip_config.{name}" for name in (
+        "member_cache_size", "lost_table_size", "accept_probability",
+        "max_gossip_hops", "max_messages_per_reply", "initial_expected_seq",
+        "request_base_size_bytes", "request_per_lost_entry_bytes",
+        "reply_base_size_bytes",
+    )),
+    *(f"obs_config.{name}" for name in (
+        "sample_interval_s", "flight_recorder_capacity", "reservoir_size",
+        "top_fanout_n",
+    )),
+)
+
 #: The retired keys the line holds at values this version does not run:
 #: key -> (stored value, value this version runs).
 LINE_NON_DEFAULTS = {
@@ -243,6 +265,7 @@ class TestStoredLineCompatibility:
             "gossip_shared_round_rng",
             "gossip_config.reply_when_empty",
             *RETIRED_CONFIGS,
+            *RETIRED_NESTED_FIELDS,
         }
         assert config_to_dict(ScenarioConfig.quick(seed=3, protocol="odmrp")) == _without(
             stored_config, retired
@@ -361,6 +384,28 @@ class TestOldStores:
         assert lines[-1] == f"results stored in {store}\n"
         assert "".join(lines[1:-1]) == table
         assert captured.err == ""
+
+    def test_store_of_a_retired_behaviour_reruns_every_trial(self, tmp_path, capsys):
+        # The same store, as if its trials had run on a torus: no record is
+        # the trial this version runs, so each one runs again and the fresh
+        # record supersedes the stored line.
+        store = tmp_path / "fig7.jsonl"
+        payloads = [
+            json.loads(line)
+            for line in (HERE / "store_with_params_fig7.jsonl").read_text().splitlines()
+        ]
+        for payload in payloads:
+            payload["config"]["area_topology"] = "torus"
+        store.write_text("".join(json.dumps(payload) + "\n" for payload in payloads))
+        arguments, _, table = OLD_STORES["fig7"]
+        assert main(["campaign", "fig7", *arguments, "--out", str(store), "--resume"]) == 0
+        lines = capsys.readouterr().out.splitlines(keepends=True)
+        assert "resume:" not in lines[0]
+        assert ["[1/2]" in lines[0], "[2/2]" in lines[1]] == [True, True]
+        assert "".join(lines[2:-1]) == table
+        assert len(list(ResultStore(store).iter_records())) == 4
+        for record in ResultStore(store).load().values():
+            assert "area_topology" not in record.config
 
     @pytest.mark.parametrize("figure", sorted(OLD_STORES))
     def test_fresh_trials_reproduce_the_stored_records(self, figure):

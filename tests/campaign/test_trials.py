@@ -109,9 +109,7 @@ class TestConfigSerialisation:
 
         config = ScenarioConfig.quick(
             seed=5,
-            mobility_config=MobilityConfig(
-                model="rpgm", rpgm_group_radius_m=12.5, rpgm_align_multicast=False
-            ),
+            mobility_config=MobilityConfig(model="rpgm", rpgm_align_multicast=False),
         )
         data = json.loads(json.dumps(config_to_dict(config)))
         rebuilt = config_from_dict(data)

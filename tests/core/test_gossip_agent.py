@@ -10,7 +10,7 @@ from typing import List, Tuple
 import pytest
 
 from repro.core.config import GossipConfig
-from repro.core.gossip import GossipAgent
+from repro.core.gossip import MAX_MESSAGES_PER_REPLY, GossipAgent
 from repro.core.messages import GossipReply, GossipRequest
 from repro.mobility.static import StaticMobility
 from repro.multicast.messages import MulticastData
@@ -283,10 +283,10 @@ class TestRequestHandling:
 
     def test_joined_at_suffix_survives_a_long_pre_join_history(self):
         # Regression: the candidate fetch used to be count-limited *before*
-        # the sent_at filter, so a source with >= max_messages_per_reply
+        # the sent_at filter, so a source with >= MAX_MESSAGES_PER_REPLY
         # pre-join messages starved the post-join suffix entirely.
         agent, multicast, aodv, frames, sim = _make_agent()
-        limit = agent.config.max_messages_per_reply
+        limit = MAX_MESSAGES_PER_REPLY
         for seq in range(1, limit + 3):
             multicast.deliver(_data(7, seq, sent_at=float(seq)))  # pre-join
         post_join = [limit + 3, limit + 4, limit + 5]
@@ -308,7 +308,7 @@ class TestRequestHandling:
         # the sent_at filter, so a lost list headed by >= limit pre-join
         # entries starved genuinely post-join losses from the reply.
         agent, multicast, aodv, frames, sim = _make_agent()
-        limit = agent.config.max_messages_per_reply
+        limit = MAX_MESSAGES_PER_REPLY
         lost = []
         for seq in range(1, limit + 2):
             multicast.deliver(_data(7, seq, sent_at=float(seq)))  # pre-join
@@ -346,9 +346,9 @@ class TestRequestHandling:
         assert aodv.sent == []
 
     def test_reply_bounded_by_max_messages(self):
-        config = GossipConfig(max_messages_per_reply=2)
-        agent, multicast, aodv, frames, sim = _make_agent(config=config)
-        for seq in range(1, 6):
+        agent, multicast, aodv, frames, sim = _make_agent()
+        offered = MAX_MESSAGES_PER_REPLY + 5
+        for seq in range(1, offered + 1):
             multicast.deliver(_data(7, seq))
         request = GossipRequest(
             origin=5, destination=agent.node_id, group=GROUP, initiator=5,
@@ -356,7 +356,7 @@ class TestRequestHandling:
         )
         agent._on_request(request, 5)
         reply, _ = aodv.sent[0]
-        assert len(reply.messages) == 2
+        assert len(reply.messages) == MAX_MESSAGES_PER_REPLY
 
     def test_own_request_dropped(self):
         agent, multicast, aodv, frames, sim = _make_agent(neighbors=[4])
@@ -404,11 +404,10 @@ class TestRequestHandling:
         assert len(aodv.sent) == 1
 
     def test_member_coin_flip_accept_or_propagate(self):
-        config = GossipConfig(accept_probability=0.5)
         accepted = forwarded = 0
         for seed in range(40):
             agent, multicast, aodv, frames, sim = _make_agent(
-                member=True, neighbors=[4, 9], config=config, seed=seed
+                member=True, neighbors=[4, 9], seed=seed
             )
             multicast.deliver(_data(7, 1))
             request = GossipRequest(

@@ -10,8 +10,6 @@ class TestDefaults:
         config = GossipConfig()
         assert config.gossip_interval_s == 1.0
         assert config.lost_buffer_size == 10
-        assert config.member_cache_size == 10
-        assert config.lost_table_size == 200
         assert config.history_size == 100
 
     def test_variants_do_not_mutate_original(self):
@@ -48,20 +46,9 @@ class TestValidation:
         with pytest.raises(ValueError):
             GossipConfig(p_anon=-0.1)
 
-    def test_invalid_accept_probability(self):
-        with pytest.raises(ValueError):
-            GossipConfig(accept_probability=0.0)
-
     @pytest.mark.parametrize(
         "field",
-        [
-            "lost_buffer_size",
-            "member_cache_size",
-            "lost_table_size",
-            "history_size",
-            "max_gossip_hops",
-            "max_messages_per_reply",
-        ],
+        ["lost_buffer_size", "history_size"],
     )
     def test_positive_integer_fields_validated(self, field):
         with pytest.raises(ValueError):

@@ -141,26 +141,26 @@ class TestMembershipSweeps:
 #: (trial key, config) pair of its default sweep, per scale.  A change to a
 #: builder that moves any config, title or x value fails here.
 TRIAL_PINS = {
-    ("fig2", "quick"): "6d76f6dd644d6d2b82b5c5190624d94e9cba7e2e811e3765c2b1c2c7b0173abf",
-    ("fig2", "paper"): "376b1349baa9ad316fed12c2b53628ea141e47c5b6d7dd6d6163c62c5aac8bb0",
-    ("fig3", "quick"): "6c8c973801f54bfbc3fcc7c2f62fbca4a808495d603d4dfd22813ec16ff8895c",
-    ("fig3", "paper"): "b544a54b9f01ddb9ce4943c75aed932b43d8210b742956b870c17dca4c29d489",
-    ("fig4", "quick"): "556536f6e90219ce257af89c13272b7ddc46089ba47cdebd137e9c797d077eff",
-    ("fig4", "paper"): "5f9e177c0bdddcb054970d76ed62068878bb5eb83a7069f053791bcc4d4b8cc5",
-    ("fig5", "quick"): "a97b5292d7b666d5d3580f669a97e11787ba4e1a8dee091c82b9dc13bd6ba7fe",
-    ("fig5", "paper"): "e2b0c2dba0fb15b7f2d1cd7f68cf685befb4fe7bfda7b90cda501f3cd2322448",
-    ("fig6", "quick"): "fc1e686e8e540cc6383680661c7adec50b0e7cd98f66224ba00a68cc8fb14f57",
-    ("fig6", "paper"): "06fd78503473323243b2eaa9b7e7d3662595febdcb60744d7655a4772607b881",
-    ("fig7", "quick"): "2c073617212dd43952e52b1b59e80be4d9e5431bd806cbbd1696e2fc076c22ee",
-    ("fig7", "paper"): "4e8ee74a3969e002ded7773f53202534137c1e2331a49dd4e1df6c18c535af33",
-    ("fig8", "quick"): "23b4620cfeebe7109641dddb27f9e7a82a2bd58be31c7983cfc73bf73ccc2a11",
-    ("fig8", "paper"): "b519d8c50e6e4ace8097837915cca32bc759808c92a7bfac1603edd08ed4411d",
-    ("churn", "quick"): "f2b14b7f9f051db2e8a925ac751fd2626b6daf965103086c853f88edb17f411e",
-    ("churn", "paper"): "4c4cc6bef3303eab98a224d40ec69bf779d695ca1350cefbfabc5a01e3c1d9c8",
-    ("groups", "quick"): "f8d47d3d7a14d39597c0ded21ba780e4e24d554609355da83a0bf8b5e81fabce",
-    ("groups", "paper"): "600e9136b2f2fb5bd8d132372c521f9ca8fd716d140cc2fe0917d5a6c1b38dcb",
-    ("mobility", "quick"): "1be3771fe3dcc3038f00342659dd12b7cb79d06356a3a84f75fd25c16cbecab2",
-    ("mobility", "paper"): "7d0da3ff4827473d4b13ab8dc2f77d3b9e60d7f3f322d95d67a3dc09c7a62fc1",
+    ("fig2", "quick"): "151a8818557a94e1efb8756116e18fea31dfc065f79fa3d71a821a37a6507c43",
+    ("fig2", "paper"): "be5545d60a32db77c8fd4ed83b24d90f30ac9a64429c9d7c2eabc00338fdc10a",
+    ("fig3", "quick"): "6cc3141ecf1751b7fe2bcfd8ccb07603e0bad494791c00ea9f73dfb468f7df93",
+    ("fig3", "paper"): "312398ebe100913e0ccf73d50937c26e75762fe8954fedc2812d1b85571710ea",
+    ("fig4", "quick"): "0e12aa596ffe2f79507807cdf384c8a03b8632c91241c473b88030a50e012a05",
+    ("fig4", "paper"): "2944d8039516dff8346ec7f41b0e78be3ebc2cbe500ad3f90cf7c962dcecf0d6",
+    ("fig5", "quick"): "b22fee27e019fa0179b9d1899e882da776af4eadb67529e3d4ce40cdc843543e",
+    ("fig5", "paper"): "b0d8e4deb2606b5bf0b78291c4f814c9724d4c4bfca232056b27e768258c801c",
+    ("fig6", "quick"): "116a6953c8b9dfb91b3161f3d309042c414729933def3b8e2de76df10bfb6973",
+    ("fig6", "paper"): "bbdecb602ad1952990738b28068dda0289eab608f5825aeb312716e26664bab9",
+    ("fig7", "quick"): "b1781f6aef6ff436eaa4ece58b8a467d0e62572f53cc55ffb237d02b3120707b",
+    ("fig7", "paper"): "cc731424b785fec68811f54086cbba31a328273cf1d8554dd2a3ca1d3f626f41",
+    ("fig8", "quick"): "c74c592244368bf660083d55d03d9433f6337f0afaa72b0973611a478f275080",
+    ("fig8", "paper"): "a99f1fd53f18c5f8906e8e0e6770b84d4110bbad2acfb21d16b9aaedd69cc994",
+    ("churn", "quick"): "4f5ca2317b1f5a50300f0c958185dc236aed4a1855e4c324403cf5aa7ae74f48",
+    ("churn", "paper"): "286959f6326007d7a4b9e3b1107f4e4d0bf6b5162d0dd43c6e31a09c7061f952",
+    ("groups", "quick"): "51f0d87739249255e3c49de23dba484433cf9c435b8ef17cc1711f48679f3d0b",
+    ("groups", "paper"): "a1b310fd5d4b196a7df97bf71d92bed8541f1a6c00988eb4e18e651994fd0172",
+    ("mobility", "quick"): "92e1096c214e4078f142a7165aef8770d59b1c4ea553b850610cf8378ce6b959",
+    ("mobility", "paper"): "40f602b55cf3338bfbff4ef70edf3143af0002b2b08f5791a01fb3dd72c5b110",
 }
 
 

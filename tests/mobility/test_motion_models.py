@@ -7,6 +7,7 @@ import pytest
 from repro.mobility.base import RectangularArea
 from repro.mobility.config import (
     MOBILITY_MODELS,
+    RPGM_GROUP_SIZE,
     MobilityConfig,
     build_fleet,
     fleet_speed_bound,
@@ -204,39 +205,54 @@ class TestFleetFactory:
             assert len(fleet) == 9
             assert all(m is not None for m in fleet)
 
-    def test_random_waypoint_fleet_matches_direct_construction(self):
-        streams = RandomStreams(8)
+    @pytest.mark.parametrize("model, direct", [
+        ("random_waypoint", lambda rng: RandomWaypointMobility(
+            AREA, rng, min_speed_mps=0.0, max_speed_mps=1.0, max_pause_s=5.0,
+        )),
+        # The fleet passes the speed envelope only; every other parameter is
+        # the model class's keyword default.
+        ("gauss_markov", lambda rng: GaussMarkovMobility(AREA, rng, max_speed_mps=1.0)),
+        ("manhattan", lambda rng: ManhattanGridMobility(
+            AREA, rng, min_speed_mps=0.0, max_speed_mps=1.0, max_pause_s=5.0,
+        )),
+    ], ids=["random_waypoint", "gauss_markov", "manhattan"])
+    def test_fleet_matches_direct_construction(self, model, direct):
         fleet = build_fleet(
-            MobilityConfig(), AREA, 3, streams,
+            MobilityConfig(model=model), AREA, 3, RandomStreams(8),
             min_speed_mps=0.0, max_speed_mps=1.0, max_pause_s=5.0,
         )
-        direct = [
-            RandomWaypointMobility(
-                AREA, RandomStreams(8).for_node("mobility", i),
-                min_speed_mps=0.0, max_speed_mps=1.0, max_pause_s=5.0,
-            )
-            for i in range(3)
-        ]
+        expected = [direct(RandomStreams(8).for_node("mobility", i)) for i in range(3)]
         for t in TIMES:
-            for built, expected in zip(fleet, direct):
-                assert built.position(t) == expected.position(t)
+            for built, model_node in zip(fleet, expected):
+                assert built.position(t) == model_node.position(t)
+
+    def test_rpgm_members_walk_at_half_the_max_speed(self):
+        fleet = build_fleet(
+            MobilityConfig(model="rpgm"), AREA, 6, RandomStreams(3),
+            min_speed_mps=0.0, max_speed_mps=3.0, max_pause_s=5.0,
+        )
+        assert {member.member_speed_mps for member in fleet} == {1.5}
+        assert max(m.speed_bound_mps for m in fleet) == fleet_speed_bound(
+            MobilityConfig(model="rpgm"), 3.0
+        )
 
     def test_rpgm_aligns_multicast_members_to_one_reference(self):
         fleet = build_fleet(
-            MobilityConfig(model="rpgm", rpgm_group_size=2), AREA, 6,
+            MobilityConfig(model="rpgm"), AREA, 10,
             RandomStreams(3), min_speed_mps=0.0, max_speed_mps=1.0,
             max_pause_s=5.0, member_groups=[[0, 2, 4]],
         )
         assert fleet[0].reference is fleet[2].reference is fleet[4].reference
-        # Non-members are chunked separately.
-        assert fleet[1].reference is not fleet[0].reference
+        # Non-members are chunked separately, by id, RPGM_GROUP_SIZE a group.
+        rest = [1, 3, 5, 6, 7, 8, 9]
+        chunks = [rest[:RPGM_GROUP_SIZE], rest[RPGM_GROUP_SIZE:]]
+        references = [{id(fleet[n].reference) for n in chunk} for chunk in chunks]
+        assert [len(group) for group in references] == [1, 1]
+        assert len(set.union(*references, {id(fleet[0].reference)})) == 3
 
     def test_fleet_speed_bound(self):
         assert fleet_speed_bound(MobilityConfig(), 2.0) == 2.0
         assert fleet_speed_bound(MobilityConfig(model="rpgm"), 2.0) == pytest.approx(3.0)
-        assert fleet_speed_bound(
-            MobilityConfig(model="rpgm", rpgm_member_speed_mps=0.25), 2.0
-        ) == pytest.approx(2.25)
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError):

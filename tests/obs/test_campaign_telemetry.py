@@ -53,7 +53,7 @@ class TestTelemetryRoundTrip:
         from repro.campaign.trials import config_to_dict
 
         config = ScenarioConfig.quick(
-            obs_config=ObsConfig(enabled=True, sample_interval_s=2.0)
+            obs_config=ObsConfig(enabled=True, dump_on_error_path="crash.jsonl")
         )
         rebuilt = config_from_dict(config_to_dict(config))
         assert rebuilt.obs_config == config.obs_config

@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro.obs import NULL_OBS, MetricsRegistry, ObsConfig, build_obs
 
 
@@ -122,15 +120,3 @@ class TestBuildObs:
         assert obs.enabled
         obs.counter("a.b.c").inc()
         assert obs.snapshot()["metrics"]["a.b.c"] == 1
-
-
-class TestObsConfigValidation:
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            ObsConfig(sample_interval_s=0.0)
-        with pytest.raises(ValueError):
-            ObsConfig(flight_recorder_capacity=0)
-        with pytest.raises(ValueError):
-            ObsConfig(reservoir_size=0)
-        with pytest.raises(ValueError):
-            ObsConfig(top_fanout_n=0)

@@ -46,7 +46,7 @@ def drive_lockstep(
         filtered += cut
     payloads = [worker.finish() for worker in workers]
     telemetry = (
-        _merge_telemetry_snapshots(config, payloads)
+        _merge_telemetry_snapshots(payloads)
         if config.obs_config.enabled
         else None
     )

@@ -89,6 +89,15 @@ class TestCommands:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--mobility", "teleporting"])
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--nodes", "0"], "a scenario needs at least two nodes"),
+        (["--range", "0"], "transmission_range_m must be positive"),
+    ], ids=["nodes_0", "range_0"])
+    def test_run_reports_a_bad_argument_in_one_line(self, flags, message, capsys):
+        assert main(["run", "--profile", "quick", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == message + "\n" and captured.out == ""
+
     def test_run_command_without_gossip(self, capsys):
         exit_code = main([
             "run", "--profile", "quick", "--nodes", "10", "--members", "4",

@@ -17,6 +17,7 @@ MODULES = {
     "flooding": "repro.multicast.flooding",
     "odmrp": "repro.multicast.odmrp",
     "mac": "repro.net.mac",
+    "gossip": "repro.core.gossip",
 }
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -67,6 +67,10 @@ class TestScenarioConfig:
         ("transmission_range_m", 0.0),
         ("bitrate_bps", 0.0),
         ("source_stop_s", 10.0),  # before quick's source_start_s of 15 s
+        ("max_speed_mps", -1.0),
+        ("min_speed_mps", -0.5),
+        ("min_speed_mps", 5.0),  # above quick's max_speed_mps of 0.2 m/s
+        ("max_pause_s", -1.0),
     ])
     def test_nonsensical_field_rejected_by_name(self, name, value):
         # Each of these used to hang, run to a meaningless result, or fail
