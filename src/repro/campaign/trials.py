@@ -19,13 +19,9 @@ from dataclasses import asdict, dataclass, field
 from dataclasses import fields as dataclass_fields
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.core.config import GossipConfig
 from repro.experiments.figures import ExperimentSpec
 from repro.experiments.variants import variant_config
-from repro.membership.config import ChurnConfig
-from repro.mobility.config import MobilityConfig
-from repro.obs import ObsConfig
-from repro.workload.scenario import ScenarioConfig
+from repro.workload.scenario import NESTED_CONFIG_TYPES, ScenarioConfig
 
 
 @dataclass
@@ -100,13 +96,6 @@ def config_to_dict(config: ScenarioConfig) -> Dict[str, object]:
     """Plain-JSON representation of a scenario config (nested dataclasses)."""
     return asdict(config)
 
-
-_NESTED_CONFIG_TYPES = {
-    "mobility_config": MobilityConfig,
-    "churn_config": ChurnConfig,
-    "gossip_config": GossipConfig,
-    "obs_config": ObsConfig,
-}
 
 #: Stands for every stored value in :data:`_RETIRED_FIELDS`.
 _ANY = object()
@@ -252,12 +241,16 @@ def config_from_dict(data: Mapping[str, object]) -> ScenarioConfig:
     A key of a field an older version stored but :class:`ScenarioConfig` or
     one of its nested configs no longer has is dropped when it holds the
     value this version runs (see :data:`_RETIRED_FIELDS`), so configs in
-    older stores still rebuild; any other value of it, or a key no version
-    had, raises :class:`ValueError` naming the dotted key.
+    older stores still rebuild; any other value of it, a key no version
+    had, or a nested config that is not a mapping raises :class:`ValueError`
+    naming the dotted key.
     """
     fields = _current_fields(ScenarioConfig, data)
-    for name, config_type in _NESTED_CONFIG_TYPES.items():
-        value = fields.get(name)
-        if isinstance(value, Mapping):
-            fields[name] = config_type(**_current_fields(config_type, value, f"{name}."))
+    for name, config_type in NESTED_CONFIG_TYPES.items():
+        if name not in fields:
+            continue
+        value = fields[name]
+        if not isinstance(value, Mapping):
+            raise ValueError(f"stored config key {name!r} = {value!r} is not a mapping")
+        fields[name] = config_type(**_current_fields(config_type, value, f"{name}."))
     return ScenarioConfig(**fields)

@@ -22,12 +22,11 @@ The agent implements the paper's four design answers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.core.config import GossipConfig
 from repro.core.history import HistoryTable
-from repro.core.lost_table import LostTable
+from repro.core.lost_table import INITIAL_EXPECTED_SEQ, LostTable
 from repro.core.member_cache import MemberCache
 from repro.core.messages import GossipReply, GossipRequest, MessageId
 from repro.multicast.messages import MulticastData
@@ -42,10 +41,6 @@ RecoveryListener = Callable[[MulticastData], None]
 #: the member is known.
 _UNKNOWN_HOPS = 8
 
-#: Entries of the member cache (10 in the paper).
-MEMBER_CACHE_SIZE = 10
-#: Lost messages tracked per member (200 in the paper).
-LOST_TABLE_SIZE = 200
 #: Probability that a member receiving an anonymous gossip request accepts
 #: it rather than propagating it further (section 4.1).
 ACCEPT_PROBABILITY = 0.5
@@ -53,9 +48,6 @@ ACCEPT_PROBABILITY = 0.5
 MAX_GOSSIP_HOPS = 16
 #: Recovered messages returned in one gossip reply.
 MAX_MESSAGES_PER_REPLY = 10
-#: The sequence number each source is assumed to start from; losses before
-#: the first successful reception are counted against it.
-INITIAL_EXPECTED_SEQ = 1
 #: Wire-size model of the gossip messages.
 REQUEST_BASE_SIZE_BYTES = 20
 REQUEST_PER_LOST_ENTRY_BYTES = 6
@@ -108,23 +100,23 @@ class GossipGroupDispatcher:
             agent._on_reply(reply, from_node)
 
 
-@dataclass
 class GossipStats:
     """Per-node gossip counters (goodput is derived from the reply counters)."""
 
-    rounds: int = 0
-    anonymous_requests_sent: int = 0
-    cached_requests_sent: int = 0
-    rounds_skipped_no_neighbor: int = 0
-    requests_forwarded: int = 0
-    requests_accepted: int = 0
-    requests_dropped: int = 0
-    replies_sent: int = 0
-    reply_messages_sent: int = 0
-    replies_received: int = 0
-    reply_messages_received: int = 0
-    recovered_messages: int = 0
-    duplicate_messages: int = 0
+    def __init__(self) -> None:
+        self.rounds = 0
+        self.anonymous_requests_sent = 0
+        self.cached_requests_sent = 0
+        self.rounds_skipped_no_neighbor = 0
+        self.requests_forwarded = 0
+        self.requests_accepted = 0
+        self.requests_dropped = 0
+        self.replies_sent = 0
+        self.reply_messages_sent = 0
+        self.replies_received = 0
+        self.reply_messages_received = 0
+        self.recovered_messages = 0
+        self.duplicate_messages = 0
 
     @property
     def goodput_percent(self) -> float:
@@ -161,12 +153,9 @@ class GossipAgent:
         self.rng = rng if rng is not None else node.streams.for_node("gossip", node.node_id)
         self.stats = GossipStats()
 
-        self.lost_table = LostTable(
-            capacity=LOST_TABLE_SIZE,
-            initial_expected_seq=INITIAL_EXPECTED_SEQ,
-        )
+        self.lost_table = LostTable()
         self.history = HistoryTable(capacity=self.config.history_size)
-        self.member_cache = MemberCache(capacity=MEMBER_CACHE_SIZE)
+        self.member_cache = MemberCache()
         self._recovery_listeners: List[RecoveryListener] = []
         #: Start of the current subscription; ``None`` for run-long members.
         #: Carried on requests so responders can serve exactly the post-join
@@ -226,11 +215,7 @@ class GossipAgent:
         self-healing therefore works from the first post-join gossip round
         onwards, even before the joiner's first direct reception.
         """
-        self.lost_table = LostTable(
-            capacity=LOST_TABLE_SIZE,
-            initial_expected_seq=INITIAL_EXPECTED_SEQ,
-            baseline_first_observation=True,
-        )
+        self.lost_table = LostTable(baseline_first_observation=True)
         self.history = HistoryTable(capacity=self.config.history_size)
         self._joined_at = self.sim.now
 
@@ -243,12 +228,9 @@ class GossipAgent:
         that also discards its buffered history rather than serving stale
         replies after a quick re-join.
         """
-        self.lost_table = LostTable(
-            capacity=LOST_TABLE_SIZE,
-            initial_expected_seq=INITIAL_EXPECTED_SEQ,
-        )
+        self.lost_table = LostTable()
         self.history = HistoryTable(capacity=self.config.history_size)
-        self.member_cache = MemberCache(capacity=MEMBER_CACHE_SIZE)
+        self.member_cache = MemberCache()
 
     # ------------------------------------------------------- reception tracking
     def _on_multicast_delivery(self, data: MulticastData) -> None:

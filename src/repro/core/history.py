@@ -18,7 +18,7 @@ MessageId = Tuple[int, int]
 class HistoryTable:
     """Bounded FIFO buffer of the most recently received messages."""
 
-    def __init__(self, capacity: int = 100):
+    def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self.capacity = capacity

@@ -16,14 +16,20 @@ from typing import Dict, List, Tuple
 
 MessageId = Tuple[int, int]
 
+#: Lost messages tracked per member (200 in the paper).
+LOST_TABLE_SIZE = 200
+#: The sequence number each source is assumed to start from; losses before
+#: the first successful reception are counted against it.
+INITIAL_EXPECTED_SEQ = 1
+
 
 class LostTable:
     """Tracks missing (source, sequence-number) pairs for one member."""
 
     def __init__(
         self,
-        capacity: int = 200,
-        initial_expected_seq: int = 1,
+        capacity: int = LOST_TABLE_SIZE,
+        initial_expected_seq: int = INITIAL_EXPECTED_SEQ,
         baseline_first_observation: bool = False,
     ):
         if capacity < 1:

@@ -14,8 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+#: Entries of the member cache (10 in the paper).
+MEMBER_CACHE_SIZE = 10
 
-@dataclass
+
+@dataclass(eq=False, repr=False, match_args=False)
 class MemberCacheEntry:
     """One known group member."""
 
@@ -27,7 +30,7 @@ class MemberCacheEntry:
 class MemberCache:
     """Bounded cache of known group members."""
 
-    def __init__(self, capacity: int = 10):
+    def __init__(self, capacity: int = MEMBER_CACHE_SIZE):
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self.capacity = capacity

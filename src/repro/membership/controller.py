@@ -23,7 +23,6 @@ free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
 )
@@ -36,16 +35,16 @@ if TYPE_CHECKING:  # churn models are import-on-use: only churn runs build one
 MembershipHook = Callable[[int, int, bool], None]
 
 
-@dataclass
 class MembershipStats:
     """Counters of applied and rejected membership events."""
 
-    #: Startup joins of the scenario's initial members (not churn).
-    initial_joins: int = 0
-    #: Mid-run joins / leaves applied by the churn model.
-    joins_applied: int = 0
-    leaves_applied: int = 0
-    events_skipped: int = 0
+    def __init__(self) -> None:
+        #: Startup joins of the scenario's initial members (not churn).
+        self.initial_joins = 0
+        #: Mid-run joins / leaves applied by the churn model.
+        self.joins_applied = 0
+        self.leaves_applied = 0
+        self.events_skipped = 0
 
     @property
     def churn_events(self) -> int:

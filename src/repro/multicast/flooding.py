@@ -10,7 +10,6 @@ baseline check uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List
 
 from repro.net.addressing import BROADCAST_ADDRESS, GroupAddress, NodeId
@@ -22,14 +21,14 @@ from repro.routing.aodv import BROADCAST_JITTER_S, AodvRouter
 DataListener = Callable[[MulticastData], None]
 
 
-@dataclass
 class FloodingStats:
     """Per-node counters for the flooding baseline."""
 
-    data_originated: int = 0
-    data_forwarded: int = 0
-    data_delivered: int = 0
-    data_duplicates: int = 0
+    def __init__(self) -> None:
+        self.data_originated = 0
+        self.data_forwarded = 0
+        self.data_delivered = 0
+        self.data_duplicates = 0
 
 
 class FloodingRouter:

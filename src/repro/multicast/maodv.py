@@ -99,35 +99,35 @@ HANDOFF_WAIT_S = 1.0
 HANDOFF_FALLBACK_S = 6.0
 
 
-@dataclass
 class MaodvStats:
     """Per-node MAODV counters."""
 
-    joins_initiated: int = 0
-    join_requests_sent: int = 0
-    join_requests_forwarded: int = 0
-    join_replies_sent: int = 0
-    join_replies_forwarded: int = 0
-    mact_sent: int = 0
-    prunes_sent: int = 0
-    group_hellos_sent: int = 0
-    group_hellos_forwarded: int = 0
-    data_originated: int = 0
-    data_forwarded: int = 0
-    data_delivered: int = 0
-    data_duplicates: int = 0
-    data_rejected_off_tree: int = 0
-    repairs_started: int = 0
-    repairs_succeeded: int = 0
-    partitions_became_leader: int = 0
-    nearest_member_updates_sent: int = 0
-    leader_handoffs_sent: int = 0
-    leader_handoffs_forwarded: int = 0
-    leader_handoffs_accepted: int = 0
-    leader_handoffs_reclaimed: int = 0
+    def __init__(self) -> None:
+        self.joins_initiated = 0
+        self.join_requests_sent = 0
+        self.join_requests_forwarded = 0
+        self.join_replies_sent = 0
+        self.join_replies_forwarded = 0
+        self.mact_sent = 0
+        self.prunes_sent = 0
+        self.group_hellos_sent = 0
+        self.group_hellos_forwarded = 0
+        self.data_originated = 0
+        self.data_forwarded = 0
+        self.data_delivered = 0
+        self.data_duplicates = 0
+        self.data_rejected_off_tree = 0
+        self.repairs_started = 0
+        self.repairs_succeeded = 0
+        self.partitions_became_leader = 0
+        self.nearest_member_updates_sent = 0
+        self.leader_handoffs_sent = 0
+        self.leader_handoffs_forwarded = 0
+        self.leader_handoffs_accepted = 0
+        self.leader_handoffs_reclaimed = 0
 
 
-@dataclass
+@dataclass(eq=False, repr=False, match_args=False)
 class _PendingJoin:
     """State of an in-progress join or tree-repair attempt."""
 

@@ -25,7 +25,7 @@ so the gossip layer, the workload and the metrics run over it unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
 from repro.multicast.maodv import DATA_CACHE_SIZE, DATA_HEADER_BYTES, FLOOD_TTL
@@ -48,7 +48,7 @@ JOIN_QUERY_SIZE_BYTES = 20
 JOIN_REPLY_SIZE_BYTES = 20
 
 
-@dataclass
+@dataclass(eq=False, repr=False, match_args=False)
 class JoinQuery(Packet):
     """Periodic source-rooted flood refreshing routes towards the source."""
 
@@ -57,7 +57,7 @@ class JoinQuery(Packet):
     query_seq: int = 0
     hop_count: int = 0
     #: ``(source, group, query_seq)``, built once and passed on.
-    flood_key: tuple = field(default=None, compare=False, repr=False)
+    flood_key: tuple = None
 
     def __post_init__(self) -> None:
         self.destination = BROADCAST_ADDRESS
@@ -69,7 +69,7 @@ class JoinQuery(Packet):
         return self.flood_key
 
 
-@dataclass
+@dataclass(eq=False, repr=False, match_args=False)
 class OdmrpJoinReply(Packet):
     """Member/forwarder announcement selecting ``upstream`` towards a source."""
 
@@ -85,21 +85,21 @@ class OdmrpJoinReply(Packet):
         self.ttl = 1
 
 
-@dataclass
 class OdmrpStats:
     """Per-node ODMRP counters."""
 
-    queries_sent: int = 0
-    queries_forwarded: int = 0
-    replies_sent: int = 0
-    data_originated: int = 0
-    data_forwarded: int = 0
-    data_delivered: int = 0
-    data_duplicates: int = 0
-    forwarding_group_joins: int = 0
+    def __init__(self) -> None:
+        self.queries_sent = 0
+        self.queries_forwarded = 0
+        self.replies_sent = 0
+        self.data_originated = 0
+        self.data_forwarded = 0
+        self.data_delivered = 0
+        self.data_duplicates = 0
+        self.forwarding_group_joins = 0
 
 
-@dataclass
+@dataclass(eq=False, repr=False, match_args=False)
 class _SourceRoute:
     """Reverse-path state towards one multicast source."""
 

@@ -47,7 +47,7 @@ ACK_SIZE_BYTES = 14
 QUEUE_LIMIT = 64
 
 
-@dataclass
+@dataclass(eq=False, repr=False, match_args=False)
 class MacAck(Packet):
     """Link-layer acknowledgement for a unicast frame."""
 
@@ -61,19 +61,19 @@ class MacAck(Packet):
         self.ttl = 1
 
 
-@dataclass
 class MacStats:
     """Counters kept by each MAC instance."""
 
-    enqueued: int = 0
-    queue_drops: int = 0
-    data_transmissions: int = 0
-    broadcast_transmissions: int = 0
-    ack_transmissions: int = 0
-    retransmissions: int = 0
-    unicast_failures: int = 0
-    delivered_to_upper: int = 0
-    acks_received: int = 0
+    def __init__(self) -> None:
+        self.enqueued = 0
+        self.queue_drops = 0
+        self.data_transmissions = 0
+        self.broadcast_transmissions = 0
+        self.ack_transmissions = 0
+        self.retransmissions = 0
+        self.unicast_failures = 0
+        self.delivered_to_upper = 0
+        self.acks_received = 0
 
 
 class _MacState(enum.Enum):

@@ -115,7 +115,6 @@ per copy, shared with the late-foreign path (and the per-copy oracle).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.net.addressing import BROADCAST_ADDRESS
@@ -129,18 +128,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.phy import Phy
 
 
-@dataclass
 class MediumStats:
     """Aggregate channel statistics."""
 
-    transmissions: int = 0
-    deliveries: int = 0
-    collisions: int = 0
-    #: Always zero since the radio has one range; kept because stored
-    #: records and the pinned digests carry the field.
-    out_of_range_discards: int = 0
-    half_duplex_losses: int = 0
-    disabled_discards: int = 0
+    def __init__(self) -> None:
+        self.transmissions = 0
+        self.deliveries = 0
+        self.collisions = 0
+        #: Always zero since the radio has one range; kept because stored
+        #: records and the pinned digests carry the field.
+        self.out_of_range_discards = 0
+        self.half_duplex_losses = 0
+        self.disabled_discards = 0
 
 
 class ReceptionBatch:

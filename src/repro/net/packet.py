@@ -26,9 +26,13 @@ def _next_uid() -> int:
     return next(_packet_uid_counter)
 
 
-@dataclass
+@dataclass(eq=False, repr=False, match_args=False)
 class Packet:
     """Base class for every network-layer packet.
+
+    Packets are identity objects: nothing compares two of them by value, so
+    every packet class generates only its keyword ``__init__`` (a subclass
+    passes the same flags to ``@dataclass``) and shares one ``__repr__``.
 
     Attributes
     ----------
@@ -68,6 +72,10 @@ class Packet:
         clone.__dict__.update(self.__dict__)
         clone.ttl = self.ttl - 1
         return clone
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__name__}({fields})"
 
 
 class SeenCache(dict):
@@ -137,7 +145,7 @@ class Frame:
         )
 
 
-@dataclass
+@dataclass(eq=False, repr=False, match_args=False)
 class UnicastData(Packet):
     """A network-layer envelope carrying an upper-layer packet to one node.
 

@@ -32,7 +32,8 @@ The facade, the config, the registry, recorder, spans and naming load
 here: every scenario binds them.  :mod:`repro.obs.merge` (folding
 snapshots across shards or trials) and :mod:`repro.obs.report` are
 import-on-use -- a single run never merges or renders telemetry -- so
-import them from their modules.
+import them from their modules.  :mod:`repro.obs.probes` loads with the
+first obs-enabled build, the only kind that builds a sampler.
 """
 
 from __future__ import annotations

@@ -76,25 +76,25 @@ RERR_SIZE_BYTES = 20
 HELLO_SIZE_BYTES = 12
 
 
-@dataclass
 class AodvStats:
     """Per-node AODV counters."""
 
-    rreq_originated: int = 0
-    rreq_forwarded: int = 0
-    rrep_originated: int = 0
-    rrep_forwarded: int = 0
-    rerr_sent: int = 0
-    hello_sent: int = 0
-    data_originated: int = 0
-    data_forwarded: int = 0
-    data_delivered: int = 0
-    data_dropped_no_route: int = 0
-    discovery_failures: int = 0
-    neighbor_losses: int = 0
+    def __init__(self) -> None:
+        self.rreq_originated = 0
+        self.rreq_forwarded = 0
+        self.rrep_originated = 0
+        self.rrep_forwarded = 0
+        self.rerr_sent = 0
+        self.hello_sent = 0
+        self.data_originated = 0
+        self.data_forwarded = 0
+        self.data_delivered = 0
+        self.data_dropped_no_route = 0
+        self.discovery_failures = 0
+        self.neighbor_losses = 0
 
 
-@dataclass
+@dataclass(eq=False, repr=False, match_args=False)
 class _PendingDiscovery:
     """State of an in-progress route discovery."""
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.config import GossipConfig
 from repro.core.gossip import GossipAgent
@@ -46,11 +46,21 @@ from repro.net.medium import Medium
 from repro.net.node import Node
 from repro.obs import NULL_OBS, ObsConfig, build_obs, promote_flat
 from repro.obs.config import TOP_FANOUT_N
-from repro.obs.probes import EngineSampler
 from repro.routing.aodv import AodvRouter
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
 from repro.workload.cbr import CbrSource, MulticastSink
+
+if TYPE_CHECKING:  # the sampler is import-on-use: only obs-enabled runs build one
+    from repro.obs.probes import EngineSampler
+
+#: The nested configs of :class:`ScenarioConfig`: field name -> type.
+NESTED_CONFIG_TYPES = {
+    "mobility_config": MobilityConfig,
+    "churn_config": ChurnConfig,
+    "gossip_config": GossipConfig,
+    "obs_config": ObsConfig,
+}
 
 
 @dataclass
@@ -119,6 +129,10 @@ class ScenarioConfig:
     seed: int = 1
 
     def __post_init__(self) -> None:
+        for name, config_type in NESTED_CONFIG_TYPES.items():
+            value = getattr(self, name)
+            if not isinstance(value, config_type):
+                raise ValueError(f"{name} must be a {config_type.__name__}, got {value!r}")
         for name, value in vars(self).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
@@ -521,6 +535,8 @@ class Scenario:
         here adds calendar events or callbacks, which is exactly why none of
         it exists on the disabled path.
         """
+        from repro.obs.probes import EngineSampler
+
         obs = self.obs
         self.sampler = EngineSampler(self.sim, obs)
         self._h_join_latency = obs.histogram(

@@ -1,6 +1,7 @@
 """Tests for the JSONL result store (append, dedupe, robustness, old stores)."""
 
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -327,6 +328,16 @@ class TestStoredLineCompatibility:
         else:
             data[field] = 1
         with pytest.raises(ValueError, match=f"'{key}' names no field"):
+            config_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("mobility_config", None), ("churn_config", None),
+         ("gossip_config", [0.5]), ("obs_config", "off")],
+    )
+    def test_nested_config_that_is_not_a_mapping_raises_naming_it(self, key, value):
+        data = {**config_to_dict(ScenarioConfig.quick(seed=2)), key: value}
+        with pytest.raises(ValueError, match=re.escape(f"'{key}' = {value!r} is not a mapping")):
             config_from_dict(data)
 
     def test_line_with_params_parses_into_the_record_minus_params(self):

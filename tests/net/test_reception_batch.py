@@ -13,8 +13,6 @@ Whole-scenario bit-identity (including failure injection) is pinned
 separately in ``tests/properties/test_hotpath_equivalence.py``.
 """
 
-from dataclasses import asdict
-
 import pytest
 
 from repro.mobility.static import StaticMobility
@@ -357,7 +355,7 @@ def test_overlapping_flights_keep_their_own_interference_lists(kernel):
     sim.run()
     senders = {nid: [sender for _, sender in log] for nid, log in received.items()}
     assert senders == {0: [], 1: [0], 2: [0], 3: [], 4: [3], 5: [3]}
-    assert asdict(medium.stats) == dict(
+    assert vars(medium.stats) == dict(
         transmissions=2, deliveries=4, collisions=0, out_of_range_discards=0,
         half_duplex_losses=0, disabled_discards=0,
     )
@@ -367,7 +365,7 @@ class TestKernelAgreement:
     def test_kernels_bit_identical_under_failure_injection(self):
         _, medium_batch, _, received_batch = _run_failure_script("batch")
         _, medium_object, _, received_object = _run_failure_script("object")
-        assert asdict(medium_batch.stats) == asdict(medium_object.stats)
+        assert vars(medium_batch.stats) == vars(medium_object.stats)
         # uids differ between runs (process-global counter); compare shape.
         canonical = lambda log: {
             nid: [sender for _, sender in entries] for nid, entries in log.items()
@@ -428,7 +426,7 @@ class TestDispatchAgreement:
         sim, medium, nodes, log = self._stacks(kernel, (0, 1, 2))
         self._send_script(sim, nodes[0].phy)
         sim.run()
-        return log, {nid: asdict(nodes[nid].mac.stats) for nid in (1, 2)}
+        return log, {nid: vars(nodes[nid].mac.stats) for nid in (1, 2)}
 
     def _run_late_foreign(self):
         sim_a, medium_a, nodes_a, _ = self._stacks("batch", (0,))
@@ -440,7 +438,7 @@ class TestDispatchAgreement:
         medium_b.apply_foreign_records(medium_a.drain_export())
         assert medium_b.foreign_stats["late_deliveries"] == len(self.SCRIPT)
         sim_b.run()  # the receivers' ACKs
-        return log, {nid: asdict(nodes_b[nid].mac.stats) for nid in (1, 2)}
+        return log, {nid: vars(nodes_b[nid].mac.stats) for nid in (1, 2)}
 
     def test_both_kernels_and_the_late_foreign_path_agree(self):
         expected_log = [

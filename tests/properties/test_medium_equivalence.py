@@ -11,7 +11,7 @@ exact equality, not approximate.
 """
 
 import random
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import pytest
 
@@ -254,7 +254,7 @@ def _run_tie_script(kind, seed, range_m):
         else:  # after them
             sim.call_at(at - _TIE_STEP / 2, sim.call_at, (at, call, args))
     sim.run()
-    return asdict(medium.stats), log
+    return vars(medium.stats), log
 
 
 @pytest.mark.parametrize("range_m", [100.0, 130.0])

@@ -32,6 +32,8 @@ IMPORT_ON_USE = (
     "repro.membership.summary",
     "repro.workload.failures",
     "repro.obs.merge",
+    # Only an obs-enabled build constructs the engine sampler.
+    "repro.obs.probes",
     "repro.metrics.reporting",
     "repro.sim.shard",
     # Only a campaign with jobs > 1 starts a process pool.
@@ -45,6 +47,7 @@ def _loaded_after(config: str) -> set:
     return _modules_after(
         "from repro import Scenario, ScenarioConfig\n"
         "from repro.mobility.config import MobilityConfig\n"
+        "from repro.obs import ObsConfig\n"
         f"Scenario({config}).build()\n"
     )
 
@@ -91,8 +94,9 @@ def test_default_paper_build_loads_no_import_on_use_module():
             "ScenarioConfig.quick(mobility_config=MobilityConfig(model='manhattan'))",
             "repro.mobility.manhattan",
         ),
+        ("ScenarioConfig.quick(obs_config=ObsConfig(enabled=True))", "repro.obs.probes"),
     ],
-    ids=["flooding", "odmrp", "gauss_markov", "rpgm", "manhattan"],
+    ids=["flooding", "odmrp", "gauss_markov", "rpgm", "manhattan", "obs"],
 )
 def test_alternative_build_imports_its_own_module(config, module):
     loaded = _loaded_after(config)

@@ -18,6 +18,8 @@ MODULES = {
     "odmrp": "repro.multicast.odmrp",
     "mac": "repro.net.mac",
     "gossip": "repro.core.gossip",
+    "lost_table": "repro.core.lost_table",
+    "member_cache": "repro.core.member_cache",
 }
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -71,6 +71,10 @@ class TestScenarioConfig:
         ("min_speed_mps", -0.5),
         ("min_speed_mps", 5.0),  # above quick's max_speed_mps of 0.2 m/s
         ("max_pause_s", -1.0),
+        ("mobility_config", None),
+        ("churn_config", None),
+        ("gossip_config", {"p_anon": 0.5}),
+        ("obs_config", None),
     ])
     def test_nonsensical_field_rejected_by_name(self, name, value):
         # Each of these used to hang, run to a meaningless result, or fail
