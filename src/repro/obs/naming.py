@@ -31,7 +31,7 @@ layer          subsystem        examples
 =============  ===============  ==============================================
 
 The flat ``protocol_stats`` dict (``"mac.enqueued"``-style keys, aggregated
-by the scenario from the per-layer stats dataclasses) remains the
+by the scenario from the per-layer stats objects) remains the
 compatibility surface; :func:`promote_flat` maps those same keys into the
 canonical namespace for the telemetry snapshot, so each counter has exactly
 one storage location and two read paths.

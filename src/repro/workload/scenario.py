@@ -696,9 +696,9 @@ class Scenario:
         across workers, so per-worker promotion composes exactly).
         """
         registry = self.obs.registry
-        # Promote the per-layer stats dataclasses into the canonical
+        # Promote the per-layer stats objects into the canonical
         # ``layer.subsystem.name`` namespace (one storage location -- the
-        # dataclasses -- read here once per snapshot).
+        # stats objects -- read here once per snapshot).
         registry.set_metrics(promote_flat(self._aggregate_protocol_stats()).items())
         self.medium.publish_index_metrics()
         # End-of-run gossip buffer occupancy (worst member per buffer).
@@ -749,6 +749,8 @@ class Scenario:
         totals: Dict[str, float] = {}
 
         def accumulate(prefix: str, stats_object) -> None:
+            # ``vars`` lists the counters in the order the stats class's
+            # ``__init__`` sets them: the key order of stored records.
             for name, value in vars(stats_object).items():
                 if isinstance(value, (int, float)):
                     totals[f"{prefix}.{name}"] = totals.get(f"{prefix}.{name}", 0) + value
