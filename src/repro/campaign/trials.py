@@ -241,16 +241,14 @@ def config_from_dict(data: Mapping[str, object]) -> ScenarioConfig:
     A key of a field an older version stored but :class:`ScenarioConfig` or
     one of its nested configs no longer has is dropped when it holds the
     value this version runs (see :data:`_RETIRED_FIELDS`), so configs in
-    older stores still rebuild; any other value of it, a key no version
-    had, or a nested config that is not a mapping raises :class:`ValueError`
-    naming the dotted key.
+    older stores still rebuild; any other value of it, or a key no version
+    had, raises :class:`ValueError` naming the dotted key.  A nested config
+    stored as anything but a mapping reaches :class:`ScenarioConfig`, which
+    rejects it by field name.
     """
     fields = _current_fields(ScenarioConfig, data)
     for name, config_type in NESTED_CONFIG_TYPES.items():
-        if name not in fields:
-            continue
-        value = fields[name]
-        if not isinstance(value, Mapping):
-            raise ValueError(f"stored config key {name!r} = {value!r} is not a mapping")
-        fields[name] = config_type(**_current_fields(config_type, value, f"{name}."))
+        value = fields.get(name)
+        if isinstance(value, Mapping):
+            fields[name] = config_type(**_current_fields(config_type, value, f"{name}."))
     return ScenarioConfig(**fields)

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional
 MEMBER_CACHE_SIZE = 10
 
 
-@dataclass(eq=False, repr=False, match_args=False)
+@dataclass(eq=False, repr=False)
 class MemberCacheEntry:
     """One known group member."""
 

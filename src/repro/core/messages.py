@@ -22,7 +22,7 @@ from repro.multicast.messages import MulticastData
 MessageId = Tuple[NodeId, int]
 
 
-@dataclass(eq=False, repr=False, match_args=False)
+@dataclass(eq=False, repr=False)
 class GossipRequest(Packet):
     """A gossip message propagated anonymously or unicast to a cached member."""
 
@@ -47,7 +47,7 @@ class GossipRequest(Packet):
     joined_at: Optional[float] = None
 
 
-@dataclass(eq=False, repr=False, match_args=False)
+@dataclass(eq=False, repr=False)
 class GossipReply(Packet):
     """Recovered messages unicast back to the gossip initiator."""
 

@@ -127,7 +127,7 @@ class MaodvStats:
         self.leader_handoffs_reclaimed = 0
 
 
-@dataclass(eq=False, repr=False, match_args=False)
+@dataclass(eq=False, repr=False)
 class _PendingJoin:
     """State of an in-progress join or tree-repair attempt."""
 

@@ -15,7 +15,7 @@ from repro.net.addressing import BROADCAST_ADDRESS, GroupAddress, NodeId
 from repro.net.packet import Packet
 
 
-@dataclass(eq=False, repr=False, match_args=False)
+@dataclass(eq=False, repr=False)
 class MulticastData(Packet):
     """A multicast data packet forwarded along the group tree.
 
@@ -32,7 +32,7 @@ class MulticastData(Packet):
     sent_at: float = 0.0
     #: ``(source, seq)``, built once: every forwarded or gossiped copy shares
     #: this one tuple, which keys every per-node table of the message.
-    mid: tuple = field(init=False)
+    mid: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.mid = (self.source, self.seq)
@@ -71,7 +71,7 @@ class DuplicateCache(dict):
             del self[order.popleft()]
 
 
-@dataclass(eq=False, repr=False, match_args=False)
+@dataclass(eq=False, repr=False)
 class JoinRequest(Packet):
     """RREQ with the join (or repair) flag set, flooded by a joining node."""
 
@@ -87,7 +87,7 @@ class JoinRequest(Packet):
     #: leader.  Only nodes strictly closer to the leader may answer.
     requester_hops_to_leader: int = 0
     #: ``(origin, rreq_id)``, built once and passed on, as ``RouteRequest``'s.
-    flood_key: tuple = None
+    flood_key: tuple = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.destination = BROADCAST_ADDRESS
@@ -99,7 +99,7 @@ class JoinRequest(Packet):
         return self.flood_key
 
 
-@dataclass(eq=False, repr=False, match_args=False)
+@dataclass(eq=False, repr=False)
 class JoinReply(Packet):
     """RREP sent by a tree member/router back towards the join requester."""
 
@@ -116,7 +116,7 @@ class JoinReply(Packet):
     rreq_id: int = 0
 
 
-@dataclass(eq=False, repr=False, match_args=False)
+@dataclass(eq=False, repr=False)
 class MactMessage(Packet):
     """Multicast activation message (MACT).
 
@@ -129,7 +129,7 @@ class MactMessage(Packet):
     rreq_id: int = 0
 
 
-@dataclass(eq=False, repr=False, match_args=False)
+@dataclass(eq=False, repr=False)
 class GroupHello(Packet):
     """Periodic network-wide announcement flooded by the group leader."""
 
@@ -138,7 +138,7 @@ class GroupHello(Packet):
     group_seq: int = 0
     hop_count: int = 0
     #: ``(leader, group_seq, group)``, built once and passed on.
-    flood_key: tuple = None
+    flood_key: tuple = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.destination = BROADCAST_ADDRESS
@@ -150,7 +150,7 @@ class GroupHello(Packet):
         return self.flood_key
 
 
-@dataclass(eq=False, repr=False, match_args=False)
+@dataclass(eq=False, repr=False)
 class LeaderHandoff(Packet):
     """Tree-scoped announcement that the group leader is leaving the group.
 
@@ -188,7 +188,7 @@ class LeaderHandoff(Packet):
         return (self.group, self.leader, self.group_seq)
 
 
-@dataclass(eq=False, repr=False, match_args=False)
+@dataclass(eq=False, repr=False)
 class NearestMemberUpdate(Packet):
     """Modify message propagating nearest-member distances along the tree.
 

@@ -25,7 +25,7 @@ so the gossip layer, the workload and the metrics run over it unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Tuple
 
 from repro.multicast.maodv import DATA_CACHE_SIZE, DATA_HEADER_BYTES, FLOOD_TTL
@@ -48,7 +48,7 @@ JOIN_QUERY_SIZE_BYTES = 20
 JOIN_REPLY_SIZE_BYTES = 20
 
 
-@dataclass(eq=False, repr=False, match_args=False)
+@dataclass(eq=False, repr=False)
 class JoinQuery(Packet):
     """Periodic source-rooted flood refreshing routes towards the source."""
 
@@ -57,7 +57,7 @@ class JoinQuery(Packet):
     query_seq: int = 0
     hop_count: int = 0
     #: ``(source, group, query_seq)``, built once and passed on.
-    flood_key: tuple = None
+    flood_key: tuple = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.destination = BROADCAST_ADDRESS
@@ -69,7 +69,7 @@ class JoinQuery(Packet):
         return self.flood_key
 
 
-@dataclass(eq=False, repr=False, match_args=False)
+@dataclass(eq=False, repr=False)
 class OdmrpJoinReply(Packet):
     """Member/forwarder announcement selecting ``upstream`` towards a source."""
 
@@ -99,7 +99,7 @@ class OdmrpStats:
         self.forwarding_group_joins = 0
 
 
-@dataclass(eq=False, repr=False, match_args=False)
+@dataclass(eq=False, repr=False)
 class _SourceRoute:
     """Reverse-path state towards one multicast source."""
 

@@ -16,7 +16,7 @@ from typing import Dict, Iterator, List, Optional
 from repro.net.addressing import GroupAddress, NodeId
 
 
-@dataclass(eq=False, repr=False, match_args=False)
+@dataclass(eq=False, repr=False)
 class NextHopEntry:
     """One link of the multicast tree as seen from this node."""
 
@@ -28,7 +28,7 @@ class NextHopEntry:
     nearest_member: int = 64
 
 
-@dataclass(eq=False, repr=False, match_args=False)
+@dataclass(eq=False, repr=False)
 class GroupEntry:
     """This node's view of one multicast group."""
 

@@ -47,7 +47,7 @@ ACK_SIZE_BYTES = 14
 QUEUE_LIMIT = 64
 
 
-@dataclass(eq=False, repr=False, match_args=False)
+@dataclass(eq=False, repr=False)
 class MacAck(Packet):
     """Link-layer acknowledgement for a unicast frame."""
 

@@ -14,7 +14,7 @@ and ODMRP.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from repro.net.addressing import BROADCAST_ADDRESS, NodeId
@@ -26,7 +26,7 @@ def _next_uid() -> int:
     return next(_packet_uid_counter)
 
 
-@dataclass(eq=False, repr=False, match_args=False)
+@dataclass(eq=False, repr=False)
 class Packet:
     """Base class for every network-layer packet.
 
@@ -74,8 +74,11 @@ class Packet:
         return clone
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
-        return f"{type(self).__name__}({fields})"
+        # The fields the generated repr showed: cached keys (``repr=False``) stay out.
+        shown = ", ".join(
+            f"{f.name}={getattr(self, f.name)!r}" for f in fields(self) if f.repr
+        )
+        return f"{type(self).__name__}({shown})"
 
 
 class SeenCache(dict):
@@ -145,7 +148,7 @@ class Frame:
         )
 
 
-@dataclass(eq=False, repr=False, match_args=False)
+@dataclass(eq=False, repr=False)
 class UnicastData(Packet):
     """A network-layer envelope carrying an upper-layer packet to one node.
 

@@ -94,7 +94,7 @@ class AodvStats:
         self.neighbor_losses = 0
 
 
-@dataclass(eq=False, repr=False, match_args=False)
+@dataclass(eq=False, repr=False)
 class _PendingDiscovery:
     """State of an in-progress route discovery."""
 

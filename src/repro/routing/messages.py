@@ -9,7 +9,7 @@ from repro.net.addressing import BROADCAST_ADDRESS, NodeId
 from repro.net.packet import Packet
 
 
-@dataclass(eq=False, repr=False, match_args=False)
+@dataclass(eq=False, repr=False)
 class RouteRequest(Packet):
     """RREQ: flooded by a node looking for a route to ``target``."""
 
@@ -21,7 +21,7 @@ class RouteRequest(Packet):
     hop_count: int = 0
     #: ``(origin, rreq_id)``, built once by the originator; forwarders pass it
     #: on, so every node's seen-cache entry of one flood is this one tuple.
-    flood_key: tuple = None
+    flood_key: tuple = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.destination = BROADCAST_ADDRESS
@@ -33,7 +33,7 @@ class RouteRequest(Packet):
         return self.flood_key
 
 
-@dataclass(eq=False, repr=False, match_args=False)
+@dataclass(eq=False, repr=False)
 class RouteReply(Packet):
     """RREP: unicast hop-by-hop back towards the RREQ originator."""
 
@@ -43,7 +43,7 @@ class RouteReply(Packet):
     lifetime_s: float = 10.0
 
 
-@dataclass(eq=False, repr=False, match_args=False)
+@dataclass(eq=False, repr=False)
 class RouteError(Packet):
     """RERR: announces destinations that became unreachable via the sender."""
 
@@ -54,7 +54,7 @@ class RouteError(Packet):
         self.destination = BROADCAST_ADDRESS
 
 
-@dataclass(eq=False, repr=False, match_args=False)
+@dataclass(eq=False, repr=False)
 class HelloMessage(Packet):
     """One-hop beacon advertising the sender's liveness to its neighbours."""
 
