@@ -7,8 +7,9 @@ Usage::
                                [--pairs 10] [--seed 1] [--seconds 20]
 
 Each pair runs both trees' *own* ``python3 bench/run.py --workload W --seed S
---seconds T --trace 0``, one after the other (odd pairs parent first, even
-pairs change first, so host drift favours neither side), and reads the
+--seconds T --trace 0``, one after the other (the parent first when ``S`` plus
+the pair's number is even, else the change, so host drift favours neither
+side, also over one-pair runs of consecutive seeds), and reads the
 last-line JSON.  Per end-to-end metric it prints every pair, each side's
 median and quartiles, the pairs won, and the simplicity guide's verdict:
 ``better`` only when the change wins at least nine tenths of the pairs (ties
@@ -113,7 +114,7 @@ def main(argv=None) -> int:
     values = {side: {name: [] for name in {**directions, **RAW}} for side in trees}
     trouble = []
     for pair in range(1, args.pairs + 1):
-        order = ("parent", "change") if pair % 2 else ("change", "parent")
+        order = ("parent", "change") if (args.seed + pair) % 2 == 0 else ("change", "parent")
         digests = {}
         for side in order:
             metrics, failed, digests[side] = run_once(

@@ -118,9 +118,3 @@ class MobilityModel(abc.ABC):
         """Notify subscribers that the position jumped discontinuously."""
         for listener in getattr(self, "_position_listeners", ()):
             listener()
-
-    def distance_to(self, other: "MobilityModel", at_time: float) -> float:
-        """Euclidean distance to another mobile node at ``at_time``."""
-        ax, ay = self.position(at_time)
-        bx, by = other.position(at_time)
-        return ((ax - bx) ** 2 + (ay - by) ** 2) ** 0.5

@@ -8,13 +8,15 @@
 * :mod:`repro.multicast.flooding` -- the blind-flooding baseline (the
   comparison protocol discussed in the paper's related work).
 * :mod:`repro.multicast.odmrp` -- the mesh-based ODMRP baseline.
+* :mod:`repro.multicast.router` -- :class:`MulticastRouter`, the base of all
+  three: data numbering, duplicate cache, member delivery and the parameters
+  they share (flood TTL, data header, data cache).
 
-MAODV, its messages and its route table load with the package: the default
-scenario runs MAODV.  Each router's parameters are constants of its own
-module; the ones shared by all three (flood TTL, data header, data cache)
-are MAODV's.  The flooding and ODMRP routers are import-on-use -- a scenario
-imports one only when its ``protocol`` selects it -- so a run never pays for
-a baseline it does not run; import them from their modules.
+MAODV, its messages, its route table and the base load with the package:
+the default scenario runs MAODV.  Each router's own parameters are constants
+of its module.  The flooding and ODMRP routers are import-on-use -- a
+scenario imports one only when its ``protocol`` selects it -- so a run never
+pays for a baseline it does not run; import them from their modules.
 """
 
 from repro.multicast.maodv import MaodvRouter, MaodvStats
@@ -27,6 +29,7 @@ from repro.multicast.messages import (
     NearestMemberUpdate,
 )
 from repro.multicast.route_table import GroupEntry, MulticastRouteTable, NextHopEntry
+from repro.multicast.router import MulticastRouter
 
 __all__ = [
     "GroupEntry",
@@ -38,6 +41,7 @@ __all__ = [
     "MaodvStats",
     "MulticastData",
     "MulticastRouteTable",
+    "MulticastRouter",
     "NearestMemberUpdate",
     "NextHopEntry",
 ]

@@ -27,13 +27,12 @@ Anonymous Gossip on top of:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.net.addressing import BROADCAST_ADDRESS, GroupAddress, NodeId
 from repro.net.node import Node
-from repro.net.packet import Packet, SeenCache
+from repro.net.packet import SeenCache
 from repro.multicast.messages import (
-    DuplicateCache,
     GroupHello,
     JoinReply,
     JoinRequest,
@@ -43,10 +42,9 @@ from repro.multicast.messages import (
     NearestMemberUpdate,
 )
 from repro.multicast.route_table import GroupEntry, MulticastRouteTable
-from repro.routing.aodv import BROADCAST_JITTER_S, AodvRouter
+from repro.multicast.router import FLOOD_TTL, MulticastRouter
+from repro.routing.aodv import AodvRouter
 from repro.sim.timers import PeriodicTimer
-
-DataListener = Callable[[MulticastData], None]
 
 # Protocol parameters: the paper's simulation settings where it states them
 # (group hello interval 5 s).  README's "Model parameters" table gives each
@@ -54,9 +52,6 @@ DataListener = Callable[[MulticastData], None]
 
 #: Interval between group hello floods sent by the group leader.
 GROUP_HELLO_INTERVAL_S = 5.0
-#: TTL of every flood: group hellos and join requests here, flooded data
-#: (flooding baseline) and join queries (ODMRP).
-FLOOD_TTL = 16
 #: How long a join requester collects replies before activating the best.
 REPLY_WAIT_S = 0.5
 #: Number of join attempts before the node declares itself partitioned (and
@@ -74,12 +69,6 @@ MACT_SIZE_BYTES = 16
 GROUP_HELLO_SIZE_BYTES = 16
 NEAREST_MEMBER_UPDATE_SIZE_BYTES = 12
 LEADER_HANDOFF_SIZE_BYTES = 20
-#: Link-layer header accounted for multicast data (the payload size comes
-#: from the application), by every multicast router.
-DATA_HEADER_BYTES = 20
-#: Size of every multicast router's (source, seq) duplicate-suppression
-#: cache for data.
-DATA_CACHE_SIZE = 4096
 #: Value used as "infinity" for nearest-member distances.
 NEAREST_MEMBER_INFINITY = 64
 # Leadership hand-off when the group leader leaves the group (draft rule):
@@ -139,43 +128,35 @@ class _PendingJoin:
     replies: List[Tuple[JoinReply, NodeId]] = field(default_factory=list)
 
 
-class MaodvRouter:
+class MaodvRouter(MulticastRouter):
     """MAODV multicast routing agent for a single node."""
 
+    stream = "maodv"
+
     def __init__(self, node: Node, aodv: AodvRouter):
-        self.node = node
-        self.sim = node.sim
-        self.aodv = aodv
-        self.rng = node.streams.for_node("maodv", node.node_id)
-        self.stats = MaodvStats()
+        super().__init__(node, aodv, MaodvStats())
         self.table = MulticastRouteTable()
         #: The table's own group dict, for the data path's one-frame lookup.
         self._groups = self.table._groups
-        #: Identifier of the owning node.
-        self.node_id: NodeId = node.node_id
 
         self._rreq_id = 0
-        self._data_seq: Dict[GroupAddress, int] = {}
         self._pending_joins: Dict[GroupAddress, _PendingJoin] = {}
         self._reverse_routes: Dict[tuple, NodeId] = {}
         self._potential_upstream: Dict[tuple, NodeId] = {}
         self._seen_join_requests = SeenCache(10.0)
         self._seen_group_hellos = SeenCache(60.0)
-        self._seen_handoffs: Dict[tuple, float] = {}
+        self._seen_handoffs = SeenCache(60.0)
         #: Election key -> best ``(age_s, -node_id)`` bid seen for that
         #: hand-off flood (max-ordered: older membership wins, lower node id
         #: breaks exact ties).  Entries are as rare and small as the
-        #: hand-offs themselves, so they are kept, like ``_seen_handoffs``.
+        #: hand-offs themselves, so they are kept.
         self._handoff_best: Dict[tuple, tuple] = {}
         #: When this node last became a member, per group (the age that
         #: ranks leader hand-off bids).
         self._member_since: Dict[GroupAddress, float] = {}
-        self._seen_data = DuplicateCache(DATA_CACHE_SIZE)
         self._last_advertised: Dict[Tuple[GroupAddress, NodeId], int] = {}
         self._group_hello_timers: Dict[GroupAddress, PeriodicTimer] = {}
-        self._delivery_listeners: List[DataListener] = []
 
-        node.register_handler(MulticastData, self._on_multicast_data)
         node.register_handler(JoinRequest, self._on_join_request)
         node.register_handler(JoinReply, self._on_join_reply)
         node.register_handler(MactMessage, self._on_mact)
@@ -185,19 +166,6 @@ class MaodvRouter:
         aodv.add_neighbor_loss_listener(self._on_neighbor_loss)
 
     # ------------------------------------------------------------------ basics
-    def add_delivery_listener(self, listener: DataListener) -> None:
-        """Subscribe to multicast data delivered to this node as a member."""
-        self._delivery_listeners.append(listener)
-
-    def _broadcast_jittered(self, packet: Packet) -> None:
-        """Re-broadcast a flooded packet after a small random delay.
-
-        Several tree routers forward the same flooded packet at the same
-        instant; without jitter, hidden terminals collide systematically.
-        """
-        jitter = self.rng.uniform(0.0, BROADCAST_JITTER_S)
-        self.sim.call_in(jitter, self.node.send_frame, (packet, BROADCAST_ADDRESS))
-
     def is_member(self, group: GroupAddress) -> bool:
         """True when this node is a member of ``group``."""
         entry = self.table.entry(group)
@@ -287,22 +255,8 @@ class MaodvRouter:
     # --------------------------------------------------------------- data plane
     def send_data(self, group: GroupAddress, size_bytes: int = 64) -> MulticastData:
         """Originate one multicast data packet to ``group``; returns it."""
-        seq = self._data_seq.get(group, 0) + 1
-        self._data_seq[group] = seq
-        data = MulticastData(
-            origin=self.node_id,
-            destination=group,
-            size_bytes=size_bytes + DATA_HEADER_BYTES,
-            group=group,
-            source=self.node_id,
-            seq=seq,
-            sent_at=self.sim.now,
-        )
-        self.stats.data_originated += 1
-        self._seen_data.remember(data.mid)
+        data = self._originate(group, size_bytes)
         entry = self.table.entry(group)
-        if entry is not None and entry.is_member:
-            self._deliver_to_member(data)
         if entry is not None and entry.tree_neighbors():
             self.node.send_frame(data, BROADCAST_ADDRESS)
         return data
@@ -332,17 +286,12 @@ class MaodvRouter:
             return
         self._seen_data.remember(key)
         if entry.is_member:
-            self._deliver_to_member(data)
+            self._deliver(data)
         # Forward along the tree if there is anyone besides the sender.
         others = [n for n in entry.tree_neighbors() if n != from_node]
         if others:
             self.stats.data_forwarded += 1
-            self._broadcast_jittered(data)
-
-    def _deliver_to_member(self, data: MulticastData) -> None:
-        self.stats.data_delivered += 1
-        for listener in self._delivery_listeners:
-            listener(data)
+            self.node.broadcast_jittered(data, self.rng)
 
     # ------------------------------------------------------------ join protocol
     def _start_join(self, group: GroupAddress, *, repair: bool = False,
@@ -416,23 +365,9 @@ class MaodvRouter:
             return
         if request.ttl <= 1:
             return
-        forwarded = JoinRequest(
-            origin=request.origin,
-            destination=BROADCAST_ADDRESS,
-            size_bytes=request.size_bytes,
-            ttl=request.ttl - 1,
-            group=request.group,
-            origin_seq=request.origin_seq,
-            rreq_id=request.rreq_id,
-            hop_count=request.hop_count + 1,
-            group_seq=request.group_seq,
-            group_seq_known=request.group_seq_known,
-            repair=request.repair,
-            requester_hops_to_leader=request.requester_hops_to_leader,
-            flood_key=key,
-        )
+        forwarded = request.forwarded(ttl=request.ttl - 1, hop_count=request.hop_count + 1)
         self.stats.join_requests_forwarded += 1
-        self._broadcast_jittered(forwarded)
+        self.node.broadcast_jittered(forwarded, self.rng)
 
     def _on_join_reply(self, reply: JoinReply, from_node: NodeId) -> None:
         if reply.destination == self.node_id:
@@ -449,18 +384,7 @@ class MaodvRouter:
         if reverse is None:
             return
         entry.add_next_hop(reverse, enabled=False)
-        forwarded = JoinReply(
-            origin=reply.origin,
-            destination=reply.destination,
-            size_bytes=reply.size_bytes,
-            group=reply.group,
-            replier=reply.replier,
-            group_seq=reply.group_seq,
-            group_leader=reply.group_leader,
-            hop_count=reply.hop_count + 1,
-            hops_to_leader=reply.hops_to_leader,
-            rreq_id=reply.rreq_id,
-        )
+        forwarded = reply.forwarded(hop_count=reply.hop_count + 1)
         self.stats.join_replies_forwarded += 1
         self.node.send_frame(forwarded, reverse)
 
@@ -528,14 +452,7 @@ class MaodvRouter:
             upstream = self._potential_upstream.get((mact.group, mact.rreq_id))
             if upstream is not None and upstream != from_node:
                 entry.enable_next_hop(upstream, is_upstream=True)
-                forwarded = MactMessage(
-                    origin=self.node_id,
-                    destination=upstream,
-                    size_bytes=MACT_SIZE_BYTES,
-                    group=mact.group,
-                    kind="activate",
-                    rreq_id=mact.rreq_id,
-                )
+                forwarded = mact.forwarded(origin=self.node_id, destination=upstream)
                 self.stats.mact_sent += 1
                 self.node.send_frame(forwarded, upstream)
         self._propagate_nearest_member(mact.group)
@@ -556,7 +473,7 @@ class MaodvRouter:
             leader=self.node_id,
             group_seq=entry.group_seq,
         )
-        self._seen_handoffs[handoff.key()] = self.sim.now + 60.0
+        self._seen_handoffs.mark(handoff.flood_key, self.sim.now)
         self._stop_group_hello(group)
         entry.leader = -1
         self.stats.leader_handoffs_sent += 1
@@ -599,9 +516,8 @@ class MaodvRouter:
         if from_node != self.node_id and from_node not in entry.next_hops:
             return
         now = self.sim.now
-        key = handoff.key()
-        expiry = self._seen_handoffs.get(key)
-        first_sight = expiry is None or expiry <= now
+        key = handoff.flood_key
+        first_sight = self._seen_handoffs.first_sight(key, now)
         best = self._handoff_best.get(key)
         if handoff.candidate != -1:
             incoming = (handoff.candidate_age_s, -handoff.candidate)
@@ -612,7 +528,6 @@ class MaodvRouter:
         elif not first_sight:
             return
         if first_sight:
-            self._seen_handoffs[key] = now + 60.0
             if entry.leader == handoff.leader:
                 entry.leader = -1
             entry.group_seq = max(entry.group_seq, handoff.group_seq)
@@ -633,17 +548,11 @@ class MaodvRouter:
         others = [n for n in entry.tree_neighbors() if n != from_node]
         if others:
             self.stats.leader_handoffs_forwarded += 1
-            forwarded = LeaderHandoff(
-                origin=handoff.origin,
-                destination=BROADCAST_ADDRESS,
-                size_bytes=handoff.size_bytes,
-                group=handoff.group,
-                leader=handoff.leader,
-                group_seq=handoff.group_seq,
+            forwarded = handoff.forwarded(
                 candidate=-best[1] if best is not None else -1,
                 candidate_age_s=best[0] if best is not None else -1.0,
             )
-            self._broadcast_jittered(forwarded)
+            self.node.broadcast_jittered(forwarded, self.rng)
 
     def _attempt_takeover(
         self, group: GroupAddress, key: tuple, handoff_seq: int
@@ -715,19 +624,9 @@ class MaodvRouter:
         if entry is not None:
             self._reconcile_leader(entry, hello)
         if hello.ttl > 1:
-            forwarded = GroupHello(
-                origin=hello.origin,
-                destination=BROADCAST_ADDRESS,
-                size_bytes=hello.size_bytes,
-                ttl=hello.ttl - 1,
-                group=hello.group,
-                leader=hello.leader,
-                group_seq=hello.group_seq,
-                hop_count=hello.hop_count + 1,
-                flood_key=hello.flood_key,
-            )
+            forwarded = hello.forwarded(ttl=hello.ttl - 1, hop_count=hello.hop_count + 1)
             self.stats.group_hellos_forwarded += 1
-            self._broadcast_jittered(forwarded)
+            self.node.broadcast_jittered(forwarded, self.rng)
 
     def _reconcile_leader(self, entry: GroupEntry, hello: GroupHello) -> None:
         if hello.group_seq < entry.group_seq:

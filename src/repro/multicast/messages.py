@@ -86,17 +86,12 @@ class JoinRequest(Packet):
     #: For repair requests: the requester's last known distance to the group
     #: leader.  Only nodes strictly closer to the leader may answer.
     requester_hops_to_leader: int = 0
-    #: ``(origin, rreq_id)``, built once and passed on, as ``RouteRequest``'s.
-    flood_key: tuple = field(default=None, repr=False)
+    #: ``(origin, rreq_id)``, built once and shared, as ``RouteRequest``'s.
+    flood_key: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.destination = BROADCAST_ADDRESS
-        if self.flood_key is None:
-            self.flood_key = (self.origin, self.rreq_id)
-
-    def key(self) -> tuple:
-        """Duplicate-suppression key."""
-        return self.flood_key
+        self.flood_key = (self.origin, self.rreq_id)
 
 
 @dataclass(eq=False, repr=False)
@@ -137,17 +132,12 @@ class GroupHello(Packet):
     leader: NodeId = -1
     group_seq: int = 0
     hop_count: int = 0
-    #: ``(leader, group_seq, group)``, built once and passed on.
-    flood_key: tuple = field(default=None, repr=False)
+    #: ``(leader, group_seq, group)``, built once and shared.
+    flood_key: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.destination = BROADCAST_ADDRESS
-        if self.flood_key is None:
-            self.flood_key = (self.leader, self.group_seq, self.group)
-
-    def key(self) -> tuple:
-        """Duplicate-suppression key."""
-        return self.flood_key
+        self.flood_key = (self.leader, self.group_seq, self.group)
 
 
 @dataclass(eq=False, repr=False)
@@ -175,17 +165,15 @@ class LeaderHandoff(Packet):
     candidate: NodeId = -1
     #: The candidate's membership age in seconds, stamped once when it bid.
     candidate_age_s: float = -1.0
+    #: ``(group, leader, group_seq)``: the election identity (and
+    #: duplicate-suppression key) of the flood, built once and shared.  It
+    #: excludes the candidate fields: copies carrying improved bids belong to
+    #: the same election.
+    flood_key: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.destination = BROADCAST_ADDRESS
-
-    def key(self) -> tuple:
-        """Election identity (and duplicate-suppression key) of the flood.
-
-        Deliberately excludes the mutable candidate fields: copies carrying
-        improved bids belong to the same election.
-        """
-        return (self.group, self.leader, self.group_seq)
+        self.flood_key = (self.group, self.leader, self.group_seq)
 
 
 @dataclass(eq=False, repr=False)

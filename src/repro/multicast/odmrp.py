@@ -18,25 +18,24 @@ group forms a mesh (redundant paths) rather than a tree, which is what gives
 ODMRP its robustness at the cost of extra forwarding -- the trade-off the
 paper describes.
 
-The router exposes the same surface as :class:`~repro.multicast.maodv.MaodvRouter`
-(`join_group`, `send_data`, `add_delivery_listener`, `tree_neighbors`, ...)
-so the gossip layer, the workload and the metrics run over it unchanged.
+The router is a :class:`~repro.multicast.router.MulticastRouter`, with the
+surface MAODV has (`join_group`, `send_data`, `add_delivery_listener`,
+`tree_neighbors`, ...), so the gossip layer, the workload and the metrics run
+over it unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
-from repro.multicast.maodv import DATA_CACHE_SIZE, DATA_HEADER_BYTES, FLOOD_TTL
-from repro.multicast.messages import DuplicateCache, MulticastData
+from repro.multicast.messages import MulticastData
+from repro.multicast.router import FLOOD_TTL, MulticastRouter
 from repro.net.addressing import BROADCAST_ADDRESS, GroupAddress, NodeId
 from repro.net.node import Node
 from repro.net.packet import Packet, SeenCache
-from repro.routing.aodv import BROADCAST_JITTER_S, AodvRouter
+from repro.routing.aodv import AodvRouter
 from repro.sim.timers import PeriodicTimer
-
-DataListener = Callable[[MulticastData], None]
 
 #: Interval between join-query floods while a source is active.
 JOIN_QUERY_INTERVAL_S = 3.0
@@ -56,17 +55,12 @@ class JoinQuery(Packet):
     source: NodeId = -1
     query_seq: int = 0
     hop_count: int = 0
-    #: ``(source, group, query_seq)``, built once and passed on.
-    flood_key: tuple = field(default=None, repr=False)
+    #: ``(source, group, query_seq)``, built once and shared.
+    flood_key: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.destination = BROADCAST_ADDRESS
-        if self.flood_key is None:
-            self.flood_key = (self.source, self.group, self.query_seq)
-
-    def key(self) -> tuple:
-        """Duplicate-suppression key."""
-        return self.flood_key
+        self.flood_key = (self.source, self.group, self.query_seq)
 
 
 @dataclass(eq=False, repr=False)
@@ -108,18 +102,13 @@ class _SourceRoute:
     hop_count: int
 
 
-class OdmrpRouter:
+class OdmrpRouter(MulticastRouter):
     """ODMRP multicast agent for a single node."""
 
-    def __init__(self, node: Node, aodv: AodvRouter):
-        self.node = node
-        self.sim = node.sim
-        self.aodv = aodv
-        self.rng = node.streams.for_node("odmrp", node.node_id)
-        self.stats = OdmrpStats()
+    stream = "odmrp"
 
-        self._members: Dict[GroupAddress, bool] = {}
-        self._data_seq: Dict[GroupAddress, int] = {}
+    def __init__(self, node: Node, aodv: AodvRouter):
+        super().__init__(node, aodv, OdmrpStats())
         self._query_seq = 0
         self._query_timers: Dict[GroupAddress, PeriodicTimer] = {}
         #: (group, source) -> reverse-path state from the latest join query.
@@ -127,27 +116,11 @@ class OdmrpRouter:
         #: group -> simulation time until which this node is a forwarder.
         self._forwarding_until: Dict[GroupAddress, float] = {}
         self._seen_queries = SeenCache(60.0)
-        self._seen_data = DuplicateCache(DATA_CACHE_SIZE)
-        self._delivery_listeners: List[DataListener] = []
 
-        node.register_handler(MulticastData, self._on_multicast_data)
         node.register_handler(JoinQuery, self._on_join_query)
         node.register_handler(OdmrpJoinReply, self._on_join_reply)
 
     # ------------------------------------------------------------------ basics
-    @property
-    def node_id(self) -> NodeId:
-        """Identifier of the owning node."""
-        return self.node.node_id
-
-    def add_delivery_listener(self, listener: DataListener) -> None:
-        """Subscribe to multicast data delivered to this node as a member."""
-        self._delivery_listeners.append(listener)
-
-    def is_member(self, group: GroupAddress) -> bool:
-        """True when this node joined ``group``."""
-        return self._members.get(group, False)
-
     def is_forwarder(self, group: GroupAddress) -> bool:
         """True while this node's forwarding-group flag is fresh."""
         return self._forwarding_until.get(group, 0.0) > self.sim.now
@@ -170,19 +143,6 @@ class OdmrpRouter:
         }
         return sorted(upstreams)
 
-    def nearest_member_via(self, group: GroupAddress, neighbor: NodeId) -> int:
-        """The mesh carries no member-distance annotations; treat all as near."""
-        return 1
-
-    # -------------------------------------------------------------- membership
-    def join_group(self, group: GroupAddress) -> None:
-        """Join ``group`` as a member."""
-        self._members[group] = True
-
-    def leave_group(self, group: GroupAddress) -> None:
-        """Leave ``group``; forwarding state times out on its own."""
-        self._members.pop(group, None)
-
     # --------------------------------------------------------------- data plane
     def send_data(self, group: GroupAddress, size_bytes: int = 64) -> MulticastData:
         """Originate one multicast data packet to ``group``.
@@ -192,21 +152,7 @@ class OdmrpRouter:
         forwarding mesh.
         """
         self._ensure_source(group)
-        seq = self._data_seq.get(group, 0) + 1
-        self._data_seq[group] = seq
-        data = MulticastData(
-            origin=self.node_id,
-            destination=group,
-            size_bytes=size_bytes + DATA_HEADER_BYTES,
-            group=group,
-            source=self.node_id,
-            seq=seq,
-            sent_at=self.sim.now,
-        )
-        self.stats.data_originated += 1
-        self._seen_data.remember(data.mid)
-        if self.is_member(group):
-            self._deliver(data)
+        data = self._originate(group, size_bytes)
         self.node.send_frame(data, BROADCAST_ADDRESS)
         return data
 
@@ -220,12 +166,7 @@ class OdmrpRouter:
             self._deliver(data)
         if self.is_forwarder(data.group):
             self.stats.data_forwarded += 1
-            self._broadcast_jittered(data)
-
-    def _deliver(self, data: MulticastData) -> None:
-        self.stats.data_delivered += 1
-        for listener in self._delivery_listeners:
-            listener(data)
+            self.node.broadcast_jittered(data, self.rng)
 
     # ------------------------------------------------------------- mesh building
     def _ensure_source(self, group: GroupAddress) -> None:
@@ -273,19 +214,9 @@ class OdmrpRouter:
         if self.is_member(query.group):
             self._send_join_reply(query.group, query.source, from_node, query.query_seq)
         if query.ttl > 1:
-            forwarded = JoinQuery(
-                origin=query.origin,
-                destination=BROADCAST_ADDRESS,
-                size_bytes=query.size_bytes,
-                ttl=query.ttl - 1,
-                group=query.group,
-                source=query.source,
-                query_seq=query.query_seq,
-                hop_count=query.hop_count + 1,
-                flood_key=query.flood_key,
-            )
+            forwarded = query.forwarded(ttl=query.ttl - 1, hop_count=query.hop_count + 1)
             self.stats.queries_forwarded += 1
-            self._broadcast_jittered(forwarded)
+            self.node.broadcast_jittered(forwarded, self.rng)
 
     def _send_join_reply(
         self, group: GroupAddress, source: NodeId, upstream: NodeId, query_seq: int
@@ -317,7 +248,3 @@ class OdmrpRouter:
         if route is not None:
             self._send_join_reply(reply.group, reply.source, route.upstream, reply.query_seq)
 
-    # ----------------------------------------------------------------- helpers
-    def _broadcast_jittered(self, packet: Packet) -> None:
-        jitter = self.rng.uniform(0.0, BROADCAST_JITTER_S)
-        self.sim.call_in(jitter, self.node.send_frame, (packet, BROADCAST_ADDRESS))

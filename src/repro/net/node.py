@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple, Type, Union
 
-from repro.net.addressing import NodeId
+from repro.net.addressing import BROADCAST_ADDRESS, NodeId
 from repro.net.mac import CsmaMac
 from repro.net.medium import Medium
 from repro.net.packet import Packet
@@ -42,6 +42,13 @@ PacketHandler = Callable[[Packet, NodeId], None]
 #: sender -> (packet, time received): the last receipt per sender.
 Mailbox = Dict[NodeId, Tuple[Packet, float]]
 LinkFailureListener = Callable[[Packet, NodeId], None]
+
+#: Bound of the random delay before re-broadcasting a flooded packet, which
+#: prevents the synchronised-rebroadcast collisions of the hidden-terminal
+#: problem.  Real AODV implementations use the same trick; every router here
+#: that floods (AODV, MAODV, flooding, ODMRP) rebroadcasts through
+#: :meth:`Node.broadcast_jittered`.
+BROADCAST_JITTER_S = 0.01
 
 
 class Node:
@@ -190,6 +197,14 @@ class Node:
     def send_frame(self, packet: Packet, next_hop: NodeId) -> bool:
         """Hand a packet to the MAC for single-hop transmission."""
         return self.mac.send(packet, next_hop)
+
+    def broadcast_jittered(self, packet: Packet, rng) -> None:
+        """Broadcast ``packet`` after a delay drawn from ``rng`` in
+        ``[0, BROADCAST_JITTER_S]``: the caller's own stream, so each
+        protocol's draws stay its own."""
+        self.sim.call_in(
+            rng.uniform(0.0, BROADCAST_JITTER_S), self.send_frame, (packet, BROADCAST_ADDRESS)
+        )
 
     def add_link_failure_listener(self, listener: LinkFailureListener) -> None:
         """Subscribe to MAC-level unicast delivery failures (link-break hints)."""

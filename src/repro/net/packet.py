@@ -63,14 +63,22 @@ class Packet:
     #: the MAC's per-receiver address/ACK checks entirely.
     is_mac_control = False
 
-    def copy_for_forwarding(self) -> "Packet":
-        """Return a shallow copy with the TTL decremented by one."""
+    def forwarded(self, **changes) -> "Packet":
+        """This packet's next-hop copy: every field kept but ``changes``.
+
+        The copy is shallow, so a cached key (``flood_key``, ``mid``) is the
+        original's own tuple.  It draws a fresh ``uid``, as a newly built
+        packet does, unless ``changes`` keeps one (``uid=packet.uid``).
+        """
         # What ``copy.copy`` does for a plain dataclass, minus its reduce
         # protocol: this runs once per forwarded packet.
         cls = self.__class__
         clone = cls.__new__(cls)
-        clone.__dict__.update(self.__dict__)
-        clone.ttl = self.ttl - 1
+        state = clone.__dict__
+        state.update(self.__dict__)
+        if "uid" not in changes:
+            state["uid"] = next(_packet_uid_counter)
+        state.update(changes)
         return clone
 
     def __repr__(self) -> str:

@@ -64,11 +64,6 @@ ROUTE_DISCOVERY_TIMEOUT_S = 1.0
 RREQ_ID_CACHE_S = 5.0
 #: Maximum number of data packets buffered while waiting for a route.
 PACKET_BUFFER_LIMIT = 64
-#: Random delay before re-broadcasting a flooded packet, which prevents the
-#: synchronised-rebroadcast collisions of the hidden-terminal problem.  Real
-#: AODV implementations use the same trick; every router here that floods
-#: (MAODV, flooding, ODMRP) draws its jitter from this bound.
-BROADCAST_JITTER_S = 0.01
 #: Wire sizes (bytes) of the control messages.
 RREQ_SIZE_BYTES = 24
 RREP_SIZE_BYTES = 20
@@ -337,21 +332,9 @@ class AodvRouter:
 
         if rreq.ttl <= 1:
             return
-        forwarded = RouteRequest(
-            origin=rreq.origin,
-            destination=BROADCAST_ADDRESS,
-            size_bytes=rreq.size_bytes,
-            ttl=rreq.ttl - 1,
-            target=rreq.target,
-            target_seq=rreq.target_seq,
-            target_seq_known=rreq.target_seq_known,
-            origin_seq=rreq.origin_seq,
-            rreq_id=rreq.rreq_id,
-            hop_count=hop_count,
-            flood_key=rreq.flood_key,
-        )
+        forwarded = rreq.forwarded(ttl=rreq.ttl - 1, hop_count=hop_count)
         self.stats.rreq_forwarded += 1
-        self._broadcast_jittered(forwarded)
+        self.node.broadcast_jittered(forwarded, self.rng)
 
     def _send_rrep(
         self,
@@ -392,15 +375,7 @@ class AodvRouter:
         reverse = self.route_table.lookup(rrep.destination, now)
         if reverse is None:
             return
-        forwarded = RouteReply(
-            origin=rrep.origin,
-            destination=rrep.destination,
-            size_bytes=rrep.size_bytes,
-            target=rrep.target,
-            target_seq=rrep.target_seq,
-            hop_count=hop_count,
-            lifetime_s=rrep.lifetime_s,
-        )
+        forwarded = rrep.forwarded(hop_count=hop_count)
         self.stats.rrep_forwarded += 1
         self.node.send_frame(forwarded, reverse.next_hop)
 
@@ -438,7 +413,7 @@ class AodvRouter:
         if envelope.ttl <= 0:
             self.stats.data_dropped_no_route += 1
             return
-        forwarded = envelope.copy_for_forwarding()
+        forwarded = envelope.forwarded(ttl=envelope.ttl - 1, uid=envelope.uid)
         self.stats.data_forwarded += 1
         self._forward_or_discover(forwarded)
 
@@ -460,13 +435,3 @@ class AodvRouter:
         # so a *multi-hop* origin enters the one-hop neighbour table here and
         # later times out as a phantom neighbour loss.
         self.node.deliver(payload, envelope.origin)
-
-    # ----------------------------------------------------------------- helpers
-    def _broadcast_jittered(self, packet: Packet) -> None:
-        """Broadcast ``packet`` after a small random delay.
-
-        Flooded packets forwarded by several neighbours at the same instant
-        would otherwise collide systematically (hidden-terminal problem).
-        """
-        jitter = self.rng.uniform(0.0, BROADCAST_JITTER_S)
-        self.sim.call_in(jitter, self.node.send_frame, (packet, BROADCAST_ADDRESS))

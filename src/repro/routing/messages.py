@@ -19,18 +19,14 @@ class RouteRequest(Packet):
     origin_seq: int = 0
     rreq_id: int = 0
     hop_count: int = 0
-    #: ``(origin, rreq_id)``, built once by the originator; forwarders pass it
-    #: on, so every node's seen-cache entry of one flood is this one tuple.
-    flood_key: tuple = field(default=None, repr=False)
+    #: Duplicate-suppression key ``(origin, rreq_id)``, built once by the
+    #: originator: forwarded copies share it, so every node's seen-cache
+    #: entry of one flood is this one tuple.
+    flood_key: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.destination = BROADCAST_ADDRESS
-        if self.flood_key is None:
-            self.flood_key = (self.origin, self.rreq_id)
-
-    def key(self) -> tuple:
-        """Duplicate-suppression key."""
-        return self.flood_key
+        self.flood_key = (self.origin, self.rreq_id)
 
 
 @dataclass(eq=False, repr=False)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, Iterator
+from typing import Dict
 
 
 def derive_seed(master_seed: int, name: str) -> int:
@@ -52,14 +52,6 @@ class RandomStreams:
     def for_node(self, name: str, node_id: int) -> random.Random:
         """Return a per-node sub-stream, e.g. ``for_node('mac', 7)``."""
         return self.get(f"{name}/node-{node_id}")
-
-    def spawn(self, name: str) -> "RandomStreams":
-        """Create a child :class:`RandomStreams` with an independent seed."""
-        return RandomStreams(derive_seed(self.master_seed, f"spawn:{name}"))
-
-    def names(self) -> Iterator[str]:
-        """Iterate over the names of streams created so far."""
-        return iter(sorted(self._streams))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"RandomStreams(master_seed={self.master_seed}, streams={len(self._streams)})"

@@ -58,11 +58,6 @@ class CbrSource:
             self.collector.note_sent(data.mid, at=now)
         self.node.sim.call_in(self.interval_s, self._send)
 
-    @property
-    def expected_packet_count(self) -> int:
-        """Number of packets this source will send over the full window."""
-        return int((self.stop_s - self.start_s) / self.interval_s) + 1
-
 
 class MulticastSink:
     """Member-side application recording every received packet of ``group``."""

@@ -17,11 +17,6 @@ class TestStaticMobility:
         mobility.move_to(5.0, 7.0)
         assert mobility.position(3.0) == (5.0, 7.0)
 
-    def test_distance_to(self):
-        a = StaticMobility(0.0, 0.0)
-        b = StaticMobility(3.0, 4.0)
-        assert a.distance_to(b, 0.0) == pytest.approx(5.0)
-
 
 class TestGridMobility:
     def test_grid_layout(self):

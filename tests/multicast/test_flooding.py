@@ -1,7 +1,7 @@
 """Tests for the blind-flooding multicast baseline."""
 
 from repro.multicast.flooding import FloodingRouter
-from repro.multicast.maodv import FLOOD_TTL
+from repro.multicast.router import FLOOD_TTL
 from repro.net.config import RadioConfig
 from repro.net.medium import Medium
 from repro.net.node import Node

@@ -3,6 +3,7 @@
 from repro.multicast.maodv import MaodvRouter
 from repro.multicast.messages import JoinReply, JoinRequest, MactMessage
 from repro.net.addressing import BROADCAST_ADDRESS
+from repro.net.node import Node
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
 from tests.conftest import GROUP, build_network, line_topology
@@ -154,6 +155,9 @@ class _StubNode:
     def send_frame(self, packet, next_hop):
         self.sent.append((self.sim.now, type(packet).__name__, packet.origin,
                           getattr(packet, "rreq_id", None), next_hop))
+
+    # The node's own rule, over this stub's clock and ``send_frame``.
+    broadcast_jittered = Node.broadcast_jittered
 
 
 class _StubAodv:

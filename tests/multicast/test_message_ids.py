@@ -88,7 +88,7 @@ class TestOneIdPerMessage:
     def test_a_forwarded_copy_carries_the_same_tuple(self):
         data = MulticastData(origin=0, destination=GROUP, group=GROUP, source=3, seq=7)
         assert data.message_id() == (3, 7)
-        assert data.copy_for_forwarding().message_id() is data.message_id()
+        assert data.forwarded(ttl=data.ttl - 1, uid=data.uid).message_id() is data.message_id()
 
     def test_the_accepted_copy_costs_the_cache_one_frame(self):
         router = build_network(line_topology(3, 60.0)).maodv[1]

@@ -31,33 +31,43 @@ class TestPacket:
         assert first.uid != second.uid
         assert second.uid > first.uid
 
-    def test_copy_for_forwarding_decrements_ttl(self):
+    def test_forwarded_applies_its_changes(self):
         packet = Packet(origin=1, destination=2, ttl=5)
-        forwarded = packet.copy_for_forwarding()
+        forwarded = packet.forwarded(ttl=4)
         assert forwarded.ttl == 4
         assert packet.ttl == 5
 
-    def test_copy_for_forwarding_preserves_identity_fields(self):
+    def test_forwarded_preserves_identity_fields(self):
         packet = Packet(origin=1, destination=2, size_bytes=99)
-        forwarded = packet.copy_for_forwarding()
+        forwarded = packet.forwarded(ttl=packet.ttl - 1)
         assert forwarded.origin == 1
         assert forwarded.destination == 2
         assert forwarded.size_bytes == 99
 
+    def test_forwarded_draws_the_uid_a_new_packet_would_unless_kept(self):
+        packet = Packet(origin=1, destination=2)
+        fresh = packet.forwarded()
+        kept = packet.forwarded(uid=packet.uid)
+        after = Packet(origin=1, destination=2)
+        assert packet.uid < fresh.uid and after.uid == fresh.uid + 1
+        assert kept.uid == packet.uid
+
     @pytest.mark.parametrize("cls", _packet_classes(), ids=lambda cls: cls.__name__)
-    def test_copy_for_forwarding_is_copy_copy_field_for_field(self, cls):
+    def test_forwarded_is_copy_copy_field_for_field(self, cls):
         packet = cls(origin=1, destination=2)
         packet.ttl = 5
         if hasattr(packet, "payload"):
             packet.payload = Packet(origin=3, destination=4)
-        clone = packet.copy_for_forwarding()
+        clone = packet.forwarded(ttl=4)
         assert clone is not packet and type(clone) is cls
-        assert vars(clone) == {**vars(copy.copy(packet)), "ttl": 4}
+        assert clone.uid > packet.uid
+        assert vars(clone) == {**vars(copy.copy(packet)), "ttl": 4, "uid": clone.uid}
         assert list(vars(clone)) == list(vars(packet))
         for name, value in vars(packet).items():
-            # Shallow: every field but the TTL is the original's own object.
-            assert name == "ttl" or getattr(clone, name) is value
+            # Shallow: every field but the changed ones is the original's own object.
+            assert name in ("ttl", "uid") or getattr(clone, name) is value
         assert packet.ttl == 5
+        assert vars(packet.forwarded(uid=packet.uid)) == vars(copy.copy(packet))
 
 
 class TestFrame:

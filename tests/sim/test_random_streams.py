@@ -43,18 +43,3 @@ class TestRandomStreams:
     def test_for_node_is_cached(self):
         streams = RandomStreams(3)
         assert streams.for_node("mac", 1) is streams.for_node("mac", 1)
-
-    def test_spawn_creates_independent_child(self):
-        parent = RandomStreams(5)
-        child = parent.spawn("experiment")
-        assert child.master_seed != parent.master_seed
-        assert child.get("a") is not parent.get("a")
-
-    def test_spawn_is_deterministic(self):
-        assert RandomStreams(5).spawn("x").master_seed == RandomStreams(5).spawn("x").master_seed
-
-    def test_names_lists_created_streams(self):
-        streams = RandomStreams(1)
-        streams.get("beta")
-        streams.get("alpha")
-        assert list(streams.names()) == ["alpha", "beta"]

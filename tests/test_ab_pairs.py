@@ -95,12 +95,13 @@ class TestExitStatus:
     METRICS = {"cal_events_per_s": 100.0, "setup_s": 0.2,
                "wall_s": 1.5, "cpu_s": 1.4, "speed": 1.0}
 
-    def _main(self, tmp_path, monkeypatch, results):
-        """Run ``main`` for two pairs with ``results[side]`` scripted per tree."""
+    def _main(self, tmp_path, monkeypatch, results, *options):
+        """Run ``main`` (two pairs unless ``options`` say otherwise) with
+        ``results[side]`` scripted per tree."""
         trees = {}
         for side in ("parent", "change"):
             trees[side] = tmp_path / side
-            trees[side].mkdir()
+            trees[side].mkdir(exist_ok=True)
         (trees["parent"] / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
             {"name": "cal_events_per_s", "better": "higher"},
             {"name": "setup_s", "better": "lower"},
@@ -113,7 +114,8 @@ class TestExitStatus:
 
         monkeypatch.setattr(ab_pairs, "run_once", scripted)
         status = ab_pairs.main([str(trees["parent"]), str(trees["change"]),
-                                "--workload", "flood1k", "--pairs", "2", "--seconds", "3"])
+                                "--workload", "flood1k", "--pairs", "2", "--seconds", "3",
+                                *options])
         return status, calls
 
     def test_clean_pairs_exit_zero_and_alternate_sides(self, tmp_path, monkeypatch, capsys):
@@ -129,6 +131,16 @@ class TestExitStatus:
         assert "raw wall_s [lower wins] parent: median 1.5" in raw
         assert "raw speed: change won 0, parent won 0 of 2\n" in raw
         assert "->" not in raw
+
+    def test_one_pair_runs_of_consecutive_seeds_alternate_sides(self, tmp_path, monkeypatch):
+        ok = (self.METRICS, 0, "# digest_changed=0")
+        first = {}
+        for seed in (61, 62):
+            _, calls = self._main(tmp_path, monkeypatch, {"parent": ok, "change": ok},
+                                  "--pairs", "1", "--seed", str(seed))
+            assert [call[2] for call in calls] == [seed, seed]
+            first[seed] = calls[0][0]
+        assert first == {61: "parent", 62: "change"}
 
     @pytest.mark.parametrize("side", ["parent", "change"])
     def test_a_failed_operation_on_either_side_exits_non_zero(

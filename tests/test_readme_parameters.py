@@ -16,6 +16,8 @@ MODULES = {
     "maodv": "repro.multicast.maodv",
     "flooding": "repro.multicast.flooding",
     "odmrp": "repro.multicast.odmrp",
+    "router": "repro.multicast.router",
+    "node": "repro.net.node",
     "mac": "repro.net.mac",
     "gossip": "repro.core.gossip",
     "lost_table": "repro.core.lost_table",
