@@ -36,6 +36,7 @@ import math
 import os
 from typing import Dict
 
+from repro.experiments.variants import variant_config
 from repro.membership.config import ChurnConfig
 from repro.workload.scenario import Scenario, ScenarioConfig
 from tests.net.reference_medium import LinearScanMedium, scenario_medium
@@ -121,6 +122,16 @@ GOLDEN_SCENARIOS: Dict[str, ScenarioConfig] = {
         seed=16,
     ),
 }
+
+# The gossip ablations on Fig. 7's geometry: ``p_anon`` 0 sends cached gossip
+# every round the member cache allows, 1 never does, and the locality bias
+# off draws next hops uniformly.
+_FIG7 = GOLDEN_SCENARIOS["fig7_nodes_const_range"]
+GOLDEN_SCENARIOS.update(
+    gossip_cached_only=variant_config(_FIG7, "gossip-cached-only"),
+    gossip_anonymous_only=variant_config(_FIG7, "gossip-anonymous-only"),
+    gossip_no_locality=variant_config(_FIG7, "gossip-no-locality"),
+)
 
 #: Goldens that run on a reference medium (the ``medium=`` of
 #: :func:`run_digest`) instead of the production one.
