@@ -22,13 +22,13 @@ The agent implements the paper's four design answers:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.core.config import GossipConfig
 from repro.core.history import HistoryTable
 from repro.core.lost_table import INITIAL_EXPECTED_SEQ, LostTable
 from repro.core.member_cache import MemberCache
-from repro.core.messages import GossipReply, GossipRequest, MessageId
+from repro.core.messages import GossipReply, GossipRequest
 from repro.multicast.messages import MulticastData
 from repro.net.addressing import GroupAddress, NodeId
 from repro.net.node import Node
@@ -149,6 +149,8 @@ class GossipAgent:
         self.multicast = multicast
         self.aodv = aodv
         self.group = group
+        #: Identifier of the owning node.
+        self.node_id: NodeId = node.node_id
         self.config = config or GossipConfig()
         self.rng = rng if rng is not None else node.streams.for_node("gossip", node.node_id)
         self.stats = GossipStats()
@@ -176,11 +178,6 @@ class GossipAgent:
 
     # ------------------------------------------------------------------ basics
     @property
-    def node_id(self) -> NodeId:
-        """Identifier of the owning node."""
-        return self.node.node_id
-
-    @property
     def is_member(self) -> bool:
         """True while the owning node is a member of the gossip group."""
         return self.multicast.is_member(self.group)
@@ -192,10 +189,6 @@ class GossipAgent:
     def start(self) -> None:
         """Start periodic gossip rounds (only members actually gossip)."""
         self._timer.start()
-
-    def stop(self) -> None:
-        """Stop gossiping."""
-        self._timer.stop()
 
     # -------------------------------------------------------- membership churn
     def on_membership_join(self) -> None:
@@ -237,8 +230,7 @@ class GossipAgent:
         if data.group != self.group:
             return
         self.record_receipt(data)
-        if data.source != self.node_id:
-            self._note_member(data.source)
+        self._note_member(data.source)
 
     def record_receipt(self, data: MulticastData) -> None:
         """Record a multicast data packet received by the underlying protocol."""
@@ -306,10 +298,9 @@ class GossipAgent:
         self.node.send_frame(request, next_hop)
 
     def _send_cached(self, request: GossipRequest) -> None:
-        member = self.member_cache.random_member(self.rng, exclude=self.node_id)
-        if member is None:
-            self._send_anonymous(request)
-            return
+        # ``_gossip_round`` comes here only with a non-empty cache, and
+        # ``_note_member`` never caches this node.
+        member = self.member_cache.random_member(self.rng)
         request.direct = True
         request.destination = member
         self.stats.cached_requests_sent += 1
@@ -340,8 +331,6 @@ class GossipAgent:
         return items[-1]
 
     def _on_request(self, request: GossipRequest, from_node: NodeId) -> None:
-        if request.group != self.group:
-            return
         if request.initiator == self.node_id:
             # A request must never be served by (or cycle back to) its own
             # initiator.
@@ -358,35 +347,18 @@ class GossipAgent:
         self._propagate(request, from_node)
 
     def _propagate(self, request: GossipRequest, from_node: NodeId) -> None:
-        if request.hops_remaining <= 1:
-            # The request ran out of budget; a member holding it serves it
-            # rather than dropping the round entirely.
-            if self.is_member:
-                self._accept(request)
-            else:
-                self.stats.requests_dropped += 1
-            return
-        next_hop = self._choose_next_hop(exclude=from_node)
+        next_hop = None
+        if request.hops_remaining > 1:
+            next_hop = self._choose_next_hop(exclude=from_node)
         if next_hop is None:
-            if self.is_member:
-                self._accept(request)
-            else:
-                self.stats.requests_dropped += 1
+            # Out of budget or of next hops: a member holding the request
+            # serves it rather than dropping the round entirely.
+            self._accept(request)
             return
-        forwarded = GossipRequest(
-            origin=request.origin,
-            destination=request.destination,
-            size_bytes=request.size_bytes,
-            group=request.group,
-            initiator=request.initiator,
-            lost=request.lost,
-            expected=request.expected,
-            hops_remaining=request.hops_remaining - 1,
-            direct=False,
-            joined_at=request.joined_at,
-        )
         self.stats.requests_forwarded += 1
-        self.node.send_frame(forwarded, next_hop)
+        self.node.send_frame(
+            request.forwarded(hops_remaining=request.hops_remaining - 1), next_hop
+        )
 
     # ----------------------------------------------------------------- replies
     def _accept(self, request: GossipRequest) -> None:
@@ -413,64 +385,46 @@ class GossipAgent:
         self.aodv.send_unicast(reply, request.initiator)
 
     def _collect_reply_messages(self, request: GossipRequest) -> List[MulticastData]:
-        limit = MAX_MESSAGES_PER_REPLY
-        # A mid-run joiner is served exactly the post-join suffix: every
-        # candidate -- even one the joiner explicitly lists as lost, which
-        # can reference a pre-join message when its baseline packet was sent
-        # before the join but delivered (or recovered) after it -- must have
-        # been sent at or after the subscription start.
+        """The messages a reply carries: at most ``MAX_MESSAGES_PER_REPLY``.
+
+        In priority order: the listed losses the history still holds; then,
+        per source in ``request.expected``, what the history holds at or
+        after that expected number; then, per source the initiator has never
+        heard of, everything the history holds -- the bootstrap of a member
+        cut off before its first reception.  The last two groups skip the
+        initiator's own messages.  A mid-run joiner (``joined_at`` set) is
+        served only messages sent at or after its join, in every group: even
+        a listed loss predates the join when the joiner's baseline packet
+        was sent before it.  No message is offered twice: a listed loss lies
+        below its source's expected number, and the last two groups differ
+        by source.
+        """
         cutoff = request.joined_at
-        # With a join cutoff the lost-list lookup must not be count-limited
-        # either: the first ``limit`` hits may all be pre-join entries (a
-        # late-delivered pre-join baseline packet seeds the joiner's lost
-        # table with pre-join gaps), so filter first, truncate after.
-        if cutoff is None:
-            messages = self.history.lookup_many(list(request.lost), limit)
-        else:
-            messages = [
-                message
-                for message in self.history.lookup_many(
-                    list(request.lost), len(request.lost)
-                )
-                if message.sent_at >= cutoff
-            ][:limit]
-        found_ids = {message.message_id() for message in messages}
+        messages: List[MulticastData] = []
+        for message in self._reply_candidates(request):
+            if cutoff is None or message.sent_at >= cutoff:
+                messages.append(message)
+                if len(messages) == MAX_MESSAGES_PER_REPLY:
+                    break
+        return messages
 
-        def offer(source: NodeId, from_seq: int) -> None:
-            if len(messages) >= limit or source == request.initiator:
-                return
-            # With a join cutoff the fetch cannot be count-limited: the
-            # lowest-seq candidates may all be pre-join, and truncating
-            # before the sent_at filter would starve the post-join suffix.
-            count = len(self.history) if cutoff is not None else limit - len(messages)
-            for candidate in self.history.messages_at_or_after(
-                source, from_seq, count
-            ):
-                if cutoff is not None and candidate.sent_at < cutoff:
-                    continue
-                if candidate.message_id() not in found_ids:
-                    messages.append(candidate)
-                    found_ids.add(candidate.message_id())
-                    if len(messages) >= limit:
-                        return
-
-        # Messages newer than what the initiator expects from sources it knows.
-        for source, expected_seq in request.expected.items():
-            offer(source, expected_seq)
-        # Sources the initiator has never heard from at all: everything in the
-        # history is news to it.  This is what lets gossip bootstrap a member
-        # that was cut off from the tree before receiving its first packet.
-        # Mid-run joiners participate through the send-time filter above
-        # (``joined_at`` set): they get the post-join suffix of unknown
-        # sources, never pre-subscription traffic.
-        known_sources = set(request.expected)
-        for source in {message_id[0] for message_id in self.history.message_ids()}:
-            if source not in known_sources:
-                offer(source, INITIAL_EXPECTED_SEQ)
-        return messages[:limit]
+    def _reply_candidates(self, request: GossipRequest) -> Iterator[MulticastData]:
+        """The history's answers to ``request``, in reply priority order."""
+        history = self.history
+        for message_id in request.lost:
+            message = history.get(message_id)
+            if message is not None:
+                yield message
+        expected = request.expected
+        for source, seq in expected.items():
+            if source != request.initiator:
+                yield from history.messages_at_or_after(source, seq)
+        for source in {message_id[0] for message_id in history.message_ids()}:
+            if source not in expected and source != request.initiator:
+                yield from history.messages_at_or_after(source, INITIAL_EXPECTED_SEQ)
 
     def _on_reply(self, reply: GossipReply, from_node: NodeId) -> None:
-        if reply.group != self.group or not self.is_member:
+        if not self.is_member:
             return
         self.stats.replies_received += 1
         self.stats.reply_messages_received += len(reply.messages)

@@ -49,19 +49,9 @@ class HistoryTable:
         """Return the stored message with ``message_id`` if still buffered."""
         return self._messages.get(message_id)
 
-    def lookup_many(self, message_ids: List[MessageId], limit: int) -> List[MulticastData]:
-        """Return up to ``limit`` stored messages among ``message_ids``."""
-        found: List[MulticastData] = []
-        for message_id in message_ids:
-            message = self._messages.get(message_id)
-            if message is not None:
-                found.append(message)
-                if len(found) >= limit:
-                    break
-        return found
-
-    def messages_at_or_after(self, source: int, seq: int, limit: int) -> List[MulticastData]:
-        """Messages from ``source`` with sequence number >= ``seq``.
+    def messages_at_or_after(self, source: int, seq: int) -> List[MulticastData]:
+        """Messages from ``source`` with sequence number >= ``seq``, in
+        sequence order.
 
         Used to answer the "expected sequence number" part of a gossip
         request: anything the responder holds that the initiator has not even
@@ -73,7 +63,7 @@ class HistoryTable:
             if msg_source == source and msg_seq >= seq
         ]
         found.sort(key=lambda message: message.seq)
-        return found[:limit]
+        return found
 
     def message_ids(self) -> List[MessageId]:
         """Identifiers of every buffered message, oldest first."""

@@ -75,10 +75,6 @@ class MemberCache:
         if entry is not None:
             entry.last_gossip = now
 
-    def remove(self, node: int) -> None:
-        """Forget ``node`` (for example after repeated unreachability)."""
-        self._entries.pop(node, None)
-
     # ----------------------------------------------------------------- queries
     def get(self, node: int) -> Optional[MemberCacheEntry]:
         """Return the cache entry for ``node`` if present."""
@@ -88,13 +84,8 @@ class MemberCache:
         """Addresses of every cached member, sorted."""
         return sorted(self._entries)
 
-    def entries(self) -> List[MemberCacheEntry]:
-        """All cache entries."""
-        return list(self._entries.values())
-
-    def random_member(self, rng, exclude: Optional[int] = None) -> Optional[int]:
-        """Pick a uniformly random cached member, excluding ``exclude``."""
-        candidates = [node for node in self._entries if node != exclude]
-        if not candidates:
+    def random_member(self, rng) -> Optional[int]:
+        """Pick a uniformly random cached member (``None`` when empty)."""
+        if not self._entries:
             return None
-        return rng.choice(sorted(candidates))
+        return rng.choice(sorted(self._entries))

@@ -56,8 +56,3 @@ class GossipReply(Packet):
     responder: NodeId = -1
     #: Recovered data packets (copies out of the responder's history table).
     messages: List[MulticastData] = field(default_factory=list)
-
-    @property
-    def message_ids(self) -> List[MessageId]:
-        """Identifiers of the carried messages."""
-        return [message.message_id() for message in self.messages]

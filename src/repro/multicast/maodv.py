@@ -141,9 +141,14 @@ class MaodvRouter(MulticastRouter):
 
         self._rreq_id = 0
         self._pending_joins: Dict[GroupAddress, _PendingJoin] = {}
+        #: Join-request flood key -> the hop it came from.  A join's replies
+        #: travel back within its wait, so an entry goes with its seen key.
         self._reverse_routes: Dict[tuple, NodeId] = {}
+        #: ``(group, rreq_id)`` -> the hop a relayed reply came from.  Never
+        #: purged: a MACT can read an entry another requester's join wrote
+        #: long before (ROADMAP 1(e)).
         self._potential_upstream: Dict[tuple, NodeId] = {}
-        self._seen_join_requests = SeenCache(10.0)
+        self._seen_join_requests = SeenCache(10.0, self._reverse_routes)
         self._seen_group_hellos = SeenCache(60.0)
         self._seen_handoffs = SeenCache(60.0)
         #: Election key -> best ``(age_s, -node_id)`` bid seen for that

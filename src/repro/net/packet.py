@@ -95,15 +95,18 @@ class SeenCache(dict):
     A key reads as seen while its expiry is later than now (RFC 3561 §6.3
     buffers an RREQ's key for PATH_DISCOVERY_TIME).  Expired keys already read
     as unseen; one pass drops them at most once per lifetime, so after any
-    call the table holds only keys marked in the last two lifetimes.
+    call the table holds only keys marked in the last two lifetimes.  The
+    pass drops the same keys from each of ``companions``: tables keyed like
+    this one whose entries are read only while their key is seen.
     """
 
-    __slots__ = ("lifetime", "_purge_at")
+    __slots__ = ("lifetime", "_purge_at", "_companions")
 
-    def __init__(self, lifetime: float):
+    def __init__(self, lifetime: float, *companions: dict):
         super().__init__()
         self.lifetime = lifetime
         self._purge_at = lifetime
+        self._companions = companions
 
     def first_sight(self, key, now: float) -> bool:
         """False if ``key`` is seen at ``now``; else remember it and return True."""
@@ -111,6 +114,8 @@ class SeenCache(dict):
             self._purge_at = now + self.lifetime
             for stale in [k for k, expiry in self.items() if expiry <= now]:
                 del self[stale]
+                for table in self._companions:
+                    table.pop(stale, None)
         if self.get(key, 0.0) > now:  # simulation time is never negative
             return False
         self[key] = now + self.lifetime

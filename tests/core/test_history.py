@@ -49,34 +49,20 @@ class TestStorage:
 
 
 class TestLookup:
-    def test_lookup_many_returns_only_held_messages(self):
-        history = HistoryTable(capacity=10)
-        history.add(_data(1, 1))
-        history.add(_data(1, 3))
-        found = history.lookup_many([(1, 1), (1, 2), (1, 3)], limit=10)
-        assert [m.seq for m in found] == [1, 3]
-
-    def test_lookup_many_respects_limit(self):
-        history = HistoryTable(capacity=10)
-        for seq in range(1, 6):
-            history.add(_data(1, seq))
-        found = history.lookup_many([(1, s) for s in range(1, 6)], limit=2)
-        assert len(found) == 2
-
     def test_messages_at_or_after(self):
         history = HistoryTable(capacity=10)
         for seq in (1, 2, 5, 7):
             history.add(_data(1, seq))
         history.add(_data(2, 9))
-        found = history.messages_at_or_after(source=1, seq=3, limit=10)
+        found = history.messages_at_or_after(source=1, seq=3)
         assert [m.seq for m in found] == [5, 7]
 
-    def test_messages_at_or_after_respects_limit_and_order(self):
+    def test_messages_at_or_after_in_sequence_order(self):
         history = HistoryTable(capacity=10)
         for seq in (9, 3, 6):
             history.add(_data(1, seq))
-        found = history.messages_at_or_after(source=1, seq=1, limit=2)
-        assert [m.seq for m in found] == [3, 6]
+        found = history.messages_at_or_after(source=1, seq=1)
+        assert [m.seq for m in found] == [3, 6, 9]
 
     def test_iteration_yields_messages(self):
         history = HistoryTable(capacity=10)

@@ -32,12 +32,6 @@ class TestBasics:
         cache.record_gossip(3, now=9.0)
         assert 3 not in cache
 
-    def test_remove(self):
-        cache = MemberCache(capacity=5)
-        cache.note_member(3, numhops=2, now=1.0)
-        cache.remove(3)
-        assert 3 not in cache
-
     def test_members_sorted(self):
         cache = MemberCache(capacity=5)
         cache.note_member(9, 1, 0.0)
@@ -76,21 +70,8 @@ class TestEviction:
 
 
 class TestRandomSelection:
-    def test_random_member_excludes_requested_node(self):
-        cache = MemberCache(capacity=5)
-        cache.note_member(1, 1, 0.0)
-        cache.note_member(2, 1, 0.0)
-        rng = random.Random(3)
-        picks = {cache.random_member(rng, exclude=1) for _ in range(20)}
-        assert picks == {2}
-
     def test_random_member_empty_cache_returns_none(self):
         assert MemberCache(capacity=5).random_member(random.Random(1)) is None
-
-    def test_random_member_only_excluded_entry_returns_none(self):
-        cache = MemberCache(capacity=5)
-        cache.note_member(1, 1, 0.0)
-        assert cache.random_member(random.Random(1), exclude=1) is None
 
     def test_random_member_covers_all_entries_eventually(self):
         cache = MemberCache(capacity=5)

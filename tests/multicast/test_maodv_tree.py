@@ -212,6 +212,37 @@ class TestSeenJoinRequests:
         assert len(sent) == 3000 + 2520  # every first sight, every expired repeat
 
 
+class TestPerJoinTables:
+    def test_repeated_joins_leave_only_recent_reverse_routes(self):
+        """A relay's reverse routes go with their seen keys: after 30 s of
+        relayed joins (three 10 s lifetimes) only the joins of the last two
+        lifetimes are kept.  Its potential upstreams are all kept (1(e)):
+        a MACT can read one written long before by another join, so a
+        lifetime there changes runs (a 600 s ``mover100_fast`` run reads
+        entries up to 64 s old)."""
+        sim, node, router = _stub_router()
+
+        def relay(step):
+            requester = 1 + step % 50
+            router._on_join_request(JoinRequest(
+                origin=requester, destination=BROADCAST_ADDRESS, ttl=5,
+                group=GROUP, rreq_id=step), 9)
+            router._on_join_reply(JoinReply(
+                origin=60, destination=requester, group=GROUP, replier=60,
+                rreq_id=step), 60)
+
+        for step in range(300):  # one join every 0.1 s
+            sim.call_at(step * 0.1, relay, (step,))
+        sim.run()
+        # Every reply found its reverse route and was relayed.
+        assert router.stats.join_replies_forwarded == 300
+        reverse = sorted(rreq_id for _, rreq_id in router._reverse_routes)
+        # The last purge (at 20 s) dropped every join marked by 10 s.
+        assert reverse == list(range(reverse[0], 300))
+        assert 99 <= reverse[0] <= 101
+        assert len(router._potential_upstream) == 300
+
+
 class TestPotentialUpstreamKey:
     def test_known_deviation_two_requesters_share_one_upstream_entry(self):
         """KNOWN DEVIATION, pinned not endorsed (ROADMAP direction 3).

@@ -1,5 +1,7 @@
 """Tests for the ODMRP mesh-based multicast protocol."""
 
+import pytest
+
 from repro.mobility.static import StaticMobility
 from repro.multicast.odmrp import FORWARDING_LIFETIME_S, OdmrpRouter
 from repro.net.config import RadioConfig
@@ -8,7 +10,7 @@ from repro.net.node import Node
 from repro.routing.aodv import AodvRouter
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
-from repro.workload.scenario import ScenarioConfig, run_scenario
+from repro.workload.scenario import Scenario, ScenarioConfig, run_scenario
 from tests.conftest import GROUP
 
 
@@ -138,3 +140,26 @@ class TestScenarioIntegration:
         with_gossip = run_scenario(base.with_gossip(True))
         assert with_gossip.summary.mean >= plain.summary.mean - 1.0
         assert with_gossip.protocol_stats.get("gossip.rounds", 0) > 0
+
+
+def test_known_deviation_source_keeps_querying_after_its_last_packet():
+    """KNOWN DEVIATION, pinned not endorsed (ROADMAP direction 1(b)).
+
+    Nothing in a run calls ``OdmrpRouter.stop_source``, so a source floods a
+    join query every ``JOIN_QUERY_INTERVAL_S`` until the run ends, after its
+    CBR source has stopped, against the module's "while a source has data
+    to send".  It is in every ODMRP digest; the fix moves them.
+    """
+    config = ScenarioConfig.quick(seed=1, protocol="odmrp", gossip_enabled=False)
+    scenario = Scenario(config).build()
+    sent_at = []
+    for router in scenario.multicast.values():
+        send = router._send_join_query
+        router._send_join_query = lambda group, send=send: (
+            sent_at.append(scenario.sim.now), send(group))
+    scenario.run()
+    late = [at for at in sent_at if at > config.source_stop_s]
+    assert config.source_stop_s == 55.0
+    assert len(sent_at) == 17
+    assert len(late) == 3
+    assert max(sent_at) == pytest.approx(63.0)

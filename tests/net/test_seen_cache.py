@@ -53,6 +53,20 @@ class TestSeenCacheIsTheUnpurgedDict:
             assert all(marked_at[k] > now - 2 * lifetime for k in cache)
         assert all(b - a >= lifetime for a, b in zip(purges, purges[1:]))
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 20), _steps)
+    def test_a_companion_holds_exactly_the_cached_keys(self, quarters, steps):
+        # As MAODV's reverse routes: written whenever a key is (re)marked.
+        companion = {}
+        cache = SeenCache(quarters * 0.25, companion)
+        now = 0.0
+        for step, query, key in steps:
+            now += step * 0.25
+            if not query or cache.first_sight(key, now):
+                cache.mark(key, now)
+                companion[key] = now
+            assert companion.keys() == cache.keys()
+
 
 class TestFloodKeysAreBuiltOnce:
     @pytest.mark.parametrize("packet", [

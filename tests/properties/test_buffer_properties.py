@@ -48,17 +48,19 @@ class TestHistoryTableInvariants:
             assert message is not None
             assert message.message_id() == message_id
 
-    @given(_message_ids, st.integers(min_value=1, max_value=10))
+    @given(_message_ids, st.integers(min_value=0, max_value=5),
+           st.integers(min_value=1, max_value=50), st.integers(min_value=1, max_value=25))
     @settings(max_examples=100, deadline=None)
-    def test_lookup_many_never_exceeds_limit_or_invents_messages(self, message_ids, limit):
-        history = HistoryTable(capacity=1000)
-        for source, seq in message_ids:
-            history.add(_data(source, seq))
-        wanted = [(source, seq) for source, seq in message_ids][:30]
-        found = history.lookup_many(wanted, limit=limit)
-        assert len(found) <= limit
-        for message in found:
-            assert message.message_id() in wanted
+    def test_messages_at_or_after_is_exactly_the_held_suffix(
+        self, message_ids, source, seq, capacity
+    ):
+        history = HistoryTable(capacity=capacity)
+        for message_source, message_seq in message_ids:
+            history.add(_data(message_source, message_seq))
+        found = history.messages_at_or_after(source, seq)
+        assert [message.message_id() for message in found] == sorted(
+            (s, q) for s, q in history.message_ids() if s == source and q >= seq
+        )
 
 
 _cache_events = st.lists(
