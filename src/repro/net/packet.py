@@ -112,10 +112,12 @@ class SeenCache(dict):
         """False if ``key`` is seen at ``now``; else remember it and return True."""
         if now >= self._purge_at:
             self._purge_at = now + self.lifetime
-            for stale in [k for k, expiry in self.items() if expiry <= now]:
-                del self[stale]
-                for table in self._companions:
-                    table.pop(stale, None)
+            stale = [k for k, expiry in self.items() if expiry <= now]
+            for k in stale:
+                del self[k]
+            for table in self._companions:
+                for k in stale:
+                    table.pop(k, None)
         if self.get(key, 0.0) > now:  # simulation time is never negative
             return False
         self[key] = now + self.lifetime
