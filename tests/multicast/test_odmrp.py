@@ -143,7 +143,7 @@ class TestScenarioIntegration:
 
 
 def test_known_deviation_source_keeps_querying_after_its_last_packet():
-    """KNOWN DEVIATION, pinned not endorsed (ROADMAP direction 1(b)).
+    """KNOWN DEVIATION, pinned not endorsed (ROADMAP 1(b), follow-up (g)).
 
     Nothing in a run calls ``OdmrpRouter.stop_source``, so a source floods a
     join query every ``JOIN_QUERY_INTERVAL_S`` until the run ends, after its
